@@ -1,9 +1,14 @@
 //! Transactional state cells: [`Ehr`], [`Reg`], and [`Wire`].
 //!
-//! All module state in a CMD design lives in these cells. Writes performed
-//! inside a rule are *buffered* and only published when the whole rule
-//! commits — this is what makes rules atomic: a rule either successfully
-//! updates the state of all the modules it calls, or it does nothing.
+//! All module state in a CMD design lives in these cells (and in the
+//! element-granular collection cells of [`crate::journal`]). A write inside
+//! a rule lands **in place**; the first touch of a cell in a rule saves the
+//! value it found in the cell's undo slot and enlists the cell with the
+//! clock. Commit clears the slot and publishes the cell, abort puts the old
+//! value back — this is what makes rules atomic: a rule either successfully
+//! updates the state of all the modules it calls, or it does nothing. A
+//! cell transaction therefore costs what the rule *changes*; reads never
+//! look anywhere but the one live value.
 //!
 //! The two register flavors differ in *intra-cycle visibility*, mirroring
 //! Bluespec:
@@ -13,9 +18,11 @@
 //!   within a rule, the rule's own earlier write). The canonical rule order
 //!   of the scheduler plays the role of EHR port numbering.
 //! * [`Reg`] — a plain D flip-flop: a read always observes the
-//!   start-of-cycle value; writes become visible next cycle. Two rules
-//!   writing the same `Reg` in one cycle is a design error (BSV would reject
-//!   the schedule) and panics.
+//!   start-of-cycle value; a write waits in the register's `next` slot and
+//!   becomes visible at the end-of-cycle latch. Two writes to the same
+//!   `Reg` in one cycle are a design error (BSV would reject the schedule):
+//!   the scheduler refuses the second rule's commit with a structured
+//!   error, a hand-driven [`Clock::commit_rule`] panics.
 //! * [`Wire`] — a same-cycle-only value (RWire): set by an earlier rule,
 //!   readable until the cycle ends, automatically cleared.
 //!
@@ -26,7 +33,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::clock::{CellId, Clock, EndOfCycle, TxnCell};
+use crate::clock::{CellId, Clock, TxnCell};
 use crate::guard::{Guarded, Stall};
 
 // ---------------------------------------------------------------------------
@@ -36,25 +43,47 @@ use crate::guard::{Guarded, Stall};
 struct EhrInner<T> {
     id: u32,
     cur: RefCell<T>,
-    pend: RefCell<Option<T>>,
-    dirty: Cell<bool>,
+    /// What the open rule found here; `Some` exactly while enlisted.
+    undo: RefCell<Option<T>>,
+    enlisted: Cell<bool>,
 }
 
-impl<T> TxnCell for EhrInner<T> {
-    fn commit(&self) -> Option<u32> {
-        self.dirty.set(false);
-        if let Some(v) = self.pend.borrow_mut().take() {
-            *self.cur.borrow_mut() = v;
-            // An Ehr publish is visible to later rules in the same cycle.
-            Some(self.id)
-        } else {
-            None
+impl<T> EhrInner<T> {
+    fn new(id: u32, init: T) -> Self {
+        EhrInner {
+            id,
+            cur: RefCell::new(init),
+            undo: RefCell::new(None),
+            enlisted: Cell::new(false),
         }
     }
 
+    /// Replaces the value: in place inside a rule (journaling the old value
+    /// on the rule's first touch), immediately outside one.
+    fn write(&self, clk: &Clock, v: T) {
+        let old = self.cur.replace(v);
+        if !clk.in_rule() {
+            clk.mark_poked(self.id);
+        } else if !self.enlisted.replace(true) {
+            *self.undo.borrow_mut() = Some(old);
+            clk.enlist(self.id);
+        }
+    }
+}
+
+impl<T> TxnCell for EhrInner<T> {
+    fn commit(&self) -> bool {
+        *self.undo.borrow_mut() = None;
+        self.enlisted.set(false);
+        // An Ehr touch is visible to later rules in the same cycle.
+        true
+    }
+
     fn abort(&self) {
-        *self.pend.borrow_mut() = None;
-        self.dirty.set(false);
+        if let Some(old) = self.undo.borrow_mut().take() {
+            *self.cur.borrow_mut() = old;
+        }
+        self.enlisted.set(false);
     }
 }
 
@@ -100,12 +129,7 @@ impl<T: Clone + 'static> Ehr<T> {
     #[must_use]
     pub fn new(clk: &Clock, init: T) -> Self {
         Ehr {
-            inner: Rc::new(EhrInner {
-                id: clk.alloc_cell(),
-                cur: RefCell::new(init),
-                pend: RefCell::new(None),
-                dirty: Cell::new(false),
-            }),
+            inner: clk.adopt(false, |id| EhrInner::new(id, init)),
             clk: clk.clone(),
         }
     }
@@ -117,62 +141,65 @@ impl<T: Clone + 'static> Ehr<T> {
         CellId(self.inner.id)
     }
 
-    /// Reads the latest value: this rule's own buffered write if any,
-    /// otherwise the value committed by earlier rules (this cycle or
-    /// before).
+    /// Reads the latest value: this rule's own write if any, otherwise the
+    /// value committed by earlier rules (this cycle or before).
     #[must_use]
     pub fn read(&self) -> T {
         self.clk.note_read(self.inner.id);
-        if let Some(v) = self.inner.pend.borrow().as_ref() {
-            return v.clone();
-        }
         self.inner.cur.borrow().clone()
     }
 
     /// Applies `f` to a borrow of the latest value without cloning.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.clk.note_read(self.inner.id);
-        if let Some(v) = self.inner.pend.borrow().as_ref() {
-            return f(v);
-        }
         f(&self.inner.cur.borrow())
     }
 
-    fn ensure_dirty(&self) {
-        if !self.inner.dirty.get() {
-            self.inner.dirty.set(true);
-            self.clk.mark_dirty(self.inner.clone() as Rc<dyn TxnCell>);
-        }
-    }
-
-    /// Buffers a write; inside a rule it is published only on commit.
-    /// Outside a rule the write applies immediately (initialization).
+    /// Replaces the value; inside a rule the old one comes back if the rule
+    /// aborts. Outside a rule the write applies immediately
+    /// (initialization).
     pub fn write(&self, v: T) {
-        if !self.clk.in_rule() {
-            *self.inner.cur.borrow_mut() = v;
-            self.clk.mark_poked(self.inner.id);
-            return;
-        }
-        self.ensure_dirty();
-        *self.inner.pend.borrow_mut() = Some(v);
+        self.inner.write(&self.clk, v);
     }
 
-    /// Read-modify-write without cloning twice: the buffered copy is created
-    /// at most once per rule and then mutated in place.
+    /// Read-modify-write in place. The rule's first touch of the cell saves
+    /// a clone of the value for rollback, so this always opens a
+    /// transaction on the cell — when `f` may leave the value as it is, use
+    /// [`Ehr::update_if`].
     pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.clk.note_read(self.inner.id);
+        self.modify(f)
+    }
+
+    /// Conditional read-modify-write: `pred` decides on a borrow, and only
+    /// when it holds is the cell journaled, enlisted, mutated by `f` and
+    /// (at commit) published. Returns whether `f` ran.
+    ///
+    /// This is the primitive for broadcast methods (`wakeup`,
+    /// `correctSpec`, `wrongSpec`) that visit every slot of a structure but
+    /// change few: a slot the broadcast does not concern costs one borrow,
+    /// not a transaction.
+    pub fn update_if(&self, pred: impl FnOnce(&T) -> bool, f: impl FnOnce(&mut T)) -> bool {
+        self.clk.note_read(self.inner.id);
+        let hit = pred(&self.inner.cur.borrow());
+        if hit {
+            self.modify(f);
+        }
+        hit
+    }
+
+    fn modify<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let inner = &*self.inner;
         if !self.clk.in_rule() {
-            let r = f(&mut self.inner.cur.borrow_mut());
-            self.clk.mark_poked(self.inner.id);
+            let r = f(&mut inner.cur.borrow_mut());
+            self.clk.mark_poked(inner.id);
             return r;
         }
-        self.ensure_dirty();
-        let mut pend = self.inner.pend.borrow_mut();
-        if pend.is_none() {
-            *pend = Some(self.inner.cur.borrow().clone());
+        if !inner.enlisted.replace(true) {
+            *inner.undo.borrow_mut() = Some(inner.cur.borrow().clone());
+            self.clk.enlist(inner.id);
         }
-        // invariant: `pend` was filled two lines up when it was `None`.
-        f(pend.as_mut().expect("just filled"))
+        f(&mut inner.cur.borrow_mut())
     }
 }
 
@@ -187,7 +214,9 @@ impl<T: Clone + 'static> Ehr<Vec<T>> {
         self.with(|v| v[i].clone())
     }
 
-    /// Element write for array-shaped state.
+    /// Element write for array-shaped state. The rule's first touch clones
+    /// the whole vector for rollback; hot arrays belong in an
+    /// [`EhrArray`](crate::journal::EhrArray), which journals one element.
     ///
     /// # Panics
     ///
@@ -211,53 +240,31 @@ struct RegInner<T> {
     id: u32,
     name: &'static str,
     at_start: RefCell<T>,
+    /// This cycle's write, waiting for the end-of-cycle latch. A rule only
+    /// enlists a `Reg` whose slot it found empty (anything else is a
+    /// conflict), so rollback is just clearing it.
     next: RefCell<Option<T>>,
-    pend: RefCell<Option<T>>,
-    dirty: Cell<bool>,
 }
 
 impl<T> TxnCell for RegInner<T> {
-    fn commit(&self) -> Option<u32> {
-        if let Some(v) = self.pend.borrow_mut().take() {
-            let mut next = self.next.borrow_mut();
-            assert!(
-                next.is_none(),
-                "two rules wrote Reg `{}` in the same cycle (undeclared conflict)",
-                self.name
-            );
-            *next = Some(v);
-        }
-        self.dirty.set(false);
+    fn commit(&self) -> bool {
         // A committed Reg write is *not* observable until the end-of-cycle
         // latch — publishing it now would wake sleeping rules a cycle
-        // early. `EndOfCycle::end_cycle` publishes instead.
-        None
+        // early. `end_cycle` publishes instead.
+        false
     }
 
     fn abort(&self) {
-        *self.pend.borrow_mut() = None;
-        self.dirty.set(false);
+        *self.next.borrow_mut() = None;
     }
 
-    fn conflict(&self) -> Option<&'static str> {
-        // A second rule committing a write in the same cycle: the assert in
-        // `commit` above would fire. `Clock::try_commit_rule` probes this
-        // first so the scheduler can abort the rule gracefully instead.
-        if self.pend.borrow().is_some() && self.next.borrow().is_some() {
-            Some(self.name)
-        } else {
-            None
-        }
-    }
-}
-
-impl<T> EndOfCycle for RegInner<T> {
-    fn end_cycle(&self) -> Option<u32> {
-        if let Some(v) = self.next.borrow_mut().take() {
-            *self.at_start.borrow_mut() = v;
-            Some(self.id)
-        } else {
-            None
+    fn end_cycle(&self) -> bool {
+        match self.next.borrow_mut().take() {
+            Some(v) => {
+                *self.at_start.borrow_mut() = v;
+                true
+            }
+            None => false,
         }
     }
 }
@@ -306,17 +313,13 @@ impl<T: Clone + 'static> Reg<T> {
     /// Creates a named register; the name appears in conflict diagnostics.
     #[must_use]
     pub fn named(clk: &Clock, name: &'static str, init: T) -> Self {
-        let inner = Rc::new(RegInner {
-            id: clk.alloc_cell(),
-            name,
-            at_start: RefCell::new(init),
-            next: RefCell::new(None),
-            pend: RefCell::new(None),
-            dirty: Cell::new(false),
-        });
-        clk.register_eoc(Rc::downgrade(&inner) as std::rc::Weak<dyn EndOfCycle>);
         Reg {
-            inner,
+            inner: clk.adopt(true, |id| RegInner {
+                id,
+                name,
+                at_start: RefCell::new(init),
+                next: RefCell::new(None),
+            }),
             clk: clk.clone(),
         }
     }
@@ -341,28 +344,26 @@ impl<T: Clone + 'static> Reg<T> {
         f(&self.inner.at_start.borrow())
     }
 
-    /// Buffers a write to take effect next cycle; outside a rule the write
+    /// Writes the value to take effect next cycle; outside a rule the write
     /// applies immediately (initialization).
     ///
-    /// # Panics
-    ///
-    /// Panics (at commit time) if a second rule writes the same register in
-    /// one cycle, and immediately if the *same* rule writes it twice.
+    /// A second write in one cycle — by another rule or by the same one —
+    /// is an undeclared conflict: the write is dropped and the rule is
+    /// marked uncommittable (see [`Clock::try_commit_rule`]).
     pub fn write(&self, v: T) {
+        let inner = &*self.inner;
         if !self.clk.in_rule() {
-            *self.inner.at_start.borrow_mut() = v;
-            self.clk.mark_poked(self.inner.id);
+            *inner.at_start.borrow_mut() = v;
+            self.clk.mark_poked(inner.id);
             return;
         }
-        {
-            let mut pend = self.inner.pend.borrow_mut();
-            assert!(pend.is_none(), "rule wrote Reg `{}` twice", self.inner.name);
-            *pend = Some(v);
+        let mut next = inner.next.borrow_mut();
+        if next.is_some() {
+            self.clk.flag_reg_conflict(inner.name);
+            return;
         }
-        if !self.inner.dirty.get() {
-            self.inner.dirty.set(true);
-            self.clk.mark_dirty(self.inner.clone() as Rc<dyn TxnCell>);
-        }
+        *next = Some(v);
+        self.clk.enlist(inner.id);
     }
 }
 
@@ -376,35 +377,22 @@ impl<T: Clone + fmt::Debug + 'static> fmt::Debug for Reg<T> {
 // Wire
 // ---------------------------------------------------------------------------
 
-struct WireInner<T> {
-    id: u32,
-    val: RefCell<Option<T>>,
-    pend: RefCell<Option<T>>,
-    dirty: Cell<bool>,
-}
+/// An `Ehr<Option<T>>` that empties itself at the cycle boundary.
+struct WireInner<T>(EhrInner<Option<T>>);
 
 impl<T> TxnCell for WireInner<T> {
-    fn commit(&self) -> Option<u32> {
-        self.dirty.set(false);
-        if let Some(v) = self.pend.borrow_mut().take() {
-            *self.val.borrow_mut() = Some(v);
-            Some(self.id)
-        } else {
-            None
-        }
+    fn commit(&self) -> bool {
+        self.0.commit()
     }
 
     fn abort(&self) {
-        *self.pend.borrow_mut() = None;
-        self.dirty.set(false);
+        self.0.abort();
     }
-}
 
-impl<T> EndOfCycle for WireInner<T> {
-    fn end_cycle(&self) -> Option<u32> {
+    fn end_cycle(&self) -> bool {
         // Clearing a driven wire is an observable change (a `get` that
         // succeeded this cycle would stall next cycle).
-        self.val.borrow_mut().take().map(|_| self.id)
+        self.0.cur.borrow_mut().take().is_some()
     }
 }
 
@@ -455,15 +443,8 @@ impl<T: Clone + 'static> Wire<T> {
     /// Creates an empty wire.
     #[must_use]
     pub fn new(clk: &Clock) -> Self {
-        let inner = Rc::new(WireInner {
-            id: clk.alloc_cell(),
-            val: RefCell::new(None),
-            pend: RefCell::new(None),
-            dirty: Cell::new(false),
-        });
-        clk.register_eoc(Rc::downgrade(&inner) as std::rc::Weak<dyn EndOfCycle>);
         Wire {
-            inner,
+            inner: clk.adopt(true, |id| WireInner(EhrInner::new(id, None))),
             clk: clk.clone(),
         }
     }
@@ -472,21 +453,12 @@ impl<T: Clone + 'static> Wire<T> {
     /// [`crate::sched::Wakeup::Watch`]).
     #[must_use]
     pub fn watch_id(&self) -> CellId {
-        CellId(self.inner.id)
+        CellId(self.inner.0.id)
     }
 
     /// Drives the wire for the remainder of this cycle.
     pub fn set(&self, v: T) {
-        if !self.clk.in_rule() {
-            *self.inner.val.borrow_mut() = Some(v);
-            self.clk.mark_poked(self.inner.id);
-            return;
-        }
-        if !self.inner.dirty.get() {
-            self.inner.dirty.set(true);
-            self.clk.mark_dirty(self.inner.clone() as Rc<dyn TxnCell>);
-        }
-        *self.inner.pend.borrow_mut() = Some(v);
+        self.inner.0.write(&self.clk, Some(v));
     }
 
     /// Reads the wire.
@@ -495,25 +467,14 @@ impl<T: Clone + 'static> Wire<T> {
     ///
     /// Stalls if nothing drove the wire this cycle.
     pub fn get(&self) -> Guarded<T> {
-        self.clk.note_read(self.inner.id);
-        if let Some(v) = self.inner.pend.borrow().as_ref() {
-            return Ok(v.clone());
-        }
-        self.inner
-            .val
-            .borrow()
-            .clone()
-            .ok_or(Stall::new("wire not set"))
+        self.peek().ok_or(Stall::new("wire not set"))
     }
 
     /// Reads the wire as an `Option` (no stall).
     #[must_use]
     pub fn peek(&self) -> Option<T> {
-        self.clk.note_read(self.inner.id);
-        if let Some(v) = self.inner.pend.borrow().as_ref() {
-            return Some(v.clone());
-        }
-        self.inner.val.borrow().clone()
+        self.clk.note_read(self.inner.0.id);
+        self.inner.0.cur.borrow().clone()
     }
 }
 
@@ -607,13 +568,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "twice")]
-    fn reg_double_write_same_rule_panics() {
+    fn reg_double_write_same_rule_is_refused_gracefully() {
         let clk = Clock::new();
         let r = Reg::named(&clk, "pc", 0u32);
         clk.begin_rule();
         r.write(1);
         r.write(2);
+        assert_eq!(clk.try_commit_rule(), Err("pc"));
+        // The refusal aborted the rule: neither write latches, and the
+        // register is free for the next rule.
+        assert!(!clk.in_rule());
+        clk.begin_rule();
+        r.write(3);
+        assert_eq!(clk.try_commit_rule(), Ok(()));
+        clk.end_cycle();
+        assert_eq!(r.read(), 3);
+    }
+
+    #[test]
+    fn reg_conflict_flag_dies_with_an_aborted_rule() {
+        let clk = Clock::new();
+        let r = Reg::named(&clk, "pc", 0u32);
+        clk.begin_rule();
+        r.write(1);
+        clk.commit_rule();
+        clk.begin_rule();
+        r.write(2); // conflicts, but the rule stalls anyway
+        clk.abort_rule();
+        clk.begin_rule();
+        assert_eq!(clk.try_commit_rule(), Ok(()));
+        clk.end_cycle();
+        assert_eq!(r.read(), 1);
+    }
+
+    #[test]
+    fn update_if_touches_the_cell_only_when_the_predicate_holds() {
+        let clk = Clock::new();
+        let x = Ehr::new(&clk, 4u32);
+        clk.begin_rule();
+        assert!(!x.update_if(|v| *v > 10, |v| *v = 0));
+        assert!(
+            clk.enlisted_cells().is_empty(),
+            "a miss opens no transaction"
+        );
+        assert!(x.update_if(|v| *v == 4, |v| *v += 1));
+        assert_eq!(clk.enlisted_cells(), vec![x.watch_id()]);
+        assert_eq!(x.read(), 5, "rule reads its own write");
+        clk.abort_rule();
+        assert_eq!(x.read(), 4, "abort restores the journaled value");
+    }
+
+    #[test]
+    fn second_write_in_a_rule_keeps_the_first_undo_value() {
+        let clk = Clock::new();
+        let x = Ehr::new(&clk, 1u32);
+        clk.begin_rule();
+        x.write(2);
+        x.update(|v| *v += 10);
+        x.write(7);
+        assert_eq!(clk.enlisted_cells().len(), 1, "enlisted once");
+        clk.abort_rule();
+        assert_eq!(x.read(), 1);
     }
 
     #[test]
@@ -665,13 +680,18 @@ mod tests {
     }
 
     #[test]
-    fn dropped_cells_unregister_from_clock() {
+    fn dropped_handles_leave_the_clock_consistent() {
         let clk = Clock::new();
         {
-            let _r = Reg::new(&clk, 0u32);
-            let _w: Wire<u8> = Wire::new(&clk);
+            let r = Reg::new(&clk, 0u32);
+            let w: Wire<u8> = Wire::new(&clk);
+            clk.begin_rule();
+            r.write(1);
+            w.set(2);
+            // Handles dropped mid-rule: the clock's registry keeps the
+            // storage alive, so commit and the latch still find it.
         }
-        // Must not panic touching dropped cells.
+        clk.commit_rule();
         clk.end_cycle();
         clk.end_cycle();
     }

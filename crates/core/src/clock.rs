@@ -5,13 +5,13 @@
 //! interface of a design. The scheduler ([`crate::sim::Sim`]) drives it:
 //!
 //! 1. [`Clock::begin_rule`] opens a transaction;
-//! 2. the rule body runs, cells buffer writes and interfaces record method
-//!    calls;
+//! 2. the rule body runs: cells write in place, journal what they
+//!    overwrote and enlist themselves; interfaces record method calls;
 //! 3. [`Clock::check_cm`] asks whether the recorded calls are compatible
 //!    (per every module's [`ConflictMatrix`]) with the rules that already
 //!    fired this cycle;
-//! 4. [`Clock::commit_rule`] atomically publishes the buffered writes, or
-//!    [`Clock::abort_rule`] discards them;
+//! 4. [`Clock::commit_rule`] drops the journals and publishes the touched
+//!    cells, or [`Clock::abort_rule`] rolls every enlisted cell back;
 //! 5. [`Clock::end_cycle`] canonicalizes registers and clears wires.
 //!
 //! This realizes the paper's execution model: hardware behaves as if multiple
@@ -20,7 +20,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 use crate::cm::{ConflictMatrix, Rel};
 use crate::trace::{TraceEvent, Tracer};
@@ -43,32 +43,39 @@ impl CellId {
     }
 }
 
-/// A state cell participating in the current rule's transaction.
+/// A state cell as the clock sees it. Every cell is registered with its
+/// clock at construction (the registry index is its [`CellId`]), so the
+/// open rule's transaction is a plain list of ids: enlisting a cell costs
+/// one `u32` push, never a reference-count round trip.
 ///
-/// Implemented by the inner storage of [`crate::cell::Ehr`],
-/// [`crate::cell::Reg`], and [`crate::cell::Wire`].
+/// Cells write **in place** and keep what they overwrote; a cell enlists
+/// itself on a rule's first touch and hears back exactly once, through
+/// `commit` or `abort`. Implemented by the inner storage of
+/// [`crate::cell::Ehr`], [`crate::cell::Reg`], [`crate::cell::Wire`] and the
+/// element-granular cells of [`crate::journal`].
 pub(crate) trait TxnCell {
-    /// Publish the buffered write. Returns the cell's id when the publish
-    /// changed *observable* state this cycle (so the clock can log it for
-    /// the wakeup layer); a `Reg` commit returns `None` because its write
+    /// The enlisting rule committed: forget the undo record. Returns
+    /// whether the touch is *observable* this cycle (so the clock logs the
+    /// id for the wakeup layer); a `Reg` returns `false` because its write
     /// only becomes visible at the end-of-cycle latch.
-    fn commit(&self) -> Option<u32>;
-    /// Discard the buffered write.
+    fn commit(&self) -> bool;
+    /// The enlisting rule aborted: restore the state it found.
     fn abort(&self);
-    /// Would committing this cell now collide with a write already
-    /// committed this cycle? Returns the cell's name on a collision so the
-    /// scheduler can refuse the commit gracefully instead of panicking
-    /// (only `Reg` can collide; `Ehr` ports serialize writes by design).
-    fn conflict(&self) -> Option<&'static str> {
-        None
+    /// Cycle boundary, for cells registered with `at_boundary` (registers
+    /// latch, wires clear). Returns whether observable state changed.
+    fn end_cycle(&self) -> bool {
+        false
     }
 }
 
-/// A cell that needs a notification at the end of every cycle (registers
-/// canonicalize, wires clear). Returns the cell's id when the boundary
-/// changed observable state (a register latched, a driven wire cleared).
-pub(crate) trait EndOfCycle {
-    fn end_cycle(&self) -> Option<u32>;
+/// Storage behind [`Clock::signal_cell`]: an id with nothing to roll back.
+struct Signal(u32);
+
+impl TxnCell for Signal {
+    fn commit(&self) -> bool {
+        false
+    }
+    fn abort(&self) {}
 }
 
 /// A same-cycle concurrency violation: firing the current rule would require
@@ -145,8 +152,17 @@ impl Default for Clock {
 pub(crate) struct ClockInner {
     cycle: Cell<u64>,
     in_rule: Cell<bool>,
-    dirty: RefCell<Vec<Rc<dyn TxnCell>>>,
-    eoc: RefCell<Vec<Weak<dyn EndOfCycle>>>,
+    // Every cell on this clock, indexed by cell id. Strong references: a
+    // cell lives as long as its clock, which is what lets `dirty` and `eoc`
+    // hold bare ids. (Cells hold no clock, so this is not a cycle.)
+    cells: RefCell<Vec<Rc<dyn TxnCell>>>,
+    // Ids of the cells the open rule has touched, in first-touch order.
+    dirty: RefCell<Vec<u32>>,
+    // Ids of the cells with cycle-boundary work, in registration order.
+    eoc: RefCell<Vec<u32>>,
+    // Name of a `Reg` the open rule wrote although a write to it was
+    // already pending this cycle (by an earlier rule or by this one).
+    reg_conflict: Cell<Option<&'static str>>,
     calls: RefCell<Vec<MethodCall>>,
     fired_calls: RefCell<Vec<MethodCall>>,
     modules: RefCell<Vec<ModuleInfo>>,
@@ -186,7 +202,6 @@ pub(crate) struct ClockInner {
     // Global method index of the `earlier` side of the last violation
     // `check_cm` reported, for the causal profiler's CM-block edges.
     cm_earlier: Cell<u32>,
-    next_cell: Cell<u32>,
     // Read tracing: while enabled, every cell read logs its id so the
     // scheduler can infer a stalling rule's watch set.
     read_trace: Cell<bool>,
@@ -241,8 +256,10 @@ impl Clock {
             inner: Rc::new(ClockInner {
                 cycle: Cell::new(0),
                 in_rule: Cell::new(false),
+                cells: RefCell::new(Vec::new()),
                 dirty: RefCell::new(Vec::new()),
                 eoc: RefCell::new(Vec::new()),
+                reg_conflict: Cell::new(None),
                 calls: RefCell::new(Vec::new()),
                 fired_calls: RefCell::new(Vec::new()),
                 modules: RefCell::new(Vec::new()),
@@ -255,7 +272,6 @@ impl Clock {
                 watched_cells: RefCell::new(Vec::new()),
                 cur_rule: Cell::new(u32::MAX),
                 cm_earlier: Cell::new(u32::MAX),
-                next_cell: Cell::new(0),
                 read_trace: Cell::new(false),
                 read_log: RefCell::new(Vec::new()),
                 eval_taint: Cell::new(false),
@@ -264,15 +280,24 @@ impl Clock {
         }
     }
 
-    /// Allocates a fresh cell id (every `Ehr`/`Reg`/`Wire` takes one at
-    /// construction). The id keys the wakeup layer's publish log and the
-    /// scheduler's per-cell watcher lists.
-    pub(crate) fn alloc_cell(&self) -> u32 {
-        let id = self.inner.next_cell.get();
-        self.inner
-            .next_cell
-            .set(id.checked_add(1).expect("too many state cells"));
-        id
+    /// Registers the cell `make` builds around its freshly allocated id
+    /// (every `Ehr`/`Reg`/`Wire`/collection cell does this at
+    /// construction). The id keys the open rule's transaction, the wakeup
+    /// layer's publish log and the scheduler's per-cell watcher lists;
+    /// `at_boundary` cells also get [`TxnCell::end_cycle`] every cycle.
+    pub(crate) fn adopt<C: TxnCell + 'static>(
+        &self,
+        at_boundary: bool,
+        make: impl FnOnce(u32) -> C,
+    ) -> Rc<C> {
+        let mut cells = self.inner.cells.borrow_mut();
+        let id = u32::try_from(cells.len()).expect("too many state cells");
+        let cell = Rc::new(make(id));
+        cells.push(cell.clone());
+        if at_boundary {
+            self.inner.eoc.borrow_mut().push(id);
+        }
+        cell
     }
 
     /// Logs a cell read while read tracing is enabled (a no-op otherwise —
@@ -376,7 +401,7 @@ impl Clock {
     /// [`crate::sched::Wakeup::InferredPlus`].
     #[must_use]
     pub fn signal_cell(&self) -> CellId {
-        CellId(self.alloc_cell())
+        CellId(self.adopt(false, Signal).0)
     }
 
     /// Publishes `cell` as changed, waking any rule sleeping on it. Safe at
@@ -513,16 +538,38 @@ impl Clock {
         }
     }
 
-    pub(crate) fn mark_dirty(&self, cell: Rc<dyn TxnCell>) {
+    /// Adds cell `id` to the open rule's transaction. Cells call this on
+    /// the rule's first touch only (they keep their own enlisted flag).
+    #[inline]
+    pub(crate) fn enlist(&self, id: u32) {
         debug_assert!(
             self.inner.in_rule.get(),
-            "state cell written outside of a rule"
+            "state cell enlisted outside of a rule"
         );
-        self.inner.dirty.borrow_mut().push(cell);
+        self.inner.dirty.borrow_mut().push(id);
     }
 
-    pub(crate) fn register_eoc(&self, cell: Weak<dyn EndOfCycle>) {
-        self.inner.eoc.borrow_mut().push(cell);
+    /// The cells the open rule has touched so far, in first-touch order —
+    /// exactly the cells a commit would publish (`Reg`s latch later) and an
+    /// abort would roll back. Empty outside a rule. For tests and
+    /// diagnostics: "this method touched nothing" is `is_empty()`.
+    #[must_use]
+    pub fn enlisted_cells(&self) -> Vec<CellId> {
+        self.inner
+            .dirty
+            .borrow()
+            .iter()
+            .map(|&id| CellId(id))
+            .collect()
+    }
+
+    /// Records that the open rule wrote `Reg` `name` while a write to it
+    /// was already pending this cycle. The rule can no longer commit:
+    /// [`Clock::try_commit_rule`] aborts it and reports the name.
+    pub(crate) fn flag_reg_conflict(&self, name: &'static str) {
+        if self.inner.reg_conflict.get().is_none() {
+            self.inner.reg_conflict.set(Some(name));
+        }
     }
 
     /// Registers a callback run at every cycle boundary, *after* registers
@@ -588,22 +635,28 @@ impl Clock {
         *self.inner.tracer.borrow_mut() = tracer;
     }
 
-    /// Atomically publishes the current rule's buffered writes and records
-    /// its method calls as fired-this-cycle.
+    /// Atomically commits the current rule: every cell it touched drops its
+    /// undo record and is published, and its method calls are recorded as
+    /// fired-this-cycle.
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open.
+    /// Panics if no transaction is open, or if the rule wrote a `Reg` that
+    /// already had a write pending this cycle (an undeclared conflict; the
+    /// scheduler uses [`Clock::try_commit_rule`] to refuse gracefully).
     pub fn commit_rule(&self) {
         assert!(self.inner.in_rule.get(), "commit outside of a rule");
+        if let Some(name) = self.inner.reg_conflict.take() {
+            panic!("Reg `{name}` written twice in the same cycle (undeclared conflict)");
+        }
         {
-            // Every observable change publishes the written cell's id so
+            // Every observable change publishes the touched cell's id so
             // sleeping observers get re-evaluated (see the wakeup layer in
             // `crate::sim`); `publish` is a no-op unless a fast scheduler
             // is draining the log.
-            let mut dirty = self.inner.dirty.borrow_mut();
-            for cell in dirty.drain(..) {
-                if let Some(id) = cell.commit() {
+            let cells = self.inner.cells.borrow();
+            for id in self.inner.dirty.borrow_mut().drain(..) {
+                if cells[id as usize].commit() {
                     self.inner.publish(id);
                 }
             }
@@ -630,29 +683,23 @@ impl Clock {
         self.inner.in_rule.set(false);
     }
 
-    /// Like [`Clock::commit_rule`], but refuses gracefully when a buffered
-    /// write would collide with one already committed this cycle (an
-    /// undeclared `Reg` conflict): the rule is aborted instead and the
-    /// offending cell's name is returned. The scheduler uses this to turn
-    /// what would be a panic into a structured
-    /// [`SimError`](crate::sim::SimError).
+    /// Like [`Clock::commit_rule`], but refuses gracefully when the rule
+    /// wrote a `Reg` that already had a write pending this cycle (an
+    /// undeclared conflict with an earlier rule, or a second write by this
+    /// one): the rule is aborted instead and the offending register's name
+    /// is returned. The scheduler uses this to turn what would be a panic
+    /// into a structured [`SimError`](crate::sim::SimError).
     ///
     /// # Errors
     ///
-    /// The name of the doubly-written cell; the rule has been aborted.
+    /// The name of the doubly-written register; the rule has been aborted.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn try_commit_rule(&self) -> Result<(), &'static str> {
         assert!(self.inner.in_rule.get(), "commit outside of a rule");
-        let collision = self
-            .inner
-            .dirty
-            .borrow()
-            .iter()
-            .find_map(|cell| cell.conflict());
-        if let Some(name) = collision {
+        if let Some(name) = self.inner.reg_conflict.get() {
             self.abort_rule();
             return Err(name);
         }
@@ -660,17 +707,21 @@ impl Clock {
         Ok(())
     }
 
-    /// Discards the current rule's buffered writes and method calls: the
-    /// rule has no effect, as if it never ran.
+    /// Rolls back everything the current rule touched and forgets its
+    /// method calls: the rule has no effect, as if it never ran.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn abort_rule(&self) {
         assert!(self.inner.in_rule.get(), "abort outside of a rule");
-        for cell in self.inner.dirty.borrow_mut().drain(..) {
-            cell.abort();
+        {
+            let cells = self.inner.cells.borrow();
+            for id in self.inner.dirty.borrow_mut().drain(..) {
+                cells[id as usize].abort();
+            }
         }
+        self.inner.reg_conflict.set(None);
         self.inner.calls.borrow_mut().clear();
         self.inner.in_rule.set(false);
     }
@@ -691,17 +742,12 @@ impl Clock {
             // The cycle boundary publishes too: registers latch (their
             // writes become visible *now*, not at rule commit) and driven
             // wires clear back to their idle value.
-            let mut eoc = self.inner.eoc.borrow_mut();
-            eoc.retain(|w| {
-                if let Some(cell) = w.upgrade() {
-                    if let Some(id) = cell.end_cycle() {
-                        self.inner.publish(id);
-                    }
-                    true
-                } else {
-                    false
+            let cells = self.inner.cells.borrow();
+            for &id in self.inner.eoc.borrow().iter() {
+                if cells[id as usize].end_cycle() {
+                    self.inner.publish(id);
                 }
-            });
+            }
         }
         // Index-based iteration so a hook may register further hooks without
         // a RefCell borrow conflict, and without cloning the whole list.
@@ -912,6 +958,49 @@ mod tests {
         ifc.record(1);
         clk.commit_rule();
         assert_eq!(sink.borrow().events.len(), 1);
+    }
+
+    #[test]
+    fn a_commit_publishes_exactly_the_touched_cells_in_first_touch_order() {
+        use crate::cell::{Ehr, Reg};
+        use crate::journal::EhrDeque;
+
+        let clk = Clock::new();
+        let a = Ehr::new(&clk, 0u32);
+        let b = Ehr::new(&clk, 0u32);
+        let r = Reg::new(&clk, 0u32);
+        let q: EhrDeque<u32> = EhrDeque::new(&clk, 2);
+        clk.set_wake_log(true);
+        for id in 0..4 {
+            clk.set_cell_watched(id);
+        }
+        let drained = |clk: &Clock| {
+            let mut ids = Vec::new();
+            clk.drain_publishes(|id, _| ids.push(id));
+            ids
+        };
+
+        clk.begin_rule();
+        q.push_back(1);
+        b.write(1);
+        assert!(!a.update_if(|v| *v == 9, |v| *v = 0)); // a miss: untouched
+        assert_eq!(q.pop_front(), Some(1));
+        r.write(5);
+        b.write(2);
+        clk.commit_rule();
+        assert_eq!(
+            drained(&clk),
+            vec![q.watch_id().0, b.watch_id().0],
+            "once each, first-touch order; the Reg waits for the latch"
+        );
+
+        clk.begin_rule();
+        a.write(1);
+        clk.abort_rule();
+        assert!(drained(&clk).is_empty(), "an abort publishes nothing");
+
+        clk.end_cycle();
+        assert_eq!(drained(&clk), vec![r.watch_id().0], "the latch publishes");
     }
 
     #[test]

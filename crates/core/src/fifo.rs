@@ -14,13 +14,13 @@
 //! only concurrency, never functional correctness — which is exactly the
 //! modular-refinement story the paper tells.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::cell::Ehr;
 use crate::clock::{CellId, Clock, ModuleIfc};
 use crate::cm::ConflictMatrix;
 use crate::guard::{Guarded, Stall};
+use crate::journal::EhrDeque;
 
 /// Method indices shared by every FIFO flavor (used in CM declarations).
 mod m {
@@ -84,9 +84,11 @@ pub trait Fifo<T> {
     }
 }
 
-fn base_state<T: Clone + 'static>(clk: &Clock, capacity: usize) -> Ehr<VecDeque<T>> {
+/// Queue storage shared by the flavors: an element-granular cell, so an
+/// `enq`/`deq` journals one element instead of copying the queue.
+fn base_state<T: Clone + 'static>(clk: &Clock, capacity: usize) -> EhrDeque<T> {
     assert!(capacity > 0, "fifo capacity must be positive");
-    Ehr::new(clk, VecDeque::with_capacity(capacity))
+    EhrDeque::new(clk, capacity)
 }
 
 // ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ fn base_state<T: Clone + 'static>(clk: &Clock, capacity: usize) -> Ehr<VecDeque<
 /// because the `deq` appears to happen first.
 pub struct PipelineFifo<T: 'static> {
     ifc: ModuleIfc,
-    q: Ehr<VecDeque<T>>,
+    q: EhrDeque<T>,
     cap: usize,
 }
 
@@ -135,34 +137,30 @@ impl<T: Clone + 'static> Fifo<T> for PipelineFifo<T> {
         self.ifc.record(m::ENQ);
         // Sees earlier-in-cycle deqs (deq < enq), hence "full" is judged
         // after them.
-        if self.q.with(VecDeque::len) >= self.cap {
+        if self.q.len() >= self.cap {
             return Err(Stall::new("pipeline fifo full"));
         }
-        self.q.update(|q| q.push_back(v));
+        self.q.push_back(v);
         Ok(())
     }
 
     fn deq(&self) -> Guarded<T> {
         self.ifc.record(m::DEQ);
-        self.q
-            .update(VecDeque::pop_front)
-            .ok_or(Stall::new("pipeline fifo empty"))
+        self.q.pop_front().ok_or(Stall::new("pipeline fifo empty"))
     }
 
     fn first(&self) -> Guarded<T> {
         self.ifc.record(m::FIRST);
-        self.q
-            .with(|q| q.front().cloned())
-            .ok_or(Stall::new("pipeline fifo empty"))
+        self.q.front().ok_or(Stall::new("pipeline fifo empty"))
     }
 
     fn clear(&self) {
         self.ifc.record(m::CLEAR);
-        self.q.update(VecDeque::clear);
+        self.q.clear();
     }
 
     fn len(&self) -> usize {
-        self.q.with(VecDeque::len)
+        self.q.len()
     }
 
     fn capacity(&self) -> usize {
@@ -188,7 +186,7 @@ impl<T: Clone + fmt::Debug + 'static> fmt::Debug for PipelineFifo<T> {
 /// forwarding).
 pub struct BypassFifo<T: 'static> {
     ifc: ModuleIfc,
-    q: Ehr<VecDeque<T>>,
+    q: EhrDeque<T>,
     cap: usize,
 }
 
@@ -225,34 +223,30 @@ impl<T: Clone + 'static> Fifo<T> for BypassFifo<T> {
         self.ifc.record(m::ENQ);
         // Judged before this cycle's deqs (enq < deq): a full bypass FIFO
         // stalls even if someone later dequeues.
-        if self.q.with(VecDeque::len) >= self.cap {
+        if self.q.len() >= self.cap {
             return Err(Stall::new("bypass fifo full"));
         }
-        self.q.update(|q| q.push_back(v));
+        self.q.push_back(v);
         Ok(())
     }
 
     fn deq(&self) -> Guarded<T> {
         self.ifc.record(m::DEQ);
-        self.q
-            .update(VecDeque::pop_front)
-            .ok_or(Stall::new("bypass fifo empty"))
+        self.q.pop_front().ok_or(Stall::new("bypass fifo empty"))
     }
 
     fn first(&self) -> Guarded<T> {
         self.ifc.record(m::FIRST);
-        self.q
-            .with(|q| q.front().cloned())
-            .ok_or(Stall::new("bypass fifo empty"))
+        self.q.front().ok_or(Stall::new("bypass fifo empty"))
     }
 
     fn clear(&self) {
         self.ifc.record(m::CLEAR);
-        self.q.update(VecDeque::clear);
+        self.q.clear();
     }
 
     fn len(&self) -> usize {
-        self.q.with(VecDeque::len)
+        self.q.len()
     }
 
     fn capacity(&self) -> usize {
@@ -283,7 +277,7 @@ impl<T: Clone + fmt::Debug + 'static> fmt::Debug for BypassFifo<T> {
 /// consumer rules.
 pub struct CfFifo<T: 'static> {
     ifc: ModuleIfc,
-    q: Ehr<VecDeque<T>>,
+    q: EhrDeque<T>,
     /// Occupancy at the start of the cycle (maintained at cycle boundaries).
     snap_len: Ehr<usize>,
     /// Deqs performed so far this cycle.
@@ -326,7 +320,7 @@ impl<T: Clone + 'static> CfFifo<T> {
             // Conditional writes: an idle cycle must not republish these
             // cells to the wakeup layer, or rules sleeping on this FIFO
             // (see crate::sched) would be woken every cycle for nothing.
-            let len = q.with(VecDeque::len);
+            let len = q.len();
             if snap.read() != len {
                 snap.write(len);
             }
@@ -366,7 +360,7 @@ impl<T: Clone + 'static> Fifo<T> for CfFifo<T> {
             return Err(Stall::new("cf fifo full"));
         }
         self.enqs.update(|n| *n += 1);
-        self.q.update(|q| q.push_back(v));
+        self.q.push_back(v);
         Ok(())
     }
 
@@ -380,7 +374,7 @@ impl<T: Clone + 'static> Fifo<T> for CfFifo<T> {
         // (snap_len counts only elements already physically present).
         Ok(self
             .q
-            .update(VecDeque::pop_front)
+            .pop_front()
             .expect("occupancy accounting guarantees an element"))
     }
 
@@ -392,20 +386,20 @@ impl<T: Clone + 'static> Fifo<T> for CfFifo<T> {
         // invariant: same occupancy argument as `deq` above.
         Ok(self
             .q
-            .with(|q| q.front().cloned())
+            .front()
             .expect("occupancy accounting guarantees an element"))
     }
 
     fn clear(&self) {
         self.ifc.record(m::CLEAR);
-        self.q.update(VecDeque::clear);
+        self.q.clear();
         self.snap_len.write(0);
         self.deqs.write(0);
         self.enqs.write(0);
     }
 
     fn len(&self) -> usize {
-        self.q.with(VecDeque::len)
+        self.q.len()
     }
 
     fn capacity(&self) -> usize {

@@ -22,6 +22,8 @@
 //! * [`clock`] — cycle/rule boundaries, atomic commit, CM enforcement;
 //! * [`cell`] — transactional state: [`cell::Ehr`] (ephemeral history
 //!   register), [`cell::Reg`] (D flip-flop), [`cell::Wire`] (RWire);
+//! * [`journal`] — element-granular collection cells:
+//!   [`journal::EhrArray`], [`journal::EhrDeque`];
 //! * [`cm`] — conflict matrices;
 //! * [`guard`] — guarded methods and rules;
 //! * [`sim`] — the rule scheduler with per-rule firing statistics, a
@@ -87,6 +89,7 @@ pub mod cm;
 pub mod demo;
 pub mod fifo;
 pub mod guard;
+pub mod journal;
 pub mod prof;
 pub mod rng;
 pub mod sched;
@@ -104,6 +107,7 @@ pub mod prelude {
     pub use crate::fifo::{BypassFifo, CfFifo, Fifo, PipelineFifo};
     pub use crate::guard::{Guarded, Stall};
     pub use crate::guard_that;
+    pub use crate::journal::{EhrArray, EhrDeque};
     pub use crate::prof::{ChromeTrace, CriticalPath, Profiler, RuleProf};
     pub use crate::rng::SplitMix64;
     pub use crate::sched::{SchedulerMode, Wakeup};

@@ -2727,6 +2727,25 @@ mod tests {
     }
 
     #[test]
+    fn second_write_to_a_reg_inside_one_rule_degrades_to_error() {
+        let clk = Clock::new();
+        let r = Reg::named(&clk, "pc", 0u32);
+        let mut sim = Sim::new(clk, r);
+        sim.rule("twice", |r: &mut Reg<u32>| {
+            r.write(1);
+            r.write(2);
+            Ok(())
+        });
+        match sim.try_cycle().unwrap_err() {
+            SimError::RegConflict { rule, reg, .. } => {
+                assert_eq!((rule.as_str(), reg), ("twice", "pc"));
+            }
+            other => panic!("expected RegConflict, got {other:?}"),
+        }
+        assert_eq!(sim.state().read(), 0, "the refused rule latched nothing");
+    }
+
+    #[test]
     fn reg_based_rules_exchange_values_without_bypass() {
         struct Swap {
             x: Reg<u32>,

@@ -564,6 +564,31 @@ impl<T: Snap + Clone + 'static> Snapshot for crate::cell::Reg<T> {
     }
 }
 
+/// Serializes exactly as the `Vec<T>` it holds.
+impl<T: Snap + Clone + 'static> Snapshot for crate::journal::EhrArray<T> {
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.with(|a| {
+            w.len_prefix(a.len());
+            a.iter().for_each(|v| v.save(w));
+        });
+    }
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.replace(Snap::load(r)?);
+        Ok(())
+    }
+}
+
+/// Serializes exactly as the `VecDeque<T>` (or `Vec<T>`) it holds.
+impl<T: Snap + Clone + 'static> Snapshot for crate::journal::EhrDeque<T> {
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.with(|q| q.save(w));
+    }
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.replace(Snap::load(r)?);
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Derive-style macros
 // ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@
 //! 4. **Conflict-matrix consistency** — builders always produce symmetric
 //!    matrices, and CM enforcement never lets a forbidden pair share a
 //!    cycle.
+//! 5. **Transactions against a shadow model** — random operation sequences
+//!    over every cell shape, each rule committed or aborted, checked
+//!    against plain `Vec`/`VecDeque` values after every rule.
 
 use cmd_core::cm::Rel;
 use cmd_core::prelude::*;
@@ -350,6 +353,312 @@ fn enforcement_matches_declaration() {
                     assert_eq!(fb.cm_stalls, cycles);
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 5. Transactions against a shadow model
+// ---------------------------------------------------------------------------
+
+/// The cells under test and, beside them, what they must hold.
+struct Shadowed {
+    scalars: Vec<Ehr<u64>>,
+    array: EhrArray<u64>,
+    deque: EhrDeque<u64>,
+    generic: Ehr<Vec<u64>>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Shadow {
+    scalars: Vec<u64>,
+    array: Vec<u64>,
+    deque: std::collections::VecDeque<u64>,
+    generic: Vec<u64>,
+}
+
+impl Shadowed {
+    /// Reads every cell back through its public read methods.
+    fn observe(&self) -> Shadow {
+        Shadow {
+            scalars: self.scalars.iter().map(Ehr::read).collect(),
+            array: self.array.with(<[u64]>::to_vec),
+            deque: self.deque.with(Clone::clone),
+            generic: self.generic.read(),
+        }
+    }
+
+    /// Cell ids in the order `Shadow` fields (and `touch` indices) use.
+    fn ids(&self) -> Vec<CellId> {
+        let mut ids: Vec<CellId> = self.scalars.iter().map(Ehr::watch_id).collect();
+        ids.extend([
+            self.array.watch_id(),
+            self.deque.watch_id(),
+            self.generic.watch_id(),
+        ]);
+        ids
+    }
+}
+
+/// Applies one random operation to the cells and to `model`, asserting that
+/// whatever the operation returns matches, and records which cell (by
+/// `ids()` index) it *changed or opened* in `touched`.
+fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, touched: &mut Vec<usize>) {
+    let mut touch = |i: usize| {
+        if !touched.contains(&i) {
+            touched.push(i);
+        }
+    };
+    let n = c.scalars.len();
+    let v = rng.next_u64() % 1000;
+    match rng.below(16) {
+        0 => {
+            let i = rng.range_usize(0, n);
+            assert_eq!(c.scalars[i].read(), model.scalars[i]);
+        }
+        1 => {
+            let i = rng.range_usize(0, n);
+            assert_eq!(c.scalars[i].with(|x| *x + 1), model.scalars[i] + 1);
+        }
+        2 => {
+            let i = rng.range_usize(0, n);
+            c.scalars[i].write(v);
+            model.scalars[i] = v;
+            touch(i);
+        }
+        3 => {
+            let i = rng.range_usize(0, n);
+            let got = c.scalars[i].update(|x| {
+                *x = x.wrapping_add(v);
+                *x
+            });
+            model.scalars[i] = model.scalars[i].wrapping_add(v);
+            assert_eq!(got, model.scalars[i]);
+            touch(i); // `update` always opens a transaction
+        }
+        4 | 5 => {
+            // Conditional update: hits about half the time.
+            let i = rng.range_usize(0, n);
+            let hit = c.scalars[i].update_if(|x| x.is_multiple_of(2), |x| *x += 1);
+            assert_eq!(hit, model.scalars[i].is_multiple_of(2));
+            if hit {
+                model.scalars[i] += 1;
+                touch(i);
+            }
+        }
+        6 => {
+            let i = rng.range_usize(0, model.array.len());
+            c.array.set(i, v);
+            model.array[i] = v;
+            touch(n);
+        }
+        7 => {
+            let i = rng.range_usize(0, model.array.len());
+            let hit = c.array.update_if(i, |x| *x > 500, |x| *x /= 2);
+            assert_eq!(hit, model.array[i] > 500);
+            if hit {
+                model.array[i] /= 2;
+                touch(n);
+            }
+            assert_eq!(c.array.get(i), model.array[i]);
+        }
+        8 => {
+            if rng.chance(0.2) {
+                let fresh: Vec<u64> = (0..model.array.len() as u64).map(|k| k ^ v).collect();
+                c.array.replace(fresh.clone());
+                model.array = fresh;
+                touch(n);
+            }
+        }
+        9 | 10 => {
+            if model.deque.len() < 6 {
+                c.deque.push_back(v);
+                model.deque.push_back(v);
+                touch(n + 1);
+            }
+            assert_eq!(c.deque.len(), model.deque.len());
+        }
+        11 => {
+            assert_eq!(c.deque.front(), model.deque.front().copied());
+            let got = c.deque.pop_front();
+            assert_eq!(got, model.deque.pop_front());
+            if got.is_some() {
+                touch(n + 1);
+            }
+        }
+        12 => {
+            let i = rng.range_usize(0, 6);
+            let got = c.deque.remove(i);
+            assert_eq!(got, model.deque.remove(i));
+            if got.is_some() {
+                touch(n + 1);
+            }
+            if i < model.deque.len() {
+                c.deque.set(i, v);
+                model.deque[i] = v;
+                touch(n + 1);
+            }
+        }
+        13 => {
+            if rng.chance(0.3) {
+                if !model.deque.is_empty() {
+                    touch(n + 1);
+                }
+                c.deque.clear();
+                model.deque.clear();
+            } else if rng.chance(0.3) {
+                let fresh: std::collections::VecDeque<u64> = [v, v + 1].into();
+                c.deque.replace(fresh.clone());
+                model.deque = fresh;
+                touch(n + 1);
+            }
+        }
+        14 => {
+            let i = rng.range_usize(0, model.generic.len());
+            c.generic.set(i, v);
+            model.generic[i] = v;
+            assert_eq!(c.generic.get(i), v);
+            touch(n + 2);
+        }
+        _ => {
+            assert_eq!(c.array.with(<[u64]>::to_vec), model.array);
+            assert_eq!(c.generic.read(), model.generic);
+        }
+    }
+}
+
+/// Random rules over every cell shape, each randomly committed, aborted by
+/// a guard part-way through (after it may have written), or run to the end
+/// and then vetoed (what a chaos abort does). After every rule the cells
+/// equal the shadow model: an abort restores exactly, a rule reads its own
+/// writes (every operation checks its result against the in-rule model), a
+/// later rule in the same cycle sees the committed ones, and the cells a
+/// commit would publish are exactly the cells the rule touched, in
+/// first-touch order.
+#[test]
+fn transactions_refine_a_shadow_model() {
+    for seed in 0..300u64 {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let clk = Clock::new();
+        let cells = Shadowed {
+            scalars: (0..4).map(|i| Ehr::new(&clk, i as u64)).collect(),
+            array: EhrArray::new(&clk, vec![7; 8]),
+            deque: EhrDeque::new(&clk, 6),
+            generic: Ehr::new(&clk, vec![3; 5]),
+        };
+        let ids = cells.ids();
+        let mut committed = cells.observe();
+        for _cycle in 0..rng.range_usize(1, 6) {
+            for _rule in 0..rng.range_usize(1, 8) {
+                let n_ops = rng.range_usize(0, 12);
+                // 0 = commit, 1 = guard stalls after `stop` ops, 2 = vetoed
+                // after the whole body.
+                let fate = rng.below(3);
+                let stop = if fate == 1 {
+                    rng.range_usize(0, n_ops + 1)
+                } else {
+                    n_ops
+                };
+                let mut in_rule = committed.clone();
+                let mut touched = Vec::new();
+                clk.begin_rule();
+                for _ in 0..stop {
+                    random_op(&mut rng, &cells, &mut in_rule, &mut touched);
+                }
+                assert_eq!(
+                    cells.observe(),
+                    in_rule,
+                    "seed {seed}: rule reads its own writes"
+                );
+                let want: Vec<CellId> = touched.iter().map(|&i| ids[i]).collect();
+                assert_eq!(
+                    clk.enlisted_cells(),
+                    want,
+                    "seed {seed}: enlisted (= published on commit) iff touched"
+                );
+                if fate == 0 {
+                    clk.commit_rule();
+                    committed = in_rule;
+                } else {
+                    clk.abort_rule();
+                }
+                assert!(clk.enlisted_cells().is_empty());
+                assert_eq!(cells.observe(), committed, "seed {seed}: fate {fate}");
+            }
+            clk.end_cycle();
+            assert_eq!(
+                cells.observe(),
+                committed,
+                "seed {seed}: across the boundary"
+            );
+        }
+    }
+}
+
+/// The same through the scheduler, with the chaos engine doing the vetoing:
+/// rules that write first and check their guard afterwards, some aborted by
+/// injected faults, still linearize to the fired rules only.
+#[test]
+fn scheduler_aborts_after_writes_leave_no_trace_under_chaos() {
+    for seed in 0..40u64 {
+        let clk = Clock::new();
+        struct St {
+            q: EhrDeque<u64>,
+            sum: Ehr<u64>,
+            log: EhrArray<u64>,
+        }
+        let st = St {
+            q: EhrDeque::new(&clk, 4),
+            sum: Ehr::new(&clk, 0),
+            log: EhrArray::new(&clk, vec![0; 4]),
+        };
+        let mut sim = Sim::new(clk, st);
+        // Writes, then stalls when the queue turns out full.
+        let produce = sim.rule("produce", |s: &mut St| {
+            let n = s.sum.update(|x| {
+                *x += 1;
+                *x
+            });
+            s.log.set((n % 4) as usize, n);
+            s.q.push_back(n);
+            if s.q.len() > 3 {
+                return Err(Stall::new("queue full"));
+            }
+            Ok(())
+        });
+        let consume = sim.rule("consume", |s: &mut St| {
+            let v = s.q.pop_front().ok_or(Stall::new("queue empty"))?;
+            if v % 3 == 0 {
+                // Pop, then change its mind: the pop must be undone.
+                return Err(Stall::new("not taking multiples of three yet"));
+            }
+            Ok(())
+        });
+        let engine = FaultEngine::new(
+            FaultPlan::new(seed)
+                .rule_abort("produce", 0.2)
+                .rule_abort("consume", 0.2),
+        );
+        sim.attach_chaos(&engine);
+        sim.set_watchdog(None);
+        sim.run(200);
+        let (p, c) = (sim.rule_stats(produce).fired, sim.rule_stats(consume).fired);
+        let st = sim.state();
+        assert_eq!(st.sum.read(), p, "seed {seed}: one increment per firing");
+        assert_eq!(
+            st.q.len() as u64,
+            p - c,
+            "seed {seed}: queue holds the difference"
+        );
+        let expect: Vec<u64> = (p - (p - c)..p).map(|k| k + 1).collect();
+        assert_eq!(
+            st.q.with(|q| q.iter().copied().collect::<Vec<_>>()),
+            expect,
+            "seed {seed}: FIFO order, nothing lost to an aborted pop"
+        );
+        for slot in 0..4u64 {
+            let last = (1..=p).rev().find(|n| n % 4 == slot).unwrap_or(0);
+            assert_eq!(st.log.get(slot as usize), last, "seed {seed}: slot {slot}");
         }
     }
 }

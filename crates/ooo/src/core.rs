@@ -7,10 +7,9 @@
 //! CMD modules (ROB, IQs, LSQ, store buffer, rename table, speculation
 //! manager), so a stalled resource atomically aborts the whole rule.
 
-use std::collections::VecDeque;
-
 use cmd_core::cell::Ehr;
 use cmd_core::guard::{Guarded, Stall};
+use cmd_core::journal::EhrDeque;
 use riscy_isa::csr::{CsrFile, Exception, Priv};
 use riscy_isa::inst::{decode, CsrOp, CsrSrc, Instr, Rhs};
 use riscy_isa::interp::{alu_exec, muldiv_exec};
@@ -31,7 +30,7 @@ use crate::sb::{SbSearch, StoreBuffer};
 use crate::soc::{CoreStats, Soc};
 use crate::tlbport::TlbHier;
 use crate::tma::TmaState;
-use crate::types::{ExecPipe, MemKind, PhysReg, SpecMask, SystemOp, Uop};
+use crate::types::{ExecPipe, MemKind, PhysReg, SpecMask, SpecTag, SystemOp, Uop};
 
 /// Divide latency in cycles (iterative unit).
 const DIV_LATENCY: u64 = 16;
@@ -124,11 +123,11 @@ pub struct CoreState {
     /// Next sequence number decode will consume.
     pub fetch_expect: Ehr<u64>,
     /// Issued fetches awaiting I-cache responses.
-    pub inflight_fetch: Ehr<Vec<FetchReq>>,
+    pub inflight_fetch: EhrDeque<FetchReq>,
     /// Arrived fetch packets `(seq, req, raw_bytes)`.
-    pub fetch_buf: Ehr<Vec<(FetchReq, u64)>>,
+    pub fetch_buf: EhrDeque<(FetchReq, u64)>,
     /// Decoded instructions awaiting rename.
-    pub fetch_q: Ehr<VecDeque<DecInst>>,
+    pub fetch_q: EhrDeque<DecInst>,
     /// A serialized (system) instruction is in flight.
     pub serialize: Ehr<bool>,
     /// Issue→exec latches, one per ALU pipe.
@@ -142,9 +141,9 @@ pub struct CoreState {
     /// Mem-pipe issue→addr-calc latch.
     pub mem_ex: Ehr<Option<Uop>>,
     /// Addr-calc'd memory ops waiting on translation.
-    pub mem_wait_tlb: Ehr<Vec<MemTrans>>,
+    pub mem_wait_tlb: EhrDeque<MemTrans>,
     /// Forwarded load values awaiting writeback `(lq_idx, age, value)`.
-    pub forward_q: Ehr<VecDeque<(u16, u64, u64)>>,
+    pub forward_q: EhrDeque<(u16, u64, u64)>,
     /// Branch target buffer.
     pub btb: Btb,
     /// Tournament direction predictor.
@@ -187,50 +186,47 @@ impl CoreState {
         &self.iqs[self.cfg.alu_pipes + 1]
     }
 
-    /// Applies `f` to every uop sitting in a pipeline latch.
-    fn for_each_latched_uop(&self, mut f: impl FnMut(&mut Uop) -> bool) {
-        for l in &self.alu_ex {
-            l.update(|e| {
-                if let Some(u) = e {
-                    if !f(u) {
+    /// Applies `f` to every uop in a pipeline latch that depends on `tag`;
+    /// `f` returns whether the uop survives. Latches holding nothing that
+    /// depends on `tag` open no transaction.
+    fn for_each_latched_uop(&self, tag: SpecTag, f: impl Fn(&mut Uop) -> bool) {
+        fn resolve<T: Clone + 'static>(
+            latch: &Ehr<Option<T>>,
+            tag: SpecTag,
+            mask: impl Fn(&T) -> SpecMask,
+            uop: impl Fn(&mut T) -> &mut Uop,
+            f: &impl Fn(&mut Uop) -> bool,
+        ) {
+            latch.update_if(
+                |e| e.as_ref().is_some_and(|t| mask(t).contains(tag)),
+                |e| {
+                    if !f(uop(e.as_mut().expect("predicate saw a uop"))) {
                         *e = None;
                     }
-                }
-            });
+                },
+            );
+        }
+        for l in &self.alu_ex {
+            resolve(l, tag, |u| u.mask, |u| u, &f);
         }
         for l in &self.alu_wb {
-            l.update(|e| {
-                if let Some((u, _)) = e {
-                    if !f(u) {
-                        *e = None;
-                    }
-                }
-            });
+            resolve(l, tag, |t| t.0.mask, |t| &mut t.0, &f);
         }
-        self.md_unit.update(|e| {
-            if let Some((u, _, _)) = e {
-                if !f(u) {
-                    *e = None;
-                }
+        resolve(&self.md_unit, tag, |t| t.0.mask, |t| &mut t.0, &f);
+        resolve(&self.md_wb, tag, |t| t.0.mask, |t| &mut t.0, &f);
+        resolve(&self.mem_ex, tag, |u| u.mask, |u| u, &f);
+        // Youngest first, so a removal never shifts an unvisited position.
+        for i in (0..self.mem_wait_tlb.len()).rev() {
+            let mut t = self.mem_wait_tlb.get(i).expect("index below len");
+            if !t.uop.mask.contains(tag) {
+                continue;
             }
-        });
-        self.md_wb.update(|e| {
-            if let Some((u, _)) = e {
-                if !f(u) {
-                    *e = None;
-                }
+            if f(&mut t.uop) {
+                self.mem_wait_tlb.set(i, t);
+            } else {
+                self.mem_wait_tlb.remove(i);
             }
-        });
-        self.mem_ex.update(|e| {
-            if let Some(u) = e {
-                if !f(u) {
-                    *e = None;
-                }
-            }
-        });
-        self.mem_wait_tlb.update(|v| {
-            v.retain_mut(|t| f(&mut t.uop));
-        });
+        }
     }
 
     /// Reads an operand: PRF if present, else the bypass network.
@@ -503,8 +499,7 @@ impl Soc {
         }
         // Commit the register mapping before flushing.
         if let (Some(a), Some(d), Some(o)) = (e.uop.arch_dst, e.uop.dst, e.uop.old_dst) {
-            let freed = self.cores[c].rt.commit(a, d, o);
-            self.cores[c].sm.note_commit_free(&freed);
+            self.cores[c].rt.commit(a, d, o);
         }
         self.cosim_step(c, e, rd_val);
         self.count_commit(c, e);
@@ -535,8 +530,7 @@ impl Soc {
             _ => None,
         };
         if let (Some(a), Some(d), Some(o)) = (e.uop.arch_dst, e.uop.dst, e.uop.old_dst) {
-            let freed = self.cores[c].rt.commit(a, d, o);
-            self.cores[c].sm.note_commit_free(&freed);
+            self.cores[c].rt.commit(a, d, o);
         }
         self.cores[c].rob.deq().expect("head checked");
         if e.uop.instr.is_branch_or_jump() {
@@ -594,10 +588,10 @@ impl Soc {
         core.md_unit.write(None);
         core.md_wb.write(None);
         core.mem_ex.write(None);
-        core.mem_wait_tlb.update(Vec::clear);
-        core.forward_q.update(VecDeque::clear);
-        core.fetch_q.update(VecDeque::clear);
-        core.fetch_buf.update(Vec::clear);
+        core.mem_wait_tlb.clear();
+        core.forward_q.clear();
+        core.fetch_q.clear();
+        core.fetch_buf.clear();
         core.fetch_expect.write(core.fetch_seq.read());
         core.epoch.update(|e| *e += 1);
         core.fetch_pc.write(new_pc);
@@ -713,11 +707,8 @@ impl Soc {
         let core = &self.cores[c];
         let (idx, age, value) = core
             .forward_q
-            .with(|q| q.front().copied())
+            .pop_front()
             .ok_or(Stall::new("forward queue empty"))?;
-        core.forward_q.update(|q| {
-            q.pop_front();
-        });
         let Some(entry) = core.lsq.lq_entry(idx) else {
             return Ok(()); // squashed in the meantime
         };
@@ -819,8 +810,9 @@ impl Soc {
                 iq.correct_spec(tag);
             }
             core.lsq.correct_spec(tag);
-            core.cur_mask.update(|m| *m = m.without(tag));
-            core.for_each_latched_uop(|u| {
+            core.cur_mask
+                .update_if(|m| m.contains(tag), |m| *m = m.without(tag));
+            core.for_each_latched_uop(tag, |u| {
                 u.mask = u.mask.without(tag);
                 true
             });
@@ -842,10 +834,10 @@ impl Soc {
         }
         core.lsq.wrong_spec(tag);
         core.cur_mask.write(snap.mask);
-        core.for_each_latched_uop(|u| !u.mask.contains(tag));
-        core.forward_q.update(VecDeque::clear);
-        core.fetch_q.update(VecDeque::clear);
-        core.fetch_buf.update(Vec::clear);
+        core.for_each_latched_uop(tag, |_| false);
+        core.forward_q.clear();
+        core.fetch_q.clear();
+        core.fetch_buf.clear();
         core.fetch_expect.write(core.fetch_seq.read());
         core.epoch.update(|e| *e += 1);
         core.fetch_pc.write(actual);
@@ -896,7 +888,7 @@ impl Soc {
     pub(crate) fn rule_addr_calc(&mut self, c: usize) -> Guarded<()> {
         let core = &self.cores[c];
         let uop = core.mem_ex.read().ok_or(Stall::new("mem exec empty"))?;
-        if core.mem_wait_tlb.with(Vec::len) >= 4 {
+        if core.mem_wait_tlb.len() >= 4 {
             return Err(Stall::new("translate stage full"));
         }
         if uop.mem_kind == Some(MemKind::Fence) {
@@ -914,13 +906,11 @@ impl Soc {
             _ => base, // atomics address from rs1
         };
         core.mem_ex.write(None);
-        core.mem_wait_tlb.update(|v| {
-            v.push(MemTrans {
-                uop,
-                va,
-                data,
-                tlb_id: None,
-            })
+        core.mem_wait_tlb.push_back(MemTrans {
+            uop,
+            va,
+            data,
+            tlb_id: None,
         });
         Ok(())
     }
@@ -942,7 +932,10 @@ impl Soc {
                 .mem_wait_tlb
                 .with(|v| v.iter().position(|t| t.tlb_id == Some(r.id)));
             if let Some(slot) = slot {
-                let t = self.cores[c].mem_wait_tlb.with(|v| v[slot]);
+                let t = self.cores[c]
+                    .mem_wait_tlb
+                    .get(slot)
+                    .expect("position found above");
                 let res = r.result.map_err(|f| {
                     let x = match f.access {
                         Access::Load => Exception::LoadPageFault,
@@ -993,9 +986,11 @@ impl Soc {
                             self.cores[c].stats.dtlb_misses += 1;
                             let pm = self.cores[c].priv_mode;
                             self.cores[c].tlb.request_d(now, id, t.va, access, pm);
-                            self.cores[c].mem_wait_tlb.update(|v| {
-                                v[slot].tlb_id = Some(id);
-                            });
+                            let parked = MemTrans {
+                                tlb_id: Some(id),
+                                ..t
+                            };
+                            self.cores[c].mem_wait_tlb.set(slot, parked);
                             progressed = true;
                         }
                     }
@@ -1016,9 +1011,7 @@ impl Soc {
         t: &MemTrans,
         res: Result<u64, (Exception, u64)>,
     ) {
-        self.cores[c].mem_wait_tlb.update(|v| {
-            v.remove(slot);
-        });
+        self.cores[c].mem_wait_tlb.remove(slot);
         let core = &self.cores[c];
         let uop = t.uop;
         let idx = uop.lsq_idx.expect("memory op has an LSQ slot");
@@ -1077,7 +1070,7 @@ impl Soc {
         match core.lsq.issue_ld(idx, sb_result) {
             LdIssue::Forward(v) => {
                 let age = core.lsq.lq_entry(idx).expect("live").age;
-                core.forward_q.update(|q| q.push_back((idx, age, v)));
+                core.forward_q.push_back((idx, age, v));
                 Ok(())
             }
             LdIssue::ToCache => {
@@ -1349,7 +1342,7 @@ impl Soc {
         }
         let dec = core
             .fetch_q
-            .with(|q| q.front().copied())
+            .front()
             .ok_or(Stall::new("nothing to rename"))?;
         let mask = core.cur_mask.read();
 
@@ -1377,9 +1370,7 @@ impl Soc {
                 }
                 core.pipe
                     .rename(rob_idx, dec.pc, None, dec.fetched_at, dec.decoded_at, now);
-                core.fetch_q.update(|q| {
-                    q.pop_front();
-                });
+                core.fetch_q.pop_front();
                 return Ok(());
             }
         };
@@ -1426,9 +1417,7 @@ impl Soc {
                 now,
             );
             core.serialize.write(true);
-            core.fetch_q.update(|q| {
-                q.pop_front();
-            });
+            core.fetch_q.pop_front();
             return Ok(());
         }
 
@@ -1535,9 +1524,7 @@ impl Soc {
             dec.decoded_at,
             now,
         );
-        core.fetch_q.update(|q| {
-            q.pop_front();
-        });
+        core.fetch_q.pop_front();
         Ok(())
     }
 
@@ -1557,29 +1544,24 @@ impl Soc {
             .fetch_buf
             .with(|b| b.iter().position(|(r, _)| r.seq == expect))
             .ok_or(Stall::new("packet not arrived"))?;
-        if core.fetch_q.with(VecDeque::len) + 2 > 4 * core.cfg.width {
+        if core.fetch_q.len() + 2 > 4 * core.cfg.width {
             return Err(Stall::new("decode queue full"));
         }
-        let (req, raw) = core.fetch_buf.with(|b| b[pos]);
-        core.fetch_buf.update(|b| {
-            b.remove(pos);
-        });
+        let (req, raw) = core.fetch_buf.remove(pos).expect("position found above");
         core.fetch_expect.write(expect + 1);
         if req.epoch != epoch {
             return Ok(()); // stale wrong-path packet
         }
         if req.fault {
-            core.fetch_q.update(|q| {
-                q.push_back(DecInst {
-                    pc: req.pc,
-                    instr: Err(Exception::InstPageFault),
-                    pred_next: req.pc.wrapping_add(4),
-                    pred_taken: false,
-                    ghist: core.tour.snapshot(),
-                    ras: core.ras.snapshot(),
-                    fetched_at: req.at,
-                    decoded_at: now,
-                })
+            core.fetch_q.push_back(DecInst {
+                pc: req.pc,
+                instr: Err(Exception::InstPageFault),
+                pred_next: req.pc.wrapping_add(4),
+                pred_taken: false,
+                ghist: core.tour.snapshot(),
+                ras: core.ras.snapshot(),
+                fetched_at: req.at,
+                decoded_at: now,
             });
             return Ok(());
         }
@@ -1594,32 +1576,28 @@ impl Soc {
             match decode(word) {
                 Ok(instr) => {
                     let p = predict_next(&mut core.btb, &mut core.tour, &mut core.ras, pc, &instr);
-                    core.fetch_q.update(|q| {
-                        q.push_back(DecInst {
-                            pc,
-                            instr: Ok(instr),
-                            pred_next: p.target,
-                            pred_taken: p.taken,
-                            ghist,
-                            ras: core.ras.snapshot(),
-                            fetched_at: req.at,
-                            decoded_at: now,
-                        })
+                    core.fetch_q.push_back(DecInst {
+                        pc,
+                        instr: Ok(instr),
+                        pred_next: p.target,
+                        pred_taken: p.taken,
+                        ghist,
+                        ras: core.ras.snapshot(),
+                        fetched_at: req.at,
+                        decoded_at: now,
                     });
                     next = p.target;
                 }
                 Err(_) => {
-                    core.fetch_q.update(|q| {
-                        q.push_back(DecInst {
-                            pc,
-                            instr: Err(Exception::IllegalInst),
-                            pred_next: pc + 4,
-                            pred_taken: false,
-                            ghist,
-                            ras: core.ras.snapshot(),
-                            fetched_at: req.at,
-                            decoded_at: now,
-                        })
+                    core.fetch_q.push_back(DecInst {
+                        pc,
+                        instr: Err(Exception::IllegalInst),
+                        pred_next: pc + 4,
+                        pred_taken: false,
+                        ghist,
+                        ras: core.ras.snapshot(),
+                        fetched_at: req.at,
+                        decoded_at: now,
                     });
                     next = pc + 4;
                 }
@@ -1629,7 +1607,7 @@ impl Soc {
             // Decode-time redirect: the BTB-based fetch-ahead guessed wrong.
             core.epoch.update(|e| *e += 1);
             core.fetch_pc.write(next);
-            core.fetch_buf.update(Vec::clear);
+            core.fetch_buf.clear();
             core.fetch_expect.write(core.fetch_seq.read());
         }
         Ok(())
@@ -1648,13 +1626,13 @@ impl Soc {
         }
         {
             let core = &self.cores[c];
-            if core.fetch_q.with(VecDeque::len) >= 4 * core.cfg.width {
+            if core.fetch_q.len() >= 4 * core.cfg.width {
                 return Err(Stall::new("decode queue full"));
             }
-            if core.fetch_buf.with(Vec::len) >= 8 {
+            if core.fetch_buf.len() >= 8 {
                 return Err(Stall::new("fetch buffer full"));
             }
-            if core.inflight_fetch.with(Vec::len) >= 4 {
+            if core.inflight_fetch.len() >= 4 {
                 return Err(Stall::new("fetches in flight"));
             }
             if core.tlb.i_miss_pending() {
@@ -1688,7 +1666,7 @@ impl Soc {
                 };
                 let core = &self.cores[c];
                 core.fetch_seq.write(seq + 1);
-                core.fetch_buf.update(|b| b.push((req, 0)));
+                core.fetch_buf.push_back((req, 0));
                 core.fetch_pc.write(pc.wrapping_add(4));
                 return Ok(());
             }
@@ -1741,7 +1719,7 @@ impl Soc {
             .expect("can_accept checked");
         let core = &self.cores[c];
         core.fetch_seq.write(seq + 1);
-        core.inflight_fetch.update(|v| v.push(req));
+        core.inflight_fetch.push_back(req);
         core.fetch_pc.write(guess);
         Ok(())
     }
@@ -1759,14 +1737,12 @@ impl Soc {
             let core = &self.cores[c];
             let found = core
                 .inflight_fetch
-                .with(|v| v.iter().find(|r| r.seq as u32 == tag).copied());
-            if let Some(req) = found {
-                core.inflight_fetch
-                    .update(|v| v.retain(|r| r.seq as u32 != tag));
+                .with(|v| v.iter().position(|r| r.seq as u32 == tag));
+            if let Some(req) = found.and_then(|i| core.inflight_fetch.remove(i)) {
                 // Wrong-path packets from before a redirect are dropped
                 // here; the sequence counter already skipped past them.
                 if req.epoch == core.epoch.read() {
-                    core.fetch_buf.update(|b| b.push((req, data)));
+                    core.fetch_buf.push_back((req, data));
                 }
             }
         }
@@ -1987,6 +1963,7 @@ impl cmd_core::snap::Snapshot for CoreState {
         use cmd_core::snap::SnapError;
         self.rt.snap_restore(r)?;
         self.sm.snap_restore(r)?;
+        self.sm.check_against(&self.rt)?;
         self.prf.snap_restore(r)?;
         self.rob.snap_restore(r)?;
         let n = r.len_prefix()?;

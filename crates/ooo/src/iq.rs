@@ -63,17 +63,19 @@ impl IssueQueue {
         if dst == PhysReg::ZERO {
             return;
         }
+        // Change-only: a slot not waiting on `dst` opens no transaction.
         for s in &self.slots {
-            s.update(|e| {
-                if let Some(e) = e {
-                    if e.uop.src1 == dst {
-                        e.rdy1 = true;
-                    }
-                    if e.uop.src2 == dst {
-                        e.rdy2 = true;
-                    }
-                }
-            });
+            s.update_if(
+                |e| {
+                    matches!(e, Some(e) if (e.uop.src1 == dst && !e.rdy1)
+                        || (e.uop.src2 == dst && !e.rdy2))
+                },
+                |e| {
+                    let e = e.as_mut().expect("predicate saw an entry");
+                    e.rdy1 |= e.uop.src1 == dst;
+                    e.rdy2 |= e.uop.src2 == dst;
+                },
+            );
         }
     }
 
@@ -102,22 +104,20 @@ impl IssueQueue {
     /// `wrongSpec`: drops every entry carrying `tag`.
     pub fn wrong_spec(&self, tag: SpecTag) {
         for s in &self.slots {
-            s.update(|e| {
-                if matches!(e, Some(en) if en.uop.mask.contains(tag)) {
-                    *e = None;
-                }
-            });
+            s.update_if(|e| tagged(e, tag), |e| *e = None);
         }
     }
 
     /// `correctSpec`: clears `tag` from every mask.
     pub fn correct_spec(&self, tag: SpecTag) {
         for s in &self.slots {
-            s.update(|e| {
-                if let Some(en) = e {
+            s.update_if(
+                |e| tagged(e, tag),
+                |e| {
+                    let en = e.as_mut().expect("predicate saw an entry");
                     en.uop.mask = en.uop.mask.without(tag);
-                }
-            });
+                },
+            );
         }
     }
 
@@ -142,6 +142,11 @@ impl IssueQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Whether `slot` holds an entry that depends on `tag`.
+fn tagged(slot: &Option<IqEntry>, tag: SpecTag) -> bool {
+    matches!(slot, Some(e) if e.uop.mask.contains(tag))
 }
 
 cmd_core::snap_struct!(IqEntry {
@@ -288,6 +293,25 @@ mod tests {
         in_rule(&clk, || {
             assert_eq!(iq.issue().unwrap().src1, PhysReg(1));
         });
+    }
+
+    #[test]
+    fn broadcasts_that_concern_no_entry_enlist_no_cell() {
+        let clk = Clock::new();
+        let iq = IssueQueue::new(&clk, 4);
+        in_rule(&clk, || {
+            iq.enter(uop(5, 6, SpecMask::EMPTY.with(SpecTag(1))), false, true)
+                .unwrap();
+        });
+        clk.begin_rule();
+        iq.wakeup(PhysReg(9)); // nobody waits on p9
+        iq.wakeup(PhysReg(6)); // src2 matches but is already ready
+        iq.correct_spec(SpecTag(2));
+        iq.wrong_spec(SpecTag(2));
+        assert!(clk.enlisted_cells().is_empty(), "no-op broadcasts are free");
+        iq.wakeup(PhysReg(5));
+        assert_eq!(clk.enlisted_cells().len(), 1, "only the woken slot");
+        clk.commit_rule();
     }
 
     #[test]

@@ -303,20 +303,19 @@ impl Lsq {
         // Kill younger loads that already read bytes this store writes and
         // whose value did not come from a store younger than this one.
         for cell in &self.lq {
-            cell.update(|e| {
-                let Some(e) = e else { return };
-                if e.zombie || e.age <= age || e.killed {
-                    return;
-                }
-                let Some(la) = e.addr else { return };
-                if !overlaps(la, e.bytes, pa, bytes) {
-                    return;
-                }
-                let bound = matches!(e.state, LdState::Issued | LdState::Done);
-                if bound && e.fwd_src_age.unwrap_or(0) < age {
-                    e.killed = true;
-                }
-            });
+            cell.update_if(
+                |e| {
+                    let Some(e) = e else { return false };
+                    if e.zombie || e.age <= age || e.killed {
+                        return false;
+                    }
+                    let Some(la) = e.addr else { return false };
+                    overlaps(la, e.bytes, pa, bytes)
+                        && matches!(e.state, LdState::Issued | LdState::Done)
+                        && e.fwd_src_age.unwrap_or(0) < age
+                },
+                |e| e.as_mut().expect("predicate saw an entry").killed = true,
+            );
         }
     }
 
@@ -503,18 +502,18 @@ impl Lsq {
 
     fn wakeup_where(&self, pred: impl Fn(&StallSrc) -> bool) {
         for cell in &self.lq {
-            cell.update(|e| {
-                if let Some(e) = e {
-                    if e.state == LdState::Stalled && !e.zombie {
-                        if let Some(s) = &e.stall {
-                            if pred(s) {
-                                e.stall = None;
-                                e.state = LdState::Ready;
-                            }
-                        }
-                    }
-                }
-            });
+            cell.update_if(
+                |e| {
+                    matches!(e, Some(e) if e.state == LdState::Stalled
+                        && !e.zombie
+                        && e.stall.as_ref().is_some_and(&pred))
+                },
+                |e| {
+                    let e = e.as_mut().expect("predicate saw an entry");
+                    e.stall = None;
+                    e.state = LdState::Ready;
+                },
+            );
         }
     }
 
@@ -533,19 +532,19 @@ impl Lsq {
     pub fn cache_evict(&self, line: u64) {
         let mut kills = 0;
         for cell in &self.lq {
-            cell.update(|e| {
-                if let Some(e) = e {
-                    if e.zombie || e.killed {
-                        return;
-                    }
-                    let Some(a) = e.addr else { return };
+            let hit = cell.update_if(
+                |e| {
+                    let Some(e) = e else { return false };
                     let bound = matches!(e.state, LdState::Issued | LdState::Done);
-                    if line_of(a) == line && bound && e.fwd_src_age.is_none() {
-                        e.killed = true;
-                        kills += 1;
-                    }
-                }
-            });
+                    !e.zombie
+                        && !e.killed
+                        && e.addr.is_some_and(|a| line_of(a) == line)
+                        && bound
+                        && e.fwd_src_age.is_none()
+                },
+                |e| e.as_mut().expect("predicate saw an entry").killed = true,
+            );
+            kills += u64::from(hit);
         }
         if kills > 0 {
             self.evict_kills.update(|k| *k += kills);
@@ -655,42 +654,41 @@ impl Lsq {
     /// their wrong-path responses return.
     pub fn wrong_spec(&self, tag: SpecTag) {
         for cell in &self.lq {
-            cell.update(|e| {
-                if let Some(en) = e {
-                    if en.mask.contains(tag) && !en.zombie {
-                        if en.state == LdState::Issued {
-                            en.zombie = true;
-                        } else {
-                            *e = None;
-                        }
-                    }
-                }
-            });
+            cell.update_if(
+                |e| matches!(e, Some(en) if en.mask.contains(tag) && !en.zombie),
+                |e| match e {
+                    Some(en) if en.state == LdState::Issued => en.zombie = true,
+                    _ => *e = None,
+                },
+            );
         }
         for cell in &self.sq {
-            cell.update(|e| {
-                if matches!(e, Some(en) if en.mask.contains(tag)) {
-                    *e = None;
-                }
-            });
+            cell.update_if(
+                |e| matches!(e, Some(en) if en.mask.contains(tag)),
+                |e| *e = None,
+            );
         }
     }
 
     /// `correctSpec`: clears `tag` everywhere.
     pub fn correct_spec(&self, tag: SpecTag) {
         for cell in &self.lq {
-            cell.update(|e| {
-                if let Some(e) = e {
+            cell.update_if(
+                |e| matches!(e, Some(e) if e.mask.contains(tag)),
+                |e| {
+                    let e = e.as_mut().expect("predicate saw an entry");
                     e.mask = e.mask.without(tag);
-                }
-            });
+                },
+            );
         }
         for cell in &self.sq {
-            cell.update(|e| {
-                if let Some(e) = e {
+            cell.update_if(
+                |e| matches!(e, Some(e) if e.mask.contains(tag)),
+                |e| {
+                    let e = e.as_mut().expect("predicate saw an entry");
                     e.mask = e.mask.without(tag);
-                }
-            });
+                },
+            );
         }
     }
 
@@ -1059,6 +1057,28 @@ mod tests {
             "forwarded loads immune to eviction"
         );
         assert_eq!(l.evict_kills.read(), 1);
+    }
+
+    #[test]
+    fn broadcasts_that_concern_no_entry_enlist_no_cell() {
+        let (clk, l) = lsq();
+        in_rule(&clk, || {
+            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
+            let ld = l
+                .enq_ld(2, SpecMask::EMPTY.with(SpecTag(1)), None, false)
+                .unwrap();
+            l.update_st(st, Ok(0xb000), 8, 1, false);
+            l.update_ld(ld, Ok(0xc000), 8, false, false, None);
+        });
+        clk.begin_rule();
+        l.correct_spec(SpecTag(3));
+        l.wrong_spec(SpecTag(3));
+        l.wakeup_by_sb_deq(0);
+        l.cache_evict(0xc000); // the load has not bound a value yet
+        assert!(clk.enlisted_cells().is_empty(), "no-op broadcasts are free");
+        l.correct_spec(SpecTag(1));
+        assert_eq!(clk.enlisted_cells().len(), 1, "only the tagged load");
+        clk.commit_rule();
     }
 
     #[test]

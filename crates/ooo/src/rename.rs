@@ -2,16 +2,22 @@
 //! list, and the speculation manager (paper Fig. 9's `RenameTable` and
 //! `SpeculationManager` modules).
 //!
-//! All state lives in [`Ehr`] cells so the `doRename` rule is atomic: if any
-//! resource (ROB slot, IQ slot, LSQ slot, physical register, speculation
-//! tag) is unavailable, the whole rename aborts and *nothing* leaks — the
-//! composability property §IV of the paper is about.
-
-use std::collections::VecDeque;
+//! All state lives in transactional cells so the `doRename` rule is atomic:
+//! if any resource (ROB slot, IQ slot, LSQ slot, physical register,
+//! speculation tag) is unavailable, the whole rename aborts and *nothing*
+//! leaks — the composability property §IV of the paper is about.
+//!
+//! The free list is a ring: allocation advances `free_head`, a commit
+//! appends the overwritten register at `free_tail`. A branch snapshot is the
+//! 32-entry map plus the *head position* at the branch — a register freed by
+//! a later commit lands at `free_tail`, which the live list and every
+//! snapshot share, so snapshots never need to be told about it, and neither
+//! taking nor restoring one touches the heap.
 
 use cmd_core::cell::Ehr;
 use cmd_core::clock::Clock;
 use cmd_core::guard::{Guarded, Stall};
+use cmd_core::journal::EhrArray;
 use riscy_isa::reg::Gpr;
 
 use crate::frontend::{GhistSnapshot, RasSnapshot};
@@ -21,9 +27,13 @@ use crate::types::{PhysReg, SpecMask, SpecTag};
 /// list of physical registers.
 #[derive(Clone)]
 pub struct RenameTable {
-    rat: Ehr<Vec<PhysReg>>,
-    crat: Ehr<Vec<PhysReg>>,
-    free: Ehr<VecDeque<PhysReg>>,
+    rat: EhrArray<PhysReg>,
+    crat: EhrArray<PhysReg>,
+    /// Free-list ring of `phys_regs` slots; the list is positions
+    /// `free_head..free_tail`, taken modulo the ring size.
+    free_ring: EhrArray<PhysReg>,
+    free_head: Ehr<u64>,
+    free_tail: Ehr<u64>,
     phys_regs: usize,
 }
 
@@ -38,19 +48,29 @@ impl RenameTable {
     pub fn new(clk: &Clock, phys_regs: usize) -> Self {
         assert!(phys_regs > 32, "need more physical than architectural regs");
         let identity: Vec<PhysReg> = (0..32).map(|i| PhysReg(i as u16)).collect();
-        let free: VecDeque<PhysReg> = (32..phys_regs).map(|i| PhysReg(i as u16)).collect();
+        // Slots past the initial list hold p0 until a commit overwrites them.
+        let ring: Vec<PhysReg> = (32..phys_regs)
+            .map(|i| PhysReg(i as u16))
+            .chain(std::iter::repeat_n(PhysReg::ZERO, 32))
+            .collect();
         RenameTable {
-            rat: Ehr::new(clk, identity.clone()),
-            crat: Ehr::new(clk, identity),
-            free: Ehr::new(clk, free),
+            rat: EhrArray::new(clk, identity.clone()),
+            crat: EhrArray::new(clk, identity),
+            free_ring: EhrArray::new(clk, ring),
+            free_head: Ehr::new(clk, 0),
+            free_tail: Ehr::new(clk, (phys_regs - 32) as u64),
             phys_regs,
         }
+    }
+
+    fn ring_slot(&self, pos: u64) -> usize {
+        (pos % self.phys_regs as u64) as usize
     }
 
     /// Speculative mapping of `r`.
     #[must_use]
     pub fn lookup(&self, r: Gpr) -> PhysReg {
-        self.rat.with(|t| t[r.index()])
+        self.rat.get(r.index())
     }
 
     /// Renames a destination: allocates a fresh physical register and
@@ -65,85 +85,99 @@ impl RenameTable {
         if r.is_zero() {
             return Ok((PhysReg::ZERO, PhysReg::ZERO));
         }
-        let new = self
-            .free
-            .with(|f| f.front().copied())
-            .ok_or(Stall::new("no free physical register"))?;
-        self.free.update(|f| {
-            f.pop_front();
-        });
+        let head = self.free_head.read();
+        if head == self.free_tail.read() {
+            return Err(Stall::new("no free physical register"));
+        }
+        let new = self.free_ring.get(self.ring_slot(head));
+        self.free_head.write(head + 1);
         let old = self.lookup(r);
-        self.rat.update(|t| t[r.index()] = new);
+        self.rat.set(r.index(), new);
         Ok((new, old))
     }
 
     /// Commits a mapping: the committed RAT advances and the overwritten
-    /// physical register returns to the free list.
-    pub fn commit(&self, r: Gpr, new: PhysReg, old: PhysReg) -> Vec<PhysReg> {
+    /// physical register returns to the free list — the live one and, by
+    /// construction, the one every outstanding snapshot would restore.
+    pub fn commit(&self, r: Gpr, new: PhysReg, old: PhysReg) {
         if r.is_zero() {
-            return Vec::new();
+            return;
         }
-        self.crat.update(|t| t[r.index()] = new);
-        if old != PhysReg::ZERO || old.index() != 0 {
-            self.free.update(|f| f.push_back(old));
-            return vec![old];
+        self.crat.set(r.index(), new);
+        if old != PhysReg::ZERO {
+            let tail = self.free_tail.read();
+            self.free_ring.set(self.ring_slot(tail), old);
+            self.free_tail.write(tail + 1);
         }
-        Vec::new()
     }
 
     /// Full-pipeline flush: the speculative RAT collapses to the committed
-    /// one and the free list is rebuilt from it.
+    /// one and the free list is rebuilt from it. Outstanding snapshots die
+    /// with the flush ([`SpecManager::flush`]).
     pub fn flush_to_committed(&self) {
-        let crat = self.crat.read();
+        let crat = self.crat.with(<[PhysReg]>::to_vec);
         let mut in_use = vec![false; self.phys_regs];
         for p in &crat {
             in_use[p.index()] = true;
         }
-        self.rat.write(crat);
-        let free: VecDeque<PhysReg> = (0..self.phys_regs)
+        self.rat.replace(crat);
+        let mut ring: Vec<PhysReg> = (0..self.phys_regs)
             .filter(|&i| !in_use[i])
             .map(|i| PhysReg(i as u16))
             .collect();
-        self.free.write(free);
+        let free = ring.len();
+        ring.resize(self.phys_regs, PhysReg::ZERO);
+        self.free_ring.replace(ring);
+        self.free_head.write(0);
+        self.free_tail.write(free as u64);
     }
 
     /// Snapshot of the speculative state (for branch tags).
     #[must_use]
     pub fn snapshot(&self) -> RatSnapshot {
+        let mut rat = [PhysReg::ZERO; 32];
+        self.rat.with(|t| rat.copy_from_slice(t));
         RatSnapshot {
-            rat: self.rat.read(),
-            free: self.free.read(),
+            rat,
+            free_head: self.free_head.read(),
         }
     }
 
-    /// Restores a snapshot (branch misprediction).
+    /// Restores a snapshot (branch misprediction): the map as it was, and
+    /// the free list rewound to the branch — which hands back every
+    /// wrong-path allocation and keeps everything commits freed since.
     pub fn restore(&self, s: &RatSnapshot) {
-        self.rat.write(s.rat.clone());
-        self.free.write(s.free.clone());
+        for (i, &p) in s.rat.iter().enumerate() {
+            self.rat.update_if(i, |cur| *cur != p, |cur| *cur = p);
+        }
+        self.free_head.write(s.free_head);
     }
 
     /// Number of free physical registers.
     #[must_use]
     pub fn free_count(&self) -> usize {
-        self.free.with(VecDeque::len)
+        (self.free_tail.read() - self.free_head.read()) as usize
+    }
+
+    /// Whether `s` can be restored onto this table: its head is not ahead
+    /// of the live one and the list it would restore fits the ring.
+    fn accepts(&self, s: &RatSnapshot) -> bool {
+        s.free_head <= self.free_head.read()
+            && self.free_tail.read() - s.free_head <= self.phys_regs as u64
+            && s.rat.iter().all(|p| p.index() < self.phys_regs)
     }
 }
 
-/// Captured speculative rename state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Captured speculative rename state: the map, and where the free list's
+/// head stood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RatSnapshot {
-    rat: Vec<PhysReg>,
-    free: VecDeque<PhysReg>,
-}
-
-impl RatSnapshot {
-    fn push_free(&mut self, p: PhysReg) {
-        self.free.push_back(p);
-    }
+    rat: [PhysReg; 32],
+    free_head: u64,
 }
 
 /// Everything restored when a branch turns out mispredicted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpecSnapshot {
     /// Rename state at the branch.
     pub rat: RatSnapshot,
@@ -160,7 +194,7 @@ pub struct SpecSnapshot {
 /// (paper §V: `SpeculationManager`).
 #[derive(Clone)]
 pub struct SpecManager {
-    snapshots: Ehr<Vec<Option<SpecSnapshot>>>,
+    snapshots: EhrArray<Option<SpecSnapshot>>,
     num_tags: usize,
 }
 
@@ -170,7 +204,7 @@ impl SpecManager {
     pub fn new(clk: &Clock, num_tags: usize) -> Self {
         assert!(num_tags <= 32, "SpecMask is 32 bits");
         SpecManager {
-            snapshots: Ehr::new(clk, vec![None; num_tags]),
+            snapshots: EhrArray::new(clk, vec![None; num_tags]),
             num_tags,
         }
     }
@@ -185,7 +219,7 @@ impl SpecManager {
             .snapshots
             .with(|s| s.iter().position(Option::is_none))
             .ok_or(Stall::new("no free speculation tag"))?;
-        self.snapshots.update(|s| s[slot] = Some(snap));
+        self.snapshots.set(slot, Some(snap));
         Ok(SpecTag(slot as u8))
     }
 
@@ -193,13 +227,18 @@ impl SpecManager {
     /// (`correctSpec`). Callers must also clear the bit from all masks in
     /// flight.
     pub fn correct(&self, tag: SpecTag) {
-        self.snapshots.update(|s| {
-            s[tag.0 as usize] = None;
-            // Clear this tag from the dependency masks of younger tags.
-            for snap in s.iter_mut().flatten() {
-                snap.mask = snap.mask.without(tag);
-            }
-        });
+        self.snapshots.set(tag.0 as usize, None);
+        // Clear this tag from the dependency masks of younger tags.
+        for i in 0..self.num_tags {
+            self.snapshots.update_if(
+                i,
+                |s| matches!(s, Some(sn) if sn.mask.contains(tag)),
+                |s| {
+                    let sn = s.as_mut().expect("predicate saw a snapshot");
+                    sn.mask = sn.mask.without(tag);
+                },
+            );
+        }
     }
 
     /// Resolves a branch as mispredicted: returns its snapshot and frees
@@ -211,38 +250,24 @@ impl SpecManager {
     pub fn wrong(&self, tag: SpecTag) -> SpecSnapshot {
         let snap = self
             .snapshots
-            .with(|s| s[tag.0 as usize].clone())
+            .get(tag.0 as usize)
             .expect("wrongSpec on a dead tag");
-        self.snapshots.update(|s| {
-            s[tag.0 as usize] = None;
-            for slot in s.iter_mut() {
-                if matches!(slot, Some(sn) if sn.mask.contains(tag)) {
-                    *slot = None;
-                }
-            }
-        });
-        snap
-    }
-
-    /// A physical register was freed at commit; surviving snapshots must
-    /// learn about it or a restore would leak it.
-    pub fn note_commit_free(&self, regs: &[PhysReg]) {
-        if regs.is_empty() {
-            return;
+        self.snapshots.set(tag.0 as usize, None);
+        for i in 0..self.num_tags {
+            self.snapshots.update_if(
+                i,
+                |s| matches!(s, Some(sn) if sn.mask.contains(tag)),
+                |s| *s = None,
+            );
         }
-        self.snapshots.update(|s| {
-            for snap in s.iter_mut().flatten() {
-                for &p in regs {
-                    snap.rat.push_free(p);
-                }
-            }
-        });
+        snap
     }
 
     /// Frees every tag (full flush).
     pub fn flush(&self) {
-        self.snapshots
-            .update(|s| s.iter_mut().for_each(|e| *e = None));
+        for i in 0..self.num_tags {
+            self.snapshots.update_if(i, Option::is_some, |s| *s = None);
+        }
     }
 
     /// Number of live tags.
@@ -256,9 +281,29 @@ impl SpecManager {
     pub fn capacity(&self) -> usize {
         self.num_tags
     }
+
+    /// Cross-check after both halves of the rename state were restored
+    /// from a snapshot: every live tag must be restorable onto `rt`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`](cmd_core::snap::SnapError::Corrupt) when a
+    /// tag's free-list head cannot belong to `rt`'s ring.
+    pub(crate) fn check_against(&self, rt: &RenameTable) -> Result<(), cmd_core::snap::SnapError> {
+        if self
+            .snapshots
+            .with(|s| s.iter().flatten().all(|sn| rt.accepts(&sn.rat)))
+        {
+            Ok(())
+        } else {
+            Err(cmd_core::snap::SnapError::Corrupt(
+                "speculation snapshot does not fit the free-list ring",
+            ))
+        }
+    }
 }
 
-cmd_core::snap_struct!(RatSnapshot { rat, free });
+cmd_core::snap_struct!(RatSnapshot { rat, free_head });
 
 cmd_core::snap_struct!(SpecSnapshot {
     rat,
@@ -271,7 +316,9 @@ impl cmd_core::snap::Snapshot for RenameTable {
     fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
         self.rat.snap_save(w);
         self.crat.snap_save(w);
-        self.free.snap_save(w);
+        self.free_ring.snap_save(w);
+        self.free_head.snap_save(w);
+        self.free_tail.snap_save(w);
     }
 
     fn snap_restore(
@@ -281,24 +328,32 @@ impl cmd_core::snap::Snapshot for RenameTable {
         use cmd_core::snap::{Snap, SnapError};
         let rat: Vec<PhysReg> = Snap::load(r)?;
         let crat: Vec<PhysReg> = Snap::load(r)?;
-        let free: VecDeque<PhysReg> = Snap::load(r)?;
+        let ring: Vec<PhysReg> = Snap::load(r)?;
+        let head: u64 = Snap::load(r)?;
+        let tail: u64 = Snap::load(r)?;
         if rat.len() != 32 || crat.len() != 32 {
             return Err(SnapError::Corrupt("rename table is not 32 entries"));
         }
-        if rat
-            .iter()
-            .chain(crat.iter())
-            .chain(free.iter())
-            .any(|p| p.index() >= self.phys_regs)
+        if ring.len() != self.phys_regs
+            || rat
+                .iter()
+                .chain(crat.iter())
+                .chain(ring.iter())
+                .any(|p| p.index() >= self.phys_regs)
         {
             return Err(SnapError::Mismatch(format!(
                 "snapshot references physical registers beyond the design's {}",
                 self.phys_regs
             )));
         }
-        self.rat.write(rat);
-        self.crat.write(crat);
-        self.free.write(free);
+        if head > tail || tail - head > self.phys_regs as u64 {
+            return Err(SnapError::Corrupt("free-list pointers out of range"));
+        }
+        self.rat.replace(rat);
+        self.crat.replace(crat);
+        self.free_ring.replace(ring);
+        self.free_head.write(head);
+        self.free_tail.write(tail);
         Ok(())
     }
 }
@@ -321,7 +376,7 @@ impl cmd_core::snap::Snapshot for SpecManager {
                 self.num_tags
             )));
         }
-        self.snapshots.write(snaps);
+        self.snapshots.replace(snaps);
         Ok(())
     }
 }
@@ -392,10 +447,15 @@ mod tests {
         let (clk, rt, _) = fixture();
         clk.begin_rule();
         let (new, old) = rt.allocate(Gpr::a(2)).unwrap();
-        let freed = rt.commit(Gpr::a(2), new, old);
-        assert_eq!(freed, vec![old]);
+        rt.commit(Gpr::a(2), new, old);
         clk.commit_rule();
         assert_eq!(rt.free_count(), 8, "old register recycled");
+        // The recycled register comes back out once the initial list is
+        // used up: 7 fresh ones, then `old`.
+        clk.begin_rule();
+        let got: Vec<PhysReg> = (0..8).map(|_| rt.allocate(Gpr::a(3)).unwrap().0).collect();
+        assert_eq!(got.last(), Some(&old));
+        clk.abort_rule();
     }
 
     #[test]
@@ -415,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn mispredict_restore_with_commit_free_fixup() {
+    fn mispredict_restore_keeps_registers_freed_since_the_branch() {
         let (clk, rt, sm) = fixture();
         clk.begin_rule();
         // Older instruction renames a0 (will commit later).
@@ -426,8 +486,7 @@ mod tests {
         let _ = rt.allocate(Gpr::a(1)).unwrap();
         let _ = rt.allocate(Gpr::a(2)).unwrap();
         // The older instruction commits, freeing p10's old mapping.
-        let freed = rt.commit(Gpr::a(0), n_a0, o_a0);
-        sm.note_commit_free(&freed);
+        rt.commit(Gpr::a(0), n_a0, o_a0);
         // Mispredict: restore.
         let s = sm.wrong(tag);
         rt.restore(&s.rat);
@@ -437,6 +496,35 @@ mod tests {
         assert_eq!(rt.lookup(Gpr::a(1)), PhysReg(11));
         // Free list: started 8, minus a0's live new reg, plus freed old p10.
         assert_eq!(rt.free_count(), 8);
+    }
+
+    #[test]
+    fn rename_commit_and_branch_resolution_never_clone_a_collection() {
+        // One cell transaction per structure touched, each journaling one
+        // element: allocate touches the head pointer and one RAT entry,
+        // commit one CRAT entry, one ring slot and the tail pointer, a
+        // branch one snapshot slot.
+        let (clk, rt, sm) = fixture();
+        clk.begin_rule();
+        let (new, old) = rt.allocate(Gpr::a(0)).unwrap();
+        assert_eq!(clk.enlisted_cells().len(), 2);
+        rt.commit(Gpr::a(0), new, old);
+        assert_eq!(clk.enlisted_cells().len(), 5);
+        let tag = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+        sm.correct(tag);
+        assert_eq!(clk.enlisted_cells().len(), 6);
+        clk.commit_rule();
+    }
+
+    #[test]
+    fn restored_snapshot_must_fit_the_ring() {
+        let (clk, rt, sm) = fixture();
+        clk.begin_rule();
+        let mut s = snap(&rt, SpecMask::EMPTY);
+        s.rat.free_head = 99; // ahead of the live head
+        sm.allocate(s).unwrap();
+        clk.commit_rule();
+        assert!(sm.check_against(&rt).is_err());
     }
 
     #[test]

@@ -246,12 +246,16 @@ impl Rob {
 
     /// `correctSpec`: clears `tag` from every live mask.
     pub fn correct_spec(&self, tag: SpecTag) {
+        // Change-only: entries that do not depend on `tag` (and empty
+        // slots) open no transaction.
         for cell in &self.entries {
-            cell.update(|e| {
-                if let Some(e) = e {
+            cell.update_if(
+                |e| matches!(e, Some(e) if e.uop.mask.contains(tag)),
+                |e| {
+                    let e = e.as_mut().expect("predicate saw an entry");
                     e.uop.mask = e.uop.mask.without(tag);
-                }
-            });
+                },
+            );
         }
     }
 
@@ -445,6 +449,23 @@ mod tests {
         in_rule(&clk, || rob.correct_spec(tag));
         in_rule(&clk, || rob.wrong_spec(tag));
         assert_eq!(rob.len(), 1, "cleared entry survives a tag reuse kill");
+    }
+
+    #[test]
+    fn correct_spec_of_an_unrelated_tag_enlists_no_cell() {
+        let clk = Clock::new();
+        let rob = Rob::new(&clk, 8);
+        in_rule(&clk, || {
+            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
+            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY.with(SpecTag(1)))))
+                .unwrap();
+        });
+        clk.begin_rule();
+        rob.correct_spec(SpecTag(5));
+        assert!(clk.enlisted_cells().is_empty());
+        rob.correct_spec(SpecTag(1));
+        assert_eq!(clk.enlisted_cells().len(), 1, "only the dependent entry");
+        clk.commit_rule();
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use cmd_core::cell::Ehr;
 use cmd_core::chaos::FaultEngine;
 use cmd_core::clock::{CellId, Clock};
+use cmd_core::journal::EhrDeque;
 use cmd_core::sched::{SchedulerMode, Wakeup};
 use cmd_core::sim::{Sim, SimError};
 use riscy_isa::asm::Program;
@@ -922,17 +923,17 @@ impl CoreState {
             epoch: Ehr::new(clk, 0),
             fetch_seq: Ehr::new(clk, 0),
             fetch_expect: Ehr::new(clk, 0),
-            inflight_fetch: Ehr::new(clk, Vec::new()),
-            fetch_buf: Ehr::new(clk, Vec::new()),
-            fetch_q: Ehr::new(clk, std::collections::VecDeque::new()),
+            inflight_fetch: EhrDeque::new(clk, 4),
+            fetch_buf: EhrDeque::new(clk, 8),
+            fetch_q: EhrDeque::new(clk, 4 * cfg.width),
             serialize: Ehr::new(clk, false),
             alu_ex: (0..cfg.alu_pipes).map(|_| Ehr::new(clk, None)).collect(),
             alu_wb: (0..cfg.alu_pipes).map(|_| Ehr::new(clk, None)).collect(),
             md_unit: Ehr::new(clk, None),
             md_wb: Ehr::new(clk, None),
             mem_ex: Ehr::new(clk, None),
-            mem_wait_tlb: Ehr::new(clk, Vec::new()),
-            forward_q: Ehr::new(clk, std::collections::VecDeque::new()),
+            mem_wait_tlb: EhrDeque::new(clk, 4),
+            forward_q: EhrDeque::new(clk, 4),
             btb: Btb::new(cfg.bp.btb_entries),
             tour: Tournament::new(cfg.bp),
             ras: Ras::new(cfg.bp.ras_entries),
@@ -962,8 +963,10 @@ fn _assert_types(_: &DecInst, _: &MemTrans) {}
 /// any serialized module changes; old snapshots are refused with
 /// [`cmd_core::snap::SnapError::VersionMismatch`] instead of being
 /// misinterpreted. v2 added the kernel telemetry section (a presence flag
-/// plus the windowed ring when telemetry is enabled).
-pub const SOC_SNAP_VERSION: u32 = 2;
+/// plus the windowed ring when telemetry is enabled); v3 made speculation
+/// snapshots heap-free (inline rename map, free list as a ring whose
+/// snapshot is its head position — see [`crate::rename`]).
+pub const SOC_SNAP_VERSION: u32 = 3;
 
 cmd_core::snap_struct!(CoreStats {
     committed,

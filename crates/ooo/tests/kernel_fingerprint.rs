@@ -1,0 +1,105 @@
+//! Cross-commit fingerprints of whole runs under the reference oracle.
+//!
+//! The equivalence suites compare scheduler modes *inside one build*; a
+//! change to the transaction kernel moves every mode together and they
+//! would all still agree. These goldens were captured at the commit before
+//! the in-place/undo-journal kernel (PR 12, `a50c544`) with this very file,
+//! and pin every later kernel against it: an FNV-1a hash over
+//! `(rule name, fired, guard_stalls, cm_stalls)` of every rule plus
+//! cycles / committed / mispredicts per core.
+//!
+//! If a deliberate timing-model change moves them, re-capture with
+//! `cargo test -p riscy-ooo --test kernel_fingerprint -- --nocapture` and
+//! say why in the commit.
+
+use cmd_core::sched::SchedulerMode;
+use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
+use riscy_ooo::soc::SocSim;
+use riscy_workloads::parsec;
+use riscy_workloads::spec::{self, Scale, Workload};
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= u64::from(*b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// `(name, fired, guard_stalls, cm_stalls)` of every rule, parsed from the
+/// scheduling report (the one per-rule surface `SocSim` had at the capture
+/// commit), sorted by name.
+fn rule_rows(report: &str) -> Vec<(String, u64, u64, u64)> {
+    let mut rows: Vec<_> = report
+        .lines()
+        .filter_map(|l| {
+            let t: Vec<&str> = l.split_whitespace().collect();
+            let at = |key: &str| {
+                let i = t.iter().position(|w| *w == key)?;
+                t.get(i + 1)?.parse::<u64>().ok()
+            };
+            (t.get(1) == Some(&"fired")).then(|| {
+                (
+                    t[0].to_string(),
+                    at("fired").expect("fired count"),
+                    at("guard-stall").expect("guard-stall count"),
+                    at("cm-stall").expect("cm-stall count"),
+                )
+            })
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+fn fingerprint(w: &Workload, cfg: CoreConfig, cores: usize) -> (u64, u64) {
+    let mut sim = SocSim::new(cfg, mem_riscyoo_b(), cores, &w.program);
+    sim.set_scheduler(SchedulerMode::Reference);
+    sim.run_to_completion(w.max_cycles)
+        .unwrap_or_else(|e| panic!("{} did not complete: {e}", w.name));
+    let rows = rule_rows(&sim.report());
+    assert!(
+        rows.len() > 20 * cores,
+        "report parsed: {} rules",
+        rows.len()
+    );
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (name, fired, guard, cm) in &rows {
+        fnv1a(&mut h, name.as_bytes());
+        for v in [fired, guard, cm] {
+            fnv1a(&mut h, &v.to_le_bytes());
+        }
+    }
+    fnv1a(&mut h, &sim.cycles().to_le_bytes());
+    for core in &sim.soc().cores {
+        fnv1a(&mut h, &core.stats.committed.to_le_bytes());
+        fnv1a(&mut h, &core.stats.mispredicts.to_le_bytes());
+    }
+    println!(
+        "{} x{cores}: cycles {} hash {h:#018x}",
+        w.name,
+        sim.cycles()
+    );
+    (sim.cycles(), h)
+}
+
+#[test]
+fn hmmer_matches_the_pre_journal_kernel() {
+    let got = fingerprint(&spec::hmmer(Scale::Test), CoreConfig::riscyoo_t_plus(), 1);
+    assert_eq!(got, (25_508, 0xb650_7f49_6444_13d4));
+}
+
+#[test]
+fn mcf_matches_the_pre_journal_kernel() {
+    let got = fingerprint(&spec::mcf(Scale::Test), CoreConfig::riscyoo_t_plus(), 1);
+    assert_eq!(got, (80_001, 0x811f_e783_43ff_55bd));
+}
+
+#[test]
+fn two_core_swaptions_matches_the_pre_journal_kernel() {
+    let got = fingerprint(
+        &parsec::swaptions(Scale::Test, 2),
+        CoreConfig::multicore(MemModel::Tso),
+        2,
+    );
+    assert_eq!(got, (5_632, 0xd97c_96f7_d8d3_83bf));
+}

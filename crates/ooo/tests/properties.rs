@@ -186,8 +186,7 @@ fn physical_registers_are_conserved() {
                     let commit_legal = branches.iter().all(|(_, at)| *at > 0);
                     if !inflight.is_empty() && commit_legal {
                         let (g, new, old) = inflight.remove(0);
-                        let freed = rt.commit(g, new, old);
-                        sm.note_commit_free(&freed);
+                        rt.commit(g, new, old);
                         for b in &mut branches {
                             b.1 = b.1.saturating_sub(1);
                         }

@@ -211,16 +211,22 @@ fn version_skew_is_a_structured_error() {
         sim.cycle();
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
-    // The u32 after the magic is the format version; bump it.
-    let bumped = u32::from_le_bytes(snap[4..8].try_into().unwrap()) + 1;
-    snap[4..8].copy_from_slice(&bumped.to_le_bytes());
-    let mut fresh = build(&prog, 1, SchedulerMode::Fast);
-    match fresh.restore_snapshot(&snap) {
-        Err(SimError::Snapshot(SnapError::VersionMismatch { found, expected })) => {
-            assert_eq!(found, bumped);
-            assert_eq!(expected, riscy_ooo::soc::SOC_SNAP_VERSION);
+    // The u32 after the magic is the format version. Skew it both ways: a
+    // future format, and v2 — the last format whose speculation snapshots
+    // owned a `Vec` RAT and a `VecDeque` free list where v3 has an inline
+    // map and a ring head, so a v2 body must never reach the v3 reader.
+    let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
+    assert_eq!(current, 3, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 2] {
+        snap[4..8].copy_from_slice(&skewed.to_le_bytes());
+        let mut fresh = build(&prog, 1, SchedulerMode::Fast);
+        match fresh.restore_snapshot(&snap) {
+            Err(SimError::Snapshot(SnapError::VersionMismatch { found, expected })) => {
+                assert_eq!(found, skewed);
+                assert_eq!(expected, riscy_ooo::soc::SOC_SNAP_VERSION);
+            }
+            other => panic!("expected a version mismatch, got {other:?}"),
         }
-        other => panic!("expected a version mismatch, got {other:?}"),
     }
 }
 
