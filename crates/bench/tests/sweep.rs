@@ -226,3 +226,20 @@ fn timed_out_unit_leaves_a_stall_bundle_and_is_flagged() {
     assert!(snapshot.contains("unit_0.stall.json"), "{snapshot}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Sweep labels are unchecked sizes, so a sweep can ask for structures past
+/// one 64-bit occupancy-mask word; they must build and run like any other.
+#[test]
+fn structures_past_one_mask_word_run_to_the_golden_exit_code() {
+    let w = riscy_workloads::spec::hmmer(riscy_workloads::spec::Scale::Test);
+    let mut golden = riscy_isa::interp::Machine::with_program(1, &w.program);
+    golden
+        .run(w.max_cycles * 8)
+        .expect("the interpreter completes");
+    let (cfg, mem) = SocFleet::config_for("t+:iq=80:lq=96:sq=72:sb=66");
+    let mut sim = riscy_ooo::soc::SocSim::new(cfg, mem, 1, &w.program);
+    sim.run_to_completion(w.max_cycles)
+        .expect("hmmer completes");
+    assert!(golden.hart(0).halted.is_some());
+    assert_eq!(sim.exit_codes(), vec![golden.hart(0).halted]);
+}

@@ -568,6 +568,38 @@ mod tests {
     }
 
     #[test]
+    fn a_caught_double_write_panic_leaves_the_clock_reusable() {
+        let clk = Clock::new();
+        let r = Reg::named(&clk, "pc", 0u32);
+        let x = Ehr::new(&clk, 0u32);
+        clk.begin_rule();
+        r.write(1);
+        clk.commit_rule();
+        clk.begin_rule();
+        x.write(9);
+        r.write(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| clk.commit_rule()));
+        let msg = *caught
+            .expect_err("a double write still panics")
+            .downcast::<String>()
+            .expect("formatted message");
+        assert_eq!(
+            msg,
+            "Reg `pc` written twice in the same cycle (undeclared conflict)"
+        );
+        // The rule was aborted before the panic: transaction closed, its
+        // other writes rolled back, the flag gone.
+        assert!(!clk.in_rule());
+        assert!(clk.enlisted_cells().is_empty());
+        assert_eq!(x.read(), 0);
+        clk.begin_rule();
+        x.write(3);
+        clk.commit_rule();
+        clk.end_cycle();
+        assert_eq!((r.read(), x.read()), (1, 3), "the first write latched");
+    }
+
+    #[test]
     fn reg_double_write_same_rule_is_refused_gracefully() {
         let clk = Clock::new();
         let r = Reg::named(&clk, "pc", 0u32);

@@ -643,10 +643,13 @@ impl Clock {
     ///
     /// Panics if no transaction is open, or if the rule wrote a `Reg` that
     /// already had a write pending this cycle (an undeclared conflict; the
-    /// scheduler uses [`Clock::try_commit_rule`] to refuse gracefully).
+    /// scheduler uses [`Clock::try_commit_rule`] to refuse gracefully). The
+    /// offending rule is aborted before the panic, so a harness that
+    /// catches it finds the clock closed and reusable.
     pub fn commit_rule(&self) {
         assert!(self.inner.in_rule.get(), "commit outside of a rule");
-        if let Some(name) = self.inner.reg_conflict.take() {
+        if let Some(name) = self.inner.reg_conflict.get() {
+            self.abort_rule();
             panic!("Reg `{name}` written twice in the same cycle (undeclared conflict)");
         }
         {

@@ -8,6 +8,7 @@ use cmd_core::cell::Ehr;
 use cmd_core::clock::Clock;
 use cmd_core::guard::{Guarded, Stall};
 
+use crate::mask::{occupied, SlotMask};
 use crate::types::{PhysReg, SpecTag, Uop};
 
 #[derive(Debug, Clone, Copy)]
@@ -19,9 +20,17 @@ struct IqEntry {
 }
 
 /// An issue queue (paper Fig. 7 generalized to real micro-ops).
+///
+/// Beside the slots sit the two bit-vectors the paper's IQ has: `valid`
+/// (the slot holds an entry) and `ready` (the entry has both sources
+/// ready). Every scan iterates one of them, and a stall — `issue` with
+/// nothing ready, `enter` on a full queue — reads the mask and nothing
+/// else, so that word is all a sleeping rule watches.
 #[derive(Clone)]
 pub struct IssueQueue {
     slots: Vec<Ehr<Option<IqEntry>>>,
+    valid: SlotMask,
+    ready: SlotMask,
     next_age: Ehr<u64>,
 }
 
@@ -31,22 +40,20 @@ impl IssueQueue {
     pub fn new(clk: &Clock, size: usize) -> Self {
         IssueQueue {
             slots: (0..size).map(|_| Ehr::new(clk, None)).collect(),
+            valid: SlotMask::new(clk, size),
+            ready: SlotMask::new(clk, size),
             next_age: Ehr::new(clk, 0),
         }
     }
 
     /// Inserts a renamed micro-op with its source-ready bits (paper's
-    /// `enter`).
+    /// `enter`) into the lowest free slot.
     ///
     /// # Errors
     ///
     /// Stalls when the queue is full.
     pub fn enter(&self, uop: Uop, rdy1: bool, rdy2: bool) -> Guarded<()> {
-        let free = self
-            .slots
-            .iter()
-            .position(|s| s.with(Option::is_none))
-            .ok_or(Stall::new("iq full"))?;
+        let free = self.valid.first_clear().ok_or(Stall::new("iq full"))?;
         let age = self.next_age.read();
         self.next_age.write(age + 1);
         self.slots[free].write(Some(IqEntry {
@@ -55,6 +62,11 @@ impl IssueQueue {
             rdy2,
             age,
         }));
+        self.valid.set(free);
+        if rdy1 && rdy2 {
+            self.ready.set(free);
+        }
+        debug_assert!(self.masks_consistent());
         Ok(())
     }
 
@@ -63,9 +75,11 @@ impl IssueQueue {
         if dst == PhysReg::ZERO {
             return;
         }
-        // Change-only: a slot not waiting on `dst` opens no transaction.
-        for s in &self.slots {
-            s.update_if(
+        // Only entries still missing a source can be waiting on `dst`, and
+        // of those only the ones it concerns open a transaction.
+        for i in self.valid.iter_and_not(&self.ready) {
+            let mut now_ready = false;
+            self.slots[i].update_if(
                 |e| {
                     matches!(e, Some(e) if (e.uop.src1 == dst && !e.rdy1)
                         || (e.uop.src2 == dst && !e.rdy2))
@@ -74,9 +88,14 @@ impl IssueQueue {
                     let e = e.as_mut().expect("predicate saw an entry");
                     e.rdy1 |= e.uop.src1 == dst;
                     e.rdy2 |= e.uop.src2 == dst;
+                    now_ready = e.rdy1 && e.rdy2;
                 },
             );
+            if now_ready {
+                self.ready.set(i);
+            }
         }
+        debug_assert!(self.masks_consistent());
     }
 
     /// Removes and returns the oldest fully-ready micro-op (paper's
@@ -87,31 +106,37 @@ impl IssueQueue {
     /// Stalls when nothing is ready.
     pub fn issue(&self) -> Guarded<Uop> {
         let pick = self
-            .slots
+            .ready
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.with(|e| e.as_ref().filter(|e| e.rdy1 && e.rdy2).map(|e| (i, e.age)))
-            })
-            .min_by_key(|&(_, age)| age)
-            .map(|(i, _)| i)
+            .min_by_key(|&i| self.slots[i].with(|e| e.as_ref().expect("ready slot").age))
             .ok_or(Stall::new("no ready instruction"))?;
-        let e = self.slots[pick].read().expect("slot valid");
-        self.slots[pick].write(None);
+        let e = self.slots[pick].read().expect("ready slot");
+        self.free(pick);
+        debug_assert!(self.masks_consistent());
         Ok(e.uop)
+    }
+
+    /// Empties slot `i` and clears its bits.
+    fn free(&self, i: usize) {
+        self.slots[i].write(None);
+        self.valid.clear(i);
+        self.ready.clear(i);
     }
 
     /// `wrongSpec`: drops every entry carrying `tag`.
     pub fn wrong_spec(&self, tag: SpecTag) {
-        for s in &self.slots {
-            s.update_if(|e| tagged(e, tag), |e| *e = None);
+        for i in self.valid.iter() {
+            if self.slots[i].with(|e| tagged(e, tag)) {
+                self.free(i);
+            }
         }
+        debug_assert!(self.masks_consistent());
     }
 
     /// `correctSpec`: clears `tag` from every mask.
     pub fn correct_spec(&self, tag: SpecTag) {
-        for s in &self.slots {
-            s.update_if(
+        for i in self.valid.iter() {
+            self.slots[i].update_if(
                 |e| tagged(e, tag),
                 |e| {
                     let en = e.as_mut().expect("predicate saw an entry");
@@ -121,26 +146,42 @@ impl IssueQueue {
         }
     }
 
-    /// Empties the queue.
+    /// Empties the queue, touching live slots only.
     pub fn flush(&self) {
-        for s in &self.slots {
-            s.write(None);
+        for i in self.valid.iter() {
+            self.slots[i].write(None);
         }
+        self.valid.clear_all();
+        self.ready.clear_all();
+        debug_assert!(self.masks_consistent());
     }
 
-    /// Occupancy.
+    /// Occupancy (a popcount).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.with(Option::is_some))
-            .count()
+        self.valid.count()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.valid.is_empty()
+    }
+
+    /// Whether `valid` and `ready` are what the slots say they are — the
+    /// invariant every method that fills, frees or readies a slot
+    /// `debug_assert!`s. Public so tests outside the crate can also check
+    /// it after an aborted rule.
+    #[must_use]
+    pub fn masks_consistent(&self) -> bool {
+        self.valid.matches(occupied(&self.slots)) && self.ready.matches(self.ready_bits())
+    }
+
+    /// What `ready` must hold, slot by slot.
+    fn ready_bits(&self) -> impl Iterator<Item = bool> + '_ {
+        self.slots
+            .iter()
+            .map(|s| s.with(|e| matches!(e, Some(e) if e.rdy1 && e.rdy2)))
     }
 }
 
@@ -182,6 +223,9 @@ impl cmd_core::snap::Snapshot for IssueQueue {
             s.snap_restore(r)?;
         }
         self.next_age.snap_restore(r)?;
+        // The masks are derived state: not in the snapshot, rebuilt here.
+        self.valid.assign(occupied(&self.slots));
+        self.ready.assign(self.ready_bits());
         Ok(())
     }
 }
@@ -302,6 +346,7 @@ mod tests {
         in_rule(&clk, || {
             iq.enter(uop(5, 6, SpecMask::EMPTY.with(SpecTag(1))), false, true)
                 .unwrap();
+            iq.enter(uop(7, 8, SpecMask::EMPTY), false, false).unwrap();
         });
         clk.begin_rule();
         iq.wakeup(PhysReg(9)); // nobody waits on p9
@@ -309,9 +354,64 @@ mod tests {
         iq.correct_spec(SpecTag(2));
         iq.wrong_spec(SpecTag(2));
         assert!(clk.enlisted_cells().is_empty(), "no-op broadcasts are free");
+        iq.wakeup(PhysReg(7));
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            1,
+            "one source of two: the woken slot, no mask word"
+        );
         iq.wakeup(PhysReg(5));
-        assert_eq!(clk.enlisted_cells().len(), 1, "only the woken slot");
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            3,
+            "last source: the woken slot and the ready word"
+        );
         clk.commit_rule();
+    }
+
+    #[test]
+    fn flush_of_an_empty_queue_enlists_no_cell() {
+        let clk = Clock::new();
+        let iq = IssueQueue::new(&clk, 80);
+        clk.begin_rule();
+        iq.flush();
+        assert!(clk.enlisted_cells().is_empty());
+        clk.commit_rule();
+        in_rule(&clk, || {
+            iq.enter(uop(1, 1, SpecMask::EMPTY), true, false).unwrap();
+        });
+        clk.begin_rule();
+        iq.flush();
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            2,
+            "the live slot and the valid word, not 80 slots"
+        );
+        clk.commit_rule();
+        assert!(iq.is_empty());
+    }
+
+    #[test]
+    fn an_aborted_rule_rolls_slots_and_masks_back_together() {
+        let clk = Clock::new();
+        let iq = IssueQueue::new(&clk, 70);
+        in_rule(&clk, || {
+            for k in 0..66 {
+                iq.enter(uop(k, 0, SpecMask::EMPTY), k % 2 == 0, true)
+                    .unwrap();
+            }
+        });
+        clk.begin_rule();
+        assert_eq!(iq.issue().unwrap().src1, PhysReg(0));
+        iq.wakeup(PhysReg(65));
+        iq.enter(uop(99, 0, SpecMask::EMPTY), true, true).unwrap();
+        iq.flush();
+        clk.abort_rule();
+        assert!(iq.masks_consistent());
+        assert_eq!(iq.len(), 66);
+        in_rule(&clk, || {
+            assert_eq!(iq.issue().unwrap().src1, PhysReg(0), "issue was undone");
+        });
     }
 
     #[test]

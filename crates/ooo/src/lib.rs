@@ -61,6 +61,7 @@ pub mod ff;
 pub mod frontend;
 pub mod iq;
 pub mod lsq;
+mod mask;
 pub mod pipetrace;
 pub mod prf;
 pub mod rename;

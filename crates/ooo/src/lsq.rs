@@ -15,6 +15,7 @@ use cmd_core::guard::{Guarded, Stall};
 use riscy_isa::csr::Exception;
 use riscy_mem::msg::{line_of, AtomicOp};
 
+use crate::mask::{occupied, SlotMask};
 use crate::sb::SbSearch;
 use crate::types::{PhysReg, SpecMask, SpecTag};
 
@@ -129,10 +130,20 @@ pub enum LdIssue {
 }
 
 /// The split load/store queue.
+///
+/// `lq_valid` and `sq_valid` are the occupancy bit-vectors of the two slot
+/// arrays (a zombie load keeps its bit: it pins the slot). Every search
+/// iterates one of them, and the empty/full stalls read nothing else.
+/// `lq_ready` marks the loads in state [`LdState::Ready`] — translated, not
+/// yet issued — so `getIssueLd` with nothing to offer, the common case
+/// while loads wait on the cache, stalls on one read of it.
 #[derive(Clone)]
 pub struct Lsq {
     lq: Vec<Ehr<Option<LqEntry>>>,
     sq: Vec<Ehr<Option<SqEntry>>>,
+    lq_valid: SlotMask,
+    lq_ready: SlotMask,
+    sq_valid: SlotMask,
     next_age: Ehr<u64>,
     /// Loads killed by `cacheEvict` (TSO statistic, Fig. 20 discussion).
     pub evict_kills: Ehr<u64>,
@@ -145,6 +156,9 @@ impl Lsq {
         Lsq {
             lq: (0..lq_entries).map(|_| Ehr::new(clk, None)).collect(),
             sq: (0..sq_entries).map(|_| Ehr::new(clk, None)).collect(),
+            lq_valid: SlotMask::new(clk, lq_entries),
+            lq_ready: SlotMask::new(clk, lq_entries),
+            sq_valid: SlotMask::new(clk, sq_entries),
             next_age: Ehr::new(clk, 1),
             evict_kills: Ehr::new(clk, 0),
         }
@@ -156,7 +170,8 @@ impl Lsq {
         a
     }
 
-    /// Allocates a load entry at rename (paper's `enq`).
+    /// Allocates a load entry at rename (paper's `enq`) in the lowest free
+    /// slot.
     ///
     /// # Errors
     ///
@@ -168,11 +183,7 @@ impl Lsq {
         dst: Option<PhysReg>,
         atomic_class: bool,
     ) -> Guarded<u16> {
-        let free = self
-            .lq
-            .iter()
-            .position(|s| s.with(Option::is_none))
-            .ok_or(Stall::new("lq full"))?;
+        let free = self.lq_valid.first_clear().ok_or(Stall::new("lq full"))?;
         let age = self.alloc_age();
         self.lq[free].write(Some(LqEntry {
             rob,
@@ -195,20 +206,19 @@ impl Lsq {
             zombie: false,
             at_commit: false,
         }));
+        self.lq_valid.set(free);
+        debug_assert!(self.masks_consistent());
         Ok(free as u16)
     }
 
-    /// Allocates a store or fence entry at rename (paper's `enq`).
+    /// Allocates a store or fence entry at rename (paper's `enq`) in the
+    /// lowest free slot.
     ///
     /// # Errors
     ///
     /// Stalls when the SQ is full.
     pub fn enq_st(&self, rob: u16, mask: SpecMask, is_fence: bool) -> Guarded<u16> {
-        let free = self
-            .sq
-            .iter()
-            .position(|s| s.with(Option::is_none))
-            .ok_or(Stall::new("sq full"))?;
+        let free = self.sq_valid.first_clear().ok_or(Stall::new("sq full"))?;
         let age = self.alloc_age();
         self.sq[free].write(Some(SqEntry {
             rob,
@@ -223,6 +233,8 @@ impl Lsq {
             committed: false,
             issued: false,
         }));
+        self.sq_valid.set(free);
+        debug_assert!(self.masks_consistent());
         Ok(free as u16)
     }
 
@@ -244,7 +256,7 @@ impl Lsq {
         mmio: bool,
         atomic: Option<AtomicOp>,
     ) {
-        self.lq[idx as usize].update(|e| {
+        let state = self.lq[idx as usize].update(|e| {
             let e = e.as_mut().expect("live LQ index");
             e.bytes = bytes;
             e.signed = signed;
@@ -265,7 +277,12 @@ impl Lsq {
                     e.state = LdState::Done;
                 }
             }
+            e.state
         });
+        if state == LdState::Ready {
+            self.lq_ready.set(idx as usize);
+        }
+        debug_assert!(self.masks_consistent());
     }
 
     /// Fills a store's translation results and data, and performs the
@@ -279,31 +296,27 @@ impl Lsq {
         data: u64,
         mmio: bool,
     ) {
-        let (age, pa) = {
-            let mut out = (0, None);
-            self.sq[idx as usize].update(|e| {
-                let e = e.as_mut().expect("live SQ index");
-                e.bytes = bytes;
-                e.mmio = mmio;
-                match addr {
-                    Ok(pa) => {
-                        e.addr = Some(pa);
-                        e.data = Some(data);
-                        out = (e.age, Some(pa));
-                    }
-                    Err(_) => {
-                        e.faulted = true;
-                        out = (e.age, None);
-                    }
+        let (age, pa) = self.sq[idx as usize].update(|e| {
+            let e = e.as_mut().expect("live SQ index");
+            e.bytes = bytes;
+            e.mmio = mmio;
+            match addr {
+                Ok(pa) => {
+                    e.addr = Some(pa);
+                    e.data = Some(data);
+                    (e.age, Some(pa))
                 }
-            });
-            out
-        };
+                Err(_) => {
+                    e.faulted = true;
+                    (e.age, None)
+                }
+            }
+        });
         let Some(pa) = pa else { return };
         // Kill younger loads that already read bytes this store writes and
         // whose value did not come from a store younger than this one.
-        for cell in &self.lq {
-            cell.update_if(
+        for i in self.lq_valid.iter() {
+            self.lq[i].update_if(
                 |e| {
                     let Some(e) = e else { return false };
                     if e.zombie || e.age <= age || e.killed {
@@ -326,48 +339,42 @@ impl Lsq {
     ///
     /// Stalls when no load is ready.
     pub fn get_issue_ld(&self) -> Guarded<(u16, u64, u8)> {
-        let oldest_fence = self
-            .sq
-            .iter()
-            .filter_map(|s| s.with(|e| e.as_ref().filter(|e| e.is_fence).map(|e| e.age)))
-            .min();
-        // Atomics and MMIO accesses execute at commit and write the cache
-        // directly; younger loads must not run ahead of them.
-        let oldest_atomic = self
-            .lq
-            .iter()
-            .filter_map(|s| {
-                s.with(|e| {
-                    e.as_ref()
-                        .filter(|e| {
-                            !e.zombie && (e.atomic_class || e.mmio) && e.state != LdState::Done
-                        })
-                        .map(|e| e.age)
-                })
-            })
-            .min();
-        let pick = self
-            .lq
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.with(|e| {
-                    e.as_ref()
-                        .filter(|e| {
-                            !e.zombie
-                                && e.state == LdState::Ready
-                                && !e.killed
-                                && !e.atomic_class
-                                && !e.mmio
-                                && oldest_atomic.is_none_or(|a| e.age < a)
-                        })
-                        .map(|e| (i, e.age, e.addr.expect("ready implies addr"), e.bytes))
-                })
-            })
-            .min_by_key(|&(_, age, _, _)| age);
-        let Some((i, age, addr, bytes)) = pick else {
+        if self.lq_ready.is_empty() {
+            return Err(Stall::new("no ready load"));
+        }
+        // One pass over the live loads finds the oldest issuable load and
+        // the oldest unfinished atomic/MMIO access. Those execute at commit
+        // and write the cache directly, so younger loads must not run ahead
+        // of them: the oldest issuable load qualifies iff it is the older
+        // of the two.
+        let mut oldest_atomic = u64::MAX;
+        let mut pick: Option<(usize, u64, u64, u8)> = None;
+        for i in self.lq_valid.iter() {
+            self.lq[i].with(|e| {
+                let e = e.as_ref().expect("valid bit set");
+                if e.zombie {
+                    return;
+                }
+                if e.atomic_class || e.mmio {
+                    if e.state != LdState::Done {
+                        oldest_atomic = oldest_atomic.min(e.age);
+                    }
+                } else if e.state == LdState::Ready
+                    && !e.killed
+                    && pick.is_none_or(|(_, age, _, _)| e.age < age)
+                {
+                    pick = Some((i, e.age, e.addr.expect("ready implies addr"), e.bytes));
+                }
+            });
+        }
+        let Some((i, age, addr, bytes)) = pick.filter(|&(_, age, _, _)| age < oldest_atomic) else {
             return Err(Stall::new("no ready load"));
         };
+        let oldest_fence = self
+            .sq_valid
+            .iter()
+            .filter_map(|j| self.sq[j].with(|e| e.as_ref().filter(|e| e.is_fence).map(|e| e.age)))
+            .min();
         if let Some(f) = oldest_fence {
             if f < age {
                 // Record the fence stall so the load retries after the
@@ -377,6 +384,8 @@ impl Lsq {
                     e.state = LdState::Stalled;
                     e.stall = Some(StallSrc::Fence(f));
                 });
+                self.lq_ready.clear(i);
+                debug_assert!(self.masks_consistent());
                 return Err(Stall::new("load blocked by fence"));
             }
         }
@@ -386,69 +395,58 @@ impl Lsq {
     /// Issues the load at `idx`: combines the store-queue search with the
     /// supplied store-buffer search result (paper's `issueLd`, Fig. 10).
     pub fn issue_ld(&self, idx: u16, sb: SbSearch) -> LdIssue {
-        let e = self.lq[idx as usize].read().expect("live LQ index");
-        let (la, lb) = (e.addr.expect("addr known"), e.bytes);
-        // Youngest older overlapping store in the SQ wins over the SB.
-        let mut best: Option<(u64, SqEntry)> = None;
-        for cell in &self.sq {
-            cell.with(|s| {
-                if let Some(s) = s.as_ref() {
-                    if s.is_fence || s.faulted || s.age >= e.age {
-                        return;
-                    }
-                    let Some(sa) = s.addr else { return };
-                    if overlaps(la, lb, sa, s.bytes) && best.is_none_or(|(bage, _)| s.age > bage) {
-                        best = Some((s.age, *s));
-                    }
+        let ld = &self.lq[idx as usize];
+        self.lq_ready.clear(idx as usize);
+        let (lage, la, lb) = ld.with(|e| {
+            let e = e.as_ref().expect("live LQ index");
+            (e.age, e.addr.expect("addr known"), e.bytes)
+        });
+        // Youngest older overlapping store in the SQ wins over the SB:
+        // `(age, addr, bytes, data)`.
+        let mut best: Option<(u64, u64, u8, Option<u64>)> = None;
+        for j in self.sq_valid.iter() {
+            self.sq[j].with(|s| {
+                let s = s.as_ref().expect("valid bit set");
+                if s.is_fence || s.faulted || s.age >= lage {
+                    return;
+                }
+                let Some(sa) = s.addr else { return };
+                if overlaps(la, lb, sa, s.bytes) && best.is_none_or(|(bage, ..)| s.age > bage) {
+                    best = Some((s.age, sa, s.bytes, s.data));
                 }
             });
         }
-        let outcome = if let Some((sage, s)) = best {
-            let sa = s.addr.expect("matched");
-            if covers(sa, s.bytes, la, lb) {
-                let v = extract(s.data.expect("data set with addr"), sa, la, lb);
-                self.lq[idx as usize].update(|e| {
-                    let e = e.as_mut().expect("live");
-                    e.state = LdState::Done;
-                    e.value = Some(v);
-                    e.fwd_src_age = Some(sage);
-                });
-                return LdIssue::Forward(v);
-            }
-            self.lq[idx as usize].update(|e| {
+        let bind = |v: u64, src_age: u64| {
+            ld.update(|e| {
+                let e = e.as_mut().expect("live");
+                e.state = LdState::Done;
+                e.value = Some(v);
+                e.fwd_src_age = Some(src_age);
+            });
+            LdIssue::Forward(v)
+        };
+        let stall_on = |src: StallSrc| {
+            ld.update(|e| {
                 let e = e.as_mut().expect("live");
                 e.state = LdState::Stalled;
-                e.stall = Some(StallSrc::SqPartial(sage));
+                e.stall = Some(src);
             });
-            return LdIssue::Stalled;
-        } else {
-            match sb {
-                SbSearch::Forward(v) => {
-                    self.lq[idx as usize].update(|e| {
-                        let e = e.as_mut().expect("live");
-                        e.state = LdState::Done;
-                        e.value = Some(v);
-                        e.fwd_src_age = Some(0);
-                    });
-                    LdIssue::Forward(v)
-                }
-                SbSearch::Partial(i) => {
-                    self.lq[idx as usize].update(|e| {
-                        let e = e.as_mut().expect("live");
-                        e.state = LdState::Stalled;
-                        e.stall = Some(StallSrc::SbEntry(i));
-                    });
-                    LdIssue::Stalled
-                }
-                SbSearch::Miss => {
-                    self.lq[idx as usize].update(|e| {
-                        let e = e.as_mut().expect("live");
-                        e.state = LdState::Issued;
-                    });
-                    LdIssue::ToCache
-                }
+            LdIssue::Stalled
+        };
+        let outcome = match (best, sb) {
+            (Some((sage, sa, sbytes, sdata)), _) if covers(sa, sbytes, la, lb) => bind(
+                extract(sdata.expect("data set with addr"), sa, la, lb),
+                sage,
+            ),
+            (Some((sage, ..)), _) => stall_on(StallSrc::SqPartial(sage)),
+            (None, SbSearch::Forward(v)) => bind(v, 0),
+            (None, SbSearch::Partial(i)) => stall_on(StallSrc::SbEntry(i)),
+            (None, SbSearch::Miss) => {
+                ld.update(|e| e.as_mut().expect("live").state = LdState::Issued);
+                LdIssue::ToCache
             }
         };
+        debug_assert!(self.masks_consistent());
         outcome
     }
 
@@ -469,6 +467,11 @@ impl Lsq {
             en.state = LdState::Done;
             en.value = Some(data);
         });
+        if wrong_path {
+            self.lq_valid.clear(idx as usize);
+        }
+        self.lq_ready.clear(idx as usize);
+        debug_assert!(self.masks_consistent());
         wrong_path
     }
 
@@ -501,8 +504,8 @@ impl Lsq {
     }
 
     fn wakeup_where(&self, pred: impl Fn(&StallSrc) -> bool) {
-        for cell in &self.lq {
-            cell.update_if(
+        for i in self.lq_valid.iter() {
+            let woke = self.lq[i].update_if(
                 |e| {
                     matches!(e, Some(e) if e.state == LdState::Stalled
                         && !e.zombie
@@ -514,7 +517,11 @@ impl Lsq {
                     e.state = LdState::Ready;
                 },
             );
+            if woke {
+                self.lq_ready.set(i);
+            }
         }
+        debug_assert!(self.masks_consistent());
     }
 
     /// TSO: a line left the L1 D; kill cache-sourced loads that already
@@ -531,8 +538,8 @@ impl Lsq {
     /// replay — conservative, never wrong.
     pub fn cache_evict(&self, line: u64) {
         let mut kills = 0;
-        for cell in &self.lq {
-            let hit = cell.update_if(
+        for i in self.lq_valid.iter() {
+            let hit = self.lq[i].update_if(
                 |e| {
                     let Some(e) = e else { return false };
                     let bound = matches!(e.state, LdState::Issued | LdState::Done);
@@ -566,20 +573,23 @@ impl Lsq {
         });
     }
 
-    fn oldest_lq(&self) -> Option<(usize, LqEntry)> {
-        self.lq
+    /// Slot of the oldest live (non-zombie) load: ages are compared on a
+    /// borrow, the caller reads the winner once.
+    fn oldest_lq(&self) -> Option<usize> {
+        self.lq_valid
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.with(|e| e.filter(|e| !e.zombie).map(|e| (i, e))))
-            .min_by_key(|(_, e)| e.age)
+            .filter_map(|i| {
+                self.lq[i].with(|e| e.as_ref().filter(|e| !e.zombie).map(|e| (i, e.age)))
+            })
+            .min_by_key(|&(_, age)| age)
+            .map(|(i, _)| i)
     }
 
-    fn oldest_sq(&self) -> Option<(usize, SqEntry)> {
-        self.sq
+    /// Slot of the oldest store/fence.
+    fn oldest_sq(&self) -> Option<usize> {
+        self.sq_valid
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.with(|e| e.map(|e| (i, e))))
-            .min_by_key(|(_, e)| e.age)
+            .min_by_key(|&i| self.sq[i].with(|e| e.as_ref().expect("valid bit set").age))
     }
 
     /// The oldest load (paper's `firstLd`).
@@ -588,9 +598,8 @@ impl Lsq {
     ///
     /// Stalls when the LQ is empty.
     pub fn first_ld(&self) -> Guarded<(u16, LqEntry)> {
-        self.oldest_lq()
-            .map(|(i, e)| (i as u16, e))
-            .ok_or(Stall::new("lq empty"))
+        let i = self.oldest_lq().ok_or(Stall::new("lq empty"))?;
+        Ok((i as u16, self.lq[i].read().expect("valid bit set")))
     }
 
     /// The oldest store/fence (paper's `firstSt`).
@@ -599,17 +608,16 @@ impl Lsq {
     ///
     /// Stalls when the SQ is empty.
     pub fn first_st(&self) -> Guarded<(u16, SqEntry)> {
-        self.oldest_sq()
-            .map(|(i, e)| (i as u16, e))
-            .ok_or(Stall::new("sq empty"))
+        let i = self.oldest_sq().ok_or(Stall::new("sq empty"))?;
+        Ok((i as u16, self.sq[i].read().expect("valid bit set")))
     }
 
     /// Whether any older store than `age` still has an unknown address
     /// (final memory-dependency check before a load dequeues).
     #[must_use]
     pub fn older_store_addr_unknown(&self, age: u64) -> bool {
-        self.sq.iter().any(|s| {
-            s.with(|e| {
+        self.sq_valid.iter().any(|i| {
+            self.sq[i].with(|e| {
                 matches!(e, Some(e) if e.age < age && !e.is_fence && !e.faulted && e.addr.is_none())
             })
         })
@@ -621,8 +629,12 @@ impl Lsq {
     ///
     /// Panics if the LQ is empty.
     pub fn deq_ld(&self) -> LqEntry {
-        let (i, e) = self.oldest_lq().expect("deqLd on empty LQ");
+        let i = self.oldest_lq().expect("deqLd on empty LQ");
+        let e = self.lq[i].read().expect("valid bit set");
         self.lq[i].write(None);
+        self.lq_valid.clear(i);
+        self.lq_ready.clear(i);
+        debug_assert!(self.masks_consistent());
         e
     }
 
@@ -633,13 +645,16 @@ impl Lsq {
     ///
     /// Panics if the SQ is empty.
     pub fn deq_st(&self) -> SqEntry {
-        let (i, e) = self.oldest_sq().expect("deqSt on empty SQ");
+        let i = self.oldest_sq().expect("deqSt on empty SQ");
+        let e = self.sq[i].read().expect("valid bit set");
         self.sq[i].write(None);
+        self.sq_valid.clear(i);
         if e.is_fence {
             self.wakeup_where(|s| matches!(s, StallSrc::Fence(a) if *a == e.age));
         } else {
             self.wakeup_where(|s| matches!(s, StallSrc::SqPartial(a) if *a == e.age));
         }
+        debug_assert!(self.masks_consistent());
         e
     }
 
@@ -650,30 +665,51 @@ impl Lsq {
         });
     }
 
+    /// Drops the load in slot `i` if `doomed` says so: an issued load
+    /// becomes a zombie until its wrong-path response returns, anything
+    /// else frees the slot. Zombies are already gone and never doomed.
+    fn squash_ld(&self, i: usize, doomed: impl FnOnce(&LqEntry) -> bool) {
+        let mut freed = false;
+        self.lq[i].update_if(
+            |e| matches!(e, Some(en) if !en.zombie && doomed(en)),
+            |e| match e {
+                Some(en) if en.state == LdState::Issued => en.zombie = true,
+                _ => {
+                    *e = None;
+                    freed = true;
+                }
+            },
+        );
+        if freed {
+            self.lq_valid.clear(i);
+            self.lq_ready.clear(i);
+        }
+    }
+
+    /// Frees SQ slot `i` if `doomed` says so.
+    fn squash_st(&self, i: usize, doomed: impl FnOnce(&SqEntry) -> bool) {
+        if self.sq[i].with(|e| e.as_ref().is_some_and(doomed)) {
+            self.sq[i].write(None);
+            self.sq_valid.clear(i);
+        }
+    }
+
     /// `wrongSpec`: drops tagged entries; issued loads become zombies until
     /// their wrong-path responses return.
     pub fn wrong_spec(&self, tag: SpecTag) {
-        for cell in &self.lq {
-            cell.update_if(
-                |e| matches!(e, Some(en) if en.mask.contains(tag) && !en.zombie),
-                |e| match e {
-                    Some(en) if en.state == LdState::Issued => en.zombie = true,
-                    _ => *e = None,
-                },
-            );
+        for i in self.lq_valid.iter() {
+            self.squash_ld(i, |e| e.mask.contains(tag));
         }
-        for cell in &self.sq {
-            cell.update_if(
-                |e| matches!(e, Some(en) if en.mask.contains(tag)),
-                |e| *e = None,
-            );
+        for i in self.sq_valid.iter() {
+            self.squash_st(i, |e| e.mask.contains(tag));
         }
+        debug_assert!(self.masks_consistent());
     }
 
     /// `correctSpec`: clears `tag` everywhere.
     pub fn correct_spec(&self, tag: SpecTag) {
-        for cell in &self.lq {
-            cell.update_if(
+        for i in self.lq_valid.iter() {
+            self.lq[i].update_if(
                 |e| matches!(e, Some(e) if e.mask.contains(tag)),
                 |e| {
                     let e = e.as_mut().expect("predicate saw an entry");
@@ -681,8 +717,8 @@ impl Lsq {
                 },
             );
         }
-        for cell in &self.sq {
-            cell.update_if(
+        for i in self.sq_valid.iter() {
+            self.sq[i].update_if(
                 |e| matches!(e, Some(e) if e.mask.contains(tag)),
                 |e| {
                     let e = e.as_mut().expect("predicate saw an entry");
@@ -693,50 +729,55 @@ impl Lsq {
     }
 
     /// Commit-time flush: drop everything except committed stores/fences
-    /// and zombie loads (their responses are still in flight).
+    /// and zombie loads (their responses are still in flight). Touches live
+    /// slots only, and of those only the ones it changes.
     pub fn flush_speculative(&self) {
-        for cell in &self.lq {
-            cell.update(|e| {
-                if let Some(en) = e {
-                    if en.zombie {
-                        return;
-                    }
-                    if en.state == LdState::Issued {
-                        en.zombie = true;
-                    } else {
-                        *e = None;
-                    }
-                }
-            });
+        for i in self.lq_valid.iter() {
+            self.squash_ld(i, |_| true);
         }
-        for cell in &self.sq {
-            cell.update(|e| {
-                if matches!(e, Some(en) if !en.committed) {
-                    *e = None;
-                }
-            });
+        for i in self.sq_valid.iter() {
+            self.squash_st(i, |e| !e.committed);
         }
+        debug_assert!(self.masks_consistent());
     }
 
     /// Live (non-zombie) load count.
     #[must_use]
     pub fn lq_len(&self) -> usize {
-        self.lq
+        self.lq_valid
             .iter()
-            .filter(|s| s.with(|e| matches!(e, Some(e) if !e.zombie)))
+            .filter(|&i| self.lq[i].with(|e| matches!(e, Some(e) if !e.zombie)))
             .count()
     }
 
-    /// Store/fence count.
+    /// Store/fence count (a popcount).
     #[must_use]
     pub fn sq_len(&self) -> usize {
-        self.sq.iter().filter(|s| s.with(Option::is_some)).count()
+        self.sq_valid.count()
     }
 
     /// Whether both queues are drained (zombies included — they pin slots).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lq.iter().all(|s| s.with(Option::is_none)) && self.sq_len() == 0
+        self.lq_valid.is_empty() && self.sq_valid.is_empty()
+    }
+
+    /// Whether the three masks are what the slots say they are — the
+    /// invariant every method that fills or frees a slot, or moves a load
+    /// into or out of `Ready`, `debug_assert!`s. Public so tests outside
+    /// the crate can also check it after an aborted rule.
+    #[must_use]
+    pub fn masks_consistent(&self) -> bool {
+        self.lq_valid.matches(occupied(&self.lq))
+            && self.sq_valid.matches(occupied(&self.sq))
+            && self.lq_ready.matches(self.ready_bits())
+    }
+
+    /// What `lq_ready` must hold, slot by slot.
+    fn ready_bits(&self) -> impl Iterator<Item = bool> + '_ {
+        self.lq
+            .iter()
+            .map(|s| s.with(|e| matches!(e, Some(e) if e.state == LdState::Ready)))
     }
 }
 
@@ -846,6 +887,10 @@ impl cmd_core::snap::Snapshot for Lsq {
         }
         self.next_age.snap_restore(r)?;
         self.evict_kills.snap_restore(r)?;
+        // The masks are derived state: not in the snapshot, rebuilt here.
+        self.lq_valid.assign(occupied(&self.lq));
+        self.lq_ready.assign(self.ready_bits());
+        self.sq_valid.assign(occupied(&self.sq));
         Ok(())
     }
 }
@@ -1108,6 +1153,62 @@ mod tests {
         in_rule(&clk, || l.flush_speculative());
         assert_eq!(l.sq_len(), 1, "committed store survives");
         assert_eq!(l.lq_len(), 0);
+    }
+
+    #[test]
+    fn flush_touches_only_the_slots_it_changes() {
+        let clk = Clock::new();
+        let l = Lsq::new(&clk, 80, 80);
+        clk.begin_rule();
+        l.flush_speculative();
+        assert!(clk.enlisted_cells().is_empty(), "empty LSQ: nothing to do");
+        clk.commit_rule();
+        let ld = in_rule(&clk, || {
+            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
+            l.update_st(st, Ok(0xa000), 8, 5, false);
+            l.set_at_commit_st(st);
+            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            l.update_ld(ld, Ok(0xb000), 8, false, false, None);
+            assert_eq!(l.issue_ld(ld, SbSearch::Miss), LdIssue::ToCache);
+            ld
+        });
+        in_rule(&clk, || l.flush_speculative());
+        assert!(!l.is_empty(), "the issued load became a zombie");
+        clk.begin_rule();
+        l.flush_speculative();
+        assert!(
+            clk.enlisted_cells().is_empty(),
+            "a committed store and a zombie are left alone"
+        );
+        clk.commit_rule();
+        assert!(in_rule(&clk, || l.resp_ld(ld, 0)), "wrong-path response");
+        assert_eq!((l.lq_len(), l.sq_len()), (0, 1));
+        assert!(l.masks_consistent());
+    }
+
+    #[test]
+    fn an_aborted_rule_rolls_slots_and_masks_back_together() {
+        let clk = Clock::new();
+        let l = Lsq::new(&clk, 70, 66);
+        in_rule(&clk, || {
+            for k in 0..66 {
+                l.enq_ld(k, SpecMask::EMPTY.with(SpecTag(1)), None, false)
+                    .unwrap();
+                l.enq_st(k, SpecMask::EMPTY, false).unwrap();
+            }
+        });
+        clk.begin_rule();
+        assert!(l.enq_st(0, SpecMask::EMPTY, false).is_err(), "sq full");
+        l.deq_ld();
+        l.deq_st();
+        l.enq_ld(99, SpecMask::EMPTY, None, false).unwrap();
+        l.wrong_spec(SpecTag(1));
+        l.flush_speculative();
+        assert!(l.is_empty());
+        clk.abort_rule();
+        assert!(l.masks_consistent());
+        assert_eq!((l.lq_len(), l.sq_len()), (66, 66));
+        assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), 0);
     }
 
     #[test]

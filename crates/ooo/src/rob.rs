@@ -227,29 +227,39 @@ impl Rob {
     pub fn wrong_spec(&self, tag: SpecTag) {
         let cap = self.capacity();
         let mut t = self.tail.read();
-        let mut n = self.count.read();
+        let count = self.count.read();
+        let mut n = count;
         while n > 0 {
             let prev = (t + cap - 1) % cap;
-            let Some(e) = self.entries[prev].read() else {
-                break;
-            };
-            if !e.uop.mask.contains(tag) {
+            let tagged =
+                self.entries[prev].with(|e| matches!(e, Some(e) if e.uop.mask.contains(tag)));
+            if !tagged {
                 break;
             }
             self.entries[prev].write(None);
             t = prev;
             n -= 1;
         }
-        self.tail.write(t);
-        self.count.write(n);
+        if n != count {
+            self.tail.write(t);
+            self.count.write(n);
+        }
+    }
+
+    /// Slot indices of the live entries, oldest first: the ring
+    /// `head .. head + count` is the ROB's occupancy, no mask needed.
+    fn live(&self) -> impl Iterator<Item = usize> {
+        let cap = self.capacity();
+        let head = self.head.read();
+        (head..head + self.count.read()).map(move |i| if i < cap { i } else { i - cap })
     }
 
     /// `correctSpec`: clears `tag` from every live mask.
     pub fn correct_spec(&self, tag: SpecTag) {
-        // Change-only: entries that do not depend on `tag` (and empty
-        // slots) open no transaction.
-        for cell in &self.entries {
-            cell.update_if(
+        // Change-only: entries that do not depend on `tag` open no
+        // transaction.
+        for i in self.live() {
+            self.entries[i].update_if(
                 |e| matches!(e, Some(e) if e.uop.mask.contains(tag)),
                 |e| {
                     let e = e.as_mut().expect("predicate saw an entry");
@@ -259,14 +269,15 @@ impl Rob {
         }
     }
 
-    /// Empties the ROB (commit-time flush).
+    /// Empties the ROB (commit-time flush), touching live entries and the
+    /// pointers that move only.
     pub fn flush(&self) {
-        for cell in &self.entries {
-            cell.write(None);
+        for i in self.live() {
+            self.entries[i].write(None);
         }
-        self.head.write(0);
-        self.tail.write(0);
-        self.count.write(0);
+        for p in [&self.head, &self.tail, &self.count] {
+            p.update_if(|v| *v != 0, |v| *v = 0);
+        }
     }
 }
 
@@ -479,6 +490,56 @@ mod tests {
         in_rule(&clk, || rob.flush());
         assert!(rob.is_empty());
         assert_eq!(rob.enq_index(), 0);
+    }
+
+    #[test]
+    fn flush_of_an_empty_rob_enlists_no_cell() {
+        let clk = Clock::new();
+        let rob = Rob::new(&clk, 192);
+        clk.begin_rule();
+        rob.flush();
+        rob.wrong_spec(SpecTag(0));
+        assert!(clk.enlisted_cells().is_empty());
+        clk.commit_rule();
+        in_rule(&clk, || {
+            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
+            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY))).unwrap();
+            rob.deq().unwrap();
+        });
+        clk.begin_rule();
+        rob.flush();
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            4,
+            "the live entry and the three pointers, not 192 entries"
+        );
+        clk.commit_rule();
+        assert!(rob.is_empty());
+        assert_eq!(rob.enq_index(), 0);
+    }
+
+    #[test]
+    fn correct_spec_walks_the_live_ring_across_the_wrap() {
+        let clk = Clock::new();
+        let rob = Rob::new(&clk, 4);
+        let tag = SpecTag(1);
+        in_rule(&clk, || {
+            for _ in 0..3 {
+                rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
+                rob.deq().unwrap();
+            }
+            // head = 3: the three live entries sit in slots 3, 0, 1.
+            for pc in [0, 4, 8] {
+                rob.enq(RobEntry::new(uop(pc, SpecMask::EMPTY.with(tag))))
+                    .unwrap();
+            }
+        });
+        clk.begin_rule();
+        rob.correct_spec(tag);
+        assert_eq!(clk.enlisted_cells().len(), 3);
+        clk.commit_rule();
+        in_rule(&clk, || rob.wrong_spec(tag));
+        assert_eq!(rob.len(), 3, "every live mask was cleared");
     }
 
     #[test]

@@ -7,6 +7,8 @@ use cmd_core::clock::Clock;
 use cmd_core::guard::{Guarded, Stall};
 use riscy_mem::msg::{line_of, Line};
 
+use crate::mask::{occupied, SlotMask};
+
 /// One 64-byte-wide store-buffer entry.
 #[derive(Debug, Clone, Copy)]
 pub struct SbEntry {
@@ -31,10 +33,12 @@ pub enum SbSearch {
     Partial(usize),
 }
 
-/// The store buffer.
+/// The store buffer. `valid` is the occupancy bit-vector of `slots`: every
+/// search iterates it and the full/empty answers read nothing else.
 #[derive(Clone)]
 pub struct StoreBuffer {
     slots: Vec<Ehr<Option<SbEntry>>>,
+    valid: SlotMask,
 }
 
 impl StoreBuffer {
@@ -43,11 +47,13 @@ impl StoreBuffer {
     pub fn new(clk: &Clock, entries: usize) -> Self {
         StoreBuffer {
             slots: (0..entries).map(|_| Ehr::new(clk, None)).collect(),
+            valid: SlotMask::new(clk, entries),
         }
     }
 
     /// Inserts a committed store, coalescing with an existing same-line
-    /// entry that has not been issued yet (paper's `enq`).
+    /// entry that has not been issued yet (paper's `enq`); a new line takes
+    /// the lowest free slot.
     ///
     /// # Errors
     ///
@@ -58,26 +64,25 @@ impl StoreBuffer {
         // entry; if the line's entry is already in flight to L1, stall —
         // two same-line entries would make `search` ambiguous and could
         // forward stale data to loads.
-        for s in &self.slots {
-            let state = s.with(|e| e.as_ref().map(|e| (e.line == line, e.issued)));
-            match state {
-                Some((true, false)) => {
-                    s.update(|e| {
-                        let e = e.as_mut().expect("checked");
-                        write_bytes(e, addr, bytes, data);
-                    });
-                    return Ok(());
-                }
-                Some((true, true)) => {
-                    return Err(Stall::new("same-line store in flight"));
-                }
-                _ => {}
+        let same_line = self.valid.iter().find_map(|i| {
+            self.slots[i].with(|e| {
+                let e = e.as_ref().expect("valid bit set");
+                (e.line == line).then_some((i, e.issued))
+            })
+        });
+        match same_line {
+            Some((i, false)) => {
+                self.slots[i].update(|e| {
+                    write_bytes(e.as_mut().expect("checked"), addr, bytes, data);
+                });
+                return Ok(());
             }
+            Some((_, true)) => return Err(Stall::new("same-line store in flight")),
+            None => {}
         }
         let free = self
-            .slots
-            .iter()
-            .position(|s| s.with(Option::is_none))
+            .valid
+            .first_clear()
             .ok_or(Stall::new("store buffer full"))?;
         let mut e = SbEntry {
             line,
@@ -87,6 +92,8 @@ impl StoreBuffer {
         };
         write_bytes(&mut e, addr, bytes, data);
         self.slots[free].write(Some(e));
+        self.valid.set(free);
+        debug_assert!(self.masks_consistent());
         Ok(())
     }
 
@@ -98,12 +105,15 @@ impl StoreBuffer {
     /// Stalls when nothing is pending.
     pub fn issue(&self) -> Guarded<(usize, u64)> {
         let idx = self
-            .slots
+            .valid
             .iter()
-            .position(|s| s.with(|e| matches!(e, Some(e) if !e.issued)))
+            .find(|&i| self.slots[i].with(|e| matches!(e, Some(e) if !e.issued)))
             .ok_or(Stall::new("nothing to issue"))?;
-        self.slots[idx].update(|e| e.as_mut().expect("checked").issued = true);
-        let line = self.slots[idx].with(|e| e.expect("checked").line);
+        let line = self.slots[idx].update(|e| {
+            let e = e.as_mut().expect("checked");
+            e.issued = true;
+            e.line
+        });
         Ok((idx, line))
     }
 
@@ -123,6 +133,8 @@ impl StoreBuffer {
     pub fn try_deq(&self, idx: usize) -> Option<SbEntry> {
         let e = self.slots.get(idx)?.read()?;
         self.slots[idx].write(None);
+        self.valid.clear(idx);
+        debug_assert!(self.masks_consistent());
         Some(e)
     }
 
@@ -130,8 +142,8 @@ impl StoreBuffer {
     #[must_use]
     pub fn search(&self, addr: u64, bytes: u8) -> SbSearch {
         let line = line_of(addr);
-        for (i, s) in self.slots.iter().enumerate() {
-            let res = s.with(|e| {
+        for i in self.valid.iter() {
+            let res = self.slots[i].with(|e| {
                 let e = e.as_ref()?;
                 if e.line != line {
                     return None;
@@ -158,19 +170,24 @@ impl StoreBuffer {
         SbSearch::Miss
     }
 
-    /// Occupancy.
+    /// Occupancy (a popcount).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.with(Option::is_some))
-            .count()
+        self.valid.count()
     }
 
     /// Whether the buffer is drained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.valid.is_empty()
+    }
+
+    /// Whether `valid` is what the slots say it is — the invariant `enq`
+    /// and `deq` `debug_assert!`. Public so tests outside the crate can
+    /// also check it after an aborted rule.
+    #[must_use]
+    pub fn masks_consistent(&self) -> bool {
+        self.valid.matches(occupied(&self.slots))
     }
 }
 
@@ -213,6 +230,8 @@ impl cmd_core::snap::Snapshot for StoreBuffer {
         for s in &mut self.slots {
             s.snap_restore(r)?;
         }
+        // The mask is derived state: not in the snapshot, rebuilt here.
+        self.valid.assign(occupied(&self.slots));
         Ok(())
     }
 }
@@ -288,6 +307,28 @@ mod tests {
             sb.enq(0x3040, 8, 2).unwrap();
         });
         assert_eq!(sb.len(), 2);
+    }
+
+    #[test]
+    fn an_aborted_rule_rolls_slots_and_mask_back_together() {
+        let clk = Clock::new();
+        let sb = StoreBuffer::new(&clk, 66);
+        in_rule(&clk, || {
+            for k in 0..65 {
+                sb.enq(0x1000 + 64 * k, 8, k).unwrap();
+            }
+        });
+        clk.begin_rule();
+        sb.enq(0x9_0000, 8, 1).unwrap();
+        assert!(sb.enq(0xa_0000, 8, 1).is_err(), "full");
+        sb.deq(3);
+        sb.deq(64);
+        clk.abort_rule();
+        assert!(sb.masks_consistent());
+        assert_eq!(sb.len(), 65);
+        in_rule(&clk, || sb.enq(0x9_0000, 8, 1).unwrap());
+        assert_eq!(sb.search(0x9_0000, 8), SbSearch::Forward(1));
+        assert_eq!(sb.search(0x1000 + 64 * 64, 8), SbSearch::Forward(64));
     }
 
     #[test]

@@ -103,3 +103,55 @@ fn two_core_swaptions_matches_the_pre_journal_kernel() {
     );
     assert_eq!(got, (5_632, 0xd97c_96f7_d8d3_83bf));
 }
+
+// The four pins below were captured at `bcaccb7`, the commit before the
+// IQ/LSQ/SB occupancy masks, to hold the structures the three above reach
+// least: the WMM store buffer, 4-core TSO coherence traffic, sizes past one
+// mask word's worth of the default configuration, and the snapshot bytes.
+
+#[test]
+fn two_core_wmm_ferret_matches_the_pre_mask_structures() {
+    // Store buffer enq/issue/deq/search and `wakeupBySBDeq`.
+    let got = fingerprint(
+        &parsec::ferret(Scale::Test, 2),
+        CoreConfig::multicore(MemModel::Wmm),
+        2,
+    );
+    assert_eq!(got, (8_603, 0x58b8_9283_0a75_04eb));
+}
+
+#[test]
+fn four_core_tso_fluidanimate_matches_the_pre_mask_structures() {
+    // Locks, AMOs and `cacheEvict` kills.
+    let got = fingerprint(
+        &parsec::fluidanimate(Scale::Test, 4),
+        CoreConfig::multicore(MemModel::Tso),
+        4,
+    );
+    assert_eq!(got, (22_504, 0x615e_5472_081a_5cf7));
+}
+
+#[test]
+fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
+    // IQ 32 / LQ 48 / SQ 32 / ROB 192: the largest shipped structures.
+    let got = fingerprint(&spec::mcf(Scale::Test), CoreConfig::denver_proxy(), 1);
+    assert_eq!(got, (78_383, 0x2713_3d6b_38ef_78a2));
+}
+
+/// The occupancy masks are derived state: a snapshot holds the slots only,
+/// so its bytes (and `SOC_SNAP_VERSION`) are what they were before the masks
+/// existed. `snapshot_roundtrip.rs` compares one build against itself and
+/// cannot see that.
+#[test]
+fn mcf_snapshot_bytes_match_the_pre_mask_structures() {
+    let w = spec::mcf(Scale::Test);
+    let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
+    for _ in 0..20_000 {
+        sim.cycle();
+    }
+    let bytes = sim.save_snapshot().expect("no observers attached");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut h, &bytes);
+    println!("mcf snapshot @20000: {} bytes hash {h:#018x}", bytes.len());
+    assert_eq!((bytes.len(), h), (14_299_309, 0x1890_a9a3_0882_c614));
+}

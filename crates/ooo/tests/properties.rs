@@ -1,14 +1,24 @@
 //! Property-style tests of the core's bookkeeping invariants: ROB
 //! suffix-kill correctness, physical-register conservation under
-//! speculation, and LSQ forwarding against a naive model — randomized with
-//! the in-tree deterministic PRNG (each case reproduces from its seed).
+//! speculation, LSQ forwarding against a naive model, and the IQ and LSQ
+//! against plain linear-scan shadow models (same picks, same stalls, same
+//! slot indices, through committed and aborted rules alike) — randomized
+//! with the in-tree deterministic PRNG (each case reproduces from its
+//! seed).
 
 use cmd_core::clock::Clock;
+use cmd_core::guard::Stall;
 use cmd_core::rng::SplitMix64;
+use cmd_core::sched::Wakeup;
+use cmd_core::sim::Sim;
+use cmd_core::snap::{Snap, SnapWriter, Snapshot};
+use riscy_isa::csr::Exception;
 use riscy_isa::reg::Gpr;
+use riscy_mem::msg::{line_of, AtomicOp};
 use riscy_ooo::config::BpConfig;
 use riscy_ooo::frontend::{Ras, Tournament};
-use riscy_ooo::lsq::{LdIssue, Lsq};
+use riscy_ooo::iq::IssueQueue;
+use riscy_ooo::lsq::{LdIssue, LdState, LqEntry, Lsq, SqEntry, StallSrc};
 use riscy_ooo::rename::{RenameTable, SpecManager, SpecSnapshot};
 use riscy_ooo::rob::{Rob, RobEntry};
 use riscy_ooo::sb::SbSearch;
@@ -312,5 +322,782 @@ fn lsq_forwarding_matches_naive_model() {
                 }
             }
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// IQ and LSQ vs linear-scan shadow models
+// ---------------------------------------------------------------------------
+//
+// The structures iterate occupancy bit-vectors; the models below are the
+// plain "look at every slot" versions of the same interfaces over
+// `Vec<Option<Entry>>`. Every rule runs 1–3 random methods on both, is then
+// committed or aborted at random (the model by keeping or dropping a
+// clone), and after it the structure's snapshot bytes — every slot in slot
+// order, so placement counts — must equal the model's, and its masks must
+// equal the ones recomputed from its slots.
+
+/// Structure sizes: below, at and past one 64-bit mask word.
+const SIZES: [usize; 4] = [3, 16, 64, 80];
+
+fn snap_bytes(s: &impl Snapshot) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    s.snap_save(&mut w);
+    w.into_bytes()
+}
+
+fn some_mask(rng: &mut SplitMix64) -> SpecMask {
+    let mut m = SpecMask::EMPTY;
+    for t in 0..3 {
+        if rng.chance(0.25) {
+            m = m.with(SpecTag(t));
+        }
+    }
+    m
+}
+
+#[derive(Clone)]
+struct IqSlot {
+    uop: Uop,
+    rdy1: bool,
+    rdy2: bool,
+    age: u64,
+}
+
+// Same field order as the IQ's own entry, so the bytes line up.
+cmd_core::snap_struct!(IqSlot {
+    uop,
+    rdy1,
+    rdy2,
+    age,
+});
+
+#[derive(Clone)]
+struct IqModel {
+    slots: Vec<Option<IqSlot>>,
+    next_age: u64,
+}
+
+impl IqModel {
+    fn enter(&mut self, uop: Uop, rdy1: bool, rdy2: bool) -> Result<(), &'static str> {
+        let free = self
+            .slots
+            .iter()
+            .position(Option::is_none)
+            .ok_or("iq full")?;
+        self.slots[free] = Some(IqSlot {
+            uop,
+            rdy1,
+            rdy2,
+            age: self.next_age,
+        });
+        self.next_age += 1;
+        Ok(())
+    }
+
+    fn wakeup(&mut self, dst: PhysReg) {
+        if dst == PhysReg::ZERO {
+            return;
+        }
+        for e in self.slots.iter_mut().flatten() {
+            e.rdy1 |= e.uop.src1 == dst;
+            e.rdy2 |= e.uop.src2 == dst;
+        }
+    }
+
+    fn issue(&mut self) -> Result<Uop, &'static str> {
+        let pick = (0..self.slots.len())
+            .filter(|&i| matches!(&self.slots[i], Some(e) if e.rdy1 && e.rdy2))
+            .min_by_key(|&i| self.slots[i].as_ref().map(|e| e.age))
+            .ok_or("no ready instruction")?;
+        Ok(self.slots[pick].take().expect("picked").uop)
+    }
+
+    fn wrong_spec(&mut self, tag: SpecTag) {
+        for s in &mut self.slots {
+            if matches!(s, Some(e) if e.uop.mask.contains(tag)) {
+                *s = None;
+            }
+        }
+    }
+
+    fn correct_spec(&mut self, tag: SpecTag) {
+        for e in self.slots.iter_mut().flatten() {
+            e.uop.mask = e.uop.mask.without(tag);
+        }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.len_prefix(self.slots.len());
+        for s in &self.slots {
+            s.save(&mut w);
+        }
+        self.next_age.save(&mut w);
+        w.into_bytes()
+    }
+}
+
+#[test]
+fn iq_refines_linear_scan_model_through_commits_and_aborts() {
+    let mut seen = std::collections::BTreeSet::new();
+    for size in SIZES {
+        for seed in 0..24u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed ^ (size as u64) << 32);
+            let clk = Clock::new();
+            let iq = IssueQueue::new(&clk, size);
+            let mut model = IqModel {
+                slots: vec![None; size],
+                next_age: 0,
+            };
+            // Some seeds keep the queue near empty, some drive it full.
+            let enter_weight = *rng.pick(&[2, 4, 8]);
+            let mut pc = 0u64;
+            for rule in 0..60 + 4 * size {
+                let ctx = format!("size {size} seed {seed} rule {rule}");
+                clk.begin_rule();
+                let mut m = model.clone();
+                for _ in 0..rng.range_usize(1, 4) {
+                    let reg = |rng: &mut SplitMix64| PhysReg(rng.below(8) as u16);
+                    match rng.below(enter_weight + 8) {
+                        0..=2 => {
+                            let dst = reg(&mut rng);
+                            iq.wakeup(dst);
+                            m.wakeup(dst);
+                        }
+                        3..=4 => {
+                            let got = iq.issue().map_err(|s| s.reason());
+                            assert_eq!(got, m.issue(), "{ctx}");
+                            seen.insert(got.map_or_else(|stall| stall, |_| "issued"));
+                        }
+                        5 => {
+                            let tag = SpecTag(rng.below(3) as u8);
+                            iq.wrong_spec(tag);
+                            m.wrong_spec(tag);
+                        }
+                        6 => {
+                            let tag = SpecTag(rng.below(3) as u8);
+                            iq.correct_spec(tag);
+                            m.correct_spec(tag);
+                        }
+                        7 if rng.chance(0.2) => {
+                            iq.flush();
+                            m.slots.fill(None);
+                        }
+                        _ => {
+                            let mut u = uop(pc, some_mask(&mut rng));
+                            pc += 4;
+                            (u.src1, u.src2) = (reg(&mut rng), reg(&mut rng));
+                            let (r1, r2) = (rng.chance(0.5), rng.chance(0.5));
+                            let got = iq.enter(u, r1, r2).map_err(|s| s.reason());
+                            assert_eq!(got, m.enter(u, r1, r2), "{ctx}");
+                            seen.extend(got.err());
+                        }
+                    }
+                }
+                if rng.chance(0.7) {
+                    clk.commit_rule();
+                    model = m;
+                } else {
+                    clk.abort_rule();
+                }
+                assert!(iq.masks_consistent(), "{ctx}");
+                assert_eq!(snap_bytes(&iq), model.bytes(), "{ctx}");
+                let live = model.slots.iter().flatten().count();
+                assert_eq!(iq.len(), live, "{ctx}");
+                if live > 64 {
+                    seen.insert("past one word");
+                }
+            }
+        }
+    }
+    for path in ["iq full", "no ready instruction", "issued", "past one word"] {
+        assert!(seen.contains(path), "never reached: {path}");
+    }
+}
+
+/// A rule asleep on `issue()`'s stall watches the `ready` word, not the
+/// slots: a wakeup that readies one source of two leaves it asleep, the one
+/// that readies the last source wakes it in the same cycle.
+#[test]
+fn a_half_readying_wakeup_does_not_wake_a_rule_asleep_on_issue() {
+    struct St {
+        clk: Clock,
+        iq: IssueQueue,
+        wakeups: Vec<(u64, PhysReg)>,
+        issued_at: Vec<u64>,
+    }
+    let clk = Clock::new();
+    let iq = IssueQueue::new(&clk, 16);
+    let mut u = uop(0, SpecMask::EMPTY);
+    (u.src1, u.src2) = (PhysReg(5), PhysReg(6));
+    iq.enter(u, false, false).expect("empty queue");
+    let st = St {
+        clk: clk.clone(),
+        iq,
+        wakeups: vec![(3, PhysReg(5)), (6, PhysReg(6))],
+        issued_at: Vec::new(),
+    };
+    let mut sim = Sim::new(clk, st);
+    sim.rule("wake", |s: &mut St| {
+        let now = s.clk.cycle();
+        let &(_, dst) = s
+            .wakeups
+            .iter()
+            .find(|(at, _)| *at == now)
+            .ok_or(Stall::new("nothing to wake"))?;
+        s.iq.wakeup(dst);
+        Ok(())
+    });
+    let issue = sim.rule("issue", |s: &mut St| {
+        s.iq.issue()?;
+        s.issued_at.push(s.clk.cycle());
+        Ok(())
+    });
+    sim.set_wakeup(issue, Wakeup::Inferred);
+    sim.enable_profiling();
+    let evals = |sim: &Sim<St>| {
+        let p = sim.profiler().expect("enabled").rule(issue.index());
+        (p.evals, p.skipped)
+    };
+    sim.run(3);
+    assert_eq!(evals(&sim), (1, 2), "stalled once at cycle 0, then asleep");
+    sim.run(3);
+    assert_eq!(
+        evals(&sim),
+        (1, 5),
+        "the cycle-3 wakeup readied one source of two: still asleep"
+    );
+    sim.run(1);
+    assert_eq!(evals(&sim), (2, 5), "the cycle-6 wakeup set a ready bit");
+    assert_eq!(sim.state().issued_at, vec![6], "and it issued that cycle");
+    assert_eq!(sim.rule_stats(issue).fired, 1);
+    assert_eq!(
+        sim.rule_stats(issue).guard_stalls,
+        6,
+        "one per stalled cycle"
+    );
+}
+
+/// Linear-scan LSQ over plain vectors: the structure as it was before it
+/// had occupancy masks, minus the cells.
+#[derive(Clone)]
+struct LsqModel {
+    lq: Vec<Option<LqEntry>>,
+    sq: Vec<Option<SqEntry>>,
+    next_age: u64,
+    evict_kills: u64,
+}
+
+fn overlaps(a1: u64, n1: u8, a2: u64, n2: u8) -> bool {
+    a1 < a2 + u64::from(n2) && a2 < a1 + u64::from(n1)
+}
+
+impl LsqModel {
+    fn alloc_age(&mut self) -> u64 {
+        self.next_age += 1;
+        self.next_age - 1
+    }
+
+    fn enq_ld(
+        &mut self,
+        rob: u16,
+        mask: SpecMask,
+        atomic_class: bool,
+    ) -> Result<u16, &'static str> {
+        let free = self.lq.iter().position(Option::is_none).ok_or("lq full")?;
+        let age = self.alloc_age();
+        self.lq[free] = Some(LqEntry {
+            rob,
+            mask,
+            age,
+            dst: None,
+            bytes: 0,
+            signed: false,
+            addr: None,
+            mmio: false,
+            atomic: None,
+            atomic_class,
+            state: LdState::WaitAddr,
+            stall: None,
+            value: None,
+            fwd_src_age: None,
+            fault: None,
+            killed: false,
+            wb_done: false,
+            zombie: false,
+            at_commit: false,
+        });
+        Ok(free as u16)
+    }
+
+    fn enq_st(&mut self, rob: u16, mask: SpecMask, is_fence: bool) -> Result<u16, &'static str> {
+        let free = self.sq.iter().position(Option::is_none).ok_or("sq full")?;
+        let age = self.alloc_age();
+        self.sq[free] = Some(SqEntry {
+            rob,
+            mask,
+            age,
+            bytes: 0,
+            addr: None,
+            data: None,
+            mmio: false,
+            is_fence,
+            faulted: false,
+            committed: false,
+            issued: false,
+        });
+        Ok(free as u16)
+    }
+
+    fn update_ld(
+        &mut self,
+        idx: u16,
+        addr: Result<u64, (Exception, u64)>,
+        bytes: u8,
+        mmio: bool,
+        atomic: Option<AtomicOp>,
+    ) {
+        let e = self.lq[idx as usize].as_mut().expect("live LQ index");
+        (e.bytes, e.mmio, e.atomic) = (bytes, mmio, atomic);
+        match addr {
+            Ok(pa) => {
+                e.addr = Some(pa);
+                e.state = if mmio || atomic.is_some() {
+                    LdState::Stalled
+                } else {
+                    LdState::Ready
+                };
+            }
+            Err(f) => {
+                e.fault = Some(f);
+                e.state = LdState::Done;
+            }
+        }
+    }
+
+    fn update_st(&mut self, idx: u16, addr: Result<u64, (Exception, u64)>, bytes: u8, data: u64) {
+        let e = self.sq[idx as usize].as_mut().expect("live SQ index");
+        e.bytes = bytes;
+        let age = e.age;
+        let Ok(pa) = addr else {
+            e.faulted = true;
+            return;
+        };
+        (e.addr, e.data) = (Some(pa), Some(data));
+        for l in self.lq.iter_mut().flatten() {
+            if !l.zombie
+                && l.age > age
+                && l.addr.is_some_and(|la| overlaps(la, l.bytes, pa, bytes))
+                && matches!(l.state, LdState::Issued | LdState::Done)
+                && l.fwd_src_age.unwrap_or(0) < age
+            {
+                l.killed = true;
+            }
+        }
+    }
+
+    fn get_issue_ld(&mut self) -> Result<(u16, u64, u8), &'static str> {
+        let oldest_fence = self
+            .sq
+            .iter()
+            .flatten()
+            .filter(|e| e.is_fence)
+            .map(|e| e.age)
+            .min();
+        let oldest_atomic = self
+            .lq
+            .iter()
+            .flatten()
+            .filter(|e| !e.zombie && (e.atomic_class || e.mmio) && e.state != LdState::Done)
+            .map(|e| e.age)
+            .min();
+        let pick = (0..self.lq.len())
+            .filter(|&i| {
+                matches!(&self.lq[i], Some(e) if !e.zombie
+                    && e.state == LdState::Ready
+                    && !e.killed
+                    && !e.atomic_class
+                    && !e.mmio
+                    && oldest_atomic.is_none_or(|a| e.age < a))
+            })
+            .min_by_key(|&i| self.lq[i].map(|e| e.age))
+            .ok_or("no ready load")?;
+        let e = self.lq[pick].as_mut().expect("picked");
+        if let Some(f) = oldest_fence.filter(|&f| f < e.age) {
+            e.state = LdState::Stalled;
+            e.stall = Some(StallSrc::Fence(f));
+            return Err("load blocked by fence");
+        }
+        Ok((pick as u16, e.addr.expect("ready implies addr"), e.bytes))
+    }
+
+    fn issue_ld(&mut self, idx: u16, sb: SbSearch) -> LdIssue {
+        let ld = self.lq[idx as usize].expect("live LQ index");
+        let (la, lb) = (ld.addr.expect("addr known"), ld.bytes);
+        let best = self
+            .sq
+            .iter()
+            .flatten()
+            .filter(|s| !s.is_fence && !s.faulted && s.age < ld.age)
+            .filter(|s| s.addr.is_some_and(|sa| overlaps(la, lb, sa, s.bytes)))
+            .max_by_key(|s| s.age)
+            .copied();
+        let e = self.lq[idx as usize].as_mut().expect("live LQ index");
+        let mut bind = |v: u64, src_age: u64| {
+            (e.state, e.value, e.fwd_src_age) = (LdState::Done, Some(v), Some(src_age));
+            LdIssue::Forward(v)
+        };
+        match (best, sb) {
+            (Some(s), _) => {
+                let sa = s.addr.expect("matched");
+                if sa <= la && la + u64::from(lb) <= sa + u64::from(s.bytes) {
+                    let v = s.data.expect("data set with addr") >> (8 * (la - sa));
+                    bind(
+                        if lb == 8 {
+                            v
+                        } else {
+                            v & ((1 << (8 * lb)) - 1)
+                        },
+                        s.age,
+                    )
+                } else {
+                    (e.state, e.stall) = (LdState::Stalled, Some(StallSrc::SqPartial(s.age)));
+                    LdIssue::Stalled
+                }
+            }
+            (None, SbSearch::Forward(v)) => bind(v, 0),
+            (None, SbSearch::Partial(i)) => {
+                (e.state, e.stall) = (LdState::Stalled, Some(StallSrc::SbEntry(i)));
+                LdIssue::Stalled
+            }
+            (None, SbSearch::Miss) => {
+                e.state = LdState::Issued;
+                LdIssue::ToCache
+            }
+        }
+    }
+
+    fn resp_ld(&mut self, idx: u16, data: u64) -> bool {
+        let slot = &mut self.lq[idx as usize];
+        match slot {
+            None => true,
+            Some(e) if e.zombie => {
+                *slot = None;
+                true
+            }
+            Some(e) => {
+                (e.state, e.value) = (LdState::Done, Some(data));
+                false
+            }
+        }
+    }
+
+    fn wakeup_where(&mut self, pred: impl Fn(&StallSrc) -> bool) {
+        for e in self.lq.iter_mut().flatten() {
+            if e.state == LdState::Stalled && !e.zombie && e.stall.as_ref().is_some_and(&pred) {
+                (e.stall, e.state) = (None, LdState::Ready);
+            }
+        }
+    }
+
+    fn cache_evict(&mut self, line: u64) {
+        for e in self.lq.iter_mut().flatten() {
+            if !e.zombie
+                && !e.killed
+                && e.addr.is_some_and(|a| line_of(a) == line)
+                && matches!(e.state, LdState::Issued | LdState::Done)
+                && e.fwd_src_age.is_none()
+            {
+                e.killed = true;
+                self.evict_kills += 1;
+            }
+        }
+    }
+
+    fn oldest_lq(&self) -> Option<usize> {
+        (0..self.lq.len())
+            .filter(|&i| matches!(&self.lq[i], Some(e) if !e.zombie))
+            .min_by_key(|&i| self.lq[i].map(|e| e.age))
+    }
+
+    fn oldest_sq(&self) -> Option<usize> {
+        (0..self.sq.len())
+            .filter(|&i| self.sq[i].is_some())
+            .min_by_key(|&i| self.sq[i].map(|e| e.age))
+    }
+
+    fn older_store_addr_unknown(&self, age: u64) -> bool {
+        self.sq
+            .iter()
+            .flatten()
+            .any(|e| e.age < age && !e.is_fence && !e.faulted && e.addr.is_none())
+    }
+
+    fn deq_st(&mut self) -> SqEntry {
+        let i = self.oldest_sq().expect("deqSt on empty SQ");
+        let e = self.sq[i].take().expect("oldest");
+        if e.is_fence {
+            self.wakeup_where(|s| *s == StallSrc::Fence(e.age));
+        } else {
+            self.wakeup_where(|s| *s == StallSrc::SqPartial(e.age));
+        }
+        e
+    }
+
+    fn squash(&mut self, ld: impl Fn(&LqEntry) -> bool, st: impl Fn(&SqEntry) -> bool) {
+        for s in &mut self.lq {
+            match s {
+                Some(e) if e.zombie || !ld(e) => {}
+                Some(e) if e.state == LdState::Issued => e.zombie = true,
+                _ => *s = None,
+            }
+        }
+        for s in &mut self.sq {
+            if s.as_ref().is_some_and(&st) {
+                *s = None;
+            }
+        }
+    }
+
+    fn correct_spec(&mut self, tag: SpecTag) {
+        for e in self.lq.iter_mut().flatten() {
+            e.mask = e.mask.without(tag);
+        }
+        for e in self.sq.iter_mut().flatten() {
+            e.mask = e.mask.without(tag);
+        }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.len_prefix(self.lq.len());
+        w.len_prefix(self.sq.len());
+        self.lq.iter().for_each(|s| s.save(&mut w));
+        self.sq.iter().for_each(|s| s.save(&mut w));
+        self.next_age.save(&mut w);
+        self.evict_kills.save(&mut w);
+        w.into_bytes()
+    }
+}
+
+/// Slots of `v` whose entry satisfies `pred`.
+fn slots_where<T>(v: &[Option<T>], pred: impl Fn(&T) -> bool) -> Vec<u16> {
+    (0..v.len())
+        .filter(|&i| v[i].as_ref().is_some_and(&pred))
+        .map(|i| i as u16)
+        .collect()
+}
+
+#[test]
+fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
+    const BASE: u64 = 0x8000_0000;
+    // What the random sequences reached, checked at the end so a change to
+    // the generator cannot silently stop exercising a path.
+    let mut seen = std::collections::BTreeSet::new();
+    for size in SIZES {
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed ^ (size as u64) << 32);
+            let clk = Clock::new();
+            let lsq = Lsq::new(&clk, size, size);
+            let mut model = LsqModel {
+                lq: vec![None; size],
+                sq: vec![None; size],
+                next_age: 1,
+                evict_kills: 0,
+            };
+            // Some seeds keep the queues near empty, some drive them full.
+            let enq_weight = *rng.pick(&[3, 6, 12]);
+            for rule in 0..80 + 6 * size {
+                let ctx = format!("size {size} seed {seed} rule {rule}");
+                clk.begin_rule();
+                let mut m = model.clone();
+                for _ in 0..rng.range_usize(1, 4) {
+                    // Three lines, 4- or 8-byte accesses at matching
+                    // alignment: overlaps, covers and partial overlaps.
+                    let bytes = *rng.pick(&[4u8, 8]);
+                    let addr = BASE + 64 * rng.below(3) + u64::from(bytes) * rng.below(3);
+                    let fault = Err((Exception::LoadPageFault, addr));
+                    let tag = SpecTag(rng.below(3) as u8);
+                    match rng.below(enq_weight + 13) {
+                        0 => {
+                            let waiting =
+                                slots_where(&m.lq, |e| !e.zombie && e.state == LdState::WaitAddr);
+                            if waiting.is_empty() {
+                                continue;
+                            }
+                            let idx = *rng.pick(&waiting);
+                            let class = m.lq[idx as usize].expect("picked").atomic_class;
+                            let atomic = class.then_some(AtomicOp::Lr);
+                            let mmio = !class && rng.chance(0.1);
+                            let res = if rng.chance(0.05) { fault } else { Ok(addr) };
+                            lsq.update_ld(idx, res, bytes, false, mmio, atomic);
+                            m.update_ld(idx, res, bytes, mmio, atomic);
+                        }
+                        1 => {
+                            let waiting = slots_where(&m.sq, |e| {
+                                !e.is_fence && !e.faulted && e.addr.is_none()
+                            });
+                            if waiting.is_empty() {
+                                continue;
+                            }
+                            let idx = *rng.pick(&waiting);
+                            let res = if rng.chance(0.05) { fault } else { Ok(addr) };
+                            let data = rng.next_u64();
+                            lsq.update_st(idx, res, bytes, data, false);
+                            m.update_st(idx, res, bytes, data);
+                        }
+                        2..=4 => {
+                            let got = lsq.get_issue_ld().map_err(|s| s.reason());
+                            assert_eq!(got, m.get_issue_ld(), "{ctx}");
+                            seen.extend(got.err());
+                            if let Ok((idx, _, _)) = got {
+                                let sb = match rng.below(8) {
+                                    0 => SbSearch::Forward(rng.next_u64()),
+                                    1 => SbSearch::Partial(rng.below(2) as usize),
+                                    _ => SbSearch::Miss,
+                                };
+                                let issued = lsq.issue_ld(idx, sb);
+                                assert_eq!(issued, m.issue_ld(idx, sb), "{ctx}");
+                                seen.insert(match issued {
+                                    LdIssue::Forward(_) => "forwarded",
+                                    LdIssue::ToCache => "to cache",
+                                    LdIssue::Stalled => "stalled on a store",
+                                });
+                            }
+                        }
+                        5 => {
+                            // A response for an in-flight load (zombies
+                            // included), now and then for an empty slot.
+                            let mut slots = slots_where(&m.lq, |e| e.state == LdState::Issued);
+                            if rng.chance(0.1) {
+                                slots.extend(
+                                    m.lq.iter().position(Option::is_none).map(|i| i as u16),
+                                );
+                            }
+                            if slots.is_empty() {
+                                continue;
+                            }
+                            let idx = *rng.pick(&slots);
+                            let data = rng.next_u64();
+                            assert_eq!(lsq.resp_ld(idx, data), m.resp_ld(idx, data), "{ctx}");
+                        }
+                        6 => {
+                            let got = lsq.first_ld().map_err(|s| s.reason());
+                            let want = m.oldest_lq().ok_or("lq empty");
+                            assert_eq!(got.map(|(i, _)| i as usize), want, "{ctx}");
+                            let Ok(i) = want else { continue };
+                            let age = m.lq[i].expect("oldest").age;
+                            assert_eq!(
+                                lsq.older_store_addr_unknown(age),
+                                m.older_store_addr_unknown(age),
+                                "{ctx}"
+                            );
+                            assert_eq!(lsq.deq_ld().age, age, "{ctx}");
+                            m.lq[i] = None;
+                        }
+                        7 => {
+                            let got = lsq.first_st().map_err(|s| s.reason());
+                            let want = m.oldest_sq().ok_or("sq empty");
+                            assert_eq!(got.map(|(i, _)| i as usize), want, "{ctx}");
+                            if want.is_ok() {
+                                assert_eq!(lsq.deq_st().age, m.deq_st().age, "{ctx}");
+                            }
+                        }
+                        8 => {
+                            let live = slots_where(&m.sq, |_| true);
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let idx = *rng.pick(&live);
+                            lsq.set_at_commit_st(idx);
+                            m.sq[idx as usize].as_mut().expect("live").committed = true;
+                        }
+                        9 => {
+                            lsq.cache_evict(line_of(addr));
+                            m.cache_evict(line_of(addr));
+                        }
+                        10 => {
+                            let i = rng.below(2) as usize;
+                            lsq.wakeup_by_sb_deq(i);
+                            m.wakeup_where(|s| *s == StallSrc::SbEntry(i));
+                        }
+                        11 => {
+                            lsq.wrong_spec(tag);
+                            m.squash(|e| e.mask.contains(tag), |e| e.mask.contains(tag));
+                        }
+                        12 => {
+                            if rng.chance(0.5) {
+                                lsq.correct_spec(tag);
+                                m.correct_spec(tag);
+                            } else if rng.chance(0.3) {
+                                lsq.flush_speculative();
+                                m.squash(|_| true, |e| !e.committed);
+                            }
+                        }
+                        _ => {
+                            let rob = rule as u16;
+                            let mask = some_mask(&mut rng);
+                            if rng.chance(0.6) {
+                                let class = rng.chance(0.1);
+                                let got =
+                                    lsq.enq_ld(rob, mask, None, class).map_err(|s| s.reason());
+                                assert_eq!(got, m.enq_ld(rob, mask, class), "{ctx}");
+                                seen.extend(got.err());
+                            } else {
+                                let fence = rng.chance(0.1);
+                                let got = lsq.enq_st(rob, mask, fence).map_err(|s| s.reason());
+                                assert_eq!(got, m.enq_st(rob, mask, fence), "{ctx}");
+                                seen.extend(got.err());
+                            }
+                        }
+                    }
+                }
+                if rng.chance(0.7) {
+                    clk.commit_rule();
+                    model = m;
+                } else {
+                    clk.abort_rule();
+                }
+                assert!(lsq.masks_consistent(), "{ctx}");
+                assert_eq!(snap_bytes(&lsq), model.bytes(), "{ctx}");
+                let live = slots_where(&model.lq, |_| true).len();
+                let zombies = slots_where(&model.lq, |e| e.zombie).len();
+                if zombies > 0 {
+                    seen.insert("zombie");
+                }
+                if model.lq.iter().flatten().any(|e| e.killed) {
+                    seen.insert("killed");
+                }
+                if live > 64 {
+                    seen.insert("past one word");
+                }
+                assert_eq!(lsq.lq_len(), live - zombies, "{ctx}");
+                assert_eq!(
+                    lsq.sq_len(),
+                    slots_where(&model.sq, |_| true).len(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lsq.is_empty(),
+                    live == 0 && model.sq.iter().all(Option::is_none),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+    for path in [
+        "lq full",
+        "sq full",
+        "no ready load",
+        "load blocked by fence",
+        "forwarded",
+        "to cache",
+        "stalled on a store",
+        "zombie",
+        "killed",
+        "past one word",
+    ] {
+        assert!(seen.contains(path), "never reached: {path}");
     }
 }

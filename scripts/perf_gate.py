@@ -127,7 +127,22 @@ FLEET_SPEEDUP_SANITY = 0.5
 # The sampled tier's reason to exist: fast-forward + interval sampling
 # must beat the full detailed runs by at least this wall-clock ratio
 # (same host, same run, so the ratio is host-neutral) ...
-FF_SPEEDUP_FLOOR = 5.0
+#
+# The ratio is full-detailed seconds / sampled seconds, and two thirds of
+# the sampled lane is interpreter, warm-state profiling and hand-off that
+# a faster detailed model does not touch, so every PR that speeds the
+# detailed model up *lowers* it with nothing regressing (ROADMAP item 1):
+# 7.5 when the floor was set at 5.0 (PR 9); 5.3 after PR 13 (11.25 s /
+# 2.13 s); about 3.5 after PR 17's occupancy masks (best lanes of eight
+# runs 6.47 s / 1.85 s; the eight single-shot ratios read 2.99 to 4.2,
+# median 3.4, in a session where the parent build read 3.3 to 6.2, median
+# 4.4, against its own 5.0). Both lanes got faster and `sample_ipc_err`
+# did not move. 2.5 restores roughly the headroom 5.0 had under 7.5.
+# ISSUE 17 proposed 3.0 from its prototype's 3.77; the finished change's
+# detailed lane is faster than the prototype's, and only six of those
+# eight runs cleared 3.0. ROADMAP item 7 (interpreter speed) is what
+# raises the ratio again; item 1(d) retires this gate.
+FF_SPEEDUP_FLOOR = 2.5
 # ... while the worst-case relative IPC estimation error across the
 # sampled workloads stays within 2% of the full-fidelity runs. Both are
 # measured by the `sampled_sim` binary; docs/CHECKPOINT.md records the
