@@ -1,7 +1,6 @@
 //! CI checkpoint smoke: proves snapshots are deterministic, fast.
 //!
-//! For each of the four scheduler modes (`reference`, `fast`, `compiled`,
-//! `parallel`) this binary:
+//! For each of the two scheduler modes (`reference`, `fast`) this binary:
 //!
 //! 1. runs a workload to a mid-run cycle and saves a snapshot;
 //! 2. restores it into a *fresh* process-local simulation, runs both the
@@ -11,7 +10,7 @@
 //!    counts and exit codes;
 //! 3. checksums the mid-run snapshot bytes.
 //!
-//! Because all four modes are cycle-identical by construction, the
+//! Because both modes are cycle-identical by construction, the
 //! mid-run snapshot bytes must be **the same across modes** — the final
 //! cross-mode checksum comparison is the strongest single assertion in
 //! the CI tier (see `docs/CHECKPOINT.md` §"CI: the `ckpt-smoke` tier").
@@ -82,12 +81,7 @@ fn run_to_end(sim: &mut SocSim, what: &str) {
 
 fn main() {
     let prog = smoke_prog();
-    let modes = [
-        SchedulerMode::Reference,
-        SchedulerMode::Fast,
-        SchedulerMode::Compiled,
-        SchedulerMode::Parallel,
-    ];
+    let modes = [SchedulerMode::Reference, SchedulerMode::Fast];
     println!("=== ckpt-smoke: snapshot round-trip determinism ===\n");
     let mut checksums = Vec::new();
     let mut snap_len = 0usize;
@@ -132,7 +126,7 @@ fn main() {
         checksums.push(sum);
         snap_len = snap.len();
     }
-    // All four modes simulate the same cycles, so the mid-run snapshot
+    // Both modes simulate the same cycles, so the mid-run snapshot
     // bytes — and therefore the checksums — must agree across modes.
     let checksums_equal = checksums.windows(2).all(|w| w[0] == w[1]);
     if checksums_equal {
@@ -147,7 +141,7 @@ fn main() {
 
     if let Some(path) = bench_json_path() {
         let metrics = [
-            ("ckpt_modes_ok", if ok { 4.0 } else { 0.0 }),
+            ("ckpt_modes_ok", if ok { modes.len() as f64 } else { 0.0 }),
             ("ckpt_bytes", snap_len as f64),
             ("ckpt_checksums_equal", f64::from(u8::from(checksums_equal))),
         ];

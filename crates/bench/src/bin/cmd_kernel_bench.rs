@@ -241,10 +241,9 @@ fn bench_ring() -> Vec<(&'static str, f64)> {
 /// asleep almost always — the MD/FP pipes and quiescent-core machinery
 /// of the other cores during a memory-bound phase). The live:asleep
 /// ratio (~9:35) matches what the wakeup layer is designed for;
-/// Reference evaluates all 44 guards every cycle, Fast/Compiled only
-/// the live ones — so a scheduler regression in sleep entry, wake
-/// draining, or wave skipping shows up here in milliseconds instead of
-/// a 30-second fig17 run.
+/// Reference evaluates all 44 guards every cycle, Fast only the live
+/// ones — so a scheduler regression in sleep entry or wake draining
+/// shows up here in milliseconds instead of a 30-second fig17 run.
 const SOCW_CYCLES: u64 = 20_000;
 const SOCW_MISS_LAT: u32 = 32;
 const SOCW_MD_UNITS: usize = 32;
@@ -371,29 +370,14 @@ fn bench_socw() -> Vec<(&'static str, f64)> {
     let (times, fires) = time_modes(
         build_socw,
         SOCW_CYCLES,
-        &[
-            SchedulerMode::Reference,
-            SchedulerMode::Fast,
-            SchedulerMode::Compiled,
-            SchedulerMode::Parallel,
-        ],
+        &[SchedulerMode::Reference, SchedulerMode::Fast],
         7,
     );
-    let (ref_s, fast_s, comp_s, par_s) = (times[0], times[1], times[2], times[3]);
-    let (ref_fires, fast_fires, comp_fires, par_fires) = (fires[0], fires[1], fires[2], fires[3]);
+    let (ref_s, fast_s) = (times[0], times[1]);
+    let (ref_fires, fast_fires) = (fires[0], fires[1]);
     assert_eq!(fast_fires, ref_fires, "socw diverged: fast vs reference");
-    assert_eq!(
-        comp_fires, ref_fires,
-        "socw diverged: compiled vs reference"
-    );
-    assert_eq!(par_fires, ref_fires, "socw diverged: parallel vs reference");
     let cps = |s: f64| SOCW_CYCLES as f64 / s;
-    for (label, s) in [
-        ("soc_wakeup/reference", ref_s),
-        ("soc_wakeup/fast", fast_s),
-        ("soc_wakeup/compiled", comp_s),
-        ("soc_wakeup/parallel", par_s),
-    ] {
+    for (label, s) in [("soc_wakeup/reference", ref_s), ("soc_wakeup/fast", fast_s)] {
         println!(
             "{label:<44} {:>12.0} ns/cycle ({:.2e} cycles/s)",
             s * 1e9 / SOCW_CYCLES as f64,
@@ -401,39 +385,17 @@ fn bench_socw() -> Vec<(&'static str, f64)> {
         );
     }
     println!(
-        "[speedup] soc_wakeup compiled vs reference: {:.2}x (fast {:.2}x, parallel {:.2}x)",
-        ref_s / comp_s,
-        ref_s / fast_s,
-        ref_s / par_s
-    );
-    // Wave occupancy under the parallel discipline (see
-    // `docs/PARALLELISM.md`): how much same-wave width the conflict matrix
-    // actually exposes on this design.
-    let mut psim = build_socw(SchedulerMode::Parallel);
-    psim.run(SOCW_CYCLES);
-    let par = psim.parallelism_report();
-    println!(
-        "[occupancy] soc_wakeup parallel: {} waves executed, {} skipped, \
-         mean width {:.1}, widest {}",
-        par.waves_executed,
-        par.waves_skipped,
-        par.mean_wave_width(),
-        par.widest_wave
+        "[speedup] soc_wakeup fast vs reference: {:.2}x",
+        ref_s / fast_s
     );
     vec![
         ("socw_sim_cycles", SOCW_CYCLES as f64),
         ("socw_fires", fast_fires as f64),
         ("socw_reference_wall_ms", ref_s * 1e3),
         ("socw_fast_wall_ms", fast_s * 1e3),
-        ("socw_compiled_wall_ms", comp_s * 1e3),
-        ("socw_parallel_wall_ms", par_s * 1e3),
         ("socw_reference_cps", cps(ref_s)),
         ("socw_fast_cps", cps(fast_s)),
-        ("socw_compiled_cps", cps(comp_s)),
-        ("socw_parallel_cps", cps(par_s)),
         ("socw_fast_speedup", ref_s / fast_s),
-        ("socw_speedup", ref_s / comp_s),
-        ("socw_parallel_speedup", ref_s / par_s),
     ]
 }
 

@@ -13,14 +13,10 @@ use riscy_ooo::config::{mem_riscyoo_b, mem_riscyoo_c_minus, CoreConfig};
 use riscy_workloads::spec::{spec_suite, Scale, Workload};
 use std::time::Instant;
 
-const TIMED_MODES: [SchedulerMode; 4] = [
-    SchedulerMode::Fast,
-    SchedulerMode::Compiled,
-    SchedulerMode::Parallel,
-    SchedulerMode::Reference,
-];
+const MODES: usize = 2;
+const TIMED_MODES: [SchedulerMode; MODES] = [SchedulerMode::Fast, SchedulerMode::Reference];
 
-/// Times the whole T+ suite under all four schedulers, interleaved per
+/// Times the whole T+ suite under both schedulers, interleaved per
 /// workload (each workload runs back-to-back under every mode, twice,
 /// keeping the per-mode minimum) so host-frequency drift lands on all
 /// modes equally instead of skewing the speedup ratios — single-rep
@@ -28,12 +24,12 @@ const TIMED_MODES: [SchedulerMode; 4] = [
 /// Returns per-mode wall seconds and total ROI cycles in [`TIMED_MODES`]
 /// order; the cycle totals double as the cross-scheduler determinism
 /// checksum the perf gate verifies.
-fn time_suite(scale: Scale) -> ([f64; 4], [u64; 4]) {
+fn time_suite(scale: Scale) -> ([f64; MODES], [u64; MODES]) {
     const ROUNDS: usize = 2;
-    let mut secs = [0.0f64; 4];
-    let mut cycles = [0u64; 4];
+    let mut secs = [0.0f64; MODES];
+    let mut cycles = [0u64; MODES];
     for w in spec_suite(scale) {
-        let mut best = [f64::INFINITY; 4];
+        let mut best = [f64::INFINITY; MODES];
         for round in 0..ROUNDS {
             for (k, &mode) in TIMED_MODES.iter().enumerate() {
                 let t0 = Instant::now();
@@ -46,8 +42,8 @@ fn time_suite(scale: Scale) -> ([f64; 4], [u64; 4]) {
                 }
             }
         }
-        for k in 0..4 {
-            secs[k] += best[k];
+        for (s, b) in secs.iter_mut().zip(best) {
+            *s += b;
         }
     }
     (secs, cycles)
@@ -56,15 +52,15 @@ fn time_suite(scale: Scale) -> ([f64; 4], [u64; 4]) {
 /// Wall seconds to run the whole T+ suite as a fleet of independent
 /// units on `threads` workers (see `docs/PARALLELISM.md` §"Fleet
 /// campaigns"). The 1-thread vs N-thread ratio is `fig17_parallel_speedup`:
-/// the scale-out half of the parallelism story, measured on the same
-/// suite the per-mode timings above use.
+/// host-thread scale-out, measured on the same suite the per-mode timings
+/// above use.
 fn time_fleet(scale: Scale, threads: usize) -> f64 {
     let suite = spec_suite(scale);
     let refs: Vec<&Workload> = suite.iter().collect();
     let units = fleet_grid(&[0], &["t+"], &refs);
     let harness = SocFleet {
         workloads: suite.clone(),
-        sched: SchedulerMode::Parallel,
+        sched: SchedulerMode::Fast,
         chaos: false,
     };
     let opts = FleetOpts {
@@ -123,15 +119,12 @@ fn main() {
         write_artifact(&path, &json);
     }
     if let Some(path) = bench_json_path() {
-        // Perf-gate artifact: the T+ suite timed under all four
-        // schedulers. SoC rules carry real wakeup policies (see `soc.rs`),
-        // so Fast/Compiled/Parallel skip sleeping rules; Compiled and
-        // Parallel additionally run the branch-free plain dispatch lane.
-        // The gate enforces exact cycle equality across the four modes
-        // plus the reference/compiled speedup floor (`fig17_speedup`).
-        let (secs, cycles) = time_suite(scale);
-        let ([fast_s, comp_s, par_s, ref_s], [fast_cycles, comp_cycles, par_cycles, ref_cycles]) =
-            (secs, cycles);
+        // Perf-gate artifact: the T+ suite timed under both schedulers.
+        // SoC rules carry real wakeup policies (see `soc.rs`), so Fast
+        // skips sleeping rules. The gate enforces exact cycle equality
+        // between the two modes plus the reference/fast speedup floor
+        // (`fig17_fast_speedup`).
+        let ([fast_s, ref_s], [fast_cycles, ref_cycles]) = time_suite(scale);
         // Scale-out: the same suite as a fleet, 1 thread vs min(host, 4).
         // `fig17_host_threads` tells the gate whether the host can even
         // express a speedup (a 1-core CI runner cannot).
@@ -146,19 +139,12 @@ fn main() {
         };
         let json = metrics_json(&[
             ("fig17_sim_cycles_fast", fast_cycles as f64),
-            ("fig17_sim_cycles_compiled", comp_cycles as f64),
-            ("fig17_sim_cycles_parallel", par_cycles as f64),
             ("fig17_sim_cycles_reference", ref_cycles as f64),
             ("fig17_fast_wall_ms", fast_s * 1e3),
-            ("fig17_compiled_wall_ms", comp_s * 1e3),
-            ("fig17_parallel_wall_ms", par_s * 1e3),
             ("fig17_reference_wall_ms", ref_s * 1e3),
             ("fig17_fast_cps", fast_cycles as f64 / fast_s),
-            ("fig17_compiled_cps", comp_cycles as f64 / comp_s),
-            ("fig17_parallel_cps", par_cycles as f64 / par_s),
             ("fig17_reference_cps", ref_cycles as f64 / ref_s),
             ("fig17_fast_speedup", ref_s / fast_s),
-            ("fig17_speedup", ref_s / comp_s),
             ("fig17_host_threads", host as f64),
             ("fig17_parallel_speedup", fleet_1 / fleet_n),
         ]);

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! fleet [--seeds N] [--configs t+,c-] [--threads N]
-//!       [--scheduler reference|fast|compiled|parallel] [--chaos]
+//!       [--scheduler reference|fast] [--chaos]
 //!       [--scale test|ref] [--workloads a,b,...] [--stop-after N]
 //!       [--campaign-dir DIR] [--checkpoint-every CYCLES]
 //!       [--abort-after-ckpts N] [--report PATH] [--bench-json PATH]

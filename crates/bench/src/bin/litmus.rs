@@ -80,15 +80,8 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|_| die("--cores: not a number"));
             }
             "--sched" => {
-                args.sched = match val("--sched").as_str() {
-                    "fast" => SchedulerMode::Fast,
-                    "reference" => SchedulerMode::Reference,
-                    "compiled" => SchedulerMode::Compiled,
-                    "parallel" => SchedulerMode::Parallel,
-                    s => die(&format!(
-                        "unknown scheduler {s:?} (fast|reference|compiled|parallel)"
-                    )),
-                };
+                args.sched = riscy_bench::parse_scheduler(&val("--sched"))
+                    .unwrap_or_else(|e| die(&format!("--sched: {e}")));
             }
             "--seed" => {
                 args.seed = val("--seed")
@@ -106,7 +99,7 @@ fn parse_args() -> Args {
             "--inject-evict-bug" => args.inject_evict_bug = true,
             "--json" => args.json = true,
             "--help" | "-h" => {
-                eprintln!("usage: litmus [--model tso|wmm|both] [--cores N] [--sched fast|reference|compiled|parallel] [--seed S] [--count N] [--chaos] [--classic-only] [--inject-evict-bug] [--out-dir DIR] [--json]");
+                eprintln!("usage: litmus [--model tso|wmm|both] [--cores N] [--sched fast|reference] [--seed S] [--count N] [--chaos] [--classic-only] [--inject-evict-bug] [--out-dir DIR] [--json]");
                 std::process::exit(0);
             }
             other => die(&format!("unknown flag {other:?} (try --help)")),

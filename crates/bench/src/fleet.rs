@@ -1,9 +1,8 @@
 //! # Work-stealing fleet runner — many SoCs per process
 //!
-//! [`SchedulerMode::Parallel`] keeps a *single* simulation deterministic
-//! under the wave-barrier discipline (see `docs/PARALLELISM.md`); this
-//! module supplies the second half of the parallelism story: **scale-out
-//! across independent simulations**. A campaign is a grid of
+//! Host-thread parallelism in this repository is **scale-out across
+//! independent simulations** (see `docs/PARALLELISM.md`): one simulation
+//! kernel stays on one thread, many run side by side. A campaign is a grid of
 //! [`FleetUnit`]s (seed × config × workload); [`run_fleet`] executes the
 //! grid on a pool of host threads with work stealing, streams one
 //! stats-JSON file per finished unit into the campaign directory, and

@@ -205,29 +205,34 @@ pub fn trace_path() -> Option<String> {
     path_arg("--trace")
 }
 
-/// Parses `--scheduler reference|fast|compiled|parallel` (default: the
-/// kernel default, [`SchedulerMode::Fast`]). `reference` re-enables the
-/// one-rule-at-a-time oracle scheduler for cross-checking; `compiled`
-/// selects the static wave plan with the specialized dispatch loop (see
-/// `docs/SCHEDULING.md` §"Compiled schedule"); `parallel` runs the same
-/// plan under the wave-barrier shard discipline and collects the
-/// wave-occupancy report (see `docs/PARALLELISM.md`).
+/// Parses a scheduler name as the CLIs spell it: `reference` (the
+/// one-rule-at-a-time oracle, for cross-checking) or `fast` (the kernel
+/// default, [`SchedulerMode::Fast`]).
+///
+/// # Errors
+///
+/// Any other name — a typo, or a mode that no longer exists — is an error
+/// naming the two valid values: a silently ignored or aliased name would
+/// invalidate whatever comparison the operator was running.
+pub fn parse_scheduler(name: &str) -> Result<SchedulerMode, String> {
+    match name {
+        "reference" => Ok(SchedulerMode::Reference),
+        "fast" => Ok(SchedulerMode::Fast),
+        other => Err(format!("unknown scheduler `{other}` (reference|fast)")),
+    }
+}
+
+/// Parses `--scheduler reference|fast` (default: `fast`) through
+/// [`parse_scheduler`].
 ///
 /// # Panics
 ///
-/// Panics on an unrecognized mode name — a silently ignored typo would
-/// invalidate whatever comparison the operator was running.
+/// Panics with [`parse_scheduler`]'s message on an unrecognized name.
 #[must_use]
 pub fn scheduler_from_args() -> SchedulerMode {
-    match path_arg("--scheduler").as_deref() {
-        None | Some("fast") => SchedulerMode::Fast,
-        Some("reference") => SchedulerMode::Reference,
-        Some("compiled") => SchedulerMode::Compiled,
-        Some("parallel") => SchedulerMode::Parallel,
-        Some(other) => {
-            panic!("--scheduler {other}: expected `reference`, `fast`, `compiled`, or `parallel`")
-        }
-    }
+    path_arg("--scheduler").map_or(SchedulerMode::Fast, |name| {
+        parse_scheduler(&name).unwrap_or_else(|e| panic!("--scheduler: {e}"))
+    })
 }
 
 /// Parses `--bench-json <path>`: where a benchmark binary should write
@@ -318,12 +323,6 @@ pub fn maybe_profile_run(
     }
     if let Some((path, tr)) = opts.chrome_trace.as_ref().zip(chrome) {
         let mut t = tr.borrow_mut();
-        if mode == SchedulerMode::Parallel {
-            // Split the rule tracks into one process per wave shard so the
-            // parallel schedule is visible in Perfetto (see
-            // `docs/PARALLELISM.md`); other modes keep the flat pid-0 view.
-            t.set_rule_shards(&sim.wave_shards());
-        }
         for (core, spans, _dropped) in sim.instruction_spans() {
             let tid = u32::try_from(core).expect("core id fits u32");
             t.set_inst_track(tid, &format!("core{core}"));
@@ -503,6 +502,18 @@ pub fn print_normalized_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scheduler_names_are_reference_and_fast_only() {
+        assert_eq!(parse_scheduler("reference"), Ok(SchedulerMode::Reference));
+        assert_eq!(parse_scheduler("fast"), Ok(SchedulerMode::Fast));
+        // A removed mode and a typo are both refused, naming what is valid.
+        for bad in ["compiled", "parallel", "fats", ""] {
+            let err = parse_scheduler(bad).expect_err(bad);
+            assert!(err.contains("reference|fast"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
+    }
 
     #[test]
     fn means() {

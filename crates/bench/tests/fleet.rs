@@ -8,7 +8,7 @@
 //!   single-shot run, and a third invocation is a pure disk replay;
 //! * a campaign directory from a *different* grid is rejected, not
 //!   silently accepted as progress;
-//! * a real SoC fleet under [`SchedulerMode::Parallel`] is run-to-run
+//! * a real SoC fleet under [`SchedulerMode::Fast`] is run-to-run
 //!   deterministic.
 //!
 //! No test here asserts wall-clock speedups: CI hosts may expose a single
@@ -217,7 +217,7 @@ fn real_soc_fleet_is_run_to_run_deterministic() {
             program: tiny_prog(),
             max_cycles: 200_000,
         }],
-        sched: SchedulerMode::Parallel,
+        sched: SchedulerMode::Fast,
         chaos: false,
     };
     let units = || {

@@ -486,33 +486,13 @@ impl Clock {
     }
 
     /// Writes the *global* method indices (module base + method) recorded by
-    /// the current rule into `out`. Scheduler use: footprint inference.
+    /// the current rule into `out`. Scheduler use: the fired-forbidden
+    /// probe and method→rule attribution.
     pub(crate) fn calls_global(&self, out: &mut Vec<u32>) {
         out.clear();
         let modules = self.inner.modules.borrow();
         for call in self.inner.calls.borrow().iter() {
             out.push(modules[call.module as usize].base + u32::from(call.method));
-        }
-    }
-
-    /// Calls `f` with every global method index whose earlier firing would
-    /// forbid a later call of global method `c` — i.e. the conflict row the
-    /// fast scheduler folds into a rule's `bad_earlier` mask. Only methods
-    /// of `c`'s own module can qualify (cross-module methods are CM-free).
-    pub(crate) fn for_each_bad_earlier(&self, c: u32, mut f: impl FnMut(u32)) {
-        let modules = self.inner.modules.borrow();
-        for info in modules.iter() {
-            let count = u32::try_from(info.methods.len()).expect("method count");
-            if !(info.base..info.base + count).contains(&c) {
-                continue;
-            }
-            let local = (c - info.base) as usize;
-            for m in 0..count {
-                if !info.cm.rel(m as usize, local).allows_earlier_first() {
-                    f(info.base + m);
-                }
-            }
-            return;
         }
     }
 
@@ -801,18 +781,6 @@ impl ModuleIfc {
     #[must_use]
     pub fn clock(&self) -> &Clock {
         &self.clk
-    }
-
-    /// The global index of local method `method` (module base + offset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `method` is out of range for this module.
-    pub(crate) fn global_method(&self, method: usize) -> u32 {
-        let modules = self.clk.inner.modules.borrow();
-        let info = &modules[self.id as usize];
-        assert!(method < info.methods.len(), "method index out of range");
-        info.base + u32::try_from(method).expect("method index too large")
     }
 }
 

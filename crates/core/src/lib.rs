@@ -28,13 +28,10 @@
 //! * [`guard`] — guarded methods and rules;
 //! * [`sim`] — the rule scheduler with per-rule firing statistics, a
 //!   liveness watchdog, and structured [`sim::SimError`] diagnostics;
-//! * [`sched`] — the fast-path scheduling machinery: conflict-mask
-//!   footprints and the wakeup layer behind [`sched::SchedulerMode::Fast`],
-//!   the compiled wave plan of [`sched::SchedulerMode::Compiled`], and the
-//!   wave-barrier shard discipline of [`sched::SchedulerMode::Parallel`]
-//!   (the reference one-rule-at-a-time loop stays available as the
-//!   correctness oracle, see `docs/SCHEDULING.md` and
-//!   `docs/PARALLELISM.md`);
+//! * [`sched`] — the fast-path scheduling machinery: the precise conflict
+//!   probe and the wakeup layer behind [`sched::SchedulerMode::Fast`] (the
+//!   reference one-rule-at-a-time loop stays available as the correctness
+//!   oracle, see `docs/SCHEDULING.md`);
 //! * [`snap`] — versioned, byte-stable snapshots: the [`snap::Snap`] /
 //!   [`snap::Snapshot`] codec traits, the writer/reader pair, and the
 //!   kernel-state save/restore used by checkpoint/resume (see
@@ -111,9 +108,7 @@ pub mod prelude {
     pub use crate::prof::{ChromeTrace, CriticalPath, Profiler, RuleProf};
     pub use crate::rng::SplitMix64;
     pub use crate::sched::{SchedulerMode, Wakeup};
-    pub use crate::sim::{
-        DeadlockReport, ParallelismReport, RuleId, RuleStats, RuleWait, Sim, SimError, WaitCause,
-    };
+    pub use crate::sim::{DeadlockReport, RuleId, RuleStats, RuleWait, Sim, SimError, WaitCause};
     pub use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
     pub use crate::telemetry::{Telemetry, TelemetryColumns, TelemetryTap, TelemetryWindow};
     pub use crate::trace::{

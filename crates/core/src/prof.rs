@@ -415,11 +415,7 @@ enum ChromeEvent {
 /// the viewer, but each rule keeps its own thread lane, since two rules of
 /// a module can fire in the same cycle and overlapping duration events on
 /// one lane render poorly. Process 1 ("instructions") holds one thread per
-/// instruction track (a core), fed by [`ChromeTrace::add_span`]. When rule
-/// shards are labeled ([`ChromeTrace::set_rule_shards`], fed from
-/// [`Sim::wave_shards`](crate::sim::Sim::wave_shards) for wave-parallel
-/// profiles), a labeled rule's track moves from pid 0 into its shard's own
-/// process (`SHARD_PID_BASE + shard`, named `shard N (wave N)`). One
+/// instruction track (a core), fed by [`ChromeTrace::add_span`]. One
 /// simulated cycle maps to one microsecond of trace time. Consecutive
 /// firing cycles of a rule coalesce into a single duration event, which
 /// keeps traces of million-cycle runs tractable.
@@ -454,16 +450,7 @@ pub struct ChromeTrace {
     events: Vec<ChromeEvent>,
     cap: usize,
     dropped: u64,
-    /// Rule name → shard (wave) index, set by [`ChromeTrace::set_rule_shards`].
-    /// Labeled rules render under process `SHARD_PID_BASE + shard` instead
-    /// of pid 0, so a wave-parallel profile shows one process per shard.
-    shards: HashMap<String, u32>,
 }
-
-/// First process id used for shard (wave) rule tracks: pid 0 stays the
-/// unsharded "rules" process and pid 1 the "instructions" process, so shard
-/// `k` renders as process `SHARD_PID_BASE + k`.
-pub const SHARD_PID_BASE: u64 = 2;
 
 impl Default for ChromeTrace {
     fn default() -> Self {
@@ -489,34 +476,7 @@ impl ChromeTrace {
             events: Vec::new(),
             cap,
             dropped: 0,
-            shards: HashMap::new(),
         }
-    }
-
-    /// Assigns rules to shards (statically conflict-free waves): each
-    /// `(rule, shard)` pair moves that rule's track from the flat pid-0
-    /// "rules" process into process `SHARD_PID_BASE + shard`, named
-    /// `shard N (wave N)` — so a [`SchedulerMode::Parallel`] profile shows
-    /// the wave structure instead of collapsing every rule into pid 0.
-    /// Feed it [`Sim::wave_shards`]; callable any time before
-    /// [`ChromeTrace::finish_json`] (track pids are resolved at
-    /// serialization, so labeling after the run is fine). Idempotent per
-    /// rule; the last label wins.
-    ///
-    /// [`SchedulerMode::Parallel`]: crate::sched::SchedulerMode::Parallel
-    /// [`Sim::wave_shards`]: crate::sim::Sim::wave_shards
-    pub fn set_rule_shards(&mut self, shards: &[(String, u32)]) {
-        for (rule, shard) in shards {
-            self.shards.insert(rule.clone(), *shard);
-        }
-    }
-
-    /// The pid a rule track serializes under: its shard process when
-    /// labeled, else the flat pid-0 "rules" process.
-    fn rule_pid(&self, name: &str) -> u64 {
-        self.shards
-            .get(name)
-            .map_or(0, |&s| SHARD_PID_BASE + u64::from(s))
     }
 
     fn push_event(&mut self, ev: ChromeEvent) {
@@ -607,24 +567,8 @@ impl ChromeTrace {
         if !self.inst_tracks.is_empty() {
             meta_process(&mut w, 1, "instructions");
         }
-        // Shard processes, ascending (deterministic bytes), only for shards
-        // that own at least one recorded rule track.
-        let mut shard_ids: Vec<u32> = self
-            .rules
-            .iter()
-            .filter_map(|r| self.shards.get(&r.name).copied())
-            .collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        for s in &shard_ids {
-            meta_process(
-                &mut w,
-                SHARD_PID_BASE + u64::from(*s),
-                &format!("shard {s} (wave {s})"),
-            );
-        }
         for r in &self.rules {
-            meta_thread(&mut w, self.rule_pid(&r.name), r.tid, &r.name);
+            meta_thread(&mut w, 0, r.tid, &r.name);
         }
         for (tid, label) in &self.inst_tracks {
             meta_thread(&mut w, 1, *tid, label);
@@ -639,7 +583,7 @@ impl ChromeTrace {
                     w.field_str("ph", "X");
                     w.field_u64("ts", *start);
                     w.field_u64("dur", *dur);
-                    w.field_u64("pid", self.rule_pid(&r.name));
+                    w.field_u64("pid", 0);
                     w.field_u64("tid", u64::from(r.tid));
                     w.end_object();
                 }

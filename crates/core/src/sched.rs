@@ -1,28 +1,21 @@
-//! Fast-path scheduling machinery: method footprints, conflict masks, and
-//! the wakeup/dirty-set layer.
+//! Fast-path scheduling machinery: the scheduler-mode switch and the
+//! wakeup/dirty-set layer.
 //!
 //! The reference scheduler ([`crate::sim::Sim`] in
 //! [`SchedulerMode::Reference`]) realizes the paper's §III semantics in the
 //! most literal way possible: every cycle it evaluates every rule's guard
 //! and runs a full conflict-matrix scan against everything that already
 //! fired. That is the correctness oracle — and the slowest possible
-//! implementation. This module holds the data structures behind the two
-//! optimizations of [`SchedulerMode::Fast`]:
+//! implementation. [`SchedulerMode::Fast`] reaches the same results through
+//! two short-circuits:
 //!
-//! 1. **Static conflict scheduling** — each rule accumulates a *footprint*:
-//!    the set of CM-checked methods (as global indices, see
-//!    [`crate::clock::Clock`]) it has ever called, seeded by
-//!    [`crate::sim::Sim::declare_footprint`] and extended automatically on
-//!    the first evaluation that calls something new. From the footprint and
-//!    the registered [`crate::cm::ConflictMatrix`] entries the kernel derives
-//!    a `bad_earlier` bitmask: every method whose earlier firing could forbid
-//!    one of this rule's calls. A rule whose mask misses everything fired so
-//!    far this cycle is *conflict-free by construction* and commits without
-//!    any dynamic CM scan; rules whose footprints never overlap form the
-//!    conflict-free waves reported by [`crate::sim::Sim::schedule_waves`].
-//!    The mask is conservative (a superset of the methods actually called in
-//!    a given cycle), so a mask hit merely falls back to the full scan — the
-//!    scan, not the mask, decides whether a violation exists.
+//! 1. **Precise conflict probe** — the scheduler keeps, per cycle, the union
+//!    of the forward conflict rows of every method committed so far (one
+//!    bit set over the clock's global method indices). A rule's calls are
+//!    violation-free iff none of them is in that set, so the per-rule
+//!    conflict check is one bit test per call; the full
+//!    [`crate::cm::ConflictMatrix`] scan only runs to *name* a violation
+//!    the probe has already proven to exist.
 //!
 //! 2. **Wakeup-driven guard evaluation** — a rule registered with
 //!    [`Wakeup::Inferred`] or [`Wakeup::Watch`] that stalls goes to *sleep*
@@ -48,33 +41,11 @@ pub enum SchedulerMode {
     /// The literal one-rule-at-a-time loop: every guard evaluated every
     /// cycle, every Ok-rule fully CM-scanned. The correctness oracle.
     Reference,
-    /// Footprint/mask conflict checking plus the wakeup layer. Produces
-    /// cycle-, counter-, and trace-identical results to `Reference` (the
+    /// The precise conflict probe plus the wakeup layer. Produces cycle-,
+    /// counter-, and trace-identical results to `Reference` (the
     /// equivalence property tests in `tests/` assert this).
     #[default]
     Fast,
-    /// The compiled engine: everything `Fast` does, executed through a
-    /// statically partitioned wave plan (ordered conflict-free waves over
-    /// the rule footprints) with a flat dispatch loop. When no chaos
-    /// engine, tracer, profiler, or histogram collection is live the
-    /// per-cycle loop runs a branch-free "plain" lane that skips whole
-    /// waves whose watched cells published nothing; with instrumentation
-    /// attached it falls back to the (equivalent) instrumented lane.
-    /// Cycle-, counter-, and trace-identical to `Reference`.
-    Compiled,
-    /// The wave-parallel engine: the compiled wave plan executed under the
-    /// deterministic wave-barrier discipline described in
-    /// `docs/PARALLELISM.md` — fixed barriers between conflict-free waves,
-    /// commits merged in canonical rule order, and per-wave (shard) stall /
-    /// fire / conflict accumulators folded into the shared counters only at
-    /// each barrier. The kernel state is thread-confined by construction
-    /// (`Rc`-based cells), so within one `Sim` the discipline runs on the
-    /// owning thread; host-thread scale-out comes from running many
-    /// thread-confined `Sim`s through the fleet runner (`riscy-bench`).
-    /// This mode additionally records wave-occupancy statistics
-    /// ([`crate::sim::Sim::parallelism_report`]). Cycle-, counter-, and
-    /// trace-identical to `Reference`.
-    Parallel,
 }
 
 /// When a stalled rule's guard is re-evaluated (fast scheduler only).
@@ -156,13 +127,6 @@ impl BitSet {
             .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// Sets every bit that is set in `other`.
     pub fn union_with(&mut self, other: &BitSet) {
         if other.words.len() > self.words.len() {
@@ -197,11 +161,6 @@ pub(crate) struct RuleSched {
     /// Set when the rule is woken; cleared by its next evaluation, which
     /// judges whether the wake was useful (fire) or wasted (stall).
     pub just_woke: bool,
-    /// Global method indices this rule is known to call.
-    pub footprint: BitSet,
-    /// Methods whose earlier firing could forbid one of the footprint's
-    /// calls (conservative: derived from the whole footprint).
-    pub bad_earlier: BitSet,
 }
 
 impl RuleSched {
@@ -212,8 +171,6 @@ impl RuleSched {
             stall_streak: 0,
             sleep_thresh: 1,
             just_woke: false,
-            footprint: BitSet::new(),
-            bad_earlier: BitSet::new(),
         }
     }
 
@@ -244,19 +201,6 @@ impl RuleSched {
             false
         }
     }
-
-    /// Adds global method `c` to the footprint, folding its conflict row
-    /// into `bad_earlier`. Returns whether the footprint actually grew (the
-    /// compiled engine invalidates its wave plan on growth).
-    pub fn add_method(&mut self, clk: &crate::clock::Clock, c: u32) -> bool {
-        if self.footprint.contains(c) {
-            return false;
-        }
-        self.footprint.set(c);
-        let bad = &mut self.bad_earlier;
-        clk.for_each_bad_earlier(c, |m| bad.set(m));
-        true
-    }
 }
 
 #[cfg(test)]
@@ -264,30 +208,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bitset_set_contains_intersects() {
+    fn bitset_set_contains_reset() {
         let mut a = BitSet::new();
-        let mut b = BitSet::new();
         a.set(3);
         a.set(130);
         assert!(a.contains(3) && a.contains(130));
         assert!(!a.contains(4) && !a.contains(131));
-        b.set(64);
-        assert!(!a.intersects(&b));
-        b.set(130);
-        assert!(a.intersects(&b));
         a.reset(8);
         assert!(!a.contains(3), "reset clears");
     }
 
     #[test]
-    fn bitset_intersects_handles_length_mismatch() {
+    fn bitset_union_handles_length_mismatch() {
         let mut a = BitSet::new();
         let mut b = BitSet::new();
         a.set(1);
         b.set(500);
-        assert!(!a.intersects(&b));
-        assert!(!b.intersects(&a));
-        b.set(1);
-        assert!(a.intersects(&b));
+        a.union_with(&b);
+        assert!(a.contains(1) && a.contains(500), "the shorter side grows");
+        b.union_with(&a);
+        assert!(b.contains(1) && b.contains(500));
+        assert!(!b.contains(2) && !b.contains(499));
     }
 }

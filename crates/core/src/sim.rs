@@ -16,34 +16,25 @@
 //! per-rule statistics so CM choices show up as measurable performance
 //! differences (paper §IV-C/D).
 //!
-//! # Four schedulers, one semantics
+//! # Two schedulers, one semantics
 //!
-//! [`Sim`] ships four per-cycle loops selected by [`Sim::set_scheduler`]:
+//! [`Sim`] ships two per-cycle loops selected by [`Sim::set_scheduler`]:
 //!
 //! * [`SchedulerMode::Reference`] — the literal loop described above:
 //!   every guard evaluated every cycle, every successful rule fully
 //!   CM-scanned against everything fired before it. Slow, obviously
 //!   correct; kept as the oracle.
 //! * [`SchedulerMode::Fast`] (default) — the same observable behavior via
-//!   two short-circuits: a per-rule *footprint/conflict-mask* check that
-//!   lets rules whose methods cannot conflict with anything fired so far
-//!   commit without a dynamic CM scan, and a *wakeup layer*
+//!   two short-circuits: a precise *fired-forbidden* bit probe that lets
+//!   rules whose calls cannot conflict with anything fired so far commit
+//!   without a dynamic CM scan, and a *wakeup layer*
 //!   ([`Sim::set_wakeup`]) that skips re-evaluating a stalled guard until
 //!   one of the state cells it read publishes a committed write. Skipped
 //!   evaluations are accounted as guard stalls with the cached reason, so
 //!   statistics, counters, and trace streams are identical to the
 //!   reference scheduler (property-tested in `tests/sched_equivalence.rs`).
-//! * [`SchedulerMode::Compiled`] — everything `Fast` does, executed through
-//!   a statically partitioned wave plan with whole-wave skips and a
-//!   branch-free plain lane.
-//! * [`SchedulerMode::Parallel`] — the compiled wave plan run under the
-//!   wave-barrier shard discipline (per-wave counter accumulators folded at
-//!   each barrier, wave-occupancy accounting via
-//!   [`Sim::parallelism_report`]) — the determinism contract host-thread
-//!   scale-out builds on; see `docs/PARALLELISM.md`.
 //!
-//! All four are cycle-, counter-, and trace-identical; see
-//! `docs/SCHEDULING.md` for the full design and equivalence argument.
+//! See `docs/SCHEDULING.md` for the full design and equivalence argument.
 //!
 //! # Watchdog and structured errors
 //!
@@ -73,7 +64,7 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::chaos::{FaultEngine, RuleFault, CHAOS_ABORT_REASON, CHAOS_STALL_REASON};
-use crate::clock::{Clock, CmViolation, ModuleIfc};
+use crate::clock::{Clock, CmViolation};
 use crate::guard::Guarded;
 use crate::prof::{CausalEdge, EdgeKind, Profiler};
 use crate::sched::{BitSet, RuleSched, SchedulerMode, Sleep, Wakeup};
@@ -263,7 +254,7 @@ struct RuleEntry<S> {
     /// Per-CM-edge stall histogram, keyed by the rendered violation. Only
     /// maintained after [`Sim::enable_stall_histograms`].
     cm_reasons: BTreeMap<String, u64>,
-    /// Fast-scheduler state: footprint, conflict mask, wakeup/sleep.
+    /// Fast-scheduler state: wakeup policy and sleep hysteresis.
     sched: RuleSched,
 }
 
@@ -486,13 +477,6 @@ fn add_watcher(
     clk.set_cell_watched(cell);
 }
 
-/// Could these two rules ever conflict in a cycle, judging by their
-/// footprints? Used by [`Sim::schedule_waves`].
-fn rules_conflict<S>(a: &RuleEntry<S>, b: &RuleEntry<S>) -> bool {
-    a.sched.bad_earlier.intersects(&b.sched.footprint)
-        || b.sched.bad_earlier.intersects(&a.sched.footprint)
-}
-
 /// A complete CMD design: user state `S` (the module tree), a [`Clock`], and
 /// the registered rules.
 ///
@@ -576,66 +560,6 @@ pub struct Sim<S> {
     /// (u32::MAX = nobody yet). Maintained only while profiling, to turn a
     /// CM stall into a rule→rule causality edge.
     owner_scratch: Vec<u32>,
-    /// The compiled engine's execution plan: contiguous, statically
-    /// conflict-free wave ranges over the canonical schedule, with a live
-    /// count of sleeping members per wave (see [`Sim::cycle_compiled`]).
-    plan_waves: Vec<WaveState>,
-    /// Set whenever something invalidates `plan_waves` — a new rule, a
-    /// wakeup/scheduler change, footprint growth, or a cycle run by any
-    /// other loop (which moves sleep state without maintaining the per-wave
-    /// counts). The plan is rebuilt lazily at the next compiled cycle.
-    plan_stale: bool,
-    /// Wave-occupancy accounting maintained by [`SchedulerMode::Parallel`]
-    /// (zeroed otherwise): how much of the plan's width the barrier
-    /// discipline actually exposes per cycle.
-    par: ParallelismReport,
-}
-
-/// One wave of the compiled plan: rules `start..end` of the canonical
-/// schedule, pairwise statically conflict-free, with `asleep` of them
-/// currently sleeping. When `asleep` covers the whole range and nothing has
-/// published since the last drain, the engine skips the wave wholesale.
-#[derive(Clone, Copy)]
-struct WaveState {
-    start: u32,
-    end: u32,
-    asleep: u32,
-}
-
-/// Wave-occupancy statistics recorded by [`SchedulerMode::Parallel`]: how
-/// much rule-level parallelism the wave-barrier discipline exposed over the
-/// run. Rules inside one wave are statically conflict-free (the
-/// parallelization contract of `docs/PARALLELISM.md`), so `rules_dispatched
-/// / waves_executed` is the mean number of rules a threaded host could have
-/// evaluated concurrently between two barriers, and `widest_wave` the peak.
-/// All fields are zero unless the sim ran under `Parallel`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelismReport {
-    /// Cycles executed by the wave-parallel engine's plain lane.
-    pub cycles: u64,
-    /// Waves that dispatched at least one rule (barriers crossed with work).
-    pub waves_executed: u64,
-    /// Fully sleeping waves skipped wholesale at the barrier.
-    pub waves_skipped: u64,
-    /// Rule evaluations dispatched between barriers (sleeping members of a
-    /// partially awake wave are not dispatched and not counted).
-    pub rules_dispatched: u64,
-    /// Largest number of rules dispatched inside a single wave.
-    pub widest_wave: u32,
-}
-
-impl ParallelismReport {
-    /// Mean rules dispatched per executed wave — the average width a
-    /// threaded host could exploit between barriers. Zero before any
-    /// parallel cycle ran.
-    #[must_use]
-    pub fn mean_wave_width(&self) -> f64 {
-        if self.waves_executed == 0 {
-            0.0
-        } else {
-            self.rules_dispatched as f64 / self.waves_executed as f64
-        }
-    }
 }
 
 impl<S> Sim<S> {
@@ -676,9 +600,6 @@ impl<S> Sim<S> {
             tel: None,
             tel_tap: None,
             owner_scratch: Vec::new(),
-            plan_waves: Vec::new(),
-            plan_stale: true,
-            par: ParallelismReport::default(),
         }
     }
 
@@ -737,7 +658,6 @@ impl<S> Sim<S> {
         });
         self.wake_flags.push(false);
         self.sleep_gens.push(0);
-        self.plan_stale = true;
         id
     }
 
@@ -750,7 +670,6 @@ impl<S> Sim<S> {
         for i in 0..self.rules.len() {
             self.clear_sleep(i);
         }
-        self.plan_stale = true;
     }
 
     /// Keeps the clock's publish logging in sync with whether anyone could
@@ -759,13 +678,11 @@ impl<S> Sim<S> {
     /// configuration logging would tax each committed write to grow a
     /// buffer nobody reads.
     fn sync_wake_log(&mut self) {
-        let on = matches!(
-            self.mode,
-            SchedulerMode::Fast | SchedulerMode::Compiled | SchedulerMode::Parallel
-        ) && self
-            .rules
-            .iter()
-            .any(|r| !matches!(r.sched.wakeup, Wakeup::EveryCycle));
+        let on = self.mode == SchedulerMode::Fast
+            && self
+                .rules
+                .iter()
+                .any(|r| !matches!(r.sched.wakeup, Wakeup::EveryCycle));
         self.any_wakeup = on;
         self.clk.set_wake_log(on);
         self.pub_seen = self.clk.publish_count();
@@ -858,16 +775,16 @@ impl<S> Sim<S> {
     /// Restores kernel state saved by [`Sim::save_kernel`] into a freshly
     /// constructed design with the same rule schedule and counter registry.
     ///
-    /// All rules wake, the compiled plan is invalidated, and the wakeup
-    /// layer restarts from a clean slate — the same template scheduler
-    /// switching uses, already proven observation-invariant.
+    /// All rules wake and the wakeup layer restarts from a clean slate —
+    /// the same template scheduler switching uses, already proven
+    /// observation-invariant.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Mismatch`] if the snapshot's rule schedule or counter
-    /// registry differs from this design's; [`SnapError::Truncated`] /
-    /// [`SnapError::Corrupt`] on malformed bytes. On error the kernel may
-    /// be partially restored and must be discarded.
+    /// [`SnapError::Mismatch`] if the snapshot's rule schedule, counter
+    /// registry or telemetry columns differ from this design's;
+    /// [`SnapError::Truncated`] / [`SnapError::Corrupt`] on malformed bytes.
+    /// On error the kernel may be partially restored and must be discarded.
     pub fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.snapshot_supported()?;
         let cycles = r.u64()?;
@@ -897,15 +814,38 @@ impl<S> Sim<S> {
         }
         self.counters.snap_restore(r)?;
         let had_tel = bool::load(r)?;
-        match (had_tel, self.tel.as_deref_mut()) {
-            (false, None) => {}
-            (true, Some(t)) => t.adopt(Telemetry::load(r)?)?,
-            (true, None) => {
+        match (had_tel, self.tel.is_some()) {
+            (false, false) => {}
+            (true, true) => {
+                let loaded = Telemetry::load(r)?;
+                // The ring is positional: a snapshot whose frozen columns
+                // are not the ones this design samples (an older build, a
+                // different tap) must be refused here, not at the next
+                // window boundary.
+                let snap = loaded.columns();
+                if !snap.is_empty() {
+                    let here = self.telemetry_columns();
+                    let here: Vec<&String> = here.iter().map(|(n, _)| n).collect();
+                    let n = snap.len().max(here.len());
+                    if let Some(i) = (0..n).find(|&i| snap.get(i) != here.get(i).copied()) {
+                        return Err(SnapError::Mismatch(format!(
+                            "telemetry column {i} differs: snapshot has {:?}, this design samples {:?}",
+                            snap.get(i),
+                            here.get(i),
+                        )));
+                    }
+                }
+                self.tel
+                    .as_mut()
+                    .expect("telemetry enabled")
+                    .adopt(loaded)?;
+            }
+            (true, false) => {
                 return Err(SnapError::Mismatch(
                     "snapshot carries telemetry but telemetry is not enabled here".into(),
                 ));
             }
-            (false, Some(_)) => {
+            (false, true) => {
                 return Err(SnapError::Mismatch(
                     "telemetry is enabled but the snapshot carries none".into(),
                 ));
@@ -924,9 +864,7 @@ impl<S> Sim<S> {
         self.quiet_cycles = quiet;
         self.clk.restore_cycle(clk_cycle);
         self.last_violation = None;
-        self.par = ParallelismReport::default();
         self.sync_wake_log();
-        self.plan_stale = true;
         Ok(())
     }
 
@@ -969,10 +907,10 @@ impl<S> Sim<S> {
 
     /// Turns on windowed telemetry sampling (see [`crate::telemetry`]):
     /// every `window` cycles the sampler closes a window of per-column
-    /// deltas — registry counters plus the wave-occupancy totals plus any
-    /// tap columns — into a ring of at most `cap` windows. Purely
-    /// observational: an enabled run is cycle- and counter-identical to a
-    /// disabled one, and the disabled cost is one branch per cycle.
+    /// deltas — registry counters plus any tap columns — into a ring of at
+    /// most `cap` windows. Purely observational: an enabled run is cycle-
+    /// and counter-identical to a disabled one, and the disabled cost is
+    /// one branch per cycle.
     ///
     /// Enable telemetry (and any instrument that contributes columns,
     /// like the tap) *before* running: the column layout freezes at the
@@ -1014,8 +952,8 @@ impl<S> Sim<S> {
     }
 
     /// Assembles the cumulative telemetry column vector: the (sorted)
-    /// registry-counter snapshot under the sampler's prefix filter, the
-    /// wave-occupancy totals, then the tap's columns.
+    /// registry-counter snapshot under the sampler's prefix filter, then
+    /// the tap's columns.
     fn telemetry_columns(&self) -> Vec<(String, u64)> {
         let tel = self.tel.as_deref().expect("telemetry enabled");
         let mut cols: Vec<(String, u64)> = self
@@ -1024,9 +962,6 @@ impl<S> Sim<S> {
             .into_iter()
             .filter(|(n, _)| tel.keeps(n))
             .collect();
-        cols.push(("par.waves_executed".into(), self.par.waves_executed));
-        cols.push(("par.waves_skipped".into(), self.par.waves_skipped));
-        cols.push(("par.rules_dispatched".into(), self.par.rules_dispatched));
         if let Some(tap) = &self.tel_tap {
             cols.extend(tap(&self.state));
         }
@@ -1075,8 +1010,6 @@ impl<S> Sim<S> {
             match self.mode {
                 SchedulerMode::Reference => "reference",
                 SchedulerMode::Fast => "fast",
-                SchedulerMode::Compiled => "compiled",
-                SchedulerMode::Parallel => "parallel",
             },
         );
         w.key("profiling");
@@ -1167,162 +1100,6 @@ impl<S> Sim<S> {
         self.rules[id.0].sched.wakeup = wakeup;
         self.clear_sleep(id.0);
         self.sync_wake_log();
-        self.plan_stale = true;
-    }
-
-    /// Seeds `rule`'s static footprint with `methods` of `ifc`, so its very
-    /// first firing can already use the conflict-mask fast path instead of a
-    /// full CM scan. Purely a hint: the kernel extends footprints
-    /// automatically the first time a rule calls a method not yet declared,
-    /// and a call outside the footprint always falls back to the full scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this `Sim` or a method index is out
-    /// of range for `ifc`.
-    pub fn declare_footprint(&mut self, id: RuleId, ifc: &ModuleIfc, methods: &[usize]) {
-        let entry = &mut self.rules[id.0];
-        for &m in methods {
-            entry.sched.add_method(&self.clk, ifc.global_method(m));
-        }
-        self.plan_stale = true;
-    }
-
-    /// The static wave partition as contiguous half-open ranges over the
-    /// canonical schedule.
-    ///
-    /// A rule joins the current wave unless it *interferes* with any member:
-    /// its `bad_earlier` mask hits the wave's accumulated footprint, or the
-    /// wave's accumulated `bad_earlier` hits its footprint. Because
-    /// intersection distributes over the accumulated unions, this is exactly
-    /// the pairwise [`rules_conflict`] test against every wave member — a
-    /// whole-wave interference pass in O(rules × mask words), not just a
-    /// check against the previous rule. Waves stay contiguous on purpose:
-    /// the engine always executes rules in canonical order (EHR port
-    /// semantics make order observable), so a wave is a *skip and
-    /// parallelism* boundary, never a reordering.
-    fn wave_ranges(&self) -> Vec<(usize, usize)> {
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut wave_fp = BitSet::new();
-        let mut wave_bad = BitSet::new();
-        let mut start = 0usize;
-        for (i, r) in self.rules.iter().enumerate() {
-            if i > start
-                && (r.sched.bad_earlier.intersects(&wave_fp)
-                    || wave_bad.intersects(&r.sched.footprint))
-            {
-                ranges.push((start, i));
-                start = i;
-                wave_fp.reset(0);
-                wave_bad.reset(0);
-            }
-            wave_fp.union_with(&r.sched.footprint);
-            wave_bad.union_with(&r.sched.bad_earlier);
-        }
-        if start < self.rules.len() {
-            ranges.push((start, self.rules.len()));
-        }
-        // The accumulated-mask test is the all-pairs interference test:
-        // intersection distributes over the running unions. Checked against
-        // the pairwise definition in debug builds.
-        debug_assert!(ranges.iter().all(|&(s, e)| {
-            (s..e).all(|i| (s..i).all(|j| !rules_conflict(&self.rules[i], &self.rules[j])))
-        }));
-        ranges
-    }
-
-    /// Groups the schedule into conflict-free waves: consecutive rules whose
-    /// footprints can never produce a CM violation against each other, so
-    /// within a wave every rule takes the no-scan commit path regardless of
-    /// what the others do. Reflects current footprint knowledge (seeded via
-    /// [`Sim::declare_footprint`] plus everything observed so far), so it is
-    /// most meaningful after a warm-up run. This is the same partition the
-    /// compiled engine executes ([`SchedulerMode::Compiled`]); returns rule
-    /// indices into the canonical schedule.
-    #[must_use]
-    pub fn schedule_wave_indices(&self) -> Vec<Vec<usize>> {
-        self.wave_ranges()
-            .into_iter()
-            .map(|(s, e)| (s..e).collect())
-            .collect()
-    }
-
-    /// [`Sim::schedule_wave_indices`] with indices resolved to rule names,
-    /// for reports and diagnostics.
-    #[must_use]
-    pub fn schedule_waves(&self) -> Vec<Vec<String>> {
-        self.wave_ranges()
-            .into_iter()
-            .map(|(s, e)| self.rules[s..e].iter().map(|r| r.name.clone()).collect())
-            .collect()
-    }
-
-    /// Wave-occupancy statistics accumulated by [`SchedulerMode::Parallel`]
-    /// plain-lane cycles (all-zero if the sim never ran under `Parallel`).
-    /// See [`ParallelismReport`] and `docs/PARALLELISM.md`.
-    #[must_use]
-    pub fn parallelism_report(&self) -> ParallelismReport {
-        self.par
-    }
-
-    /// Maps every rule to its shard — the index of the statically
-    /// conflict-free wave it belongs to (the same partition
-    /// [`Sim::schedule_wave_indices`] reports). This is the track grouping
-    /// the Chrome-trace exporter uses so parallel-mode profiles show one
-    /// process per shard instead of collapsing into pid 0
-    /// ([`crate::prof::ChromeTrace::set_rule_shards`]). Reflects current
-    /// footprint knowledge, so call it after the run.
-    #[must_use]
-    pub fn wave_shards(&self) -> Vec<(String, u32)> {
-        self.wave_ranges()
-            .into_iter()
-            .enumerate()
-            .flat_map(|(wv, (s, e))| {
-                let wv = u32::try_from(wv).expect("wave index");
-                self.rules[s..e]
-                    .iter()
-                    .map(move |r| (r.name.clone(), wv))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Rebuilds the compiled plan from the current partition and sleep
-    /// state. Cheap (one pass over the rules), so staleness is resolved
-    /// lazily at the next compiled cycle rather than tracked precisely.
-    fn rebuild_plan(&mut self) {
-        let ranges = self.wave_ranges();
-        self.plan_waves.clear();
-        for (s, e) in ranges {
-            // Refine each conflict-free range at sleepable/EveryCycle
-            // boundaries: a wave containing an `EveryCycle` rule can never
-            // be skipped (such rules never sleep), and on a CM-free design
-            // the whole schedule is one conflict-free range — which would
-            // otherwise bury every sleeper in an unskippable mega-wave.
-            // Execution order is unchanged; waves are consecutive ranges
-            // either way, so the split only sharpens skip granularity.
-            let mut s = s;
-            while s < e {
-                let sleepable = !matches!(self.rules[s].sched.wakeup, Wakeup::EveryCycle);
-                let mut t = s + 1;
-                while t < e
-                    && !matches!(self.rules[t].sched.wakeup, Wakeup::EveryCycle) == sleepable
-                {
-                    t += 1;
-                }
-                let asleep = self.rules[s..t]
-                    .iter()
-                    .filter(|r| r.sched.sleep.is_some())
-                    .count();
-                self.plan_waves.push(WaveState {
-                    start: u32::try_from(s).expect("rule index"),
-                    end: u32::try_from(t).expect("rule index"),
-                    asleep: u32::try_from(asleep).expect("rule index"),
-                });
-                s = t;
-            }
-        }
-        self.plan_stale = false;
     }
 
     /// Excludes a rule from the watchdog's notion of forward progress.
@@ -1365,8 +1142,6 @@ impl<S> Sim<S> {
         match self.mode {
             SchedulerMode::Reference => self.cycle_reference(),
             SchedulerMode::Fast => self.cycle_fast(),
-            SchedulerMode::Compiled => self.cycle_plan::<false>(),
-            SchedulerMode::Parallel => self.cycle_plan::<true>(),
         }
     }
 
@@ -1514,22 +1289,41 @@ impl<S> Sim<S> {
     }
 
     /// The fast loop: same observable behavior as [`Sim::cycle_reference`]
-    /// via the conflict-mask and wakeup short-circuits (see module docs and
-    /// `docs/SCHEDULING.md` for the equivalence argument).
+    /// via the fired-forbidden probe and wakeup short-circuits (see module
+    /// docs and `docs/SCHEDULING.md` for the equivalence argument).
+    ///
+    /// One body, two instantiations, picked per cycle from what is attached:
+    /// with a chaos engine, tracer, stall histograms or the profiler live the
+    /// cycle runs `OBS = true`; otherwise `OBS = false` compiles every
+    /// observer branch out (chaos verdicts, timestamps, publisher tagging,
+    /// skip records, histogram inserts, trace emits) — the lane plain runs
+    /// take, monomorphized the way [`Sim::cycle_reference`] is on `PROF`.
     fn cycle_fast(&mut self) -> Result<(), SimError> {
+        if self.chaos.is_some()
+            || self.tracer.is_enabled()
+            || self.collect_hist
+            || self.prof.is_some()
+        {
+            self.cycle_fast_impl::<true>()
+        } else {
+            self.cycle_fast_impl::<false>()
+        }
+    }
+
+    fn cycle_fast_impl<const OBS: bool>(&mut self) -> Result<(), SimError> {
         let now = self.clk.cycle();
-        let chaos = self.chaos.clone();
+        let chaos = if OBS { self.chaos.clone() } else { None };
         let mut fired_any = false;
         let mut conflict: Option<SimError> = None;
-        let tracing = self.tracer.is_enabled();
-        let hist = self.collect_hist;
-        let prof_on = self.prof.is_some();
+        let tracing = OBS && self.tracer.is_enabled();
+        let hist = OBS && self.collect_hist;
+        let prof_on = OBS && self.prof.is_some();
         // A design that registered no CM-checked modules has nothing to
-        // conflict: skip the whole conflict-mask apparatus (call
-        // collection, footprint learning, probe, forbid-set unions). This
-        // is what keeps Fast from losing to Reference on CM-free designs
-        // like the RiscyOO SoC, whose modules enforce ordering through EHR
-        // port choice instead of conflict matrices.
+        // conflict: skip the whole conflict-probe apparatus (call
+        // collection, probe, forbid-set unions). This is what keeps Fast
+        // from losing to Reference on CM-free designs like the RiscyOO SoC,
+        // whose modules enforce ordering through EHR port choice instead of
+        // conflict matrices.
         let no_cm = self.clk.total_methods() == 0;
         if !no_cm {
             self.fired_forbidden
@@ -1641,13 +1435,15 @@ impl<S> Sim<S> {
                     // the profiler live, account per cycle so its skip
                     // counts stay exact too.
                     self.ctr_guard.inc();
-                    if let Some(p) = self.prof.as_mut() {
-                        settle_sleep(entry, now);
-                        entry.stats.guard_stalls += 1;
-                        if let Some(sleep) = &mut entry.sched.sleep {
-                            sleep.since = now + 1;
+                    if OBS {
+                        if let Some(p) = self.prof.as_mut() {
+                            settle_sleep(entry, now);
+                            entry.stats.guard_stalls += 1;
+                            if let Some(sleep) = &mut entry.sched.sleep {
+                                sleep.since = now + 1;
+                            }
+                            p.record_skip(i);
                         }
-                        p.record_skip(i);
                     }
                     continue;
                 }
@@ -1678,11 +1474,6 @@ impl<S> Sim<S> {
                         None
                     } else {
                         self.clk.calls_global(&mut calls);
-                        // Footprint learning feeds [`Sim::schedule_waves`];
-                        // the firing decision below no longer depends on it.
-                        for &c in &calls {
-                            entry.sched.add_method(&self.clk, c);
-                        }
                         // Precise conflict test, one bit probe per call: a
                         // violation exists iff some call is in the forbidden
                         // set accumulated from everything committed earlier
@@ -1698,8 +1489,10 @@ impl<S> Sim<S> {
                     if let Some(v) = violation {
                         self.clk.abort_rule();
                         account_cm_stall(entry, &self.tracer, tracing, hist, &self.ctr_cm, now, &v);
-                        if let Some(p) = self.prof.as_mut() {
-                            push_cm_edge(p, &self.clk, &self.owner_scratch, i, now);
+                        if OBS {
+                            if let Some(p) = self.prof.as_mut() {
+                                push_cm_edge(p, &self.clk, &self.owner_scratch, i, now);
+                            }
                         }
                         self.last_violation = Some(v);
                     } else {
@@ -1801,62 +1594,27 @@ impl<S> Sim<S> {
                         );
                         let gen = self.sleep_gens[i];
                         let rule = u32::try_from(i).expect("rule index");
-                        match &entry.sched.wakeup {
-                            Wakeup::EveryCycle => unreachable!(),
-                            Wakeup::Inferred => {
-                                reads.sort_unstable();
-                                reads.dedup();
-                                for &c in &reads {
-                                    add_watcher(
-                                        &self.clk,
-                                        &mut self.watchers,
-                                        &self.sleep_gens,
-                                        nrules,
-                                        c,
-                                        rule,
-                                        gen,
-                                    );
-                                }
-                            }
-                            Wakeup::Watch(ids) => {
-                                for c in ids {
-                                    add_watcher(
-                                        &self.clk,
-                                        &mut self.watchers,
-                                        &self.sleep_gens,
-                                        nrules,
-                                        c.0,
-                                        rule,
-                                        gen,
-                                    );
-                                }
-                            }
-                            Wakeup::InferredPlus(ids) => {
-                                reads.sort_unstable();
-                                reads.dedup();
-                                for &c in &reads {
-                                    add_watcher(
-                                        &self.clk,
-                                        &mut self.watchers,
-                                        &self.sleep_gens,
-                                        nrules,
-                                        c,
-                                        rule,
-                                        gen,
-                                    );
-                                }
-                                for c in ids {
-                                    add_watcher(
-                                        &self.clk,
-                                        &mut self.watchers,
-                                        &self.sleep_gens,
-                                        nrules,
-                                        c.0,
-                                        rule,
-                                        gen,
-                                    );
-                                }
-                            }
+                        let mut watch = |cell: u32| {
+                            add_watcher(
+                                &self.clk,
+                                &mut self.watchers,
+                                &self.sleep_gens,
+                                nrules,
+                                cell,
+                                rule,
+                                gen,
+                            );
+                        };
+                        // Traced reads if the policy infers, then the
+                        // explicit cells if it names any.
+                        if infer {
+                            reads.sort_unstable();
+                            reads.dedup();
+                            reads.iter().copied().for_each(&mut watch);
+                        }
+                        if let Wakeup::Watch(ids) | Wakeup::InferredPlus(ids) = &entry.sched.wakeup
+                        {
+                            ids.iter().map(|c| c.0).for_each(&mut watch);
                         }
                         entry.sched.sleep = Some(Sleep { since: now + 1 });
                     }
@@ -1874,352 +1632,6 @@ impl<S> Sim<S> {
         self.calls_scratch = calls;
         self.reads_scratch = reads;
         self.finish_cycle(fired_any, conflict, chaos.as_ref(), now)
-    }
-
-    /// The compiled loop: the fast scheduler's semantics executed through
-    /// the static wave plan. Shared by [`SchedulerMode::Compiled`]
-    /// (`PAR = false`) and [`SchedulerMode::Parallel`] (`PAR = true`).
-    ///
-    /// Specialized lanes, selected once per cycle: with a chaos engine,
-    /// tracer, profiler, or stall histograms live, the cycle runs through
-    /// the fully instrumented loop ([`Sim::cycle_fast`], which carries all
-    /// the bookkeeping and is property-tested equivalent to the oracle).
-    /// Otherwise the *plain lane* below runs: a flat in-order walk of the
-    /// contiguous wave ranges with every instrumentation branch removed,
-    /// sleeping-rule checks reduced to one publish-count compare, and whole
-    /// waves skipped when every member sleeps and nothing has published —
-    /// per-rule statistics and counters are still maintained exactly
-    /// (they are part of the observable contract), so switching lanes or
-    /// modes at any cycle boundary is invisible.
-    ///
-    /// Under `PAR` the loop additionally runs the wave-barrier *shard*
-    /// discipline of `docs/PARALLELISM.md`: the shared fired/guard/CM
-    /// counters are not touched while a wave is in flight — each wave
-    /// accumulates into private shard counters that are folded into the
-    /// shared registry only at the wave barrier, exactly as a per-thread
-    /// shard would have to. Nothing user-visible can observe counters
-    /// mid-cycle (accessors run between cycles), so the fold point is
-    /// unobservable and the mode stays bit-identical to the oracle; the
-    /// equivalence suites assert it. `PAR` also records wave-occupancy
-    /// statistics ([`Sim::parallelism_report`]).
-    fn cycle_plan<const PAR: bool>(&mut self) -> Result<(), SimError> {
-        if self.chaos.is_some()
-            || self.tracer.is_enabled()
-            || self.collect_hist
-            || self.prof.is_some()
-        {
-            // Instrumented lane. It moves sleep state without maintaining
-            // the per-wave sleep counts, so the plan is rebuilt on the next
-            // plain cycle.
-            self.plan_stale = true;
-            return self.cycle_fast();
-        }
-        if self.plan_stale {
-            self.rebuild_plan();
-        }
-        let now = self.clk.cycle();
-        let mut fired_any = false;
-        let mut conflict: Option<SimError> = None;
-        // CM-free designs (e.g. the RiscyOO SoC: ordering via EHR ports,
-        // no conflict matrices) skip the conflict apparatus entirely.
-        let no_cm = self.clk.total_methods() == 0;
-        if !no_cm {
-            self.fired_forbidden
-                .reset(self.clk.total_methods() as usize);
-        }
-        let mut calls = std::mem::take(&mut self.calls_scratch);
-        let mut reads = std::mem::take(&mut self.reads_scratch);
-        let nrules = self.rules.len();
-        let mut grew = false;
-        if self.any_wakeup {
-            drain_wakeups(
-                &self.clk,
-                &mut self.watchers,
-                &self.sleep_gens,
-                &mut self.wake_flags,
-                &mut self.pub_seen,
-                &mut self.prof,
-                now,
-            );
-        }
-        if PAR {
-            self.par.cycles += 1;
-        }
-        for w in 0..self.plan_waves.len() {
-            let WaveState { start, end, asleep } = self.plan_waves[w];
-            let (start, end) = (start as usize, end as usize);
-            // Shard accumulators (PAR only): the wave's private counter
-            // state, folded into the shared registry at the barrier below.
-            let mut w_fired = 0u64;
-            let mut w_guard = 0u64;
-            let mut w_cm = 0u64;
-            let mut w_dispatched = 0u32;
-            // Wave skip: every member is asleep and — after folding any
-            // fresh publishes into the wake flags (the drain early-outs
-            // when nothing published) — none of them has a wake pending.
-            // Each member would re-stall with its cached reason; replay the
-            // accounting in bulk without dispatching anyone.
-            if asleep as usize == end - start {
-                drain_wakeups(
-                    &self.clk,
-                    &mut self.watchers,
-                    &self.sleep_gens,
-                    &mut self.wake_flags,
-                    &mut self.pub_seen,
-                    &mut self.prof,
-                    now,
-                );
-                if !self.wake_flags[start..end].iter().any(|&f| f) {
-                    // Per-rule statistics are batched (settled from
-                    // `Sleep::since` at wake/observation); only the shared
-                    // stall counter is bumped, so a fully sleeping wave
-                    // costs one drained-flag scan and one add regardless
-                    // of its size.
-                    self.ctr_guard.add((end - start) as u64);
-                    if PAR {
-                        self.par.waves_skipped += 1;
-                    }
-                    continue;
-                }
-            }
-            for i in start..end {
-                if self.rules[i].sched.sleep.is_some() {
-                    // Lazy drain: an earlier rule may have published a
-                    // watched cell *this* cycle (the schedule-order bypass
-                    // the reference loop would observe). One Cell read in
-                    // the common nothing-new case.
-                    drain_wakeups(
-                        &self.clk,
-                        &mut self.watchers,
-                        &self.sleep_gens,
-                        &mut self.wake_flags,
-                        &mut self.pub_seen,
-                        &mut self.prof,
-                        now,
-                    );
-                    if self.wake_flags[i] {
-                        self.wake_flags[i] = false;
-                        self.sleep_gens[i] = self.sleep_gens[i].wrapping_add(1);
-                        settle_sleep(&mut self.rules[i], now);
-                        self.rules[i].sched.sleep = None;
-                        self.rules[i].sched.just_woke = true;
-                        self.plan_waves[w].asleep -= 1;
-                    } else {
-                        // Still asleep: the cached stall is accounted in
-                        // batch at settlement; only the shared counter is
-                        // bumped per cycle (via the shard under PAR).
-                        if PAR {
-                            w_guard += 1;
-                        } else {
-                            self.ctr_guard.inc();
-                        }
-                        continue;
-                    }
-                }
-                if PAR {
-                    w_dispatched += 1;
-                }
-                let entry = &mut self.rules[i];
-                let infer = matches!(
-                    entry.sched.wakeup,
-                    Wakeup::Inferred | Wakeup::InferredPlus(_)
-                );
-                // Untraced first evaluation; the sleep path below re-runs
-                // the guard traced (see `cycle_fast` for the argument).
-                self.clk.begin_rule();
-                let outcome = (entry.body)(&mut self.state);
-                match outcome {
-                    Ok(()) => {
-                        let violation = if no_cm {
-                            None
-                        } else {
-                            self.clk.calls_global(&mut calls);
-                            for &c in &calls {
-                                grew |= entry.sched.add_method(&self.clk, c);
-                            }
-                            if calls.iter().any(|&c| self.fired_forbidden.contains(c)) {
-                                self.clk.check_cm()
-                            } else {
-                                None
-                            }
-                        };
-                        if let Some(v) = violation {
-                            self.clk.abort_rule();
-                            entry.stats.cm_stalls += 1;
-                            if PAR {
-                                w_cm += 1;
-                            } else {
-                                self.ctr_cm.inc();
-                            }
-                            entry.last_wait = Some(WaitCause::Cm(v.clone()));
-                            self.last_violation = Some(v);
-                        } else {
-                            match self.clk.try_commit_rule() {
-                                Ok(()) => {
-                                    if !no_cm {
-                                        for &c in &calls {
-                                            self.fired_forbidden.union_with(forbid_mask(
-                                                &mut self.forbid_rows,
-                                                &self.clk,
-                                                c,
-                                            ));
-                                        }
-                                    }
-                                    entry.stats.fired += 1;
-                                    if PAR {
-                                        w_fired += 1;
-                                    } else {
-                                        self.ctr_fired.inc();
-                                    }
-                                    entry.last_wait = None;
-                                    if !entry.exempt {
-                                        fired_any = true;
-                                    }
-                                }
-                                Err(reg) => {
-                                    entry.stats.guard_stalls += 1;
-                                    if PAR {
-                                        w_guard += 1;
-                                    } else {
-                                        self.ctr_guard.inc();
-                                    }
-                                    entry.last_wait = Some(WaitCause::Guard(REG_CONFLICT_REASON));
-                                    if conflict.is_none() {
-                                        conflict = Some(SimError::RegConflict {
-                                            cycle: self.cycles,
-                                            rule: entry.name.clone(),
-                                            reg,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(stall) => {
-                        self.clk.abort_rule();
-                        entry.stats.guard_stalls += 1;
-                        if PAR {
-                            w_guard += 1;
-                        } else {
-                            self.ctr_guard.inc();
-                        }
-                        entry.last_wait = Some(WaitCause::Guard(stall.reason()));
-                        let sleepable = !matches!(entry.sched.wakeup, Wakeup::EveryCycle)
-                            && !self.clk.eval_tainted()
-                            && entry.sched.note_stall_should_sleep()
-                            && (!infer || {
-                                self.clk.begin_rule();
-                                self.clk.begin_read_trace();
-                                let second = (entry.body)(&mut self.state);
-                                self.clk.end_read_trace(&mut reads);
-                                self.clk.abort_rule();
-                                second.is_err() && !self.clk.eval_tainted()
-                            });
-                        if sleepable {
-                            // Drain *before* registering watchers: publishes
-                            // predating this evaluation were visible to the
-                            // guard and must not wake it.
-                            drain_wakeups(
-                                &self.clk,
-                                &mut self.watchers,
-                                &self.sleep_gens,
-                                &mut self.wake_flags,
-                                &mut self.pub_seen,
-                                &mut self.prof,
-                                now,
-                            );
-                            let gen = self.sleep_gens[i];
-                            let rule = u32::try_from(i).expect("rule index");
-                            let entry = &mut self.rules[i];
-                            match &entry.sched.wakeup {
-                                Wakeup::EveryCycle => unreachable!(),
-                                Wakeup::Inferred => {
-                                    reads.sort_unstable();
-                                    reads.dedup();
-                                    for &c in &reads {
-                                        add_watcher(
-                                            &self.clk,
-                                            &mut self.watchers,
-                                            &self.sleep_gens,
-                                            nrules,
-                                            c,
-                                            rule,
-                                            gen,
-                                        );
-                                    }
-                                }
-                                Wakeup::Watch(ids) => {
-                                    for c in ids {
-                                        add_watcher(
-                                            &self.clk,
-                                            &mut self.watchers,
-                                            &self.sleep_gens,
-                                            nrules,
-                                            c.0,
-                                            rule,
-                                            gen,
-                                        );
-                                    }
-                                }
-                                Wakeup::InferredPlus(ids) => {
-                                    reads.sort_unstable();
-                                    reads.dedup();
-                                    for &c in &reads {
-                                        add_watcher(
-                                            &self.clk,
-                                            &mut self.watchers,
-                                            &self.sleep_gens,
-                                            nrules,
-                                            c,
-                                            rule,
-                                            gen,
-                                        );
-                                    }
-                                    for c in ids {
-                                        add_watcher(
-                                            &self.clk,
-                                            &mut self.watchers,
-                                            &self.sleep_gens,
-                                            nrules,
-                                            c.0,
-                                            rule,
-                                            gen,
-                                        );
-                                    }
-                                }
-                            }
-                            entry.sched.sleep = Some(Sleep { since: now + 1 });
-                            self.plan_waves[w].asleep += 1;
-                        }
-                    }
-                }
-            }
-            if PAR {
-                // Wave barrier: fold this shard's private accumulators into
-                // the shared registry, in wave (canonical) order. A threaded
-                // host would perform exactly this fold when its workers
-                // rejoin; doing it here keeps the shared counters untouched
-                // while a wave is notionally in flight.
-                self.ctr_fired.add(w_fired);
-                self.ctr_guard.add(w_guard);
-                self.ctr_cm.add(w_cm);
-                if w_dispatched > 0 {
-                    self.par.waves_executed += 1;
-                    self.par.rules_dispatched += u64::from(w_dispatched);
-                    self.par.widest_wave = self.par.widest_wave.max(w_dispatched);
-                } else {
-                    self.par.waves_skipped += 1;
-                }
-            }
-        }
-        if grew {
-            // Footprint learning changed the interference structure; the
-            // wave partition is recomputed before the next compiled cycle.
-            self.plan_stale = true;
-        }
-        self.calls_scratch = calls;
-        self.reads_scratch = reads;
-        self.finish_cycle(fired_any, conflict, None, now)
     }
 
     /// Shared cycle tail: boundary publish, chaos bit flips, watchdog.
@@ -3039,45 +2451,41 @@ mod tests {
     }
 
     #[test]
-    fn schedule_waves_groups_conflict_free_rules() {
-        struct TwoMods {
-            m1: ModuleIfc,
-            m2: ModuleIfc,
-        }
-        let clk = Clock::new();
-        let m1 = clk.module("m1", &["a"], ConflictMatrix::builder(1).build());
-        let m2 = clk.module("m2", &["b"], ConflictMatrix::builder(1).build());
-        let st = TwoMods { m1, m2 };
-        let mut sim = Sim::new(clk, st);
-        let a = sim.rule("on_m1", |s: &mut TwoMods| {
-            s.m1.record(0);
-            Ok(())
-        });
-        let b = sim.rule("on_m2", |s: &mut TwoMods| {
-            s.m2.record(0);
-            Ok(())
-        });
-        let c = sim.rule("on_m1_too", |s: &mut TwoMods| {
-            s.m1.record(0);
-            Ok(())
-        });
-        // Footprints can be declared up front instead of learned.
-        let (ifc1, ifc2) = {
-            let s = sim.state();
-            (s.m1.clone(), s.m2.clone())
+    fn restore_refuses_a_telemetry_column_skew() {
+        let build = |tap: bool| {
+            let clk = Clock::new();
+            let n = Ehr::new(&clk, 0u64);
+            let mut sim = Sim::new(clk, n);
+            sim.rule("tick", |n: &mut Ehr<u64>| {
+                n.update(|v| *v += 1);
+                Ok(())
+            });
+            sim.enable_telemetry(4, 8);
+            if tap {
+                sim.set_telemetry_tap(Box::new(|n: &Ehr<u64>| {
+                    vec![("design.n".to_string(), n.read())]
+                }));
+            }
+            sim
         };
-        sim.declare_footprint(a, &ifc1, &[0]);
-        sim.declare_footprint(b, &ifc2, &[0]);
-        sim.declare_footprint(c, &ifc1, &[0]);
-        let waves = sim.schedule_waves();
-        assert_eq!(
-            waves,
-            vec![
-                vec!["on_m1".to_string(), "on_m2".to_string()],
-                vec!["on_m1_too".to_string()]
-            ],
-            "different-module rules share a wave; same-module conflicts split"
+        let mut saved = build(true);
+        saved.run(6); // past the first boundary: the column names are frozen
+        let mut w = SnapWriter::new();
+        saved.save_kernel(&mut w).expect("save");
+        let bytes = w.into_bytes();
+        // The same design minus the tap's column must be refused up front,
+        // not panic at its next window boundary.
+        let err = build(false)
+            .restore_kernel(&mut SnapReader::new(&bytes))
+            .expect_err("column skew");
+        assert!(
+            matches!(&err, SnapError::Mismatch(m) if m.contains("design.n")),
+            "{err}"
         );
+        let mut same = build(true);
+        same.restore_kernel(&mut SnapReader::new(&bytes))
+            .expect("matching columns restore");
+        same.run(6);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! Design rules, inherited from every prior instrumentation layer
 //! (`docs/OBSERVABILITY.md`):
 //!
-//! * **Zero perturbation.** Telemetry only *reads* — counter snapshots,
-//!   the parallel-occupancy report, and whatever extra columns the design
-//!   tap supplies. It registers no counters of its own, so an enabled run
-//!   is cycle- and counter-identical to a disabled one (test-enforced
-//!   across all four scheduler modes).
+//! * **Zero perturbation.** Telemetry only *reads* — counter snapshots
+//!   and whatever extra columns the design tap supplies. It registers no
+//!   counters of its own, so an enabled run is cycle- and counter-identical
+//!   to a disabled one (test-enforced under both scheduler modes).
 //! * **Bounded.** The ring holds at most `max_windows` windows; overflow
 //!   drops the oldest and counts the drop. No allocation grows with run
 //!   length.

@@ -417,39 +417,20 @@ impl SocSim {
         self.chaos.as_ref()
     }
 
-    /// Selects the rule scheduler (see [`cmd_core::sched`],
-    /// `docs/SCHEDULING.md`, and `docs/PARALLELISM.md`). The default is
-    /// [`SchedulerMode::Fast`]; [`SchedulerMode::Compiled`] additionally
-    /// runs the statically partitioned wave plan with the specialized plain
-    /// lane; [`SchedulerMode::Parallel`] runs that plan under the
-    /// wave-barrier shard discipline with wave-occupancy accounting
-    /// ([`SocSim::parallelism_report`]); [`SchedulerMode::Reference`]
-    /// re-enables the one-rule-at-a-time oracle for equivalence checking.
+    /// Selects the rule scheduler (see [`cmd_core::sched`] and
+    /// `docs/SCHEDULING.md`). The default is [`SchedulerMode::Fast`];
+    /// [`SchedulerMode::Reference`] re-enables the one-rule-at-a-time oracle
+    /// for equivalence checking.
     ///
     /// Core rules carry real wakeup policies (`Inferred` for guards that
     /// are pure functions of clocked cells, `InferredPlus` on the per-core
     /// [`Soc::mem_event`] cell for guards that also read plain
     /// memory-system state); the substrate republishes that plain state as
     /// a per-core change digest every cycle, so stalled rules sleep instead
-    /// of re-evaluating. All four modes stay cycle- and counter-identical;
-    /// the equivalence suites in `tests/` assert it.
+    /// of re-evaluating. Both modes stay cycle- and counter-identical; the
+    /// equivalence suites in `tests/` assert it.
     pub fn set_scheduler(&mut self, mode: SchedulerMode) {
         self.sim.set_scheduler(mode);
-    }
-
-    /// Wave-occupancy statistics from [`SchedulerMode::Parallel`] cycles
-    /// (all-zero under any other mode); see `docs/PARALLELISM.md`.
-    #[must_use]
-    pub fn parallelism_report(&self) -> cmd_core::sim::ParallelismReport {
-        self.sim.parallelism_report()
-    }
-
-    /// Rule → shard (statically conflict-free wave) assignment, for the
-    /// Chrome-trace exporter's per-shard rule tracks
-    /// (`ChromeTrace::set_rule_shards`).
-    #[must_use]
-    pub fn wave_shards(&self) -> Vec<(String, u32)> {
-        self.sim.wave_shards()
     }
 
     /// The active scheduler mode.

@@ -1,19 +1,20 @@
-//! SoC-level scheduler equivalence (see `docs/SCHEDULING.md` and
-//! `docs/PARALLELISM.md`): a full RiscyOO run under [`SchedulerMode::Fast`],
-//! [`SchedulerMode::Compiled`], and [`SchedulerMode::Parallel`]
-//! must be observably identical to the one-rule-at-a-time reference oracle —
-//! same cycle count, same [`CoreStats`], same exit codes, same scheduler
-//! counters, same trace event stream — on single-core and 2-core SoCs, with
-//! and without an active chaos [`FaultPlan`].
+//! SoC-level scheduler equivalence (see `docs/SCHEDULING.md`): a full
+//! RiscyOO run under [`SchedulerMode::Fast`] must be observably identical to
+//! the one-rule-at-a-time reference oracle — same cycle count, same
+//! [`CoreStats`], same exit codes, same scheduler counters, same trace event
+//! stream — on single-core and 2-core SoCs, with and without an active chaos
+//! [`FaultPlan`].
 //!
 //! SoC rules carry real wakeup policies (`Inferred` for cell-only guards,
 //! `InferredPlus(mem_event)` for guards that observe plain memory-system
 //! state via the substrate digest, `EveryCycle` for the few that defeat
-//! read tracing — see `soc.rs`), so these tests pin down both the static
-//! conflict-footprint fast path and the tier-2 sleep/wake layer on a
-//! design with tens of rules per core and real conflict-matrix traffic.
-//! Traced runs re-evaluate every rule every cycle (exact stall reasons);
-//! the untraced tests below exercise sleeping and Compiled's plain lane.
+//! read tracing — see `soc.rs`), so these tests pin down the sleep/wake
+//! layer on a design with tens of rules per core. The SoC registers no
+//! conflict-matrix module (its modules order through EHR ports), so the
+//! conflict probe is covered by the kernel-level soups in
+//! `crates/core/tests/sched_equivalence.rs`, not here. Traced runs
+//! re-evaluate every rule every cycle (exact stall reasons); the untraced
+//! tests below exercise sleeping and the loop's unobserved instantiation.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -138,38 +139,14 @@ fn assert_equivalent(prog: &Program, num_cores: usize, chaos_seed: Option<u64>, 
         chaos_seed,
         traced,
     );
-    for mode in [
-        SchedulerMode::Fast,
-        SchedulerMode::Compiled,
-        SchedulerMode::Parallel,
-    ] {
-        let got = run_soc(prog, num_cores, mode, chaos_seed, traced);
-        assert_eq!(
-            got.result, reference.result,
-            "{mode:?}: run outcome diverged"
-        );
-        assert_eq!(
-            got.cycles, reference.cycles,
-            "{mode:?}: cycle count diverged"
-        );
-        assert_eq!(got.stats, reference.stats, "{mode:?}: CoreStats diverged");
-        assert_eq!(
-            got.exited, reference.exited,
-            "{mode:?}: exit codes diverged"
-        );
-        assert_eq!(
-            got.faults, reference.faults,
-            "{mode:?}: chaos fault log diverged"
-        );
-        assert_eq!(
-            got.counters, reference.counters,
-            "{mode:?}: counters diverged"
-        );
-        assert_eq!(
-            got.trace, reference.trace,
-            "{mode:?}: trace event stream diverged"
-        );
-    }
+    let fast = run_soc(prog, num_cores, SchedulerMode::Fast, chaos_seed, traced);
+    assert_eq!(fast.result, reference.result, "run outcome diverged");
+    assert_eq!(fast.cycles, reference.cycles, "cycle count diverged");
+    assert_eq!(fast.stats, reference.stats, "CoreStats diverged");
+    assert_eq!(fast.exited, reference.exited, "exit codes diverged");
+    assert_eq!(fast.faults, reference.faults, "chaos fault log diverged");
+    assert_eq!(fast.counters, reference.counters, "counters diverged");
+    assert_eq!(fast.trace, reference.trace, "trace event stream diverged");
 }
 
 #[test]
@@ -189,9 +166,9 @@ fn soc_matches_reference_under_chaos() {
     }
 }
 
-/// No tracer attached: the tier-2 sleep layer is active and Compiled takes
-/// its branch-free plain lane, so this is the configuration the fig17
-/// speedup actually runs in.
+/// No tracer attached: the sleep layer is active and the loop runs its
+/// unobserved instantiation — the configuration users and the benchmark
+/// actually run in.
 #[test]
 fn untraced_soc_matches_reference() {
     assert_equivalent(&busy_prog(80), 1, None, false);
@@ -199,8 +176,7 @@ fn untraced_soc_matches_reference() {
 }
 
 /// Chaos without a tracer: verdict draws must line up per rule per cycle
-/// even while rules sleep (Compiled falls back to the instrumented loop,
-/// Fast keeps sleeping through Stall verdicts).
+/// even while rules sleep (Fast keeps sleeping through Stall verdicts).
 #[test]
 fn untraced_soc_matches_reference_under_chaos() {
     for seed in 0..3 {

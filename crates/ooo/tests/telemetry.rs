@@ -2,7 +2,7 @@
 //! §telemetry):
 //!
 //! * enabling telemetry never changes cycle counts, architectural
-//!   statistics, or scheduler counters — under all four scheduler modes;
+//!   statistics, or scheduler counters — under both scheduler modes;
 //! * the sampled windows actually track the run (committed instructions
 //!   accumulate across windows, the ring stays bounded);
 //! * a snapshot taken mid-window round-trips the in-flight telemetry
@@ -63,12 +63,7 @@ fn run_fingerprint(
 #[test]
 fn telemetry_is_identity_preserving_under_all_scheduler_modes() {
     let prog = busy_prog(300);
-    for mode in [
-        SchedulerMode::Reference,
-        SchedulerMode::Fast,
-        SchedulerMode::Compiled,
-        SchedulerMode::Parallel,
-    ] {
+    for mode in [SchedulerMode::Reference, SchedulerMode::Fast] {
         let plain = run_fingerprint(&prog, mode, false);
         let tele = run_fingerprint(&prog, mode, true);
         assert_eq!(plain.0, tele.0, "{mode:?}: telemetry changed cycle count");
@@ -88,10 +83,10 @@ fn windows_track_the_run_and_the_ring_stays_bounded() {
     assert!(tel.windows().count() <= 4, "the ring must stay bounded");
     assert!(tel.windows_dropped() > 0);
     // The SoC tap contributes per-core columns; the kernel contributes
-    // its scheduler gauges.
+    // its scheduler counters.
     let cols = tel.columns();
     assert!(cols.iter().any(|c| c == "c0.committed"), "{cols:?}");
-    assert!(cols.iter().any(|c| c == "par.rules_dispatched"), "{cols:?}");
+    assert!(cols.iter().any(|c| c == "sim.rules_fired"), "{cols:?}");
     // Committed-instruction deltas are non-negative and sum to less than
     // the total (the ring only keeps the tail of the run).
     let committed_idx = cols.iter().position(|c| c == "c0.committed").unwrap();

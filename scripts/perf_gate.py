@@ -3,15 +3,15 @@
 
 Inputs are the ``--bench-json`` artifacts written by four release binaries:
 
-* ``cmd_kernel_bench``   -> ring-of-64 wakeup benchmark (fast vs reference)
-                            and the fig17-shaped ``soc_wakeup`` microbench
-                            (reference vs fast vs compiled vs parallel)
+* ``cmd_kernel_bench``   -> ring-of-64 wakeup benchmark and the
+                            fig17-shaped ``soc_wakeup`` microbench (both
+                            fast vs reference)
 * ``sampled_sim``        -> (optional, ``--sampled``) fast-forward +
                             interval-sampled suite: wall-clock speedup over
                             the full detailed runs and the worst-case IPC
                             estimation error
-* ``fig17_vs_inorder``   -> (optional, ``--fig17``) full SoC suite run, all
-                            four scheduler modes, plus the fleet-pool
+* ``fig17_vs_inorder``   -> (optional, ``--fig17``) full SoC suite run under
+                            both scheduler modes, plus the fleet-pool
                             scale-out timing
 * ``fleet``              -> (optional, ``--fleet``) work-stealing campaign
                             over a seed x config x workload grid; its
@@ -26,7 +26,7 @@ their floors and their baseline keys, and the tool prints which tier ran
 so a log never silently looks like full coverage.
 
 The merged BENCH_4.json records, per benchmark: simulated cycles, host
-wall-clock ms, host cycles/second, and the mode speedup ratios.
+wall-clock ms, host cycles/second, and the fast/reference speedup ratios.
 
 Gating (only with ``--baseline``) is host-neutral: raw cycles/second vary
 with the runner, so the gate compares *speedup ratios* (same host, same
@@ -39,24 +39,15 @@ The ratio gates:
 
 * ``ring_speedup`` (the wakeup-layer workload) is gated against the
   committed baseline ratio (>20% regression fails).
-* ``socw_speedup`` and ``socw_parallel_speedup`` (reference/compiled and
-  reference/parallel on the fig17-shaped ``soc_wakeup`` microbench: ~9
-  live rules, ~35 sleepers) are gated against an *absolute* floor of 1.5.
-  This is where the wave plan's structural win — whole-wave skips over
-  sleeping rules with batched stall accounting — must show up; dropping
-  below the floor means sleep entry, wake draining, or wave skipping
-  regressed. Parallel shares the plan (plus the per-wave shard fold), so
-  it owes the same floor.
-* ``fig17_speedup`` (reference/compiled on the full suite),
-  ``fig17_fast_speedup`` (reference/fast), and
-  ``fig17_parallel_mode_floor`` — i.e. ``fig17_parallel_wall_ms`` vs
-  ``fig17_reference_wall_ms`` — are gated against an absolute
-  no-regression floor (0.85, leaving noise headroom below the ~1.0-1.1
-  true ratio). The suite-level ratio is structurally modest — the suite
-  saturates the pipeline, so the cells that hot rules watch publish
-  nearly every cycle and few guards can sleep (the attribution is in
-  EXPERIMENTS.md) — which is exactly why the >=1.5 structural requirement
-  is delegated to ``socw_speedup`` above.
+* ``socw_fast_speedup`` (reference/fast on the fig17-shaped ``soc_wakeup``
+  microbench: ~9 live rules, ~35 sleepers) is recorded but not floored;
+  its simulated cycles and firings are exact keys.
+* ``fig17_fast_speedup`` (reference/fast on the full suite) is gated
+  against an absolute no-regression floor (0.85, leaving noise headroom
+  below the ~1.0-1.2 true ratio). The suite-level ratio is structurally
+  modest — the suite saturates the pipeline, so the cells that hot rules
+  watch publish nearly every cycle and few guards can sleep (the
+  attribution is in EXPERIMENTS.md).
 * ``fig17_parallel_speedup`` (the fig17 suite run as a fleet: 1 worker vs
   min(host, 4) workers) is floored at 1.5 *only when the host exposes
   >= 4 threads* (``fig17_host_threads``); a 1- or 2-core runner cannot
@@ -68,8 +59,8 @@ The ratio gates:
   informational while the floor only catches collapse (an order-of-
   magnitude loss from e.g. accidental re-simulation of resumed units).
 
-Independent of any baseline, all four scheduler modes must agree on the
-fig17 simulated cycle count within the run (the cycle checksum).
+Independent of any baseline, both scheduler modes must agree on the fig17
+simulated cycle count within the run (the cycle checksum).
 
 stdlib-only on purpose: CI runs this with a bare python3.
 """
@@ -96,8 +87,6 @@ EXACT_KEYS = (
     "socw_sim_cycles",
     "socw_fires",
     "fig17_sim_cycles_fast",
-    "fig17_sim_cycles_compiled",
-    "fig17_sim_cycles_parallel",
     "fig17_sim_cycles_reference",
     "fleet_sim_cycles_total",
     "fleet_units",
@@ -106,14 +95,9 @@ EXACT_KEYS = (
 # The baseline-relative throughput ratio (>threshold regression fails).
 GATED_RATIO = "ring_speedup"
 
-# Absolute floor for the wave-plan engines (compiled and parallel) on the
-# fig17-shaped wakeup microbench: the structural win the static schedule
-# exists for.
-SOCW_FLOOR = 1.5
-
-# Absolute no-regression floor for the full-suite ratios: no scheduler
-# mode may be meaningfully slower than the reference loop on the real
-# SoC. The true ratio sits at ~1.0-1.1 (see EXPERIMENTS.md) and a single
+# Absolute no-regression floor for the full-suite ratio: the fast
+# scheduler may not be meaningfully slower than the reference loop on the
+# real SoC. The true ratio sits at ~1.0-1.2 (see EXPERIMENTS.md) and a single
 # suite pass on a shared runner carries ~5% timing noise even with
 # interleaved min-of-2 timing, so the floor leaves headroom: it catches a
 # real double-digit regression without flaking.
@@ -202,33 +186,17 @@ def main() -> int:
     errors = []
     warnings = []
 
-    # Intra-run checksum: all four scheduler modes must agree on the
+    # Intra-run checksum: both scheduler modes must agree on the
     # simulated cycle count regardless of any baseline.
     if args.fig17:
         fast = merged.get("fig17_sim_cycles_fast")
-        comp = merged.get("fig17_sim_cycles_compiled")
-        par = merged.get("fig17_sim_cycles_parallel")
         ref = merged.get("fig17_sim_cycles_reference")
-        if not (fast == comp == par == ref):
-            errors.append(
-                "fig17 cycle checksum diverged: "
-                f"fast={fast} compiled={comp} parallel={par} reference={ref}"
-            )
+        if fast != ref:
+            errors.append(f"fig17 cycle checksum diverged: fast={fast} reference={ref}")
 
     # Absolute floors, baseline-independent: same host, same run,
     # interleaved across modes, so the ratios are noise-robust.
-    floors = [
-        (
-            "socw_speedup",
-            SOCW_FLOOR,
-            "compiled engine lost its structural win on sleeping waves",
-        ),
-        (
-            "socw_parallel_speedup",
-            SOCW_FLOOR,
-            "parallel discipline lost the wave plan's structural win",
-        ),
-    ]
+    floors = []
     # Ceilings: keys that must stay *at or below* the bound.
     ceilings = []
 
@@ -250,37 +218,13 @@ def main() -> int:
         )
 
     if args.fig17:
-        floors.extend(
-            [
-                (
-                    "fig17_speedup",
-                    FIG17_FLOOR,
-                    "compiled scheduler pays overhead on the real SoC",
-                ),
-                (
-                    "fig17_fast_speedup",
-                    FIG17_FLOOR,
-                    "fast scheduler pays overhead on the real SoC",
-                ),
-            ]
-        )
-        # The parallel *mode* owes the same no-regression floor as the
-        # other modes; its ratio is derived from the wall times rather
-        # than shipped as its own key.
-        par_wall = merged.get("fig17_parallel_wall_ms")
-        ref_wall = merged.get("fig17_reference_wall_ms")
-        if par_wall and ref_wall:
-            merged_ratio = ref_wall / par_wall
-            floors.append(
-                (
-                    "fig17_parallel_mode_floor",
-                    FIG17_FLOOR,
-                    "parallel scheduler pays overhead on the real SoC",
-                )
+        floors.append(
+            (
+                "fig17_fast_speedup",
+                FIG17_FLOOR,
+                "fast scheduler pays overhead on the real SoC",
             )
-            merged["fig17_parallel_mode_floor"] = merged_ratio
-        else:
-            errors.append("fig17 parallel/reference wall times missing from the artifacts")
+        )
 
         # Fleet-pool scale-out: only a >=4-thread host owes the real floor.
         host_threads = merged.get("fig17_host_threads", 0)

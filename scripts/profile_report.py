@@ -136,25 +136,6 @@ def report_trace(path: str) -> list[str]:
         f"\nchrome trace {path}: {len(events)} events "
         f"({rules} rule, {insts} inst, {meta} meta), {dropped} dropped"
     )
-    # Parallel-mode traces split the rule tracks into one process per wave
-    # shard (see docs/PARALLELISM.md); sequential-mode traces keep every
-    # rule under pid 0. Summarize whichever layout this trace uses instead
-    # of assuming the flat one.
-    shard_names = {
-        e.get("pid"): e.get("args", {}).get("name", "")
-        for e in events
-        if e.get("ph") == "M" and e.get("name") == "process_name"
-    }
-    rule_pids: dict[int, int] = {}
-    for e in events:
-        if e.get("cat") == "rule":
-            pid = e.get("pid", 0)
-            rule_pids[pid] = rule_pids.get(pid, 0) + 1
-    if len(rule_pids) > 1 or any(pid != 0 for pid in rule_pids):
-        print(f"rule tracks span {len(rule_pids)} shard processes:")
-        for pid in sorted(rule_pids):
-            label = shard_names.get(pid, f"pid {pid}")
-            print(f"  {label:<24} {rule_pids[pid]:>8} rule events")
     print("open at https://ui.perfetto.dev (Open trace file)")
     return errors
 
