@@ -16,11 +16,8 @@
 //! the CI tier (see `docs/CHECKPOINT.md` §"CI: the `ckpt-smoke` tier").
 //!
 //! Prints one `PASS` line per mode and exits non-zero on any mismatch.
-//! `--bench-json PATH` writes `{ckpt_modes_ok, ckpt_bytes,
-//! ckpt_checksums_equal}` for the perf gate.
 
 use cmd_core::sched::SchedulerMode;
-use riscy_bench::{bench_json_path, metrics_json, write_artifact};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -84,7 +81,6 @@ fn main() {
     let modes = [SchedulerMode::Reference, SchedulerMode::Fast];
     println!("=== ckpt-smoke: snapshot round-trip determinism ===\n");
     let mut checksums = Vec::new();
-    let mut snap_len = 0usize;
     let mut ok = true;
     for mode in modes {
         // Original run: snapshot mid-flight, then continue to completion.
@@ -124,7 +120,6 @@ fn main() {
             b.cycles(),
         );
         checksums.push(sum);
-        snap_len = snap.len();
     }
     // Both modes simulate the same cycles, so the mid-run snapshot
     // bytes — and therefore the checksums — must agree across modes.
@@ -139,14 +134,6 @@ fn main() {
     }
     ok &= checksums_equal;
 
-    if let Some(path) = bench_json_path() {
-        let metrics = [
-            ("ckpt_modes_ok", if ok { modes.len() as f64 } else { 0.0 }),
-            ("ckpt_bytes", snap_len as f64),
-            ("ckpt_checksums_equal", f64::from(u8::from(checksums_equal))),
-        ];
-        write_artifact(&path, &metrics_json(&metrics));
-    }
     if !ok {
         std::process::exit(1);
     }

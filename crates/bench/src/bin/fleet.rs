@@ -2,15 +2,14 @@
 //!
 //! Enumerates a seed × config × workload grid, runs it on a work-stealing
 //! thread pool ([`riscy_bench::fleet`]), and reports aggregate simulation
-//! throughput (simulated cycles per host second summed over all workers —
-//! the `fleet_agg_cps` metric the CI perf gate floors).
+//! throughput (simulated cycles per host second summed over all workers).
 //!
 //! ```text
 //! fleet [--seeds N] [--configs t+,c-] [--threads N]
 //!       [--scheduler reference|fast] [--chaos]
 //!       [--scale test|ref] [--workloads a,b,...] [--stop-after N]
 //!       [--campaign-dir DIR] [--checkpoint-every CYCLES]
-//!       [--abort-after-ckpts N] [--report PATH] [--bench-json PATH]
+//!       [--abort-after-ckpts N] [--report PATH]
 //!       [--heartbeat-every CYCLES] [--unit-timeout SECONDS]
 //!       [--telemetry] [--telemetry-window CYCLES] [--telemetry-windows N]
 //!       [--watch [--once]]
@@ -39,10 +38,7 @@
 use std::path::PathBuf;
 
 use riscy_bench::fleet::{fleet_grid, run_fleet, watch_snapshot, FleetOpts, SocFleet};
-use riscy_bench::{
-    bench_json_path, metrics_json, path_arg, scale_from_args, scheduler_from_args, telemetry_opts,
-    write_artifact,
-};
+use riscy_bench::{path_arg, scale_from_args, scheduler_from_args, telemetry_opts, write_artifact};
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
@@ -182,16 +178,5 @@ fn main() {
 
     if let Some(path) = path_arg("--report") {
         write_artifact(&path, &report.deterministic_json());
-    }
-    if let Some(path) = bench_json_path() {
-        let metrics = [
-            ("fleet_agg_cps", report.agg_cps()),
-            ("fleet_sim_cycles_total", report.total_cycles() as f64),
-            ("fleet_units", report.records.len() as f64),
-            ("fleet_threads", report.threads as f64),
-            ("fleet_steals", report.steals as f64),
-            ("fleet_wall_ms", report.wall_s * 1e3),
-        ];
-        write_artifact(&path, &metrics_json(&metrics));
     }
 }

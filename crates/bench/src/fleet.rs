@@ -329,7 +329,7 @@ impl FleetReport {
 
     /// Aggregate simulation throughput: simulated cycles executed this
     /// invocation per host second, summed over all workers. This is the
-    /// fleet's headline metric (`fleet_agg_cps` in the perf gate).
+    /// fleet's headline metric, printed by the `fleet` binary.
     #[must_use]
     pub fn agg_cps(&self) -> f64 {
         if self.wall_s > 0.0 {

@@ -158,23 +158,54 @@ pub fn harmean(xs: &[f64]) -> f64 {
     xs.len() as f64 / xs.iter().map(|x| 1.0 / x).sum::<f64>()
 }
 
-/// Parses `--scale test|ref` from the command line (default `test`).
-#[must_use]
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) if args.get(i + 1).map(String::as_str) == Some("ref") => Scale::Ref,
-        _ => Scale::Test,
+/// Parses a workload scale as the CLIs spell it: `test` (CI-sized, the
+/// default) or `ref` (benchmark-sized).
+///
+/// # Errors
+///
+/// Any other name is an error naming the two valid values — a typo that
+/// silently ran the `test` scale would invalidate whatever sweep the
+/// operator was running.
+pub fn parse_scale(name: &str) -> Result<Scale, String> {
+    match name {
+        "test" => Ok(Scale::Test),
+        "ref" => Ok(Scale::Ref),
+        other => Err(format!("unknown scale `{other}` (test|ref)")),
     }
 }
 
+/// Parses `--scale test|ref` (default: `test`) through [`parse_scale`].
+///
+/// # Panics
+///
+/// Panics with [`parse_scale`]'s message on an unrecognized name.
+#[must_use]
+pub fn scale_from_args() -> Scale {
+    path_arg("--scale").map_or(Scale::Test, |name| {
+        parse_scale(&name).unwrap_or_else(|e| panic!("--scale: {e}"))
+    })
+}
+
+/// The value following `flag` in `args`: `Ok(None)` when the flag is
+/// absent, an error naming the flag when it is the last argument — a
+/// requested artifact that is silently not written is worse than an abort.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let missing = || format!("{flag}: expected a value");
+    args.iter()
+        .position(|a| a == flag)
+        .map(|i| args.get(i + 1).cloned().ok_or_else(missing))
+        .transpose()
+}
+
 /// The value following `flag` on the command line, if present.
+///
+/// # Panics
+///
+/// Panics naming the flag when it is given last, with no value.
 #[must_use]
 pub fn path_arg(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    flag_value(&args, flag).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The integer following `flag` on the command line, or `default`.
@@ -233,14 +264,6 @@ pub fn scheduler_from_args() -> SchedulerMode {
     path_arg("--scheduler").map_or(SchedulerMode::Fast, |name| {
         parse_scheduler(&name).unwrap_or_else(|e| panic!("--scheduler: {e}"))
     })
-}
-
-/// Parses `--bench-json <path>`: where a benchmark binary should write
-/// its machine-readable throughput metrics (host wall time, simulated
-/// cycles per second) for the CI perf gate; see `scripts/perf_gate.py`.
-#[must_use]
-pub fn bench_json_path() -> Option<String> {
-    path_arg("--bench-json")
 }
 
 /// The causal-profiler flags shared by every `fig*` binary (see
@@ -513,6 +536,28 @@ mod tests {
             assert!(err.contains("reference|fast"), "{err}");
             assert!(err.contains(bad), "{err}");
         }
+    }
+
+    #[test]
+    fn scale_names_are_test_and_ref_only() {
+        assert_eq!(parse_scale("test"), Ok(Scale::Test));
+        assert_eq!(parse_scale("ref"), Ok(Scale::Ref));
+        for bad in ["reff", "Ref", ""] {
+            let err = parse_scale(bad).expect_err(bad);
+            assert!(err.contains("test|ref"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_given_last_without_a_value_is_refused() {
+        let args: Vec<String> = ["fig17", "--scale", "ref", "--stats-json"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(flag_value(&args, "--scale"), Ok(Some("ref".to_string())));
+        assert_eq!(flag_value(&args, "--trace"), Ok(None));
+        let err = flag_value(&args, "--stats-json").expect_err("trailing flag");
+        assert!(err.contains("--stats-json"), "{err}");
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! (the functional scout pass reads the ROI MMIO markers exactly), and
 //! the estimate is compared against the full run's ROI IPC — the metric
 //! every other harness in this crate reports — so the error metric
-//! (`sample_ipc_err` in the perf gate) is apples-to-apples and excludes
-//! the one-time S-mode setup phase that sampling rightly skips. The
-//! speed win (`ff_speedup`) comes from the interpreter retiring
-//! instructions orders of magnitude faster than the rule-driven detailed
-//! model.
+//! ([`SampledWorkload::ipc_err`]; `bench.sample_ipc_err` in the repo
+//! benchmark) is apples-to-apples and excludes the one-time S-mode setup
+//! phase that sampling rightly skips. The speed win comes from the
+//! interpreter retiring instructions orders of magnitude faster than the
+//! rule-driven detailed model.
 
 use std::time::Instant;
 
@@ -326,7 +326,7 @@ pub fn compare_sampled(
 /// Serializes a set of per-workload comparisons as the
 /// `sample_report.json` CI artifact: per-workload IPCs, errors, and raw
 /// sample points, plus the aggregate `ff_speedup` /
-/// `sample_ipc_err_max` the perf gate floors.
+/// `sample_ipc_err_max`.
 #[must_use]
 pub fn sample_report_json(entries: &[SampledWorkload]) -> String {
     let full_wall: f64 = entries.iter().map(|e| e.full_wall_s).sum();

@@ -12,8 +12,8 @@
 //!   deterministic.
 //!
 //! No test here asserts wall-clock speedups: CI hosts may expose a single
-//! core, where the pool degenerates gracefully. Throughput is gated by
-//! `scripts/perf_gate.py` on hosts that report their thread count.
+//! core, where the pool degenerates gracefully, and nothing else gates
+//! scale-out either (see `docs/PARALLELISM.md` §"What CI gates").
 
 use std::path::PathBuf;
 

@@ -4,7 +4,9 @@
 //! statistics, same counters, same trace event stream, same final state —
 //! across randomized "rule soup" designs (cells, all three FIFO flavors, a
 //! conflicting arbiter, gated rules), with and without an active chaos
-//! [`FaultPlan`], and across the IQ demo configurations of paper §IV.
+//! [`FaultPlan`], across the IQ demo configurations of paper §IV, and on one
+//! fixed sparse design, the 64-slot token ring, whose firing count is pinned
+//! and whose publish→wake edges feed the profiler's critical paths.
 //!
 //! Every soup runs twice: *observed* (tracer and stall histograms attached,
 //! which compare the event stream but force every guard to re-evaluate) and
@@ -176,6 +178,12 @@ struct Outcome {
     faults: usize,
 }
 
+fn rule_stats<S>(sim: &Sim<S>) -> Vec<(String, RuleStats)> {
+    sim.all_rule_stats()
+        .map(|(n, s)| (n.to_string(), s))
+        .collect()
+}
+
 /// Runs soup `seed`; returns what is observable plus the body-entry count.
 fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) -> (Outcome, u64) {
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -283,10 +291,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
             sim.state().byp.len(),
             sim.state().cf.len(),
         ),
-        stats: sim
-            .all_rule_stats()
-            .map(|(n, s)| (n.to_string(), s))
-            .collect(),
+        stats: rule_stats(&sim),
         counters: sim.counters().snapshot(),
         trace,
         faults: engine.map_or(0, |e| e.fault_count()),
@@ -378,4 +383,101 @@ fn iq_demo_matches_reference_across_configs_and_programs() {
             assert_iq_demo_equivalent(cfg, &program);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The 64-slot token ring: the sparse schedule the wakeup layer exists for
+// ---------------------------------------------------------------------------
+
+const RING: usize = 64;
+const RING_CYCLES: u64 = 20_000;
+
+struct Ring {
+    slots: Vec<Ehr<u64>>,
+    /// Rule bodies entered; see [`Soup::entries`].
+    entries: u64,
+}
+
+/// One token circulates through 64 slots, each rule guarded by its *own*
+/// mailbox cell (a shared token cell would republish every cycle and wake
+/// all 64 sleepers). Consumers are registered before their producers
+/// (descending slot order), so a mailbox write only becomes readable the
+/// following cycle and the token advances one slot per cycle; the
+/// slot63 -> slot0 wraparound bypasses within the cycle.
+fn build_ring(mode: SchedulerMode) -> Sim<Ring> {
+    let clk = Clock::new();
+    let slots = (0..RING)
+        .map(|i| Ehr::new(&clk, u64::from(i == 0)))
+        .collect();
+    let mut sim = Sim::new(clk, Ring { slots, entries: 0 });
+    sim.set_scheduler(mode);
+    for i in (0..RING).rev() {
+        let next = (i + 1) % RING;
+        let id = sim.rule(format!("slot{i}"), move |s: &mut Ring| {
+            s.entries += 1;
+            let tokens = s.slots[i].read();
+            if tokens == 0 {
+                return Err(Stall::new("no token"));
+            }
+            s.slots[i].write(0);
+            s.slots[next].update(|t| *t += tokens);
+            Ok(())
+        });
+        sim.set_wakeup(id, Wakeup::Inferred);
+    }
+    sim
+}
+
+#[test]
+fn ring_matches_reference_and_sleeps() {
+    let run = |mode| {
+        let mut sim = build_ring(mode);
+        sim.run(RING_CYCLES);
+        (rule_stats(&sim), sim.state().entries)
+    };
+    let (reference, ref_entries) = run(SchedulerMode::Reference);
+    let (fast, fast_entries) = run(SchedulerMode::Fast);
+    assert_eq!(fast, reference);
+    // One firing per cycle plus the wraparound's second firing each lap.
+    let fired: u64 = fast.iter().map(|(_, s)| s.fired).sum();
+    assert_eq!(fired, 20_317);
+    assert!(
+        fast_entries < ref_entries,
+        "fast entered {fast_entries} rule bodies, reference {ref_entries}: nothing slept"
+    );
+}
+
+/// The only design in the suite whose rules sleep with the profiler on and
+/// no tracer attached, so the only one that records publish→wake causal
+/// edges and has critical paths to name.
+#[test]
+fn ring_critical_paths_follow_the_token() {
+    let mut sim = build_ring(SchedulerMode::Fast);
+    sim.enable_profiling();
+    sim.run(RING_CYCLES);
+    let paths = sim.critical_path_names();
+    assert!(!paths.is_empty(), "no critical path recorded");
+    for (window, names) in &paths {
+        assert!(names.len() >= 2, "window {window}: {names:?}");
+        for pair in names.windows(2) {
+            let slot = |n: &String| -> usize {
+                let i = n.strip_prefix("slot").and_then(|i| i.parse().ok());
+                i.unwrap_or_else(|| panic!("window {window}: `{n}` is not a ring rule"))
+            };
+            assert_eq!(
+                (slot(&pair[0]) + 1) % RING,
+                slot(&pair[1]),
+                "window {window}: {} -> {} is not a token hand-off",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+    let json = sim.profile_json();
+    let recorded = "\"causal_edges\":{\"recorded\":";
+    assert!(json.contains(recorded), "{json}");
+    assert!(
+        !json.contains(&format!("{recorded}0,")),
+        "no publish→wake edge recorded"
+    );
 }
