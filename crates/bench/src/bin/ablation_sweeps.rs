@@ -10,6 +10,7 @@ use riscy_workloads::parsec::facesim;
 use riscy_workloads::spec::{hmmer, mcf, Scale};
 
 fn main() {
+    riscy_bench::accept_flags(&["--scale", "--stats-json"], &[]);
     let scale = scale_from_args();
     let scale = if scale == Scale::Ref {
         Scale::Ref

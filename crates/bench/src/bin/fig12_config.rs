@@ -4,6 +4,7 @@ use riscy_bench::{metrics_json, stats_json_path, write_artifact};
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     let c = CoreConfig::riscyoo_b();
     let m = mem_riscyoo_b();
     println!("=== Fig. 12: RiscyOO-B configuration ===\n");

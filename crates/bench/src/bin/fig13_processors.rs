@@ -6,6 +6,7 @@ use riscy_bench::{metrics_json, stats_json_path, write_artifact};
 use riscy_ooo::config::CoreConfig;
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     println!("=== Fig. 13: processors to compare against ===\n");
     let rows = [
         (

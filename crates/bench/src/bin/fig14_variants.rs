@@ -4,6 +4,7 @@ use riscy_bench::{metrics_json, stats_json_path, write_artifact};
 use riscy_ooo::config::{mem_riscyoo_c_minus, CoreConfig};
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     println!("=== Fig. 14: variants of the RiscyOO-B configuration ===\n");
     println!("{:<16} {:<18} Specifications", "Variant", "Difference");
     let c_minus = mem_riscyoo_c_minus();

@@ -14,6 +14,10 @@ use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, TlbConfig};
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
+    riscy_bench::accept_flags(
+        riscy_bench::FIG_VALUED,
+        &[riscy_bench::FIG_BARE, &["--ablate"]].concat(),
+    );
     let scale = scale_from_args();
     let ablate = std::env::args().any(|a| a == "--ablate");
     let suite = spec_suite(scale);

@@ -11,6 +11,7 @@ use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     let scale = scale_from_args();
     println!("=== Fig. 16: misses per 1K instructions on RiscyOO-T+ ===\n");
     println!(

@@ -10,6 +10,10 @@ use riscy_ooo::config::{mem_riscyoo_b, mem_riscyoo_c_minus, CoreConfig};
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
+    riscy_bench::accept_flags(
+        &[riscy_bench::FIG_VALUED, &["--scheduler"]].concat(),
+        riscy_bench::FIG_BARE,
+    );
     let scale = scale_from_args();
     let mode = scheduler_from_args();
     // Parsed before the suite runs: a malformed flag fails in milliseconds.

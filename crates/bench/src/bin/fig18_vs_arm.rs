@@ -15,6 +15,7 @@ use riscy_ooo::config::{mem_arm_proxy, mem_riscyoo_b, CoreConfig};
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     let scale = scale_from_args();
     println!("=== Fig. 18: A57/Denver proxies normalized to RiscyOO-T+ ===");
     println!("(paper: A57 ≈ +34%, Denver ≈ +45% on average; T+ wins mcf/astar/omnetpp)\n");

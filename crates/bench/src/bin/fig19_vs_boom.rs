@@ -26,6 +26,7 @@ const BOOM_SET: [&str; 8] = [
 ];
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     let scale = scale_from_args();
     println!("=== Fig. 19: IPC of BOOM (proxy) and RiscyOO-T+R+ ===\n");
     println!("{:<14}{:>10}{:>14}", "benchmark", "BOOM", "RiscyOO-T+R+");

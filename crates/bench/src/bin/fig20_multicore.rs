@@ -36,6 +36,10 @@ fn run(model: MemModel, nthreads: usize, w: &Workload, mode: SchedulerMode) -> (
 }
 
 fn main() {
+    riscy_bench::accept_flags(
+        &[riscy_bench::FIG_VALUED, &["--scheduler", "--trace"]].concat(),
+        riscy_bench::FIG_BARE,
+    );
     let scale = scale_from_args();
     let mode = scheduler_from_args();
     println!("=== Fig. 20: TSO vs WMM multicore scaling ===");

@@ -7,6 +7,7 @@ use riscy_ooo::config::CoreConfig;
 use riscy_synth::{fig21_table, synthesize};
 
 fn main() {
+    riscy_bench::accept_flags(riscy_bench::FIG_VALUED, riscy_bench::FIG_BARE);
     println!("=== Fig. 21: ASIC synthesis results (analytic model) ===\n");
     print!(
         "{}",

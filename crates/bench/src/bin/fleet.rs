@@ -42,6 +42,26 @@ use riscy_bench::{path_arg, scale_from_args, scheduler_from_args, telemetry_opts
 use riscy_workloads::spec::spec_suite;
 
 fn main() {
+    riscy_bench::accept_flags(
+        &[
+            "--seeds",
+            "--configs",
+            "--threads",
+            "--scheduler",
+            "--scale",
+            "--workloads",
+            "--stop-after",
+            "--campaign-dir",
+            "--checkpoint-every",
+            "--abort-after-ckpts",
+            "--report",
+            "--heartbeat-every",
+            "--unit-timeout",
+            "--telemetry-window",
+            "--telemetry-windows",
+        ],
+        &["--chaos", "--telemetry", "--watch", "--once"],
+    );
     if std::env::args().any(|a| a == "--watch") {
         let dir = path_arg("--campaign-dir")
             .map(PathBuf::from)

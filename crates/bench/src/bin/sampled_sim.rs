@@ -38,6 +38,20 @@ fn num_arg(flag: &str, default: u64) -> u64 {
 }
 
 fn main() {
+    riscy_bench::accept_flags(
+        &[
+            "--scale",
+            "--workloads",
+            "--samples",
+            "--warmup",
+            "--interval",
+            "--report",
+            "--telemetry-json",
+            "--telemetry-window",
+            "--telemetry-windows",
+        ],
+        &[],
+    );
     let scale = scale_from_args();
     let mut workloads = spec_suite(scale);
     if let Some(filter) = path_arg("--workloads") {

@@ -19,6 +19,7 @@ use riscy_bench::sweep::{sweep_report, Objective};
 use riscy_bench::{path_arg, write_artifact};
 
 fn main() {
+    riscy_bench::accept_flags(&["--campaign-dir", "--axes", "--out"], &[]);
     let dir = path_arg("--campaign-dir")
         .map(PathBuf::from)
         .expect("sweep_report: --campaign-dir is required");

@@ -197,6 +197,54 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
         .transpose()
 }
 
+/// The flags every `fig*` binary takes a value for: the scale, the stats
+/// snapshot, and what [`profile_opts`] and [`telemetry_opts`] read.
+pub const FIG_VALUED: &[&str] = &[
+    "--scale",
+    "--stats-json",
+    "--chrome-trace",
+    "--profile-json",
+    "--telemetry-json",
+    "--telemetry-window",
+    "--telemetry-windows",
+];
+
+/// The flags every `fig*` binary takes without a value.
+pub const FIG_BARE: &[&str] = &["--profile"];
+
+/// The first argument in `args` (program name excluded) that is neither one
+/// of `valued` (whose following argument is its value and is skipped), nor
+/// one of `bare`. `--flag=value` is not a spelling these CLIs read, so it is
+/// reported like any other unknown argument.
+fn unknown_arg<'a>(args: &'a [String], valued: &[&str], bare: &[&str]) -> Option<&'a str> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) {
+            rest.next();
+        } else if !bare.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Refuses a command line carrying anything but the flags this binary
+/// accepts: exits with status 2 naming the first unknown argument. Every
+/// `main` that reads its flags through [`path_arg`] calls this first — the
+/// readers below look flags up by name, so without it a misspelt flag
+/// (`--schedular reference`, `--scheduler=reference`) would silently run
+/// the default instead.
+pub fn accept_flags(valued: &[&str], bare: &[&str]) {
+    let mut args = std::env::args();
+    let prog = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    if let Some(arg) = unknown_arg(&args, valued, bare) {
+        let accepted = [valued, bare].concat().join(" ");
+        eprintln!("{prog}: unknown argument `{arg}` (accepted: {accepted})");
+        std::process::exit(2);
+    }
+}
+
 /// The value following `flag` on the command line, if present.
 ///
 /// # Panics
@@ -558,6 +606,26 @@ mod tests {
         assert_eq!(flag_value(&args, "--trace"), Ok(None));
         let err = flag_value(&args, "--stats-json").expect_err("trailing flag");
         assert!(err.contains("--stats-json"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_argument_is_found_and_values_are_not_mistaken_for_flags() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let valued = [FIG_VALUED, &["--scheduler"]].concat();
+        let ok = args(&["--scale", "test", "--profile", "--scheduler", "reference"]);
+        assert_eq!(unknown_arg(&ok, &valued, FIG_BARE), None);
+        // A value is skipped even when it looks like a flag nobody knows.
+        let odd = args(&["--stats-json", "--weird-name.json"]);
+        assert_eq!(unknown_arg(&odd, &valued, FIG_BARE), None);
+        for (bad, culprit) in [
+            (args(&["--schedular", "reference"]), "--schedular"),
+            (args(&["--scheduler=reference"]), "--scheduler=reference"),
+            (args(&["--sclae", "ref"]), "--sclae"),
+            (args(&["--scale", "test", "stray"]), "stray"),
+            (args(&["--profile", "on"]), "on"),
+        ] {
+            assert_eq!(unknown_arg(&bad, &valued, FIG_BARE), Some(culprit));
+        }
     }
 
     #[test]

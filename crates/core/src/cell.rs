@@ -63,7 +63,7 @@ impl<T> EhrInner<T> {
     fn write(&self, clk: &Clock, v: T) {
         let old = self.cur.replace(v);
         if !clk.in_rule() {
-            clk.mark_poked(self.id);
+            clk.wake().publish(self.id);
         } else if !self.enlisted.replace(true) {
             *self.undo.borrow_mut() = Some(old);
             clk.enlist(self.id);
@@ -135,7 +135,7 @@ impl<T: Clone + 'static> Ehr<T> {
     }
 
     /// This cell's identity for the scheduler's wakeup layer (see
-    /// [`crate::sched::Wakeup::Watch`]).
+    /// [`crate::sched::Wakeup`]).
     #[must_use]
     pub fn watch_id(&self) -> CellId {
         CellId(self.inner.id)
@@ -145,13 +145,13 @@ impl<T: Clone + 'static> Ehr<T> {
     /// value committed by earlier rules (this cycle or before).
     #[must_use]
     pub fn read(&self) -> T {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         self.inner.cur.borrow().clone()
     }
 
     /// Applies `f` to a borrow of the latest value without cloning.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         f(&self.inner.cur.borrow())
     }
 
@@ -167,7 +167,7 @@ impl<T: Clone + 'static> Ehr<T> {
     /// transaction on the cell — when `f` may leave the value as it is, use
     /// [`Ehr::update_if`].
     pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         self.modify(f)
     }
 
@@ -180,7 +180,7 @@ impl<T: Clone + 'static> Ehr<T> {
     /// change few: a slot the broadcast does not concern costs one borrow,
     /// not a transaction.
     pub fn update_if(&self, pred: impl FnOnce(&T) -> bool, f: impl FnOnce(&mut T)) -> bool {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         let hit = pred(&self.inner.cur.borrow());
         if hit {
             self.modify(f);
@@ -192,7 +192,7 @@ impl<T: Clone + 'static> Ehr<T> {
         let inner = &*self.inner;
         if !self.clk.in_rule() {
             let r = f(&mut inner.cur.borrow_mut());
-            self.clk.mark_poked(inner.id);
+            self.clk.wake().publish(inner.id);
             return r;
         }
         if !inner.enlisted.replace(true) {
@@ -325,7 +325,7 @@ impl<T: Clone + 'static> Reg<T> {
     }
 
     /// This cell's identity for the scheduler's wakeup layer (see
-    /// [`crate::sched::Wakeup::Watch`]).
+    /// [`crate::sched::Wakeup`]).
     #[must_use]
     pub fn watch_id(&self) -> CellId {
         CellId(self.inner.id)
@@ -334,13 +334,13 @@ impl<T: Clone + 'static> Reg<T> {
     /// Reads the start-of-cycle value.
     #[must_use]
     pub fn read(&self) -> T {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         self.inner.at_start.borrow().clone()
     }
 
     /// Applies `f` to a borrow of the start-of-cycle value without cloning.
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.clk.note_read(self.inner.id);
+        self.clk.wake().note_read(self.inner.id);
         f(&self.inner.at_start.borrow())
     }
 
@@ -354,7 +354,7 @@ impl<T: Clone + 'static> Reg<T> {
         let inner = &*self.inner;
         if !self.clk.in_rule() {
             *inner.at_start.borrow_mut() = v;
-            self.clk.mark_poked(inner.id);
+            self.clk.wake().publish(inner.id);
             return;
         }
         let mut next = inner.next.borrow_mut();
@@ -450,7 +450,7 @@ impl<T: Clone + 'static> Wire<T> {
     }
 
     /// This cell's identity for the scheduler's wakeup layer (see
-    /// [`crate::sched::Wakeup::Watch`]).
+    /// [`crate::sched::Wakeup`]).
     #[must_use]
     pub fn watch_id(&self) -> CellId {
         CellId(self.inner.0.id)
@@ -473,7 +473,7 @@ impl<T: Clone + 'static> Wire<T> {
     /// Reads the wire as an `Option` (no stall).
     #[must_use]
     pub fn peek(&self) -> Option<T> {
-        self.clk.note_read(self.inner.0.id);
+        self.clk.wake().note_read(self.inner.0.id);
         self.inner.0.cur.borrow().clone()
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | kind | injection point | models |
 //! |---|---|---|
-//! | [`FaultKind::GuardStall`] | before a rule body runs (or at an instrumented method via [`FaultEngine::method_guard`]) | a stuck ready signal |
+//! | [`FaultKind::GuardStall`] | before a rule body runs | a stuck ready signal |
 //! | [`FaultKind::RuleAbort`] | after a rule body runs, vetoing its commit | a transiently lost arbitration |
 //! | [`FaultKind::BitFlip`] | a registered `Ehr`/`Reg` cell, at a cycle boundary | an SEU in a flop |
 //! | [`FaultKind::MsgDrop`] | a message queue push | a lossy interconnect |
@@ -56,8 +56,6 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::cell::{Ehr, Reg};
-use crate::clock::Clock;
-use crate::guard::{Guarded, Stall};
 use crate::rng::mix;
 
 /// Stall reason attached to a chaos-forced guard failure.
@@ -393,7 +391,6 @@ struct EngineInner {
     plan: FaultPlan,
     log: RefCell<Vec<FaultRecord>>,
     flips: RefCell<Vec<FlipSite>>,
-    clock: RefCell<Option<Clock>>,
 }
 
 /// A shared handle to a running fault campaign. Cloning is cheap (`Rc`);
@@ -442,7 +439,6 @@ impl FaultEngine {
                 plan,
                 log: RefCell::new(Vec::new()),
                 flips: RefCell::new(Vec::new()),
-                clock: RefCell::new(None),
             }),
         }
     }
@@ -451,16 +447,6 @@ impl FaultEngine {
     #[must_use]
     pub fn plan(&self) -> &FaultPlan {
         &self.inner.plan
-    }
-
-    /// Binds the design clock so instrumented methods can date their
-    /// decisions. [`crate::sim::Sim::attach_chaos`] calls this.
-    pub fn bind_clock(&self, clk: &Clock) {
-        *self.inner.clock.borrow_mut() = Some(clk.clone());
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.clock.borrow().as_ref().map_or(0, Clock::cycle)
     }
 
     /// The stateless per-(entry, site, cycle) decision. Returns the hash
@@ -512,22 +498,6 @@ impl FaultEngine {
             return Some(RuleFault::Abort);
         }
         None
-    }
-
-    /// Method-level instrumentation: call at the top of a guarded method
-    /// body (`engine.method_guard("fifo.enq")?;`) to let the plan force
-    /// that method to stall. A no-op unless a `guard_stall` entry matches.
-    ///
-    /// # Errors
-    ///
-    /// Stalls (with [`CHAOS_STALL_REASON`]) when the plan says so.
-    pub fn method_guard(&self, site: &str) -> Guarded<()> {
-        let cycle = self.now();
-        if self.decide(FaultKind::GuardStall, site, cycle).is_some() {
-            self.record(cycle, FaultKind::GuardStall, site, 0);
-            return Err(Stall::new(CHAOS_STALL_REASON));
-        }
-        Ok(())
     }
 
     /// Interconnect hook: does a fault hit a message pushed at `site` now?
@@ -636,6 +606,7 @@ impl FaultEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
 
     #[test]
     fn empty_plan_never_fires() {

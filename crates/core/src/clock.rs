@@ -14,6 +14,12 @@
 //!    cells, or [`Clock::abort_rule`] rolls every enlisted cell back;
 //! 5. [`Clock::end_cycle`] canonicalizes registers and clears wires.
 //!
+//! A publish is where the wake layer hangs: the clock owns the record of
+//! which sleeping rule watches which cell, so publishing a cell wakes its
+//! watchers then and there. Plain state outside the cells takes part
+//! through a [`Clock::signal_cell`] that its owner [`Clock::poke`]s and its
+//! readers [`Clock::observe`] (see [`crate::sched::Wakeup`]).
+//!
 //! This realizes the paper's execution model: hardware behaves as if multiple
 //! rules execute every cycle, yet the behavior is always expressible as rules
 //! executing one-by-one (§I).
@@ -24,14 +30,14 @@ use std::rc::Rc;
 
 use crate::cm::{ConflictMatrix, Rel};
 use crate::trace::{TraceEvent, Tracer};
+use crate::wake::Wake;
 
 /// Identity of a state cell, assigned by its clock at construction.
 ///
-/// Cell ids key the scheduler's wakeup layer: every committed write to a
-/// cell *publishes* the id to the clock's publish log, and a rule sleeping
-/// on a watched set of ids is only re-evaluated once one of them publishes
-/// (see [`crate::sched::Wakeup`]). [`crate::cell::Ehr::watch_id`] and friends
-/// expose the id of a cell; FIFOs expose the id of their backing storage.
+/// Cell ids key the scheduler's wake layer: every committed write to a cell
+/// *publishes* its id, and a rule asleep on a set of ids is only re-evaluated
+/// once one of them publishes (see [`crate::sched::Wakeup`]).
+/// [`crate::cell::Ehr::watch_id`] and friends expose the id of a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub(crate) u32);
 
@@ -55,8 +61,8 @@ impl CellId {
 /// element-granular cells of [`crate::journal`].
 pub(crate) trait TxnCell {
     /// The enlisting rule committed: forget the undo record. Returns
-    /// whether the touch is *observable* this cycle (so the clock logs the
-    /// id for the wakeup layer); a `Reg` returns `false` because its write
+    /// whether the touch is *observable* this cycle (so the clock publishes
+    /// the id to the wake layer); a `Reg` returns `false` because its write
     /// only becomes visible at the end-of-cycle latch.
     fn commit(&self) -> bool;
     /// The enlisting rule aborted: restore the state it found.
@@ -171,73 +177,12 @@ pub(crate) struct ClockInner {
     // single Cell read when tracing is off.
     tracing: Cell<bool>,
     tracer: RefCell<Tracer>,
-    // --- wakeup layer (see crate::sim) ---
-    // Publish log: ids of cells whose observable state changed, in publish
-    // order, awaiting a scheduler drain. `publishes` counts entries ever
-    // pushed (monotonic, never reset), so "did the count change?" is a
-    // one-Cell-read test for "anything published since I last drained".
-    // Only maintained while `wake_log` is set: the fast scheduler enables
-    // it, while the reference oracle never sleeps a rule and logging for it
-    // would only grow a buffer nobody reads. Each entry is
-    // `(cell id, publishing rule)`; the publisher is `cur_rule` at publish
-    // time (`u32::MAX` outside any attributed rule, e.g. the end-of-cycle
-    // latch) and feeds the causal profiler's publish→wake edges.
-    publish_log: RefCell<Vec<(u32, u32)>>,
-    publishes: Cell<u64>,
-    wake_log: Cell<bool>,
-    // Bitset over cell ids with at least one (possibly stale) watcher
-    // entry in the scheduler's per-cell lists. Publishes of unwatched
-    // cells are dropped before touching the log: on a design where only a
-    // few narrow-guard rules sleep, the overwhelming majority of committed
-    // writes and end-of-cycle latches publish cells nobody watches, and
-    // logging those taxes every *firing* rule to feed drains that find
-    // nothing. Maintained by the scheduler (set on watcher registration,
-    // cleared when a cell's watcher list drains empty); bits may be stale
-    // in the set direction, which only costs a logged-then-ignored entry.
-    watched_cells: RefCell<Vec<u64>>,
-    // Scheduler-maintained index of the rule currently executing, for
-    // publish attribution. Only kept accurate while profiling; stale values
-    // are harmless because nothing reads them when the profiler is off.
-    cur_rule: Cell<u32>,
+    // Who sleeps on which cell, and who has been woken (see `crate::wake`).
+    wake: Wake,
     // Global method index of the `earlier` side of the last violation
     // `check_cm` reported, for the causal profiler's CM-block edges.
     cm_earlier: Cell<u32>,
-    // Read tracing: while enabled, every cell read logs its id so the
-    // scheduler can infer a stalling rule's watch set.
-    read_trace: Cell<bool>,
-    read_log: RefCell<Vec<u32>>,
-    // Per-evaluation impurity taint: cleared by `begin_rule`, set by
-    // `Clock::taint_eval` when a rule body touches state the wakeup layer
-    // cannot watch (the cycle counter, un-poked plain state, stat counters
-    // mutated on a stall path). A tainted stalling evaluation is never
-    // slept — the scheduler re-evaluates it next cycle as if it were
-    // `Wakeup::EveryCycle`.
-    eval_taint: Cell<bool>,
     total_methods: Cell<u32>,
-}
-
-impl ClockInner {
-    /// Appends `id` to the publish log — a no-op unless logging is enabled
-    /// (see [`Clock::set_wake_log`]).
-    #[inline]
-    fn publish(&self, id: u32) {
-        if !self.wake_log.get() {
-            return;
-        }
-        {
-            let watched = self.watched_cells.borrow();
-            let hit = watched
-                .get((id / 64) as usize)
-                .is_some_and(|w| w & (1u64 << (id % 64)) != 0);
-            if !hit {
-                return;
-            }
-        }
-        self.publish_log
-            .borrow_mut()
-            .push((id, self.cur_rule.get()));
-        self.publishes.set(self.publishes.get() + 1);
-    }
 }
 
 impl Clock {
@@ -266,15 +211,8 @@ impl Clock {
                 eoc_hooks: RefCell::new(Vec::new()),
                 tracing: Cell::new(false),
                 tracer: RefCell::new(Tracer::disabled()),
-                publish_log: RefCell::new(Vec::new()),
-                publishes: Cell::new(0),
-                wake_log: Cell::new(false),
-                watched_cells: RefCell::new(Vec::new()),
-                cur_rule: Cell::new(u32::MAX),
+                wake: Wake::default(),
                 cm_earlier: Cell::new(u32::MAX),
-                read_trace: Cell::new(false),
-                read_log: RefCell::new(Vec::new()),
-                eval_taint: Cell::new(false),
                 total_methods: Cell::new(0),
             }),
         }
@@ -282,9 +220,9 @@ impl Clock {
 
     /// Registers the cell `make` builds around its freshly allocated id
     /// (every `Ehr`/`Reg`/`Wire`/collection cell does this at
-    /// construction). The id keys the open rule's transaction, the wakeup
-    /// layer's publish log and the scheduler's per-cell watcher lists;
-    /// `at_boundary` cells also get [`TxnCell::end_cycle`] every cycle.
+    /// construction). The id keys the open rule's transaction and the wake
+    /// layer's per-cell watcher lists; `at_boundary` cells also get
+    /// [`TxnCell::end_cycle`] every cycle.
     pub(crate) fn adopt<C: TxnCell + 'static>(
         &self,
         at_boundary: bool,
@@ -300,52 +238,11 @@ impl Clock {
         cell
     }
 
-    /// Logs a cell read while read tracing is enabled (a no-op otherwise —
-    /// one branch on a `Cell<bool>`).
+    /// The wake layer: cells log reads and out-of-rule writes here, the
+    /// scheduler puts rules to sleep and checks for wakes.
     #[inline]
-    pub(crate) fn note_read(&self, id: u32) {
-        if self.inner.read_trace.get() {
-            self.inner.read_log.borrow_mut().push(id);
-        }
-    }
-
-    /// Starts logging cell reads (scheduler use, around a rule body whose
-    /// watch set is being inferred).
-    pub(crate) fn begin_read_trace(&self) {
-        self.inner.read_log.borrow_mut().clear();
-        self.inner.read_trace.set(true);
-    }
-
-    /// Stops logging and moves the logged ids (duplicates included) into
-    /// `out`.
-    pub(crate) fn end_read_trace(&self, out: &mut Vec<u32>) {
-        self.inner.read_trace.set(false);
-        out.clear();
-        out.append(&mut self.inner.read_log.borrow_mut());
-    }
-
-    /// Total publish-log entries ever pushed (monotonic, survives drains).
-    /// One `Cell` read: the scheduler compares this against its drained-up-to
-    /// mark to decide whether a drain is needed at all.
-    pub(crate) fn publish_count(&self) -> u64 {
-        self.inner.publishes.get()
-    }
-
-    /// Drains the publish log, calling `f` with each `(published cell id,
-    /// publishing rule)` pair in publish order (duplicates included). The
-    /// publisher is `u32::MAX` when the publish happened outside an
-    /// attributed rule (see [`Clock::set_cur_rule`]).
-    pub(crate) fn drain_publishes(&self, mut f: impl FnMut(u32, u32)) {
-        for (id, publisher) in self.inner.publish_log.borrow_mut().drain(..) {
-            f(id, publisher);
-        }
-    }
-
-    /// Tags subsequent publishes with rule index `rule` (`u32::MAX` to
-    /// clear). The scheduler only bothers while the causal profiler is on.
-    #[inline]
-    pub(crate) fn set_cur_rule(&self, rule: u32) {
-        self.inner.cur_rule.set(rule);
+    pub(crate) fn wake(&self) -> &Wake {
+        &self.inner.wake
     }
 
     /// Global method index of the `earlier` side of the most recent
@@ -356,49 +253,12 @@ impl Clock {
         self.inner.cm_earlier.get()
     }
 
-    /// Enables or disables publish logging (and empties the log either way).
-    /// The fast scheduler turns logging on; while off — the default, and the
-    /// reference oracle — committed writes skip the log entirely so it
-    /// cannot grow unread.
-    pub(crate) fn set_wake_log(&self, on: bool) {
-        self.inner.wake_log.set(on);
-        self.inner.publish_log.borrow_mut().clear();
-    }
-
-    /// Marks cell `id` as having a scheduler watcher, so its publishes
-    /// reach the log (see `ClockInner::watched_cells`).
-    pub(crate) fn set_cell_watched(&self, id: u32) {
-        let mut w = self.inner.watched_cells.borrow_mut();
-        let idx = (id / 64) as usize;
-        if idx >= w.len() {
-            w.resize(idx + 1, 0);
-        }
-        w[idx] |= 1u64 << (id % 64);
-    }
-
-    /// Clears cell `id`'s watched bit (its watcher list drained empty).
-    pub(crate) fn clear_cell_watched(&self, id: u32) {
-        let mut w = self.inner.watched_cells.borrow_mut();
-        let idx = (id / 64) as usize;
-        if let Some(word) = w.get_mut(idx) {
-            *word &= !(1u64 << (id % 64));
-        }
-    }
-
-    /// Records an observable change of cell `id` outside any rule commit
-    /// (an initialization write or test poke) so any sleeping observer sees
-    /// the change.
-    pub(crate) fn mark_poked(&self, id: u32) {
-        self.inner.publish(id);
-    }
-
     /// Allocates a bare *signal cell*: a [`CellId`] with no storage behind
-    /// it, for bridging non-cell state into the wakeup layer. A substrate
+    /// it, for bridging non-cell state into the wake layer. A substrate
     /// rule that owns plain Rust state (a memory system, a device) calls
     /// [`Clock::poke`] on the signal whenever that state changes observably;
-    /// rules whose guards read the plain state watch the signal via
-    /// [`crate::sched::Wakeup::Watch`] or
-    /// [`crate::sched::Wakeup::InferredPlus`].
+    /// whatever reads the plain state on a rule's behalf calls
+    /// [`Clock::observe`] on it.
     #[must_use]
     pub fn signal_cell(&self) -> CellId {
         CellId(self.adopt(false, Signal).0)
@@ -408,23 +268,30 @@ impl Clock {
     /// any time (inside or outside a rule); the publish is immediate, not
     /// transactional, so only poke for changes that are already visible.
     pub fn poke(&self, cell: CellId) {
-        self.inner.publish(cell.0);
+        self.inner.wake.publish(cell.0);
+    }
+
+    /// Declares that the running rule evaluation reads the plain state
+    /// behind signal cell `cell`: a traced read, exactly like reading an
+    /// `Ehr`. If the evaluation stalls and the rule goes to sleep
+    /// ([`crate::sched::Wakeup::Inferred`]), a [`Clock::poke`] of `cell`
+    /// wakes it. Call it where the read happens — in the accessor through
+    /// which rule bodies reach the plain state — so a rule's watch set is
+    /// what its stalling path actually read.
+    #[inline]
+    pub fn observe(&self, cell: CellId) {
+        self.inner.wake.note_read(cell.0);
     }
 
     /// Marks the current rule evaluation as *impure*: it read or wrote
-    /// something the wakeup layer cannot watch (the cycle counter, plain
+    /// something the wake layer cannot watch (the cycle counter, plain
     /// state with no covering signal cell, statistics mutated on a stall
     /// path). If the evaluation stalls, the scheduler will re-evaluate it
-    /// every cycle instead of sleeping it — making `Wakeup::Inferred` /
-    /// `Wakeup::InferredPlus` sound per-evaluation on rules with a few
-    /// impure stall paths. Cleared automatically at `begin_rule`.
+    /// every cycle instead of sleeping it — making `Wakeup::Inferred` sound
+    /// per-evaluation on rules with a few impure stall paths. Cleared
+    /// automatically at `begin_rule`.
     pub fn taint_eval(&self) {
-        self.inner.eval_taint.set(true);
-    }
-
-    /// Whether [`Clock::taint_eval`] was called since the last `begin_rule`.
-    pub(crate) fn eval_tainted(&self) -> bool {
-        self.inner.eval_taint.get()
+        self.inner.wake.taint.set(true);
     }
 
     /// Current cycle number.
@@ -571,7 +438,7 @@ impl Clock {
     pub fn begin_rule(&self) {
         assert!(!self.inner.in_rule.get(), "nested rules are not allowed");
         self.inner.in_rule.set(true);
-        self.inner.eval_taint.set(false);
+        self.inner.wake.taint.set(false);
     }
 
     /// Checks the current rule's recorded method calls against every method
@@ -634,13 +501,11 @@ impl Clock {
         }
         {
             // Every observable change publishes the touched cell's id so
-            // sleeping observers get re-evaluated (see the wakeup layer in
-            // `crate::sim`); `publish` is a no-op unless a fast scheduler
-            // is draining the log.
+            // rules asleep on it get re-evaluated (see `crate::wake`).
             let cells = self.inner.cells.borrow();
             for id in self.inner.dirty.borrow_mut().drain(..) {
                 if cells[id as usize].commit() {
-                    self.inner.publish(id);
+                    self.inner.wake.publish(id);
                 }
             }
         }
@@ -728,7 +593,7 @@ impl Clock {
             let cells = self.inner.cells.borrow();
             for &id in self.inner.eoc.borrow().iter() {
                 if cells[id as usize].end_cycle() {
-                    self.inner.publish(id);
+                    self.inner.wake.publish(id);
                 }
             }
         }
@@ -941,16 +806,35 @@ mod tests {
         let b = Ehr::new(&clk, 0u32);
         let r = Reg::new(&clk, 0u32);
         let q: EhrDeque<u32> = EhrDeque::new(&clk, 2);
-        clk.set_wake_log(true);
-        for id in 0..4 {
-            clk.set_cell_watched(id);
+        let cells = [a.watch_id(), b.watch_id(), r.watch_id(), q.watch_id()];
+        // One sleeping rule per cell, rule `i` on `cells[i]`; publishes are
+        // tagged as rule 9's, so the edge list is who woke, in wake order.
+        let wake = clk.wake();
+        for _ in 0..cells.len() {
+            wake.add_rule();
         }
-        let drained = |clk: &Clock| {
-            let mut ids = Vec::new();
-            clk.drain_publishes(|id, _| ids.push(id));
-            ids
+        wake.publisher.set(Some(9));
+        let sleep_all = || {
+            for (rule, &cell) in cells.iter().enumerate() {
+                wake.forget(rule);
+                wake.trace_reads(|| clk.observe(cell));
+                wake.sleep_on_reads(rule);
+            }
+        };
+        let woken = || {
+            let mut rules = Vec::new();
+            wake.take_edges(|(from, to)| {
+                assert_eq!(from, 9);
+                rules.push(to as usize);
+            });
+            let flagged: Vec<usize> = (0..cells.len()).filter(|&i| wake.take_wake(i)).collect();
+            let mut sorted = rules.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, flagged, "an edge per wake, a wake per edge");
+            rules
         };
 
+        sleep_all();
         clk.begin_rule();
         q.push_back(1);
         b.write(1);
@@ -960,18 +844,27 @@ mod tests {
         b.write(2);
         clk.commit_rule();
         assert_eq!(
-            drained(&clk),
-            vec![q.watch_id().0, b.watch_id().0],
-            "once each, first-touch order; the Reg waits for the latch"
+            woken(),
+            vec![3, 1],
+            "q's watcher then b's, once each; a was not touched, the Reg waits for the latch"
         );
 
+        sleep_all();
         clk.begin_rule();
         a.write(1);
         clk.abort_rule();
-        assert!(drained(&clk).is_empty(), "an abort publishes nothing");
+        assert!(woken().is_empty(), "an abort publishes nothing");
 
         clk.end_cycle();
-        assert_eq!(drained(&clk), vec![r.watch_id().0], "the latch publishes");
+        assert_eq!(woken(), vec![2], "the latch publishes");
+
+        // A publish reaches the rules registered before it, and only those.
+        clk.begin_rule();
+        a.write(2);
+        clk.commit_rule();
+        assert_eq!(woken(), vec![0]);
+        sleep_all();
+        assert!(woken().is_empty(), "a sleeper is not woken by what it saw");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! modular-refinement story the paper tells.
 
 use std::fmt;
+use std::rc::Rc;
 
 use crate::cell::Ehr;
-use crate::clock::{CellId, Clock, ModuleIfc};
+use crate::clock::{Clock, ModuleIfc};
 use crate::cm::ConflictMatrix;
 use crate::guard::{Guarded, Stall};
 use crate::journal::EhrDeque;
@@ -122,14 +123,6 @@ impl<T: Clone + 'static> PipelineFifo<T> {
             cap: capacity,
         }
     }
-
-    /// Cell id of the backing queue, for explicit
-    /// [`Wakeup::Watch`](crate::sched::Wakeup) declarations: every guard of
-    /// this FIFO is a function of the queue alone.
-    #[must_use]
-    pub fn watch_id(&self) -> CellId {
-        self.q.watch_id()
-    }
 }
 
 impl<T: Clone + 'static> Fifo<T> for PipelineFifo<T> {
@@ -208,14 +201,6 @@ impl<T: Clone + 'static> BypassFifo<T> {
             cap: capacity,
         }
     }
-
-    /// Cell id of the backing queue, for explicit
-    /// [`Wakeup::Watch`](crate::sched::Wakeup) declarations: every guard of
-    /// this FIFO is a function of the queue alone.
-    #[must_use]
-    pub fn watch_id(&self) -> CellId {
-        self.q.watch_id()
-    }
 }
 
 impl<T: Clone + 'static> Fifo<T> for BypassFifo<T> {
@@ -285,6 +270,11 @@ pub struct CfFifo<T: 'static> {
     /// Enqs performed so far this cycle.
     enqs: Ehr<usize>,
     cap: usize,
+    /// The cycle-boundary bookkeeping. Owned here; the clock's hook list
+    /// only holds it weakly, because it owns cell handles and every handle
+    /// holds the clock — a strong hook would keep the clock, and every cell
+    /// ever created on it, alive forever.
+    _roll: Rc<dyn Fn()>,
 }
 
 impl<T: Clone + 'static> CfFifo<T> {
@@ -304,52 +294,47 @@ impl<T: Clone + 'static> CfFifo<T> {
             .pair(m::FIRST, m::CLEAR, crate::cm::Rel::Before)
             .self_free(m::FIRST)
             .build();
-        let f = CfFifo {
-            ifc: clk.module("CfFifo", &METHODS, cm),
-            q: base_state(clk, capacity),
-            snap_len: Ehr::new(clk, 0),
-            deqs: Ehr::new(clk, 0),
-            enqs: Ehr::new(clk, 0),
-            cap: capacity,
+        let q = base_state(clk, capacity);
+        let snap_len = Ehr::new(clk, 0);
+        let deqs = Ehr::new(clk, 0);
+        let enqs = Ehr::new(clk, 0);
+        let roll: Rc<dyn Fn()> = {
+            let (q, snap, deqs, enqs) = (q.clone(), snap_len.clone(), deqs.clone(), enqs.clone());
+            Rc::new(move || {
+                // Conditional writes: an idle cycle must not republish these
+                // cells to the wake layer, or rules sleeping on this FIFO
+                // (see crate::sched) would be woken every cycle for nothing.
+                let len = q.len();
+                if snap.read() != len {
+                    snap.write(len);
+                }
+                if deqs.read() != 0 {
+                    deqs.write(0);
+                }
+                if enqs.read() != 0 {
+                    enqs.write(0);
+                }
+            })
         };
-        let q = f.q.clone();
-        let snap = f.snap_len.clone();
-        let deqs = f.deqs.clone();
-        let enqs = f.enqs.clone();
+        let hook = Rc::downgrade(&roll);
         clk.at_end_of_cycle(move || {
-            // Conditional writes: an idle cycle must not republish these
-            // cells to the wakeup layer, or rules sleeping on this FIFO
-            // (see crate::sched) would be woken every cycle for nothing.
-            let len = q.len();
-            if snap.read() != len {
-                snap.write(len);
-            }
-            if deqs.read() != 0 {
-                deqs.write(0);
-            }
-            if enqs.read() != 0 {
-                enqs.write(0);
+            if let Some(roll) = hook.upgrade() {
+                roll();
             }
         });
-        f
+        CfFifo {
+            ifc: clk.module("CfFifo", &METHODS, cm),
+            q,
+            snap_len,
+            deqs,
+            enqs,
+            cap: capacity,
+            _roll: roll,
+        }
     }
 
     fn available_to_deq(&self) -> usize {
         self.snap_len.read().saturating_sub(self.deqs.read())
-    }
-
-    /// Cell ids of every cell the guards of this FIFO read, for explicit
-    /// [`Wakeup::Watch`](crate::sched::Wakeup) declarations (the CF flavor
-    /// judges fullness/emptiness from its cycle-boundary bookkeeping cells,
-    /// not just the queue).
-    #[must_use]
-    pub fn watch_ids(&self) -> [CellId; 4] {
-        [
-            self.q.watch_id(),
-            self.snap_len.watch_id(),
-            self.deqs.watch_id(),
-            self.enqs.watch_id(),
-        ]
     }
 }
 
@@ -561,6 +546,41 @@ mod tests {
         let consumed = sim.state().consumed.read();
         assert!(consumed.len() >= 18, "steady-state one transfer per cycle");
         assert!(consumed.windows(2).all(|w| w[1] == w[0] + 1), "FIFO order");
+    }
+
+    #[test]
+    fn cf_fifo_does_not_pin_its_clock() {
+        use std::cell::Cell;
+
+        /// A payload that counts how many of its copies have been dropped.
+        #[derive(Clone)]
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+
+        let drops = Rc::new(Cell::new(0));
+        let clk = Clock::new();
+        let f: CfFifo<Counted> = CfFifo::new(&clk, 2);
+        let mut sim = Sim::new(clk, f);
+        let payload = Counted(drops.clone());
+        sim.rule("produce", move |f: &mut CfFifo<Counted>| {
+            f.enq(payload.clone())
+        });
+        sim.run(3); // fills the FIFO, then rolls its bookkeeping while full
+        assert_eq!(sim.state().len(), 2);
+        let before = drops.get();
+        drop(sim);
+        // One copy lives in the rule's closure and goes with the `Sim`; the
+        // two queued ones live in the clock's cell registry and go only if
+        // the clock does.
+        assert_eq!(
+            drops.get() - before,
+            3,
+            "the clock and its cells outlived the Sim"
+        );
     }
 
     #[test]

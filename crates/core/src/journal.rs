@@ -48,7 +48,7 @@ impl<C, U> Journaled<C, U> {
     }
 
     fn read<R>(&self, clk: &Clock, f: impl FnOnce(&C) -> R) -> R {
-        clk.note_read(self.id);
+        clk.wake().note_read(self.id);
         f(&self.cur.borrow())
     }
 
@@ -56,7 +56,7 @@ impl<C, U> Journaled<C, U> {
     /// and pushes the inverse of what it did; an operation that pushes
     /// nothing changed nothing and does not touch the transaction.
     fn mutate<R>(&self, clk: &Clock, op: impl FnOnce(&mut C, &mut Vec<U>) -> R) -> R {
-        clk.note_read(self.id);
+        clk.wake().note_read(self.id);
         let mut log = self.log.borrow_mut();
         let before = log.len();
         let r = op(&mut self.cur.borrow_mut(), &mut log);
@@ -66,7 +66,7 @@ impl<C, U> Journaled<C, U> {
         if !clk.in_rule() {
             // Initialization / restore: nothing to roll back to.
             log.clear();
-            clk.mark_poked(self.id);
+            clk.wake().publish(self.id);
         } else if !self.enlisted.replace(true) {
             clk.enlist(self.id);
         }

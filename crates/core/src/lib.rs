@@ -29,9 +29,9 @@
 //! * [`sim`] — the rule scheduler with per-rule firing statistics, a
 //!   liveness watchdog, and structured [`sim::SimError`] diagnostics;
 //! * [`sched`] — the fast-path scheduling machinery: the precise conflict
-//!   probe and the wakeup layer behind [`sched::SchedulerMode::Fast`] (the
-//!   reference one-rule-at-a-time loop stays available as the correctness
-//!   oracle, see `docs/SCHEDULING.md`);
+//!   probe and the two wakeup policies behind [`sched::SchedulerMode::Fast`]
+//!   (the reference one-rule-at-a-time loop stays available as the
+//!   correctness oracle, see `docs/SCHEDULING.md`);
 //! * [`snap`] — versioned, byte-stable snapshots: the [`snap::Snap`] /
 //!   [`snap::Snapshot`] codec traits, the writer/reader pair, and the
 //!   kernel-state save/restore used by checkpoint/resume (see
@@ -94,6 +94,7 @@ pub mod sim;
 pub mod snap;
 pub mod telemetry;
 pub mod trace;
+mod wake;
 
 /// Convenient glob-import of the kernel's core types.
 pub mod prelude {

@@ -1,5 +1,5 @@
-//! Fast-path scheduling machinery: the scheduler-mode switch and the
-//! wakeup/dirty-set layer.
+//! Fast-path scheduling machinery: the scheduler-mode switch, the two
+//! wakeup policies and the per-rule sleep hysteresis.
 //!
 //! The reference scheduler ([`crate::sim::Sim`] in
 //! [`SchedulerMode::Reference`]) realizes the paper's §III semantics in the
@@ -18,22 +18,29 @@
 //!    the probe has already proven to exist.
 //!
 //! 2. **Wakeup-driven guard evaluation** — a rule registered with
-//!    [`Wakeup::Inferred`] or [`Wakeup::Watch`] that stalls goes to *sleep*
-//!    on the set of state cells its guard read: the scheduler registers it
-//!    in a per-cell watcher list. Every committed write appends the written
-//!    cell's [`CellId`] to the clock's publish log, which the scheduler
-//!    drains into wake flags; the sleeping rule is skipped — but accounted
-//!    exactly as a guard stall with its cached reason, so statistics,
-//!    counters, and traces stay identical to the reference — until one of
-//!    its watched cells publishes.
+//!    [`Wakeup::Inferred`] that stalls goes to *sleep* on what its stalling
+//!    path read: the kernel re-runs the evaluation under a read trace and
+//!    registers the rule as a watcher of every cell it read. A committed
+//!    write publishes the written cell's [`CellId`](crate::clock::CellId),
+//!    which marks that cell's watchers awake on the spot; until then the
+//!    sleeping rule is skipped — but accounted exactly as a guard stall
+//!    with its cached reason, so statistics, counters, and traces stay
+//!    identical to the reference.
 //!
-//! Wakeup eligibility is a contract: the rule body must be a pure function
-//! of clocked cell state (`Ehr`/`Reg`/`Wire` and the FIFOs built on them).
-//! Rules that read plain Rust state, the cycle counter, or any other
-//! side channel must stay on [`Wakeup::EveryCycle`] (the default), which is
-//! always sound. See `docs/SCHEDULING.md` for the equivalence argument.
-
-use crate::clock::CellId;
+//! Wakeup eligibility is a contract on the rule body, path by path: a
+//! stalling evaluation must be a pure function of what it read through
+//! clocked cells (`Ehr`/`Reg`/`Wire` and the collections and FIFOs built on
+//! them) and through [`Clock::observe`](crate::clock::Clock::observe) — the
+//! traced read of a signal cell that some substrate rule
+//! [`poke`](crate::clock::Clock::poke)s whenever the plain state behind it
+//! changes. The dependency is declared where the read happens (in the
+//! accessor that hands out the plain state), not in a table beside the rule
+//! registration. A stall path that cannot be covered — it reads the cycle
+//! counter, or mutates plain state — calls
+//! [`Clock::taint_eval`](crate::clock::Clock::taint_eval), which vetoes the
+//! sleep for that evaluation; a rule that is impure throughout stays on
+//! [`Wakeup::EveryCycle`] (the default), which is always sound. See
+//! `docs/SCHEDULING.md` for the equivalence argument.
 
 /// Which per-cycle loop [`crate::sim::Sim`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,33 +56,23 @@ pub enum SchedulerMode {
 }
 
 /// When a stalled rule's guard is re-evaluated (fast scheduler only).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Wakeup {
     /// Re-evaluate every cycle. Always sound; the only choice for rules
-    /// whose bodies read anything besides clocked cells.
+    /// whose bodies read state no publish or poke covers.
     #[default]
     EveryCycle,
-    /// Infer the watch set from the cells the body actually reads (the
-    /// kernel read-traces the evaluation that stalls). Requires the body to
-    /// be a pure function of cell state.
+    /// Sleep on what the stalling evaluation read — clocked cells, and
+    /// signal cells named through
+    /// [`Clock::observe`](crate::clock::Clock::observe) — until one of them
+    /// publishes. The kernel infers the set by re-running the evaluation
+    /// under a read trace.
     Inferred,
-    /// Sleep on an explicit cell set. Requires the body's guard to depend
-    /// only on these cells.
-    Watch(Vec<CellId>),
-    /// Like [`Wakeup::Inferred`], but the watch set is the union of the
-    /// traced reads *and* these extra cells. This is the escape hatch for
-    /// rules whose guards also read non-cell state (e.g. a memory system's
-    /// queues): some substrate rule must [`crate::clock::Clock::poke`] one
-    /// of the extra cells whenever that outside state changes observably.
-    /// Stall paths that cannot be covered this way must call
-    /// [`crate::clock::Clock::taint_eval`], which suppresses the sleep for
-    /// that evaluation.
-    InferredPlus(Vec<CellId>),
 }
 
 /// A sleeping rule: skipped (but accounted with `reason`) until one of the
 /// cells it watches publishes a committed write. The watch set itself lives
-/// in the scheduler's per-cell watcher lists, registered when the sleep
+/// in the wake layer's per-cell watcher lists, registered when the sleep
 /// begins.
 ///
 /// Accounting is *batched*: a skipped cycle touches nothing, and the

@@ -36,9 +36,11 @@ struct Soup {
     pipe: PipelineFifo<u64>,
     byp: BypassFifo<u64>,
     cf: CfFifo<u64>,
-    /// Plain (non-cell) state, bridged into the wakeup layer by `sig`:
+    /// Plain (non-cell) state, bridged into the wake layer by `sig`:
     /// mutating rules poke the signal whenever the observable projection
-    /// `plain / 7` changes — the substrate/digest pattern the SoC uses.
+    /// `plain / 7` changes, and [`Soup::plain_phase`] — the only way a
+    /// sleepable path reads it — observes the signal: the substrate/digest
+    /// pattern the SoC uses.
     plain: u64,
     sig: CellId,
     /// Rule bodies entered, by any scheduler path. Deliberately outside
@@ -47,8 +49,18 @@ struct Soup {
     entries: u64,
 }
 
-/// One randomly drawn rule body. Every kind is a pure function of clocked
-/// cell state, so any of them may legally run with `Wakeup::Inferred`.
+impl Soup {
+    /// The observable projection of the plain counter, read the way a rule
+    /// body must read it: the accessor declares the dependency.
+    fn plain_phase(&self) -> u64 {
+        self.clk.observe(self.sig);
+        self.plain / 7
+    }
+}
+
+/// One randomly drawn rule body. Every stalling path is a pure function of
+/// what it read through cells and `observe` (or taints itself), so any of
+/// them may legally run with `Wakeup::Inferred`.
 #[derive(Clone, Copy)]
 enum Kind {
     /// Bump a cell, optionally grabbing the (self-conflicting) arbiter.
@@ -70,8 +82,8 @@ enum Kind {
     /// must stay on `Wakeup::EveryCycle`.
     PlainBump,
     /// Stall unless the plain projection is in phase; sound under
-    /// `Wakeup::InferredPlus([sig])` because every projection change pokes
-    /// the signal.
+    /// `Wakeup::Inferred` because the read goes through `plain_phase`
+    /// (which observes the signal) and every projection change pokes it.
     PlainGate { bump: usize },
     /// Stall on a cell (pure, sleepable) or on the raw plain counter (the
     /// impure path calls `Clock::taint_eval`, suppressing the sleep).
@@ -141,7 +153,7 @@ fn apply(spec: Kind, s: &mut Soup) -> Guarded<()> {
             Ok(())
         }
         Kind::PlainGate { bump } => {
-            if (s.plain / 7).is_multiple_of(4) {
+            if s.plain_phase().is_multiple_of(4) {
                 return Err(Stall::new("plain gate closed"));
             }
             s.cells[bump].update(|v| *v = v.wrapping_add(5));
@@ -212,7 +224,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
 
     let n_rules = 6 + (rng.next_u64() % 5) as usize;
     // Always include the plain-state trio so every soup exercises signal
-    // pokes, InferredPlus, and the taint escape hatch alongside the random
+    // pokes, `observe`, and the taint escape hatch alongside the random
     // draw below.
     let bump_id = sim.rule("r_plain_bump", move |s: &mut Soup| {
         apply(Kind::PlainBump, s)
@@ -222,7 +234,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         bump: (rng.next_u64() as usize) % NUM_CELLS,
     };
     let gate_id = sim.rule("r_plain_gate", move |s: &mut Soup| apply(gate_kind, s));
-    sim.set_wakeup(gate_id, Wakeup::InferredPlus(vec![sig]));
+    sim.set_wakeup(gate_id, Wakeup::Inferred);
     let taint_kind = Kind::TaintGate {
         cell: (rng.next_u64() as usize) % NUM_CELLS,
         threshold: rng.next_u64() % 12,
@@ -332,6 +344,96 @@ fn random_rule_soups_match_reference() {
 #[test]
 fn random_rule_soups_match_reference_under_chaos() {
     assert_soups_match_reference(true);
+}
+
+// ---------------------------------------------------------------------------
+// `observe` declares a dependency per stalling path, not per rule
+// ---------------------------------------------------------------------------
+
+struct TwoPaths {
+    clk: Clock,
+    gate: Ehr<u64>,
+    plain: u64,
+    sig: CellId,
+    entries: u64,
+}
+
+/// One rule, two stall paths: the first reads only `gate`, the second only
+/// the plain state behind `sig` (through `observe`). Returns the sim and
+/// the rule.
+fn build_two_paths(mode: SchedulerMode) -> (Sim<TwoPaths>, RuleId) {
+    let clk = Clock::new();
+    let st = TwoPaths {
+        clk: clk.clone(),
+        gate: Ehr::new(&clk, 0),
+        plain: 0,
+        sig: clk.signal_cell(),
+        entries: 0,
+    };
+    let mut sim = Sim::new(clk, st);
+    sim.set_scheduler(mode);
+    let id = sim.rule("two_paths", |s: &mut TwoPaths| {
+        s.entries += 1;
+        if s.gate.read() == 0 {
+            return Err(Stall::new("gate closed"));
+        }
+        s.clk.observe(s.sig);
+        if s.plain == 0 {
+            return Err(Stall::new("plain not ready"));
+        }
+        Ok(())
+    });
+    sim.set_wakeup(id, Wakeup::Inferred);
+    (sim, id)
+}
+
+/// Both sims take the substrate's move (`Some(v)`: set the plain state and
+/// poke its signal), run `n` cycles and must agree on the rule's statistics.
+/// Returns the bodies `Fast` has entered so far.
+fn step(sims: &mut [(Sim<TwoPaths>, RuleId); 2], plain: Option<u64>, n: u64) -> u64 {
+    for (sim, _) in sims.iter_mut() {
+        if let Some(v) = plain {
+            sim.state_mut().plain = v;
+            let s = sim.state();
+            s.clk.poke(s.sig);
+        }
+        sim.run(n);
+    }
+    let [(fast, f), (reference, r)] = sims;
+    assert_eq!(fast.rule_stats(*f), reference.rule_stats(*r));
+    fast.state().entries
+}
+
+#[test]
+fn observe_is_path_precise() {
+    let mut sims = [SchedulerMode::Fast, SchedulerMode::Reference].map(build_two_paths);
+
+    // Asleep on the first path: the stalling evaluation never reached
+    // `observe`, so a poke of `sig` is not its business.
+    let asleep = step(&mut sims, None, 4);
+    let poked = step(&mut sims, Some(0), 4);
+    assert_eq!(poked, asleep, "woken by a signal its path never observed");
+
+    // Open the gate: the write wakes it, and it goes back to sleep on the
+    // second path — now `sig` is in the watch set, and a poke wakes it even
+    // with no change behind it.
+    for (sim, _) in &sims {
+        sim.state().gate.write(1);
+    }
+    let asleep = step(&mut sims, None, 4);
+    let poked = step(&mut sims, Some(0), 1);
+    assert!(
+        poked > asleep,
+        "not re-entered when the observed signal was poked"
+    );
+
+    step(&mut sims, Some(1), 3);
+    let [(fast, f), (reference, _)] = &sims;
+    assert_eq!(fast.rule_stats(*f).fired, 3);
+    assert!(
+        fast.state().entries < reference.state().entries,
+        "the fast scheduler never slept"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -296,11 +296,12 @@ impl Soc {
         // the clocked cells (cache acceptance, response arrival, eviction
         // notes, ITLB miss status) is packed exactly — no hashing, so no
         // collisions — and the core's `mem_event` cell is poked when it
-        // differs from last cycle's. This is what makes the
-        // `Wakeup::InferredPlus` policies in `SocSim::new` sound: a rule
-        // asleep on plain state is woken the same cycle the state changes,
-        // before any core rule's slot. Computed after `mem.tick()` with a
-        // fresh `now` — the value every core rule will read this cycle.
+        // differs from last cycle's. This is the other half of the
+        // `Soc::{dcache, icache, itlb}` accessors, which observe that cell
+        // on a rule's behalf: a rule asleep on plain state is woken the
+        // same cycle the state changes, before any core rule's slot.
+        // Computed after `mem.tick()` with a fresh `now` — the value every
+        // core rule will read this cycle.
         let now = self.mem.now();
         for c in 0..self.cores.len() {
             let d = self.mem.dcache_ref(c);
@@ -322,14 +323,12 @@ impl Soc {
         // `evict_kill == false` is the litmus harness's injected ordering
         // bug: TSO keeps committing but silently loses its load repair.
         let is_tso = self.cfg.mem_model == MemModel::Tso && self.cfg.evict_kill;
-        let core = &self.cores[c];
-        let dcache = self.mem.dcache(c);
-        if dcache.evict_notes.is_empty() {
+        if self.dcache(c).evict_notes.is_empty() {
             return Err(Stall::new("no evictions"));
         }
-        while let Some(line) = dcache.evict_notes.pop_front() {
+        while let Some(line) = self.dcache(c).evict_notes.pop_front() {
             if is_tso {
-                core.lsq.cache_evict(line);
+                self.cores[c].lsq.cache_evict(line);
             }
         }
         Ok(())
@@ -403,7 +402,7 @@ impl Soc {
                     return Err(Stall::new("atomic waits for older stores"));
                 }
             }
-            let dcache = self.mem.dcache(c);
+            let dcache = self.dcache(c);
             if !dcache.can_accept() {
                 return Err(Stall::new("dcache full"));
             }
@@ -660,7 +659,7 @@ impl Soc {
     /// Load/atomic responses from the D cache (paper's `doRespLd`).
     pub(crate) fn rule_resp_ld(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
-        let dcache = self.mem.dcache(c);
+        let dcache = self.dcache(c);
         let resp = match dcache.pop_resp(now) {
             Some(r @ (CoreResp::Ld { .. } | CoreResp::Atomic { .. })) => r,
             Some(r @ CoreResp::St { .. }) => {
@@ -1058,7 +1057,7 @@ impl Soc {
     /// Paper Fig. 10 `doIssueLd`.
     pub(crate) fn rule_issue_ld(&mut self, c: usize) -> Guarded<()> {
         let (idx, addr, bytes) = self.cores[c].lsq.get_issue_ld()?;
-        if !self.mem.dcache(c).can_accept() {
+        if !self.dcache(c).can_accept() {
             return Err(Stall::new("dcache full"));
         }
         let core = &self.cores[c];
@@ -1074,8 +1073,7 @@ impl Soc {
                 Ok(())
             }
             LdIssue::ToCache => {
-                self.mem
-                    .dcache(c)
+                self.dcache(c)
                     .request(CoreReq::Ld {
                         tag: u32::from(idx),
                         addr,
@@ -1152,12 +1150,11 @@ impl Soc {
                 if e.issued {
                     return Err(Stall::new("store awaiting respSt"));
                 }
-                if !self.mem.dcache(c).can_accept() {
+                if !self.dcache(c).can_accept() {
                     return Err(Stall::new("dcache full"));
                 }
                 self.cores[c].lsq.mark_st_issued(idx);
-                self.mem
-                    .dcache(c)
+                self.dcache(c)
                     .request(CoreReq::St {
                         sb_idx: u32::from(idx),
                         line: line_of(addr),
@@ -1173,12 +1170,11 @@ impl Soc {
         if self.cfg.mem_model != MemModel::Wmm {
             return Err(Stall::new("no SB under TSO"));
         }
-        if !self.mem.dcache(c).can_accept() {
+        if !self.dcache(c).can_accept() {
             return Err(Stall::new("dcache full"));
         }
         let (idx, line) = self.cores[c].sb.issue()?;
-        self.mem
-            .dcache(c)
+        self.dcache(c)
             .request(CoreReq::St {
                 sb_idx: idx as u32,
                 line,
@@ -1192,7 +1188,7 @@ impl Soc {
     pub(crate) fn rule_resp_st(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let resp = {
-            let dcache = self.mem.dcache(c);
+            let dcache = self.dcache(c);
             match dcache.pop_resp(now) {
                 Some(r @ CoreResp::St { .. }) => r,
                 Some(other) => {
@@ -1218,7 +1214,7 @@ impl Soc {
                     return Ok(());
                 };
                 self.cores[c].stats.sb_drains += 1;
-                self.mem.dcache(c).write_data(e.line, &e.data, &e.byte_en);
+                self.dcache(c).write_data(e.line, &e.data, &e.byte_en);
                 self.cores[c].lsq.wakeup_by_sb_deq(sb_idx as usize);
             }
             MemModel::Tso => {
@@ -1239,7 +1235,7 @@ impl Soc {
                     data[off + k] = (data_v >> (8 * k)) as u8;
                     en[off + k] = true;
                 }
-                self.mem.dcache(c).write_data(line, &data, &en);
+                self.dcache(c).write_data(line, &data, &en);
                 self.cores[c].lsq.deq_st();
             }
         }
@@ -1635,9 +1631,9 @@ impl Soc {
             if core.inflight_fetch.len() >= 4 {
                 return Err(Stall::new("fetches in flight"));
             }
-            if core.tlb.i_miss_pending() {
-                return Err(Stall::new("itlb miss pending"));
-            }
+        }
+        if self.itlb(c).i_miss_pending() {
+            return Err(Stall::new("itlb miss pending"));
         }
         let pc = self.cores[c].fetch_pc.read();
         let epoch = self.cores[c].epoch.read();
@@ -1651,7 +1647,7 @@ impl Soc {
             (core.csr.satp, core.priv_mode)
         };
         let seq = self.cores[c].fetch_seq.read();
-        let pa = match self.cores[c].tlb.lookup_i(pc, satp, pm) {
+        let pa = match self.itlb(c).lookup_i(pc, satp, pm) {
             Some(Ok(pa)) => pa,
             Some(Err(_)) => {
                 // Fetch fault: deliver a poisoned packet directly.
@@ -1677,11 +1673,11 @@ impl Soc {
                 self.clk.taint_eval();
                 let id = self.cores[c].next_tlb_id;
                 self.cores[c].next_tlb_id += 1;
-                self.cores[c].tlb.request_i(now, id, pc, pm);
+                self.itlb(c).request_i(now, id, pc, pm);
                 return Err(Stall::new("itlb miss"));
             }
         };
-        if !self.mem.icache(c).can_accept() {
+        if !self.icache(c).can_accept() {
             if TlbHier::active(satp, pm) {
                 // The ITLB lookup above already bumped hit/LRU state; the
                 // reference re-runs it every stalled cycle, so don't sleep.
@@ -1709,8 +1705,7 @@ impl Soc {
             fault: false,
             at: now,
         };
-        self.mem
-            .icache(c)
+        self.icache(c)
             .request(CoreReq::Ld {
                 tag: seq as u32,
                 addr: pa,
@@ -1729,7 +1724,7 @@ impl Soc {
     pub(crate) fn rule_fetch_resp(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let mut moved = 0;
-        while let Some(resp) = self.mem.icache(c).pop_resp(now) {
+        while let Some(resp) = self.icache(c).pop_resp(now) {
             moved += 1;
             let CoreResp::Ld { tag, data } = resp else {
                 continue;

@@ -4,6 +4,7 @@
 use cmd_core::cell::Ehr;
 use cmd_core::chaos::FaultEngine;
 use cmd_core::clock::{CellId, Clock};
+use cmd_core::guard::Guarded;
 use cmd_core::journal::EhrDeque;
 use cmd_core::sched::{SchedulerMode, Wakeup};
 use cmd_core::sim::{Sim, SimError};
@@ -11,6 +12,7 @@ use riscy_isa::asm::Program;
 use riscy_isa::csr::{CsrFile, Priv};
 use riscy_isa::interp::Machine;
 use riscy_isa::mem::{MMIO_EXIT, MMIO_PUTCHAR, MMIO_ROI};
+use riscy_mem::cache::L1Cache;
 use riscy_mem::system::{MemConfig, MemSystem};
 
 use crate::config::CoreConfig;
@@ -133,14 +135,16 @@ pub struct Soc {
     pub golden: Option<Machine>,
     /// Co-simulation mismatches (fatal in tests).
     pub cosim_errors: Vec<String>,
-    /// The kernel clock (poking [`Soc::mem_event`], tainting impure stall
-    /// paths).
+    /// The kernel clock (poking and observing [`Soc::mem_event`], tainting
+    /// impure stall paths).
     pub clk: Clock,
-    /// Per-core "memory event" signal cells: [`crate::core`] rules whose
-    /// guards read plain memory-system state (cache acceptance, response
-    /// arrival, eviction notes, ITLB misses) sleep on these via
-    /// [`Wakeup::InferredPlus`]; the substrate pokes a core's cell whenever
-    /// that core's digest of those observables changes.
+    /// Per-core "memory event" signal cells, standing for the plain
+    /// memory-system state a [`crate::core`] rule's guard can read (cache
+    /// acceptance, response arrival, eviction notes, ITLB misses). The
+    /// substrate pokes a core's cell whenever that core's digest of those
+    /// observables changes; the accessors rule bodies reach that state
+    /// through (`Soc::dcache`, `Soc::icache`, `Soc::itlb`) observe it,
+    /// so a rule whose stalling path read it sleeps on it.
     pub mem_event: Vec<CellId>,
     /// Last published digest per core (see [`Soc::mem_event`]).
     pub(crate) mem_digest: Vec<u64>,
@@ -200,6 +204,30 @@ impl Soc {
     pub fn now(&self) -> u64 {
         self.mem.now()
     }
+
+    /// Core `c`'s L1 D cache, as a rule body reaches it: the read is
+    /// declared to the wake layer ([`Clock::observe`] of
+    /// [`Soc::mem_event`]), so a rule that stalls on what it found here is
+    /// woken when the substrate next changes it.
+    pub(crate) fn dcache(&mut self, c: usize) -> &mut L1Cache {
+        self.clk.observe(self.mem_event[c]);
+        self.mem.dcache(c)
+    }
+
+    /// Core `c`'s L1 I cache, as a rule body reaches it (see
+    /// [`Soc::dcache`]).
+    pub(crate) fn icache(&mut self, c: usize) -> &mut L1Cache {
+        self.clk.observe(self.mem_event[c]);
+        self.mem.icache(c)
+    }
+
+    /// Core `c`'s TLB hierarchy, as `fetch` reaches its I side (see
+    /// [`Soc::dcache`]). The D side is not part of the digest behind
+    /// [`Soc::mem_event`]: its one reader, `updateLsq`, never sleeps.
+    pub(crate) fn itlb(&mut self, c: usize) -> &mut TlbHier {
+        self.clk.observe(self.mem_event[c]);
+        &mut self.cores[c].tlb
+    }
 }
 
 /// Why a [`SocSim`] run stopped before every core exited.
@@ -257,7 +285,6 @@ impl SocSim {
     pub fn new(cfg: CoreConfig, mem_cfg: MemConfig, num_cores: usize, program: &Program) -> Self {
         let clk = Clock::new();
         let soc = Soc::new(&clk, cfg, mem_cfg, num_cores, program);
-        let mem_event = soc.mem_event.clone();
         let mut sim = Sim::new(clk, soc);
         // Substrate first: cache/TLB/DRAM responses become visible to the
         // core rules of the same cycle. It always fires (it is the clock of
@@ -274,101 +301,68 @@ impl SocSim {
         // far larger quiet window than the kernel default before declaring
         // deadlock.
         sim.set_watchdog(Some(10_000));
-        // Every core rule carries a wakeup policy (see `docs/SCHEDULING.md`
-        // §"Waking the SoC"). `Inferred` rules have guards that are pure
-        // functions of clocked cells; `InferredPlus` rules additionally read
-        // plain memory-system state whose observable changes the substrate
-        // publishes through this core's `mem_event` cell; `updateLsq` mixes
-        // the plain TLB structures too deeply and stays on the always-sound
-        // `EveryCycle`. Stall paths that mutate plain state (stat bumps,
-        // TLB requests, time-based busy) call `Clock::taint_eval` and are
-        // never slept on.
-        for (c, &me_cell) in mem_event.iter().enumerate().take(num_cores) {
-            let plus = || Wakeup::InferredPlus(vec![me_cell]);
-            let w = cfg.width;
-            for k in 0..w {
-                let id = sim.rule(format!("c{c}.commit{k}"), move |s: &mut Soc| {
+        // Every core rule sleeps on what its stalling path read
+        // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"):
+        // clocked cells and, wherever the body went through
+        // `Soc::{dcache, icache, itlb}`, this core's `mem_event` cell.
+        // Stall paths that mutate plain state (stat bumps, TLB requests,
+        // time-based busy) call `Clock::taint_eval` and are never slept on.
+        // The exception is `updateLsq`, which mixes the plain D TLB too
+        // deeply and stays on the always-sound `EveryCycle` default.
+        fn rule(
+            sim: &mut Sim<Soc>,
+            c: usize,
+            name: &str,
+            body: impl FnMut(&mut Soc) -> Guarded<()> + 'static,
+        ) {
+            let id = sim.rule(format!("c{c}.{name}"), body);
+            sim.set_wakeup(id, Wakeup::Inferred);
+        }
+        for c in 0..num_cores {
+            for k in 0..cfg.width {
+                rule(&mut sim, c, &format!("commit{k}"), move |s| {
                     s.rule_commit(c)
                 });
-                sim.set_wakeup(id, plus());
             }
-            let id = sim.rule(format!("c{c}.cacheEvict"), move |s: &mut Soc| {
-                s.rule_cache_evict(c)
-            });
-            sim.set_wakeup(id, plus());
+            rule(&mut sim, c, "cacheEvict", move |s| s.rule_cache_evict(c));
             for p in 0..cfg.alu_pipes {
-                let id = sim.rule(format!("c{c}.aluWb{p}"), move |s: &mut Soc| {
+                rule(&mut sim, c, &format!("aluWb{p}"), move |s| {
                     s.rule_alu_writeback(c, p)
                 });
-                sim.set_wakeup(id, Wakeup::Inferred);
             }
-            let id = sim.rule(format!("c{c}.mdWb"), move |s: &mut Soc| {
-                s.rule_md_writeback(c)
-            });
-            sim.set_wakeup(id, Wakeup::Inferred);
-            let id = sim.rule(format!("c{c}.respLd"), move |s: &mut Soc| s.rule_resp_ld(c));
-            sim.set_wakeup(id, plus());
-            let id = sim.rule(format!("c{c}.forward"), move |s: &mut Soc| {
-                s.rule_forward(c)
-            });
-            sim.set_wakeup(id, Wakeup::Inferred);
+            rule(&mut sim, c, "mdWb", move |s| s.rule_md_writeback(c));
+            rule(&mut sim, c, "respLd", move |s| s.rule_resp_ld(c));
+            rule(&mut sim, c, "forward", move |s| s.rule_forward(c));
             for p in 0..cfg.alu_pipes {
-                let id = sim.rule(format!("c{c}.aluExec{p}"), move |s: &mut Soc| {
+                rule(&mut sim, c, &format!("aluExec{p}"), move |s| {
                     s.rule_alu_exec(c, p)
                 });
-                sim.set_wakeup(id, Wakeup::Inferred);
             }
-            let id = sim.rule(format!("c{c}.mdExec"), move |s: &mut Soc| s.rule_md_exec(c));
-            sim.set_wakeup(id, Wakeup::Inferred);
-            let id = sim.rule(format!("c{c}.addrCalc"), move |s: &mut Soc| {
-                s.rule_addr_calc(c)
-            });
-            sim.set_wakeup(id, Wakeup::Inferred);
+            rule(&mut sim, c, "mdExec", move |s| s.rule_md_exec(c));
+            rule(&mut sim, c, "addrCalc", move |s| s.rule_addr_calc(c));
             sim.rule(format!("c{c}.updateLsq"), move |s: &mut Soc| {
                 s.rule_update_lsq(c)
             });
-            let id = sim.rule(format!("c{c}.issueLd"), move |s: &mut Soc| {
-                s.rule_issue_ld(c)
-            });
-            sim.set_wakeup(id, plus());
-            let id = sim.rule(format!("c{c}.deqLd"), move |s: &mut Soc| s.rule_deq_ld(c));
-            sim.set_wakeup(id, Wakeup::Inferred);
-            let id = sim.rule(format!("c{c}.deqSt"), move |s: &mut Soc| s.rule_deq_st(c));
-            sim.set_wakeup(id, plus());
-            let id = sim.rule(format!("c{c}.sbIssue"), move |s: &mut Soc| {
-                s.rule_sb_issue(c)
-            });
-            sim.set_wakeup(id, plus());
-            let id = sim.rule(format!("c{c}.respSt"), move |s: &mut Soc| s.rule_resp_st(c));
-            sim.set_wakeup(id, plus());
+            rule(&mut sim, c, "issueLd", move |s| s.rule_issue_ld(c));
+            rule(&mut sim, c, "deqLd", move |s| s.rule_deq_ld(c));
+            rule(&mut sim, c, "deqSt", move |s| s.rule_deq_st(c));
+            rule(&mut sim, c, "sbIssue", move |s| s.rule_sb_issue(c));
+            rule(&mut sim, c, "respSt", move |s| s.rule_resp_st(c));
             for p in 0..cfg.alu_pipes {
-                let id = sim.rule(format!("c{c}.issueAlu{p}"), move |s: &mut Soc| {
+                rule(&mut sim, c, &format!("issueAlu{p}"), move |s| {
                     s.rule_issue_alu(c, p)
                 });
-                sim.set_wakeup(id, Wakeup::Inferred);
             }
-            let id = sim.rule(format!("c{c}.issueMd"), move |s: &mut Soc| {
-                s.rule_issue_md(c)
-            });
-            sim.set_wakeup(id, Wakeup::Inferred);
-            let id = sim.rule(format!("c{c}.issueMem"), move |s: &mut Soc| {
-                s.rule_issue_mem(c)
-            });
-            sim.set_wakeup(id, Wakeup::Inferred);
-            for k in 0..w {
-                let id = sim.rule(format!("c{c}.rename{k}"), move |s: &mut Soc| {
+            rule(&mut sim, c, "issueMd", move |s| s.rule_issue_md(c));
+            rule(&mut sim, c, "issueMem", move |s| s.rule_issue_mem(c));
+            for k in 0..cfg.width {
+                rule(&mut sim, c, &format!("rename{k}"), move |s| {
                     s.rule_rename(c)
                 });
-                sim.set_wakeup(id, Wakeup::Inferred);
             }
-            let id = sim.rule(format!("c{c}.fetchResp"), move |s: &mut Soc| {
-                s.rule_fetch_resp(c)
-            });
-            sim.set_wakeup(id, plus());
-            let id = sim.rule(format!("c{c}.decode"), move |s: &mut Soc| s.rule_decode(c));
-            sim.set_wakeup(id, Wakeup::Inferred);
-            let id = sim.rule(format!("c{c}.fetch"), move |s: &mut Soc| s.rule_fetch(c));
-            sim.set_wakeup(id, plus());
+            rule(&mut sim, c, "fetchResp", move |s| s.rule_fetch_resp(c));
+            rule(&mut sim, c, "decode", move |s| s.rule_decode(c));
+            rule(&mut sim, c, "fetch", move |s| s.rule_fetch(c));
         }
         SocSim { sim, chaos: None }
     }
@@ -422,13 +416,11 @@ impl SocSim {
     /// [`SchedulerMode::Reference`] re-enables the one-rule-at-a-time oracle
     /// for equivalence checking.
     ///
-    /// Core rules carry real wakeup policies (`Inferred` for guards that
-    /// are pure functions of clocked cells, `InferredPlus` on the per-core
-    /// [`Soc::mem_event`] cell for guards that also read plain
-    /// memory-system state); the substrate republishes that plain state as
-    /// a per-core change digest every cycle, so stalled rules sleep instead
-    /// of re-evaluating. Both modes stay cycle- and counter-identical; the
-    /// equivalence suites in `tests/` assert it.
+    /// Core rules sleep on what their stalling path read: clocked cells,
+    /// and the per-core [`Soc::mem_event`] cell wherever the path reached
+    /// plain memory-system state, which the substrate republishes as a
+    /// per-core change digest every cycle. Both modes stay cycle- and
+    /// counter-identical; the equivalence suites in `tests/` assert it.
     pub fn set_scheduler(&mut self, mode: SchedulerMode) {
         self.sim.set_scheduler(mode);
     }

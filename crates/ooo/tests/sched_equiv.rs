@@ -5,11 +5,12 @@
 //! stream — on single-core and 2-core SoCs, with and without an active chaos
 //! [`FaultPlan`].
 //!
-//! SoC rules carry real wakeup policies (`Inferred` for cell-only guards,
-//! `InferredPlus(mem_event)` for guards that observe plain memory-system
-//! state via the substrate digest, `EveryCycle` for the few that defeat
-//! read tracing — see `soc.rs`), so these tests pin down the sleep/wake
-//! layer on a design with tens of rules per core. The SoC registers no
+//! Every core rule but `updateLsq` sleeps on what its stalling path read
+//! (`Wakeup::Inferred`): clocked cells, and the per-core `mem_event` signal
+//! wherever the path went through the `Soc` accessors that observe it — see
+//! `soc.rs`. A missed `observe` shows up here as a cycle divergence, so
+//! these tests pin down the sleep/wake layer on a design with tens of rules
+//! per core. The SoC registers no
 //! conflict-matrix module (its modules order through EHR ports), so the
 //! conflict probe is covered by the kernel-level soups in
 //! `crates/core/tests/sched_equivalence.rs`, not here. Traced runs
