@@ -150,7 +150,7 @@ pub struct FleetOpts {
 /// records in the campaign directory (`heartbeats.ndjson`), one object
 /// per beat (`unit`, `phase`, `cycles`, `insts`, `ckpts`, `cps`, `eta_s`,
 /// `wall_s`). The whole file is rewritten atomically (temp file + rename)
-/// on every beat so `fleet --watch` never reads a torn line, and existing
+/// on every beat so `repro watch` never reads a torn line, and existing
 /// lines are preloaded on resume so a campaign's monitoring history
 /// survives kill/resume. Heartbeats carry host time on purpose — they are
 /// for operators, and are excluded from every deterministic artifact.
@@ -329,7 +329,7 @@ impl FleetReport {
 
     /// Aggregate simulation throughput: simulated cycles executed this
     /// invocation per host second, summed over all workers. This is the
-    /// fleet's headline metric, printed by the `fleet` binary.
+    /// fleet's headline metric, printed by `repro fleet`.
     #[must_use]
     pub fn agg_cps(&self) -> f64 {
         if self.wall_s > 0.0 {
@@ -763,7 +763,7 @@ pub fn load_campaign(dir: &Path) -> Vec<(FleetUnit, UnitStats)> {
 }
 
 /// Renders a one-screen status snapshot of a live campaign from its
-/// on-disk monitoring state (`fleet --watch`): the latest heartbeat per
+/// on-disk monitoring state (`repro watch`): the latest heartbeat per
 /// unit, which units have finished (`unit_<id>.json` on disk), and which
 /// are flagged as stalled (a `stalled` heartbeat or a
 /// `unit_<id>.stall.json` bundle). Read-only and safe to run while the
@@ -1004,26 +1004,25 @@ impl SocFleet {
     /// `sb`, `width`. Because the label is the unit's identity on disk,
     /// the same label always resolves to the same machine.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown label or override key — a typo'd grid must
-    /// not silently shrink or distort the campaign.
-    #[must_use]
-    pub fn config_for(label: &str) -> (CoreConfig, riscy_mem::system::MemConfig) {
+    /// An error naming an unknown label, override key or malformed size —
+    /// a typo'd grid must not silently shrink or distort the campaign.
+    pub fn config_for(label: &str) -> Result<(CoreConfig, riscy_mem::system::MemConfig), String> {
         let mut parts = label.split(':');
         let base = parts.next().expect("split yields at least one part");
         let (mut cfg, mem) = match base {
             "t+" => (CoreConfig::riscyoo_t_plus(), mem_riscyoo_b()),
             "c-" => (CoreConfig::riscyoo_t_plus(), mem_riscyoo_c_minus()),
-            other => panic!("fleet: unknown config label {other:?} (t+|c-)"),
+            other => return Err(format!("unknown config label `{other}` (t+|c-)")),
         };
         for part in parts {
             let (key, value) = part
                 .split_once('=')
-                .unwrap_or_else(|| panic!("fleet: config override {part:?} is not key=value"));
+                .ok_or_else(|| format!("config override `{part}` is not key=value"))?;
             let n: usize = value
                 .parse()
-                .unwrap_or_else(|_| panic!("fleet: config override {part:?}: not a number"));
+                .map_err(|_| format!("config override `{part}`: not a number"))?;
             match key {
                 "rob" => cfg.rob_entries = n,
                 "iq" => cfg.iq_entries = n,
@@ -1032,11 +1031,13 @@ impl SocFleet {
                 "sb" => cfg.sb_entries = n,
                 "width" => cfg.width = n,
                 other => {
-                    panic!("fleet: unknown config override key {other:?} (rob|iq|lq|sq|sb|width)")
+                    return Err(format!(
+                        "unknown config override key `{other}` (rob|iq|lq|sq|sb|width)"
+                    ))
                 }
             }
         }
-        (cfg, mem)
+        Ok((cfg, mem))
     }
 
     /// The deterministic per-unit metrics the sweep aggregator consumes:
@@ -1084,7 +1085,8 @@ impl SocFleet {
     ///
     /// # Panics
     ///
-    /// Panics when the unit names a workload the fleet does not carry.
+    /// Panics when the unit names a workload the fleet does not carry or
+    /// a config [`SocFleet::config_for`] refuses.
     #[must_use]
     pub fn run_unit(&self, unit: &FleetUnit, ctx: &UnitCtx<'_>) -> Option<UnitStats> {
         let w = self
@@ -1092,7 +1094,7 @@ impl SocFleet {
             .iter()
             .find(|w| w.name == unit.workload)
             .unwrap_or_else(|| panic!("fleet: unknown workload {:?}", unit.workload));
-        let (cfg, mem) = Self::config_for(&unit.config);
+        let (cfg, mem) = Self::config_for(&unit.config).unwrap_or_else(|e| panic!("fleet: {e}"));
         let mut sim = SocSim::new(cfg, mem, 1, &w.program);
         sim.set_scheduler(self.sched);
         // Telemetry goes on before any snapshot restore: the snapshot

@@ -1,25 +1,25 @@
 //! # riscy-bench — harnesses regenerating the paper's evaluation
 //!
-//! One binary per table/figure of §VI (see DESIGN.md's experiment index):
-//! `fig12_config` … `fig21_synthesis`. Each prints the same rows/series
-//! the paper reports. Absolute numbers differ (this substrate is a
-//! simulator, the paper's was an FPGA + silicon comparators); the *shape* —
-//! who wins, by roughly what factor, where the crossovers fall — is the
-//! reproduction target.
+//! One binary, `repro`, with one command per table/figure of §VI (see
+//! DESIGN.md's experiment index) — `repro fig12` … `repro fig21` — plus
+//! the campaign tools (`fleet`, `watch`, `sweep`, `sampled`, `litmus`,
+//! `chaos-smoke`) and the one instrumented run, `repro observe`. Each
+//! figure prints the same rows/series the paper reports. Absolute numbers
+//! differ (this substrate is a simulator, the paper's was an FPGA +
+//! silicon comparators); the *shape* — who wins, by roughly what factor,
+//! where the crossovers fall — is the reproduction target.
 //!
-//! Pass `--scale ref` for benchmark-sized runs (the default `test` scale
-//! keeps CI fast).
+//! Every command line is parsed once, by [`Args::parse`], against the
+//! flags its command accepts. Pass `--scale ref` for benchmark-sized runs
+//! (the default `test` scale keeps CI fast).
 
-use cmd_core::prof::ChromeTrace;
 use cmd_core::sched::SchedulerMode;
-use cmd_core::trace::Tracer;
 use riscy_baseline::{InOrderConfig, InOrderSim};
 use riscy_mem::system::MemConfig;
 use riscy_ooo::config::CoreConfig;
 use riscy_ooo::soc::SocSim;
 use riscy_workloads::spec::{Scale, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::str::FromStr;
 
 pub mod fleet;
 pub mod sampling;
@@ -54,16 +54,6 @@ impl RunResult {
             0.0
         } else {
             self.roi_insts as f64 / self.roi_cycles as f64
-        }
-    }
-
-    /// The paper's performance metric: 1 / cycle count.
-    #[must_use]
-    pub fn perf(&self) -> f64 {
-        if self.roi_cycles == 0 {
-            0.0
-        } else {
-            1.0 / self.roi_cycles as f64
         }
     }
 }
@@ -174,116 +164,6 @@ pub fn parse_scale(name: &str) -> Result<Scale, String> {
     }
 }
 
-/// Parses `--scale test|ref` (default: `test`) through [`parse_scale`].
-///
-/// # Panics
-///
-/// Panics with [`parse_scale`]'s message on an unrecognized name.
-#[must_use]
-pub fn scale_from_args() -> Scale {
-    path_arg("--scale").map_or(Scale::Test, |name| {
-        parse_scale(&name).unwrap_or_else(|e| panic!("--scale: {e}"))
-    })
-}
-
-/// The value following `flag` in `args`: `Ok(None)` when the flag is
-/// absent, an error naming the flag when it is the last argument — a
-/// requested artifact that is silently not written is worse than an abort.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let missing = || format!("{flag}: expected a value");
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| args.get(i + 1).cloned().ok_or_else(missing))
-        .transpose()
-}
-
-/// The flags every `fig*` binary takes a value for: the scale, the stats
-/// snapshot, and what [`profile_opts`] and [`telemetry_opts`] read.
-pub const FIG_VALUED: &[&str] = &[
-    "--scale",
-    "--stats-json",
-    "--chrome-trace",
-    "--profile-json",
-    "--telemetry-json",
-    "--telemetry-window",
-    "--telemetry-windows",
-];
-
-/// The flags every `fig*` binary takes without a value.
-pub const FIG_BARE: &[&str] = &["--profile"];
-
-/// The first argument in `args` (program name excluded) that is neither one
-/// of `valued` (whose following argument is its value and is skipped), nor
-/// one of `bare`. `--flag=value` is not a spelling these CLIs read, so it is
-/// reported like any other unknown argument.
-fn unknown_arg<'a>(args: &'a [String], valued: &[&str], bare: &[&str]) -> Option<&'a str> {
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(arg) = rest.next() {
-        if valued.contains(&arg) {
-            rest.next();
-        } else if !bare.contains(&arg) {
-            return Some(arg);
-        }
-    }
-    None
-}
-
-/// Refuses a command line carrying anything but the flags this binary
-/// accepts: exits with status 2 naming the first unknown argument. Every
-/// `main` that reads its flags through [`path_arg`] calls this first — the
-/// readers below look flags up by name, so without it a misspelt flag
-/// (`--schedular reference`, `--scheduler=reference`) would silently run
-/// the default instead.
-pub fn accept_flags(valued: &[&str], bare: &[&str]) {
-    let mut args = std::env::args();
-    let prog = args.next().unwrap_or_default();
-    let args: Vec<String> = args.collect();
-    if let Some(arg) = unknown_arg(&args, valued, bare) {
-        let accepted = [valued, bare].concat().join(" ");
-        eprintln!("{prog}: unknown argument `{arg}` (accepted: {accepted})");
-        std::process::exit(2);
-    }
-}
-
-/// The value following `flag` on the command line, if present.
-///
-/// # Panics
-///
-/// Panics naming the flag when it is given last, with no value.
-#[must_use]
-pub fn path_arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, flag).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The integer following `flag` on the command line, or `default`.
-///
-/// # Panics
-///
-/// Panics when the value is present but not a number — a silently ignored
-/// typo would invalidate whatever sweep the operator was running.
-#[must_use]
-pub fn u64_arg(flag: &str, default: u64) -> u64 {
-    path_arg(flag).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} {v}: expected an integer"))
-    })
-}
-
-/// Parses `--stats-json <path>`: where the binary should dump its
-/// machine-readable stats snapshot (see `docs/OBSERVABILITY.md`).
-#[must_use]
-pub fn stats_json_path() -> Option<String> {
-    path_arg("--stats-json")
-}
-
-/// Parses `--trace <path>`: where to dump a Konata/O3PipeView pipeline
-/// trace.
-#[must_use]
-pub fn trace_path() -> Option<String> {
-    path_arg("--trace")
-}
-
 /// Parses a scheduler name as the CLIs spell it: `reference` (the
 /// one-rule-at-a-time oracle, for cross-checking) or `fast` (the kernel
 /// default, [`SchedulerMode::Fast`]).
@@ -301,183 +181,115 @@ pub fn parse_scheduler(name: &str) -> Result<SchedulerMode, String> {
     }
 }
 
-/// Parses `--scheduler reference|fast` (default: `fast`) through
-/// [`parse_scheduler`].
-///
-/// # Panics
-///
-/// Panics with [`parse_scheduler`]'s message on an unrecognized name.
-#[must_use]
-pub fn scheduler_from_args() -> SchedulerMode {
-    path_arg("--scheduler").map_or(SchedulerMode::Fast, |name| {
-        parse_scheduler(&name).unwrap_or_else(|e| panic!("--scheduler: {e}"))
-    })
+/// One command's arguments, parsed once against the flags that command
+/// accepts: `valued` flags take the following argument as their value,
+/// `bare` flags take none. [`Args::parse`] is the only reader of a command
+/// line in this crate, so every command refuses the same mistakes the
+/// same way.
+#[derive(Debug)]
+pub struct Args {
+    values: Vec<(&'static str, String)>,
+    bare: Vec<&'static str>,
+    scale: Scale,
+    scheduler: SchedulerMode,
 }
 
-/// The causal-profiler flags shared by every `fig*` binary (see
-/// `docs/OBSERVABILITY.md`): `--profile` prints the per-rule host-time
-/// report and the top-down table, `--chrome-trace <path>` writes a
-/// Perfetto-loadable Chrome trace, `--profile-json <path>` writes the
-/// machine-readable profile.
-#[derive(Debug, Clone, Default)]
-pub struct ProfileOpts {
-    /// Print the host-time report and top-down table to stdout.
-    pub profile: bool,
-    /// Where to write the Chrome trace-event JSON, if requested.
-    pub chrome_trace: Option<String>,
-    /// Where to write the machine-readable profile JSON, if requested.
-    pub profile_json: Option<String>,
-}
-
-impl ProfileOpts {
-    /// Whether any profiling output was requested.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.profile || self.chrome_trace.is_some() || self.profile_json.is_some()
-    }
-}
-
-/// Parses the profiling flags from the command line.
-#[must_use]
-pub fn profile_opts() -> ProfileOpts {
-    ProfileOpts {
-        profile: std::env::args().any(|a| a == "--profile"),
-        chrome_trace: path_arg("--chrome-trace"),
-        profile_json: path_arg("--profile-json"),
-    }
-}
-
-/// Instruction spans exported per core to the Chrome trace before the
-/// exporter starts dropping (keeps artifact size bounded).
-const SPAN_CAP: usize = 100_000;
-
-/// When any profiling flag is present, runs `w` once more on the
-/// out-of-order SoC with the causal profiler, top-down accounting, and
-/// instruction spans enabled; prints the rule host-time report and the
-/// TMA table, and writes whatever artifacts were requested. A no-op
-/// without profiling flags, so `fig*` binaries call it unconditionally on
-/// one representative workload.
-///
-/// # Panics
-///
-/// Panics if the workload fails to complete or an artifact cannot be
-/// written.
-pub fn maybe_profile_run(
-    cfg: CoreConfig,
-    mem: MemConfig,
-    num_cores: usize,
-    w: &Workload,
-    mode: SchedulerMode,
-) {
-    let opts = profile_opts();
-    if !opts.enabled() {
-        return;
-    }
-    let mut sim = SocSim::new(cfg, mem, num_cores, &w.program);
-    sim.set_scheduler(mode);
-    sim.enable_profiling();
-    let chrome = opts.chrome_trace.as_ref().map(|_| {
-        sim.enable_inst_spans(SPAN_CAP);
-        let t: Rc<RefCell<ChromeTrace>> = Rc::new(RefCell::new(ChromeTrace::new()));
-        sim.set_tracer(Tracer::new(t.clone()));
-        t
-    });
-    // 4x the workload's own budget: multicore profiled runs (fig20) need
-    // the same slack the figure rows give themselves.
-    sim.run_to_completion(w.max_cycles.saturating_mul(4))
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    println!("\n=== causal profile: {} ===", w.name);
-    print!("{}", sim.report());
-    print!("{}", sim.tma_table());
-    if let Some(path) = &opts.profile_json {
-        write_artifact(path, &sim.profile_json());
-    }
-    if let Some((path, tr)) = opts.chrome_trace.as_ref().zip(chrome) {
-        let mut t = tr.borrow_mut();
-        for (core, spans, _dropped) in sim.instruction_spans() {
-            let tid = u32::try_from(core).expect("core id fits u32");
-            t.set_inst_track(tid, &format!("core{core}"));
-            for s in spans {
-                t.add_span(tid, s.mnemonic, s.fetch, s.retire, s.pc, s.seq);
+impl Args {
+    /// Parses `args` (command name excluded).
+    ///
+    /// # Errors
+    ///
+    /// An error naming the culprit for an argument that is neither in
+    /// `valued` nor in `bare` (`--flag=value` is not a spelling these
+    /// commands read, so it is unknown too), a valued flag given last, a
+    /// flag given twice, and a `--scale` or `--scheduler`/`--sched` value
+    /// [`parse_scale`] or [`parse_scheduler`] refuses. Without this, a
+    /// misspelt flag (`--schedular reference`) would silently run the
+    /// default instead.
+    pub fn parse(
+        args: &[String],
+        valued: &[&'static str],
+        bare: &[&'static str],
+    ) -> Result<Args, String> {
+        let mut out = Args {
+            values: Vec::new(),
+            bare: Vec::new(),
+            scale: Scale::Test,
+            scheduler: SchedulerMode::Fast,
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let given = |flag: &str| out.value(flag).is_some() || out.flag(flag);
+            if let Some(&flag) = valued.iter().find(|f| **f == arg) {
+                if given(flag) {
+                    return Err(format!("{flag}: given twice"));
+                }
+                let value = rest
+                    .next()
+                    .ok_or_else(|| format!("{flag}: expected a value"))?;
+                let named = |e: String| format!("{flag}: {e}");
+                match flag {
+                    "--scale" => out.scale = parse_scale(value).map_err(named)?,
+                    "--scheduler" | "--sched" => {
+                        out.scheduler = parse_scheduler(value).map_err(named)?;
+                    }
+                    _ => {}
+                }
+                out.values.push((flag, value.clone()));
+            } else if let Some(&flag) = bare.iter().find(|f| **f == arg) {
+                if given(flag) {
+                    return Err(format!("{flag}: given twice"));
+                }
+                out.bare.push(flag);
+            } else {
+                return Err(format!("unknown argument `{arg}`"));
             }
         }
-        write_artifact(path, &t.finish_json());
+        Ok(out)
     }
-}
 
-/// The telemetry flags shared by every `fig*` binary and `sampled_sim`
-/// (see `docs/OBSERVABILITY.md` §telemetry): `--telemetry-json <path>`
-/// requests the windowed time-series artifact, `--telemetry-window <N>`
-/// sets the sampling period in cycles, `--telemetry-windows <N>` bounds
-/// the ring.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryOpts {
-    /// Where to write the time-series JSON, if requested.
-    pub telemetry_json: Option<String>,
-    /// Sampling period in cycles.
-    pub window: u64,
-    /// Ring capacity in windows.
-    pub max_windows: usize,
-}
-
-/// Parses the telemetry flags from the command line.
-///
-/// # Panics
-///
-/// Panics when a window flag carries a non-numeric value.
-#[must_use]
-pub fn telemetry_opts() -> TelemetryOpts {
-    TelemetryOpts {
-        telemetry_json: path_arg("--telemetry-json"),
-        window: u64_arg("--telemetry-window", cmd_core::telemetry::DEFAULT_WINDOW),
-        max_windows: usize::try_from(u64_arg(
-            "--telemetry-windows",
-            cmd_core::telemetry::DEFAULT_MAX_WINDOWS as u64,
-        ))
-        .expect("--telemetry-windows fits usize"),
+    /// Whether the bare flag `name` was given.
+    #[must_use]
+    pub fn flag(&self, name: &str) -> bool {
+        self.bare.contains(&name)
     }
-}
 
-/// When `--telemetry-json` is present, runs `w` once more on the
-/// out-of-order SoC with windowed telemetry enabled and writes the
-/// time-series artifact. A no-op without the flag, so `fig*` binaries
-/// call it unconditionally on one representative workload — the figure
-/// rows themselves stay uninstrumented (and telemetry would not change
-/// them anyway, see the zero-perturbation contract in
-/// `docs/OBSERVABILITY.md`).
-///
-/// # Panics
-///
-/// Panics if the workload fails to complete or the artifact cannot be
-/// written.
-pub fn maybe_telemetry_run(
-    cfg: CoreConfig,
-    mem: MemConfig,
-    num_cores: usize,
-    w: &Workload,
-    mode: SchedulerMode,
-) {
-    let opts = telemetry_opts();
-    let Some(path) = &opts.telemetry_json else {
-        return;
-    };
-    let mut sim = SocSim::new(cfg, mem, num_cores, &w.program);
-    sim.set_scheduler(mode);
-    sim.enable_telemetry(opts.window, opts.max_windows);
-    sim.run_to_completion(w.max_cycles.saturating_mul(4))
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-    write_artifact(path, &sim.telemetry_json());
-}
+    /// The value given for `name`, if the flag was given.
+    #[must_use]
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, v)| v.as_str())
+    }
 
-/// Writes an artifact file requested on the command line.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written — the operator asked for the
-/// artifact, so a silent miss would be worse than an abort.
-pub fn write_artifact(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote {path}");
+    /// The number given for `name`, if the flag was given.
+    ///
+    /// # Errors
+    ///
+    /// An error naming the flag when the value does not parse as a `T` —
+    /// a silently ignored typo would invalidate whatever sweep the
+    /// operator was running.
+    pub fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{name}: `{v}` is not a number"))
+            })
+            .transpose()
+    }
+
+    /// The `--scale` given (default: `test`).
+    #[must_use]
+    pub fn scale(&self) -> Scale {
+        self.scale
+    }
+
+    /// The `--scheduler` (or `--sched`) given (default: `fast`).
+    #[must_use]
+    pub fn scheduler(&self) -> SchedulerMode {
+        self.scheduler
+    }
 }
 
 /// Serializes per-configuration [`RunResult`] sets as a stats-JSON
@@ -524,7 +336,7 @@ pub fn results_json(configs: &[(&str, &[RunResult])]) -> String {
 }
 
 /// Serializes flat scalar metrics as a JSON object — the stats-JSON shape
-/// of table-style binaries that run no simulation.
+/// of the table-style commands that run no simulation.
 #[must_use]
 pub fn metrics_json(metrics: &[(&str, f64)]) -> String {
     use cmd_core::trace::json::JsonWriter;
@@ -536,38 +348,6 @@ pub fn metrics_json(metrics: &[(&str, f64)]) -> String {
     }
     w.end_object();
     w.finish()
-}
-
-/// Prints a normalized-performance table: one row per benchmark, one
-/// column per configuration, last row the geometric mean.
-pub fn print_normalized_table(
-    title: &str,
-    baseline_label: &str,
-    results: &[(&str, Vec<RunResult>)],
-    baseline: &[RunResult],
-) {
-    println!("\n=== {title} ===");
-    println!("(performance = 1/cycles, normalized to {baseline_label}; higher is better)\n");
-    print!("{:<14}", "benchmark");
-    for (label, _) in results {
-        print!("{label:>14}");
-    }
-    println!();
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); results.len()];
-    for (bi, base) in baseline.iter().enumerate() {
-        print!("{:<14}", base.name);
-        for (ci, (_, rs)) in results.iter().enumerate() {
-            let r = rs[bi].perf() / base.perf();
-            ratios[ci].push(r);
-            print!("{r:>14.3}");
-        }
-        println!();
-    }
-    print!("{:<14}", "geo-mean");
-    for column in &ratios {
-        print!("{:>14.3}", geomean(column));
-    }
-    println!();
 }
 
 #[cfg(test)]
@@ -597,35 +377,55 @@ mod tests {
         }
     }
 
+    const VALUED: &[&str] = &["--scale", "--stats-json", "--scheduler", "--seeds"];
+    const BARE: &[&str] = &["--ablate"];
+
+    fn parse(a: &[&str]) -> Result<Args, String> {
+        let a: Vec<String> = a.iter().map(|s| s.to_string()).collect();
+        Args::parse(&a, VALUED, BARE)
+    }
+
     #[test]
     fn a_flag_given_last_without_a_value_is_refused() {
-        let args: Vec<String> = ["fig17", "--scale", "ref", "--stats-json"]
-            .map(String::from)
-            .to_vec();
-        assert_eq!(flag_value(&args, "--scale"), Ok(Some("ref".to_string())));
-        assert_eq!(flag_value(&args, "--trace"), Ok(None));
-        let err = flag_value(&args, "--stats-json").expect_err("trailing flag");
+        let args = parse(&["--scale", "ref", "--stats-json", "s.json"]).expect("well formed");
+        assert_eq!(args.value("--stats-json"), Some("s.json"));
+        assert_eq!(args.scale(), Scale::Ref);
+        assert_eq!(args.value("--scheduler"), None);
+        let err = parse(&["--scale", "ref", "--stats-json"]).expect_err("trailing flag");
         assert!(err.contains("--stats-json"), "{err}");
     }
 
     #[test]
     fn an_unknown_argument_is_found_and_values_are_not_mistaken_for_flags() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let valued = [FIG_VALUED, &["--scheduler"]].concat();
-        let ok = args(&["--scale", "test", "--profile", "--scheduler", "reference"]);
-        assert_eq!(unknown_arg(&ok, &valued, FIG_BARE), None);
-        // A value is skipped even when it looks like a flag nobody knows.
-        let odd = args(&["--stats-json", "--weird-name.json"]);
-        assert_eq!(unknown_arg(&odd, &valued, FIG_BARE), None);
+        let ok = parse(&["--scale", "test", "--ablate", "--scheduler", "reference"]).expect("ok");
+        assert!(ok.flag("--ablate"));
+        assert_eq!(ok.scheduler(), SchedulerMode::Reference);
+        // A value is taken verbatim even when it looks like a flag.
+        let odd = parse(&["--stats-json", "--weird-name.json"]).expect("odd");
+        assert_eq!(odd.value("--stats-json"), Some("--weird-name.json"));
         for (bad, culprit) in [
-            (args(&["--schedular", "reference"]), "--schedular"),
-            (args(&["--scheduler=reference"]), "--scheduler=reference"),
-            (args(&["--sclae", "ref"]), "--sclae"),
-            (args(&["--scale", "test", "stray"]), "stray"),
-            (args(&["--profile", "on"]), "on"),
+            (&["--schedular", "reference"][..], "--schedular"),
+            (&["--scheduler=reference"], "--scheduler=reference"),
+            (&["--sclae", "ref"], "--sclae"),
+            (&["--scale", "test", "stray"], "stray"),
+            (&["--ablate", "on"], "on"),
+            (&["--scale", "reff"], "reff"),
+            (&["--scheduler", "compiled"], "compiled"),
+            (&["--scale", "test", "--scale", "ref"], "--scale"),
         ] {
-            assert_eq!(unknown_arg(&bad, &valued, FIG_BARE), Some(culprit));
+            let err = parse(bad).expect_err(culprit);
+            assert!(err.contains(culprit), "{err}");
         }
+    }
+
+    #[test]
+    fn a_malformed_number_names_its_flag() {
+        let args = parse(&["--seeds", "x"]).expect("syntax is fine");
+        let err = args.num::<u64>("--seeds").expect_err("not a number");
+        assert!(err.contains("--seeds") && err.contains('x'), "{err}");
+        let args = parse(&["--seeds", "3"]).expect("ok");
+        assert_eq!(args.num::<u64>("--seeds"), Ok(Some(3)));
+        assert_eq!(args.num::<u64>("--scale"), Ok(None));
     }
 
     #[test]

@@ -41,27 +41,26 @@ impl Objective {
     /// Parses a comma-separated `--axes` spec: `name:max` or `name:min`
     /// per entry, e.g. `"ipc:max,axis.rob_entries:min"`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed entry — a typo'd objective would silently
-    /// reshape the frontier.
-    #[must_use]
-    pub fn parse_spec(spec: &str) -> Vec<Objective> {
+    /// An error naming a malformed entry — a typo'd objective would
+    /// silently reshape the frontier.
+    pub fn parse_spec(spec: &str) -> Result<Vec<Objective>, String> {
         spec.split(',')
             .filter(|s| !s.is_empty())
             .map(|entry| {
                 let (name, dir) = entry
                     .split_once(':')
-                    .unwrap_or_else(|| panic!("sweep: objective {entry:?} is not name:max|min"));
+                    .ok_or_else(|| format!("objective `{entry}` is not name:max|min"))?;
                 let maximize = match dir {
                     "max" => true,
                     "min" => false,
-                    other => panic!("sweep: objective direction {other:?} (max|min)"),
+                    other => return Err(format!("objective direction `{other}` (max|min)")),
                 };
-                Objective {
+                Ok(Objective {
                     name: name.to_string(),
                     maximize,
-                }
+                })
             })
             .collect()
     }
@@ -300,7 +299,7 @@ mod tests {
             unit(1, "a", &[("ipc", 3.0)]),
             failed,
         ];
-        let objectives = Objective::parse_spec("ipc:max");
+        let objectives = Objective::parse_spec("ipc:max").expect("well formed");
         let points = aggregate(&units, &objectives);
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].units, vec![0, 1]);
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn report_json_carries_schema_and_frontier() {
         let units = vec![unit(0, "a", &[("ipc", 1.0)])];
-        let objectives = Objective::parse_spec("ipc:max");
+        let objectives = Objective::parse_spec("ipc:max").expect("well formed");
         let points = aggregate(&units, &objectives);
         let json = sweep_json(&points, &objectives);
         assert!(json.contains("\"schema_version\":1"), "{json}");
@@ -321,9 +320,13 @@ mod tests {
 
     #[test]
     fn objective_spec_parses_directions() {
-        let objs = Objective::parse_spec("ipc:max,axis.rob_entries:min");
+        let objs = Objective::parse_spec("ipc:max,axis.rob_entries:min").expect("well formed");
         assert_eq!(objs.len(), 2);
         assert!(objs[0].maximize);
         assert!(!objs[1].maximize);
+        for bad in ["ipc", "ipc:most"] {
+            let err = Objective::parse_spec(bad).expect_err(bad);
+            assert!(err.contains("max|min"), "{err}");
+        }
     }
 }

@@ -97,7 +97,7 @@ const AXES: &str = "ipc:max,axis.rob_entries:min,axis.iq_entries:min";
 
 #[test]
 fn sweep_report_bytes_identical_across_thread_counts_and_kill_resume() {
-    let objectives = Objective::parse_spec(AXES);
+    let objectives = Objective::parse_spec(AXES).expect("well-formed axes");
     let dir1 = tmp_dir("threads1");
     run_campaign(&dir1, 1, None);
     let want = sweep_report(&dir1, &objectives);
@@ -236,7 +236,7 @@ fn structures_past_one_mask_word_run_to_the_golden_exit_code() {
     golden
         .run(w.max_cycles * 8)
         .expect("the interpreter completes");
-    let (cfg, mem) = SocFleet::config_for("t+:iq=80:lq=96:sq=72:sb=66");
+    let (cfg, mem) = SocFleet::config_for("t+:iq=80:lq=96:sq=72:sb=66").expect("known label");
     let mut sim = riscy_ooo::soc::SocSim::new(cfg, mem, 1, &w.program);
     sim.run_to_completion(w.max_cycles)
         .expect("hmmer completes");

@@ -112,7 +112,5 @@ pub mod prelude {
     pub use crate::sim::{DeadlockReport, RuleId, RuleStats, RuleWait, Sim, SimError, WaitCause};
     pub use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
     pub use crate::telemetry::{Telemetry, TelemetryColumns, TelemetryTap, TelemetryWindow};
-    pub use crate::trace::{
-        Counter, Counters, CountersSnapshot, Gauge, TraceEvent, TraceSink, Tracer,
-    };
+    pub use crate::trace::{Counter, Counters, Gauge, TraceEvent, TraceSink, Tracer};
 }

@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 use crate::trace::json::JsonWriter;
-use crate::trace::{CountersSnapshot, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 
 // ---------------------------------------------------------------------------
 // Per-rule host-time attribution
@@ -265,14 +265,12 @@ fn longest_chain(edges: &[&CausalEdge]) -> (usize, Vec<u32>) {
 
 /// Default causal-log capacity (edges retained).
 pub const DEFAULT_CAUSAL_CAP: usize = 65_536;
-/// Default critical-path / counter-snapshot window, in cycles.
+/// Default critical-path window, in cycles.
 pub const DEFAULT_WINDOW: u64 = 4_096;
-/// Counter snapshots retained for windowed deltas (oldest evicted first).
-const MAX_MARKS: usize = 4_096;
 
 /// Everything the scheduler accumulates while profiling is enabled: one
-/// [`RuleProf`] per rule, the [`CausalLog`], and periodic counter
-/// snapshots for per-window deltas.
+/// [`RuleProf`] per rule and the [`CausalLog`]. Windowed counter deltas
+/// are telemetry's job ([`crate::telemetry`]), not the profiler's.
 ///
 /// Owned by [`crate::sim::Sim`]; enable with
 /// [`Sim::enable_profiling`](crate::sim::Sim::enable_profiling) and read
@@ -283,7 +281,6 @@ pub struct Profiler {
     pub(crate) rules: Vec<RuleProf>,
     pub(crate) causal: CausalLog,
     pub(crate) window: u64,
-    pub(crate) marks: VecDeque<CountersSnapshot>,
 }
 
 impl Profiler {
@@ -295,7 +292,6 @@ impl Profiler {
             rules: Vec::new(),
             causal: CausalLog::new(causal_cap),
             window: window.max(1),
-            marks: VecDeque::new(),
         }
     }
 
@@ -319,15 +315,10 @@ impl Profiler {
         &self.causal
     }
 
-    /// The critical-path / snapshot window, in cycles.
+    /// The critical-path window, in cycles.
     #[must_use]
     pub fn window(&self) -> u64 {
         self.window
-    }
-
-    /// Retained per-window counter snapshots, oldest first.
-    pub fn marks(&self) -> impl Iterator<Item = &CountersSnapshot> {
-        self.marks.iter()
     }
 
     /// Records one evaluation of rule `i`: the body ran from `t0` to
@@ -357,15 +348,6 @@ impl Profiler {
             self.rules.resize(i + 1, RuleProf::default());
         }
         self.rules[i].skipped += 1;
-    }
-
-    /// Pushes a counter snapshot for window-delta reporting, evicting the
-    /// oldest beyond the retention cap.
-    pub(crate) fn push_mark(&mut self, snap: CountersSnapshot) {
-        if self.marks.len() == MAX_MARKS {
-            self.marks.pop_front();
-        }
-        self.marks.push_back(snap);
     }
 }
 

@@ -956,11 +956,6 @@ impl<S> Sim<S> {
             e.apply_cycle_faults(now);
         }
         self.cycles += 1;
-        if let Some(p) = self.prof.as_mut() {
-            if self.cycles.is_multiple_of(p.window) {
-                p.push_mark(self.counters.snapshot_at(self.cycles));
-            }
-        }
         if let Some(window) = self.tel.as_deref().map(Telemetry::window) {
             if self.cycles.is_multiple_of(window) {
                 let cols = self.telemetry_columns();

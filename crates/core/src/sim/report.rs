@@ -62,7 +62,8 @@ impl<S> Sim<S> {
 
     /// The profiling snapshot as a JSON document: per-rule fire/stall
     /// counts and host-time attribution, critical paths per window,
-    /// causal-edge totals, and the last few per-window counter deltas.
+    /// and causal-edge totals (windowed counter deltas are the telemetry
+    /// artifact's, [`Sim::telemetry_json`]).
     /// Usable with profiling off (host-time fields are then zero).
     #[must_use]
     pub fn profile_json(&self) -> String {
@@ -130,23 +131,6 @@ impl<S> Sim<S> {
             w.field_u64("dropped", p.causal().dropped());
             w.end_object();
             w.field_u64("window", p.window());
-            w.key("windows");
-            w.begin_array();
-            let marks: Vec<_> = p.marks().collect();
-            let start = marks.len().saturating_sub(9);
-            for pair in marks[start..].windows(2) {
-                w.begin_object();
-                w.field_u64("from_cycle", pair[0].cycle());
-                w.field_u64("to_cycle", pair[1].cycle());
-                w.key("deltas");
-                w.begin_object();
-                for (name, v) in pair[1].delta_since(pair[0]) {
-                    w.field_u64(&name, v);
-                }
-                w.end_object();
-                w.end_object();
-            }
-            w.end_array();
         }
         w.end_object();
         w.finish()

@@ -295,16 +295,6 @@ impl Counters {
         out.sort();
         out
     }
-
-    /// A cycle-stamped [`CountersSnapshot`], for interval diffing with
-    /// [`CountersSnapshot::delta_since`].
-    #[must_use]
-    pub fn snapshot_at(&self, cycle: u64) -> CountersSnapshot {
-        CountersSnapshot {
-            cycle,
-            values: self.snapshot(),
-        }
-    }
 }
 
 impl crate::snap::Snapshot for Counters {
@@ -356,63 +346,6 @@ impl crate::snap::Snapshot for Counters {
             }
         }
         Ok(())
-    }
-}
-
-/// A cycle-stamped copy of every counter, taken with
-/// [`Counters::snapshot_at`].
-///
-/// Windowed consumers (the critical-path profiler, periodic stats dumps)
-/// keep the previous snapshot and call [`CountersSnapshot::delta_since`]
-/// instead of subtracting raw values at every call site.
-///
-/// # Examples
-///
-/// ```
-/// use cmd_core::trace::Counters;
-///
-/// let reg = Counters::default();
-/// let c = reg.counter("fires");
-/// c.add(3);
-/// let early = reg.snapshot_at(10);
-/// c.add(4);
-/// let late = reg.snapshot_at(20);
-/// assert_eq!(late.delta_since(&early), vec![("fires".into(), 4)]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    cycle: u64,
-    values: Vec<(String, u64)>,
-}
-
-impl CountersSnapshot {
-    /// The cycle the snapshot was taken at.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The `(name, value)` pairs, sorted by name.
-    #[must_use]
-    pub fn values(&self) -> &[(String, u64)] {
-        &self.values
-    }
-
-    /// Per-name `self - earlier` deltas (saturating, so a counter that
-    /// wrapped or was absent earlier never underflows). Names only present
-    /// in `earlier` are dropped; names new in `self` diff against zero.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CountersSnapshot) -> Vec<(String, u64)> {
-        self.values
-            .iter()
-            .map(|(name, v)| {
-                let base = earlier
-                    .values
-                    .binary_search_by(|(n, _)| n.as_str().cmp(name))
-                    .map_or(0, |i| earlier.values[i].1);
-                (name.clone(), v.saturating_sub(base))
-            })
-            .collect()
     }
 }
 
@@ -745,29 +678,6 @@ mod tests {
         assert_eq!(
             w.finish(),
             r#"{"name":"a\"b\\c\n","nested":{"n":3,"nan":0},"xs":["one",true,0.5]}"#
-        );
-    }
-
-    #[test]
-    fn snapshot_at_diffs_by_name() {
-        let reg = Counters::default();
-        let a = reg.counter("a");
-        a.add(5);
-        let early = reg.snapshot_at(100);
-        assert_eq!(early.cycle(), 100);
-        let b = reg.counter("b");
-        a.add(2);
-        b.add(9);
-        let late = reg.snapshot_at(200);
-        assert_eq!(
-            late.delta_since(&early),
-            vec![("a".to_string(), 2), ("b".to_string(), 9)]
-        );
-        // Diffing against a *later* snapshot saturates instead of wrapping.
-        assert_eq!(
-            early.delta_since(&late),
-            vec![("a".to_string(), 0)],
-            "saturating diff"
         );
     }
 

@@ -10,7 +10,7 @@
 //!   after Barr et al.) that lets walks skip levels.
 //!
 //! The paper measures this change at +29% average performance (2× on astar)
-//! — `riscy-bench`'s `fig15_tlb_opts` regenerates that comparison.
+//! — `riscy-bench`'s `repro fig15` regenerates that comparison.
 
 use std::collections::VecDeque;
 

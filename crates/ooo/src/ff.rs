@@ -110,7 +110,7 @@ struct WarmState {
 }
 
 /// Counters describing what a fast-forward pass did (for reports and the
-/// `sampled_sim` bench artifact).
+/// `repro sampled` bench artifact).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FfReport {
     /// Instructions executed functionally, summed over harts.

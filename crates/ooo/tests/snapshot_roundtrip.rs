@@ -155,9 +155,12 @@ fn roundtrip_two_cores() {
 /// A snapshot restored under a *different* scheduler mode still produces
 /// the observably-identical run: scheduling is observation-invariant, so a
 /// checkpoint is portable across modes (the fleet runner relies on this).
+/// The mid-run snapshots themselves are byte-identical across modes — the
+/// strongest single cross-mode assertion (see `docs/CHECKPOINT.md`).
 #[test]
 fn roundtrip_across_modes() {
     let prog = busy_prog(300);
+    let mut mid_run = Vec::new();
     for (saved_under, resumed_under) in [
         (SchedulerMode::Reference, SchedulerMode::Fast),
         (SchedulerMode::Fast, SchedulerMode::Reference),
@@ -170,12 +173,16 @@ fn roundtrip_across_modes() {
             uninterrupted,
             "{saved_under:?} -> {resumed_under:?}: cross-mode resume diverged"
         );
+        mid_run.push(snap);
     }
+    assert!(
+        mid_run[0] == mid_run[1],
+        "mid-run snapshot bytes differ between Reference and Fast"
+    );
 }
 
 /// Saving the same state twice yields identical bytes, and a
-/// save→restore→save cycle is byte-stable — the property the CI smoke job
-/// checksums.
+/// save→restore→save cycle is byte-stable.
 #[test]
 fn snapshot_bytes_are_stable() {
     let prog = busy_prog(300);

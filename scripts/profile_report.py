@@ -3,15 +3,14 @@
 
 Usage::
 
-    python3 scripts/profile_report.py fig17_profile.json \\
+    python3 scripts/profile_report.py profile.json \\
         [--top N] [--chrome-trace trace.json] [--check]
 
 Sections printed:
 
 * top rules by host time (self / total split, fire and stall shares);
 * the top-down (TMA) cycle-accounting table, per core;
-* the last critical paths over the causal-edge log, when any were found;
-* per-window counter deltas, when recorded.
+* the last critical paths over the causal-edge log, when any were found.
 
 ``--chrome-trace`` additionally validates and summarizes the Chrome
 trace-event artifact (open it at https://ui.perfetto.dev). ``--check``
@@ -110,18 +109,6 @@ def report_paths(sim: dict) -> None:
         )
 
 
-def report_windows(sim: dict) -> None:
-    windows = sim.get("windows", [])
-    if not windows:
-        return
-    print(f"\nlast {len(windows)} counter windows (deltas):")
-    for wdw in windows:
-        deltas = wdw.get("deltas", {})
-        hot = sorted(deltas.items(), key=lambda kv: kv[1], reverse=True)[:4]
-        line = "  ".join(f"{k}={v}" for k, v in hot if v)
-        print(f"[{wdw.get('from_cycle')}, {wdw.get('to_cycle')}]: {line or '(quiet)'}")
-
-
 def report_trace(path: str) -> list[str]:
     errors = []
     trace = load(path)
@@ -163,7 +150,6 @@ def main() -> int:
     report_rules(sim, args.top)
     errors = report_tma(prof.get("tma", []), args.require_tma)
     report_paths(sim)
-    report_windows(sim)
     if args.chrome_trace:
         errors += report_trace(args.chrome_trace)
 

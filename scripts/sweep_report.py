@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render a sweep_report.json Pareto report as a table or HTML dashboard.
 
-Reads the deterministic JSON the `sweep_report` binary emits from a fleet
+Reads the deterministic JSON `repro sweep` emits from a fleet
 campaign directory (see docs/OBSERVABILITY.md §telemetry) and renders it
 for humans:
 
@@ -220,7 +220,7 @@ tr.pareto {{ background: #fdecea; }}
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("report", help="sweep_report.json from the sweep_report binary")
+    ap.add_argument("report", help="sweep_report.json from repro sweep")
     ap.add_argument("--html", metavar="PATH", help="write an HTML dashboard")
     ap.add_argument(
         "--check",
