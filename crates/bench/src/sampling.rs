@@ -422,6 +422,23 @@ mod tests {
         assert_eq!(p.sample_window(), (0, p.total_insts));
     }
 
+    /// Pins the scout on the repo benchmark's `sampled_ff` workload: any
+    /// change to how `functional_profile` runs must find the same length
+    /// and the same ROI window.
+    #[test]
+    fn scout_pins_libquantum() {
+        use riscy_workloads::spec::{libquantum, Scale};
+        let w = libquantum(Scale::Test);
+        let p = functional_profile(
+            riscy_ooo::config::CoreConfig::riscyoo_t_plus(),
+            mem_riscyoo_b(),
+            &w.program,
+            w.max_cycles.saturating_mul(8),
+        );
+        assert_eq!(p.total_insts, 2_152_145);
+        assert_eq!(p.roi, Some((18, 2_152_142)));
+    }
+
     #[test]
     fn sampled_estimate_tracks_the_full_run() {
         let cfg = riscy_ooo::config::CoreConfig::riscyoo_t_plus();

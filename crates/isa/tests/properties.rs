@@ -1,15 +1,19 @@
 //! Property-style tests of the ISA layer: encode/decode round trips,
-//! decoder totality, and `li` correctness. Randomized cases come from the
-//! in-tree deterministic PRNG (`cmd_core::rng`); each loop iteration is
-//! reproducible from its printed seed.
+//! decoder totality, `li` correctness, and `SparseMem` against a byte-wise
+//! model. Randomized cases come from the in-tree deterministic PRNG
+//! (`cmd_core::rng`); each loop iteration is reproducible from its printed
+//! seed.
+
+use std::collections::BTreeMap;
 
 use cmd_core::rng::SplitMix64;
+use cmd_core::snap::{Snap, SnapWriter};
 use riscy_isa::asm::Assembler;
 use riscy_isa::inst::{
     decode, AluOp, AmoOp, BranchCond, CsrOp, CsrSrc, Instr, MemWidth, MulDivOp, Rhs,
 };
 use riscy_isa::interp::Machine;
-use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
+use riscy_isa::mem::{SparseMem, DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
 
 fn gpr(rng: &mut SplitMix64) -> Gpr {
@@ -221,5 +225,127 @@ fn li_materializes_any_constant() {
         let mut m = Machine::with_program(1, &p);
         m.run(100).expect("halts");
         assert_eq!(m.hart(0).reg(Gpr::a(0)), v as u64, "value {v:#x}");
+    }
+}
+
+/// The byte-wise reference `SparseMem` is checked against: one map entry
+/// per byte ever written, a frame resident iff one of its bytes was.
+#[derive(Default)]
+struct ByteMem(BTreeMap<u64, u8>);
+
+impl ByteMem {
+    fn read(&self, pa: u64, n: u64) -> Vec<u8> {
+        (pa..pa + n)
+            .map(|a| self.0.get(&a).copied().unwrap_or(0))
+            .collect()
+    }
+
+    fn write(&mut self, pa: u64, bytes: &[u8]) {
+        for (a, &b) in (pa..).zip(bytes) {
+            self.0.insert(a, b);
+        }
+    }
+
+    /// Resident frames, ascending: one range probe per frame.
+    fn frames(&self) -> Vec<u64> {
+        let (mut frames, mut from) = (Vec::new(), 0);
+        while let Some((a, _)) = self.0.range(from..).next() {
+            frames.push(a / PAGE);
+            from = (a / PAGE + 1) * PAGE;
+        }
+        frames
+    }
+
+    /// `SparseMem`'s snapshot encoding: frame count, then each frame's
+    /// number and 4 KiB in ascending frame order.
+    fn save(&self) -> Vec<u8> {
+        let frames = self.frames();
+        let mut out = (frames.len() as u64).to_le_bytes().to_vec();
+        for f in frames {
+            out.extend_from_slice(&f.to_le_bytes());
+            let mut page = [0u8; PAGE as usize];
+            for (a, &b) in self.0.range(f * PAGE..(f + 1) * PAGE) {
+                page[(a % PAGE) as usize] = b;
+            }
+            out.extend_from_slice(&page);
+        }
+        out
+    }
+}
+
+const PAGE: u64 = 4096;
+
+fn le(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |v, &b| (v << 8) | u64::from(b))
+}
+
+/// `SparseMem` against the byte-wise model over random operation
+/// sequences: after every operation the value read, `resident_pages()` and
+/// the `Snap::save` bytes agree. Offsets favour 4089–4095, where a 2-, 4- or
+/// 8-byte access crosses into the next frame.
+#[test]
+fn sparse_mem_matches_a_byte_model() {
+    let untouched = DRAM_BASE + 64 * PAGE;
+    let fresh = SparseMem::new();
+    assert_eq!(fresh.read_le(untouched + 4093, 8), 0);
+    assert_eq!(fresh.read_u64(untouched), 0);
+    assert_eq!(fresh.read_line(untouched + 64), [0; 64]);
+    assert_eq!(fresh.resident_pages(), 0, "a read allocated a frame");
+
+    for seed in 0..4 {
+        let mut rng = SplitMix64::seed_from_u64(0x15a_0100 + seed);
+        let (mut mem, mut model) = (SparseMem::new(), ByteMem::default());
+        for step in 0..400 {
+            let frame = DRAM_BASE + rng.below(4) * PAGE;
+            let off = if rng.chance(0.5) {
+                rng.range_u64(4089, 4096)
+            } else {
+                rng.below(PAGE)
+            };
+            let width = *rng.pick(&[1u64, 2, 4, 8]);
+            let ctx = format!("seed {seed} step {step}");
+            match rng.below(7) {
+                0 => {
+                    let pa = frame + off;
+                    assert_eq!(mem.read_le(pa, width), le(&model.read(pa, width)), "{ctx}");
+                }
+                1 => {
+                    let (pa, v) = (frame + off, rng.next_u64());
+                    mem.write_le(pa, width, v);
+                    model.write(pa, &v.to_le_bytes()[..width as usize]);
+                }
+                2 => {
+                    let pa = frame + (off & !7);
+                    assert_eq!(mem.read_u64(pa), le(&model.read(pa, 8)), "{ctx}");
+                }
+                3 => {
+                    let pa = frame + (off & !63);
+                    assert_eq!(mem.read_line(pa)[..], model.read(pa, 64)[..], "{ctx}");
+                }
+                4 => {
+                    let pa = frame + (off & !63);
+                    let mut line = [0u8; 64];
+                    line.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+                    mem.write_line(pa, &line);
+                    model.write(pa, &line);
+                }
+                5 => {
+                    // Rest of this frame, all of the next, part of a third.
+                    let pa = frame + off;
+                    let len = (PAGE - off) + PAGE + rng.range_u64(1, PAGE);
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    mem.write_bytes(pa, &bytes);
+                    model.write(pa, &bytes);
+                }
+                _ => assert_eq!(mem.read_le(untouched + off, width), 0, "{ctx}"),
+            }
+            assert_eq!(mem.resident_pages(), model.frames().len(), "{ctx}");
+            let mut w = SnapWriter::new();
+            mem.save(&mut w);
+            assert!(
+                w.into_bytes() == model.save(),
+                "{ctx}: snapshot bytes differ"
+            );
+        }
     }
 }

@@ -33,11 +33,13 @@
 //! and interval sampling.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use riscy_isa::asm::Program;
 use riscy_isa::csr::Priv;
 use riscy_isa::inst::{decode, Instr};
 use riscy_isa::interp::{Machine, StepOutcome};
+use riscy_isa::mem::FrameHasher;
 use riscy_isa::vm::{self, Access};
 use riscy_mem::msg::line_of;
 use riscy_mem::system::MemConfig;
@@ -59,7 +61,7 @@ fn page_of(va: u64) -> u64 {
 struct RecencySet {
     seq: u64,
     cap: usize,
-    last: HashMap<u64, u64>,
+    last: HashMap<u64, u64, BuildHasherDefault<FrameHasher>>,
 }
 
 impl RecencySet {
@@ -67,7 +69,7 @@ impl RecencySet {
         RecencySet {
             seq: 0,
             cap: cap.max(1),
-            last: HashMap::new(),
+            last: HashMap::default(),
         }
     }
 
