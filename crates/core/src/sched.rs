@@ -1,5 +1,5 @@
 //! Fast-path scheduling machinery: the scheduler-mode switch, the two
-//! wakeup policies and the per-rule sleep hysteresis.
+//! wakeup policies and the per-rule sleep record.
 //!
 //! The reference scheduler ([`crate::sim::Sim`] in
 //! [`SchedulerMode::Reference`]) realizes the paper's §III semantics in the
@@ -35,12 +35,17 @@
 //! [`poke`](crate::clock::Clock::poke)s whenever the plain state behind it
 //! changes. The dependency is declared where the read happens (in the
 //! accessor that hands out the plain state), not in a table beside the rule
-//! registration. A stall path that cannot be covered — it reads the cycle
-//! counter, or mutates plain state — calls
+//! registration. A statistic bumped on every stalled cycle is not part of
+//! the body at all: the design registers it as the rule's stall callback
+//! ([`Sim::on_stall`](crate::sim::Sim::on_stall)), which the kernel calls
+//! once per guard-stalled cycle whether the rule was evaluated or skipped
+//! asleep. A stall path that cannot be covered — it reads the cycle
+//! counter, or mutates other plain state — calls
 //! [`Clock::taint_eval`](crate::clock::Clock::taint_eval), which vetoes the
 //! sleep for that evaluation; a rule that is impure throughout stays on
-//! [`Wakeup::EveryCycle`] (the default), which is always sound. See
-//! `docs/SCHEDULING.md` for the equivalence argument.
+//! [`Wakeup::EveryCycle`] (the default), which is always sound. A stall
+//! that is eligible to sleep sleeps at once. See `docs/SCHEDULING.md` for
+//! the equivalence argument.
 
 /// Which per-cycle loop [`crate::sim::Sim`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,21 +80,22 @@ pub enum Wakeup {
 /// in the wake layer's per-cell watcher lists, registered when the sleep
 /// begins.
 ///
-/// Accounting is *batched*: a skipped cycle touches nothing, and the
-/// deficit — one guard stall per cycle in `since..now`, all with the same
-/// cached `reason` — is settled in one addition whenever the sleep ends or
-/// an observer needs exact statistics (wake, chaos verdict, instrumentation
-/// toggle, end of a `run` call). Totals are bit-identical to the reference
-/// at every such point; only the cycle *within* a run at which the counter
-/// is bumped differs, which nothing can observe.
-/// (The stall *reason* is not cached here: a skipped cycle feeds no
-/// histogram or trace — both force full re-evaluation instead of sleeping
-/// — and the wait-graph reports read the rule's `last_wait`, which was set
-/// when the sleep began and cannot change while the watched cells are
-/// quiet.)
+/// Accounting is *batched*: a skipped cycle touches nothing but the rule's
+/// stall callback, if it has one, and the deficit — one guard stall per
+/// cycle in `since..now`, all with the same cached `reason` — is settled in
+/// one addition whenever the sleep ends or an observer needs exact
+/// statistics (wake, chaos verdict, instrumentation toggle, end of a `run`
+/// call). Totals are bit-identical to the reference at every such point;
+/// only the cycle *within* a run at which the counter is bumped differs,
+/// which nothing can observe. A skipped cycle feeds no histogram or trace —
+/// both force full re-evaluation instead of sleeping.
 pub(crate) struct Sleep {
     /// First skipped cycle not yet added to the rule's stall statistics.
     pub since: u64,
+    /// The reason the stalling evaluation gave, which the guard — pure, and
+    /// reading only quiet cells — would repeat on every skipped cycle: what
+    /// the stall callback receives for those cycles.
+    pub reason: &'static str,
 }
 
 /// A plain bit set over `u32` indices (global method ids or cell ids).
@@ -135,69 +141,11 @@ impl BitSet {
     }
 }
 
-/// Cap on [`RuleSched::sleep_thresh`]: a rule whose wakes keep proving
-/// useless degrades to re-evaluating (like the reference) for at most this
-/// many stalls before trying to sleep again.
-pub(crate) const MAX_SLEEP_THRESH: u16 = 64;
-
 /// Per-rule fast-path state.
+#[derive(Default)]
 pub(crate) struct RuleSched {
     pub wakeup: Wakeup,
     pub sleep: Option<Sleep>,
-    /// Consecutive awake stalls since the last fire or sleep; sleeping is
-    /// attempted only once this reaches `sleep_thresh`.
-    pub stall_streak: u16,
-    /// Adaptive hysteresis: starts at 1 (sleep on the first stall), doubles
-    /// each time a wake is immediately followed by another stall (the sleep
-    /// bought nothing but the watch-set registration cost), and snaps back
-    /// to 1 when a wake leads to a fire. Purely a scheduling policy —
-    /// whether a stalled rule sleeps or re-evaluates is unobservable (the
-    /// guard is pure, see the module docs), so cycles, counters, and stats
-    /// are unaffected.
-    pub sleep_thresh: u16,
-    /// Set when the rule is woken; cleared by its next evaluation, which
-    /// judges whether the wake was useful (fire) or wasted (stall).
-    pub just_woke: bool,
-}
-
-impl RuleSched {
-    pub fn new() -> Self {
-        RuleSched {
-            wakeup: Wakeup::EveryCycle,
-            sleep: None,
-            stall_streak: 0,
-            sleep_thresh: 1,
-            just_woke: false,
-        }
-    }
-
-    /// The rule fired: any pending wake judgment resolves as useful.
-    pub fn note_fire(&mut self) {
-        self.stall_streak = 0;
-        if self.just_woke {
-            self.just_woke = false;
-            self.sleep_thresh = 1;
-        }
-    }
-
-    /// The rule stalled while awake and is otherwise sleep-eligible;
-    /// returns whether it should actually go to sleep now. A wake that
-    /// lands straight back in a stall doubles the hysteresis first —
-    /// that's the thrash this exists to dampen (e.g. a watch cell poked
-    /// nearly every cycle by a substrate digest).
-    pub fn note_stall_should_sleep(&mut self) -> bool {
-        if self.just_woke {
-            self.just_woke = false;
-            self.sleep_thresh = (self.sleep_thresh * 2).min(MAX_SLEEP_THRESH);
-        }
-        self.stall_streak += 1;
-        if self.stall_streak >= self.sleep_thresh {
-            self.stall_streak = 0;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]

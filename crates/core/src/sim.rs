@@ -34,6 +34,19 @@
 //!   statistics, counters, and trace streams are identical to the
 //!   reference scheduler (property-tested in `tests/sched_equivalence.rs`).
 //!
+//! # Stall callbacks
+//!
+//! A design statistic that recurs on every cycle a rule stalls (rename's
+//! "IQ full" count) does not belong in the rule body, where bumping plain
+//! state would make the stall impure and keep the rule awake. The design
+//! registers it with [`Sim::on_stall`] instead, and the kernel calls it once
+//! for every cycle the rule guard-stalls, with the reason the reference
+//! scheduler would report: after an awake evaluation stalls, on every
+//! skipped cycle of a sleep (with the cached reason), and when a chaos
+//! `Abort` vetoes an evaluation that would itself have stalled. It is never
+//! called for a chaos `ForceStall` (the body does not run), a CM stall or a
+//! `Reg` conflict (the body succeeded).
+//!
 //! See `docs/SCHEDULING.md` for the full design and equivalence argument.
 //! This file holds the rule table and the two cycle loops; the error and
 //! wait-graph types, the kernel snapshot and the reports live in the
@@ -116,6 +129,10 @@ pub struct RuleStats {
 /// A rule body: mutates the design state or stalls.
 type RuleBody<S> = Box<dyn FnMut(&mut S) -> Guarded<()>>;
 
+/// A stall callback (see [`Sim::on_stall`]): one call per guard-stalled
+/// cycle, with the stall reason.
+type StallHook<S> = Box<dyn FnMut(&mut S, &'static str)>;
+
 struct RuleEntry<S> {
     name: String,
     body: RuleBody<S>,
@@ -132,7 +149,9 @@ struct RuleEntry<S> {
     /// Per-CM-edge stall histogram, keyed by the rendered violation. Only
     /// maintained after [`Sim::enable_stall_histograms`].
     cm_reasons: BTreeMap<String, u64>,
-    /// Fast-scheduler state: wakeup policy and sleep hysteresis.
+    /// The design's stall callback, if any (see [`Sim::on_stall`]).
+    on_stall: Option<StallHook<S>>,
+    /// Fast-scheduler state: wakeup policy and sleep record.
     sched: RuleSched,
 }
 
@@ -188,7 +207,6 @@ impl Acct<'_> {
         entry.stats.fired += 1;
         self.fired.inc();
         entry.last_wait = None;
-        entry.sched.note_fire();
         if self.tracing {
             self.tracer
                 .emit(self.now, &TraceEvent::RuleFired { rule: &entry.name });
@@ -207,6 +225,15 @@ fn settle_sleep<S>(entry: &mut RuleEntry<S>, now: u64) {
     if let Some(sleep) = &mut entry.sched.sleep {
         entry.stats.guard_stalls += now - sleep.since;
         sleep.since = now;
+    }
+}
+
+/// Calls `entry`'s stall callback, if it has one, for one guard-stalled
+/// cycle.
+#[inline]
+fn on_stalled<S>(entry: &mut RuleEntry<S>, state: &mut S, reason: &'static str) {
+    if let Some(f) = entry.on_stall.as_mut() {
+        f(state, reason);
     }
 }
 
@@ -409,10 +436,28 @@ impl<S> Sim<S> {
             exempt: false,
             guard_reasons: BTreeMap::new(),
             cm_reasons: BTreeMap::new(),
-            sched: RuleSched::new(),
+            on_stall: None,
+            sched: RuleSched::default(),
         });
         self.clk.wake().add_rule();
         id
+    }
+
+    /// Registers `f` as `id`'s stall callback: the kernel calls it with the
+    /// design state and the stall reason once for every cycle the rule
+    /// guard-stalls, whether its body ran or it was skipped asleep, in both
+    /// scheduler modes (see the module docs for the exact cases). This is
+    /// where a statistic that recurs on every stalled cycle belongs: bumped
+    /// in the body it would be a plain-state mutation on the stall path,
+    /// which keeps the rule from ever sleeping. `f` runs outside any rule
+    /// transaction and must touch only plain state no guard reads.
+    /// Replaces any earlier callback of the rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this `Sim`.
+    pub fn on_stall(&mut self, id: RuleId, f: impl FnMut(&mut S, &'static str) + 'static) {
+        self.rules[id.0].on_stall = Some(Box::new(f));
     }
 
     /// Selects which per-cycle loop runs (see the module docs). Switching
@@ -609,9 +654,12 @@ impl<S> Sim<S> {
                     // The body runs (reads propagate, guards evaluate) but
                     // its effects are vetoed — a transient arbitration loss.
                     self.clk.begin_rule();
-                    let _ = (entry.body)(&mut self.state);
+                    let outcome = (entry.body)(&mut self.state);
                     self.clk.abort_rule();
                     acct.guard_stall(entry, CHAOS_ABORT_REASON);
+                    if let Err(stall) = outcome {
+                        on_stalled(entry, &mut self.state, stall.reason());
+                    }
                     continue;
                 }
                 None => {}
@@ -670,6 +718,7 @@ impl<S> Sim<S> {
                 Err(stall) => {
                     self.clk.abort_rule();
                     acct.guard_stall(entry, stall.reason());
+                    on_stalled(entry, &mut self.state, stall.reason());
                 }
             }
             if PROF {
@@ -757,24 +806,37 @@ impl<S> Sim<S> {
                 Some(RuleFault::Abort) => {
                     // The oracle runs the body and vetoes its effects. A
                     // sleeping rule's body is a pure function of cells that
-                    // have not changed, so skipping it is unobservable; an
-                    // awake rule may touch plain state and must run exactly
-                    // like the oracle.
-                    if entry.sched.sleep.is_none() {
-                        self.clk.begin_rule();
-                        let _ = (entry.body)(&mut self.state);
-                        self.clk.abort_rule();
+                    // have not changed, so skipping it is unobservable (it
+                    // would stall with the cached reason); an awake rule —
+                    // one woken this cycle included — may reach a path
+                    // that succeeds or touches plain state, and must run
+                    // exactly like the oracle.
+                    if entry.sched.sleep.is_some() && wake.take_wake(i) {
+                        settle_sleep(entry, now);
+                        entry.sched.sleep = None;
                     }
+                    let stalled = match &entry.sched.sleep {
+                        Some(sleep) => Some(sleep.reason),
+                        None => {
+                            self.clk.begin_rule();
+                            let outcome = (entry.body)(&mut self.state);
+                            self.clk.abort_rule();
+                            outcome.err().map(|stall| stall.reason())
+                        }
+                    };
                     settle_sleep(entry, now);
                     if let Some(sleep) = &mut entry.sched.sleep {
                         sleep.since = now + 1;
                     }
                     acct.guard_stall(entry, CHAOS_ABORT_REASON);
+                    if let Some(reason) = stalled {
+                        on_stalled(entry, &mut self.state, reason);
+                    }
                     continue;
                 }
                 None => {}
             }
-            if entry.sched.sleep.is_some() {
+            if let Some(reason) = entry.sched.sleep.as_ref().map(|s| s.reason) {
                 // One flag read: a publish marks its watchers awake on the
                 // spot, so a watched write committed by an earlier rule
                 // *this* cycle (a schedule-order bypass the reference loop
@@ -782,7 +844,6 @@ impl<S> Sim<S> {
                 if wake.take_wake(i) {
                     settle_sleep(entry, now);
                     entry.sched.sleep = None;
-                    entry.sched.just_woke = true;
                 } else {
                     // Still asleep: nothing the guard read has published, so
                     // it would stall with the same reason. The per-rule
@@ -791,8 +852,10 @@ impl<S> Sim<S> {
                     // full re-evaluation instead of sleeping, so only the
                     // plain stall count is ever deferred); the shared stall
                     // counter stays cycle-exact, it is one Cell bump, and
-                    // so does the profiler's skip count.
+                    // so do the design's stall callback and the profiler's
+                    // skip count.
                     acct.guard.inc();
+                    on_stalled(entry, &mut self.state, reason);
                     if OBS {
                         if let Some(p) = self.prof.as_mut() {
                             p.record_skip(i);
@@ -897,27 +960,32 @@ impl<S> Sim<S> {
                     // wakeups comes from re-evaluating the guard with read
                     // tracing on — one extra evaluation per sleep episode
                     // instead of a per-read trace push on every evaluation.
-                    // If the second evaluation disagrees (fires, or taints
-                    // itself), the guard is not as pure as advertised:
-                    // don't sleep, and let the next cycle re-evaluate.
+                    // If the second evaluation disagrees (fires, stalls for
+                    // another reason — the one the sleep caches for the
+                    // stall callback — or taints itself), the guard is not
+                    // as pure as advertised: don't sleep, and let the next
+                    // cycle re-evaluate.
                     let sleepable = entry.sched.wakeup == Wakeup::Inferred
                         && !wake.taint.get()
                         && !acct.tracing
                         && !acct.hist
-                        && entry.sched.note_stall_should_sleep()
                         && {
                             self.clk.begin_rule();
                             let second = wake.trace_reads(|| (entry.body)(&mut self.state));
                             self.clk.abort_rule();
-                            second.is_err() && !wake.taint.get()
+                            second == Err(stall) && !wake.taint.get()
                         };
                     if sleepable {
                         // Registered only now, so nothing published up to
                         // here — all of it already visible to the guard —
                         // can wake the rule.
                         wake.sleep_on_reads(i);
-                        entry.sched.sleep = Some(Sleep { since: now + 1 });
+                        entry.sched.sleep = Some(Sleep {
+                            since: now + 1,
+                            reason: stall.reason(),
+                        });
                     }
+                    on_stalled(entry, &mut self.state, stall.reason());
                 }
             }
             if let (Some(t0), Some(t1)) = (t0, t_body) {

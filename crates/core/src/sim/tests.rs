@@ -505,6 +505,48 @@ fn sleeping_rule_skips_evaluation_until_watched_write() {
 }
 
 #[test]
+fn stall_callback_counts_every_cycle_a_sleeping_rule_skips() {
+    struct Gated {
+        gate: Ehr<u32>,
+        evals: u64,
+        stalls: u64,
+    }
+    let clk = Clock::new();
+    let st = Gated {
+        gate: Ehr::new(&clk, 0),
+        evals: 0,
+        stalls: 0,
+    };
+    let mut sim = Sim::new(clk, st);
+    let r = sim.rule("waiter", |s: &mut Gated| {
+        s.evals += 1;
+        if s.gate.read() == 0 {
+            return Err(Stall::new("gate closed"));
+        }
+        Ok(())
+    });
+    sim.set_wakeup(r, Wakeup::Inferred);
+    sim.on_stall(r, |s: &mut Gated, reason| {
+        assert_eq!(reason, "gate closed");
+        s.stalls += 1;
+    });
+    // The first cycle stalls awake and falls asleep: one callback.
+    sim.run(1);
+    assert_eq!((sim.state().evals, sim.state().stalls), (2, 1));
+    for n in 1..=20 {
+        sim.run(1);
+        assert_eq!(sim.state().stalls, 1 + n, "one callback per skipped cycle");
+    }
+    assert_eq!(sim.state().evals, 2, "the callback kept the rule awake");
+    assert_eq!(sim.rule_stats(r).guard_stalls, 21);
+    // A fire is no stall.
+    sim.state_mut().gate.write(1);
+    sim.run(1);
+    assert_eq!(sim.rule_stats(r).fired, 1);
+    assert_eq!(sim.state().stalls, 21);
+}
+
+#[test]
 fn set_scheduler_clears_sleep_state() {
     struct Gated {
         gate: Ehr<u32>,

@@ -11,12 +11,15 @@
 //! Every soup runs twice: *observed* (tracer and stall histograms attached,
 //! which compare the event stream but force every guard to re-evaluate) and
 //! *unobserved* (nothing attached — the lane users run, where rules sleep
-//! and the loop's `OBS = false` instantiation executes).
+//! and the loop's `OBS = false` instantiation executes). Every soup rule
+//! also has a stall callback ([`Sim::on_stall`]) counting its stalls by
+//! reason in the design state, compared after every cycle.
 //!
 //! See `docs/SCHEDULING.md` for the equivalence argument these tests pin
 //! down executable evidence for.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cmd_core::demo::iq::{
@@ -47,6 +50,8 @@ struct Soup {
     /// [`Outcome`]: skipping the bodies of sleeping rules is the one thing
     /// the fast scheduler is allowed to do differently.
     entries: u64,
+    /// What the stall callbacks counted: stalled cycles per (rule, reason).
+    stalls: BTreeMap<(usize, &'static str), u64>,
 }
 
 impl Soup {
@@ -188,6 +193,8 @@ struct Outcome {
     counters: Vec<(String, u64)>,
     trace: Vec<String>,
     faults: usize,
+    /// [`Soup::stalls`] after every cycle.
+    stalls: Vec<BTreeMap<(usize, &'static str), u64>>,
 }
 
 fn rule_stats<S>(sim: &Sim<S>) -> Vec<(String, RuleStats)> {
@@ -214,6 +221,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         plain: 0,
         sig,
         entries: 0,
+        stalls: BTreeMap::new(),
     };
     let flip_target = st.cells[0].clone();
     let mut sim = Sim::new(clk, st);
@@ -242,6 +250,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     };
     let taint_id = sim.rule("r_taint_gate", move |s: &mut Soup| apply(taint_kind, s));
     sim.set_wakeup(taint_id, Wakeup::Inferred);
+    let mut ids = vec![bump_id, gate_id, taint_id];
     for i in 0..n_rules {
         let kind = match rng.next_u64() % 5 {
             0 => Kind::Bump {
@@ -272,6 +281,12 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         if rng.next_u64().is_multiple_of(2) {
             sim.set_wakeup(id, Wakeup::Inferred);
         }
+        ids.push(id);
+    }
+    for id in ids {
+        sim.on_stall(id, move |s: &mut Soup, reason| {
+            *s.stalls.entry((id.index(), reason)).or_insert(0) += 1;
+        });
     }
 
     let sink = Rc::new(RefCell::new(VecSink::default()));
@@ -292,7 +307,16 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         None
     };
 
-    let result = sim.try_run(CYCLES);
+    let mut result = Ok(CYCLES);
+    let mut stalls = Vec::new();
+    for _ in 0..CYCLES {
+        let cycle = sim.try_cycle();
+        stalls.push(sim.state().stalls.clone());
+        if let Err(e) = cycle {
+            result = Err(e);
+            break;
+        }
+    }
     let trace = sink.borrow().rendered();
     let outcome = Outcome {
         result,
@@ -307,6 +331,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         counters: sim.counters().snapshot(),
         trace,
         faults: engine.map_or(0, |e| e.fault_count()),
+        stalls,
     };
     (outcome, sim.state().entries)
 }

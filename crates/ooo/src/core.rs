@@ -1340,7 +1340,6 @@ impl Soc {
             .fetch_q
             .front()
             .ok_or(Stall::new("nothing to rename"))?;
-        let mask = core.cur_mask.read();
 
         let instr = match dec.instr {
             Ok(i) => i,
@@ -1348,7 +1347,7 @@ impl Soc {
                 // Illegal instruction / fetch fault: a completed ROB entry
                 // carrying the exception.
                 let rob_idx = core.rob.enq_index();
-                let uop = bare_uop(&dec, rob_idx, mask);
+                let uop = bare_uop(&dec, rob_idx, core.cur_mask.read());
                 let mut e = RobEntry::new(uop);
                 e.completed = true;
                 e.exception = Some(x);
@@ -1357,13 +1356,7 @@ impl Soc {
                 } else {
                     0
                 };
-                if let Err(stall) = core.rob.enq(e) {
-                    // The stat bump must recur every stalled cycle, exactly
-                    // as the reference scheduler would re-run it.
-                    self.clk.taint_eval();
-                    self.cores[c].stats.rob_full_stalls += 1;
-                    return Err(stall);
-                }
+                core.rob.enq(e)?;
                 core.pipe
                     .rename(rob_idx, dec.pc, None, dec.fetched_at, dec.decoded_at, now);
                 core.fetch_q.pop_front();
@@ -1417,15 +1410,42 @@ impl Soc {
             return Ok(());
         }
 
-        // Ordinary instruction: rename sources, allocate resources.
+        // Ordinary instruction. Every stall is decided before the first
+        // write, through the modules' read-only twins and in the order the
+        // allocations below happen (LSQ, physical register, speculation
+        // tag, IQ, ROB), so a rename that cannot fire reads its guard,
+        // touches nothing, and sleeps on the capacity cells alone.
+        let mem_kind = mem_class(&instr);
+        let rd = dest(&instr);
+        let needs_tag = matches!(instr, Instr::Branch { .. } | Instr::Jalr { .. });
+        let rob_idx = core.rob.enq_index();
+        let iq = match pipe_of(&instr) {
+            // Round-robin over ALU IQs by ROB index.
+            ExecPipe::Alu => &core.iqs[rob_idx as usize % core.cfg.alu_pipes],
+            ExecPipe::Mem => core.iq_mem(),
+            ExecPipe::MulDiv => core.iq_md(),
+        };
+        match mem_kind {
+            Some(MemKind::Load | MemKind::Atomic) => core.lsq.can_enq_ld()?,
+            Some(MemKind::Store | MemKind::Fence) => core.lsq.can_enq_st()?,
+            None => {}
+        }
+        if let Some(r) = rd {
+            core.rt.can_allocate(r)?;
+        }
+        if needs_tag {
+            core.sm.can_allocate()?;
+        }
+        iq.can_enter()?;
+        core.rob.can_enq()?;
+
+        // Rename sources, allocate resources.
         let (rs1, rs2) = sources(&instr);
         let src1 = core.rt.lookup(rs1);
         let src2 = core.rt.lookup(rs2);
         let rdy1 = core.prf.score_ready(src1);
         let rdy2 = core.prf.score_ready(src2);
-
-        let rob_idx = core.rob.enq_index();
-        let mem_kind = mem_class(&instr);
+        let mask = core.cur_mask.read();
         let lsq_idx = match mem_kind {
             Some(kind @ (MemKind::Load | MemKind::Atomic)) => {
                 Some(
@@ -1438,7 +1458,6 @@ impl Soc {
             None => None,
         };
 
-        let rd = dest(&instr);
         let (arch_dst, dst, old_dst) = match rd {
             Some(r) => {
                 let (new, old) = core.rt.allocate(r)?;
@@ -1467,7 +1486,6 @@ impl Soc {
 
         // Branches needing verification allocate a speculation tag with a
         // recovery snapshot (paper §V "SpeculationManager").
-        let needs_tag = matches!(instr, Instr::Branch { .. } | Instr::Jalr { .. });
         if needs_tag {
             let snap = SpecSnapshot {
                 rat: core.rt.snapshot(),
@@ -1480,22 +1498,7 @@ impl Soc {
             core.cur_mask.write(mask.with(tag));
         }
 
-        // Enter the right issue queue.
-        let pipe = pipe_of(&instr);
-        let entered = match pipe {
-            ExecPipe::Alu => {
-                // Round-robin over ALU IQs by ROB index.
-                let p = rob_idx as usize % core.cfg.alu_pipes;
-                core.iqs[p].enter(uop, rdy1, rdy2)
-            }
-            ExecPipe::Mem => core.iq_mem().enter(uop, rdy1, rdy2),
-            ExecPipe::MulDiv => core.iq_md().enter(uop, rdy1, rdy2),
-        };
-        if let Err(stall) = entered {
-            self.clk.taint_eval(); // recurring stat bump, as above
-            self.cores[c].stats.iq_full_stalls += 1;
-            return Err(stall);
-        }
+        iq.enter(uop, rdy1, rdy2)?;
         // Destination becomes not-ready only after the source ready bits
         // were read (paper Fig. 8's ordering in doRename).
         if let Some(d) = dst {
@@ -1505,13 +1508,7 @@ impl Soc {
         if let (Some(idx), Some(MemKind::Load | MemKind::Atomic)) = (lsq_idx, mem_kind) {
             core.lsq.set_ld_dst(idx, dst);
         }
-
-        let e = RobEntry::new(uop);
-        if let Err(stall) = core.rob.enq(e) {
-            self.clk.taint_eval(); // recurring stat bump, as above
-            self.cores[c].stats.rob_full_stalls += 1;
-            return Err(stall);
-        }
+        core.rob.enq(RobEntry::new(uop))?;
         core.pipe.rename(
             rob_idx,
             dec.pc,
@@ -2012,5 +2009,122 @@ impl cmd_core::snap::Snapshot for CoreState {
         self.roi_start = cmd_core::snap::Snap::load(r)?;
         self.stats = cmd_core::snap::Snap::load(r)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use cmd_core::clock::{CellId, Clock};
+    use riscy_isa::asm::Assembler;
+    use riscy_isa::inst::MemWidth;
+    use riscy_mem::system::MemConfig;
+
+    use super::*;
+
+    fn load() -> Instr {
+        Instr::Load {
+            width: MemWidth::D,
+            signed: true,
+            rd: Gpr::a(0),
+            rs1: Gpr::a(1),
+            offset: 0,
+        }
+    }
+
+    /// Renames a register and allocates a speculation tag.
+    fn jalr() -> Instr {
+        Instr::Jalr {
+            rd: Gpr::a(0),
+            rs1: Gpr::a(1),
+            offset: 0,
+        }
+    }
+
+    fn store() -> Instr {
+        Instr::Store {
+            width: MemWidth::D,
+            rs2: Gpr::a(0),
+            rs1: Gpr::a(1),
+            offset: 0,
+        }
+    }
+
+    /// Builds a one-core SoC with `instr` at the head of the rename queue,
+    /// lets `fill` drive the core into a shortage in one committed rule,
+    /// then evaluates `rename` inside an open rule: returns its outcome and
+    /// the cells it enlisted.
+    fn stalled_rename(instr: Instr, fill: fn(&CoreState)) -> (Guarded<()>, Vec<CellId>) {
+        let clk = Clock::new();
+        let mut a = Assembler::new(DRAM_BASE);
+        a.nop();
+        let cfg = CoreConfig::riscyoo_t_plus();
+        let mut soc = Soc::new(&clk, cfg, MemConfig::default(), 1, &a.assemble());
+        let core = &soc.cores[0];
+        clk.begin_rule();
+        core.fetch_q.push_back(DecInst {
+            pc: DRAM_BASE,
+            instr: Ok(instr),
+            pred_next: DRAM_BASE + 4,
+            pred_taken: false,
+            ghist: core.tour.snapshot(),
+            ras: core.ras.snapshot(),
+            fetched_at: 0,
+            decoded_at: 0,
+        });
+        fill(core);
+        clk.commit_rule();
+        clk.begin_rule();
+        let outcome = soc.rule_rename(0);
+        let enlisted = clk.enlisted_cells();
+        clk.abort_rule();
+        (outcome, enlisted)
+    }
+
+    /// A uop standing for any older instruction.
+    fn older(core: &CoreState) -> Uop {
+        let dec = core.fetch_q.front().expect("an instruction to rename");
+        bare_uop(&dec, 0, SpecMask::EMPTY)
+    }
+
+    #[test]
+    fn a_stalled_rename_writes_nothing() {
+        // Each shortage, filled through the mutating methods, with an
+        // instruction that reaches it only after allocating what comes
+        // before it in rename's order (a load: an LQ slot and a register).
+        type Case = (&'static str, Instr, fn(&CoreState));
+        let cases: [Case; 6] = [
+            ("lq full", load(), |c| {
+                while c.lsq.enq_ld(0, SpecMask::EMPTY, None, false).is_ok() {}
+            }),
+            ("sq full", store(), |c| {
+                while c.lsq.enq_st(0, SpecMask::EMPTY, false).is_ok() {}
+            }),
+            ("no free physical register", load(), |c| {
+                while c.rt.allocate(Gpr::a(5)).is_ok() {}
+            }),
+            ("no free speculation tag", jalr(), |c| {
+                let snap = SpecSnapshot {
+                    rat: c.rt.snapshot(),
+                    ras: c.ras.snapshot(),
+                    ghist: c.tour.snapshot(),
+                    mask: SpecMask::EMPTY,
+                };
+                while c.sm.allocate(snap).is_ok() {}
+            }),
+            ("iq full", load(), |c| {
+                while c.iq_mem().enter(older(c), false, false).is_ok() {}
+            }),
+            ("rob full", load(), |c| {
+                while c.rob.enq(RobEntry::new(older(c))).is_ok() {}
+            }),
+        ];
+        for (reason, instr, fill) in cases {
+            let (outcome, enlisted) = stalled_rename(instr, fill);
+            assert_eq!(outcome, Err(Stall::new(reason)));
+            assert!(
+                enlisted.is_empty(),
+                "{reason}: the stalled rename enlisted {enlisted:?}"
+            );
+        }
     }
 }

@@ -11,6 +11,9 @@ use cmd_core::guard::{Guarded, Stall};
 use crate::mask::{occupied, SlotMask};
 use crate::types::{PhysReg, SpecTag, Uop};
 
+/// The stall reason of an `enter` into a full queue.
+pub(crate) const IQ_FULL: &str = "iq full";
+
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     uop: Uop,
@@ -46,6 +49,21 @@ impl IssueQueue {
         }
     }
 
+    /// The slot the next `enter` fills: the lowest free one.
+    fn free_slot(&self) -> Guarded<usize> {
+        self.valid.first_clear().ok_or(Stall::new(IQ_FULL))
+    }
+
+    /// Whether [`IssueQueue::enter`] would succeed, and if not the stall it
+    /// would report, read without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when the queue is full.
+    pub fn can_enter(&self) -> Guarded<()> {
+        self.free_slot().map(drop)
+    }
+
     /// Inserts a renamed micro-op with its source-ready bits (paper's
     /// `enter`) into the lowest free slot.
     ///
@@ -53,7 +71,7 @@ impl IssueQueue {
     ///
     /// Stalls when the queue is full.
     pub fn enter(&self, uop: Uop, rdy1: bool, rdy2: bool) -> Guarded<()> {
-        let free = self.valid.first_clear().ok_or(Stall::new("iq full"))?;
+        let free = self.free_slot()?;
         let age = self.next_age.read();
         self.next_age.write(age + 1);
         self.slots[free].write(Some(IqEntry {

@@ -170,6 +170,36 @@ impl Lsq {
         a
     }
 
+    /// The slot the next `enq_ld` fills: the lowest free one.
+    fn free_lq(&self) -> Guarded<usize> {
+        self.lq_valid.first_clear().ok_or(Stall::new("lq full"))
+    }
+
+    /// The slot the next `enq_st` fills: the lowest free one.
+    fn free_sq(&self) -> Guarded<usize> {
+        self.sq_valid.first_clear().ok_or(Stall::new("sq full"))
+    }
+
+    /// Whether [`Lsq::enq_ld`] would succeed, and if not the stall it
+    /// would report, read without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when the LQ is full.
+    pub fn can_enq_ld(&self) -> Guarded<()> {
+        self.free_lq().map(drop)
+    }
+
+    /// Whether [`Lsq::enq_st`] would succeed, and if not the stall it
+    /// would report, read without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when the SQ is full.
+    pub fn can_enq_st(&self) -> Guarded<()> {
+        self.free_sq().map(drop)
+    }
+
     /// Allocates a load entry at rename (paper's `enq`) in the lowest free
     /// slot.
     ///
@@ -183,7 +213,7 @@ impl Lsq {
         dst: Option<PhysReg>,
         atomic_class: bool,
     ) -> Guarded<u16> {
-        let free = self.lq_valid.first_clear().ok_or(Stall::new("lq full"))?;
+        let free = self.free_lq()?;
         let age = self.alloc_age();
         self.lq[free].write(Some(LqEntry {
             rob,
@@ -218,7 +248,7 @@ impl Lsq {
     ///
     /// Stalls when the SQ is full.
     pub fn enq_st(&self, rob: u16, mask: SpecMask, is_fence: bool) -> Guarded<u16> {
-        let free = self.sq_valid.first_clear().ok_or(Stall::new("sq full"))?;
+        let free = self.free_sq()?;
         let age = self.alloc_age();
         self.sq[free].write(Some(SqEntry {
             rob,

@@ -73,6 +73,20 @@ impl RenameTable {
         self.rat.get(r.index())
     }
 
+    /// Whether [`RenameTable::allocate`] of `r` would succeed, and if not
+    /// the stall it would report, read without writing anything. Always
+    /// succeeds for `x0`, which allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when the free list is empty.
+    pub fn can_allocate(&self, r: Gpr) -> Guarded<()> {
+        if !r.is_zero() && self.free_head.read() == self.free_tail.read() {
+            return Err(Stall::new("no free physical register"));
+        }
+        Ok(())
+    }
+
     /// Renames a destination: allocates a fresh physical register and
     /// returns `(new, old)`.
     ///
@@ -82,13 +96,11 @@ impl RenameTable {
     ///
     /// Stalls when the free list is empty.
     pub fn allocate(&self, r: Gpr) -> Guarded<(PhysReg, PhysReg)> {
+        self.can_allocate(r)?;
         if r.is_zero() {
             return Ok((PhysReg::ZERO, PhysReg::ZERO));
         }
         let head = self.free_head.read();
-        if head == self.free_tail.read() {
-            return Err(Stall::new("no free physical register"));
-        }
         let new = self.free_ring.get(self.ring_slot(head));
         self.free_head.write(head + 1);
         let old = self.lookup(r);
@@ -209,16 +221,30 @@ impl SpecManager {
         }
     }
 
+    /// The tag the next `allocate` hands out: the lowest free one.
+    fn free_tag(&self) -> Guarded<usize> {
+        self.snapshots
+            .with(|s| s.iter().position(Option::is_none))
+            .ok_or(Stall::new("no free speculation tag"))
+    }
+
+    /// Whether [`SpecManager::allocate`] would succeed, and if not the
+    /// stall it would report, read without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when all tags are live.
+    pub fn can_allocate(&self) -> Guarded<()> {
+        self.free_tag().map(drop)
+    }
+
     /// Allocates a tag for a branch, recording its recovery snapshot.
     ///
     /// # Errors
     ///
     /// Stalls when all tags are live (rename must wait).
     pub fn allocate(&self, snap: SpecSnapshot) -> Guarded<SpecTag> {
-        let slot = self
-            .snapshots
-            .with(|s| s.iter().position(Option::is_none))
-            .ok_or(Stall::new("no free speculation tag"))?;
+        let slot = self.free_tag()?;
         self.snapshots.set(slot, Some(snap));
         Ok(SpecTag(slot as u8))
     }
@@ -425,6 +451,46 @@ mod tests {
         let (new, old) = rt.allocate(Gpr::ZERO).unwrap();
         assert_eq!((new, old), (PhysReg::ZERO, PhysReg::ZERO));
         assert_eq!(rt.free_count(), before);
+        clk.commit_rule();
+    }
+
+    #[test]
+    fn can_allocate_agrees_with_allocate_and_writes_nothing() {
+        let (clk, rt, _) = fixture();
+        clk.begin_rule();
+        for _ in 0..9 {
+            let can = rt.can_allocate(Gpr::a(0));
+            let before = clk.enlisted_cells().len();
+            assert_eq!(can, rt.can_allocate(Gpr::a(0)), "the twin wrote");
+            assert_eq!(clk.enlisted_cells().len(), before, "the twin wrote");
+            assert_eq!(can, rt.allocate(Gpr::a(0)).map(drop));
+        }
+        assert_eq!(
+            rt.can_allocate(Gpr::a(1)),
+            Err(Stall::new("no free physical register"))
+        );
+        // `x0` allocates nothing, so it never runs out.
+        assert_eq!(rt.can_allocate(Gpr::ZERO), Ok(()));
+        assert_eq!(rt.allocate(Gpr::ZERO).map(drop), Ok(()));
+        clk.abort_rule();
+    }
+
+    #[test]
+    fn spec_can_allocate_agrees_with_allocate_and_writes_nothing() {
+        let (clk, rt, sm) = fixture();
+        clk.begin_rule();
+        for _ in 0..5 {
+            let before = clk.enlisted_cells().len();
+            let can = sm.can_allocate();
+            assert_eq!(clk.enlisted_cells().len(), before, "the twin wrote");
+            assert_eq!(can, sm.allocate(snap(&rt, SpecMask::EMPTY)).map(drop));
+        }
+        assert_eq!(
+            sm.can_allocate(),
+            Err(Stall::new("no free speculation tag"))
+        );
+        sm.correct(SpecTag(2));
+        assert_eq!(sm.can_allocate(), Ok(()), "a resolved branch frees its tag");
         clk.commit_rule();
     }
 

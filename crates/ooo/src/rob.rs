@@ -66,6 +66,9 @@ pub enum LsqDeqResult {
     Killed,
 }
 
+/// The stall reason of an `enq` into a full ROB.
+pub(crate) const ROB_FULL: &str = "rob full";
+
 /// The reorder buffer: a circular buffer of [`RobEntry`] cells.
 #[derive(Clone)]
 pub struct Rob {
@@ -112,15 +115,26 @@ impl Rob {
         self.tail.read() as u16
     }
 
+    /// Whether [`Rob::enq`] would succeed, and if not the stall it would
+    /// report, read without writing anything.
+    ///
+    /// # Errors
+    ///
+    /// Stalls when full.
+    pub fn can_enq(&self) -> Guarded<()> {
+        if self.len() >= self.capacity() {
+            return Err(Stall::new(ROB_FULL));
+        }
+        Ok(())
+    }
+
     /// Appends an entry in program order.
     ///
     /// # Errors
     ///
     /// Stalls when full.
     pub fn enq(&self, e: RobEntry) -> Guarded<u16> {
-        if self.len() >= self.capacity() {
-            return Err(Stall::new("rob full"));
-        }
+        self.can_enq()?;
         let t = self.tail.read();
         self.entries[t].write(Some(e));
         self.tail.write((t + 1) % self.capacity());
@@ -387,6 +401,27 @@ mod tests {
             assert_eq!(rob.deq().unwrap().uop.pc, 4);
         });
         assert_eq!(rob.len(), 2);
+    }
+
+    #[test]
+    fn can_enq_agrees_with_enq_and_writes_nothing() {
+        let clk = Clock::new();
+        let rob = Rob::new(&clk, 3);
+        in_rule(&clk, || {
+            for i in 0..4 {
+                let before = clk.enlisted_cells().len();
+                let can = rob.can_enq();
+                assert_eq!(clk.enlisted_cells().len(), before, "the twin wrote");
+                assert_eq!(
+                    can,
+                    rob.enq(RobEntry::new(uop(i * 4, SpecMask::EMPTY)))
+                        .map(drop)
+                );
+            }
+            assert_eq!(rob.can_enq(), Err(Stall::new("rob full")));
+        });
+        in_rule(&clk, || rob.deq().unwrap());
+        assert_eq!(rob.can_enq(), Ok(()), "a deq makes room");
     }
 
     #[test]

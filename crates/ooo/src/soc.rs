@@ -7,7 +7,7 @@ use cmd_core::clock::{CellId, Clock};
 use cmd_core::guard::Guarded;
 use cmd_core::journal::EhrDeque;
 use cmd_core::sched::{SchedulerMode, Wakeup};
-use cmd_core::sim::{Sim, SimError};
+use cmd_core::sim::{RuleId, Sim, SimError};
 use riscy_isa::asm::Program;
 use riscy_isa::csr::{CsrFile, Priv};
 use riscy_isa::interp::Machine;
@@ -18,12 +18,12 @@ use riscy_mem::system::{MemConfig, MemSystem};
 use crate::config::CoreConfig;
 use crate::core::{CoreState, DecInst, MemTrans};
 use crate::frontend::{Btb, Ras, Tournament};
-use crate::iq::IssueQueue;
+use crate::iq::{IssueQueue, IQ_FULL};
 use crate::lsq::Lsq;
 use crate::pipetrace::{InstSpan, PipeTrace};
 use crate::prf::{Bypass, Prf};
 use crate::rename::{RenameTable, SpecManager};
-use crate::rob::Rob;
+use crate::rob::{Rob, ROB_FULL};
 use crate::sb::StoreBuffer;
 use crate::tlbport::TlbHier;
 use crate::tma::{TmaBuckets, TmaState};
@@ -305,18 +305,21 @@ impl SocSim {
         // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"):
         // clocked cells and, wherever the body went through
         // `Soc::{dcache, icache, itlb}`, this core's `mem_event` cell.
-        // Stall paths that mutate plain state (stat bumps, TLB requests,
-        // time-based busy) call `Clock::taint_eval` and are never slept on.
-        // The exception is `updateLsq`, which mixes the plain D TLB too
-        // deeply and stays on the always-sound `EveryCycle` default.
+        // Stall paths that mutate plain state (TLB requests) or read the
+        // cycle counter (time-based busy) call `Clock::taint_eval` and are
+        // never slept on; a statistic counted on every stalled cycle is a
+        // stall callback (`Sim::on_stall`), not a bump in the body. The
+        // exception is `updateLsq`, which mixes the plain D TLB too deeply
+        // and stays on the always-sound `EveryCycle` default.
         fn rule(
             sim: &mut Sim<Soc>,
             c: usize,
             name: &str,
             body: impl FnMut(&mut Soc) -> Guarded<()> + 'static,
-        ) {
+        ) -> RuleId {
             let id = sim.rule(format!("c{c}.{name}"), body);
             sim.set_wakeup(id, Wakeup::Inferred);
+            id
         }
         for c in 0..num_cores {
             for k in 0..cfg.width {
@@ -356,8 +359,16 @@ impl SocSim {
             rule(&mut sim, c, "issueMd", move |s| s.rule_issue_md(c));
             rule(&mut sim, c, "issueMem", move |s| s.rule_issue_mem(c));
             for k in 0..cfg.width {
-                rule(&mut sim, c, &format!("rename{k}"), move |s| {
+                let id = rule(&mut sim, c, &format!("rename{k}"), move |s| {
                     s.rule_rename(c)
+                });
+                sim.on_stall(id, move |s: &mut Soc, reason| {
+                    let stats = &mut s.cores[c].stats;
+                    match reason {
+                        IQ_FULL => stats.iq_full_stalls += 1,
+                        ROB_FULL => stats.rob_full_stalls += 1,
+                        _ => {}
+                    }
                 });
             }
             rule(&mut sim, c, "fetchResp", move |s| s.rule_fetch_resp(c));

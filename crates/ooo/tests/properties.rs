@@ -489,7 +489,9 @@ fn iq_refines_linear_scan_model_through_commits_and_aborts() {
                             pc += 4;
                             (u.src1, u.src2) = (reg(&mut rng), reg(&mut rng));
                             let (r1, r2) = (rng.chance(0.5), rng.chance(0.5));
+                            let can = iq.can_enter().map_err(|s| s.reason());
                             let got = iq.enter(u, r1, r2).map_err(|s| s.reason());
+                            assert_eq!(can, got, "{ctx}: the twin disagrees with enter");
                             assert_eq!(got, m.enter(u, r1, r2), "{ctx}");
                             seen.extend(got.err());
                         }
@@ -1040,13 +1042,17 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                             let mask = some_mask(&mut rng);
                             if rng.chance(0.6) {
                                 let class = rng.chance(0.1);
+                                let can = lsq.can_enq_ld().map_err(|s| s.reason());
                                 let got =
                                     lsq.enq_ld(rob, mask, None, class).map_err(|s| s.reason());
+                                assert_eq!(can, got.map(drop), "{ctx}: the twin disagrees");
                                 assert_eq!(got, m.enq_ld(rob, mask, class), "{ctx}");
                                 seen.extend(got.err());
                             } else {
                                 let fence = rng.chance(0.1);
+                                let can = lsq.can_enq_st().map_err(|s| s.reason());
                                 let got = lsq.enq_st(rob, mask, fence).map_err(|s| s.reason());
+                                assert_eq!(can, got.map(drop), "{ctx}: the twin disagrees");
                                 assert_eq!(got, m.enq_st(rob, mask, fence), "{ctx}");
                                 seen.extend(got.err());
                             }

@@ -43,7 +43,7 @@ EXACT = (
 LAYERS = (
     "core.dispatch_ns", "core.sleep_ns", "core.wake_ns", "core.cm_probe_ns",
     "core.cell_scalar_ns", "core.abort_ns", "core.kernel_share",
-    "mem.substrate_share", "isa.interp_mips", "ff.mips", "ff.handoff_ms",
+    "ooo.rename_share", "mem.substrate_share", "isa.interp_mips", "ff.mips", "ff.handoff_ms",
     "span.profile_share", "span.ff_share", "span.detail_share",
 )  # fmt: skip
 
