@@ -307,6 +307,23 @@ impl Clock {
         self.inner.cycle.set(c);
     }
 
+    /// Moves the cycle counter `n` cycles on without running the cycle
+    /// boundary: legal only over cycles in which no rule commits, so no
+    /// register latches and no wire was driven (see
+    /// [`crate::sim::Sim::try_advance`]), and only with no
+    /// [`Clock::at_end_of_cycle`] hook registered.
+    pub(crate) fn skip_cycles(&self, n: u64) {
+        debug_assert!(!self.in_rule(), "skip_cycles inside a rule");
+        debug_assert!(self.inner.eoc_hooks.borrow().is_empty());
+        self.inner.cycle.set(self.inner.cycle.get() + n);
+    }
+
+    /// Whether any [`Clock::at_end_of_cycle`] hook is registered: a cycle
+    /// boundary then does work even when no rule fired.
+    pub(crate) fn has_cycle_hooks(&self) -> bool {
+        !self.inner.eoc_hooks.borrow().is_empty()
+    }
+
     /// Whether a rule transaction is currently open.
     #[must_use]
     pub fn in_rule(&self) -> bool {

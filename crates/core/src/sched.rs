@@ -75,6 +75,26 @@ pub enum Wakeup {
     Inferred,
 }
 
+/// A design whose watchdog-exempt rules
+/// ([`Sim::exempt_from_watchdog`](crate::sim::Sim::exempt_from_watchdog))
+/// advance timed plain state — a memory system counting down to its next
+/// response — and can say how long they will do nothing else. This is what
+/// lets [`Sim::try_advance`](crate::sim::Sim::try_advance) jump the clock
+/// over cycles in which every other rule sleeps.
+pub trait Horizon {
+    /// How many cycles, starting with the next one, the exempt rules are
+    /// certain to fire doing nothing but their bulk per-cycle effects: no
+    /// change to state a guard reads, no [`poke`](crate::clock::Clock::poke).
+    /// `0` when they may do more in the very next cycle; conservative
+    /// answers are always sound, only slower.
+    fn horizon(&self) -> u64;
+
+    /// Applies `n` cycles of the exempt rules' bulk effects at once (a
+    /// cycle count, occupancy sums), exactly as `n` fired cycles within the
+    /// horizon would have.
+    fn skip(&mut self, n: u64);
+}
+
 /// A sleeping rule: skipped (but accounted with `reason`) until one of the
 /// cells it watches publishes a committed write. The watch set itself lives
 /// in the wake layer's per-cell watcher lists, registered when the sleep

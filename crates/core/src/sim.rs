@@ -47,6 +47,20 @@
 //! called for a chaos `ForceStall` (the body does not run), a CM stall or a
 //! `Reg` conflict (the body succeeded).
 //!
+//! # Jumping the clock
+//!
+//! When a fast cycle ends with every non-exempt rule asleep, no wake flag
+//! pending and every exempt rule fired, the next cycles repeat it until the
+//! exempt rules change something a guard reads — and a design implementing
+//! [`Horizon`] knows when that is. [`Sim::try_advance`] steps one cycle and
+//! then jumps over those cycles in one move, accounting them exactly as
+//! stepping would: exempt rules fired, sleepers guard-stalled (their stall
+//! callbacks called once per cycle), the design's bulk effects applied
+//! through [`Horizon::skip`]. The jump stops short of the cycle in which the
+//! watchdog would trip and lands at most on the next telemetry window edge;
+//! the reference loop, chaos, tracing, histograms and the profiler never
+//! jump.
+//!
 //! See `docs/SCHEDULING.md` for the full design and equivalence argument.
 //! This file holds the rule table and the two cycle loops; the error and
 //! wait-graph types, the kernel snapshot and the reports live in the
@@ -82,7 +96,7 @@ use crate::chaos::{FaultEngine, RuleFault, CHAOS_ABORT_REASON, CHAOS_STALL_REASO
 use crate::clock::{Clock, CmViolation};
 use crate::guard::Guarded;
 use crate::prof::{CausalEdge, EdgeKind, Profiler};
-use crate::sched::{BitSet, RuleSched, SchedulerMode, Sleep, Wakeup};
+use crate::sched::{BitSet, Horizon, RuleSched, SchedulerMode, Sleep, Wakeup};
 use crate::telemetry::{Telemetry, TelemetryTap};
 use crate::trace::{Counter, Counters, TraceEvent, Tracer};
 
@@ -450,8 +464,10 @@ impl<S> Sim<S> {
     /// where a statistic that recurs on every stalled cycle belongs: bumped
     /// in the body it would be a plain-state mutation on the stall path,
     /// which keeps the rule from ever sleeping. `f` runs outside any rule
-    /// transaction and must touch only plain state no guard reads.
-    /// Replaces any earlier callback of the rule.
+    /// transaction and must touch only plain state no guard reads. Over a
+    /// jump ([`Sim::try_advance`]) each sleeper's calls for the skipped
+    /// cycles come back to back, so callbacks of different rules must
+    /// commute. Replaces any earlier callback of the rule.
     ///
     /// # Panics
     ///
@@ -744,15 +760,17 @@ impl<S> Sim<S> {
     /// skip records, histogram inserts, trace emits) — the lane plain runs
     /// take, monomorphized the way [`Sim::cycle_reference`] is on `PROF`.
     fn cycle_fast(&mut self) -> Result<(), SimError> {
-        if self.chaos.is_some()
-            || self.tracer.is_enabled()
-            || self.collect_hist
-            || self.prof.is_some()
-        {
+        if self.observed() {
             self.cycle_fast_impl::<true>()
         } else {
             self.cycle_fast_impl::<false>()
         }
+    }
+
+    /// Whether an observer that needs every cycle run is attached: a chaos
+    /// engine, a tracer, stall histograms or the profiler.
+    fn observed(&self) -> bool {
+        self.chaos.is_some() || self.tracer.is_enabled() || self.collect_hist || self.prof.is_some()
     }
 
     fn cycle_fast_impl<const OBS: bool>(&mut self) -> Result<(), SimError> {
@@ -1024,15 +1042,7 @@ impl<S> Sim<S> {
             e.apply_cycle_faults(now);
         }
         self.cycles += 1;
-        if let Some(window) = self.tel.as_deref().map(Telemetry::window) {
-            if self.cycles.is_multiple_of(window) {
-                let cols = self.telemetry_columns();
-                self.tel
-                    .as_mut()
-                    .expect("telemetry enabled")
-                    .sample(self.cycles, &cols);
-            }
-        }
+        self.sample_at_window_edge();
         if let Some(err) = conflict {
             return Err(err);
         }
@@ -1050,6 +1060,20 @@ impl<S> Sim<S> {
             }
         }
         Ok(())
+    }
+
+    /// Closes a telemetry window when the cycle count has just reached its
+    /// edge.
+    fn sample_at_window_edge(&mut self) {
+        if let Some(window) = self.tel.as_deref().map(Telemetry::window) {
+            if self.cycles.is_multiple_of(window) {
+                let cols = self.telemetry_columns();
+                self.tel
+                    .as_mut()
+                    .expect("telemetry enabled")
+                    .sample(self.cycles, &cols);
+            }
+        }
     }
 
     /// Executes one clock cycle, ignoring watchdog deadlock signals (a
@@ -1202,6 +1226,97 @@ impl<S> Sim<S> {
     #[must_use]
     pub fn last_violation(&self) -> Option<&CmViolation> {
         self.last_violation.as_ref()
+    }
+}
+
+impl<S: Horizon> Sim<S> {
+    /// Executes one cycle, like [`Sim::try_cycle`], and then jumps over
+    /// every following cycle that would repeat it, up to `limit` cycles in
+    /// all (see "Jumping the clock" in the module docs). Returns the cycles
+    /// advanced: `0` only when `limit` is `0`. The state, statistics,
+    /// counters, stall callbacks and telemetry after the call are exactly
+    /// those of stepping [`Sim::try_cycle`] as many times.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sim::try_cycle`], from the stepped cycle; the jump itself never
+    /// fails and never crosses the cycle in which the watchdog would trip.
+    pub fn try_advance(&mut self, limit: u64) -> Result<u64, SimError> {
+        if limit == 0 {
+            return Ok(0);
+        }
+        self.try_cycle()?;
+        let n = self.jump_span(limit - 1);
+        if n > 0 {
+            self.jump(n);
+        }
+        Ok(1 + n)
+    }
+
+    /// How many cycles the next jump may cover: none unless the cycle just
+    /// run was quiescent, then the design's horizon, clamped to `limit`,
+    /// the watchdog slack and the next telemetry window edge.
+    fn jump_span(&self, limit: u64) -> u64 {
+        if !self.quiescent() {
+            return 0;
+        }
+        let mut cap = limit;
+        if let Some(threshold) = self.watchdog {
+            // The cycle the watchdog trips in is stepped, so it reports the
+            // same cycle and wait graph.
+            cap = cap.min(threshold.saturating_sub(self.quiet_cycles + 1));
+        }
+        if let Some(window) = self.tel.as_deref().map(Telemetry::window) {
+            cap = cap.min(window - self.cycles % window);
+        }
+        if cap == 0 {
+            return 0;
+        }
+        self.state.horizon().min(cap)
+    }
+
+    /// Whether the cycle just run repeats until the design's horizon: it
+    /// ran the unobserved fast loop, no non-exempt rule fired (the watchdog
+    /// counted it quiet), every non-exempt rule ended it asleep with no
+    /// wake pending, every exempt rule fired, and no end-of-cycle hook
+    /// runs. Read after the cycle, so the loop itself pays nothing.
+    fn quiescent(&self) -> bool {
+        self.quiet_cycles > 0
+            && self.mode == SchedulerMode::Fast
+            && !self.observed()
+            && !self.clk.wake().any_pending()
+            && !self.clk.has_cycle_hooks()
+            && self.rules.iter().all(|r| {
+                if r.exempt {
+                    r.last_wait.is_none()
+                } else {
+                    r.sched.sleep.is_some()
+                }
+            })
+    }
+
+    /// Accounts `n` quiescent cycles at once.
+    fn jump(&mut self, n: u64) {
+        let mut exempt = 0;
+        for entry in &mut self.rules {
+            if entry.exempt {
+                entry.stats.fired += n;
+                exempt += 1;
+            } else if let (Some(f), Some(sleep)) = (entry.on_stall.as_mut(), &entry.sched.sleep) {
+                // Guard stalls themselves are batched by `Sleep::since`.
+                for _ in 0..n {
+                    f(&mut self.state, sleep.reason);
+                }
+            }
+        }
+        let asleep = self.rules.len() as u64 - exempt;
+        self.ctr_fired.add(n * exempt);
+        self.ctr_guard.add(n * asleep);
+        self.state.skip(n);
+        self.clk.skip_cycles(n);
+        self.cycles += n;
+        self.quiet_cycles += n;
+        self.sample_at_window_edge();
     }
 }
 

@@ -3,6 +3,7 @@ use crate::cell::{Ehr, Reg};
 use crate::clock::ModuleIfc;
 use crate::cm::ConflictMatrix;
 use crate::guard::Stall;
+use crate::sched::Horizon;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 struct Two {
@@ -608,6 +609,141 @@ fn restore_refuses_a_telemetry_column_skew() {
     same.restore_kernel(&mut SnapReader::new(&bytes))
         .expect("matching columns restore");
     same.run(6);
+}
+
+/// A timer a jump can cross: the exempt `tick` rule counts cycles and drops
+/// a token in `mailbox` at each `due` cycle; the other rules sleep on the
+/// mailbox and count their stalls in callbacks, per reason.
+struct Timed {
+    now: u64,
+    due: std::collections::VecDeque<u64>,
+    mailbox: Ehr<u64>,
+    taken: Ehr<u64>,
+    stalls: BTreeMap<&'static str, u64>,
+}
+
+impl Horizon for Timed {
+    fn horizon(&self) -> u64 {
+        self.due.front().map_or(u64::MAX, |&t| t - self.now)
+    }
+
+    fn skip(&mut self, n: u64) {
+        self.now += n;
+    }
+}
+
+fn timed_sim() -> Sim<Timed> {
+    let clk = Clock::new();
+    let st = Timed {
+        now: 0,
+        // Quiet gaps of up to 45 cycles, then silence until the watchdog.
+        due: [3, 4, 30, 31, 32, 77, 120].into(),
+        mailbox: Ehr::new(&clk, 0),
+        taken: Ehr::new(&clk, 0),
+        stalls: BTreeMap::new(),
+    };
+    let mut sim = Sim::new(clk, st);
+    let tick = sim.rule("tick", |s: &mut Timed| {
+        if s.due.front() == Some(&s.now) {
+            s.due.pop_front();
+            s.mailbox.update(|m| *m += 1);
+        }
+        s.now += 1;
+        Ok(())
+    });
+    sim.exempt_from_watchdog(tick);
+    let take = sim.rule("take", |s: &mut Timed| {
+        if s.taken.read() == s.mailbox.read() {
+            return Err(Stall::new("mailbox empty"));
+        }
+        s.taken.update(|t| *t += 1);
+        Ok(())
+    });
+    let watch = sim.rule("watch", |s: &mut Timed| {
+        Err(Stall::new(if s.taken.read() < 5 {
+            "fewer than five taken"
+        } else {
+            "five taken"
+        }))
+    });
+    for r in [take, watch] {
+        sim.set_wakeup(r, Wakeup::Inferred);
+        sim.on_stall(r, |s: &mut Timed, reason| {
+            *s.stalls.entry(reason).or_insert(0) += 1;
+        });
+    }
+    sim.set_watchdog(Some(50));
+    sim.enable_telemetry(16, 64);
+    sim.set_telemetry_tap(Box::new(|s: &Timed| {
+        vec![("timed.stalls".to_string(), s.stalls.values().sum())]
+    }));
+    sim
+}
+
+/// Everything a jump must account exactly.
+fn timed_outcome(sim: &Sim<Timed>, err: SimError) -> impl PartialEq + fmt::Debug {
+    (
+        err,
+        sim.cycles(),
+        sim.all_rule_stats()
+            .map(|(n, s)| (n.to_string(), s))
+            .collect::<Vec<_>>(),
+        sim.counters().snapshot(),
+        sim.state().stalls.clone(),
+        sim.telemetry_json(),
+    )
+}
+
+#[test]
+fn a_jump_accounts_exactly_what_stepping_does() {
+    let mut stepped = timed_sim();
+    let stepped_err = loop {
+        if let Err(e) = stepped.try_cycle() {
+            break e;
+        }
+    };
+    // Any limit holds, and a jump never runs past it.
+    for limits in [vec![u64::MAX], vec![1, 3, 17, 1000]] {
+        let mut jumped = timed_sim();
+        let mut calls = 0;
+        let jumped_err = loop {
+            let limit = limits[calls % limits.len()];
+            calls += 1;
+            match jumped.try_advance(limit) {
+                Ok(n) => assert!((1..=limit).contains(&n), "advanced {n} of {limit}"),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            calls < jumped.cycles() as usize / 2,
+            "{calls} calls for {} cycles: the quiet stretches were jumped",
+            jumped.cycles()
+        );
+        assert_eq!(
+            timed_outcome(&jumped, jumped_err),
+            timed_outcome(&stepped, stepped_err.clone()),
+            "limits {limits:?}"
+        );
+    }
+    assert!(
+        matches!(stepped_err, SimError::Deadlock { cycle: 171, .. }),
+        "{stepped_err}"
+    );
+}
+
+#[test]
+fn observers_and_the_reference_never_jump() {
+    let mut reference = timed_sim();
+    reference.set_scheduler(SchedulerMode::Reference);
+    let mut traced = timed_sim();
+    traced.set_tracer(Tracer::new(std::rc::Rc::new(std::cell::RefCell::new(
+        crate::trace::VecSink::default(),
+    ))));
+    for sim in [&mut reference, &mut traced] {
+        for _ in 0..100 {
+            assert_eq!(sim.try_advance(u64::MAX), Ok(1));
+        }
+    }
 }
 
 #[test]

@@ -43,6 +43,8 @@ pub(crate) struct Wake {
     pub publisher: Cell<Option<u32>>,
     /// `(publisher, woken rule)` pairs since [`Wake::take_edges`].
     edges: RefCell<Vec<(u32, u32)>>,
+    /// How many rules carry a wake flag not yet consumed at their slot.
+    pending: Cell<u32>,
     read_trace: Cell<bool>,
     reads: RefCell<Vec<u32>>,
     /// Per-evaluation impurity taint, see
@@ -117,7 +119,10 @@ impl Wake {
         for (rule, gen) in ws.drain(..) {
             let s = &mut sleepers[rule as usize];
             if s.gen == gen {
-                s.woken = true;
+                if !s.woken {
+                    s.woken = true;
+                    self.pending.set(self.pending.get() + 1);
+                }
                 if let Some(publisher) = self.publisher.get() {
                     self.edges.borrow_mut().push((publisher, rule));
                 }
@@ -141,7 +146,17 @@ impl Wake {
     pub fn forget(&self, rule: usize) {
         let s = &mut self.sleepers.borrow_mut()[rule];
         s.gen = s.gen.wrapping_add(1);
-        s.woken = false;
+        if s.woken {
+            s.woken = false;
+            self.pending.set(self.pending.get() - 1);
+        }
+    }
+
+    /// Whether some rule has been woken and not yet reached its slot: the
+    /// next cycle has a rule to evaluate.
+    #[inline]
+    pub fn any_pending(&self) -> bool {
+        self.pending.get() != 0
     }
 
     /// Hands over the edges recorded since the last call, in wake order.

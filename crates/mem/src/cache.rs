@@ -399,6 +399,56 @@ impl L1Cache {
             | (self.resp_q.len().min(0xFF) as u64) << 9
     }
 
+    /// The earliest cycle, at or after `now`, at which [`L1Cache::tick`]
+    /// may change this cache: `now` while parent messages or outgoing
+    /// traffic wait, or while a waiting request would be served, touch an
+    /// LRU or start or upgrade a miss; `u64::MAX` when every waiting
+    /// request sits behind a miss already outstanding (or a full MSHR
+    /// file) — ticking is then a no-op until the parent answers.
+    #[must_use]
+    pub fn next_event(&self, now: u64) -> u64 {
+        let busy = !self.from_parent.is_empty()
+            || !self.deferred_downs.is_empty()
+            || !self.to_parent_req.is_empty()
+            || !self.to_parent_msg.is_empty()
+            || self.room.iter().any(|&req| !self.waits_on_parent(req));
+        if busy {
+            now
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Whether serving `req` now would change nothing: its line is absent
+    /// (a hit touches the LRU, even a store's hit on a shared line) and
+    /// [`L1Cache::start_miss`] would neither allocate nor upgrade an MSHR.
+    fn waits_on_parent(&self, req: CoreReq) -> bool {
+        let (line, want_m) = match req {
+            CoreReq::Ld { addr, .. } => (line_of(addr), false),
+            CoreReq::St { line, .. } => (line, true),
+            CoreReq::Atomic { addr, op, .. } => {
+                let line = line_of(addr);
+                if matches!(op, AtomicOp::Sc(_)) && self.reservation != Some(line) {
+                    return false; // fails at once
+                }
+                (line, true)
+            }
+        };
+        self.array.lookup(line).is_none()
+            && match self.mshr_for(line) {
+                Some(i) => self.mshrs[i].want_m || !want_m,
+                None => self.mshrs.len() >= self.cfg.mshrs,
+            }
+    }
+
+    /// The earliest response arrival strictly after `now`: the next cycle
+    /// at which [`L1Cache::resp_digest`] changes with nothing else
+    /// happening.
+    #[must_use]
+    pub fn next_resp_after(&self, now: u64) -> Option<u64> {
+        self.resp_q.next_arrival_after(now)
+    }
+
     fn mshr_for(&self, line: u64) -> Option<usize> {
         self.mshrs.iter().position(|m| m.line == line)
     }

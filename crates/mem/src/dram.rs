@@ -139,6 +139,24 @@ impl Dram {
         }
     }
 
+    /// The earliest cycle, at or after `now`, at which [`Dram::tick`] (or a
+    /// pop) may change the controller: the next issue slot of a queued
+    /// request, the head of the in-flight requests, `now` while a
+    /// completed read waits; `u64::MAX` when idle.
+    #[must_use]
+    pub fn next_event(&self, now: u64) -> u64 {
+        if !self.resps.is_empty() {
+            return now;
+        }
+        let issue = if self.queue.is_empty() {
+            u64::MAX
+        } else {
+            self.next_issue
+        };
+        let complete = self.inflight.front().map_or(u64::MAX, |(t, _)| *t);
+        issue.min(complete).max(now)
+    }
+
     /// Pops a completed read, if any.
     pub fn pop_resp(&mut self) -> Option<DramResp> {
         self.resps.pop_front()

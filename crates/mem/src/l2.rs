@@ -167,6 +167,40 @@ impl L2 {
         Some(&*self.array.slot(i).data)
     }
 
+    /// The earliest cycle, at or after `now`, at which [`L2::tick`] may
+    /// change the L2 between two ticks: `now` while messages or requests
+    /// wait to be taken in or out, or a transaction can take its next step
+    /// (see [`L2::step_trans`]); otherwise the DRAM's next event
+    /// (`u64::MAX` when that is idle too). A transaction waiting on child
+    /// acknowledgements or on DRAM data is no event — the ack arrives
+    /// through a timed crossbar queue, the data through the DRAM, and a
+    /// tick absorbs either before it steps transactions. Nor is a request
+    /// waiting in the room: what defers it (a full transaction table, its
+    /// line in flight, no unlocked victim) clears only when a transaction
+    /// ends inside a tick, which then retries the room.
+    #[must_use]
+    pub fn next_event(&self, now: u64) -> u64 {
+        let queued = !self.req_in.is_empty()
+            || !self.msg_in.is_empty()
+            || !self.uncached_in.is_empty()
+            || self.resp_out.iter().any(|q| !q.is_empty())
+            || self.down_out.iter().any(|q| !q.is_empty())
+            || self.uncached_out.iter().any(|q| !q.is_empty());
+        let stepping = self.trans.iter().any(|t| match t.phase {
+            Phase::EvictVictim => {
+                let slot = self.array.slot(t.slot);
+                slot.state == Msi::I || Self::dir_empty(slot)
+            }
+            Phase::WaitDram => !t.dram_issued,
+            Phase::WaitDowngrades => !t.downs_sent,
+        });
+        if queued || stepping {
+            now
+        } else {
+            self.dram.next_event(now)
+        }
+    }
+
     /// One simulation cycle.
     pub fn tick(&mut self, now: u64, mem: &mut SparseMem) {
         self.absorb_messages(mem);

@@ -75,6 +75,20 @@ impl<T> TimedQueue<T> {
         }
     }
 
+    /// When the head arrives: the first cycle [`TimedQueue::pop_ready`]
+    /// can return something, `None` when empty.
+    #[must_use]
+    pub fn head_due(&self) -> Option<u64> {
+        self.q.front().map(|(t, _)| *t)
+    }
+
+    /// The earliest arrival strictly after `now`: the next cycle at which
+    /// [`TimedQueue::ready_len`] grows, `None` when nothing is in flight.
+    #[must_use]
+    pub fn next_arrival_after(&self, now: u64) -> Option<u64> {
+        self.q.iter().map(|(t, _)| *t).filter(|&t| t > now).min()
+    }
+
     /// Current occupancy (including in-flight entries).
     #[must_use]
     pub fn len(&self) -> usize {

@@ -172,6 +172,37 @@ impl MemSystem {
         }
     }
 
+    /// The first cycle, at or after [`MemSystem::now`], in which
+    /// [`MemSystem::tick`] (or a page-walker response pop) may change
+    /// anything but the cycle count: the earliest crossbar-queue head,
+    /// DRAM issue or completion, or `now` whenever untimed work is pending
+    /// in a cache. `u64::MAX` when the whole system is waiting on nothing.
+    /// Until then [`MemSystem::skip`] stands for ticking.
+    #[must_use]
+    pub fn next_event(&self) -> u64 {
+        let now = self.now;
+        let heads = [
+            self.c2p_req.head_due(),
+            self.c2p_msg.head_due(),
+            self.p2c.head_due(),
+            self.walk_req.head_due(),
+            self.walk_resp.head_due(),
+        ];
+        let mut t = heads.into_iter().flatten().min().unwrap_or(u64::MAX);
+        for l1 in self.l1d.iter().chain(&self.l1i) {
+            t = t.min(l1.next_event(now));
+        }
+        t.min(self.l2.next_event(now)).max(now)
+    }
+
+    /// Advances the clock `n` cycles with nothing else happening: the same
+    /// state as `n` calls of [`MemSystem::tick`] when
+    /// `now + n <= next_event()`.
+    pub fn skip(&mut self, n: u64) {
+        debug_assert!(self.now + n <= self.next_event(), "skip past an event");
+        self.now += n;
+    }
+
     /// Advances the entire memory system one cycle.
     pub fn tick(&mut self) {
         let now = self.now;

@@ -553,6 +553,18 @@ impl PageWalker {
         );
     }
 
+    /// Whether [`PageWalker::tick`] (or draining its queues) would change
+    /// anything: a PTE to consume, a load to issue or send, a result to
+    /// collect. A walker whose every walk waits on its outstanding PTE load
+    /// is idle until the response arrives.
+    #[must_use]
+    pub fn has_work(&self) -> bool {
+        !self.from_l2.is_empty()
+            || !self.to_l2.is_empty()
+            || !self.results.is_empty()
+            || self.walks.iter().any(|w| !w.outstanding)
+    }
+
     /// Pops a completed walk.
     pub fn pop_result(&mut self) -> Option<WalkResult> {
         self.results.pop_front()

@@ -4,10 +4,14 @@
 //! (each loop iteration reproduces from its printed seed).
 
 use cmd_core::rng::SplitMix64;
+use cmd_core::snap::{SnapReader, SnapWriter, Snapshot};
 use riscy_isa::csr::Priv;
 use riscy_isa::mem::{SparseMem, DRAM_BASE};
 use riscy_isa::vm::{self, make_leaf, make_pointer, pte, Access};
-use riscy_mem::msg::{CoreReq, CoreResp};
+use riscy_mem::cache::L1Config;
+use riscy_mem::dram::DramConfig;
+use riscy_mem::l2::{L2Config, UncachedReq};
+use riscy_mem::msg::{CoreReq, CoreResp, Msi};
 use riscy_mem::queue::TimedQueue;
 use riscy_mem::system::{MemConfig, MemSystem};
 use riscy_mem::tlb::Tlb;
@@ -91,6 +95,155 @@ fn timed_queue_orders_and_delays() {
             );
         }
         assert_eq!(out, pushes, "seed {seed}");
+    }
+}
+
+fn snap_bytes(sys: &MemSystem) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    sys.snap_save(&mut w);
+    w.into_bytes()
+}
+
+/// While nothing is due (`next_event() > now`), a tick changes nothing but
+/// the clock — the last eight snapshot bytes — and `skip(n)` up to the
+/// event is `n` ticks byte for byte: what lets the SoC jump its clock.
+/// Random L1 I/D loads, stores held locked for a while before their data
+/// is written, and page-walker reads on two cores, over caches small enough
+/// to evict, recall and defer downgrades.
+#[test]
+fn ticks_before_the_next_event_change_only_the_clock() {
+    for seed in 0..6u64 {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let l1 = L1Config {
+            size_bytes: 2048,
+            ways: 2,
+            mshrs: 4,
+            hit_latency: 2,
+        };
+        let cfg = MemConfig {
+            l1i: l1,
+            l1d: l1,
+            l2: L2Config {
+                size_bytes: 8192,
+                ways: 2,
+                max_trans: 4,
+                dram: DramConfig {
+                    latency: 40,
+                    max_outstanding: 4,
+                    cycles_per_line: 5,
+                },
+                mesi: rng.chance(0.5),
+            },
+            xbar_latency: 2,
+            l2_pipe_latency: 3,
+        };
+        let restored = |bytes: &[u8]| {
+            let mut s = MemSystem::new(cfg, 2, SparseMem::new());
+            s.snap_restore(&mut SnapReader::new(bytes))
+                .expect("own bytes");
+            s
+        };
+        let mut sys = MemSystem::new(cfg, 2, SparseMem::new());
+        let rate = *rng.pick(&[0.02, 0.08, 0.3]);
+        let mut locked: Vec<(u64, u64)> = Vec::new(); // (write_data at step, line)
+        let mut store_lines: HashMap<u32, u64> = HashMap::new();
+        let (mut quiet, mut skips) = (0, 0);
+        for step in 0..1200u64 {
+            let ctx = format!("seed {seed} step {step}");
+            let core = rng.below(2) as usize;
+            let addr = DRAM_BASE + (rng.below(0x4000) & !7);
+            if rng.chance(rate) {
+                match rng.below(3) {
+                    0 if sys.icache(core).can_accept() => {
+                        let req = CoreReq::Ld {
+                            tag: step as u32,
+                            addr,
+                            bytes: 4,
+                        };
+                        sys.icache(core).request(req).expect("accepts");
+                    }
+                    1 if sys.dcache(core).can_accept() => {
+                        let req = CoreReq::Ld {
+                            tag: step as u32,
+                            addr,
+                            bytes: 8,
+                        };
+                        sys.dcache(core).request(req).expect("accepts");
+                    }
+                    2 if sys.dcache(core).can_accept() => {
+                        let sb_idx = step as u32 * 2 + core as u32;
+                        store_lines.insert(sb_idx, addr & !63);
+                        let req = CoreReq::St {
+                            sb_idx,
+                            line: addr & !63,
+                        };
+                        sys.dcache(core).request(req).expect("accepts");
+                    }
+                    _ => {}
+                }
+            }
+            if rng.chance(rate / 4.0) {
+                sys.push_walker_req(UncachedReq {
+                    core,
+                    tag: step,
+                    addr,
+                });
+            }
+            let now = sys.now();
+            for c in 0..2 {
+                while let Some(r) = sys.dcache(c).pop_resp(now) {
+                    if let CoreResp::St { sb_idx } = r {
+                        locked.push((step + rng.below(20), store_lines[&sb_idx]));
+                    }
+                }
+                while sys.icache(c).pop_resp(now).is_some() {}
+                while sys.pop_walker_resp(c).is_some() {}
+            }
+            locked.retain(|&(at, line)| {
+                if at > step {
+                    return true;
+                }
+                let c = (0..2)
+                    .find(|&c| sys.dcache_ref(c).line_state(line) == Msi::M)
+                    .expect("a granted store holds its line in M");
+                sys.dcache(c).write_data(line, &[0xa5; 64], &[true; 64]);
+                false
+            });
+            let next = sys.next_event();
+            if next == sys.now() {
+                sys.tick();
+                continue;
+            }
+            quiet += 1;
+            let before = snap_bytes(&sys);
+            if rng.chance(0.2) {
+                let n = (next - sys.now()).min(rng.range_u64(1, 64));
+                let mut stepped = restored(&before);
+                for _ in 0..n {
+                    stepped.tick();
+                }
+                let mut jumped = restored(&before);
+                jumped.skip(n);
+                assert_eq!(
+                    snap_bytes(&stepped),
+                    snap_bytes(&jumped),
+                    "{ctx}: skip({n})"
+                );
+                skips += 1;
+            }
+            sys.tick();
+            let after = snap_bytes(&sys);
+            let state = before.len() - 8;
+            assert_eq!(before.len(), after.len(), "{ctx}");
+            assert!(
+                before[..state] == after[..state],
+                "{ctx}: a quiet tick changed state"
+            );
+        }
+        assert!(
+            quiet > 100 && skips > 10,
+            "seed {seed}: {quiet} quiet ticks, {skips} skips"
+        );
     }
 }
 

@@ -27,7 +27,7 @@ use crate::prf::{Bypass, Prf};
 use crate::rename::{RenameTable, SpecManager, SpecSnapshot};
 use crate::rob::{LsqDeqResult, Rob, RobEntry};
 use crate::sb::{SbSearch, StoreBuffer};
-use crate::soc::{CoreStats, Soc};
+use crate::soc::{mem_digest, CoreStats, Soc};
 use crate::tlbport::TlbHier;
 use crate::tma::TmaState;
 use crate::types::{ExecPipe, MemKind, PhysReg, SpecMask, SpecTag, SystemOp, Uop};
@@ -258,13 +258,25 @@ impl Soc {
     pub(crate) fn rule_substrate(&mut self) {
         let now = self.mem.now();
         for core in &mut self.cores {
+            // A rule asleep on a memory port saw it somewhere between the
+            // digest published last cycle and what the core rules left it
+            // at: they only ever take from a port (requests fill the room,
+            // pops drain responses and notes, a fetch parks an ITLB miss).
+            // Ports the rules moved are republished before the tick, ports
+            // the tick moves after it.
+            let seen = mem_digest(&self.mem, &core.tlb, core.id, now);
+            self.mem_ports[core.id].poke(&self.clk, seen ^ self.mem_digest[core.id]);
             for req in core.tlb.drain_walker_reqs() {
                 self.mem.push_walker_req(req);
             }
             while let Some(r) = self.mem.pop_walker_resp(core.id) {
                 core.tlb.push_walker_resp(r);
             }
+            let d_waiting = core.tlb.d_waiting();
             core.tlb.tick(now, core.csr.satp);
+            if core.tlb.d_waiting() != d_waiting {
+                self.clk.poke(self.mem_ports[core.id].d_tlb);
+            }
             // Fetch retries via the (now filled) I TLB; the response queue
             // itself is not consumed anywhere else.
             while core.tlb.pop_i_resp().is_some() {}
@@ -291,29 +303,18 @@ impl Soc {
             }
         }
         self.mem.tick();
-        // Republish the plain memory-system state as a per-core change
-        // digest: every observable a core rule's *guard* can read outside
-        // the clocked cells (cache acceptance, response arrival, eviction
-        // notes, ITLB miss status) is packed exactly — no hashing, so no
-        // collisions — and the core's `mem_event` cell is poked when it
-        // differs from last cycle's. This is the other half of the
-        // `Soc::{dcache, icache, itlb}` accessors, which observe that cell
-        // on a rule's behalf: a rule asleep on plain state is woken the
-        // same cycle the state changes, before any core rule's slot.
-        // Computed after `mem.tick()` with a fresh `now` — the value every
-        // core rule will read this cycle.
+        // Republish the plain memory-system state: each port whose field of
+        // the core's digest differs from the one last published is poked.
+        // This is the other half of the `Soc` memory accessors, which
+        // observe a port on a rule's behalf: a rule asleep on plain state is
+        // woken the same cycle the state changes, before any core rule's
+        // slot. Computed after `mem.tick()` with a fresh `now` — the value
+        // every core rule will read this cycle.
         let now = self.mem.now();
-        for c in 0..self.cores.len() {
-            let d = self.mem.dcache_ref(c);
-            let i = self.mem.icache_ref(c);
-            let digest = d.resp_digest(now)
-                | u64::from(d.evict_notes.is_empty()) << 17
-                | i.resp_digest(now) << 18
-                | u64::from(self.cores[c].tlb.i_miss_pending()) << 35;
-            if digest != self.mem_digest[c] {
-                self.mem_digest[c] = digest;
-                self.clk.poke(self.mem_event[c]);
-            }
+        for (c, core) in self.cores.iter().enumerate() {
+            let digest = mem_digest(&self.mem, &core.tlb, c, now);
+            self.mem_ports[c].poke(&self.clk, digest ^ self.mem_digest[c]);
+            self.mem_digest[c] = digest;
         }
     }
 
@@ -323,10 +324,10 @@ impl Soc {
         // `evict_kill == false` is the litmus harness's injected ordering
         // bug: TSO keeps committing but silently loses its load repair.
         let is_tso = self.cfg.mem_model == MemModel::Tso && self.cfg.evict_kill;
-        if self.dcache(c).evict_notes.is_empty() {
+        if self.dcache_evict(c).evict_notes.is_empty() {
             return Err(Stall::new("no evictions"));
         }
-        while let Some(line) = self.dcache(c).evict_notes.pop_front() {
+        while let Some(line) = self.dcache_evict(c).evict_notes.pop_front() {
             if is_tso {
                 self.cores[c].lsq.cache_evict(line);
             }
@@ -402,7 +403,7 @@ impl Soc {
                     return Err(Stall::new("atomic waits for older stores"));
                 }
             }
-            let dcache = self.dcache(c);
+            let dcache = self.dcache_accept(c);
             if !dcache.can_accept() {
                 return Err(Stall::new("dcache full"));
             }
@@ -659,7 +660,7 @@ impl Soc {
     /// Load/atomic responses from the D cache (paper's `doRespLd`).
     pub(crate) fn rule_resp_ld(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
-        let dcache = self.dcache(c);
+        let dcache = self.dcache_resp(c);
         let resp = match dcache.pop_resp(now) {
             Some(r @ (CoreResp::Ld { .. } | CoreResp::Atomic { .. })) => r,
             Some(r @ CoreResp::St { .. }) => {
@@ -918,14 +919,15 @@ impl Soc {
     ///
     /// This rule mixes transactional cells with the plain TLB structures,
     /// so it is written to *always commit* once it has consumed a TLB
-    /// response: it only stalls when there is provably nothing to do.
+    /// response: it only stalls when there is provably nothing to do, and
+    /// then on what it read through [`Soc::dtlb`] and the translate stage.
     pub(crate) fn rule_update_lsq(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let mut progressed = false;
 
         // 1. Consume every arrived TLB response (each finishes one parked
         //    translation; responses for flushed entries are dropped).
-        while let Some(r) = self.cores[c].tlb.pop_d_resp() {
+        while let Some(r) = self.dtlb(c).pop_d_resp() {
             progressed = true;
             let slot = self.cores[c]
                 .mem_wait_tlb
@@ -950,7 +952,7 @@ impl Soc {
         //    without an outstanding miss. Under the blocking configuration
         //    (RiscyOO-B) nothing proceeds while a miss is pending.
         let hum = self.cores[c].tlb.hit_under_miss();
-        if hum || !self.cores[c].tlb.d_miss_pending() {
+        if hum || !self.dtlb(c).d_miss_pending() {
             let next = self.cores[c].mem_wait_tlb.with(|v| {
                 v.iter()
                     .enumerate()
@@ -966,7 +968,7 @@ impl Soc {
                     let core = &self.cores[c];
                     (core.csr.satp, core.priv_mode)
                 };
-                match self.cores[c].tlb.lookup_d(t.va, access, satp, pm) {
+                match self.dtlb(c).lookup_d(t.va, access, satp, pm) {
                     Some(res) => {
                         let res = res.map_err(|f| {
                             let x = match f.access {
@@ -991,6 +993,11 @@ impl Soc {
                             };
                             self.cores[c].mem_wait_tlb.set(slot, parked);
                             progressed = true;
+                        } else {
+                            // The lookup counted a D TLB miss, which the
+                            // reference repeats every stalled cycle: stay
+                            // awake until a miss slot frees.
+                            self.clk.taint_eval();
                         }
                     }
                 }
@@ -1057,7 +1064,7 @@ impl Soc {
     /// Paper Fig. 10 `doIssueLd`.
     pub(crate) fn rule_issue_ld(&mut self, c: usize) -> Guarded<()> {
         let (idx, addr, bytes) = self.cores[c].lsq.get_issue_ld()?;
-        if !self.dcache(c).can_accept() {
+        if !self.dcache_accept(c).can_accept() {
             return Err(Stall::new("dcache full"));
         }
         let core = &self.cores[c];
@@ -1073,7 +1080,7 @@ impl Soc {
                 Ok(())
             }
             LdIssue::ToCache => {
-                self.dcache(c)
+                self.dcache_accept(c)
                     .request(CoreReq::Ld {
                         tag: u32::from(idx),
                         addr,
@@ -1150,11 +1157,11 @@ impl Soc {
                 if e.issued {
                     return Err(Stall::new("store awaiting respSt"));
                 }
-                if !self.dcache(c).can_accept() {
+                if !self.dcache_accept(c).can_accept() {
                     return Err(Stall::new("dcache full"));
                 }
                 self.cores[c].lsq.mark_st_issued(idx);
-                self.dcache(c)
+                self.dcache_accept(c)
                     .request(CoreReq::St {
                         sb_idx: u32::from(idx),
                         line: line_of(addr),
@@ -1170,11 +1177,11 @@ impl Soc {
         if self.cfg.mem_model != MemModel::Wmm {
             return Err(Stall::new("no SB under TSO"));
         }
-        if !self.dcache(c).can_accept() {
+        if !self.dcache_accept(c).can_accept() {
             return Err(Stall::new("dcache full"));
         }
         let (idx, line) = self.cores[c].sb.issue()?;
-        self.dcache(c)
+        self.dcache_accept(c)
             .request(CoreReq::St {
                 sb_idx: idx as u32,
                 line,
@@ -1188,7 +1195,7 @@ impl Soc {
     pub(crate) fn rule_resp_st(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let resp = {
-            let dcache = self.dcache(c);
+            let dcache = self.dcache_resp(c);
             match dcache.pop_resp(now) {
                 Some(r @ CoreResp::St { .. }) => r,
                 Some(other) => {
@@ -1214,7 +1221,7 @@ impl Soc {
                     return Ok(());
                 };
                 self.cores[c].stats.sb_drains += 1;
-                self.dcache(c).write_data(e.line, &e.data, &e.byte_en);
+                self.dcache_resp(c).write_data(e.line, &e.data, &e.byte_en);
                 self.cores[c].lsq.wakeup_by_sb_deq(sb_idx as usize);
             }
             MemModel::Tso => {
@@ -1235,7 +1242,7 @@ impl Soc {
                     data[off + k] = (data_v >> (8 * k)) as u8;
                     en[off + k] = true;
                 }
-                self.dcache(c).write_data(line, &data, &en);
+                self.dcache_resp(c).write_data(line, &data, &en);
                 self.cores[c].lsq.deq_st();
             }
         }

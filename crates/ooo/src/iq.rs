@@ -7,6 +7,7 @@
 use cmd_core::cell::Ehr;
 use cmd_core::clock::Clock;
 use cmd_core::guard::{Guarded, Stall};
+use cmd_core::journal::EhrArray;
 
 use crate::mask::{occupied, SlotMask};
 use crate::types::{PhysReg, SpecTag, Uop};
@@ -28,24 +29,52 @@ struct IqEntry {
 /// (the slot holds an entry) and `ready` (the entry has both sources
 /// ready). Every scan iterates one of them, and a stall — `issue` with
 /// nothing ready, `enter` on a full queue — reads the mask and nothing
-/// else, so that word is all a sleeping rule watches.
+/// else, so that word is all a sleeping rule watches. The third index is
+/// the CAM's match lines: per physical register, the slots with a source
+/// still waiting on it, so a `wakeup` visits only the entries it readies.
 #[derive(Clone)]
 pub struct IssueQueue {
     slots: Vec<Ehr<Option<IqEntry>>>,
     valid: SlotMask,
     ready: SlotMask,
+    /// `waiting[p * words + k]`: word `k` of the mask of slots waiting on
+    /// physical register `p` — derived state, like the masks.
+    waiting: EhrArray<u64>,
+    /// Words per slot mask.
+    words: usize,
     next_age: Ehr<u64>,
 }
 
 impl IssueQueue {
-    /// Creates an empty IQ of `size` slots.
+    /// Creates an empty IQ of `size` slots whose sources name physical
+    /// registers below `phys_regs`.
     #[must_use]
-    pub fn new(clk: &Clock, size: usize) -> Self {
+    pub fn new(clk: &Clock, size: usize, phys_regs: usize) -> Self {
+        let words = size.div_ceil(64);
         IssueQueue {
             slots: (0..size).map(|_| Ehr::new(clk, None)).collect(),
             valid: SlotMask::new(clk, size),
             ready: SlotMask::new(clk, size),
+            waiting: EhrArray::new(clk, vec![0; phys_regs * words]),
+            words,
             next_age: Ehr::new(clk, 0),
+        }
+    }
+
+    /// The index word holding slot `i`'s bit for register `p`, and the bit.
+    fn waiting_bit(&self, p: PhysReg, i: usize) -> (usize, u64) {
+        (usize::from(p.0) * self.words + i / 64, 1 << (i % 64))
+    }
+
+    /// Files slot `i`, holding `e`, under every source it still waits on,
+    /// or (`on == false`) takes it out again; change-only.
+    fn index(&self, i: usize, e: &IqEntry, on: bool) {
+        for (src, rdy) in [(e.uop.src1, e.rdy1), (e.uop.src2, e.rdy2)] {
+            if !rdy {
+                let (w, bit) = self.waiting_bit(src, i);
+                self.waiting
+                    .update_if(w, |m| (m & bit != 0) != on, |m| *m ^= bit);
+            }
         }
     }
 
@@ -74,12 +103,14 @@ impl IssueQueue {
         let free = self.free_slot()?;
         let age = self.next_age.read();
         self.next_age.write(age + 1);
-        self.slots[free].write(Some(IqEntry {
+        let e = IqEntry {
             uop,
             rdy1,
             rdy2,
             age,
-        }));
+        };
+        self.index(free, &e, true);
+        self.slots[free].write(Some(e));
         self.valid.set(free);
         if rdy1 && rdy2 {
             self.ready.set(free);
@@ -93,24 +124,27 @@ impl IssueQueue {
         if dst == PhysReg::ZERO {
             return;
         }
-        // Only entries still missing a source can be waiting on `dst`, and
-        // of those only the ones it concerns open a transaction.
-        for i in self.valid.iter_and_not(&self.ready) {
-            let mut now_ready = false;
-            self.slots[i].update_if(
-                |e| {
-                    matches!(e, Some(e) if (e.uop.src1 == dst && !e.rdy1)
-                        || (e.uop.src2 == dst && !e.rdy2))
-                },
-                |e| {
-                    let e = e.as_mut().expect("predicate saw an entry");
+        // Exactly the slots filed under `dst` wait on it: nobody else opens
+        // a transaction.
+        for k in 0..self.words {
+            let w = usize::from(dst.0) * self.words + k;
+            let mut bits = self.waiting.get(w);
+            if bits == 0 {
+                continue;
+            }
+            self.waiting.set(w, 0);
+            while bits != 0 {
+                let i = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let now_ready = self.slots[i].update(|e| {
+                    let e = e.as_mut().expect("a waiting slot holds an entry");
                     e.rdy1 |= e.uop.src1 == dst;
                     e.rdy2 |= e.uop.src2 == dst;
-                    now_ready = e.rdy1 && e.rdy2;
-                },
-            );
-            if now_ready {
-                self.ready.set(i);
+                    e.rdy1 && e.rdy2
+                });
+                if now_ready {
+                    self.ready.set(i);
+                }
             }
         }
         debug_assert!(self.masks_consistent());
@@ -129,13 +163,14 @@ impl IssueQueue {
             .min_by_key(|&i| self.slots[i].with(|e| e.as_ref().expect("ready slot").age))
             .ok_or(Stall::new("no ready instruction"))?;
         let e = self.slots[pick].read().expect("ready slot");
-        self.free(pick);
+        self.free(pick, &e);
         debug_assert!(self.masks_consistent());
         Ok(e.uop)
     }
 
-    /// Empties slot `i` and clears its bits.
-    fn free(&self, i: usize) {
+    /// Empties slot `i`, holding `e`, and clears its bits.
+    fn free(&self, i: usize, e: &IqEntry) {
+        self.index(i, e, false);
         self.slots[i].write(None);
         self.valid.clear(i);
         self.ready.clear(i);
@@ -144,8 +179,9 @@ impl IssueQueue {
     /// `wrongSpec`: drops every entry carrying `tag`.
     pub fn wrong_spec(&self, tag: SpecTag) {
         for i in self.valid.iter() {
-            if self.slots[i].with(|e| tagged(e, tag)) {
-                self.free(i);
+            let hit = self.slots[i].with(|e| e.filter(|e| e.uop.mask.contains(tag)));
+            if let Some(e) = hit {
+                self.free(i, &e);
             }
         }
         debug_assert!(self.masks_consistent());
@@ -167,6 +203,8 @@ impl IssueQueue {
     /// Empties the queue, touching live slots only.
     pub fn flush(&self) {
         for i in self.valid.iter() {
+            let e = self.slots[i].read().expect("valid slot");
+            self.index(i, &e, false);
             self.slots[i].write(None);
         }
         self.valid.clear_all();
@@ -186,13 +224,31 @@ impl IssueQueue {
         self.valid.is_empty()
     }
 
-    /// Whether `valid` and `ready` are what the slots say they are — the
-    /// invariant every method that fills, frees or readies a slot
-    /// `debug_assert!`s. Public so tests outside the crate can also check
-    /// it after an aborted rule.
+    /// Whether `valid`, `ready` and the waiting index are what the slots
+    /// say they are — the invariant every method that fills, frees or
+    /// readies a slot `debug_assert!`s. Public so tests outside the crate
+    /// can also check it after an aborted rule.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
-        self.valid.matches(occupied(&self.slots)) && self.ready.matches(self.ready_bits())
+        self.valid.matches(occupied(&self.slots))
+            && self.ready.matches(self.ready_bits())
+            && self.waiting.with(|w| *w == self.waiting_bits())
+    }
+
+    /// What the waiting index must hold.
+    fn waiting_bits(&self) -> Vec<u64> {
+        let mut bits = vec![0; self.waiting.with(<[u64]>::len)];
+        for (i, s) in self.slots.iter().enumerate() {
+            if let Some(e) = s.read() {
+                for (src, rdy) in [(e.uop.src1, e.rdy1), (e.uop.src2, e.rdy2)] {
+                    if !rdy {
+                        let (w, bit) = self.waiting_bit(src, i);
+                        bits[w] |= bit;
+                    }
+                }
+            }
+        }
+        bits
     }
 
     /// What `ready` must hold, slot by slot.
@@ -244,6 +300,7 @@ impl cmd_core::snap::Snapshot for IssueQueue {
         // The masks are derived state: not in the snapshot, rebuilt here.
         self.valid.assign(occupied(&self.slots));
         self.ready.assign(self.ready_bits());
+        self.waiting.replace(self.waiting_bits());
         Ok(())
     }
 }
@@ -288,7 +345,7 @@ mod tests {
     #[test]
     fn issue_oldest_ready_first() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 4);
+        let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
             iq.enter(uop(1, 0, SpecMask::EMPTY), false, true).unwrap();
             iq.enter(uop(2, 0, SpecMask::EMPTY), true, true).unwrap();
@@ -303,7 +360,7 @@ mod tests {
     #[test]
     fn wakeup_enables_issue_same_cycle_in_later_rule() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 4);
+        let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
             iq.enter(uop(5, 5, SpecMask::EMPTY), false, false).unwrap();
         });
@@ -319,7 +376,7 @@ mod tests {
     #[test]
     fn wakeup_of_zero_register_ignored() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 2);
+        let iq = IssueQueue::new(&clk, 2, 128);
         in_rule(&clk, || {
             iq.enter(uop(0, 0, SpecMask::EMPTY), false, false).unwrap();
         });
@@ -332,7 +389,7 @@ mod tests {
     #[test]
     fn full_queue_stalls() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 2);
+        let iq = IssueQueue::new(&clk, 2, 128);
         in_rule(&clk, || {
             iq.enter(uop(1, 1, SpecMask::EMPTY), true, true).unwrap();
             iq.enter(uop(2, 2, SpecMask::EMPTY), true, true).unwrap();
@@ -343,7 +400,7 @@ mod tests {
     #[test]
     fn wrong_spec_kills_tagged_only() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 4);
+        let iq = IssueQueue::new(&clk, 4, 128);
         let tag = SpecTag(1);
         in_rule(&clk, || {
             iq.enter(uop(1, 1, SpecMask::EMPTY), true, true).unwrap();
@@ -360,7 +417,7 @@ mod tests {
     #[test]
     fn broadcasts_that_concern_no_entry_enlist_no_cell() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 4);
+        let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
             iq.enter(uop(5, 6, SpecMask::EMPTY.with(SpecTag(1))), false, true)
                 .unwrap();
@@ -375,14 +432,14 @@ mod tests {
         iq.wakeup(PhysReg(7));
         assert_eq!(
             clk.enlisted_cells().len(),
-            1,
-            "one source of two: the woken slot, no mask word"
+            2,
+            "one source of two: the woken slot and the waiting index, no mask word"
         );
         iq.wakeup(PhysReg(5));
         assert_eq!(
             clk.enlisted_cells().len(),
-            3,
-            "last source: the woken slot and the ready word"
+            4,
+            "last source: the woken slot and the ready word besides"
         );
         clk.commit_rule();
     }
@@ -390,7 +447,7 @@ mod tests {
     #[test]
     fn flush_of_an_empty_queue_enlists_no_cell() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 80);
+        let iq = IssueQueue::new(&clk, 80, 128);
         clk.begin_rule();
         iq.flush();
         assert!(clk.enlisted_cells().is_empty());
@@ -402,8 +459,8 @@ mod tests {
         iq.flush();
         assert_eq!(
             clk.enlisted_cells().len(),
-            2,
-            "the live slot and the valid word, not 80 slots"
+            3,
+            "the live slot, the valid word and the waiting index, not 80 slots"
         );
         clk.commit_rule();
         assert!(iq.is_empty());
@@ -412,7 +469,7 @@ mod tests {
     #[test]
     fn an_aborted_rule_rolls_slots_and_masks_back_together() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 70);
+        let iq = IssueQueue::new(&clk, 70, 128);
         in_rule(&clk, || {
             for k in 0..66 {
                 iq.enter(uop(k, 0, SpecMask::EMPTY), k % 2 == 0, true)
@@ -435,7 +492,7 @@ mod tests {
     #[test]
     fn correct_spec_then_reuse() {
         let clk = Clock::new();
-        let iq = IssueQueue::new(&clk, 4);
+        let iq = IssueQueue::new(&clk, 4, 128);
         let tag = SpecTag(3);
         in_rule(&clk, || {
             iq.enter(uop(1, 1, SpecMask::EMPTY.with(tag)), true, true)

@@ -79,19 +79,8 @@ impl SlotMask {
     pub(crate) fn iter(&self) -> Bits<'_> {
         Bits {
             mask: self,
-            minus: None,
             next_word: 0,
             cur: 0,
-        }
-    }
-
-    /// The bits set here and clear in `minus` (a mask over the same slots),
-    /// ascending.
-    pub(crate) fn iter_and_not<'a>(&'a self, minus: &'a SlotMask) -> Bits<'a> {
-        debug_assert_eq!(self.len, minus.len);
-        Bits {
-            minus: Some(minus),
-            ..self.iter()
         }
     }
 
@@ -122,7 +111,6 @@ pub(crate) fn occupied<T: Clone>(slots: &[Ehr<Option<T>>]) -> impl Iterator<Item
 /// Iterator over the set bits of a [`SlotMask`].
 pub(crate) struct Bits<'a> {
     mask: &'a SlotMask,
-    minus: Option<&'a SlotMask>,
     next_word: usize,
     /// Unvisited bits of word `next_word - 1`.
     cur: u64,
@@ -135,9 +123,6 @@ impl Iterator for Bits<'_> {
         while self.cur == 0 {
             let k = self.next_word;
             self.cur = self.mask.words.get(k)?.read();
-            if let Some(m) = self.minus.filter(|_| self.cur != 0) {
-                self.cur &= !m.words[k].read();
-            }
             self.next_word += 1;
         }
         let i = (self.next_word - 1) * 64 + self.cur.trailing_zeros() as usize;
@@ -193,19 +178,6 @@ mod tests {
         }
         let clk = Clock::new();
         assert_eq!(SlotMask::new(&clk, 0).first_clear(), None);
-    }
-
-    #[test]
-    fn and_not_skips_bits_of_the_second_mask() {
-        let clk = Clock::new();
-        let (a, b) = (SlotMask::new(&clk, 80), SlotMask::new(&clk, 80));
-        for i in [1, 5, 64, 70] {
-            a.set(i);
-        }
-        for i in [5, 9, 70] {
-            b.set(i);
-        }
-        assert_eq!(a.iter_and_not(&b).collect::<Vec<_>>(), vec![1, 64]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use cmd_core::chaos::FaultEngine;
 use cmd_core::clock::{CellId, Clock};
 use cmd_core::guard::Guarded;
 use cmd_core::journal::EhrDeque;
-use cmd_core::sched::{SchedulerMode, Wakeup};
+use cmd_core::sched::{Horizon, SchedulerMode, Wakeup};
 use cmd_core::sim::{RuleId, Sim, SimError};
 use riscy_isa::asm::Program;
 use riscy_isa::csr::{CsrFile, Priv};
@@ -135,19 +135,68 @@ pub struct Soc {
     pub golden: Option<Machine>,
     /// Co-simulation mismatches (fatal in tests).
     pub cosim_errors: Vec<String>,
-    /// The kernel clock (poking and observing [`Soc::mem_event`], tainting
+    /// The kernel clock (poking and observing the memory ports, tainting
     /// impure stall paths).
     pub clk: Clock,
-    /// Per-core "memory event" signal cells, standing for the plain
-    /// memory-system state a [`crate::core`] rule's guard can read (cache
-    /// acceptance, response arrival, eviction notes, ITLB misses). The
-    /// substrate pokes a core's cell whenever that core's digest of those
-    /// observables changes; the accessors rule bodies reach that state
-    /// through (`Soc::dcache`, `Soc::icache`, `Soc::itlb`) observe it,
-    /// so a rule whose stalling path read it sleeps on it.
-    pub mem_event: Vec<CellId>,
-    /// Last published digest per core (see [`Soc::mem_event`]).
+    /// Per-core wake signals of the plain memory-system state a
+    /// [`crate::core`] rule's guard can read, one per port.
+    pub(crate) mem_ports: Vec<MemPorts>,
+    /// Last published digest per core (see [`mem_digest`]).
     pub(crate) mem_digest: Vec<u64>,
+}
+
+/// One core's wake signals for plain memory-system state, one per port, so
+/// a rule asleep on one port is not woken by traffic on another. The
+/// substrate pokes a port when its bit-field of the core's digest differs
+/// from the one last published, checked before its tick (what the core
+/// rules moved) and after it; the D TLB's port when a tick changes
+/// [`TlbHier::d_waiting`]. The `Soc` accessors rule bodies reach the state
+/// through observe the port they hand out, so a rule whose stalling path
+/// read a port sleeps on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemPorts {
+    /// L1 D responses (`pop_resp`).
+    d_resp: CellId,
+    /// L1 D acceptance (`can_accept`).
+    d_accept: CellId,
+    /// L1 D eviction notes.
+    d_evict: CellId,
+    /// The I side: L1 I acceptance and responses, ITLB miss pending.
+    i_side: CellId,
+    /// The D TLB's finished and parked translations.
+    pub(crate) d_tlb: CellId,
+}
+
+/// The bit-fields of a core's memory digest (see [`mem_digest`]).
+const D_ACCEPT: u64 = 1;
+const D_RESP: u64 = 0xFFFF << 1;
+const D_EVICT: u64 = 1 << 17;
+const I_SIDE: u64 = 0x3_FFFF << 18;
+
+impl MemPorts {
+    fn new(clk: &Clock) -> Self {
+        MemPorts {
+            d_resp: clk.signal_cell(),
+            d_accept: clk.signal_cell(),
+            d_evict: clk.signal_cell(),
+            i_side: clk.signal_cell(),
+            d_tlb: clk.signal_cell(),
+        }
+    }
+
+    /// Pokes every port whose digest bit-field is set in `changed`.
+    pub(crate) fn poke(&self, clk: &Clock, changed: u64) {
+        for (field, port) in [
+            (D_ACCEPT, self.d_accept),
+            (D_RESP, self.d_resp),
+            (D_EVICT, self.d_evict),
+            (I_SIDE, self.i_side),
+        ] {
+            if changed & field != 0 {
+                clk.poke(port);
+            }
+        }
+    }
 }
 
 impl Soc {
@@ -177,7 +226,7 @@ impl Soc {
             golden: None,
             cosim_errors: Vec::new(),
             clk: clk.clone(),
-            mem_event: (0..num_cores).map(|_| clk.signal_cell()).collect(),
+            mem_ports: (0..num_cores).map(|_| MemPorts::new(clk)).collect(),
             // Sentinel: the first substrate cycle always publishes once.
             mem_digest: vec![u64::MAX; num_cores],
         }
@@ -205,28 +254,99 @@ impl Soc {
         self.mem.now()
     }
 
-    /// Core `c`'s L1 D cache, as a rule body reaches it: the read is
-    /// declared to the wake layer ([`Clock::observe`] of
-    /// [`Soc::mem_event`]), so a rule that stalls on what it found here is
-    /// woken when the substrate next changes it.
-    pub(crate) fn dcache(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_event[c]);
+    /// Core `c`'s L1 D cache, as a rule body reaches its request port
+    /// (`can_accept`, `request`): the read is declared to the wake layer
+    /// ([`Clock::observe`] of the core's D-accept port), so a rule that
+    /// stalls on a full cache is woken when the substrate next changes its
+    /// acceptance, and by nothing else the cache does.
+    pub(crate) fn dcache_accept(&mut self, c: usize) -> &mut L1Cache {
+        self.clk.observe(self.mem_ports[c].d_accept);
+        self.mem.dcache(c)
+    }
+
+    /// Core `c`'s L1 D cache, as a rule body reaches its responses
+    /// (`pop_resp`, and `write_data` for a store response; see
+    /// [`Soc::dcache_accept`]).
+    pub(crate) fn dcache_resp(&mut self, c: usize) -> &mut L1Cache {
+        self.clk.observe(self.mem_ports[c].d_resp);
+        self.mem.dcache(c)
+    }
+
+    /// Core `c`'s L1 D cache, as `cacheEvict` reaches its eviction notes
+    /// (see [`Soc::dcache_accept`]).
+    pub(crate) fn dcache_evict(&mut self, c: usize) -> &mut L1Cache {
+        self.clk.observe(self.mem_ports[c].d_evict);
         self.mem.dcache(c)
     }
 
     /// Core `c`'s L1 I cache, as a rule body reaches it (see
-    /// [`Soc::dcache`]).
+    /// [`Soc::dcache_accept`]).
     pub(crate) fn icache(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_event[c]);
+        self.clk.observe(self.mem_ports[c].i_side);
         self.mem.icache(c)
     }
 
     /// Core `c`'s TLB hierarchy, as `fetch` reaches its I side (see
-    /// [`Soc::dcache`]). The D side is not part of the digest behind
-    /// [`Soc::mem_event`]: its one reader, `updateLsq`, never sleeps.
+    /// [`Soc::dcache_accept`]).
     pub(crate) fn itlb(&mut self, c: usize) -> &mut TlbHier {
-        self.clk.observe(self.mem_event[c]);
+        self.clk.observe(self.mem_ports[c].i_side);
         &mut self.cores[c].tlb
+    }
+
+    /// Core `c`'s TLB hierarchy, as `updateLsq` reaches its D side (see
+    /// [`Soc::dcache_accept`]).
+    pub(crate) fn dtlb(&mut self, c: usize) -> &mut TlbHier {
+        self.clk.observe(self.mem_ports[c].d_tlb);
+        &mut self.cores[c].tlb
+    }
+}
+
+/// Core `c`'s memory digest as core rules see it at cycle `now`: every
+/// observable a guard can read outside the clocked cells and the D TLB —
+/// cache acceptance, response arrival, eviction notes, ITLB miss status —
+/// packed exactly (no hashing, so no collisions) into one bit-field per
+/// port.
+pub(crate) fn mem_digest(mem: &MemSystem, tlb: &TlbHier, c: usize, now: u64) -> u64 {
+    let d = mem.dcache_ref(c);
+    let i = mem.icache_ref(c);
+    d.resp_digest(now)
+        | u64::from(d.evict_notes.is_empty()) << 17
+        | i.resp_digest(now) << 18
+        | u64::from(tlb.i_miss_pending()) << 35
+}
+
+impl Horizon for Soc {
+    /// Cycles until the substrate may change what a guard reads: the
+    /// memory system's and the TLBs' next events, and the cycle before an
+    /// L1 response arrives (the substrate digests with `now + 1`). Zero
+    /// while a core's digest already differs from the one last published:
+    /// the next substrate pokes.
+    fn horizon(&self) -> u64 {
+        let now = self.mem.now();
+        let mut next = self.mem.next_event();
+        for (c, core) in self.cores.iter().enumerate() {
+            if mem_digest(&self.mem, &core.tlb, c, now) != self.mem_digest[c] {
+                return 0;
+            }
+            next = next.min(core.tlb.next_event(now));
+            for l1 in [self.mem.dcache_ref(c), self.mem.icache_ref(c)] {
+                if let Some(t) = l1.next_resp_after(now) {
+                    next = next.min(t - 1);
+                }
+            }
+        }
+        next - now
+    }
+
+    /// The substrate's per-cycle bulk: the memory clock and the occupancy
+    /// samples of `CoreStats`.
+    fn skip(&mut self, n: u64) {
+        self.mem.skip(n);
+        for core in &mut self.cores {
+            core.stats.rob_occ_sum += core.rob.len() as u64 * n;
+            core.stats.iq_occ_sum += core.iqs.iter().map(IssueQueue::len).sum::<usize>() as u64 * n;
+            core.stats.occ_cycles += n;
+        }
     }
 }
 
@@ -303,14 +423,12 @@ impl SocSim {
         sim.set_watchdog(Some(10_000));
         // Every core rule sleeps on what its stalling path read
         // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"):
-        // clocked cells and, wherever the body went through
-        // `Soc::{dcache, icache, itlb}`, this core's `mem_event` cell.
-        // Stall paths that mutate plain state (TLB requests) or read the
+        // clocked cells and, wherever the body went through a `Soc` memory
+        // accessor, the port signal that accessor observes. Stall paths
+        // that mutate plain state (TLB requests and lookups) or read the
         // cycle counter (time-based busy) call `Clock::taint_eval` and are
         // never slept on; a statistic counted on every stalled cycle is a
-        // stall callback (`Sim::on_stall`), not a bump in the body. The
-        // exception is `updateLsq`, which mixes the plain D TLB too deeply
-        // and stays on the always-sound `EveryCycle` default.
+        // stall callback (`Sim::on_stall`), not a bump in the body.
         fn rule(
             sim: &mut Sim<Soc>,
             c: usize,
@@ -343,9 +461,7 @@ impl SocSim {
             }
             rule(&mut sim, c, "mdExec", move |s| s.rule_md_exec(c));
             rule(&mut sim, c, "addrCalc", move |s| s.rule_addr_calc(c));
-            sim.rule(format!("c{c}.updateLsq"), move |s: &mut Soc| {
-                s.rule_update_lsq(c)
-            });
+            rule(&mut sim, c, "updateLsq", move |s| s.rule_update_lsq(c));
             rule(&mut sim, c, "issueLd", move |s| s.rule_issue_ld(c));
             rule(&mut sim, c, "deqLd", move |s| s.rule_deq_ld(c));
             rule(&mut sim, c, "deqSt", move |s| s.rule_deq_st(c));
@@ -428,9 +544,10 @@ impl SocSim {
     /// for equivalence checking.
     ///
     /// Core rules sleep on what their stalling path read: clocked cells,
-    /// and the per-core [`Soc::mem_event`] cell wherever the path reached
-    /// plain memory-system state, which the substrate republishes as a
-    /// per-core change digest every cycle. Both modes stay cycle- and
+    /// and the per-core memory port signals wherever the path reached
+    /// plain memory-system state, which the substrate pokes when that
+    /// port's state changes; [`SocSim::run_to_completion`] jumps over
+    /// cycles in which every core rule sleeps. Both modes stay cycle- and
     /// counter-identical; the equivalence suites in `tests/` assert it.
     pub fn set_scheduler(&mut self, mode: SchedulerMode) {
         self.sim.set_scheduler(mode);
@@ -454,7 +571,9 @@ impl SocSim {
         self.sim.wait_graph()
     }
 
-    /// Runs until every core exits.
+    /// Runs until every core exits. Under the fast scheduler, stretches in
+    /// which every core rule sleeps on the memory system are jumped over
+    /// ([`Sim::try_advance`]), with the same result as stepping them.
     ///
     /// # Errors
     ///
@@ -463,14 +582,15 @@ impl SocSim {
     /// [`RunError::Sim`] when the scheduler watchdog diagnoses a deadlock
     /// or a rule commits an undeclared register conflict.
     pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<u64, RunError> {
-        for _ in 0..max_cycles {
+        let mut ran = 0;
+        while ran < max_cycles {
             if self.soc().all_exited() {
                 return Ok(self.cycles());
             }
             if let Some(e) = self.soc().cosim_errors.first() {
                 return Err(RunError::Cosim(e.clone()));
             }
-            self.sim.try_cycle()?;
+            ran += self.sim.try_advance(max_cycles - ran)?;
         }
         if self.soc().all_exited() {
             Ok(self.cycles())
@@ -897,7 +1017,7 @@ impl CoreState {
             prf: Prf::new(clk, cfg.phys_regs),
             rob: Rob::new(clk, cfg.rob_entries),
             iqs: (0..num_iqs)
-                .map(|_| IssueQueue::new(clk, cfg.iq_entries))
+                .map(|_| IssueQueue::new(clk, cfg.iq_entries, cfg.phys_regs))
                 .collect(),
             lsq: Lsq::new(clk, cfg.lq_entries, cfg.sq_entries),
             sb: StoreBuffer::new(clk, cfg.sb_entries),
@@ -981,8 +1101,8 @@ impl cmd_core::snap::Snapshot for Soc {
         }
         self.devices.exited.save(w);
         self.devices.console.save(w);
-        // The per-core memory-event digests are derived state, but they
-        // gate `mem_event` pokes: serializing them keeps the resumed run's
+        // The per-core memory digests are derived state, but they gate the
+        // memory port pokes: serializing them keeps the resumed run's
         // wakeup pattern — and hence its scheduler counters — bit-identical
         // to the uninterrupted run.
         self.mem_digest.save(w);

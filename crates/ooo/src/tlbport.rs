@@ -198,6 +198,33 @@ impl TlbHier {
         self.walker.flush();
     }
 
+    /// What the D side shows `updateLsq` without a lookup: finished
+    /// translations waiting and misses parked. [`TlbHier::tick`] changes it
+    /// only by finishing a miss.
+    #[must_use]
+    pub fn d_waiting(&self) -> (usize, usize) {
+        (self.d_resps.len(), self.d_parked.len())
+    }
+
+    /// The first cycle, at or after `now`, at which [`TlbHier::tick`] — or
+    /// the substrate draining this hierarchy's queues — may change it: the
+    /// earliest `l2_ready_at` of a parked miss not yet walking, or `now`
+    /// while the walker has work or an I-side response waits. `u64::MAX`
+    /// when every miss waits on a PTE load in the memory system.
+    #[must_use]
+    pub fn next_event(&self, now: u64) -> u64 {
+        if self.walker.has_work() || !self.i_resps.is_empty() {
+            return now;
+        }
+        self.d_parked
+            .iter()
+            .chain(&self.i_parked)
+            .filter(|p| !p.walking)
+            .filter_map(|p| p.l2_ready_at)
+            .min()
+            .map_or(u64::MAX, |t| t.max(now))
+    }
+
     /// One cycle: advance L2 lookups and walks for both sides.
     pub fn tick(&mut self, now: u64, satp: u64) {
         self.walker.tick();

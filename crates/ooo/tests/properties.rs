@@ -445,7 +445,7 @@ fn iq_refines_linear_scan_model_through_commits_and_aborts() {
         for seed in 0..24u64 {
             let mut rng = SplitMix64::seed_from_u64(seed ^ (size as u64) << 32);
             let clk = Clock::new();
-            let iq = IssueQueue::new(&clk, size);
+            let iq = IssueQueue::new(&clk, size, 8);
             let mut model = IqModel {
                 slots: vec![None; size],
                 next_age: 0,
@@ -530,7 +530,7 @@ fn a_half_readying_wakeup_does_not_wake_a_rule_asleep_on_issue() {
         issued_at: Vec<u64>,
     }
     let clk = Clock::new();
-    let iq = IssueQueue::new(&clk, 16);
+    let iq = IssueQueue::new(&clk, 16, 8);
     let mut u = uop(0, SpecMask::EMPTY);
     (u.src1, u.src2) = (PhysReg(5), PhysReg(6));
     iq.enter(u, false, false).expect("empty queue");
@@ -1105,5 +1105,83 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
         "past one word",
     ] {
         assert!(seen.contains(path), "never reached: {path}");
+    }
+}
+
+/// `TlbHier::next_event`: while it lies ahead, a tick leaves every byte of
+/// the hierarchy as it was — parked misses wait out their L2 TLB lookup and
+/// their PTE loads without touching anything — which is what lets the SoC
+/// jump its clock over a page walk. Random D and I misses on the blocking
+/// and non-blocking configurations, PTE loads answered after random delays.
+#[test]
+fn tlb_ticks_before_the_next_event_change_nothing() {
+    use riscy_isa::csr::Priv;
+    use riscy_isa::vm::{make_leaf, make_pointer, pte, Access, SATP_MODE_SV39};
+    use riscy_mem::l2::UncachedResp;
+    use riscy_ooo::config::TlbConfig;
+    use riscy_ooo::tlbport::TlbHier;
+
+    let bytes = |h: &TlbHier| {
+        let mut w = SnapWriter::new();
+        h.snap_save(&mut w);
+        w.into_bytes()
+    };
+    // Sixteen mapped 4 KiB pages; the next sixteen fault.
+    let rwx = pte::R | pte::W | pte::X | pte::A | pte::D;
+    let mut ptes = std::collections::HashMap::new();
+    ptes.insert(1u64 << 12, make_pointer(2));
+    ptes.insert(2u64 << 12, make_pointer(3));
+    for i in 0..16u64 {
+        ptes.insert((3u64 << 12) + i * 8, make_leaf(0x100 + i, rwx));
+    }
+    let satp = (SATP_MODE_SV39 << 60) | 1;
+    for seed in 0..12u64 {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let cfg = if seed % 2 == 0 {
+            TlbConfig::nonblocking()
+        } else {
+            TlbConfig::blocking()
+        };
+        let mut h = TlbHier::new(0, cfg);
+        let mut in_flight: Vec<(u64, UncachedResp)> = Vec::new();
+        let (mut id, mut quiet) = (0, 0);
+        for now in 0..1500u64 {
+            let va = (rng.below(32) << 12) | (rng.below(4096) & !7);
+            if rng.chance(0.05) && h.can_park_d() {
+                id += 1;
+                h.request_d(now, id, va, Access::Load, Priv::S);
+            }
+            if rng.chance(0.02) && !h.i_miss_pending() {
+                id += 1;
+                h.request_i(now, id, va, Priv::S);
+            }
+            for req in h.drain_walker_reqs() {
+                let data = ptes.get(&req.addr).copied().unwrap_or(0);
+                let at = now + rng.range_u64(1, 40);
+                in_flight.push((at, UncachedResp { tag: req.tag, data }));
+            }
+            in_flight.retain(|&(at, r)| {
+                if at <= now {
+                    h.push_walker_resp(r);
+                }
+                at > now
+            });
+            if rng.chance(0.5) {
+                while h.pop_d_resp().is_some() {}
+            }
+            while h.pop_i_resp().is_some() {}
+            if h.next_event(now) > now {
+                quiet += 1;
+                let before = bytes(&h);
+                h.tick(now, satp);
+                assert!(
+                    bytes(&h) == before,
+                    "seed {seed} cycle {now}: a quiet tick changed the TLBs"
+                );
+            } else {
+                h.tick(now, satp);
+            }
+        }
+        assert!(quiet > 100, "seed {seed}: {quiet} quiet ticks");
     }
 }
