@@ -1292,8 +1292,9 @@ fn litmus(args: &Args) -> Outcome {
 
 /// Fault-injection smoke campaign on the OoO SoC: runs `mcf` (test scale)
 /// under a seeded [`FaultPlan`] combining forced guard stalls on issue
-/// rules, fetch-PC bit flips and dropped interconnect messages, then reruns
-/// every seed and checks that
+/// rules, transient aborts of the ALU rules (the one fault that rolls back
+/// cells a rule wrote), fetch-PC bit flips and dropped interconnect
+/// messages, then reruns every seed and checks that
 ///
 /// * every outcome is a structured `Ok`/[`RunError`] — a panic anywhere is
 ///   a robustness bug — that classifies into a known bucket (`completed`,
@@ -1329,6 +1330,7 @@ fn chaos_smoke(_: &Args) -> Outcome {
         let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
         let plan = FaultPlan::new(seed)
             .guard_stall("c0.issue*", 0.002)
+            .rule_abort("c0.alu*", 0.01)
             .bit_flip("c0.fetch_pc", 0.0002)
             .msg_drop("mem.p2c", 0.01)
             .msg_drop("mem.c2p_req", 0.01);
@@ -1386,7 +1388,7 @@ fn chaos_smoke(_: &Args) -> Outcome {
             failures += 1;
         }
     }
-    for kind in ["guard-stall", "bit-flip", "msg-drop"] {
+    for kind in ["guard-stall", "rule-abort", "bit-flip", "msg-drop"] {
         if !all_kinds.contains(kind) {
             println!("FAIL: campaign never exercised {kind}");
             failures += 1;

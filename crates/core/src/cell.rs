@@ -2,13 +2,15 @@
 //!
 //! All module state in a CMD design lives in these cells (and in the
 //! element-granular collection cells of [`crate::journal`]). A write inside
-//! a rule lands **in place**; the first touch of a cell in a rule saves the
-//! value it found in the cell's undo slot and enlists the cell with the
-//! clock. Commit clears the slot and publishes the cell, abort puts the old
-//! value back — this is what makes rules atomic: a rule either successfully
-//! updates the state of all the modules it calls, or it does nothing. A
-//! cell transaction therefore costs what the rule *changes*; reads never
-//! look anywhere but the one live value.
+//! a rule lands **in place**; the first touch of a cell in a rule stamps it
+//! with the transaction's serial, saves the value it found in the cell's
+//! undo slot and enlists the cell with the clock. Commit publishes the cell
+//! without visiting it — the slot keeps a stale value that the next first
+//! touch overwrites — and abort puts the old value back. This is what makes
+//! rules atomic: a rule either successfully updates the state of all the
+//! modules it calls, or it does nothing. A cell transaction therefore costs
+//! what the rule *changes*; reads never look anywhere but the one live
+//! value.
 //!
 //! The two register flavors differ in *intra-cycle visibility*, mirroring
 //! Bluespec:
@@ -25,6 +27,10 @@
 //!   error, a hand-driven [`Clock::commit_rule`] panics.
 //! * [`Wire`] — a same-cycle-only value (RWire): set by an earlier rule,
 //!   readable until the cycle ends, automatically cleared.
+//!
+//! The cycle boundary visits only the registers written and the wires
+//! driven from idle that cycle: each files its id with the clock as it is
+//! driven.
 //!
 //! Outside of any rule (e.g. during construction or direct test pokes),
 //! writes apply immediately; this substitutes for BSV's reset values.
@@ -43,9 +49,10 @@ use crate::guard::{Guarded, Stall};
 struct EhrInner<T> {
     id: u32,
     cur: RefCell<T>,
-    /// What the open rule found here; `Some` exactly while enlisted.
+    /// What the transaction stamped `stamp` found here; stale once that
+    /// transaction has finished.
     undo: RefCell<Option<T>>,
-    enlisted: Cell<bool>,
+    stamp: Cell<u64>,
 }
 
 impl<T> EhrInner<T> {
@@ -54,7 +61,7 @@ impl<T> EhrInner<T> {
             id,
             cur: RefCell::new(init),
             undo: RefCell::new(None),
-            enlisted: Cell::new(false),
+            stamp: Cell::new(0),
         }
     }
 
@@ -64,26 +71,17 @@ impl<T> EhrInner<T> {
         let old = self.cur.replace(v);
         if !clk.in_rule() {
             clk.wake().publish(self.id);
-        } else if !self.enlisted.replace(true) {
+        } else if clk.enlist(&self.stamp, self.id) {
             *self.undo.borrow_mut() = Some(old);
-            clk.enlist(self.id);
         }
     }
 }
 
 impl<T> TxnCell for EhrInner<T> {
-    fn commit(&self) -> bool {
-        *self.undo.borrow_mut() = None;
-        self.enlisted.set(false);
-        // An Ehr touch is visible to later rules in the same cycle.
-        true
-    }
-
     fn abort(&self) {
         if let Some(old) = self.undo.borrow_mut().take() {
             *self.cur.borrow_mut() = old;
         }
-        self.enlisted.set(false);
     }
 }
 
@@ -129,7 +127,7 @@ impl<T: Clone + 'static> Ehr<T> {
     #[must_use]
     pub fn new(clk: &Clock, init: T) -> Self {
         Ehr {
-            inner: clk.adopt(false, |id| EhrInner::new(id, init)),
+            inner: clk.adopt(|id| EhrInner::new(id, init)),
             clk: clk.clone(),
         }
     }
@@ -195,9 +193,8 @@ impl<T: Clone + 'static> Ehr<T> {
             self.clk.wake().publish(inner.id);
             return r;
         }
-        if !inner.enlisted.replace(true) {
+        if self.clk.enlist(&inner.stamp, inner.id) {
             *inner.undo.borrow_mut() = Some(inner.cur.borrow().clone());
-            self.clk.enlist(inner.id);
         }
         f(&mut inner.cur.borrow_mut())
     }
@@ -242,18 +239,13 @@ struct RegInner<T> {
     at_start: RefCell<T>,
     /// This cycle's write, waiting for the end-of-cycle latch. A rule only
     /// enlists a `Reg` whose slot it found empty (anything else is a
-    /// conflict), so rollback is just clearing it.
+    /// conflict), so rollback is just clearing it. A committed write is
+    /// not published until the latch: publishing it at commit would wake
+    /// sleeping rules a cycle early.
     next: RefCell<Option<T>>,
 }
 
 impl<T> TxnCell for RegInner<T> {
-    fn commit(&self) -> bool {
-        // A committed Reg write is *not* observable until the end-of-cycle
-        // latch — publishing it now would wake sleeping rules a cycle
-        // early. `end_cycle` publishes instead.
-        false
-    }
-
     fn abort(&self) {
         *self.next.borrow_mut() = None;
     }
@@ -314,7 +306,7 @@ impl<T: Clone + 'static> Reg<T> {
     #[must_use]
     pub fn named(clk: &Clock, name: &'static str, init: T) -> Self {
         Reg {
-            inner: clk.adopt(true, |id| RegInner {
+            inner: clk.adopt(|id| RegInner {
                 id,
                 name,
                 at_start: RefCell::new(init),
@@ -363,7 +355,7 @@ impl<T: Clone + 'static> Reg<T> {
             return;
         }
         *next = Some(v);
-        self.clk.enlist(inner.id);
+        self.clk.enlist_latched(inner.id);
     }
 }
 
@@ -381,10 +373,6 @@ impl<T: Clone + fmt::Debug + 'static> fmt::Debug for Reg<T> {
 struct WireInner<T>(EhrInner<Option<T>>);
 
 impl<T> TxnCell for WireInner<T> {
-    fn commit(&self) -> bool {
-        self.0.commit()
-    }
-
     fn abort(&self) {
         self.0.abort();
     }
@@ -444,7 +432,7 @@ impl<T: Clone + 'static> Wire<T> {
     #[must_use]
     pub fn new(clk: &Clock) -> Self {
         Wire {
-            inner: clk.adopt(true, |id| WireInner(EhrInner::new(id, None))),
+            inner: clk.adopt(|id| WireInner(EhrInner::new(id, None))),
             clk: clk.clone(),
         }
     }
@@ -458,7 +446,11 @@ impl<T: Clone + 'static> Wire<T> {
 
     /// Drives the wire for the remainder of this cycle.
     pub fn set(&self, v: T) {
+        let idle = self.inner.0.cur.borrow().is_none();
         self.inner.0.write(&self.clk, Some(v));
+        if idle {
+            self.clk.drive(self.inner.0.id);
+        }
     }
 
     /// Reads the wire.

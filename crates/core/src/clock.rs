@@ -4,15 +4,20 @@
 //! A [`Clock`] is shared (cheaply, via `Rc`) by every state cell and module
 //! interface of a design. The scheduler ([`crate::sim::Sim`]) drives it:
 //!
-//! 1. [`Clock::begin_rule`] opens a transaction;
-//! 2. the rule body runs: cells write in place, journal what they
-//!    overwrote and enlist themselves; interfaces record method calls;
+//! 1. [`Clock::begin_rule`] opens a transaction and gives it a fresh
+//!    serial number;
+//! 2. the rule body runs: cells write in place; a cell's first touch in the
+//!    transaction stamps it with the serial, saves what it overwrote and
+//!    enlists its id; interfaces record method calls;
 //! 3. [`Clock::check_cm`] asks whether the recorded calls are compatible
 //!    (per every module's [`ConflictMatrix`]) with the rules that already
 //!    fired this cycle;
-//! 4. [`Clock::commit_rule`] drops the journals and publishes the touched
-//!    cells, or [`Clock::abort_rule`] rolls every enlisted cell back;
-//! 5. [`Clock::end_cycle`] canonicalizes registers and clears wires.
+//! 4. [`Clock::commit_rule`] publishes the enlisted ids and visits no cell:
+//!    the undo records stay behind, stale as soon as the next transaction's
+//!    serial no longer matches their stamps. [`Clock::abort_rule`] rolls
+//!    every enlisted cell back, one call per cell;
+//! 5. [`Clock::end_cycle`] latches the registers written and clears the
+//!    wires driven this cycle — only those, filed as they were driven.
 //!
 //! A publish is where the wake layer hangs: the clock owns the record of
 //! which sleeping rule watches which cell, so publishing a cell wakes its
@@ -26,7 +31,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use crate::cm::{ConflictMatrix, Rel};
 use crate::trace::{TraceEvent, Tracer};
@@ -55,20 +60,19 @@ impl CellId {
 /// one `u32` push, never a reference-count round trip.
 ///
 /// Cells write **in place** and keep what they overwrote; a cell enlists
-/// itself on a rule's first touch and hears back exactly once, through
-/// `commit` or `abort`. Implemented by the inner storage of
+/// itself on a rule's first touch ([`Clock::enlist`]). A commit needs
+/// nothing from the cell — the clock publishes its id, and its undo record
+/// goes stale with the next transaction — so the clock calls a cell only to
+/// roll back an aborted rule's writes and at the boundary of a cycle in
+/// which the cell was driven. Implemented by the inner storage of
 /// [`crate::cell::Ehr`], [`crate::cell::Reg`], [`crate::cell::Wire`] and the
 /// element-granular cells of [`crate::journal`].
 pub(crate) trait TxnCell {
-    /// The enlisting rule committed: forget the undo record. Returns
-    /// whether the touch is *observable* this cycle (so the clock publishes
-    /// the id to the wake layer); a `Reg` returns `false` because its write
-    /// only becomes visible at the end-of-cycle latch.
-    fn commit(&self) -> bool;
     /// The enlisting rule aborted: restore the state it found.
     fn abort(&self);
-    /// Cycle boundary, for cells registered with `at_boundary` (registers
-    /// latch, wires clear). Returns whether observable state changed.
+    /// Cycle boundary, for cells filed with [`Clock::drive`] this cycle
+    /// (registers latch, wires clear). Returns whether observable state
+    /// changed.
     fn end_cycle(&self) -> bool {
         false
     }
@@ -78,11 +82,12 @@ pub(crate) trait TxnCell {
 struct Signal(u32);
 
 impl TxnCell for Signal {
-    fn commit(&self) -> bool {
-        false
-    }
     fn abort(&self) {}
 }
+
+/// Tag on a dirty-list id whose cell is a `Reg`: an abort rolls it back,
+/// a commit does not publish it (the end-of-cycle latch does).
+const LATCHED: u32 = 1 << 31;
 
 /// A same-cycle concurrency violation: firing the current rule would require
 /// an ordering the module's conflict matrix forbids.
@@ -158,21 +163,28 @@ impl Default for Clock {
 pub(crate) struct ClockInner {
     cycle: Cell<u64>,
     in_rule: Cell<bool>,
+    // Serial of the open (or last) transaction, bumped by `begin_rule`. A
+    // cell is enlisted in the open transaction iff its stamp equals it.
+    serial: Cell<u64>,
     // Every cell on this clock, indexed by cell id. Strong references: a
-    // cell lives as long as its clock, which is what lets `dirty` and `eoc`
-    // hold bare ids. (Cells hold no clock, so this is not a cycle.)
+    // cell lives as long as its clock, which is what lets `dirty` and
+    // `driven` hold bare ids. (Cells hold no clock, so this is not a cycle.)
     cells: RefCell<Vec<Rc<dyn TxnCell>>>,
-    // Ids of the cells the open rule has touched, in first-touch order.
+    // Ids of the cells the open rule has touched, in first-touch order;
+    // `Reg` ids carry the `LATCHED` tag.
     dirty: RefCell<Vec<u32>>,
-    // Ids of the cells with cycle-boundary work, in registration order.
-    eoc: RefCell<Vec<u32>>,
+    // Ids of the registers written and the wires driven from idle this
+    // cycle (an id may repeat): the cells the boundary visits.
+    driven: RefCell<Vec<u32>>,
     // Name of a `Reg` the open rule wrote although a write to it was
     // already pending this cycle (by an earlier rule or by this one).
     reg_conflict: Cell<Option<&'static str>>,
     calls: RefCell<Vec<MethodCall>>,
     fired_calls: RefCell<Vec<MethodCall>>,
     modules: RefCell<Vec<ModuleInfo>>,
-    eoc_hooks: RefCell<Vec<Rc<dyn Fn()>>>,
+    // Held weakly: a hook owns cell handles, and every handle holds the
+    // clock, so a strong list would keep the clock and all its cells alive.
+    eoc_hooks: RefCell<Vec<Weak<dyn Fn()>>>,
     // `tracing` mirrors `tracer.is_enabled()` so the commit hot path pays a
     // single Cell read when tracing is off.
     tracing: Cell<bool>,
@@ -201,9 +213,10 @@ impl Clock {
             inner: Rc::new(ClockInner {
                 cycle: Cell::new(0),
                 in_rule: Cell::new(false),
+                serial: Cell::new(0),
                 cells: RefCell::new(Vec::new()),
                 dirty: RefCell::new(Vec::new()),
-                eoc: RefCell::new(Vec::new()),
+                driven: RefCell::new(Vec::new()),
                 reg_conflict: Cell::new(None),
                 calls: RefCell::new(Vec::new()),
                 fired_calls: RefCell::new(Vec::new()),
@@ -220,21 +233,16 @@ impl Clock {
 
     /// Registers the cell `make` builds around its freshly allocated id
     /// (every `Ehr`/`Reg`/`Wire`/collection cell does this at
-    /// construction). The id keys the open rule's transaction and the wake
-    /// layer's per-cell watcher lists; `at_boundary` cells also get
-    /// [`TxnCell::end_cycle`] every cycle.
-    pub(crate) fn adopt<C: TxnCell + 'static>(
-        &self,
-        at_boundary: bool,
-        make: impl FnOnce(u32) -> C,
-    ) -> Rc<C> {
+    /// construction). The id keys the open rule's transaction, the cycle
+    /// boundary's driven list and the wake layer's per-cell watcher lists.
+    pub(crate) fn adopt<C: TxnCell + 'static>(&self, make: impl FnOnce(u32) -> C) -> Rc<C> {
         let mut cells = self.inner.cells.borrow_mut();
-        let id = u32::try_from(cells.len()).expect("too many state cells");
+        let id = u32::try_from(cells.len())
+            .ok()
+            .filter(|&id| id < LATCHED)
+            .expect("too many state cells");
         let cell = Rc::new(make(id));
         cells.push(cell.clone());
-        if at_boundary {
-            self.inner.eoc.borrow_mut().push(id);
-        }
         cell
     }
 
@@ -243,6 +251,13 @@ impl Clock {
     #[inline]
     pub(crate) fn wake(&self) -> &Wake {
         &self.inner.wake
+    }
+
+    /// A weak reference to the shared state, so a test can check that
+    /// nothing keeps a dropped design's clock alive.
+    #[cfg(test)]
+    pub(crate) fn downgrade(&self) -> Weak<ClockInner> {
+        Rc::downgrade(&self.inner)
     }
 
     /// Global method index of the `earlier` side of the most recent
@@ -261,7 +276,7 @@ impl Clock {
     /// [`Clock::observe`] on it.
     #[must_use]
     pub fn signal_cell(&self) -> CellId {
-        CellId(self.adopt(false, Signal).0)
+        CellId(self.adopt(Signal).0)
     }
 
     /// Publishes `cell` as changed, waking any rule sleeping on it. Safe at
@@ -308,20 +323,27 @@ impl Clock {
     }
 
     /// Moves the cycle counter `n` cycles on without running the cycle
-    /// boundary: legal only over cycles in which no rule commits, so no
-    /// register latches and no wire was driven (see
-    /// [`crate::sim::Sim::try_advance`]), and only with no
-    /// [`Clock::at_end_of_cycle`] hook registered.
+    /// boundary: legal only over cycles in which no rule commits, so
+    /// nothing is driven (see [`crate::sim::Sim::try_advance`]), and only
+    /// with no live [`Clock::at_end_of_cycle`] hook.
     pub(crate) fn skip_cycles(&self, n: u64) {
         debug_assert!(!self.in_rule(), "skip_cycles inside a rule");
-        debug_assert!(self.inner.eoc_hooks.borrow().is_empty());
+        debug_assert!(!self.has_cycle_hooks());
+        debug_assert!(
+            self.inner.driven.borrow().is_empty(),
+            "skip_cycles over a driven cell"
+        );
         self.inner.cycle.set(self.inner.cycle.get() + n);
     }
 
-    /// Whether any [`Clock::at_end_of_cycle`] hook is registered: a cycle
-    /// boundary then does work even when no rule fired.
+    /// Whether a live [`Clock::at_end_of_cycle`] hook is registered: a
+    /// cycle boundary then does work even when no rule fired.
     pub(crate) fn has_cycle_hooks(&self) -> bool {
-        !self.inner.eoc_hooks.borrow().is_empty()
+        self.inner
+            .eoc_hooks
+            .borrow()
+            .iter()
+            .any(|h| h.strong_count() > 0)
     }
 
     /// Whether a rule transaction is currently open.
@@ -402,15 +424,49 @@ impl Clock {
         }
     }
 
-    /// Adds cell `id` to the open rule's transaction. Cells call this on
-    /// the rule's first touch only (they keep their own enlisted flag).
+    /// Whether the cell stamped `stamp` is enlisted in the open rule's
+    /// transaction (outside a rule: in the last one). A stale stamp means
+    /// the cell's undo record belongs to a finished transaction.
     #[inline]
-    pub(crate) fn enlist(&self, id: u32) {
+    pub(crate) fn enlisted(&self, stamp: &Cell<u64>) -> bool {
+        stamp.get() == self.inner.serial.get()
+    }
+
+    /// Adds cell `id`, stamped `stamp`, to the open rule's transaction
+    /// unless it is already enlisted. Returns whether this was the
+    /// transaction's first touch of the cell: the cell then saves its undo
+    /// record, overwriting whatever a finished transaction left there.
+    #[inline]
+    pub(crate) fn enlist(&self, stamp: &Cell<u64>, id: u32) -> bool {
         debug_assert!(
             self.inner.in_rule.get(),
             "state cell enlisted outside of a rule"
         );
+        if self.enlisted(stamp) {
+            return false;
+        }
+        stamp.set(self.inner.serial.get());
         self.inner.dirty.borrow_mut().push(id);
+        true
+    }
+
+    /// Adds `Reg` `id` to the open rule's transaction and files it for
+    /// this cycle's latch. A rule enlists a register once at most (a second
+    /// write is a conflict), so it needs no stamp.
+    pub(crate) fn enlist_latched(&self, id: u32) {
+        debug_assert!(
+            self.inner.in_rule.get(),
+            "register enlisted outside of a rule"
+        );
+        self.inner.dirty.borrow_mut().push(id | LATCHED);
+        self.drive(id);
+    }
+
+    /// Files cell `id` for this cycle's boundary: a register written, a
+    /// wire driven from idle. The boundary visits exactly these cells.
+    #[inline]
+    pub(crate) fn drive(&self, id: u32) {
+        self.inner.driven.borrow_mut().push(id);
     }
 
     /// The cells the open rule has touched so far, in first-touch order —
@@ -423,7 +479,7 @@ impl Clock {
             .dirty
             .borrow()
             .iter()
-            .map(|&id| CellId(id))
+            .map(|&id| CellId(id & !LATCHED))
             .collect()
     }
 
@@ -437,14 +493,19 @@ impl Clock {
     }
 
     /// Registers a callback run at every cycle boundary, *after* registers
-    /// have latched and wires have cleared.
+    /// have latched and wires have cleared, for as long as the returned
+    /// handle lives. The clock keeps the hook only weakly: the owner holds
+    /// the handle, so a hook that captures cell handles (which hold the
+    /// clock) does not keep the clock and its cells alive.
     ///
     /// Library modules use this for cycle-boundary bookkeeping (e.g. the
-    /// conflict-free FIFO snapshots its occupancy); it is also handy for
-    /// per-cycle statistics sampling. Writes performed inside the callback
-    /// apply immediately, like initialization writes.
-    pub fn at_end_of_cycle(&self, f: impl Fn() + 'static) {
-        self.inner.eoc_hooks.borrow_mut().push(Rc::new(f));
+    /// conflict-free FIFO snapshots its occupancy). Writes performed inside
+    /// the callback apply immediately, like initialization writes.
+    #[must_use = "the hook runs only while the returned handle lives"]
+    pub fn at_end_of_cycle(&self, f: impl Fn() + 'static) -> Rc<dyn Fn()> {
+        let hook: Rc<dyn Fn()> = Rc::new(f);
+        self.inner.eoc_hooks.borrow_mut().push(Rc::downgrade(&hook));
+        hook
     }
 
     /// Opens a rule transaction.
@@ -455,6 +516,7 @@ impl Clock {
     pub fn begin_rule(&self) {
         assert!(!self.inner.in_rule.get(), "nested rules are not allowed");
         self.inner.in_rule.set(true);
+        self.inner.serial.set(self.inner.serial.get() + 1);
         self.inner.wake.taint.set(false);
     }
 
@@ -499,9 +561,10 @@ impl Clock {
         *self.inner.tracer.borrow_mut() = tracer;
     }
 
-    /// Atomically commits the current rule: every cell it touched drops its
-    /// undo record and is published, and its method calls are recorded as
-    /// fired-this-cycle.
+    /// Atomically commits the current rule: every cell it touched is
+    /// published (a `Reg` at its latch instead), and its method calls are
+    /// recorded as fired-this-cycle. No cell is visited: the writes already
+    /// are the new state, and closing the transaction un-enlists them all.
     ///
     /// # Panics
     ///
@@ -517,14 +580,15 @@ impl Clock {
             panic!("Reg `{name}` written twice in the same cycle (undeclared conflict)");
         }
         {
-            // Every observable change publishes the touched cell's id so
-            // rules asleep on it get re-evaluated (see `crate::wake`).
-            let cells = self.inner.cells.borrow();
-            for id in self.inner.dirty.borrow_mut().drain(..) {
-                if cells[id as usize].commit() {
+            // Every touch publishes the cell's id so rules asleep on it get
+            // re-evaluated (see `crate::wake`).
+            let mut dirty = self.inner.dirty.borrow_mut();
+            for &id in dirty.iter() {
+                if id & LATCHED == 0 {
                     self.inner.wake.publish(id);
                 }
             }
+            dirty.clear();
         }
         if self.inner.tracing.get() {
             let tracer = self.inner.tracer.borrow();
@@ -583,7 +647,7 @@ impl Clock {
         {
             let cells = self.inner.cells.borrow();
             for id in self.inner.dirty.borrow_mut().drain(..) {
-                cells[id as usize].abort();
+                cells[(id & !LATCHED) as usize].abort();
             }
         }
         self.inner.reg_conflict.set(None);
@@ -591,8 +655,9 @@ impl Clock {
         self.inner.in_rule.set(false);
     }
 
-    /// Ends the cycle: registers latch their next values, wires clear, and
-    /// the fired-method history resets.
+    /// Ends the cycle: the registers written this cycle latch their next
+    /// values, the wires driven this cycle clear, and the fired-method
+    /// history resets.
     ///
     /// # Panics
     ///
@@ -606,9 +671,10 @@ impl Clock {
         {
             // The cycle boundary publishes too: registers latch (their
             // writes become visible *now*, not at rule commit) and driven
-            // wires clear back to their idle value.
+            // wires clear back to their idle value. A cell filed by a rule
+            // that then aborted has nothing to do and publishes nothing.
             let cells = self.inner.cells.borrow();
-            for &id in self.inner.eoc.borrow().iter() {
+            for id in self.inner.driven.borrow_mut().drain(..) {
                 if cells[id as usize].end_cycle() {
                     self.inner.wake.publish(id);
                 }
@@ -617,16 +683,26 @@ impl Clock {
         // Index-based iteration so a hook may register further hooks without
         // a RefCell borrow conflict, and without cloning the whole list.
         let mut i = 0;
+        let mut dropped = false;
         loop {
             let hook = {
                 let hooks = self.inner.eoc_hooks.borrow();
                 match hooks.get(i) {
-                    Some(h) => Rc::clone(h),
+                    Some(h) => h.upgrade(),
                     None => break,
                 }
             };
-            hook();
+            match hook {
+                Some(hook) => hook(),
+                None => dropped = true,
+            }
             i += 1;
+        }
+        if dropped {
+            self.inner
+                .eoc_hooks
+                .borrow_mut()
+                .retain(|h| h.strong_count() > 0);
         }
         self.inner.cycle.set(self.inner.cycle.get() + 1);
     }
@@ -882,6 +958,23 @@ mod tests {
         assert_eq!(woken(), vec![0]);
         sleep_all();
         assert!(woken().is_empty(), "a sleeper is not woken by what it saw");
+    }
+
+    #[test]
+    fn a_cycle_hook_runs_while_its_handle_lives() {
+        let clk = Clock::new();
+        let runs = Rc::new(Cell::new(0));
+        let hook = {
+            let runs = runs.clone();
+            clk.at_end_of_cycle(move || runs.set(runs.get() + 1))
+        };
+        assert!(clk.has_cycle_hooks());
+        clk.end_cycle();
+        drop(hook);
+        assert!(!clk.has_cycle_hooks(), "a dropped hook does not count");
+        clk.end_cycle();
+        assert_eq!(runs.get(), 1);
+        assert!(clk.inner.eoc_hooks.borrow().is_empty(), "and is pruned");
     }
 
     #[test]

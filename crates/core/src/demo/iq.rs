@@ -19,6 +19,8 @@
 //!   woken instruction issue in the same cycle, saving a cycle on
 //!   back-to-back dependent instructions (§IV-D).
 
+use std::rc::Rc;
+
 use crate::cell::Ehr;
 use crate::clock::{Clock, ModuleIfc};
 use crate::cm::ConflictMatrix;
@@ -62,6 +64,9 @@ pub struct Rdyb {
     bits: Ehr<Vec<bool>>,
     /// Start-of-cycle snapshot, used by the non-bypassed implementations.
     snapshot: Ehr<Vec<bool>>,
+    /// The end-of-cycle hook that takes the snapshot, which runs while
+    /// this handle lives (see [`Clock::at_end_of_cycle`]).
+    _take_snapshot: Rc<dyn Fn()>,
 }
 
 impl Rdyb {
@@ -79,24 +84,27 @@ impl Rdyb {
                 .self_free(RDY)
                 .build(),
         };
-        let r = Rdyb {
+        let bits = Ehr::new(clk, vec![true; NUM_REGS]);
+        let snapshot = Ehr::new(clk, vec![true; NUM_REGS]);
+        let take_snapshot = {
+            let (bits, snap) = (bits.clone(), snapshot.clone());
+            clk.at_end_of_cycle(move || {
+                // Write only on change: an unconditional write would
+                // republish the snapshot cell every cycle and defeat the
+                // scheduler's wakeup layer (see crate::sched).
+                let b = bits.read();
+                if snap.read() != b {
+                    snap.write(b);
+                }
+            })
+        };
+        Rdyb {
             ifc: clk.module("RDYB", &RDYB_METHODS, cm),
             kind,
-            bits: Ehr::new(clk, vec![true; NUM_REGS]),
-            snapshot: Ehr::new(clk, vec![true; NUM_REGS]),
-        };
-        let bits = r.bits.clone();
-        let snap = r.snapshot.clone();
-        clk.at_end_of_cycle(move || {
-            // Write only on change: an unconditional write would republish
-            // the snapshot cell every cycle and defeat the scheduler's
-            // wakeup layer (see crate::sched).
-            let b = bits.read();
-            if snap.read() != b {
-                snap.write(b);
-            }
-        });
-        r
+            bits,
+            snapshot,
+            _take_snapshot: take_snapshot,
+        }
     }
 
     /// Checks the presence bit of register `r` (paper's `rdy1`/`rdy2`).
@@ -333,7 +341,7 @@ struct DemoState {
     iq: Iq,
     /// Execution pipeline: destination registers in flight (1-cycle
     /// latency, conflict-free so issue/writeback need no mutual ordering).
-    exec: std::rc::Rc<CfFifo<usize>>,
+    exec: Rc<CfFifo<usize>>,
     program: Ehr<Vec<DemoInst>>,
     next: Ehr<usize>,
     completed: Ehr<u64>,
@@ -371,7 +379,7 @@ pub fn run_iq_demo_with_scheduler(
     let st = DemoState {
         rdyb: Rdyb::new(&clk, cfg.rdyb),
         iq: Iq::new(&clk, cfg.iq_size, cfg.ordering),
-        exec: std::rc::Rc::new(CfFifo::new(&clk, 4)),
+        exec: Rc::new(CfFifo::new(&clk, 4)),
         program: Ehr::new(&clk, program.to_vec()),
         next: Ehr::new(&clk, 0),
         completed: Ehr::new(&clk, 0),
@@ -588,6 +596,25 @@ mod tests {
             stats.cycles < 70,
             "independent program should pipeline: {} cycles",
             stats.cycles
+        );
+    }
+
+    #[test]
+    fn a_dropped_sim_frees_its_clock() {
+        let clk = Clock::new();
+        let inner = clk.downgrade();
+        let rdyb = Rdyb::new(&clk, RdybKind::NonBypassed);
+        let mut sim = Sim::new(clk, rdyb);
+        sim.rule("setNotReady", |r: &mut Rdyb| {
+            r.set_not_ready(4);
+            Ok(())
+        });
+        sim.run(3);
+        assert!(!sim.state().rdy(4), "the hook took the snapshot");
+        drop(sim);
+        assert!(
+            inner.upgrade().is_none(),
+            "the snapshot hook must not keep the clock alive"
         );
     }
 

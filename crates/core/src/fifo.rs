@@ -270,10 +270,8 @@ pub struct CfFifo<T: 'static> {
     /// Enqs performed so far this cycle.
     enqs: Ehr<usize>,
     cap: usize,
-    /// The cycle-boundary bookkeeping. Owned here; the clock's hook list
-    /// only holds it weakly, because it owns cell handles and every handle
-    /// holds the clock — a strong hook would keep the clock, and every cell
-    /// ever created on it, alive forever.
+    /// The cycle-boundary bookkeeping, which runs while this handle lives
+    /// (see [`Clock::at_end_of_cycle`]).
     _roll: Rc<dyn Fn()>,
 }
 
@@ -298,9 +296,9 @@ impl<T: Clone + 'static> CfFifo<T> {
         let snap_len = Ehr::new(clk, 0);
         let deqs = Ehr::new(clk, 0);
         let enqs = Ehr::new(clk, 0);
-        let roll: Rc<dyn Fn()> = {
+        let roll = {
             let (q, snap, deqs, enqs) = (q.clone(), snap_len.clone(), deqs.clone(), enqs.clone());
-            Rc::new(move || {
+            clk.at_end_of_cycle(move || {
                 // Conditional writes: an idle cycle must not republish these
                 // cells to the wake layer, or rules sleeping on this FIFO
                 // (see crate::sched) would be woken every cycle for nothing.
@@ -316,12 +314,6 @@ impl<T: Clone + 'static> CfFifo<T> {
                 }
             })
         };
-        let hook = Rc::downgrade(&roll);
-        clk.at_end_of_cycle(move || {
-            if let Some(roll) = hook.upgrade() {
-                roll();
-            }
-        });
         CfFifo {
             ifc: clk.module("CfFifo", &METHODS, cm),
             q,

@@ -7,9 +7,11 @@
 //! later rules see committed ones, one [`CellId`] publishes per touched
 //! collection) but journal the *inverse of each operation* instead:
 //! `set(i, v)` remembers `(i, old)`, `push_back` remembers "pop it again".
-//! Commit clears the journal, abort replays it backwards. The journal's
-//! buffer is reused from rule to rule, so a steady-state cycle neither
-//! copies the collection nor allocates.
+//! Abort replays the journal backwards; commit does not visit the cell at
+//! all, so the journal goes stale, and the next transaction to change the
+//! cell (its stamp older than that transaction's serial) clears it before
+//! logging. The journal's buffer is reused from rule to rule, so a
+//! steady-state cycle neither copies the collection nor allocates.
 //!
 //! Two shapes cover what the processor models keep in collections: an
 //! indexed array (rename tables, per-tag snapshots) and a queue with
@@ -28,13 +30,13 @@ trait Inverse<C> {
     fn undo(self, on: &mut C);
 }
 
-/// Storage shared by both cells: the live collection `C` plus the open
-/// rule's inverse operations `U`, oldest first.
+/// Storage shared by both cells: the live collection `C` plus the inverse
+/// operations `U`, oldest first, of the transaction stamped `stamp`.
 struct Journaled<C, U> {
     id: u32,
     cur: RefCell<C>,
     log: RefCell<Vec<U>>,
-    enlisted: Cell<bool>,
+    stamp: Cell<u64>,
 }
 
 impl<C, U> Journaled<C, U> {
@@ -43,7 +45,7 @@ impl<C, U> Journaled<C, U> {
             id,
             cur: RefCell::new(init),
             log: RefCell::new(Vec::new()),
-            enlisted: Cell::new(false),
+            stamp: Cell::new(0),
         }
     }
 
@@ -58,35 +60,33 @@ impl<C, U> Journaled<C, U> {
     fn mutate<R>(&self, clk: &Clock, op: impl FnOnce(&mut C, &mut Vec<U>) -> R) -> R {
         clk.wake().note_read(self.id);
         let mut log = self.log.borrow_mut();
+        let in_rule = clk.in_rule();
+        if in_rule && !clk.enlisted(&self.stamp) {
+            // What is logged belongs to a finished transaction.
+            log.clear();
+        }
         let before = log.len();
         let r = op(&mut self.cur.borrow_mut(), &mut log);
         if log.len() == before {
             return r;
         }
-        if !clk.in_rule() {
+        if in_rule {
+            clk.enlist(&self.stamp, self.id);
+        } else {
             // Initialization / restore: nothing to roll back to.
             log.clear();
             clk.wake().publish(self.id);
-        } else if !self.enlisted.replace(true) {
-            clk.enlist(self.id);
         }
         r
     }
 }
 
 impl<C, U: Inverse<C>> TxnCell for Journaled<C, U> {
-    fn commit(&self) -> bool {
-        self.log.borrow_mut().clear();
-        self.enlisted.set(false);
-        true
-    }
-
     fn abort(&self) {
         let mut cur = self.cur.borrow_mut();
         for u in self.log.borrow_mut().drain(..).rev() {
             u.undo(&mut cur);
         }
-        self.enlisted.set(false);
     }
 }
 
@@ -146,7 +146,7 @@ impl<T: Clone + 'static> EhrArray<T> {
     #[must_use]
     pub fn new(clk: &Clock, init: Vec<T>) -> Self {
         EhrArray {
-            inner: clk.adopt(false, |id| Journaled::new(id, init)),
+            inner: clk.adopt(|id| Journaled::new(id, init)),
             clk: clk.clone(),
         }
     }
@@ -295,9 +295,7 @@ impl<T: Clone + 'static> EhrDeque<T> {
     #[must_use]
     pub fn new(clk: &Clock, capacity: usize) -> Self {
         EhrDeque {
-            inner: clk.adopt(false, |id| {
-                Journaled::new(id, VecDeque::with_capacity(capacity))
-            }),
+            inner: clk.adopt(|id| Journaled::new(id, VecDeque::with_capacity(capacity))),
             clk: clk.clone(),
         }
     }

@@ -14,7 +14,12 @@
 //!    cycle.
 //! 5. **Transactions against a shadow model** — random operation sequences
 //!    over every cell shape, each rule committed or aborted, checked
-//!    against plain `Vec`/`VecDeque` values after every rule.
+//!    against plain `Vec`/`VecDeque` values after every rule, and the cells
+//!    published checked after every commit and cycle boundary.
+
+use std::cell::RefCell;
+use std::collections::{BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use cmd_core::cm::Rel;
 use cmd_core::prelude::*;
@@ -361,23 +366,57 @@ fn enforcement_matches_declaration() {
 // 5. Transactions against a shadow model
 // ---------------------------------------------------------------------------
 
+/// Names of the `Reg`s under test, as a refused commit reports them.
+const REG_NAMES: [&str; 2] = ["r0", "r1"];
+
 /// The cells under test and, beside them, what they must hold.
+#[derive(Clone)]
 struct Shadowed {
     scalars: Vec<Ehr<u64>>,
     array: EhrArray<u64>,
     deque: EhrDeque<u64>,
     generic: Ehr<Vec<u64>>,
+    regs: Vec<Reg<u64>>,
+    wires: Vec<Wire<u64>>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 struct Shadow {
     scalars: Vec<u64>,
     array: Vec<u64>,
-    deque: std::collections::VecDeque<u64>,
+    deque: VecDeque<u64>,
     generic: Vec<u64>,
+    /// Start-of-cycle values.
+    regs: Vec<u64>,
+    wires: Vec<Option<u64>>,
+}
+
+/// What a rule has done besides the values it changed.
+struct RuleFx {
+    /// Cells (by `ids()` index) it changed or opened, in first-touch order.
+    touched: Vec<usize>,
+    /// `Reg` writes waiting for the latch: earlier rules' and its own.
+    pending: Vec<Option<u64>>,
+    /// The first `Reg` it wrote while a write to it was pending.
+    conflict: Option<&'static str>,
 }
 
 impl Shadowed {
+    fn new(clk: &Clock) -> Self {
+        Shadowed {
+            scalars: (0..4).map(|i| Ehr::new(clk, i as u64)).collect(),
+            array: EhrArray::new(clk, vec![7; 8]),
+            deque: EhrDeque::new(clk, 6),
+            generic: Ehr::new(clk, vec![3; 5]),
+            regs: REG_NAMES
+                .iter()
+                .enumerate()
+                .map(|(i, name)| Reg::named(clk, name, 10 + i as u64))
+                .collect(),
+            wires: (0..2).map(|_| Wire::new(clk)).collect(),
+        }
+    }
+
     /// Reads every cell back through its public read methods.
     fn observe(&self) -> Shadow {
         Shadow {
@@ -385,6 +424,8 @@ impl Shadowed {
             array: self.array.with(<[u64]>::to_vec),
             deque: self.deque.with(Clone::clone),
             generic: self.generic.read(),
+            regs: self.regs.iter().map(Reg::read).collect(),
+            wires: self.wires.iter().map(Wire::peek).collect(),
         }
     }
 
@@ -396,22 +437,44 @@ impl Shadowed {
             self.deque.watch_id(),
             self.generic.watch_id(),
         ]);
+        ids.extend(self.regs.iter().map(Reg::watch_id));
+        ids.extend(self.wires.iter().map(Wire::watch_id));
         ids
+    }
+
+    /// `ids()` index of the first `Reg`; the wires follow the registers.
+    fn first_reg(&self) -> usize {
+        self.scalars.len() + 3
+    }
+
+    /// Reads cell `k` (an `ids()` index), as a rule sleeping on it would.
+    fn read_cell(&self, k: usize) {
+        let (n, r) = (self.scalars.len(), self.first_reg());
+        match k {
+            _ if k < n => self.scalars[k].with(|_| ()),
+            _ if k == n => self.array.with(|_| ()),
+            _ if k == n + 1 => self.deque.with(|_| ()),
+            _ if k == n + 2 => self.generic.with(|_| ()),
+            _ if k < r + self.regs.len() => self.regs[k - r].with(|_| ()),
+            _ => {
+                let _ = self.wires[k - r - self.regs.len()].peek();
+            }
+        }
     }
 }
 
 /// Applies one random operation to the cells and to `model`, asserting that
-/// whatever the operation returns matches, and records which cell (by
-/// `ids()` index) it *changed or opened* in `touched`.
-fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, touched: &mut Vec<usize>) {
+/// whatever the operation returns matches, and records in `fx` which cell
+/// it *changed or opened* and what it left waiting for the latch.
+fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, fx: &mut RuleFx) {
     let mut touch = |i: usize| {
-        if !touched.contains(&i) {
-            touched.push(i);
+        if !fx.touched.contains(&i) {
+            fx.touched.push(i);
         }
     };
     let n = c.scalars.len();
     let v = rng.next_u64() % 1000;
-    match rng.below(16) {
+    match rng.below(18) {
         0 => {
             let i = rng.range_usize(0, n);
             assert_eq!(c.scalars[i].read(), model.scalars[i]);
@@ -520,6 +583,25 @@ fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, touched: &m
             assert_eq!(c.generic.get(i), v);
             touch(n + 2);
         }
+        15 => {
+            let k = rng.range_usize(0, c.regs.len());
+            assert_eq!(c.regs[k].read(), model.regs[k], "start-of-cycle value");
+            c.regs[k].write(v);
+            if fx.pending[k].is_some() {
+                // Dropped, and the rule can no longer commit.
+                fx.conflict.get_or_insert(REG_NAMES[k]);
+            } else {
+                fx.pending[k] = Some(v);
+                touch(c.first_reg() + k);
+            }
+        }
+        16 => {
+            let k = rng.range_usize(0, c.wires.len());
+            assert_eq!(c.wires[k].peek(), model.wires[k]);
+            c.wires[k].set(v);
+            model.wires[k] = Some(v);
+            touch(c.first_reg() + c.regs.len() + k);
+        }
         _ => {
             assert_eq!(c.array.with(<[u64]>::to_vec), model.array);
             assert_eq!(c.generic.read(), model.generic);
@@ -532,23 +614,42 @@ fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, touched: &m
 /// and then vetoed (what a chaos abort does). After every rule the cells
 /// equal the shadow model: an abort restores exactly, a rule reads its own
 /// writes (every operation checks its result against the in-rule model), a
-/// later rule in the same cycle sees the committed ones, and the cells a
-/// commit would publish are exactly the cells the rule touched, in
-/// first-touch order.
+/// later rule in the same cycle sees the committed ones, a rule that wrote
+/// a `Reg` twice in a cycle is refused, and the cells a rule enlisted are
+/// exactly the cells it touched, in first-touch order.
+///
+/// What is published is watched by one sleeping rule per cell on a `Sim`
+/// sharing the clock: the commits of a cycle wake exactly the watchers of
+/// the cells committed rules touched, `Reg`s excepted, and the cycle
+/// boundary wakes exactly those of the `Reg`s latched and the `Wire`s
+/// cleared.
 #[test]
 fn transactions_refine_a_shadow_model() {
     for seed in 0..300u64 {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let clk = Clock::new();
-        let cells = Shadowed {
-            scalars: (0..4).map(|i| Ehr::new(&clk, i as u64)).collect(),
-            array: EhrArray::new(&clk, vec![7; 8]),
-            deque: EhrDeque::new(&clk, 6),
-            generic: Ehr::new(&clk, vec![3; 5]),
-        };
+        let cells = Shadowed::new(&clk);
         let ids = cells.ids();
+        let first_wire = cells.first_reg() + cells.regs.len();
+        let woken = Rc::new(RefCell::new(BTreeSet::new()));
+        let mut watchers = Sim::new(clk.clone(), ());
+        for k in 0..ids.len() {
+            let (cells, woken) = (cells.clone(), woken.clone());
+            let w = watchers.rule(format!("watch{k}"), move |_: &mut ()| {
+                woken.borrow_mut().insert(k);
+                cells.read_cell(k);
+                Err(Stall::new("watching"))
+            });
+            watchers.set_wakeup(w, Wakeup::Inferred);
+        }
+        // Every watcher evaluates once and falls asleep on its cell.
+        watchers.cycle();
+        let take_woken = || std::mem::take(&mut *woken.borrow_mut());
+        take_woken();
         let mut committed = cells.observe();
         for _cycle in 0..rng.range_usize(1, 6) {
+            let mut pending = vec![None; cells.regs.len()];
+            let mut published = BTreeSet::new();
             for _rule in 0..rng.range_usize(1, 8) {
                 let n_ops = rng.range_usize(0, 12);
                 // 0 = commit, 1 = guard stalls after `stop` ops, 2 = vetoed
@@ -560,32 +661,70 @@ fn transactions_refine_a_shadow_model() {
                     n_ops
                 };
                 let mut in_rule = committed.clone();
-                let mut touched = Vec::new();
+                let mut fx = RuleFx {
+                    touched: Vec::new(),
+                    pending: pending.clone(),
+                    conflict: None,
+                };
                 clk.begin_rule();
                 for _ in 0..stop {
-                    random_op(&mut rng, &cells, &mut in_rule, &mut touched);
+                    random_op(&mut rng, &cells, &mut in_rule, &mut fx);
                 }
                 assert_eq!(
                     cells.observe(),
                     in_rule,
                     "seed {seed}: rule reads its own writes"
                 );
-                let want: Vec<CellId> = touched.iter().map(|&i| ids[i]).collect();
+                let want: Vec<CellId> = fx.touched.iter().map(|&i| ids[i]).collect();
                 assert_eq!(
                     clk.enlisted_cells(),
                     want,
-                    "seed {seed}: enlisted (= published on commit) iff touched"
+                    "seed {seed}: enlisted iff touched"
                 );
                 if fate == 0 {
-                    clk.commit_rule();
-                    committed = in_rule;
+                    assert_eq!(
+                        clk.try_commit_rule(),
+                        fx.conflict.map_or(Ok(()), Err),
+                        "seed {seed}: a second Reg write is refused"
+                    );
                 } else {
                     clk.abort_rule();
+                }
+                if fate == 0 && fx.conflict.is_none() {
+                    committed = in_rule;
+                    pending = fx.pending;
+                    let regs = cells.first_reg()..first_wire;
+                    published.extend(fx.touched.into_iter().filter(|i| !regs.contains(i)));
                 }
                 assert!(clk.enlisted_cells().is_empty());
                 assert_eq!(cells.observe(), committed, "seed {seed}: fate {fate}");
             }
-            clk.end_cycle();
+            watchers.cycle();
+            assert_eq!(
+                take_woken(),
+                published,
+                "seed {seed}: commits publish what committed rules touched"
+            );
+            let mut boundary = BTreeSet::new();
+            for (k, next) in pending.into_iter().enumerate() {
+                if let Some(v) = next {
+                    committed.regs[k] = v;
+                    boundary.insert(cells.first_reg() + k);
+                }
+            }
+            for (k, w) in committed.wires.iter_mut().enumerate() {
+                if w.take().is_some() {
+                    boundary.insert(first_wire + k);
+                }
+            }
+            // The watchers the boundary woke run here; nothing is driven in
+            // this cycle, so its own boundary publishes nothing.
+            watchers.cycle();
+            assert_eq!(
+                take_woken(),
+                boundary,
+                "seed {seed}: the boundary publishes the Regs latched and the Wires cleared"
+            );
             assert_eq!(
                 cells.observe(),
                 committed,

@@ -767,9 +767,15 @@ impl Soc {
         };
         {
             let core = &self.cores[c];
-            core.alu_ex[p].write(None);
             // Results targeting x0 (nop, plain jumps) complete immediately.
-            if let (Some(v), true) = (wb, uop.dst.is_some()) {
+            let latched = wb.filter(|_| uop.dst.is_some());
+            // `aluWb` empties the latch earlier in the cycle unless it lost
+            // its arbitration (a chaos abort); then this result must wait.
+            if latched.is_some() && core.alu_wb[p].with(Option::is_some) {
+                return Err(Stall::new("wb latch full"));
+            }
+            core.alu_ex[p].write(None);
+            if let Some(v) = latched {
                 core.alu_wb[p].write(Some((uop, v)));
             } else {
                 core.rob.set_non_mem_completed(uop.rob);
