@@ -34,6 +34,11 @@
 //!
 //! Outside of any rule (e.g. during construction or direct test pokes),
 //! writes apply immediately; this substitutes for BSV's reset values.
+//!
+//! A snapshot saves every cell's committed value through its clock (see
+//! [`crate::snap`]), so the constructors of `Ehr` and `Reg` ask for a
+//! [`Snap`] value type; a `Wire` is empty at every cycle boundary and asks
+//! for none.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -41,6 +46,7 @@ use std::rc::Rc;
 
 use crate::clock::{CellId, Clock, TxnCell};
 use crate::guard::{Guarded, Stall};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 // ---------------------------------------------------------------------------
 // Ehr
@@ -75,13 +81,27 @@ impl<T> EhrInner<T> {
             *self.undo.borrow_mut() = Some(old);
         }
     }
-}
 
-impl<T> TxnCell for EhrInner<T> {
-    fn abort(&self) {
+    /// Puts back the value the enlisting rule found (shared with `Wire`).
+    fn roll_back(&self) {
         if let Some(old) = self.undo.borrow_mut().take() {
             *self.cur.borrow_mut() = old;
         }
+    }
+}
+
+impl<T: Snap> TxnCell for EhrInner<T> {
+    fn abort(&self) {
+        self.roll_back();
+    }
+
+    fn save(&self, w: &mut SnapWriter) {
+        self.cur.borrow().save(w);
+    }
+
+    fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self.cur.borrow_mut() = T::load(r)?;
+        Ok(())
     }
 }
 
@@ -122,7 +142,7 @@ impl<T: 'static> Clone for Ehr<T> {
     }
 }
 
-impl<T: Clone + 'static> Ehr<T> {
+impl<T: Snap + Clone + 'static> Ehr<T> {
     /// Creates an `Ehr` with the given reset value.
     #[must_use]
     pub fn new(clk: &Clock, init: T) -> Self {
@@ -131,7 +151,9 @@ impl<T: Clone + 'static> Ehr<T> {
             clk: clk.clone(),
         }
     }
+}
 
+impl<T: Clone + 'static> Ehr<T> {
     /// This cell's identity for the scheduler's wakeup layer (see
     /// [`crate::sched::Wakeup`]).
     #[must_use]
@@ -245,9 +267,19 @@ struct RegInner<T> {
     next: RefCell<Option<T>>,
 }
 
-impl<T> TxnCell for RegInner<T> {
+impl<T: Snap> TxnCell for RegInner<T> {
     fn abort(&self) {
         *self.next.borrow_mut() = None;
+    }
+
+    fn save(&self, w: &mut SnapWriter) {
+        debug_assert!(self.next.borrow().is_none(), "save before the latch");
+        self.at_start.borrow().save(w);
+    }
+
+    fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self.at_start.borrow_mut() = T::load(r)?;
+        Ok(())
     }
 
     fn end_cycle(&self) -> bool {
@@ -295,7 +327,7 @@ impl<T: 'static> Clone for Reg<T> {
     }
 }
 
-impl<T: Clone + 'static> Reg<T> {
+impl<T: Snap + Clone + 'static> Reg<T> {
     /// Creates a register with the given reset value.
     #[must_use]
     pub fn new(clk: &Clock, init: T) -> Self {
@@ -315,7 +347,9 @@ impl<T: Clone + 'static> Reg<T> {
             clk: clk.clone(),
         }
     }
+}
 
+impl<T: Clone + 'static> Reg<T> {
     /// This cell's identity for the scheduler's wakeup layer (see
     /// [`crate::sched::Wakeup`]).
     #[must_use]
@@ -369,12 +403,21 @@ impl<T: Clone + fmt::Debug + 'static> fmt::Debug for Reg<T> {
 // Wire
 // ---------------------------------------------------------------------------
 
-/// An `Ehr<Option<T>>` that empties itself at the cycle boundary.
+/// An `Ehr<Option<T>>` that empties itself at the cycle boundary, so a
+/// snapshot finds nothing in it.
 struct WireInner<T>(EhrInner<Option<T>>);
 
 impl<T> TxnCell for WireInner<T> {
     fn abort(&self) {
-        self.0.abort();
+        self.0.roll_back();
+    }
+
+    fn save(&self, _: &mut SnapWriter) {
+        debug_assert!(self.0.cur.borrow().is_none(), "save of a driven wire");
+    }
+
+    fn restore(&self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
     }
 
     fn end_cycle(&self) -> bool {

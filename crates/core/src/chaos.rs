@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`FaultKind::GuardStall`] | before a rule body runs | a stuck ready signal |
 //! | [`FaultKind::RuleAbort`] | after a rule body runs, vetoing its commit | a transiently lost arbitration |
-//! | [`FaultKind::BitFlip`] | a registered `Ehr`/`Reg` cell, at a cycle boundary | an SEU in a flop |
+//! | [`FaultKind::BitFlip`] | a registered cell, at a cycle boundary | an SEU in a flop |
 //! | [`FaultKind::MsgDrop`] | a message queue push | a lossy interconnect |
 //! | [`FaultKind::MsgDelay`] | a message queue push | congestion / retry |
 //! | [`FaultKind::MsgDup`] | a message queue push | a replayed packet |
@@ -55,7 +55,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::cell::{Ehr, Reg};
+use crate::cell::Ehr;
 use crate::rng::mix;
 
 /// Stall reason attached to a chaos-forced guard failure.
@@ -148,21 +148,6 @@ pub struct FaultRecord {
     /// Kind-specific detail: flipped bit index for [`FaultKind::BitFlip`],
     /// extra latency for [`FaultKind::MsgDelay`], otherwise 0.
     pub detail: u64,
-}
-
-impl fmt::Display for FaultRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cycle {:>8}  {:<11} {}",
-            self.cycle, self.kind, self.site
-        )?;
-        match self.kind {
-            FaultKind::BitFlip => write!(f, " (bit {})", self.detail),
-            FaultKind::MsgDelay => write!(f, " (+{} cycles)", self.detail),
-            _ => Ok(()),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -540,15 +525,6 @@ impl FaultEngine {
         });
     }
 
-    /// Registers a `Reg<u64>` as a bit-flip target.
-    pub fn register_reg_u64(&self, name: impl Into<String>, cell: &Reg<u64>) {
-        let cell = cell.clone();
-        self.register_flip(name, move |bit| {
-            let v = cell.read();
-            cell.write(v ^ (1u64 << bit));
-        });
-    }
-
     /// Scheduler hook: applies any due bit flips for cycle `cycle`. Must be
     /// called outside a rule (the scheduler calls it right after
     /// `end_cycle`, so the flip lands before the next cycle's rules read).
@@ -589,17 +565,6 @@ impl FaultEngine {
             *counts.entry(r.site.clone()).or_insert(0) += 1;
         }
         counts.into_iter().collect()
-    }
-
-    /// The formatted campaign log, one fault per line.
-    #[must_use]
-    pub fn log_report(&self) -> String {
-        let mut out = String::new();
-        for r in self.inner.log.borrow().iter() {
-            out.push_str(&r.to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 

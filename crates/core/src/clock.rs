@@ -34,6 +34,7 @@ use std::fmt;
 use std::rc::{Rc, Weak};
 
 use crate::cm::{ConflictMatrix, Rel};
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wake::Wake;
 
@@ -47,7 +48,8 @@ use crate::wake::Wake;
 pub struct CellId(pub(crate) u32);
 
 impl CellId {
-    /// The raw index of this cell in its clock's registry.
+    /// The raw index of this cell in its clock's registry: its position in
+    /// a snapshot's cell section.
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -63,10 +65,11 @@ impl CellId {
 /// itself on a rule's first touch ([`Clock::enlist`]). A commit needs
 /// nothing from the cell — the clock publishes its id, and its undo record
 /// goes stale with the next transaction — so the clock calls a cell only to
-/// roll back an aborted rule's writes and at the boundary of a cycle in
-/// which the cell was driven. Implemented by the inner storage of
-/// [`crate::cell::Ehr`], [`crate::cell::Reg`], [`crate::cell::Wire`] and the
-/// element-granular cells of [`crate::journal`].
+/// roll back an aborted rule's writes, at the boundary of a cycle in which
+/// the cell was driven, and to snapshot its committed value. Implemented by
+/// the inner storage of [`crate::cell::Ehr`], [`crate::cell::Reg`],
+/// [`crate::cell::Wire`] and the element-granular cells of
+/// [`crate::journal`].
 pub(crate) trait TxnCell {
     /// The enlisting rule aborted: restore the state it found.
     fn abort(&self);
@@ -76,13 +79,22 @@ pub(crate) trait TxnCell {
     fn end_cycle(&self) -> bool {
         false
     }
+    /// Appends the committed value, at a cycle boundary.
+    fn save(&self, w: &mut SnapWriter);
+    /// Replaces the committed value with one [`TxnCell::save`] wrote.
+    fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// Storage behind [`Clock::signal_cell`]: an id with nothing to roll back.
+/// Storage behind [`Clock::signal_cell`]: an id with nothing to roll back
+/// and nothing to save.
 struct Signal(u32);
 
 impl TxnCell for Signal {
     fn abort(&self) {}
+    fn save(&self, _: &mut SnapWriter) {}
+    fn restore(&self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
+    }
 }
 
 /// Tag on a dirty-list id whose cell is a `Reg`: an abort rolls it back,
@@ -320,6 +332,53 @@ impl Clock {
     pub(crate) fn restore_cycle(&self, c: u64) {
         debug_assert!(!self.in_rule(), "restore_cycle inside a rule");
         self.inner.cycle.set(c);
+    }
+
+    /// Writes the committed value of every cell, in adoption order: the
+    /// count, then one length-framed record per cell. Only meaningful at a
+    /// cycle boundary, where signals and wires hold nothing (their records
+    /// are empty).
+    pub(crate) fn save_cells(&self, w: &mut SnapWriter) {
+        let cells = self.inner.cells.borrow();
+        w.len_prefix(cells.len());
+        for cell in cells.iter() {
+            w.framed(|w| cell.save(w));
+        }
+    }
+
+    /// Restores what [`Clock::save_cells`] wrote into a clock whose design
+    /// adopted the same cells in the same order.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Mismatch`] for a different cell count or an array of
+    /// another length, [`SnapError::Corrupt`] naming the cell (by
+    /// [`CellId::index`]) whose record does not consume exactly its frame.
+    /// On error the cells may be partially restored.
+    pub(crate) fn restore_cells(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let cells = self.inner.cells.borrow();
+        let n = r.u64()?;
+        if n != cells.len() as u64 {
+            return Err(SnapError::Mismatch(format!(
+                "snapshot has {n} cells, design has {}",
+                cells.len()
+            )));
+        }
+        for (i, cell) in cells.iter().enumerate() {
+            let len = r.len_prefix()?;
+            let mut rec = SnapReader::new(r.bytes(len)?);
+            let why = match cell.restore(&mut rec) {
+                Ok(()) if rec.remaining() == 0 => continue,
+                Err(SnapError::Mismatch(why)) => {
+                    return Err(SnapError::Mismatch(format!("cell {i}: {why}")))
+                }
+                Err(SnapError::Corrupt(why)) => why,
+                // Bytes left over, or a record cut short by its frame.
+                _ => "record does not fill its frame".into(),
+            };
+            return Err(SnapError::Corrupt(format!("cell {i}: {why}")));
+        }
+        Ok(())
     }
 
     /// Moves the cycle counter `n` cycles on without running the cycle

@@ -163,6 +163,8 @@ pub struct DemoInst {
     pub src2: usize,
 }
 
+crate::snap_struct!(DemoInst { dst, src1, src2 });
+
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     inst: DemoInst,
@@ -170,6 +172,13 @@ struct IqEntry {
     rdy2: bool,
     age: u64,
 }
+
+crate::snap_struct!(IqEntry {
+    inst,
+    rdy1,
+    rdy2,
+    age
+});
 
 /// Instruction issue queue (paper Figs. 5–7).
 #[derive(Clone)]

@@ -22,6 +22,7 @@ use crate::clock::{Clock, ModuleIfc};
 use crate::cm::ConflictMatrix;
 use crate::guard::{Guarded, Stall};
 use crate::journal::EhrDeque;
+use crate::snap::Snap;
 
 /// Method indices shared by every FIFO flavor (used in CM declarations).
 mod m {
@@ -87,7 +88,7 @@ pub trait Fifo<T> {
 
 /// Queue storage shared by the flavors: an element-granular cell, so an
 /// `enq`/`deq` journals one element instead of copying the queue.
-fn base_state<T: Clone + 'static>(clk: &Clock, capacity: usize) -> EhrDeque<T> {
+fn base_state<T: Snap + Clone + 'static>(clk: &Clock, capacity: usize) -> EhrDeque<T> {
     assert!(capacity > 0, "fifo capacity must be positive");
     EhrDeque::new(clk, capacity)
 }
@@ -105,7 +106,7 @@ pub struct PipelineFifo<T: 'static> {
     cap: usize,
 }
 
-impl<T: Clone + 'static> PipelineFifo<T> {
+impl<T: Snap + Clone + 'static> PipelineFifo<T> {
     /// Creates a pipeline FIFO holding up to `capacity` elements.
     ///
     /// # Panics
@@ -183,7 +184,7 @@ pub struct BypassFifo<T: 'static> {
     cap: usize,
 }
 
-impl<T: Clone + 'static> BypassFifo<T> {
+impl<T: Snap + Clone + 'static> BypassFifo<T> {
     /// Creates a bypass FIFO holding up to `capacity` elements.
     ///
     /// # Panics
@@ -275,7 +276,7 @@ pub struct CfFifo<T: 'static> {
     _roll: Rc<dyn Fn()>,
 }
 
-impl<T: Clone + 'static> CfFifo<T> {
+impl<T: Snap + Clone + 'static> CfFifo<T> {
     /// Creates a conflict-free FIFO holding up to `capacity` elements.
     ///
     /// # Panics
@@ -324,7 +325,9 @@ impl<T: Clone + 'static> CfFifo<T> {
             _roll: roll,
         }
     }
+}
 
+impl<T: Clone + 'static> CfFifo<T> {
     fn available_to_deq(&self) -> usize {
         self.snap_len.read().saturating_sub(self.deqs.read())
     }
@@ -550,6 +553,13 @@ mod tests {
         impl Drop for Counted {
             fn drop(&mut self) {
                 self.0.set(self.0.get() + 1);
+            }
+        }
+        /// Never snapshotted; a cell value only has to have a codec.
+        impl crate::snap::Snap for Counted {
+            fn save(&self, _: &mut crate::snap::SnapWriter) {}
+            fn load(_: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
+                Err(crate::snap::SnapError::Corrupt("a drop counter".into()))
             }
         }
 

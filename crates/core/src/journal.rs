@@ -16,7 +16,8 @@
 //! Two shapes cover what the processor models keep in collections: an
 //! indexed array (rename tables, per-tag snapshots) and a queue with
 //! occasional out-of-order removal (FIFO storage, fetch/translate buffers).
-//! Both serialize exactly like the `Vec`/`VecDeque` they hold.
+//! A snapshot saves both exactly like the `Vec`/`VecDeque` they hold; an
+//! array restores only into an array of the same length.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -24,6 +25,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::clock::{CellId, Clock, TxnCell};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A journal entry: the inverse of one operation on a collection `C`.
 trait Inverse<C> {
@@ -81,12 +83,51 @@ impl<C, U> Journaled<C, U> {
     }
 }
 
-impl<C, U: Inverse<C>> TxnCell for Journaled<C, U> {
+/// A collection as a snapshot restores it.
+trait Collection: Snap {
+    /// Takes the contents of `saved`, or refuses a shape this cell was not
+    /// built with.
+    fn restore_from(&mut self, saved: Self) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> Collection for Vec<T> {
+    fn restore_from(&mut self, saved: Self) -> Result<(), SnapError> {
+        if saved.len() != self.len() {
+            return Err(SnapError::Mismatch(format!(
+                "an array of {} elements restored into one of {}",
+                saved.len(),
+                self.len()
+            )));
+        }
+        *self = saved;
+        Ok(())
+    }
+}
+
+impl<T: Snap> Collection for VecDeque<T> {
+    /// Refills the live storage, which keeps the capacity the queue was
+    /// built with.
+    fn restore_from(&mut self, saved: Self) -> Result<(), SnapError> {
+        self.clear();
+        self.extend(saved);
+        Ok(())
+    }
+}
+
+impl<C: Collection, U: Inverse<C>> TxnCell for Journaled<C, U> {
     fn abort(&self) {
         let mut cur = self.cur.borrow_mut();
         for u in self.log.borrow_mut().drain(..).rev() {
             u.undo(&mut cur);
         }
+    }
+
+    fn save(&self, w: &mut SnapWriter) {
+        self.cur.borrow().save(w);
+    }
+
+    fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.cur.borrow_mut().restore_from(C::load(r)?)
     }
 }
 
@@ -141,7 +182,7 @@ impl<T: 'static> Clone for EhrArray<T> {
     }
 }
 
-impl<T: Clone + 'static> EhrArray<T> {
+impl<T: Snap + Clone + 'static> EhrArray<T> {
     /// Creates the cell holding `init`.
     #[must_use]
     pub fn new(clk: &Clock, init: Vec<T>) -> Self {
@@ -150,7 +191,9 @@ impl<T: Clone + 'static> EhrArray<T> {
             clk: clk.clone(),
         }
     }
+}
 
+impl<T: Clone + 'static> EhrArray<T> {
     /// This cell's identity for the scheduler's wakeup layer: one id for
     /// the whole array, as for an `Ehr<Vec<T>>`.
     #[must_use]
@@ -208,8 +251,8 @@ impl<T: Clone + 'static> EhrArray<T> {
         })
     }
 
-    /// Replaces the whole array (flush and restore paths); the old one
-    /// moves into the journal.
+    /// Replaces the whole array (flush paths); the old one moves into the
+    /// journal.
     pub fn replace(&self, v: Vec<T>) {
         self.inner.mutate(&self.clk, |a, log| {
             log.push(ArrayUndo::Replace(std::mem::replace(a, v)));
@@ -232,7 +275,6 @@ enum DequeUndo<T> {
     PopFront(T),
     Remove(usize, T),
     Set(usize, T),
-    Replace(VecDeque<T>),
 }
 
 impl<T> Inverse<VecDeque<T>> for DequeUndo<T> {
@@ -244,7 +286,6 @@ impl<T> Inverse<VecDeque<T>> for DequeUndo<T> {
             DequeUndo::PopFront(v) => q.push_front(v),
             DequeUndo::Remove(i, v) => q.insert(i, v),
             DequeUndo::Set(i, old) => q[i] = old,
-            DequeUndo::Replace(old) => *q = old,
         }
     }
 }
@@ -288,7 +329,7 @@ impl<T: 'static> Clone for EhrDeque<T> {
     }
 }
 
-impl<T: Clone + 'static> EhrDeque<T> {
+impl<T: Snap + Clone + 'static> EhrDeque<T> {
     /// Creates an empty queue with room for `capacity` elements. The bound
     /// is the caller's to enforce (FIFOs stall when full); staying within
     /// it is what keeps pushes allocation-free.
@@ -299,7 +340,9 @@ impl<T: Clone + 'static> EhrDeque<T> {
             clk: clk.clone(),
         }
     }
+}
 
+impl<T: Clone + 'static> EhrDeque<T> {
     /// This cell's identity for the scheduler's wakeup layer: one id for
     /// the whole queue, as for an `Ehr<VecDeque<T>>`.
     #[must_use]
@@ -385,14 +428,6 @@ impl<T: Clone + 'static> EhrDeque<T> {
             log.extend(q.drain(..).map(DequeUndo::PopFront));
         });
     }
-
-    /// Replaces the whole queue (restore paths); the old one moves into
-    /// the journal.
-    pub fn replace(&self, v: VecDeque<T>) {
-        self.inner.mutate(&self.clk, |q, log| {
-            log.push(DequeUndo::Replace(std::mem::replace(q, v)));
-        });
-    }
 }
 
 impl<T: Clone + fmt::Debug + 'static> fmt::Debug for EhrDeque<T> {
@@ -453,7 +488,6 @@ mod tests {
         );
         q.clear();
         q.push_back(9);
-        q.replace(VecDeque::from([6]));
         clk.abort_rule();
         assert_eq!(
             q.with(|q| q.iter().copied().collect::<Vec<_>>()),

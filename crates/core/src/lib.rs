@@ -33,8 +33,9 @@
 //!   (the reference one-rule-at-a-time loop stays available as the
 //!   correctness oracle, see `docs/SCHEDULING.md`);
 //! * [`snap`] — versioned, byte-stable snapshots: the [`snap::Snap`] /
-//!   [`snap::Snapshot`] codec traits, the writer/reader pair, and the
-//!   kernel-state save/restore used by checkpoint/resume (see
+//!   [`snap::Snapshot`] codec traits for plain state, the writer/reader
+//!   pair, and the kernel-state save/restore — every cell included, by a
+//!   walk over the clock's registry — used by checkpoint/resume (see
 //!   `docs/CHECKPOINT.md`);
 //! * [`fifo`] — pipeline / bypass / conflict-free FIFOs;
 //! * [`chaos`] — seeded, cycle-deterministic fault injection (forced guard

@@ -547,12 +547,6 @@ impl<S> Sim<S> {
         self.tel = Some(Box::new(Telemetry::new(window, cap)));
     }
 
-    /// [`Sim::enable_telemetry`] restricted to registry counters whose
-    /// names start with one of `prefixes` (tap columns are always kept).
-    pub fn enable_telemetry_filtered(&mut self, window: u64, cap: usize, prefixes: &[&str]) {
-        self.tel = Some(Box::new(Telemetry::new(window, cap).with_filter(prefixes)));
-    }
-
     /// Registers a design tap contributing extra telemetry columns (e.g.
     /// per-core committed-instruction counts, TMA buckets). Called once
     /// per window boundary with the design state; must return the same

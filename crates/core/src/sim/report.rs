@@ -18,16 +18,9 @@ impl<S> Sim<S> {
     }
 
     /// Assembles the cumulative telemetry column vector: the (sorted)
-    /// registry-counter snapshot under the sampler's prefix filter, then
-    /// the tap's columns.
+    /// registry-counter snapshot, then the tap's columns.
     pub(super) fn telemetry_columns(&self) -> Vec<(String, u64)> {
-        let tel = self.tel.as_deref().expect("telemetry enabled");
-        let mut cols: Vec<(String, u64)> = self
-            .counters
-            .snapshot()
-            .into_iter()
-            .filter(|(n, _)| tel.keeps(n))
-            .collect();
+        let mut cols = self.counters.snapshot();
         if let Some(tap) = &self.tel_tap {
             cols.extend(tap(&self.state));
         }

@@ -1,5 +1,6 @@
 //! The kernel half of a checkpoint: cycle counts, per-rule statistics, the
-//! counter registry and the telemetry ring (see `docs/CHECKPOINT.md`).
+//! counter registry, the telemetry ring and the committed value of every
+//! cell on the clock (see `docs/CHECKPOINT.md`).
 
 use super::{settle_sleep, RuleStats, Sim};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -34,7 +35,9 @@ impl<S> Sim<S> {
     }
 
     /// Saves the kernel's observable state — cycle counts, per-rule firing
-    /// statistics, and the counter registry — at a cycle boundary.
+    /// statistics, the counter registry, the telemetry ring — and then every
+    /// cell of the design, at a cycle boundary: the cell count, then one
+    /// length-framed record per cell in adoption order.
     ///
     /// Scheduler sleep state is *not* saved: any unsettled batched sleep
     /// deficit is settled into the statistics first (so the bytes are
@@ -72,11 +75,13 @@ impl<S> Sim<S> {
             }
             None => false.save(w),
         }
+        self.clk.save_cells(w);
         Ok(())
     }
 
     /// Restores kernel state saved by [`Sim::save_kernel`] into a freshly
-    /// constructed design with the same rule schedule and counter registry.
+    /// constructed design with the same rule schedule, counter registry and
+    /// cells.
     ///
     /// All rules wake and the wakeup layer restarts from a clean slate —
     /// the same template scheduler switching uses, already proven
@@ -85,8 +90,10 @@ impl<S> Sim<S> {
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] if the snapshot's rule schedule, counter
-    /// registry or telemetry columns differ from this design's;
-    /// [`SnapError::Truncated`] / [`SnapError::Corrupt`] on malformed bytes.
+    /// registry, telemetry columns, cell count or array lengths differ from
+    /// this design's; [`SnapError::Truncated`] / [`SnapError::Corrupt`] on
+    /// malformed bytes, naming the cell whose record does not fill its
+    /// frame.
     /// On error the kernel may be partially restored and must be discarded.
     pub fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.snapshot_supported()?;
@@ -154,6 +161,7 @@ impl<S> Sim<S> {
                 ));
             }
         }
+        self.clk.restore_cells(r)?;
         // Wake everything *before* overwriting stats: clearing a live sleep
         // settles its deficit into the old stats, which are discarded next.
         for i in 0..self.rules.len() {

@@ -1,20 +1,22 @@
 //! Versioned, byte-stable snapshots of simulation state.
 //!
 //! A snapshot is taken at a **cycle boundary**, where every transactional
-//! cell is quiescent: no rule transaction is open, every `pend` buffer is
-//! empty, every [`crate::cell::Wire`] has been cleared by the end-of-cycle
-//! latch. At that point the entire observable state of a design is the
-//! committed value of each [`crate::cell::Ehr`] / [`crate::cell::Reg`] plus
-//! whatever plain-data state modules keep beside them — all of which this
-//! module serializes through two small traits:
+//! cell is quiescent: no rule transaction is open, no `Reg` write is
+//! waiting for its latch, every [`crate::cell::Wire`] has been cleared by
+//! the end-of-cycle latch. At that point the entire observable state of a
+//! design is the committed value of each cell plus whatever plain-data
+//! state modules keep beside them. The cells need no code of their own:
+//! [`crate::sim::Sim::save_kernel`] walks the clock's registry and writes
+//! every cell's value, in adoption order, as one length-framed record —
+//! which is why every cell constructor asks for a [`Snap`] value type.
+//! The plain state is serialized through two small traits:
 //!
 //! * [`Snap`] — a by-value codec (`save`/`load → Self`) for plain data:
 //!   entry structs, enums, messages, stats. Implemented via the
 //!   [`crate::snap_struct!`] / [`crate::snap_enum!`] macros or by hand.
 //! * [`Snapshot`] — an in-place codec (`snap_save`/`snap_restore(&mut
 //!   self)`) for module structs that cannot be constructed from bytes alone
-//!   (anything holding cells needs a live [`crate::clock::Clock`];
-//!   configuration and geometry are re-validated, not re-created).
+//!   (configuration and geometry are re-validated, not re-created).
 //!
 //! # Encoding
 //!
@@ -62,8 +64,9 @@ pub enum SnapError {
     },
     /// The byte stream ended before the decoder was done.
     Truncated,
-    /// A structurally invalid encoding (bad enum tag, impossible length).
-    Corrupt(&'static str),
+    /// A structurally invalid encoding (bad enum tag, impossible length),
+    /// or a restored state no design can be in.
+    Corrupt(String),
     /// The snapshot is well-formed but does not match the live design
     /// (different rule names, counter names, core count, or configuration).
     Mismatch(String),
@@ -166,6 +169,16 @@ impl SnapWriter {
     pub fn put<T: Snap>(&mut self, v: &T) {
         v.save(self);
     }
+
+    /// Writes what `f` writes as one length-framed record: a `u64` byte
+    /// count, then the bytes.
+    pub(crate) fn framed(&mut self, f: impl FnOnce(&mut SnapWriter)) {
+        let at = self.buf.len();
+        self.u64(0);
+        f(self);
+        let n = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&n.to_le_bytes());
+    }
 }
 
 /// Byte-stream reader for snapshots; every accessor fails with
@@ -248,7 +261,7 @@ impl<'a> SnapReader<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(SnapError::Corrupt("bool byte is not 0 or 1")),
+            _ => Err(SnapError::Corrupt("bool byte is not 0 or 1".into())),
         }
     }
 
@@ -261,7 +274,8 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::Truncated`] if the claimed length cannot possibly fit.
     pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
         let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| SnapError::Corrupt("length overflows usize"))?;
+        let n =
+            usize::try_from(n).map_err(|_| SnapError::Corrupt("length overflows usize".into()))?;
         if n > self.remaining() {
             return Err(SnapError::Truncated);
         }
@@ -296,7 +310,7 @@ impl<'a> SnapReader<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(SnapError::Corrupt("trailing bytes after snapshot"))
+            Err(SnapError::Corrupt("trailing bytes after snapshot".into()))
         }
     }
 }
@@ -401,7 +415,7 @@ impl Snap for usize {
         w.u64(*self as u64);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        usize::try_from(r.u64()?).map_err(|_| SnapError::Corrupt("usize overflows host"))
+        usize::try_from(r.u64()?).map_err(|_| SnapError::Corrupt("usize overflows host".into()))
     }
 }
 
@@ -413,7 +427,7 @@ impl Snap for String {
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.len_prefix()?;
         let b = r.bytes(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("string is not UTF-8"))
+        String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt("string is not UTF-8".into()))
     }
 }
 
@@ -431,7 +445,7 @@ impl<T: Snap> Snap for Option<T> {
         match r.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::load(r)?)),
-            _ => Err(SnapError::Corrupt("Option tag is not 0 or 1")),
+            _ => Err(SnapError::Corrupt("Option tag is not 0 or 1".into())),
         }
     }
 }
@@ -453,7 +467,7 @@ impl<T: Snap, E: Snap> Snap for Result<T, E> {
         match r.u8()? {
             0 => Ok(Ok(T::load(r)?)),
             1 => Ok(Err(E::load(r)?)),
-            _ => Err(SnapError::Corrupt("Result tag is not 0 or 1")),
+            _ => Err(SnapError::Corrupt("Result tag is not 0 or 1".into())),
         }
     }
 }
@@ -513,7 +527,7 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
             out.push(T::load(r)?);
         }
         out.try_into()
-            .map_err(|_| SnapError::Corrupt("array length"))
+            .map_err(|_| SnapError::Corrupt("array length".into()))
     }
 }
 
@@ -535,57 +549,6 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok((A::load(r)?, B::load(r)?, C::load(r)?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cell impls
-// ---------------------------------------------------------------------------
-
-impl<T: Snap + Clone + 'static> Snapshot for crate::cell::Ehr<T> {
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.with(|v| v.save(w));
-    }
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        // Outside a rule, a cell write applies immediately to the committed
-        // value and pokes the wakeup layer — exactly restore semantics.
-        self.write(T::load(r)?);
-        Ok(())
-    }
-}
-
-impl<T: Snap + Clone + 'static> Snapshot for crate::cell::Reg<T> {
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.with(|v| v.save(w));
-    }
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.write(T::load(r)?);
-        Ok(())
-    }
-}
-
-/// Serializes exactly as the `Vec<T>` it holds.
-impl<T: Snap + Clone + 'static> Snapshot for crate::journal::EhrArray<T> {
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.with(|a| {
-            w.len_prefix(a.len());
-            a.iter().for_each(|v| v.save(w));
-        });
-    }
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.replace(Snap::load(r)?);
-        Ok(())
-    }
-}
-
-/// Serializes exactly as the `VecDeque<T>` (or `Vec<T>`) it holds.
-impl<T: Snap + Clone + 'static> Snapshot for crate::journal::EhrDeque<T> {
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.with(|q| q.save(w));
-    }
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.replace(Snap::load(r)?);
-        Ok(())
     }
 }
 
@@ -695,7 +658,7 @@ macro_rules! snap_enum {
                     _ => Err($crate::snap::SnapError::Corrupt(concat!(
                         "bad variant tag for ",
                         stringify!($ty)
-                    ))),
+                    ).into())),
                 }
             }
         }
@@ -705,8 +668,9 @@ macro_rules! snap_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{Ehr, Reg};
+    use crate::cell::{Ehr, Reg, Wire};
     use crate::clock::Clock;
+    use crate::journal::{EhrArray, EhrDeque};
 
     #[test]
     fn primitives_roundtrip() {
@@ -793,25 +757,72 @@ mod tests {
         assert_eq!(check_header(&mut r, 3), Err(SnapError::BadMagic));
     }
 
+    type Cells = (Ehr<u64>, Reg<u64>, Wire<u8>, EhrArray<u16>, EhrDeque<u16>);
+
+    /// One cell of every kind, holding values derived from `v`.
+    fn cells(clk: &Clock, v: u16) -> Cells {
+        let e = Ehr::new(clk, u64::from(v));
+        let g = Reg::new(clk, u64::from(v) + 1);
+        let wire = Wire::new(clk);
+        let _ = clk.signal_cell();
+        let a = EhrArray::new(clk, vec![v; 3]);
+        let q = EhrDeque::new(clk, 4);
+        for k in 0..v % 4 {
+            q.push_back(k);
+        }
+        (e, g, wire, a, q)
+    }
+
+    fn saved_cells(clk: &Clock) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        clk.save_cells(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn cells_restore_outside_rules() {
         let clk = Clock::new();
-        let e = Ehr::new(&clk, 1u64);
-        let g = Reg::new(&clk, 2u64);
-        let mut w = SnapWriter::new();
-        e.snap_save(&mut w);
-        g.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let _ = cells(&clk, 3);
+        let bytes = saved_cells(&clk);
 
         let clk2 = Clock::new();
-        let mut e2 = Ehr::new(&clk2, 0u64);
-        let mut g2 = Reg::new(&clk2, 0u64);
+        let (e, g, wire, a, q) = cells(&clk2, 0);
         let mut r = SnapReader::new(&bytes);
-        e2.snap_restore(&mut r).unwrap();
-        g2.snap_restore(&mut r).unwrap();
+        clk2.restore_cells(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(e2.read(), 1);
-        assert_eq!(g2.read(), 2);
+        assert_eq!((e.read(), g.read(), wire.peek()), (3, 4, None));
+        assert_eq!(a.with(<[u16]>::to_vec), vec![3; 3]);
+        assert_eq!(q.with(|q| q.iter().copied().collect::<Vec<_>>()), [0, 1, 2]);
+        assert_eq!(saved_cells(&clk2), bytes, "save → restore → save");
+    }
+
+    #[test]
+    fn cell_frames_refuse_what_the_live_cells_cannot_hold() {
+        let clk = Clock::new();
+        let _ = cells(&clk, 3);
+        let bytes = saved_cells(&clk);
+        let restore = |clk: &Clock, bytes: &[u8]| clk.restore_cells(&mut SnapReader::new(bytes));
+
+        let longer = Clock::new();
+        let (_, _, _, a, _) = cells(&longer, 0);
+        a.replace(vec![0; 4]);
+        assert!(
+            matches!(restore(&longer, &bytes), Err(SnapError::Mismatch(m)) if m.starts_with("cell 4:"))
+        );
+
+        // Cell 0's frame (after the count) claims one byte more than its
+        // record holds.
+        let mut long_frame = bytes.clone();
+        long_frame[8] += 1;
+        long_frame.insert(16 + 8, 0);
+        let fresh = Clock::new();
+        let _ = cells(&fresh, 0);
+        assert_eq!(
+            restore(&fresh, &long_frame),
+            Err(SnapError::Corrupt(
+                "cell 0: record does not fill its frame".into()
+            ))
+        );
     }
 
     #[derive(PartialEq, Debug)]

@@ -4,7 +4,7 @@
 //! The profiler's counter windows (see [`crate::prof`]) answer "what
 //! happened recently" for a human reading a report; telemetry answers the
 //! campaign-scale version: a machine-readable time series of *every*
-//! selected statistic, cheap enough to leave on for whole sweeps and
+//! registry counter, cheap enough to leave on for whole sweeps and
 //! deterministic enough to diff across hosts, thread counts, and
 //! kill/resume boundaries.
 //!
@@ -64,9 +64,6 @@ pub struct TelemetryWindow {
 pub struct Telemetry {
     window: u64,
     cap: usize,
-    /// Counter-name prefixes to sample (empty = every registry counter).
-    /// Tap-supplied columns are always kept — the design opted into them.
-    prefixes: Vec<String>,
     /// Column names, frozen at the first sample. The column set must stay
     /// stable for the rest of the run: rings are positional.
     names: Vec<String>,
@@ -87,21 +84,12 @@ impl Telemetry {
         Telemetry {
             window: window.max(1),
             cap: cap.max(1),
-            prefixes: Vec::new(),
             names: Vec::new(),
             last: Vec::new(),
             ring: VecDeque::new(),
             taken: 0,
             dropped: 0,
         }
-    }
-
-    /// Restricts registry-counter columns to names starting with any of
-    /// `prefixes` (e.g. `["sim."]`). An empty list keeps everything.
-    #[must_use]
-    pub fn with_filter(mut self, prefixes: &[&str]) -> Self {
-        self.prefixes = prefixes.iter().map(|p| (*p).to_string()).collect();
-        self
     }
 
     /// The sampling window, in cycles.
@@ -114,13 +102,6 @@ impl Telemetry {
     #[must_use]
     pub fn max_windows(&self) -> usize {
         self.cap
-    }
-
-    /// Whether a registry counter named `name` is sampled under the
-    /// configured prefix filter.
-    #[must_use]
-    pub fn keeps(&self, name: &str) -> bool {
-        self.prefixes.is_empty() || self.prefixes.iter().any(|p| name.starts_with(p.as_str()))
     }
 
     /// The frozen column names (empty before the first sample).
@@ -191,7 +172,7 @@ impl Telemetry {
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] when the snapshot was taken under a
-    /// different window, capacity, or prefix filter — a resumed series
+    /// different window or capacity — a resumed series
     /// with different sampling parameters would not be comparable to the
     /// single-shot run.
     pub fn adopt(&mut self, loaded: Telemetry) -> Result<(), SnapError> {
@@ -200,12 +181,6 @@ impl Telemetry {
                 "telemetry snapshot sampled every {} cycles x {} windows, \
                  this sampler every {} x {}",
                 loaded.window, loaded.cap, self.window, self.cap
-            )));
-        }
-        if loaded.prefixes != self.prefixes {
-            return Err(SnapError::Mismatch(format!(
-                "telemetry snapshot filter {:?} does not match this sampler's {:?}",
-                loaded.prefixes, self.prefixes
             )));
         }
         self.names = loaded.names;
@@ -257,7 +232,6 @@ impl Snap for Telemetry {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.window);
         w.u64(self.cap as u64);
-        self.prefixes.save(w);
         self.names.save(w);
         self.last.save(w);
         w.len_prefix(self.ring.len());
@@ -271,8 +245,8 @@ impl Snap for Telemetry {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let window = r.u64()?;
-        let cap = usize::try_from(r.u64()?).map_err(|_| SnapError::Corrupt("telemetry cap"))?;
-        let prefixes = Vec::<String>::load(r)?;
+        let cap =
+            usize::try_from(r.u64()?).map_err(|_| SnapError::Corrupt("telemetry cap".into()))?;
         let names = Vec::<String>::load(r)?;
         let last = Vec::<u64>::load(r)?;
         let n = r.len_prefix()?;
@@ -281,7 +255,7 @@ impl Snap for Telemetry {
             let end_cycle = r.u64()?;
             let deltas = Vec::<u64>::load(r)?;
             if deltas.len() != names.len() {
-                return Err(SnapError::Corrupt("telemetry window width"));
+                return Err(SnapError::Corrupt("telemetry window width".into()));
             }
             ring.push_back(TelemetryWindow { end_cycle, deltas });
         }
@@ -290,7 +264,6 @@ impl Snap for Telemetry {
         Ok(Telemetry {
             window,
             cap,
-            prefixes,
             names,
             last,
             ring,
@@ -325,16 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn prefix_filter_selects_counters() {
-        let t = Telemetry::new(1, 1).with_filter(&["sim."]);
-        assert!(t.keeps("sim.rules_fired"));
-        assert!(!t.keeps("cache.hits"));
-        assert!(Telemetry::new(1, 1).keeps("anything"));
-    }
-
-    #[test]
     fn snapshot_roundtrip_preserves_the_ring() {
-        let mut t = Telemetry::new(10, 4).with_filter(&["sim."]);
+        let mut t = Telemetry::new(10, 4);
         t.sample(10, &cols(&[("sim.x", 3)]));
         t.sample(20, &cols(&[("sim.x", 7)]));
         let mut w = SnapWriter::new();
@@ -342,7 +307,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let loaded = Telemetry::load(&mut r).expect("load");
-        let mut fresh = Telemetry::new(10, 4).with_filter(&["sim."]);
+        let mut fresh = Telemetry::new(10, 4);
         fresh.adopt(loaded).expect("adopt");
         assert_eq!(fresh.to_json(20), t.to_json(20));
         // Continuing after adoption uses the restored baseline.
@@ -364,9 +329,9 @@ mod tests {
             Err(SnapError::Mismatch(_))
         ));
         let loaded = Telemetry::load(&mut SnapReader::new(&bytes)).expect("load");
-        let mut other_filter = Telemetry::new(10, 4).with_filter(&["sim."]);
+        let mut other_cap = Telemetry::new(10, 8);
         assert!(matches!(
-            other_filter.adopt(loaded),
+            other_cap.adopt(loaded),
             Err(SnapError::Mismatch(_))
         ));
     }

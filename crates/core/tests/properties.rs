@@ -569,11 +569,6 @@ fn random_op(rng: &mut SplitMix64, c: &Shadowed, model: &mut Shadow, fx: &mut Ru
                 }
                 c.deque.clear();
                 model.deque.clear();
-            } else if rng.chance(0.3) {
-                let fresh: std::collections::VecDeque<u64> = [v, v + 1].into();
-                c.deque.replace(fresh.clone());
-                model.deque = fresh;
-                touch(n + 1);
             }
         }
         14 => {

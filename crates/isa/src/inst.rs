@@ -456,9 +456,16 @@ impl cmd_core::snap::Snap for Instr {
         w.u32(self.encode());
     }
 
+    /// Refuses a word the decoder accepts but `save` would not write (a
+    /// fence with stray bits, say): the bytes were damaged.
     fn load(r: &mut cmd_core::snap::SnapReader<'_>) -> Result<Self, cmd_core::snap::SnapError> {
-        decode(r.u32()?)
-            .map_err(|_| cmd_core::snap::SnapError::Corrupt("undecodable instruction word"))
+        let word = r.u32()?;
+        match decode(word) {
+            Ok(i) if i.encode() == word => Ok(i),
+            _ => Err(cmd_core::snap::SnapError::Corrupt(
+                "not a canonical instruction word".into(),
+            )),
+        }
     }
 }
 

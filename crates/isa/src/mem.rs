@@ -108,7 +108,7 @@ impl cmd_core::snap::Snap for SparseMem {
             let k = r.u64()?;
             if prev.is_some_and(|p| k <= p) {
                 return Err(cmd_core::snap::SnapError::Corrupt(
-                    "memory frame numbers not strictly increasing",
+                    "memory frame numbers not strictly increasing".into(),
                 ));
             }
             prev = Some(k);

@@ -100,7 +100,7 @@ impl cmd_core::snap::Snap for Gpr {
             Ok(Gpr(n))
         } else {
             Err(cmd_core::snap::SnapError::Corrupt(
-                "register index out of range",
+                "register index out of range".into(),
             ))
         }
     }

@@ -170,7 +170,7 @@ impl L2 {
     /// The earliest cycle, at or after `now`, at which [`L2::tick`] may
     /// change the L2 between two ticks: `now` while messages or requests
     /// wait to be taken in or out, or a transaction can take its next step
-    /// (see [`L2::step_trans`]); otherwise the DRAM's next event
+    /// (see `L2::step_trans`); otherwise the DRAM's next event
     /// (`u64::MAX` when that is idle too). A transaction waiting on child
     /// acknowledgements or on DRAM data is no event — the ack arrives
     /// through a timed crossbar queue, the data through the DRAM, and a

@@ -1910,46 +1910,14 @@ cmd_core::snap_struct!(MemTrans {
     tlb_id
 });
 
+/// The plain state of a core: everything beside its cells, which the
+/// kernel's cell walk saves. The bypass network is `Wire`-based and
+/// therefore empty at cycle boundaries; the pipeline-trace collector and
+/// top-down accounting are observers, not state — snapshots are refused
+/// while either is attached (see [`crate::soc::SocSim::save_snapshot`]).
 impl cmd_core::snap::Snapshot for CoreState {
-    /// Serializes every architectural and microarchitectural register of
-    /// the core. The bypass network ([`Bypass`]) is `Wire`-based and
-    /// therefore empty at cycle boundaries; the pipeline-trace collector
-    /// and top-down accounting are observers and are not state — snapshots
-    /// are refused while either is attached (see
-    /// [`crate::soc::SocSim::save_snapshot`]).
     fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
         use cmd_core::snap::Snap as _;
-        self.rt.snap_save(w);
-        self.sm.snap_save(w);
-        self.prf.snap_save(w);
-        self.rob.snap_save(w);
-        w.len_prefix(self.iqs.len());
-        for iq in &self.iqs {
-            iq.snap_save(w);
-        }
-        self.lsq.snap_save(w);
-        self.sb.snap_save(w);
-        self.cur_mask.snap_save(w);
-        self.fetch_pc.snap_save(w);
-        self.epoch.snap_save(w);
-        self.fetch_seq.snap_save(w);
-        self.fetch_expect.snap_save(w);
-        self.inflight_fetch.snap_save(w);
-        self.fetch_buf.snap_save(w);
-        self.fetch_q.snap_save(w);
-        self.serialize.snap_save(w);
-        w.len_prefix(self.alu_ex.len());
-        for l in &self.alu_ex {
-            l.snap_save(w);
-        }
-        for l in &self.alu_wb {
-            l.snap_save(w);
-        }
-        self.md_unit.snap_save(w);
-        self.md_wb.snap_save(w);
-        self.mem_ex.snap_save(w);
-        self.mem_wait_tlb.snap_save(w);
-        self.forward_q.snap_save(w);
         self.btb.snap_save(w);
         self.tour.snap_save(w);
         self.ras.snap_save(w);
@@ -1965,63 +1933,44 @@ impl cmd_core::snap::Snapshot for CoreState {
         &mut self,
         r: &mut cmd_core::snap::SnapReader<'_>,
     ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        self.rt.snap_restore(r)?;
-        self.sm.snap_restore(r)?;
-        self.sm.check_against(&self.rt)?;
-        self.prf.snap_restore(r)?;
-        self.rob.snap_restore(r)?;
-        let n = r.len_prefix()?;
-        if n != self.iqs.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} issue queues, design has {}",
-                n,
-                self.iqs.len()
-            )));
-        }
-        for iq in &mut self.iqs {
-            iq.snap_restore(r)?;
-        }
-        self.lsq.snap_restore(r)?;
-        self.sb.snap_restore(r)?;
-        self.cur_mask.snap_restore(r)?;
-        self.fetch_pc.snap_restore(r)?;
-        self.epoch.snap_restore(r)?;
-        self.fetch_seq.snap_restore(r)?;
-        self.fetch_expect.snap_restore(r)?;
-        self.inflight_fetch.snap_restore(r)?;
-        self.fetch_buf.snap_restore(r)?;
-        self.fetch_q.snap_restore(r)?;
-        self.serialize.snap_restore(r)?;
-        let pipes = r.len_prefix()?;
-        if pipes != self.alu_ex.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} ALU pipes, design has {}",
-                pipes,
-                self.alu_ex.len()
-            )));
-        }
-        for l in &mut self.alu_ex {
-            l.snap_restore(r)?;
-        }
-        for l in &mut self.alu_wb {
-            l.snap_restore(r)?;
-        }
-        self.md_unit.snap_restore(r)?;
-        self.md_wb.snap_restore(r)?;
-        self.mem_ex.snap_restore(r)?;
-        self.mem_wait_tlb.snap_restore(r)?;
-        self.forward_q.snap_restore(r)?;
+        use cmd_core::snap::Snap;
         self.btb.snap_restore(r)?;
         self.tour.snap_restore(r)?;
         self.ras.snap_restore(r)?;
         self.tlb.snap_restore(r)?;
-        self.csr = cmd_core::snap::Snap::load(r)?;
-        self.priv_mode = cmd_core::snap::Snap::load(r)?;
+        self.csr = Snap::load(r)?;
+        self.priv_mode = Snap::load(r)?;
         self.next_tlb_id = r.u64()?;
-        self.roi_start = cmd_core::snap::Snap::load(r)?;
-        self.stats = cmd_core::snap::Snap::load(r)?;
+        self.roi_start = Snap::load(r)?;
+        self.stats = Snap::load(r)?;
         Ok(())
+    }
+}
+
+impl CoreState {
+    /// Checks what the cells a snapshot restored must satisfy together:
+    /// every occupancy mask agrees with its slots, the ROB ring and the
+    /// rename state are in range, and every live speculation tag fits the
+    /// free list.
+    ///
+    /// # Errors
+    ///
+    /// [`cmd_core::snap::SnapError::Corrupt`] naming the first violation.
+    pub(crate) fn check_cells(&self) -> Result<(), cmd_core::snap::SnapError> {
+        let why = if !self.iqs.iter().all(IssueQueue::masks_consistent) {
+            "issue-queue masks disagree with the slots"
+        } else if !self.lsq.masks_consistent() {
+            "load-store-queue masks disagree with the slots"
+        } else if !self.sb.masks_consistent() {
+            "store-buffer mask disagrees with the slots"
+        } else if !self.rob.consistent() {
+            "ROB pointers disagree with the entries"
+        } else if !self.rt.in_range() {
+            "rename state out of range"
+        } else {
+            return self.sm.check_against(&self.rt);
+        };
+        Err(cmd_core::snap::SnapError::Corrupt(why.into()))
     }
 }
 

@@ -403,7 +403,7 @@ impl cmd_core::snap::Snapshot for Ras {
         let top: usize = Snap::load(r)?;
         if top >= stack.len() {
             return Err(cmd_core::snap::SnapError::Corrupt(
-                "RAS top pointer out of range",
+                "RAS top pointer out of range".into(),
             ));
         }
         self.stack = stack;

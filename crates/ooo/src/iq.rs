@@ -226,29 +226,33 @@ impl IssueQueue {
 
     /// Whether `valid`, `ready` and the waiting index are what the slots
     /// say they are — the invariant every method that fills, frees or
-    /// readies a slot `debug_assert!`s. Public so tests outside the crate
-    /// can also check it after an aborted rule.
+    /// readies a slot `debug_assert!`s, and a snapshot restore checks.
+    /// Public so tests outside the crate can also check it after an aborted
+    /// rule.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
         self.valid.matches(occupied(&self.slots))
             && self.ready.matches(self.ready_bits())
-            && self.waiting.with(|w| *w == self.waiting_bits())
+            && self
+                .waiting_bits()
+                .is_some_and(|bits| self.waiting.with(|w| *w == bits))
     }
 
-    /// What the waiting index must hold.
-    fn waiting_bits(&self) -> Vec<u64> {
+    /// What the waiting index must hold; `None` when a slot waits on a
+    /// register the index has no row for.
+    fn waiting_bits(&self) -> Option<Vec<u64>> {
         let mut bits = vec![0; self.waiting.with(<[u64]>::len)];
         for (i, s) in self.slots.iter().enumerate() {
             if let Some(e) = s.read() {
                 for (src, rdy) in [(e.uop.src1, e.rdy1), (e.uop.src2, e.rdy2)] {
                     if !rdy {
                         let (w, bit) = self.waiting_bit(src, i);
-                        bits[w] |= bit;
+                        *bits.get_mut(w)? |= bit;
                     }
                 }
             }
         }
-        bits
+        Some(bits)
     }
 
     /// What `ready` must hold, slot by slot.
@@ -270,40 +274,6 @@ cmd_core::snap_struct!(IqEntry {
     rdy2,
     age,
 });
-
-impl cmd_core::snap::Snapshot for IssueQueue {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        w.len_prefix(self.slots.len());
-        for s in &self.slots {
-            s.snap_save(w);
-        }
-        self.next_age.snap_save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        let n = r.len_prefix()?;
-        if n != self.slots.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot IQ size {} does not match design {}",
-                n,
-                self.slots.len()
-            )));
-        }
-        for s in &mut self.slots {
-            s.snap_restore(r)?;
-        }
-        self.next_age.snap_restore(r)?;
-        // The masks are derived state: not in the snapshot, rebuilt here.
-        self.valid.assign(occupied(&self.slots));
-        self.ready.assign(self.ready_bits());
-        self.waiting.replace(self.waiting_bits());
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

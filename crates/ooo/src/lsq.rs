@@ -794,8 +794,9 @@ impl Lsq {
 
     /// Whether the three masks are what the slots say they are — the
     /// invariant every method that fills or frees a slot, or moves a load
-    /// into or out of `Ready`, `debug_assert!`s. Public so tests outside
-    /// the crate can also check it after an aborted rule.
+    /// into or out of `Ready`, `debug_assert!`s, and a snapshot restore
+    /// checks. Public so tests outside the crate can also check it after an
+    /// aborted rule.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
         self.lq_valid.matches(occupied(&self.lq))
@@ -880,50 +881,6 @@ cmd_core::snap_struct!(SqEntry {
     committed,
     issued,
 });
-
-impl cmd_core::snap::Snapshot for Lsq {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        w.len_prefix(self.lq.len());
-        w.len_prefix(self.sq.len());
-        for s in &self.lq {
-            s.snap_save(w);
-        }
-        for s in &self.sq {
-            s.snap_save(w);
-        }
-        self.next_age.snap_save(w);
-        self.evict_kills.snap_save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        let lq = r.len_prefix()?;
-        let sq = r.len_prefix()?;
-        if lq != self.lq.len() || sq != self.sq.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot LSQ geometry {lq}/{sq} does not match design {}/{}",
-                self.lq.len(),
-                self.sq.len()
-            )));
-        }
-        for s in &mut self.lq {
-            s.snap_restore(r)?;
-        }
-        for s in &mut self.sq {
-            s.snap_restore(r)?;
-        }
-        self.next_age.snap_restore(r)?;
-        self.evict_kills.snap_restore(r)?;
-        // The masks are derived state: not in the snapshot, rebuilt here.
-        self.lq_valid.assign(occupied(&self.lq));
-        self.lq_ready.assign(self.ready_bits());
-        self.sq_valid.assign(occupied(&self.sq));
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

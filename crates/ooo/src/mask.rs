@@ -10,9 +10,9 @@
 //!
 //! A mask is *derived* state: its owner can always recompute it from the
 //! slots ([`SlotMask::matches`] is the invariant every mutating method
-//! `debug_assert!`s), it is never serialized, and a snapshot restore
-//! rebuilds it with [`SlotMask::assign`]. Any slot count is legal — 64 slots
-//! per word cell, as many cells as it takes.
+//! `debug_assert!`s). Its words are cells like any other, so a snapshot
+//! saves them with the slots, and a restore checks the invariant. Any slot
+//! count is legal — 64 slots per word cell, as many cells as it takes.
 
 use cmd_core::cell::Ehr;
 use cmd_core::clock::Clock;
@@ -88,18 +88,6 @@ impl SlotMask {
     pub(crate) fn matches(&self, bits: impl Iterator<Item = bool>) -> bool {
         self.iter()
             .eq(bits.enumerate().filter_map(|(i, b)| b.then_some(i)))
-    }
-
-    /// Overwrites the mask with `bits` (one per slot, in slot order):
-    /// rebuilding derived state after a snapshot restore.
-    pub(crate) fn assign(&self, bits: impl Iterator<Item = bool>) {
-        let mut packed = vec![0u64; self.words.len()];
-        for (i, b) in bits.enumerate() {
-            packed[i / 64] |= u64::from(b) << (i % 64);
-        }
-        for (w, p) in self.words.iter().zip(packed) {
-            w.write(p);
-        }
     }
 }
 
@@ -217,15 +205,5 @@ mod tests {
         SlotMask::new(&clk, 8).clear_all();
         assert!(clk.enlisted_cells().is_empty(), "clearing nothing is free");
         clk.abort_rule();
-    }
-
-    #[test]
-    fn assign_rebuilds_from_slot_bits() {
-        let clk = Clock::new();
-        let m = SlotMask::new(&clk, 67);
-        m.set(1);
-        m.assign((0..67).map(|i| i % 3 == 0));
-        assert_eq!(bits(&m), (0..67).step_by(3).collect::<Vec<_>>());
-        assert!(!m.matches((0..67).map(|i| i % 3 == 1)));
     }
 }

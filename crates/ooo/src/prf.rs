@@ -125,46 +125,6 @@ impl Bypass {
     }
 }
 
-impl cmd_core::snap::Snapshot for Prf {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        w.len_prefix(self.vals.len());
-        for v in &self.vals {
-            v.snap_save(w);
-        }
-        for p in &self.present {
-            p.snap_save(w);
-        }
-        for s in &self.score {
-            s.snap_save(w);
-        }
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        let n = r.len_prefix()?;
-        if n != self.vals.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot PRF has {} registers, design has {}",
-                n,
-                self.vals.len()
-            )));
-        }
-        for v in &mut self.vals {
-            v.snap_restore(r)?;
-        }
-        for p in &mut self.present {
-            p.snap_restore(r)?;
-        }
-        for s in &mut self.score {
-            s.snap_restore(r)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

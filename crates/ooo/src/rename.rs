@@ -171,6 +171,19 @@ impl RenameTable {
         (self.free_tail.read() - self.free_head.read()) as usize
     }
 
+    /// Whether every mapped and free-listed register exists and the
+    /// free-list pointers are in order and fit the ring: what a restored
+    /// table is checked for.
+    pub(crate) fn in_range(&self) -> bool {
+        let regs = |a: &[PhysReg]| a.iter().all(|p| p.index() < self.phys_regs);
+        let (head, tail) = (self.free_head.read(), self.free_tail.read());
+        self.rat.with(regs)
+            && self.crat.with(regs)
+            && self.free_ring.with(regs)
+            && head <= tail
+            && tail - head <= self.phys_regs as u64
+    }
+
     /// Whether `s` can be restored onto this table: its head is not ahead
     /// of the live one and the list it would restore fits the ring.
     fn accepts(&self, s: &RatSnapshot) -> bool {
@@ -323,7 +336,7 @@ impl SpecManager {
             Ok(())
         } else {
             Err(cmd_core::snap::SnapError::Corrupt(
-                "speculation snapshot does not fit the free-list ring",
+                "speculation snapshot does not fit the free-list ring".into(),
             ))
         }
     }
@@ -337,75 +350,6 @@ cmd_core::snap_struct!(SpecSnapshot {
     ghist,
     mask,
 });
-
-impl cmd_core::snap::Snapshot for RenameTable {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        self.rat.snap_save(w);
-        self.crat.snap_save(w);
-        self.free_ring.snap_save(w);
-        self.free_head.snap_save(w);
-        self.free_tail.snap_save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::{Snap, SnapError};
-        let rat: Vec<PhysReg> = Snap::load(r)?;
-        let crat: Vec<PhysReg> = Snap::load(r)?;
-        let ring: Vec<PhysReg> = Snap::load(r)?;
-        let head: u64 = Snap::load(r)?;
-        let tail: u64 = Snap::load(r)?;
-        if rat.len() != 32 || crat.len() != 32 {
-            return Err(SnapError::Corrupt("rename table is not 32 entries"));
-        }
-        if ring.len() != self.phys_regs
-            || rat
-                .iter()
-                .chain(crat.iter())
-                .chain(ring.iter())
-                .any(|p| p.index() >= self.phys_regs)
-        {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot references physical registers beyond the design's {}",
-                self.phys_regs
-            )));
-        }
-        if head > tail || tail - head > self.phys_regs as u64 {
-            return Err(SnapError::Corrupt("free-list pointers out of range"));
-        }
-        self.rat.replace(rat);
-        self.crat.replace(crat);
-        self.free_ring.replace(ring);
-        self.free_head.write(head);
-        self.free_tail.write(tail);
-        Ok(())
-    }
-}
-
-impl cmd_core::snap::Snapshot for SpecManager {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        self.snapshots.snap_save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::{Snap, SnapError};
-        let snaps: Vec<Option<SpecSnapshot>> = Snap::load(r)?;
-        if snaps.len() != self.num_tags {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} speculation tags, design has {}",
-                snaps.len(),
-                self.num_tags
-            )));
-        }
-        self.snapshots.replace(snaps);
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -283,6 +283,18 @@ impl Rob {
         }
     }
 
+    /// Whether the pointers are in range and the ring `head .. head + count`
+    /// holds exactly the live entries: what a restored ROB is checked for.
+    pub(crate) fn consistent(&self) -> bool {
+        let cap = self.capacity();
+        let (head, tail, count) = (self.head.read(), self.tail.read(), self.count.read());
+        head < cap
+            && count <= cap
+            && (head + count) % cap == tail
+            && (0..cap)
+                .all(|i| self.entries[i].with(Option::is_some) == ((i + cap - head) % cap < count))
+    }
+
     /// Empties the ROB (commit-time flush), touching live entries and the
     /// pointers that move only.
     pub fn flush(&self) {
@@ -307,46 +319,6 @@ cmd_core::snap_struct!(RobEntry {
     system,
     started,
 });
-
-impl cmd_core::snap::Snapshot for Rob {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        w.len_prefix(self.entries.len());
-        for e in &self.entries {
-            e.snap_save(w);
-        }
-        self.head.snap_save(w);
-        self.tail.snap_save(w);
-        self.count.snap_save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::{Snap, SnapError};
-        let cap = r.len_prefix()?;
-        if cap != self.entries.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot ROB capacity {} does not match design {}",
-                cap,
-                self.entries.len()
-            )));
-        }
-        for e in &mut self.entries {
-            e.snap_restore(r)?;
-        }
-        let head: usize = Snap::load(r)?;
-        let tail: usize = Snap::load(r)?;
-        let count: usize = Snap::load(r)?;
-        if head >= cap || tail >= cap || count > cap {
-            return Err(SnapError::Corrupt("ROB pointers out of range"));
-        }
-        self.head.write(head);
-        self.tail.write(tail);
-        self.count.write(count);
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

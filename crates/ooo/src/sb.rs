@@ -183,8 +183,8 @@ impl StoreBuffer {
     }
 
     /// Whether `valid` is what the slots say it is — the invariant `enq`
-    /// and `deq` `debug_assert!`. Public so tests outside the crate can
-    /// also check it after an aborted rule.
+    /// and `deq` `debug_assert!`, and a snapshot restore checks. Public so
+    /// tests outside the crate can also check it after an aborted rule.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
         self.valid.matches(occupied(&self.slots))
@@ -205,36 +205,6 @@ cmd_core::snap_struct!(SbEntry {
     byte_en,
     issued,
 });
-
-impl cmd_core::snap::Snapshot for StoreBuffer {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        w.len_prefix(self.slots.len());
-        for s in &self.slots {
-            s.snap_save(w);
-        }
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        let n = r.len_prefix()?;
-        if n != self.slots.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot store buffer has {} entries, design has {}",
-                n,
-                self.slots.len()
-            )));
-        }
-        for s in &mut self.slots {
-            s.snap_restore(r)?;
-        }
-        // The mask is derived state: not in the snapshot, rebuilt here.
-        self.valid.assign(occupied(&self.slots));
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {

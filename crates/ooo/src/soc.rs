@@ -1069,8 +1069,11 @@ fn _assert_types(_: &DecInst, _: &MemTrans) {}
 /// misinterpreted. v2 added the kernel telemetry section (a presence flag
 /// plus the windowed ring when telemetry is enabled); v3 made speculation
 /// snapshots heap-free (inline rename map, free list as a ring whose
-/// snapshot is its head position — see [`crate::rename`]).
-pub const SOC_SNAP_VERSION: u32 = 3;
+/// snapshot is its head position — see [`crate::rename`]); v4 saves every
+/// cell through the kernel's walk over the clock's registry (a count, then
+/// one length-framed record per cell in adoption order, the occupancy
+/// masks included), so the SoC section holds plain state only.
+pub const SOC_SNAP_VERSION: u32 = 4;
 
 cmd_core::snap_struct!(CoreStats {
     committed,
@@ -1091,6 +1094,8 @@ cmd_core::snap_struct!(CoreStats {
     occ_cycles,
 });
 
+/// The SoC's plain state: the memory system, each core's plain state, the
+/// devices and the memory digests. Its cells are the kernel's to save.
 impl cmd_core::snap::Snapshot for Soc {
     fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
         use cmd_core::snap::Snap as _;
@@ -1137,10 +1142,10 @@ impl cmd_core::snap::Snapshot for Soc {
         self.devices.console = Snap::load(r)?;
         let digest: Vec<u64> = Snap::load(r)?;
         if digest.len() != self.cores.len() {
-            return Err(SnapError::Corrupt("memory-event digest length"));
+            return Err(SnapError::Corrupt("memory-event digest length".into()));
         }
         self.mem_digest = digest;
-        Ok(())
+        self.cores.iter().try_for_each(CoreState::check_cells)
     }
 }
 
@@ -1240,11 +1245,6 @@ impl SocSim {
         }
         self.sim.restore_kernel(&mut r)?;
         cmd_core::snap::Snapshot::snap_restore(self.sim.state_mut(), &mut r)?;
-        if r.remaining() != 0 {
-            return Err(SimError::Snapshot(SnapError::Corrupt(
-                "trailing bytes after snapshot",
-            )));
-        }
-        Ok(())
+        Ok(r.expect_end()?)
     }
 }

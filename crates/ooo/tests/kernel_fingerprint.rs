@@ -104,10 +104,10 @@ fn two_core_swaptions_matches_the_pre_journal_kernel() {
     assert_eq!(got, (5_632, 0xd97c_96f7_d8d3_83bf));
 }
 
-// The four pins below were captured at `bcaccb7`, the commit before the
+// The three pins below were captured at `bcaccb7`, the commit before the
 // IQ/LSQ/SB occupancy masks, to hold the structures the three above reach
-// least: the WMM store buffer, 4-core TSO coherence traffic, sizes past one
-// mask word's worth of the default configuration, and the snapshot bytes.
+// least: the WMM store buffer, 4-core TSO coherence traffic, and sizes past
+// one mask word's worth of the default configuration.
 
 #[test]
 fn two_core_wmm_ferret_matches_the_pre_mask_structures() {
@@ -138,12 +138,13 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
     assert_eq!(got, (78_383, 0x2713_3d6b_38ef_78a2));
 }
 
-/// The occupancy masks are derived state: a snapshot holds the slots only,
-/// so its bytes (and `SOC_SNAP_VERSION`) are what they were before the masks
-/// existed. `snapshot_roundtrip.rs` compares one build against itself and
-/// cannot see that.
+/// The snapshot bytes, re-captured when the kernel's walk over the clock's
+/// cells replaced the module serializers (`SOC_SNAP_VERSION` 4): one
+/// record per cell, the occupancy masks included, then the plain state.
+/// `snapshot_roundtrip.rs` compares one build against itself and cannot see
+/// a layout change that forgot to bump the version.
 #[test]
-fn mcf_snapshot_bytes_match_the_pre_mask_structures() {
+fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     let w = spec::mcf(Scale::Test);
     let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
     for _ in 0..20_000 {
@@ -153,5 +154,5 @@ fn mcf_snapshot_bytes_match_the_pre_mask_structures() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut h, &bytes);
     println!("mcf snapshot @20000: {} bytes hash {h:#018x}", bytes.len());
-    assert_eq!((bytes.len(), h), (14_299_309, 0x1890_a9a3_0882_c614));
+    assert_eq!((bytes.len(), h), (14_306_565, 0x5877_81d1_6f95_f4d7));
 }

@@ -11,7 +11,7 @@ use cmd_core::guard::Stall;
 use cmd_core::rng::SplitMix64;
 use cmd_core::sched::Wakeup;
 use cmd_core::sim::Sim;
-use cmd_core::snap::{Snap, SnapWriter, Snapshot};
+use cmd_core::snap::{Snap, SnapReader, SnapWriter, Snapshot};
 use riscy_isa::csr::Exception;
 use riscy_isa::reg::Gpr;
 use riscy_mem::msg::{line_of, AtomicOp};
@@ -333,17 +333,45 @@ fn lsq_forwarding_matches_naive_model() {
 // plain "look at every slot" versions of the same interfaces over
 // `Vec<Option<Entry>>`. Every rule runs 1–3 random methods on both, is then
 // committed or aborted at random (the model by keeping or dropping a
-// clone), and after it the structure's snapshot bytes — every slot in slot
-// order, so placement counts — must equal the model's, and its masks must
-// equal the ones recomputed from its slots.
+// clone), and after it the structure's snapshot records — every slot in
+// slot order, so placement counts, and the age counters — must equal the
+// model's, and its masks must equal the ones recomputed from its slots.
 
 /// Structure sizes: below, at and past one 64-bit mask word.
 const SIZES: [usize; 4] = [3, 16, 64, 80];
 
-fn snap_bytes(s: &impl Snapshot) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    s.snap_save(&mut w);
-    w.into_bytes()
+/// The record of every cell on `clk`, in adoption order, as a snapshot's
+/// cell section frames it.
+fn cell_records(clk: &Clock) -> Vec<Vec<u8>> {
+    let kernel = |clk: &Clock| {
+        let mut w = SnapWriter::new();
+        Sim::new(clk.clone(), ())
+            .save_kernel(&mut w)
+            .expect("no observers");
+        w.into_bytes()
+    };
+    // A clock without cells: the same kernel prefix, then a zero count.
+    let prefix = kernel(&Clock::new()).len() - 8;
+    let bytes = kernel(clk);
+    let mut r = SnapReader::new(&bytes[prefix..]);
+    let n = r.u64().expect("cell count");
+    (0..n)
+        .map(|_| {
+            let len = r.len_prefix().expect("frame length");
+            r.bytes(len).expect("record").to_vec()
+        })
+        .collect()
+}
+
+/// The records of `s`, one per value.
+fn records<T: Snap>(s: &[T]) -> Vec<Vec<u8>> {
+    s.iter()
+        .map(|v| {
+            let mut w = SnapWriter::new();
+            v.save(&mut w);
+            w.into_bytes()
+        })
+        .collect()
 }
 
 fn some_mask(rng: &mut SplitMix64) -> SpecMask {
@@ -427,14 +455,10 @@ impl IqModel {
         }
     }
 
-    fn bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.len_prefix(self.slots.len());
-        for s in &self.slots {
-            s.save(&mut w);
-        }
-        self.next_age.save(&mut w);
-        w.into_bytes()
+    /// The records of the IQ's cells the model covers: the slots, adopted
+    /// first, and the age counter, adopted last.
+    fn records(&self) -> Vec<Vec<u8>> {
+        [records(&self.slots), records(&[self.next_age])].concat()
     }
 }
 
@@ -504,7 +528,9 @@ fn iq_refines_linear_scan_model_through_commits_and_aborts() {
                     clk.abort_rule();
                 }
                 assert!(iq.masks_consistent(), "{ctx}");
-                assert_eq!(snap_bytes(&iq), model.bytes(), "{ctx}");
+                let cells = cell_records(&clk);
+                let covered = [&cells[..size], &cells[cells.len() - 1..]].concat();
+                assert_eq!(covered, model.records(), "{ctx}");
                 let live = model.slots.iter().flatten().count();
                 assert_eq!(iq.len(), live, "{ctx}");
                 if live > 64 {
@@ -871,15 +897,11 @@ impl LsqModel {
         }
     }
 
-    fn bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.len_prefix(self.lq.len());
-        w.len_prefix(self.sq.len());
-        self.lq.iter().for_each(|s| s.save(&mut w));
-        self.sq.iter().for_each(|s| s.save(&mut w));
-        self.next_age.save(&mut w);
-        self.evict_kills.save(&mut w);
-        w.into_bytes()
+    /// The records of the LSQ's cells the model covers: the LQ and SQ
+    /// slots, adopted first, and the two counters, adopted last.
+    fn records(&self) -> Vec<Vec<u8>> {
+        let counters = records(&[self.next_age, self.evict_kills]);
+        [records(&self.lq), records(&self.sq), counters].concat()
     }
 }
 
@@ -1066,7 +1088,9 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                     clk.abort_rule();
                 }
                 assert!(lsq.masks_consistent(), "{ctx}");
-                assert_eq!(snap_bytes(&lsq), model.bytes(), "{ctx}");
+                let cells = cell_records(&clk);
+                let covered = [&cells[..2 * size], &cells[cells.len() - 2..]].concat();
+                assert_eq!(covered, model.records(), "{ctx}");
                 let live = slots_where(&model.lq, |_| true).len();
                 let zombies = slots_where(&model.lq, |e| e.zombie).len();
                 if zombies > 0 {

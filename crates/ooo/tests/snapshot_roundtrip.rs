@@ -4,14 +4,20 @@
 //! [`CoreStats`], same exit codes, same scheduler counters, and (the
 //! strongest form) byte-identical final snapshots — under every
 //! [`SchedulerMode`]. Malformed snapshots (version skew, truncation, wrong
-//! configuration, corrupt bytes) must surface structured [`SnapError`]s,
-//! never panics; attached observers (tracer, pipe trace, profiler, chaos)
-//! must refuse to snapshot.
+//! configuration, flipped bytes in any section) must surface structured
+//! [`SnapError`]s, never panics, or else be snapshots that re-save to
+//! exactly themselves; attached observers (tracer, pipe trace, profiler,
+//! chaos) must refuse to snapshot.
 
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use cmd_core::cell::Ehr;
 use cmd_core::chaos::{FaultEngine, FaultPlan};
+use cmd_core::rng::SplitMix64;
 use cmd_core::sched::SchedulerMode;
 use cmd_core::sim::SimError;
-use cmd_core::snap::SnapError;
+use cmd_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -208,12 +214,12 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v2 — the last format whose speculation snapshots
-    // owned a `Vec` RAT and a `VecDeque` free list where v3 has an inline
-    // map and a ring head, so a v2 body must never reach the v3 reader.
+    // future format, and v3 — the last format whose modules serialized
+    // their own cells, without frames and without the occupancy masks, so
+    // a v3 body must never reach the v4 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 3, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 2] {
+    assert_eq!(current, 4, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 3] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
@@ -237,25 +243,186 @@ fn bad_magic_is_a_structured_error() {
     );
 }
 
-/// Truncating a valid snapshot at any prefix length must produce a
-/// structured error, never a panic.
-#[test]
-fn truncated_snapshots_are_structured_errors() {
-    let prog = busy_prog(100);
-    let mut sim = build(&prog, 1, SchedulerMode::Fast);
-    for _ in 0..200 {
+/// A simulation `cycles` cycles in, and its snapshot.
+fn mid_run(prog: &Program, num_cores: usize, cycles: u64) -> (SocSim, Vec<u8>) {
+    let mut sim = build(prog, num_cores, SchedulerMode::Fast);
+    for _ in 0..cycles {
         sim.cycle();
     }
     let snap = sim.save_snapshot().expect("snapshot");
+    (sim, snap)
+}
+
+/// A named byte range of a snapshot.
+type Section = (String, Range<usize>);
+
+/// The sections of `snap`, saved from `sim`, in order — the header and
+/// configuration digest, the kernel, the cell frames, then the plain
+/// state: the memory system, each core, the devices and memory digests —
+/// and each cell's record, by [`cmd_core::clock::CellId::index`]. Located
+/// with the public codecs, so a layout change shows up here.
+fn layout(sim: &SocSim, snap: &[u8]) -> (Vec<Section>, Vec<Range<usize>>) {
+    let mut r = SnapReader::new(snap);
+    let at = |r: &SnapReader<'_>| snap.len() - r.remaining();
+    let mut starts = vec![("header".to_string(), 0)];
+    r.bytes(8).expect("magic and version");
+    r.take::<String>().expect("configuration digest");
+    starts.push(("kernel".into(), at(&r)));
+    r.bytes(24).expect("cycle counts");
+    for _ in 0..r.len_prefix().expect("rule count") {
+        r.take::<String>().expect("rule name");
+        r.bytes(24).expect("rule statistics");
+    }
+    r.take::<Vec<(String, u64)>>().expect("counters");
+    assert!(!r.take::<bool>().expect("telemetry flag"), "no telemetry");
+    starts.push(("cell frames".into(), at(&r)));
+    let records = (0..r.u64().expect("cell count"))
+        .map(|_| {
+            let n = r.len_prefix().expect("frame length");
+            let from = at(&r);
+            r.bytes(n).expect("record");
+            from..from + n
+        })
+        .collect();
+    let len = |s: &dyn Snapshot| {
+        let mut w = SnapWriter::new();
+        s.snap_save(&mut w);
+        w.len()
+    };
+    let mut end = at(&r);
+    starts.push(("memory system".into(), end));
+    end += len(&sim.soc().mem) + 8; // and the core count
+    for (c, core) in sim.soc().cores.iter().enumerate() {
+        starts.push((format!("core {c}"), end));
+        end += len(core);
+    }
+    starts.push(("devices".into(), end));
+    starts.push((String::new(), snap.len()));
+    let sections = starts
+        .windows(2)
+        .map(|w| (w[0].0.clone(), w[0].1..w[1].1))
+        .collect();
+    (sections, records)
+}
+
+/// Restores `bytes` into a fresh design, as `what`: a restore never
+/// panics, refuses only with a snapshot error, and a snapshot it accepts
+/// re-saves to exactly `bytes`.
+fn restore_checked(
+    prog: &Program,
+    num_cores: usize,
+    bytes: &[u8],
+    what: &str,
+) -> Result<(), SnapError> {
+    let mut fresh = build(prog, num_cores, SchedulerMode::Fast);
+    let got = catch_unwind(AssertUnwindSafe(|| fresh.restore_snapshot(bytes)))
+        .unwrap_or_else(|_| panic!("{what}: the restore panicked"));
+    match got {
+        Ok(()) => {
+            let again = fresh.save_snapshot().expect("re-save");
+            assert!(again == bytes, "{what}: accepted, but re-saved differently");
+            Ok(())
+        }
+        Err(SimError::Snapshot(e)) => Err(e),
+        Err(other) => panic!("{what}: expected a snapshot error, got {other:?}"),
+    }
+}
+
+/// Seeded single-byte flips per section of each snapshot.
+const FLIPS: usize = 8;
+
+/// Truncating a valid snapshot at any prefix length must produce a
+/// structured error, never a panic; so must a flipped byte in any section
+/// of a 1-core and a 2-core snapshot, unless the flipped snapshot is one
+/// the reader accepts and re-saves byte for byte.
+#[test]
+fn truncated_snapshots_are_structured_errors() {
+    let prog = busy_prog(100);
+    let (_, snap) = mid_run(&prog, 1, 200);
     for cut in [0, 3, 7, snap.len() / 4, snap.len() / 2, snap.len() - 1] {
-        let mut fresh = build(&prog, 1, SchedulerMode::Fast);
-        let err = fresh
-            .restore_snapshot(&snap[..cut])
-            .expect_err("truncated snapshot must be refused");
+        let got = restore_checked(&prog, 1, &snap[..cut], &format!("cut at {cut}"));
         assert!(
-            matches!(err, SimError::Snapshot(_)),
-            "cut at {cut}: expected a snapshot error, got {err:?}"
+            got.is_err(),
+            "cut at {cut}: truncated snapshot must be refused"
         );
+    }
+
+    let mut outcomes = [0; 2];
+    for (prog, num_cores) in [(busy_prog(300), 1), (multicore_prog(400), 2)] {
+        let (sim, snap) = mid_run(&prog, num_cores, SNAP_AT);
+        let mut rng = SplitMix64::seed_from_u64(num_cores as u64);
+        for (name, range) in layout(&sim, &snap).0 {
+            for _ in 0..FLIPS {
+                let at = rng.range_usize(range.start, range.end);
+                let mut bad = snap.clone();
+                bad[at] ^= rng.range_u64(1, 256) as u8;
+                let what = format!("{num_cores} core(s), {name} byte {at}");
+                outcomes[usize::from(restore_checked(&prog, num_cores, &bad, &what).is_err())] += 1;
+            }
+        }
+    }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "accepted / refused: {outcomes:?}"
+    );
+}
+
+/// A mask word that disagrees with its slots is corrupt: the masks are
+/// saved with the slots, and a restore checks one against the other.
+#[test]
+fn a_flipped_mask_word_is_corrupt() {
+    let prog = busy_prog(300);
+    let (sim, snap) = mid_run(&prog, 1, SNAP_AT);
+    let records = layout(&sim, &snap).1;
+    let (core, clk) = (&sim.soc().cores[0], &sim.soc().clk);
+    // A flush touches a structure's live slots and its mask words — the
+    // words being the cells whose records are one `u64`.
+    let mask_words = |flush: &dyn Fn()| {
+        clk.begin_rule();
+        flush();
+        let touched = clk.enlisted_cells();
+        clk.abort_rule();
+        touched
+            .into_iter()
+            .map(|c| records[c.index()].clone())
+            .filter(|r| r.len() == 8)
+            .collect::<Vec<_>>()
+    };
+    let iq = core
+        .iqs
+        .iter()
+        .max_by_key(|q| q.len())
+        .expect("issue queues");
+    for (what, words) in [
+        ("issue-queue masks", mask_words(&|| iq.flush())),
+        (
+            "load-store-queue masks",
+            mask_words(&|| core.lsq.flush_speculative()),
+        ),
+    ] {
+        assert!(!words.is_empty(), "no live {what} at the snapshot");
+        for word in words {
+            let mut bad = snap.clone();
+            bad[word.start] ^= 1;
+            match restore_checked(&prog, 1, &bad, what) {
+                Err(SnapError::Corrupt(m)) => assert!(m.starts_with(what), "{m}"),
+                other => panic!("{what}: expected corruption, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A design with one cell more than the snapshot's is a mismatch, not a
+/// misaligned walk.
+#[test]
+fn a_design_with_one_extra_cell_is_a_mismatch() {
+    let prog = busy_prog(100);
+    let (_, snap) = mid_run(&prog, 1, 200);
+    let mut bigger = build(&prog, 1, SchedulerMode::Fast);
+    let _extra = Ehr::new(&bigger.soc().clk, 0u64);
+    match bigger.restore_snapshot(&snap) {
+        Err(SimError::Snapshot(SnapError::Mismatch(m))) => assert!(m.contains("cells"), "{m}"),
+        other => panic!("expected a mismatch, got {other:?}"),
     }
 }
 
