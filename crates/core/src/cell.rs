@@ -195,8 +195,8 @@ impl<T: Clone + 'static> Ehr<T> {
     /// when it holds is the cell journaled, enlisted, mutated by `f` and
     /// (at commit) published. Returns whether `f` ran.
     ///
-    /// This is the primitive for broadcast methods (`wakeup`,
-    /// `correctSpec`, `wrongSpec`) that visit every slot of a structure but
+    /// This is the primitive for broadcast methods (`wakeup`, `wrongSpec`,
+    /// a store's kill search) that visit every slot of a structure but
     /// change few: a slot the broadcast does not concern costs one borrow,
     /// not a transaction.
     pub fn update_if(&self, pred: impl FnOnce(&T) -> bool, f: impl FnOnce(&mut T)) -> bool {

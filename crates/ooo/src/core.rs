@@ -30,7 +30,7 @@ use crate::sb::{SbSearch, StoreBuffer};
 use crate::soc::{mem_digest, CoreStats, Soc};
 use crate::tlbport::TlbHier;
 use crate::tma::TmaState;
-use crate::types::{ExecPipe, MemKind, PhysReg, SpecMask, SpecTag, SystemOp, Uop};
+use crate::types::{ExecPipe, MemKind, PhysReg, SystemOp, Uop};
 
 /// Divide latency in cycles (iterative unit).
 const DIV_LATENCY: u64 = 16;
@@ -112,8 +112,6 @@ pub struct CoreState {
     pub sb: StoreBuffer,
     /// Bypass network.
     pub bypass: Bypass,
-    /// Dependency mask of the next renamed instruction.
-    pub cur_mask: Ehr<SpecMask>,
     /// Next fetch PC.
     pub fetch_pc: Ehr<u64>,
     /// Fetch epoch (bumped on every redirect).
@@ -186,44 +184,25 @@ impl CoreState {
         &self.iqs[self.cfg.alu_pipes + 1]
     }
 
-    /// Applies `f` to every uop in a pipeline latch that depends on `tag`;
-    /// `f` returns whether the uop survives. Latches holding nothing that
-    /// depends on `tag` open no transaction.
-    fn for_each_latched_uop(&self, tag: SpecTag, f: impl Fn(&mut Uop) -> bool) {
-        fn resolve<T: Clone + 'static>(
-            latch: &Ehr<Option<T>>,
-            tag: SpecTag,
-            mask: impl Fn(&T) -> SpecMask,
-            uop: impl Fn(&mut T) -> &mut Uop,
-            f: &impl Fn(&mut Uop) -> bool,
-        ) {
-            latch.update_if(
-                |e| e.as_ref().is_some_and(|t| mask(t).contains(tag)),
-                |e| {
-                    if !f(uop(e.as_mut().expect("predicate saw a uop"))) {
-                        *e = None;
-                    }
-                },
-            );
+    /// Empties every pipeline latch holding a uop renamed after the branch
+    /// whose sequence number is `bseq`. Latches holding an older uop, or
+    /// none, open no transaction.
+    fn squash_latches(&self, bseq: u64) {
+        fn squash<T: Clone + 'static>(latch: &Ehr<Option<T>>, bseq: u64, seq: impl Fn(&T) -> u64) {
+            latch.update_if(|e| e.as_ref().is_some_and(|t| seq(t) > bseq), |e| *e = None);
         }
         for l in &self.alu_ex {
-            resolve(l, tag, |u| u.mask, |u| u, &f);
+            squash(l, bseq, |u| u.seq);
         }
         for l in &self.alu_wb {
-            resolve(l, tag, |t| t.0.mask, |t| &mut t.0, &f);
+            squash(l, bseq, |t| t.0.seq);
         }
-        resolve(&self.md_unit, tag, |t| t.0.mask, |t| &mut t.0, &f);
-        resolve(&self.md_wb, tag, |t| t.0.mask, |t| &mut t.0, &f);
-        resolve(&self.mem_ex, tag, |u| u.mask, |u| u, &f);
+        squash(&self.md_unit, bseq, |t| t.0.seq);
+        squash(&self.md_wb, bseq, |t| t.0.seq);
+        squash(&self.mem_ex, bseq, |u| u.seq);
         // Youngest first, so a removal never shifts an unvisited position.
         for i in (0..self.mem_wait_tlb.len()).rev() {
-            let mut t = self.mem_wait_tlb.get(i).expect("index below len");
-            if !t.uop.mask.contains(tag) {
-                continue;
-            }
-            if f(&mut t.uop) {
-                self.mem_wait_tlb.set(i, t);
-            } else {
+            if self.mem_wait_tlb.with(|v| v[i].uop.seq > bseq) {
                 self.mem_wait_tlb.remove(i);
             }
         }
@@ -577,7 +556,6 @@ impl Soc {
         core.rt.flush_to_committed();
         core.sm.flush();
         core.prf.flush_all_present();
-        core.cur_mask.write(SpecMask::EMPTY);
         core.serialize.write(false);
         for l in &core.alu_ex {
             l.write(None);
@@ -806,22 +784,17 @@ impl Soc {
 
     /// Compares resolved control flow against the prediction; on a
     /// mispredict performs `wrongSpec` recovery, otherwise `correctSpec`.
+    ///
+    /// Paper §V clears the branch's bit from every in-flight speculation
+    /// mask on `correctSpec` and squashes the entries carrying it on
+    /// `wrongSpec`. Here the squash set is read from rename order instead:
+    /// while a branch is unresolved, the instructions carrying its bit are
+    /// exactly those renamed after it (`seq > uop.seq`). So a correct
+    /// resolution only frees the tag.
     fn resolve_branch(&mut self, c: usize, uop: &Uop, actual: u64, taken: bool) {
         let Some(tag) = uop.own_tag else { return };
         if actual == uop.pred_next {
-            let core = &self.cores[c];
-            core.sm.correct(tag);
-            core.rob.correct_spec(tag);
-            for iq in &core.iqs {
-                iq.correct_spec(tag);
-            }
-            core.lsq.correct_spec(tag);
-            core.cur_mask
-                .update_if(|m| m.contains(tag), |m| *m = m.without(tag));
-            core.for_each_latched_uop(tag, |u| {
-                u.mask = u.mask.without(tag);
-                true
-            });
+            self.cores[c].sm.correct(tag);
             return;
         }
         // Mispredicted: restore and squash (paper §V `wrongSpec`).
@@ -834,13 +807,12 @@ impl Soc {
         core.rt.restore(&snap.rat);
         core.ras.restore(snap.ras);
         core.tour.restore(snap.ghist, taken);
-        core.rob.wrong_spec(tag);
+        core.rob.wrong_spec(uop.seq);
         for iq in &core.iqs {
-            iq.wrong_spec(tag);
+            iq.wrong_spec(uop.seq);
         }
-        core.lsq.wrong_spec(tag);
-        core.cur_mask.write(snap.mask);
-        core.for_each_latched_uop(tag, |_| false);
+        core.lsq.wrong_spec(uop.seq);
+        core.squash_latches(uop.seq);
         core.forward_q.clear();
         core.fetch_q.clear();
         core.fetch_buf.clear();
@@ -1360,7 +1332,7 @@ impl Soc {
                 // Illegal instruction / fetch fault: a completed ROB entry
                 // carrying the exception.
                 let rob_idx = core.rob.enq_index();
-                let uop = bare_uop(&dec, rob_idx, core.cur_mask.read());
+                let uop = bare_uop(&dec, rob_idx, core.rob.enq_seq());
                 let mut e = RobEntry::new(uop);
                 e.completed = true;
                 e.exception = Some(x);
@@ -1383,7 +1355,7 @@ impl Soc {
             if !core.rob.is_empty() || !core.lsq.is_empty() || !core.sb.is_empty() {
                 return Err(Stall::new("waiting to serialize"));
             }
-            let mut uop = bare_uop(&dec, core.rob.enq_index(), SpecMask::EMPTY);
+            let mut uop = bare_uop(&dec, core.rob.enq_index(), core.rob.enq_seq());
             uop.instr = instr;
             if let Instr::Csr { rd, src, .. } = instr {
                 // The CSR source register is read at commit via src1.
@@ -1452,22 +1424,22 @@ impl Soc {
         iq.can_enter()?;
         core.rob.can_enq()?;
 
-        // Rename sources, allocate resources.
+        // Rename sources, take the rename order, allocate resources.
         let (rs1, rs2) = sources(&instr);
         let src1 = core.rt.lookup(rs1);
         let src2 = core.rt.lookup(rs2);
         let rdy1 = core.prf.score_ready(src1);
         let rdy2 = core.prf.score_ready(src2);
-        let mask = core.cur_mask.read();
+        let seq = core.rob.enq_seq();
         let lsq_idx = match mem_kind {
             Some(kind @ (MemKind::Load | MemKind::Atomic)) => {
                 Some(
                     core.lsq
-                        .enq_ld(rob_idx, mask, None, kind == MemKind::Atomic)?,
+                        .enq_ld(rob_idx, seq, None, kind == MemKind::Atomic)?,
                 )
             }
-            Some(MemKind::Store) => Some(core.lsq.enq_st(rob_idx, mask, false)?),
-            Some(MemKind::Fence) => Some(core.lsq.enq_st(rob_idx, mask, true)?),
+            Some(MemKind::Store) => Some(core.lsq.enq_st(rob_idx, seq, false)?),
+            Some(MemKind::Fence) => Some(core.lsq.enq_st(rob_idx, seq, true)?),
             None => None,
         };
 
@@ -1489,7 +1461,7 @@ impl Soc {
             old_dst,
             src1,
             src2,
-            mask,
+            seq,
             own_tag: None,
             lsq_idx,
             mem_kind,
@@ -1504,11 +1476,9 @@ impl Soc {
                 rat: core.rt.snapshot(),
                 ras: dec.ras,
                 ghist: dec.ghist,
-                mask,
+                seq,
             };
-            let tag = core.sm.allocate(snap)?;
-            uop.own_tag = Some(tag);
-            core.cur_mask.write(mask.with(tag));
+            uop.own_tag = Some(core.sm.allocate(snap)?);
         }
 
         iq.enter(uop, rdy1, rdy2)?;
@@ -1862,7 +1832,7 @@ fn pipe_of(i: &Instr) -> ExecPipe {
     }
 }
 
-fn bare_uop(dec: &DecInst, rob: u16, mask: SpecMask) -> Uop {
+fn bare_uop(dec: &DecInst, rob: u16, seq: u64) -> Uop {
     Uop {
         instr: Instr::Ecall, // placeholder for undecodable words
         pc: dec.pc,
@@ -1873,7 +1843,7 @@ fn bare_uop(dec: &DecInst, rob: u16, mask: SpecMask) -> Uop {
         old_dst: None,
         src1: PhysReg::ZERO,
         src2: PhysReg::ZERO,
-        mask,
+        seq,
         own_tag: None,
         lsq_idx: None,
         mem_kind: None,
@@ -1949,9 +1919,10 @@ impl cmd_core::snap::Snapshot for CoreState {
 
 impl CoreState {
     /// Checks what the cells a snapshot restored must satisfy together:
-    /// every occupancy mask agrees with its slots, the ROB ring and the
-    /// rename state are in range, and every live speculation tag fits the
-    /// free list.
+    /// every occupancy mask and LSQ head agrees with its slots, the ROB
+    /// ring is in order, every sequence number in flight is below the one
+    /// the next rename takes, the rename state is in range, and every live
+    /// speculation tag fits the free list.
     ///
     /// # Errors
     ///
@@ -1960,17 +1931,48 @@ impl CoreState {
         let why = if !self.iqs.iter().all(IssueQueue::masks_consistent) {
             "issue-queue masks disagree with the slots"
         } else if !self.lsq.masks_consistent() {
-            "load-store-queue masks disagree with the slots"
+            "load-store-queue masks or heads disagree with the slots"
         } else if !self.sb.masks_consistent() {
             "store-buffer mask disagrees with the slots"
         } else if !self.rob.consistent() {
             "ROB pointers disagree with the entries"
+        } else if self.max_seq().is_some_and(|s| s >= self.rob.enq_seq()) {
+            "an in-flight sequence number is not below the ROB's next"
         } else if !self.rt.in_range() {
             "rename state out of range"
         } else {
             return self.sm.check_against(&self.rt);
         };
         Err(cmd_core::snap::SnapError::Corrupt(why.into()))
+    }
+
+    /// The largest sequence number in flight: in the ROB, the issue queues,
+    /// the LSQ (zombies included), the live speculation tags and the
+    /// pipeline latches.
+    fn max_seq(&self) -> Option<u64> {
+        let uop = |l: &Ehr<Option<Uop>>| l.with(|u| u.map(|u| u.seq));
+        let latched = self
+            .alu_ex
+            .iter()
+            .chain([&self.mem_ex])
+            .filter_map(uop)
+            .chain(
+                self.alu_wb
+                    .iter()
+                    .filter_map(|l| l.with(|t| t.map(|t| t.0.seq))),
+            )
+            .chain(self.md_unit.with(|t| t.map(|t| t.0.seq)))
+            .chain(self.md_wb.with(|t| t.map(|t| t.0.seq)))
+            .chain(
+                self.mem_wait_tlb
+                    .with(|v| v.iter().map(|t| t.uop.seq).max()),
+            );
+        [self.rob.max_seq(), self.lsq.max_seq(), self.sm.max_seq()]
+            .into_iter()
+            .flatten()
+            .chain(self.iqs.iter().filter_map(IssueQueue::max_seq))
+            .chain(latched)
+            .max()
     }
 }
 
@@ -2042,10 +2044,10 @@ mod tests {
         (outcome, enlisted)
     }
 
-    /// A uop standing for any older instruction.
+    /// A uop standing for any older instruction, stamped as the ROB's next.
     fn older(core: &CoreState) -> Uop {
         let dec = core.fetch_q.front().expect("an instruction to rename");
-        bare_uop(&dec, 0, SpecMask::EMPTY)
+        bare_uop(&dec, 0, core.rob.enq_seq())
     }
 
     #[test]
@@ -2056,10 +2058,10 @@ mod tests {
         type Case = (&'static str, Instr, fn(&CoreState));
         let cases: [Case; 6] = [
             ("lq full", load(), |c| {
-                while c.lsq.enq_ld(0, SpecMask::EMPTY, None, false).is_ok() {}
+                while c.lsq.enq_ld(0, 0, None, false).is_ok() {}
             }),
             ("sq full", store(), |c| {
-                while c.lsq.enq_st(0, SpecMask::EMPTY, false).is_ok() {}
+                while c.lsq.enq_st(0, 0, false).is_ok() {}
             }),
             ("no free physical register", load(), |c| {
                 while c.rt.allocate(Gpr::a(5)).is_ok() {}
@@ -2069,7 +2071,7 @@ mod tests {
                     rat: c.rt.snapshot(),
                     ras: c.ras.snapshot(),
                     ghist: c.tour.snapshot(),
-                    mask: SpecMask::EMPTY,
+                    seq: 0,
                 };
                 while c.sm.allocate(snap).is_ok() {}
             }),
@@ -2088,5 +2090,150 @@ mod tests {
                 "{reason}: the stalled rename enlisted {enlisted:?}"
             );
         }
+    }
+
+    /// A one-core SoC and a way to rename one instruction at a time: each
+    /// call renames `instr` at `pc`, predicted to fall through, in its own
+    /// committed rule and returns the micro-op the ROB holds for it.
+    fn renamer() -> (Clock, Soc, impl FnMut(&mut Soc, u64, Instr) -> Uop) {
+        let clk = Clock::new();
+        let mut a = Assembler::new(DRAM_BASE);
+        a.nop();
+        let cfg = CoreConfig::riscyoo_t_plus();
+        let soc = Soc::new(&clk, cfg, MemConfig::default(), 1, &a.assemble());
+        let rule_clk = clk.clone();
+        let rename = move |soc: &mut Soc, pc: u64, instr: Instr| {
+            let core = &soc.cores[0];
+            rule_clk.begin_rule();
+            core.fetch_q.push_back(DecInst {
+                pc,
+                instr: Ok(instr),
+                pred_next: pc + 4,
+                pred_taken: false,
+                ghist: core.tour.snapshot(),
+                ras: core.ras.snapshot(),
+                fetched_at: 0,
+                decoded_at: 0,
+            });
+            let idx = core.rob.enq_index();
+            rule_clk.commit_rule();
+            rule_clk.begin_rule();
+            soc.rule_rename(0).expect("room to rename");
+            rule_clk.commit_rule();
+            soc.cores[0].rob.entry(idx).expect("renamed").uop
+        };
+        (clk, soc, rename)
+    }
+
+    fn beq() -> Instr {
+        Instr::Branch {
+            cond: riscy_isa::inst::BranchCond::Eq,
+            rs1: Gpr::ZERO,
+            rs2: Gpr::ZERO,
+            offset: 64,
+        }
+    }
+
+    fn addi(rd: Gpr) -> Instr {
+        Instr::Alu {
+            op: riscy_isa::inst::AluOp::Add,
+            word: false,
+            rd,
+            rs1: Gpr::ZERO,
+            rhs: Rhs::Imm(1),
+        }
+    }
+
+    #[test]
+    fn a_correct_resolution_enlists_one_cell() {
+        let (clk, mut soc, mut rename) = renamer();
+        let b = rename(&mut soc, DRAM_BASE, beq());
+        for (k, instr) in [load(), store(), beq(), addi(Gpr::a(2))]
+            .into_iter()
+            .enumerate()
+        {
+            rename(&mut soc, DRAM_BASE + 4 * (k as u64 + 1), instr);
+        }
+        clk.begin_rule();
+        soc.resolve_branch(0, &b, b.pred_next, false);
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            1,
+            "the speculation manager's snapshot array, nothing renamed after the branch"
+        );
+        clk.commit_rule();
+        assert_eq!(
+            soc.cores[0].sm.live(),
+            1,
+            "the younger branch keeps its tag"
+        );
+    }
+
+    /// Paper §V's stale-bit hazard: b1 takes tag t, x renames, b1 resolves
+    /// correctly, b2 takes t again, y renames, b2 mispredicts. x depends on
+    /// nothing b2 decides and must survive everywhere it sits; y must go
+    /// everywhere. x and y are each a load, a store, a branch and an add
+    /// parked in an ALU latch.
+    #[test]
+    fn a_reused_tag_squashes_only_what_was_renamed_after_its_new_branch() {
+        let (clk, mut soc, mut rename) = renamer();
+        let mut pc = DRAM_BASE;
+        let mut ren = |soc: &mut Soc, instr| {
+            pc += 4;
+            rename(soc, pc, instr)
+        };
+        let b1 = ren(&mut soc, beq());
+        let x = group(&mut soc, &mut ren);
+        in_rule(&clk, || soc.resolve_branch(0, &b1, b1.pred_next, false));
+        let b2 = ren(&mut soc, beq());
+        assert_eq!(b2.own_tag, b1.own_tag, "b2 reuses b1's tag");
+        let y = group(&mut soc, &mut ren);
+        let core = &soc.cores[0];
+        in_rule(&clk, || {
+            core.alu_ex[0].write(Some(x[3]));
+            core.alu_ex[1].write(Some(y[3]));
+        });
+        let iq_len = |core: &CoreState| core.iqs.iter().map(IssueQueue::len).sum::<usize>();
+        let in_iqs = iq_len(core);
+        in_rule(&clk, || soc.resolve_branch(0, &b2, b2.pred_next + 4, true));
+
+        let core = &soc.cores[0];
+        let in_rob = |u: &Uop| core.rob.entry(u.rob).is_some_and(|e| e.uop.seq == u.seq);
+        assert!(x.iter().chain([&b1, &b2]).all(in_rob), "x is in the ROB");
+        assert!(!y.iter().any(in_rob), "y is not");
+        assert_eq!(core.rob.len(), 6);
+        assert_eq!(
+            iq_len(core),
+            in_iqs - 4,
+            "y's four issue-queue entries went"
+        );
+        let lq = |u: &Uop| core.lsq.lq_entry(u.lsq_idx.expect("a load")).map(|e| e.seq);
+        let sq = |u: &Uop| {
+            core.lsq
+                .sq_entry(u.lsq_idx.expect("a store"))
+                .map(|e| e.seq)
+        };
+        assert_eq!((lq(&x[0]), sq(&x[1])), (Some(x[0].seq), Some(x[1].seq)));
+        assert_eq!((lq(&y[0]), sq(&y[1])), (None, None));
+        assert_eq!(
+            core.sm.live(),
+            1,
+            "x's branch keeps its tag, b2's and y's are free"
+        );
+        assert_eq!(core.alu_ex[0].read().map(|u| u.seq), Some(x[3].seq));
+        assert_eq!(core.alu_ex[1].read(), None);
+        assert_eq!(core.check_cells(), Ok(()));
+    }
+
+    /// Renames a load, a store, a branch and an add.
+    fn group(soc: &mut Soc, ren: &mut impl FnMut(&mut Soc, Instr) -> Uop) -> [Uop; 4] {
+        [load(), store(), beq(), addi(Gpr::a(3))].map(|i| ren(soc, i))
+    }
+
+    fn in_rule<R>(clk: &Clock, f: impl FnOnce() -> R) -> R {
+        clk.begin_rule();
+        let r = f();
+        clk.commit_rule();
+        r
     }
 }

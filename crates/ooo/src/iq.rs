@@ -10,7 +10,7 @@ use cmd_core::guard::{Guarded, Stall};
 use cmd_core::journal::EhrArray;
 
 use crate::mask::{occupied, SlotMask};
-use crate::types::{PhysReg, SpecTag, Uop};
+use crate::types::{PhysReg, Uop};
 
 /// The stall reason of an `enter` into a full queue.
 pub(crate) const IQ_FULL: &str = "iq full";
@@ -20,7 +20,6 @@ struct IqEntry {
     uop: Uop,
     rdy1: bool,
     rdy2: bool,
-    age: u64,
 }
 
 /// An issue queue (paper Fig. 7 generalized to real micro-ops).
@@ -32,6 +31,7 @@ struct IqEntry {
 /// else, so that word is all a sleeping rule watches. The third index is
 /// the CAM's match lines: per physical register, the slots with a source
 /// still waiting on it, so a `wakeup` visits only the entries it readies.
+/// Age is rename order: the oldest entry has the smallest [`Uop::seq`].
 #[derive(Clone)]
 pub struct IssueQueue {
     slots: Vec<Ehr<Option<IqEntry>>>,
@@ -42,7 +42,6 @@ pub struct IssueQueue {
     waiting: EhrArray<u64>,
     /// Words per slot mask.
     words: usize,
-    next_age: Ehr<u64>,
 }
 
 impl IssueQueue {
@@ -57,7 +56,6 @@ impl IssueQueue {
             ready: SlotMask::new(clk, size),
             waiting: EhrArray::new(clk, vec![0; phys_regs * words]),
             words,
-            next_age: Ehr::new(clk, 0),
         }
     }
 
@@ -101,14 +99,7 @@ impl IssueQueue {
     /// Stalls when the queue is full.
     pub fn enter(&self, uop: Uop, rdy1: bool, rdy2: bool) -> Guarded<()> {
         let free = self.free_slot()?;
-        let age = self.next_age.read();
-        self.next_age.write(age + 1);
-        let e = IqEntry {
-            uop,
-            rdy1,
-            rdy2,
-            age,
-        };
+        let e = IqEntry { uop, rdy1, rdy2 };
         self.index(free, &e, true);
         self.slots[free].write(Some(e));
         self.valid.set(free);
@@ -160,7 +151,7 @@ impl IssueQueue {
         let pick = self
             .ready
             .iter()
-            .min_by_key(|&i| self.slots[i].with(|e| e.as_ref().expect("ready slot").age))
+            .min_by_key(|&i| self.slots[i].with(|e| e.as_ref().expect("ready slot").uop.seq))
             .ok_or(Stall::new("no ready instruction"))?;
         let e = self.slots[pick].read().expect("ready slot");
         self.free(pick, &e);
@@ -176,28 +167,16 @@ impl IssueQueue {
         self.ready.clear(i);
     }
 
-    /// `wrongSpec`: drops every entry carrying `tag`.
-    pub fn wrong_spec(&self, tag: SpecTag) {
+    /// `wrongSpec`: drops every entry renamed after the branch whose
+    /// sequence number is `bseq`.
+    pub fn wrong_spec(&self, bseq: u64) {
         for i in self.valid.iter() {
-            let hit = self.slots[i].with(|e| e.filter(|e| e.uop.mask.contains(tag)));
+            let hit = self.slots[i].with(|e| e.filter(|e| e.uop.seq > bseq));
             if let Some(e) = hit {
                 self.free(i, &e);
             }
         }
         debug_assert!(self.masks_consistent());
-    }
-
-    /// `correctSpec`: clears `tag` from every mask.
-    pub fn correct_spec(&self, tag: SpecTag) {
-        for i in self.valid.iter() {
-            self.slots[i].update_if(
-                |e| tagged(e, tag),
-                |e| {
-                    let en = e.as_mut().expect("predicate saw an entry");
-                    en.uop.mask = en.uop.mask.without(tag);
-                },
-            );
-        }
     }
 
     /// Empties the queue, touching live slots only.
@@ -238,6 +217,14 @@ impl IssueQueue {
                 .is_some_and(|bits| self.waiting.with(|w| *w == bits))
     }
 
+    /// The largest sequence number in the queue, if it holds anything.
+    pub(crate) fn max_seq(&self) -> Option<u64> {
+        self.slots
+            .iter()
+            .filter_map(|s| s.with(|e| e.map(|e| e.uop.seq)))
+            .max()
+    }
+
     /// What the waiting index must hold; `None` when a slot waits on a
     /// register the index has no row for.
     fn waiting_bits(&self) -> Option<Vec<u64>> {
@@ -263,26 +250,15 @@ impl IssueQueue {
     }
 }
 
-/// Whether `slot` holds an entry that depends on `tag`.
-fn tagged(slot: &Option<IqEntry>, tag: SpecTag) -> bool {
-    matches!(slot, Some(e) if e.uop.mask.contains(tag))
-}
-
-cmd_core::snap_struct!(IqEntry {
-    uop,
-    rdy1,
-    rdy2,
-    age,
-});
+cmd_core::snap_struct!(IqEntry { uop, rdy1, rdy2 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::SpecMask;
     use riscy_isa::inst::Instr;
     use riscy_isa::reg::Gpr;
 
-    fn uop(src1: u16, src2: u16, mask: SpecMask) -> Uop {
+    fn uop(src1: u16, src2: u16, seq: u64) -> Uop {
         Uop {
             instr: Instr::Lui {
                 rd: Gpr::a(0),
@@ -296,7 +272,7 @@ mod tests {
             old_dst: None,
             src1: PhysReg(src1),
             src2: PhysReg(src2),
-            mask,
+            seq,
             own_tag: None,
             lsq_idx: None,
             mem_kind: None,
@@ -317,9 +293,9 @@ mod tests {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
-            iq.enter(uop(1, 0, SpecMask::EMPTY), false, true).unwrap();
-            iq.enter(uop(2, 0, SpecMask::EMPTY), true, true).unwrap();
-            iq.enter(uop(3, 0, SpecMask::EMPTY), true, true).unwrap();
+            iq.enter(uop(1, 0, 0), false, true).unwrap();
+            iq.enter(uop(2, 0, 1), true, true).unwrap();
+            iq.enter(uop(3, 0, 2), true, true).unwrap();
         });
         in_rule(&clk, || {
             let u = iq.issue().unwrap();
@@ -332,7 +308,7 @@ mod tests {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
-            iq.enter(uop(5, 5, SpecMask::EMPTY), false, false).unwrap();
+            iq.enter(uop(5, 5, 0), false, false).unwrap();
         });
         in_rule(&clk, || {
             assert!(iq.issue().is_err());
@@ -348,7 +324,7 @@ mod tests {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 2, 128);
         in_rule(&clk, || {
-            iq.enter(uop(0, 0, SpecMask::EMPTY), false, false).unwrap();
+            iq.enter(uop(0, 0, 0), false, false).unwrap();
         });
         in_rule(&clk, || iq.wakeup(PhysReg::ZERO));
         in_rule(&clk, || {
@@ -361,9 +337,9 @@ mod tests {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 2, 128);
         in_rule(&clk, || {
-            iq.enter(uop(1, 1, SpecMask::EMPTY), true, true).unwrap();
-            iq.enter(uop(2, 2, SpecMask::EMPTY), true, true).unwrap();
-            assert!(iq.enter(uop(3, 3, SpecMask::EMPTY), true, true).is_err());
+            iq.enter(uop(1, 1, 0), true, true).unwrap();
+            iq.enter(uop(2, 2, 0), true, true).unwrap();
+            assert!(iq.enter(uop(3, 3, 0), true, true).is_err());
         });
     }
 
@@ -371,13 +347,12 @@ mod tests {
     fn wrong_spec_kills_tagged_only() {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 4, 128);
-        let tag = SpecTag(1);
         in_rule(&clk, || {
-            iq.enter(uop(1, 1, SpecMask::EMPTY), true, true).unwrap();
-            iq.enter(uop(2, 2, SpecMask::EMPTY.with(tag)), true, true)
-                .unwrap();
+            iq.enter(uop(1, 1, 3), true, true).unwrap();
+            iq.enter(uop(2, 2, 5), true, true).unwrap();
         });
-        in_rule(&clk, || iq.wrong_spec(tag));
+        // The branch took sequence number 4.
+        in_rule(&clk, || iq.wrong_spec(4));
         assert_eq!(iq.len(), 1);
         in_rule(&clk, || {
             assert_eq!(iq.issue().unwrap().src1, PhysReg(1));
@@ -389,15 +364,13 @@ mod tests {
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 4, 128);
         in_rule(&clk, || {
-            iq.enter(uop(5, 6, SpecMask::EMPTY.with(SpecTag(1))), false, true)
-                .unwrap();
-            iq.enter(uop(7, 8, SpecMask::EMPTY), false, false).unwrap();
+            iq.enter(uop(5, 6, 1), false, true).unwrap();
+            iq.enter(uop(7, 8, 0), false, false).unwrap();
         });
         clk.begin_rule();
         iq.wakeup(PhysReg(9)); // nobody waits on p9
         iq.wakeup(PhysReg(6)); // src2 matches but is already ready
-        iq.correct_spec(SpecTag(2));
-        iq.wrong_spec(SpecTag(2));
+        iq.wrong_spec(1); // nothing was renamed after it
         assert!(clk.enlisted_cells().is_empty(), "no-op broadcasts are free");
         iq.wakeup(PhysReg(7));
         assert_eq!(
@@ -423,7 +396,7 @@ mod tests {
         assert!(clk.enlisted_cells().is_empty());
         clk.commit_rule();
         in_rule(&clk, || {
-            iq.enter(uop(1, 1, SpecMask::EMPTY), true, false).unwrap();
+            iq.enter(uop(1, 1, 0), true, false).unwrap();
         });
         clk.begin_rule();
         iq.flush();
@@ -442,14 +415,13 @@ mod tests {
         let iq = IssueQueue::new(&clk, 70, 128);
         in_rule(&clk, || {
             for k in 0..66 {
-                iq.enter(uop(k, 0, SpecMask::EMPTY), k % 2 == 0, true)
-                    .unwrap();
+                iq.enter(uop(k, 0, u64::from(k)), k % 2 == 0, true).unwrap();
             }
         });
         clk.begin_rule();
         assert_eq!(iq.issue().unwrap().src1, PhysReg(0));
         iq.wakeup(PhysReg(65));
-        iq.enter(uop(99, 0, SpecMask::EMPTY), true, true).unwrap();
+        iq.enter(uop(99, 0, 66), true, true).unwrap();
         iq.flush();
         clk.abort_rule();
         assert!(iq.masks_consistent());
@@ -461,15 +433,17 @@ mod tests {
 
     #[test]
     fn correct_spec_then_reuse() {
+        // b1 (seq 0) resolves correctly, which the queue never hears about;
+        // b2 (seq 2) reuses its tag and mispredicts. x (seq 1) was renamed
+        // after b1 but before b2, so it stays.
         let clk = Clock::new();
         let iq = IssueQueue::new(&clk, 4, 128);
-        let tag = SpecTag(3);
         in_rule(&clk, || {
-            iq.enter(uop(1, 1, SpecMask::EMPTY.with(tag)), true, true)
-                .unwrap();
+            iq.enter(uop(1, 1, 1), true, true).unwrap();
+            iq.enter(uop(3, 3, 3), true, true).unwrap();
         });
-        in_rule(&clk, || iq.correct_spec(tag));
-        in_rule(&clk, || iq.wrong_spec(tag));
-        assert_eq!(iq.len(), 1, "mask was cleared before the reuse kill");
+        in_rule(&clk, || iq.wrong_spec(2));
+        assert_eq!(iq.len(), 1, "only y is squashed");
+        assert_eq!(in_rule(&clk, || iq.issue().unwrap().seq), 1);
     }
 }

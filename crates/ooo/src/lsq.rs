@@ -1,7 +1,8 @@
 //! The load-store queue (paper §V-B): split LQ/SQ with the paper's full
 //! interface — `enq`, `update`, `getIssueLd`, `issueLd`, `respLd`,
 //! `wakeupBySBDeq`, `cacheEvict`, `setAtCommit`, `firstLd`/`firstSt`,
-//! `deqLd`/`deqSt` — plus `correctSpec`/`wrongSpec`.
+//! `deqLd`/`deqSt` — plus `wrongSpec`, which squashes by rename order
+//! (a correctly predicted branch changes nothing here).
 //!
 //! Loads issue speculatively past older stores with unknown addresses;
 //! a store's `update` searches younger loads for memory-dependency
@@ -17,7 +18,7 @@ use riscy_mem::msg::{line_of, AtomicOp};
 
 use crate::mask::{occupied, SlotMask};
 use crate::sb::SbSearch;
-use crate::types::{PhysReg, SpecMask, SpecTag};
+use crate::types::PhysReg;
 
 /// Execution state of a load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +52,8 @@ pub enum StallSrc {
 pub struct LqEntry {
     /// ROB index.
     pub rob: u16,
-    /// Speculation mask.
-    pub mask: SpecMask,
+    /// The instruction's rename order ([`crate::types::Uop::seq`]).
+    pub seq: u64,
     /// Memory-op age (global order among loads and stores).
     pub age: u64,
     /// Destination register.
@@ -96,8 +97,8 @@ pub struct LqEntry {
 pub struct SqEntry {
     /// ROB index.
     pub rob: u16,
-    /// Speculation mask.
-    pub mask: SpecMask,
+    /// The instruction's rename order ([`crate::types::Uop::seq`]).
+    pub seq: u64,
     /// Memory-op age.
     pub age: u64,
     /// Access size.
@@ -137,6 +138,14 @@ pub enum LdIssue {
 /// `lq_ready` marks the loads in state [`LdState::Ready`] — translated, not
 /// yet issued — so `getIssueLd` with nothing to offer, the common case
 /// while loads wait on the cache, stalls on one read of it.
+///
+/// `lq_head` and `sq_head` are the paper's `firstLd`/`firstSt` priority
+/// encoders held in cells: the slot of the oldest live (non-zombie) load
+/// and of the oldest store/fence. An enq sets a head only when there is
+/// none (it enqueues the youngest entry); a dequeue or a squash derives it
+/// again. So `firstLd`/`firstSt` read a head and its slot, and a rule
+/// asleep on them wakes when the oldest entry changes, not on every write
+/// to a younger one.
 #[derive(Clone)]
 pub struct Lsq {
     lq: Vec<Ehr<Option<LqEntry>>>,
@@ -144,6 +153,8 @@ pub struct Lsq {
     lq_valid: SlotMask,
     lq_ready: SlotMask,
     sq_valid: SlotMask,
+    lq_head: Ehr<Option<u16>>,
+    sq_head: Ehr<Option<u16>>,
     next_age: Ehr<u64>,
     /// Loads killed by `cacheEvict` (TSO statistic, Fig. 20 discussion).
     pub evict_kills: Ehr<u64>,
@@ -159,6 +170,8 @@ impl Lsq {
             lq_valid: SlotMask::new(clk, lq_entries),
             lq_ready: SlotMask::new(clk, lq_entries),
             sq_valid: SlotMask::new(clk, sq_entries),
+            lq_head: Ehr::new(clk, None),
+            sq_head: Ehr::new(clk, None),
             next_age: Ehr::new(clk, 1),
             evict_kills: Ehr::new(clk, 0),
         }
@@ -209,7 +222,7 @@ impl Lsq {
     pub fn enq_ld(
         &self,
         rob: u16,
-        mask: SpecMask,
+        seq: u64,
         dst: Option<PhysReg>,
         atomic_class: bool,
     ) -> Guarded<u16> {
@@ -217,7 +230,7 @@ impl Lsq {
         let age = self.alloc_age();
         self.lq[free].write(Some(LqEntry {
             rob,
-            mask,
+            seq,
             age,
             dst,
             bytes: 0,
@@ -237,6 +250,10 @@ impl Lsq {
             at_commit: false,
         }));
         self.lq_valid.set(free);
+        // The youngest load is the oldest only in an empty LQ.
+        if self.lq_head.read().is_none() {
+            self.lq_head.write(Some(free as u16));
+        }
         debug_assert!(self.masks_consistent());
         Ok(free as u16)
     }
@@ -247,12 +264,12 @@ impl Lsq {
     /// # Errors
     ///
     /// Stalls when the SQ is full.
-    pub fn enq_st(&self, rob: u16, mask: SpecMask, is_fence: bool) -> Guarded<u16> {
+    pub fn enq_st(&self, rob: u16, seq: u64, is_fence: bool) -> Guarded<u16> {
         let free = self.free_sq()?;
         let age = self.alloc_age();
         self.sq[free].write(Some(SqEntry {
             rob,
-            mask,
+            seq,
             age,
             bytes: 0,
             addr: None,
@@ -264,6 +281,9 @@ impl Lsq {
             issued: false,
         }));
         self.sq_valid.set(free);
+        if self.sq_head.read().is_none() {
+            self.sq_head.write(Some(free as u16));
+        }
         debug_assert!(self.masks_consistent());
         Ok(free as u16)
     }
@@ -603,43 +623,60 @@ impl Lsq {
         });
     }
 
-    /// Slot of the oldest live (non-zombie) load: ages are compared on a
-    /// borrow, the caller reads the winner once.
-    fn oldest_lq(&self) -> Option<usize> {
+    /// Slot of the oldest live (non-zombie) load, found by a scan: what
+    /// `lq_head` must hold. Ages are compared on a borrow.
+    fn scan_lq(&self) -> Option<u16> {
         self.lq_valid
             .iter()
             .filter_map(|i| {
                 self.lq[i].with(|e| e.as_ref().filter(|e| !e.zombie).map(|e| (i, e.age)))
             })
             .min_by_key(|&(_, age)| age)
-            .map(|(i, _)| i)
+            .map(|(i, _)| i as u16)
     }
 
-    /// Slot of the oldest store/fence.
-    fn oldest_sq(&self) -> Option<usize> {
+    /// Slot of the oldest store/fence, found by a scan: what `sq_head` must
+    /// hold.
+    fn scan_sq(&self) -> Option<u16> {
         self.sq_valid
             .iter()
-            .min_by_key(|&i| self.sq[i].with(|e| e.as_ref().expect("valid bit set").age))
+            .filter_map(|i| self.sq[i].with(|e| e.as_ref().map(|e| (i, e.age))))
+            .min_by_key(|&(_, age)| age)
+            .map(|(i, _)| i as u16)
     }
 
-    /// The oldest load (paper's `firstLd`).
+    /// Derives both heads again after a squash, writing only the ones that
+    /// moved.
+    fn rescan_heads(&self) {
+        let (lq, sq) = (self.scan_lq(), self.scan_sq());
+        self.lq_head.update_if(|h| *h != lq, |h| *h = lq);
+        self.sq_head.update_if(|h| *h != sq, |h| *h = sq);
+    }
+
+    /// The oldest load (paper's `firstLd`): the head and its slot.
     ///
     /// # Errors
     ///
     /// Stalls when the LQ is empty.
     pub fn first_ld(&self) -> Guarded<(u16, LqEntry)> {
-        let i = self.oldest_lq().ok_or(Stall::new("lq empty"))?;
-        Ok((i as u16, self.lq[i].read().expect("valid bit set")))
+        let i = self.lq_head.read().ok_or(Stall::new("lq empty"))?;
+        Ok((
+            i,
+            self.lq[i as usize].read().expect("head slot holds a load"),
+        ))
     }
 
-    /// The oldest store/fence (paper's `firstSt`).
+    /// The oldest store/fence (paper's `firstSt`): the head and its slot.
     ///
     /// # Errors
     ///
     /// Stalls when the SQ is empty.
     pub fn first_st(&self) -> Guarded<(u16, SqEntry)> {
-        let i = self.oldest_sq().ok_or(Stall::new("sq empty"))?;
-        Ok((i as u16, self.sq[i].read().expect("valid bit set")))
+        let i = self.sq_head.read().ok_or(Stall::new("sq empty"))?;
+        Ok((
+            i,
+            self.sq[i as usize].read().expect("head slot holds a store"),
+        ))
     }
 
     /// Whether any older store than `age` still has an unknown address
@@ -659,11 +696,12 @@ impl Lsq {
     ///
     /// Panics if the LQ is empty.
     pub fn deq_ld(&self) -> LqEntry {
-        let i = self.oldest_lq().expect("deqLd on empty LQ");
-        let e = self.lq[i].read().expect("valid bit set");
+        let i = usize::from(self.lq_head.read().expect("deqLd on empty LQ"));
+        let e = self.lq[i].read().expect("head slot holds a load");
         self.lq[i].write(None);
         self.lq_valid.clear(i);
         self.lq_ready.clear(i);
+        self.lq_head.write(self.scan_lq());
         debug_assert!(self.masks_consistent());
         e
     }
@@ -675,10 +713,11 @@ impl Lsq {
     ///
     /// Panics if the SQ is empty.
     pub fn deq_st(&self) -> SqEntry {
-        let i = self.oldest_sq().expect("deqSt on empty SQ");
-        let e = self.sq[i].read().expect("valid bit set");
+        let i = usize::from(self.sq_head.read().expect("deqSt on empty SQ"));
+        let e = self.sq[i].read().expect("head slot holds a store");
         self.sq[i].write(None);
         self.sq_valid.clear(i);
+        self.sq_head.write(self.scan_sq());
         if e.is_fence {
             self.wakeup_where(|s| matches!(s, StallSrc::Fence(a) if *a == e.age));
         } else {
@@ -724,38 +763,19 @@ impl Lsq {
         }
     }
 
-    /// `wrongSpec`: drops tagged entries; issued loads become zombies until
-    /// their wrong-path responses return.
-    pub fn wrong_spec(&self, tag: SpecTag) {
+    /// `wrongSpec`: drops the entries renamed after the branch whose
+    /// sequence number is `bseq`; issued loads become zombies until their
+    /// wrong-path responses return. Committed stores are older than any
+    /// unresolved branch, so they never qualify.
+    pub fn wrong_spec(&self, bseq: u64) {
         for i in self.lq_valid.iter() {
-            self.squash_ld(i, |e| e.mask.contains(tag));
+            self.squash_ld(i, |e| e.seq > bseq);
         }
         for i in self.sq_valid.iter() {
-            self.squash_st(i, |e| e.mask.contains(tag));
+            self.squash_st(i, |e| e.seq > bseq);
         }
+        self.rescan_heads();
         debug_assert!(self.masks_consistent());
-    }
-
-    /// `correctSpec`: clears `tag` everywhere.
-    pub fn correct_spec(&self, tag: SpecTag) {
-        for i in self.lq_valid.iter() {
-            self.lq[i].update_if(
-                |e| matches!(e, Some(e) if e.mask.contains(tag)),
-                |e| {
-                    let e = e.as_mut().expect("predicate saw an entry");
-                    e.mask = e.mask.without(tag);
-                },
-            );
-        }
-        for i in self.sq_valid.iter() {
-            self.sq[i].update_if(
-                |e| matches!(e, Some(e) if e.mask.contains(tag)),
-                |e| {
-                    let e = e.as_mut().expect("predicate saw an entry");
-                    e.mask = e.mask.without(tag);
-                },
-            );
-        }
     }
 
     /// Commit-time flush: drop everything except committed stores/fences
@@ -768,6 +788,7 @@ impl Lsq {
         for i in self.sq_valid.iter() {
             self.squash_st(i, |e| !e.committed);
         }
+        self.rescan_heads();
         debug_assert!(self.masks_consistent());
     }
 
@@ -792,16 +813,26 @@ impl Lsq {
         self.lq_valid.is_empty() && self.sq_valid.is_empty()
     }
 
-    /// Whether the three masks are what the slots say they are — the
-    /// invariant every method that fills or frees a slot, or moves a load
-    /// into or out of `Ready`, `debug_assert!`s, and a snapshot restore
-    /// checks. Public so tests outside the crate can also check it after an
-    /// aborted rule.
+    /// Whether the three masks and the two heads are what the slots say
+    /// they are — the invariant every method that fills or frees a slot,
+    /// or moves a load into or out of `Ready`, `debug_assert!`s, and a
+    /// snapshot restore checks. Public so tests outside the crate can also
+    /// check it after an aborted rule.
     #[must_use]
     pub fn masks_consistent(&self) -> bool {
+        // The scans trust the masks, so they run only once those hold.
         self.lq_valid.matches(occupied(&self.lq))
             && self.sq_valid.matches(occupied(&self.sq))
             && self.lq_ready.matches(self.ready_bits())
+            && self.lq_head.read() == self.scan_lq()
+            && self.sq_head.read() == self.scan_sq()
+    }
+
+    /// The largest sequence number in either queue, zombies included.
+    pub(crate) fn max_seq(&self) -> Option<u64> {
+        let lq = self.lq.iter().filter_map(|s| s.with(|e| e.map(|e| e.seq)));
+        let sq = self.sq.iter().filter_map(|s| s.with(|e| e.map(|e| e.seq)));
+        lq.chain(sq).max()
     }
 
     /// What `lq_ready` must hold, slot by slot.
@@ -848,7 +879,7 @@ cmd_core::snap_enum!(StallSrc {
 
 cmd_core::snap_struct!(LqEntry {
     rob,
-    mask,
+    seq,
     age,
     dst,
     bytes,
@@ -870,7 +901,7 @@ cmd_core::snap_struct!(LqEntry {
 
 cmd_core::snap_struct!(SqEntry {
     rob,
-    mask,
+    seq,
     age,
     bytes,
     addr,
@@ -904,13 +935,13 @@ mod tests {
         let (clk, l) = lsq();
         in_rule(&clk, || {
             for _ in 0..4 {
-                l.enq_ld(0, SpecMask::EMPTY, None, false).unwrap();
+                l.enq_ld(0, 0, None, false).unwrap();
             }
-            assert!(l.enq_ld(0, SpecMask::EMPTY, None, false).is_err());
+            assert!(l.enq_ld(0, 0, None, false).is_err());
             for _ in 0..4 {
-                l.enq_st(0, SpecMask::EMPTY, false).unwrap();
+                l.enq_st(0, 0, false).unwrap();
             }
-            assert!(l.enq_st(0, SpecMask::EMPTY, false).is_err());
+            assert!(l.enq_st(0, 0, false).is_err());
         });
     }
 
@@ -918,8 +949,8 @@ mod tests {
     fn load_forwards_from_covering_older_store() {
         let (clk, l) = lsq();
         let (st, ld) = in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             st_ld_pair(&l, st, ld)
         });
         let r = in_rule(&clk, || l.issue_ld(ld, SbSearch::Miss));
@@ -938,8 +969,8 @@ mod tests {
     fn load_stalls_on_partial_older_store_then_wakes_on_deq() {
         let (clk, l) = lsq();
         let ld = in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_st(st, Ok(0x1004), 4, 0xffff_ffff, false);
             l.update_ld(ld, Ok(0x1000), 8, false, false, None);
             ld
@@ -961,8 +992,8 @@ mod tests {
     fn speculative_load_killed_by_late_store_address() {
         let (clk, l) = lsq();
         let (st, ld) = in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             // The load translates first and issues speculatively.
             l.update_ld(ld, Ok(0x2000), 8, false, false, None);
             (st, ld)
@@ -986,9 +1017,9 @@ mod tests {
     fn forward_from_youngest_older_store_is_not_killed() {
         let (clk, l) = lsq();
         let (st_old, st_new, ld) = in_rule(&clk, || {
-            let st_old = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let st_new = l.enq_st(2, SpecMask::EMPTY, false).unwrap();
-            let ld = l.enq_ld(3, SpecMask::EMPTY, None, false).unwrap();
+            let st_old = l.enq_st(1, 1, false).unwrap();
+            let st_new = l.enq_st(2, 2, false).unwrap();
+            let ld = l.enq_ld(3, 3, None, false).unwrap();
             // Younger store's address is known; it covers the load.
             l.update_st(st_new, Ok(0x3000), 8, 42, false);
             l.update_ld(ld, Ok(0x3000), 8, false, false, None);
@@ -1007,8 +1038,8 @@ mod tests {
     fn fence_blocks_younger_loads_until_deq() {
         let (clk, l) = lsq();
         let ld = in_rule(&clk, || {
-            l.enq_st(1, SpecMask::EMPTY, true).unwrap(); // fence
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            l.enq_st(1, 1, true).unwrap(); // fence
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld, Ok(0x4000), 8, false, false, None);
             ld
         });
@@ -1026,8 +1057,8 @@ mod tests {
     fn sb_search_results_honored() {
         let (clk, l) = lsq();
         let (ld1, ld2) = in_rule(&clk, || {
-            let ld1 = l.enq_ld(1, SpecMask::EMPTY, None, false).unwrap();
-            let ld2 = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let ld1 = l.enq_ld(1, 1, None, false).unwrap();
+            let ld2 = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld1, Ok(0x5000), 8, false, false, None);
             l.update_ld(ld2, Ok(0x5008), 8, false, false, None);
             (ld1, ld2)
@@ -1044,9 +1075,8 @@ mod tests {
     #[test]
     fn wrong_spec_zombifies_issued_loads() {
         let (clk, l) = lsq();
-        let tag = SpecTag(0);
         let ld = in_rule(&clk, || {
-            let ld = l.enq_ld(1, SpecMask::EMPTY.with(tag), None, false).unwrap();
+            let ld = l.enq_ld(1, 1, None, false).unwrap();
             l.update_ld(ld, Ok(0x6000), 8, false, false, None);
             ld
         });
@@ -1054,8 +1084,12 @@ mod tests {
             l.get_issue_ld().unwrap();
             l.issue_ld(ld, SbSearch::Miss);
         });
-        in_rule(&clk, || l.wrong_spec(tag));
+        in_rule(&clk, || l.wrong_spec(0));
         assert_eq!(l.lq_len(), 0, "logically gone");
+        assert!(
+            in_rule(&clk, || l.first_ld()).is_err(),
+            "a zombie is no head"
+        );
         assert!(!l.is_empty(), "slot pinned until the response returns");
         let wrong = in_rule(&clk, || l.resp_ld(ld, 5));
         assert!(wrong, "response identified as wrong-path");
@@ -1066,9 +1100,9 @@ mod tests {
     fn tso_cache_evict_kills_cache_sourced_loads_only() {
         let (clk, l) = lsq();
         let (ld_cache, ld_fwd) = in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let a = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
-            let b = l.enq_ld(3, SpecMask::EMPTY, None, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let a = l.enq_ld(2, 2, None, false).unwrap();
+            let b = l.enq_ld(3, 3, None, false).unwrap();
             l.update_st(st, Ok(0x7000), 8, 1, false);
             l.update_ld(a, Ok(0x7040), 8, false, false, None);
             l.update_ld(b, Ok(0x7000), 8, false, false, None);
@@ -1095,21 +1129,22 @@ mod tests {
     fn broadcasts_that_concern_no_entry_enlist_no_cell() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let ld = l
-                .enq_ld(2, SpecMask::EMPTY.with(SpecTag(1)), None, false)
-                .unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_st(st, Ok(0xb000), 8, 1, false);
             l.update_ld(ld, Ok(0xc000), 8, false, false, None);
         });
         clk.begin_rule();
-        l.correct_spec(SpecTag(3));
-        l.wrong_spec(SpecTag(3));
+        l.wrong_spec(2); // nothing was renamed after it
         l.wakeup_by_sb_deq(0);
         l.cache_evict(0xc000); // the load has not bound a value yet
         assert!(clk.enlisted_cells().is_empty(), "no-op broadcasts are free");
-        l.correct_spec(SpecTag(1));
-        assert_eq!(clk.enlisted_cells().len(), 1, "only the tagged load");
+        l.wrong_spec(1);
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            4,
+            "the load's slot, its two mask words and the LQ head"
+        );
         clk.commit_rule();
     }
 
@@ -1117,8 +1152,8 @@ mod tests {
     fn deq_ld_ordering_and_unknown_store_guard() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld, Ok(0x8000), 8, false, false, None);
             let (_, e) = l.first_ld().unwrap();
             assert!(l.older_store_addr_unknown(e.age), "store addr unknown");
@@ -1131,9 +1166,9 @@ mod tests {
     fn flush_keeps_committed_stores() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st1 = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
-            let _st2 = l.enq_st(2, SpecMask::EMPTY, false).unwrap();
-            let _ld = l.enq_ld(3, SpecMask::EMPTY, None, false).unwrap();
+            let st1 = l.enq_st(1, 1, false).unwrap();
+            let _st2 = l.enq_st(2, 2, false).unwrap();
+            let _ld = l.enq_ld(3, 3, None, false).unwrap();
             l.update_st(st1, Ok(0xa000), 8, 5, false);
             l.set_at_commit_st(st1);
         });
@@ -1151,10 +1186,10 @@ mod tests {
         assert!(clk.enlisted_cells().is_empty(), "empty LSQ: nothing to do");
         clk.commit_rule();
         let ld = in_rule(&clk, || {
-            let st = l.enq_st(1, SpecMask::EMPTY, false).unwrap();
+            let st = l.enq_st(1, 1, false).unwrap();
             l.update_st(st, Ok(0xa000), 8, 5, false);
             l.set_at_commit_st(st);
-            let ld = l.enq_ld(2, SpecMask::EMPTY, None, false).unwrap();
+            let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld, Ok(0xb000), 8, false, false, None);
             assert_eq!(l.issue_ld(ld, SbSearch::Miss), LdIssue::ToCache);
             ld
@@ -1178,24 +1213,138 @@ mod tests {
         let clk = Clock::new();
         let l = Lsq::new(&clk, 70, 66);
         in_rule(&clk, || {
+            // Stores take sequence numbers below 66, loads from 100 on.
             for k in 0..66 {
-                l.enq_ld(k, SpecMask::EMPTY.with(SpecTag(1)), None, false)
-                    .unwrap();
-                l.enq_st(k, SpecMask::EMPTY, false).unwrap();
+                l.enq_ld(k, 100 + u64::from(k), None, false).unwrap();
+                l.enq_st(k, u64::from(k), false).unwrap();
             }
         });
         clk.begin_rule();
-        assert!(l.enq_st(0, SpecMask::EMPTY, false).is_err(), "sq full");
+        assert!(l.enq_st(0, 66, false).is_err(), "sq full");
         l.deq_ld();
         l.deq_st();
-        l.enq_ld(99, SpecMask::EMPTY, None, false).unwrap();
-        l.wrong_spec(SpecTag(1));
+        l.enq_ld(99, 200, None, false).unwrap();
+        l.wrong_spec(99);
         l.flush_speculative();
         assert!(l.is_empty());
         clk.abort_rule();
         assert!(l.masks_consistent());
         assert_eq!((l.lq_len(), l.sq_len()), (66, 66));
         assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), 0);
+    }
+
+    #[test]
+    fn heads_follow_the_oldest_entry_through_zombies_and_squashes() {
+        let (clk, l) = lsq();
+        let lds = in_rule(&clk, || {
+            let lds: Vec<u16> = (0..3)
+                .map(|k| l.enq_ld(k, u64::from(k), None, false).unwrap())
+                .collect();
+            l.update_ld(lds[1], Ok(0xd000), 8, false, false, None);
+            assert_eq!(l.issue_ld(lds[1], SbSearch::Miss), LdIssue::ToCache);
+            lds
+        });
+        assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), lds[0]);
+        // The load renamed before the branch stays the head; the issued one
+        // becomes a zombie and the last one goes.
+        in_rule(&clk, || l.wrong_spec(0));
+        assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), lds[0]);
+        in_rule(&clk, || l.deq_ld());
+        assert!(
+            in_rule(&clk, || l.first_ld()).is_err(),
+            "only a zombie is left"
+        );
+        let (st, ld) = in_rule(&clk, || {
+            (
+                l.enq_st(3, 3, true).unwrap(),
+                l.enq_ld(4, 4, None, false).unwrap(),
+            )
+        });
+        assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), ld);
+        assert_eq!(in_rule(&clk, || l.first_st().unwrap().0), st);
+        assert!(
+            in_rule(&clk, || l.resp_ld(lds[1], 0)),
+            "the zombie's response"
+        );
+        in_rule(&clk, || l.flush_speculative());
+        assert!(in_rule(&clk, || l.first_ld()).is_err());
+        assert!(in_rule(&clk, || l.first_st()).is_err());
+        assert!(l.is_empty() && l.masks_consistent());
+    }
+
+    /// `firstLd`/`firstSt` read a head and its slot: a rule asleep on them
+    /// sleeps through writes to younger entries and wakes when the oldest
+    /// one changes.
+    #[test]
+    fn a_rule_asleep_on_first_ld_or_first_st_watches_only_the_head() {
+        use cmd_core::sched::Wakeup;
+        use cmd_core::sim::Sim;
+
+        struct St {
+            clk: Clock,
+            lsq: Lsq,
+            deqs: Vec<(&'static str, u64)>,
+        }
+        let fault = Err((Exception::LoadPageFault, 0));
+        let (clk, l) = lsq();
+        in_rule(&clk, || {
+            l.enq_ld(0, 0, None, false).unwrap();
+            l.enq_ld(1, 1, None, false).unwrap();
+            l.enq_st(2, 2, false).unwrap();
+            l.enq_st(3, 3, false).unwrap();
+        });
+        let st = St {
+            clk: clk.clone(),
+            lsq: l,
+            deqs: Vec::new(),
+        };
+        let mut sim = Sim::new(clk, st);
+        sim.rule("script", move |s: &mut St| {
+            match s.clk.cycle() {
+                // Only younger entries change: the second load finishes, the
+                // second store commits, a third load arrives.
+                2 => {
+                    s.lsq.update_ld(1, fault, 8, false, false, None);
+                    s.lsq.set_at_commit_st(1);
+                    s.lsq.enq_ld(4, 4, None, false)?;
+                }
+                4 => s.lsq.update_ld(0, fault, 8, false, false, None),
+                6 => s.lsq.set_at_commit_st(0),
+                _ => return Err(Stall::new("nothing scripted")),
+            }
+            Ok(())
+        });
+        let deq_ld = sim.rule("deqLd", |s: &mut St| {
+            if s.lsq.first_ld()?.1.state != LdState::Done {
+                return Err(Stall::new("load not done"));
+            }
+            s.lsq.deq_ld();
+            s.deqs.push(("ld", s.clk.cycle()));
+            Ok(())
+        });
+        let deq_st = sim.rule("deqSt", |s: &mut St| {
+            if !s.lsq.first_st()?.1.committed {
+                return Err(Stall::new("store not committed"));
+            }
+            s.lsq.deq_st();
+            s.deqs.push(("st", s.clk.cycle()));
+            Ok(())
+        });
+        for r in [deq_ld, deq_st] {
+            sim.set_wakeup(r, Wakeup::Inferred);
+        }
+        sim.enable_profiling();
+        sim.run(10);
+        assert_eq!(
+            sim.state().deqs,
+            [("ld", 4), ("ld", 5), ("st", 6), ("st", 7)]
+        );
+        let evals =
+            |r: cmd_core::sim::RuleId| sim.profiler().expect("enabled").rule(r.index()).evals;
+        // deqLd: a stall at 0, two firings, then a stall on the third load;
+        // deqSt: a stall at 0, two firings, then "sq empty". Neither woke at
+        // cycle 2.
+        assert_eq!((evals(deq_ld), evals(deq_st)), (4, 4));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use cmd_core::journal::EhrArray;
 use riscy_isa::reg::Gpr;
 
 use crate::frontend::{GhistSnapshot, RasSnapshot};
-use crate::types::{PhysReg, SpecMask, SpecTag};
+use crate::types::{PhysReg, SpecTag};
 
 /// Rename table (RAT) pair: speculative and committed maps, plus the free
 /// list of physical registers.
@@ -210,9 +210,9 @@ pub struct SpecSnapshot {
     pub ras: RasSnapshot,
     /// Global branch history.
     pub ghist: GhistSnapshot,
-    /// The branch's own dependency mask (tags allocated after it depend on
-    /// it transitively via this).
-    pub mask: SpecMask,
+    /// The branch's rename order ([`crate::types::Uop::seq`]): its
+    /// misprediction frees every tag of a branch renamed after it.
+    pub seq: u64,
 }
 
 /// The speculation manager: a finite set of tags, each with a snapshot
@@ -227,7 +227,7 @@ impl SpecManager {
     /// Creates a manager with `num_tags` tags.
     #[must_use]
     pub fn new(clk: &Clock, num_tags: usize) -> Self {
-        assert!(num_tags <= 32, "SpecMask is 32 bits");
+        assert!(num_tags <= 256, "a SpecTag is 8 bits");
         SpecManager {
             snapshots: EhrArray::new(clk, vec![None; num_tags]),
             num_tags,
@@ -263,25 +263,15 @@ impl SpecManager {
     }
 
     /// Resolves a branch as correctly predicted: frees the tag
-    /// (`correctSpec`). Callers must also clear the bit from all masks in
-    /// flight.
+    /// (`correctSpec`), and that is all. Nothing in flight records which
+    /// tags it depends on, so there is nothing else to clear.
     pub fn correct(&self, tag: SpecTag) {
         self.snapshots.set(tag.0 as usize, None);
-        // Clear this tag from the dependency masks of younger tags.
-        for i in 0..self.num_tags {
-            self.snapshots.update_if(
-                i,
-                |s| matches!(s, Some(sn) if sn.mask.contains(tag)),
-                |s| {
-                    let sn = s.as_mut().expect("predicate saw a snapshot");
-                    sn.mask = sn.mask.without(tag);
-                },
-            );
-        }
     }
 
     /// Resolves a branch as mispredicted: returns its snapshot and frees
-    /// this tag plus every younger tag that depended on it (`wrongSpec`).
+    /// this tag plus the tag of every branch renamed after it
+    /// (`wrongSpec`).
     ///
     /// # Panics
     ///
@@ -295,7 +285,7 @@ impl SpecManager {
         for i in 0..self.num_tags {
             self.snapshots.update_if(
                 i,
-                |s| matches!(s, Some(sn) if sn.mask.contains(tag)),
+                |s| matches!(s, Some(sn) if sn.seq > snap.seq),
                 |s| *s = None,
             );
         }
@@ -319,6 +309,12 @@ impl SpecManager {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.num_tags
+    }
+
+    /// The largest sequence number of a live tag's branch, if any.
+    pub(crate) fn max_seq(&self) -> Option<u64> {
+        self.snapshots
+            .with(|s| s.iter().flatten().map(|sn| sn.seq).max())
     }
 
     /// Cross-check after both halves of the rename state were restored
@@ -348,7 +344,7 @@ cmd_core::snap_struct!(SpecSnapshot {
     rat,
     ras,
     ghist,
-    mask,
+    seq,
 });
 
 #[cfg(test)]
@@ -357,6 +353,13 @@ mod tests {
     use crate::config::BpConfig;
     use crate::frontend::{Ras, Tournament};
 
+    fn in_rule<R>(clk: &Clock, f: impl FnOnce() -> R) -> R {
+        clk.begin_rule();
+        let r = f();
+        clk.commit_rule();
+        r
+    }
+
     fn fixture() -> (Clock, RenameTable, SpecManager) {
         let clk = Clock::new();
         let rt = RenameTable::new(&clk, 40);
@@ -364,14 +367,14 @@ mod tests {
         (clk, rt, sm)
     }
 
-    fn snap(rt: &RenameTable, mask: SpecMask) -> SpecSnapshot {
+    fn snap(rt: &RenameTable, seq: u64) -> SpecSnapshot {
         let t = Tournament::new(BpConfig::default());
         let r = Ras::new(4);
         SpecSnapshot {
             rat: rt.snapshot(),
             ras: r.snapshot(),
             ghist: t.snapshot(),
-            mask,
+            seq,
         }
     }
 
@@ -427,7 +430,7 @@ mod tests {
             let before = clk.enlisted_cells().len();
             let can = sm.can_allocate();
             assert_eq!(clk.enlisted_cells().len(), before, "the twin wrote");
-            assert_eq!(can, sm.allocate(snap(&rt, SpecMask::EMPTY)).map(drop));
+            assert_eq!(can, sm.allocate(snap(&rt, 0)).map(drop));
         }
         assert_eq!(
             sm.can_allocate(),
@@ -491,7 +494,7 @@ mod tests {
         // Older instruction renames a0 (will commit later).
         let (n_a0, o_a0) = rt.allocate(Gpr::a(0)).unwrap();
         // Branch allocates a tag.
-        let tag = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+        let tag = sm.allocate(snap(&rt, 0)).unwrap();
         // Wrong-path instructions rename.
         let _ = rt.allocate(Gpr::a(1)).unwrap();
         let _ = rt.allocate(Gpr::a(2)).unwrap();
@@ -520,7 +523,7 @@ mod tests {
         assert_eq!(clk.enlisted_cells().len(), 2);
         rt.commit(Gpr::a(0), new, old);
         assert_eq!(clk.enlisted_cells().len(), 5);
-        let tag = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+        let tag = sm.allocate(snap(&rt, 0)).unwrap();
         sm.correct(tag);
         assert_eq!(clk.enlisted_cells().len(), 6);
         clk.commit_rule();
@@ -530,7 +533,7 @@ mod tests {
     fn restored_snapshot_must_fit_the_ring() {
         let (clk, rt, sm) = fixture();
         clk.begin_rule();
-        let mut s = snap(&rt, SpecMask::EMPTY);
+        let mut s = snap(&rt, 0);
         s.rat.free_head = 99; // ahead of the live head
         sm.allocate(s).unwrap();
         clk.commit_rule();
@@ -542,27 +545,29 @@ mod tests {
         let (clk, rt, sm) = fixture();
         clk.begin_rule();
         for _ in 0..4 {
-            sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+            sm.allocate(snap(&rt, 0)).unwrap();
         }
-        assert!(sm.allocate(snap(&rt, SpecMask::EMPTY)).is_err());
+        assert!(sm.allocate(snap(&rt, 0)).is_err());
         clk.commit_rule();
         assert_eq!(sm.live(), 4);
     }
 
     #[test]
-    fn correct_spec_frees_tag_and_clears_masks() {
+    fn correct_spec_frees_only_the_tag() {
         let (clk, rt, sm) = fixture();
+        let t0 = in_rule(&clk, || sm.allocate(snap(&rt, 0)).unwrap());
+        let t1 = in_rule(&clk, || sm.allocate(snap(&rt, 1)).unwrap());
         clk.begin_rule();
-        let t0 = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
-        let t1 = sm.allocate(snap(&rt, SpecMask::EMPTY.with(t0))).unwrap();
         sm.correct(t0);
+        assert_eq!(clk.enlisted_cells().len(), 1, "the snapshot array alone");
         assert_eq!(sm.live(), 1);
-        // t1 no longer depends on t0: wrong(t0-reuse) must not kill it.
-        let t0_again = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+        // t0's slot comes back for a branch renamed after t1, and its
+        // misprediction must not take t1 with it.
+        let t0_again = sm.allocate(snap(&rt, 2)).unwrap();
         assert_eq!(t0_again, t0, "slot reused");
         sm.wrong(t0_again);
         assert_eq!(sm.live(), 1, "t1 survives");
-        let _ = t1;
+        assert_eq!(sm.wrong(t1).seq, 1);
         clk.commit_rule();
     }
 
@@ -570,11 +575,15 @@ mod tests {
     fn wrong_spec_kills_dependent_tags() {
         let (clk, rt, sm) = fixture();
         clk.begin_rule();
-        let t0 = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
-        let _t1 = sm.allocate(snap(&rt, SpecMask::EMPTY.with(t0))).unwrap();
-        let _t2 = sm.allocate(snap(&rt, SpecMask::EMPTY)).unwrap();
+        let t0 = sm.allocate(snap(&rt, 5)).unwrap();
+        let _t1 = sm.allocate(snap(&rt, 6)).unwrap();
+        let _t2 = sm.allocate(snap(&rt, 4)).unwrap();
         sm.wrong(t0);
-        assert_eq!(sm.live(), 1, "t1 dies with t0; independent t2 survives");
+        assert_eq!(
+            sm.live(),
+            1,
+            "t1, renamed after t0, dies with it; t2, renamed before, survives"
+        );
         clk.commit_rule();
     }
 }

@@ -1,13 +1,18 @@
 //! The reorder buffer (paper §V-A), with the paper's interface:
 //! `getEnqIndex`/`enq`/`first`/`deq`, `setNonMemCompleted`,
-//! `setAfterTranslation`, `setAtLSQDeq`, plus `correctSpec`/`wrongSpec`.
+//! `setAfterTranslation`, `setAtLSQDeq`, plus `wrongSpec`.
+//!
+//! The ROB also hands out rename order: every `enq` takes the next sequence
+//! number, and `wrongSpec` squashes the entries renamed after the branch.
+//! A correctly predicted branch changes nothing here (the paper's
+//! `correctSpec` clears a mask bit the sequence numbers do not need).
 
 use cmd_core::cell::Ehr;
 use cmd_core::clock::Clock;
 use cmd_core::guard::{Guarded, Stall};
 use riscy_isa::csr::Exception;
 
-use crate::types::{SpecTag, SystemOp, Uop};
+use crate::types::{SystemOp, Uop};
 
 /// One ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +81,9 @@ pub struct Rob {
     head: Ehr<usize>,
     tail: Ehr<usize>,
     count: Ehr<usize>,
+    /// The sequence number the next `enq` takes: rename order, never
+    /// reused, so live entries increase from head to tail.
+    next_seq: Ehr<u64>,
 }
 
 impl Rob {
@@ -87,6 +95,7 @@ impl Rob {
             head: Ehr::new(clk, 0),
             tail: Ehr::new(clk, 0),
             count: Ehr::new(clk, 0),
+            next_seq: Ehr::new(clk, 0),
         }
     }
 
@@ -115,6 +124,13 @@ impl Rob {
         self.tail.read() as u16
     }
 
+    /// The sequence number the next `enq` takes ([`Uop::seq`]): rename
+    /// stamps it on the micro-op, and every copy of it, before the enq.
+    #[must_use]
+    pub fn enq_seq(&self) -> u64 {
+        self.next_seq.read()
+    }
+
     /// Whether [`Rob::enq`] would succeed, and if not the stall it would
     /// report, read without writing anything.
     ///
@@ -128,17 +144,21 @@ impl Rob {
         Ok(())
     }
 
-    /// Appends an entry in program order.
+    /// Appends an entry in program order. Its micro-op must carry
+    /// [`Rob::enq_seq`], which the enq then moves past.
     ///
     /// # Errors
     ///
     /// Stalls when full.
     pub fn enq(&self, e: RobEntry) -> Guarded<u16> {
         self.can_enq()?;
+        let seq = self.next_seq.read();
+        debug_assert_eq!(e.uop.seq, seq, "enq of a micro-op not stamped enq_seq");
         let t = self.tail.read();
         self.entries[t].write(Some(e));
         self.tail.write((t + 1) % self.capacity());
         self.count.update(|c| *c += 1);
+        self.next_seq.write(seq + 1);
         Ok(t as u16)
     }
 
@@ -236,18 +256,18 @@ impl Rob {
         self.with_entry(idx, |e| e.next_pc = next);
     }
 
-    /// `wrongSpec`: squashes every entry carrying `tag` (they form the
-    /// youngest suffix) and rolls the tail back.
-    pub fn wrong_spec(&self, tag: SpecTag) {
+    /// `wrongSpec`: squashes every entry renamed after the branch whose
+    /// sequence number is `bseq` (they form the youngest suffix) and rolls
+    /// the tail back.
+    pub fn wrong_spec(&self, bseq: u64) {
         let cap = self.capacity();
         let mut t = self.tail.read();
         let count = self.count.read();
         let mut n = count;
         while n > 0 {
             let prev = (t + cap - 1) % cap;
-            let tagged =
-                self.entries[prev].with(|e| matches!(e, Some(e) if e.uop.mask.contains(tag)));
-            if !tagged {
+            let younger = self.entries[prev].with(|e| matches!(e, Some(e) if e.uop.seq > bseq));
+            if !younger {
                 break;
             }
             self.entries[prev].write(None);
@@ -268,23 +288,10 @@ impl Rob {
         (head..head + self.count.read()).map(move |i| if i < cap { i } else { i - cap })
     }
 
-    /// `correctSpec`: clears `tag` from every live mask.
-    pub fn correct_spec(&self, tag: SpecTag) {
-        // Change-only: entries that do not depend on `tag` open no
-        // transaction.
-        for i in self.live() {
-            self.entries[i].update_if(
-                |e| matches!(e, Some(e) if e.uop.mask.contains(tag)),
-                |e| {
-                    let e = e.as_mut().expect("predicate saw an entry");
-                    e.uop.mask = e.uop.mask.without(tag);
-                },
-            );
-        }
-    }
-
-    /// Whether the pointers are in range and the ring `head .. head + count`
-    /// holds exactly the live entries: what a restored ROB is checked for.
+    /// Whether the pointers are in range, the ring `head .. head + count`
+    /// holds exactly the live entries, and their sequence numbers increase
+    /// from head to tail (`wrongSpec`'s tail walk relies on it): what a
+    /// restored ROB is checked for.
     pub(crate) fn consistent(&self) -> bool {
         let cap = self.capacity();
         let (head, tail, count) = (self.head.read(), self.tail.read(), self.count.read());
@@ -293,6 +300,18 @@ impl Rob {
             && (head + count) % cap == tail
             && (0..cap)
                 .all(|i| self.entries[i].with(Option::is_some) == ((i + cap - head) % cap < count))
+            && self
+                .live()
+                .map(|i| self.entries[i].with(|e| e.map_or(0, |e| e.uop.seq)))
+                .is_sorted_by(|a, b| a < b)
+    }
+
+    /// The largest sequence number in the ROB, if any entry is live.
+    pub(crate) fn max_seq(&self) -> Option<u64> {
+        self.entries
+            .iter()
+            .filter_map(|e| e.with(|e| e.map(|e| e.uop.seq)))
+            .max()
     }
 
     /// Empties the ROB (commit-time flush), touching live entries and the
@@ -323,11 +342,11 @@ cmd_core::snap_struct!(RobEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{PhysReg, SpecMask};
+    use crate::types::PhysReg;
     use riscy_isa::inst::Instr;
     use riscy_isa::reg::Gpr;
 
-    fn uop(pc: u64, mask: SpecMask) -> Uop {
+    fn uop(pc: u64, seq: u64) -> Uop {
         Uop {
             instr: Instr::Lui {
                 rd: Gpr::a(0),
@@ -341,13 +360,18 @@ mod tests {
             old_dst: Some(PhysReg(10)),
             src1: PhysReg::ZERO,
             src2: PhysReg::ZERO,
-            mask,
+            seq,
             own_tag: None,
             lsq_idx: None,
             mem_kind: None,
             pred_taken: false,
             ghist: crate::frontend::GhistSnapshot::default(),
         }
+    }
+
+    /// Enqueues the instruction at `pc`, stamped as rename stamps it.
+    fn enq(rob: &Rob, pc: u64) -> Guarded<u16> {
+        rob.enq(RobEntry::new(uop(pc, rob.enq_seq())))
     }
 
     fn in_rule<R>(clk: &Clock, f: impl FnOnce() -> R) -> R {
@@ -363,9 +387,9 @@ mod tests {
         let rob = Rob::new(&clk, 4);
         in_rule(&clk, || {
             for i in 0..4 {
-                rob.enq(RobEntry::new(uop(i * 4, SpecMask::EMPTY))).unwrap();
+                enq(&rob, i * 4).unwrap();
             }
-            assert!(rob.enq(RobEntry::new(uop(99, SpecMask::EMPTY))).is_err());
+            assert!(enq(&rob, 99).is_err());
         });
         in_rule(&clk, || {
             assert_eq!(rob.first().unwrap().uop.pc, 0);
@@ -384,11 +408,7 @@ mod tests {
                 let before = clk.enlisted_cells().len();
                 let can = rob.can_enq();
                 assert_eq!(clk.enlisted_cells().len(), before, "the twin wrote");
-                assert_eq!(
-                    can,
-                    rob.enq(RobEntry::new(uop(i * 4, SpecMask::EMPTY)))
-                        .map(drop)
-                );
+                assert_eq!(can, enq(&rob, i * 4).map(drop));
             }
             assert_eq!(rob.can_enq(), Err(Stall::new("rob full")));
         });
@@ -402,8 +422,10 @@ mod tests {
         let rob = Rob::new(&clk, 4);
         in_rule(&clk, || {
             let predicted = rob.enq_index();
-            let actual = rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
+            let actual = enq(&rob, 0).unwrap();
             assert_eq!(predicted, actual);
+            assert_eq!(rob.entry(actual).unwrap().uop.seq, 0);
+            assert_eq!(rob.enq_seq(), 1);
         });
     }
 
@@ -411,15 +433,11 @@ mod tests {
     fn completion_markers() {
         let clk = Clock::new();
         let rob = Rob::new(&clk, 4);
-        let idx = in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap()
-        });
+        let idx = in_rule(&clk, || enq(&rob, 0).unwrap());
         in_rule(&clk, || rob.set_non_mem_completed(idx));
         assert!(rob.entry(idx).unwrap().completed);
 
-        let idx2 = in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY))).unwrap()
-        });
+        let idx2 = in_rule(&clk, || enq(&rob, 4).unwrap());
         in_rule(&clk, || {
             rob.set_after_translation(idx2, true, true, false, None);
         });
@@ -437,52 +455,60 @@ mod tests {
     fn wrong_spec_rolls_back_suffix() {
         let clk = Clock::new();
         let rob = Rob::new(&clk, 8);
-        let tag = SpecTag(2);
         in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
-            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY))).unwrap();
-            rob.enq(RobEntry::new(uop(8, SpecMask::EMPTY.with(tag))))
-                .unwrap();
-            rob.enq(RobEntry::new(uop(12, SpecMask::EMPTY.with(tag))))
-                .unwrap();
+            for pc in [0, 4, 8, 12] {
+                enq(&rob, pc).unwrap();
+            }
         });
-        in_rule(&clk, || rob.wrong_spec(tag));
+        // The branch at pc 4 took sequence number 1.
+        in_rule(&clk, || rob.wrong_spec(1));
         assert_eq!(rob.len(), 2);
-        // The next enq reuses the rolled-back slots.
-        let idx = in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(100, SpecMask::EMPTY))).unwrap()
-        });
+        // The next enq reuses the rolled-back slots, not the numbers.
+        let idx = in_rule(&clk, || enq(&rob, 100).unwrap());
         assert_eq!(idx, 2);
+        assert_eq!(rob.entry(idx).unwrap().uop.seq, 4);
+        assert!(rob.consistent());
     }
 
     #[test]
-    fn correct_spec_clears_masks() {
+    fn a_squash_keeps_what_was_renamed_before_the_branch() {
+        // b1, x, b2, y in rename order: b1 resolving first frees its tag for
+        // b2, and b2's misprediction squashes y alone.
         let clk = Clock::new();
         let rob = Rob::new(&clk, 4);
-        let tag = SpecTag(0);
-        in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY.with(tag))))
-                .unwrap();
+        let b2 = in_rule(&clk, || {
+            enq(&rob, 0).unwrap();
+            enq(&rob, 4).unwrap();
+            let b2 = rob.enq_seq();
+            enq(&rob, 8).unwrap();
+            enq(&rob, 12).unwrap();
+            b2
         });
-        in_rule(&clk, || rob.correct_spec(tag));
-        in_rule(&clk, || rob.wrong_spec(tag));
-        assert_eq!(rob.len(), 1, "cleared entry survives a tag reuse kill");
+        in_rule(&clk, || rob.wrong_spec(b2));
+        assert_eq!(rob.len(), 3, "x survives, y does not");
+        assert_eq!(rob.entry(1).unwrap().uop.pc, 4);
     }
 
     #[test]
-    fn correct_spec_of_an_unrelated_tag_enlists_no_cell() {
+    fn a_squash_of_the_youngest_enlists_no_cell() {
         let clk = Clock::new();
         let rob = Rob::new(&clk, 8);
         in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
-            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY.with(SpecTag(1)))))
-                .unwrap();
+            enq(&rob, 0).unwrap();
+            enq(&rob, 4).unwrap();
         });
         clk.begin_rule();
-        rob.correct_spec(SpecTag(5));
-        assert!(clk.enlisted_cells().is_empty());
-        rob.correct_spec(SpecTag(1));
-        assert_eq!(clk.enlisted_cells().len(), 1, "only the dependent entry");
+        rob.wrong_spec(1);
+        assert!(
+            clk.enlisted_cells().is_empty(),
+            "nothing was renamed after it"
+        );
+        rob.wrong_spec(0);
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            3,
+            "the squashed entry, the tail and the count"
+        );
         clk.commit_rule();
     }
 
@@ -491,12 +517,13 @@ mod tests {
         let clk = Clock::new();
         let rob = Rob::new(&clk, 4);
         in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
-            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY))).unwrap();
+            enq(&rob, 0).unwrap();
+            enq(&rob, 4).unwrap();
         });
         in_rule(&clk, || rob.flush());
         assert!(rob.is_empty());
         assert_eq!(rob.enq_index(), 0);
+        assert_eq!(rob.enq_seq(), 2, "rename order survives a flush");
     }
 
     #[test]
@@ -505,12 +532,12 @@ mod tests {
         let rob = Rob::new(&clk, 192);
         clk.begin_rule();
         rob.flush();
-        rob.wrong_spec(SpecTag(0));
+        rob.wrong_spec(0);
         assert!(clk.enlisted_cells().is_empty());
         clk.commit_rule();
         in_rule(&clk, || {
-            rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
-            rob.enq(RobEntry::new(uop(4, SpecMask::EMPTY))).unwrap();
+            enq(&rob, 0).unwrap();
+            enq(&rob, 4).unwrap();
             rob.deq().unwrap();
         });
         clk.begin_rule();
@@ -526,27 +553,32 @@ mod tests {
     }
 
     #[test]
-    fn correct_spec_walks_the_live_ring_across_the_wrap() {
+    fn wrong_spec_walks_the_live_ring_across_the_wrap() {
         let clk = Clock::new();
         let rob = Rob::new(&clk, 4);
-        let tag = SpecTag(1);
         in_rule(&clk, || {
             for _ in 0..3 {
-                rob.enq(RobEntry::new(uop(0, SpecMask::EMPTY))).unwrap();
+                enq(&rob, 0).unwrap();
                 rob.deq().unwrap();
             }
-            // head = 3: the three live entries sit in slots 3, 0, 1.
+            // head = 3: the three live entries sit in slots 3, 0, 1 and
+            // took sequence numbers 3, 4, 5.
             for pc in [0, 4, 8] {
-                rob.enq(RobEntry::new(uop(pc, SpecMask::EMPTY.with(tag))))
-                    .unwrap();
+                enq(&rob, pc).unwrap();
             }
         });
+        assert!(rob.consistent());
         clk.begin_rule();
-        rob.correct_spec(tag);
-        assert_eq!(clk.enlisted_cells().len(), 3);
+        rob.wrong_spec(3);
+        assert_eq!(
+            clk.enlisted_cells().len(),
+            4,
+            "slots 1 and 0, the tail and the count"
+        );
         clk.commit_rule();
-        in_rule(&clk, || rob.wrong_spec(tag));
-        assert_eq!(rob.len(), 3, "every live mask was cleared");
+        assert_eq!(rob.len(), 1);
+        assert_eq!(rob.first().unwrap().uop.seq, 3);
+        assert_eq!(in_rule(&clk, || enq(&rob, 12).unwrap()), 0);
     }
 
     #[test]
@@ -555,7 +587,7 @@ mod tests {
         let rob = Rob::new(&clk, 2);
         for i in 0..5u64 {
             in_rule(&clk, || {
-                rob.enq(RobEntry::new(uop(i * 4, SpecMask::EMPTY))).unwrap();
+                enq(&rob, i * 4).unwrap();
                 rob.deq().unwrap();
             });
         }

@@ -27,7 +27,6 @@ use crate::rob::{Rob, ROB_FULL};
 use crate::sb::StoreBuffer;
 use crate::tlbport::TlbHier;
 use crate::tma::{TmaBuckets, TmaState};
-use crate::types::SpecMask;
 
 /// Per-core performance counters (sources for Figs. 15–20).
 ///
@@ -1022,7 +1021,6 @@ impl CoreState {
             lsq: Lsq::new(clk, cfg.lq_entries, cfg.sq_entries),
             sb: StoreBuffer::new(clk, cfg.sb_entries),
             bypass: Bypass::new(clk, cfg.alu_pipes + 3),
-            cur_mask: Ehr::new(clk, SpecMask::EMPTY),
             fetch_pc: Ehr::new(clk, entry),
             epoch: Ehr::new(clk, 0),
             fetch_seq: Ehr::new(clk, 0),
@@ -1072,8 +1070,12 @@ fn _assert_types(_: &DecInst, _: &MemTrans) {}
 /// snapshot is its head position — see [`crate::rename`]); v4 saves every
 /// cell through the kernel's walk over the clock's registry (a count, then
 /// one length-framed record per cell in adoption order, the occupancy
-/// masks included), so the SoC section holds plain state only.
-pub const SOC_SNAP_VERSION: u32 = 4;
+/// masks included), so the SoC section holds plain state only; v5 replaced
+/// the speculation masks with rename order (a sequence number in every
+/// micro-op, LSQ entry and speculation snapshot, and the ROB's next one in
+/// a cell; an IQ entry's age is its micro-op's number) and added the LSQ's
+/// oldest-load and oldest-store cells.
+pub const SOC_SNAP_VERSION: u32 = 5;
 
 cmd_core::snap_struct!(CoreStats {
     committed,

@@ -1,4 +1,4 @@
-//! Core-internal types: physical registers, speculation masks, micro-ops.
+//! Core-internal types: physical registers, speculation tags, micro-ops.
 
 use riscy_isa::inst::Instr;
 use riscy_isa::reg::Gpr;
@@ -20,43 +20,12 @@ impl PhysReg {
     }
 }
 
-/// A speculation tag: one bit position in a [`SpecMask`] (paper §V:
-/// "speculation tags are managed as a finite set of bit masks").
+/// A speculation tag: the slot of an unresolved branch's recovery snapshot
+/// in the [`crate::rename::SpecManager`] (paper §V: "speculation tags are
+/// managed as a finite set"). Which instructions a branch's misprediction
+/// squashes is decided by rename order ([`Uop::seq`]), not by the tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpecTag(pub u8);
-
-/// The set of unresolved branches an instruction depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct SpecMask(pub u32);
-
-impl SpecMask {
-    /// The empty mask (depends on no unresolved branch).
-    pub const EMPTY: SpecMask = SpecMask(0);
-
-    /// Whether this instruction depends on `tag`.
-    #[must_use]
-    pub fn contains(self, tag: SpecTag) -> bool {
-        self.0 & (1 << tag.0) != 0
-    }
-
-    /// Adds a dependency.
-    #[must_use]
-    pub fn with(self, tag: SpecTag) -> SpecMask {
-        SpecMask(self.0 | (1 << tag.0))
-    }
-
-    /// Removes a resolved dependency (`correctSpec`).
-    #[must_use]
-    pub fn without(self, tag: SpecTag) -> SpecMask {
-        SpecMask(self.0 & !(1 << tag.0))
-    }
-
-    /// Whether the mask is empty.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
 
 /// Which execution pipeline an instruction uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,8 +88,10 @@ pub struct Uop {
     pub src1: PhysReg,
     /// Renamed second source.
     pub src2: PhysReg,
-    /// Speculation dependencies.
-    pub mask: SpecMask,
+    /// Rename order: the ROB's sequence number for this instruction. An
+    /// unresolved branch's misprediction squashes exactly the instructions
+    /// with a larger one.
+    pub seq: u64,
     /// This instruction's own speculation tag (branches only).
     pub own_tag: Option<SpecTag>,
     /// LQ or SQ index for memory instructions.
@@ -147,7 +118,6 @@ pub enum FlushCause {
 
 cmd_core::snap_struct!(PhysReg { 0 });
 cmd_core::snap_struct!(SpecTag { 0 });
-cmd_core::snap_struct!(SpecMask { 0 });
 
 cmd_core::snap_enum!(ExecPipe {
     0 => Alu,
@@ -180,7 +150,7 @@ cmd_core::snap_struct!(Uop {
     old_dst,
     src1,
     src2,
-    mask,
+    seq,
     own_tag,
     lsq_idx,
     mem_kind,
@@ -197,19 +167,6 @@ cmd_core::snap_enum!(FlushCause {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_mask_ops() {
-        let m = SpecMask::EMPTY.with(SpecTag(3)).with(SpecTag(7));
-        assert!(m.contains(SpecTag(3)));
-        assert!(m.contains(SpecTag(7)));
-        assert!(!m.contains(SpecTag(0)));
-        let m2 = m.without(SpecTag(3));
-        assert!(!m2.contains(SpecTag(3)));
-        assert!(m2.contains(SpecTag(7)));
-        assert!(SpecMask::EMPTY.is_empty());
-        assert!(!m.is_empty());
-    }
 
     #[test]
     fn phys_reg_zero() {

@@ -138,11 +138,13 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
     assert_eq!(got, (78_383, 0x2713_3d6b_38ef_78a2));
 }
 
-/// The snapshot bytes, re-captured when the kernel's walk over the clock's
-/// cells replaced the module serializers (`SOC_SNAP_VERSION` 4): one
-/// record per cell, the occupancy masks included, then the plain state.
-/// `snapshot_roundtrip.rs` compares one build against itself and cannot see
-/// a layout change that forgot to bump the version.
+/// The snapshot bytes, captured with the kernel's walk over the clock's
+/// cells (`SOC_SNAP_VERSION` 4: one record per cell, the occupancy masks
+/// included, then the plain state) and re-captured when rename order
+/// replaced the speculation masks (v5: a sequence number per micro-op, LSQ
+/// entry and speculation snapshot, the ROB's next one and the LSQ heads in
+/// cells, and no IQ age). `snapshot_roundtrip.rs` compares one build against itself and
+/// cannot see a layout change that forgot to bump the version.
 #[test]
 fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     let w = spec::mcf(Scale::Test);
@@ -154,5 +156,5 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut h, &bytes);
     println!("mcf snapshot @20000: {} bytes hash {h:#018x}", bytes.len());
-    assert_eq!((bytes.len(), h), (14_306_565, 0x5877_81d1_6f95_f4d7));
+    assert_eq!((bytes.len(), h), (14_306_589, 0x776d_b2d9_42a3_7fbb));
 }

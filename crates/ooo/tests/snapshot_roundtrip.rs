@@ -17,7 +17,7 @@ use cmd_core::chaos::{FaultEngine, FaultPlan};
 use cmd_core::rng::SplitMix64;
 use cmd_core::sched::SchedulerMode;
 use cmd_core::sim::SimError;
-use cmd_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use cmd_core::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -214,12 +214,12 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v3 — the last format whose modules serialized
-    // their own cells, without frames and without the occupancy masks, so
-    // a v3 body must never reach the v4 reader.
+    // future format, and v4 — the last format with speculation masks in
+    // its micro-ops and LSQ entries and without the ROB's sequence number
+    // or the LSQ heads, so a v4 body must never reach the v5 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 4, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 3] {
+    assert_eq!(current, 5, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 4] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
@@ -365,6 +365,65 @@ fn truncated_snapshots_are_structured_errors() {
         outcomes.iter().all(|&n| n > 0),
         "accepted / refused: {outcomes:?}"
     );
+
+    // Two named cases: a record rewritten to a value of the same length
+    // that its frame takes but the other cells contradict.
+    let prog = busy_prog(300);
+    let (sim, snap) = mid_run(&prog, 1, SNAP_AT);
+    let records = layout(&sim, &snap).1;
+    let (core, clk) = (&sim.soc().cores[0], &sim.soc().clk);
+    let encode = |v: &dyn Fn(&mut SnapWriter)| {
+        let mut w = SnapWriter::new();
+        v(&mut w);
+        w.into_bytes()
+    };
+    // The LQ head: the one record among those `deqLd` writes that holds
+    // the head's slot. Rewritten, it names a slot the scan does not find.
+    let (head, _) = core.lsq.first_ld().expect("a load in flight");
+    clk.begin_rule();
+    core.lsq.deq_ld();
+    let touched = clk.enlisted_cells();
+    clk.abort_rule();
+    let lq_head = touched
+        .iter()
+        .map(|c| records[c.index()].clone())
+        .find(|r| snap[r.clone()] == encode(&|w| Some(head).save(w))[..])
+        .expect("the LQ head's record");
+    // The ROB's next sequence number: the one record holding it. Rewritten
+    // to the youngest entry's own number, a rename would take it twice.
+    let cap = core.rob.capacity();
+    let tail = usize::from(core.rob.enq_index());
+    let youngest = core.rob.entry(((tail + cap - 1) % cap) as u16);
+    let youngest = youngest.expect("an instruction in flight").uop.seq;
+    let next = core.rob.enq_seq().to_le_bytes();
+    let holding: Vec<_> = records
+        .iter()
+        .filter(|r| snap[(*r).clone()] == next)
+        .collect();
+    let [next_seq] = holding[..] else {
+        panic!("the ROB's next sequence number is not in exactly one record");
+    };
+    for (what, range, bytes, why) in [
+        (
+            "an LQ head that disagrees with the scan",
+            lq_head,
+            encode(&|w| Some(head + 1).save(w)),
+            "load-store-queue masks or heads disagree",
+        ),
+        (
+            "an in-flight sequence number not below the ROB's next",
+            next_seq.clone(),
+            youngest.to_le_bytes().to_vec(),
+            "an in-flight sequence number",
+        ),
+    ] {
+        let mut bad = snap.clone();
+        bad[range].copy_from_slice(&bytes);
+        match restore_checked(&prog, 1, &bad, what) {
+            Err(SnapError::Corrupt(m)) => assert!(m.starts_with(why), "{what}: {m}"),
+            other => panic!("{what}: expected corruption, got {other:?}"),
+        }
+    }
 }
 
 /// A mask word that disagrees with its slots is corrupt: the masks are
