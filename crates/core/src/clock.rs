@@ -21,9 +21,7 @@
 //!
 //! A publish is where the wake layer hangs: the clock owns the record of
 //! which sleeping rule watches which cell, so publishing a cell wakes its
-//! watchers then and there. Plain state outside the cells takes part
-//! through a [`Clock::signal_cell`] that its owner [`Clock::poke`]s and its
-//! readers [`Clock::observe`] (see [`crate::sched::Wakeup`]).
+//! watchers then and there (see [`crate::sched::Wakeup`]).
 //!
 //! This realizes the paper's execution model: hardware behaves as if multiple
 //! rules execute every cycle, yet the behavior is always expressible as rules
@@ -83,18 +81,6 @@ pub(crate) trait TxnCell {
     fn save(&self, w: &mut SnapWriter);
     /// Replaces the committed value with one [`TxnCell::save`] wrote.
     fn restore(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
-}
-
-/// Storage behind [`Clock::signal_cell`]: an id with nothing to roll back
-/// and nothing to save.
-struct Signal(u32);
-
-impl TxnCell for Signal {
-    fn abort(&self) {}
-    fn save(&self, _: &mut SnapWriter) {}
-    fn restore(&self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
 }
 
 /// Tag on a dirty-list id whose cell is a `Reg`: an abort rolls it back,
@@ -280,41 +266,11 @@ impl Clock {
         self.inner.cm_earlier.get()
     }
 
-    /// Allocates a bare *signal cell*: a [`CellId`] with no storage behind
-    /// it, for bridging non-cell state into the wake layer. A substrate
-    /// rule that owns plain Rust state (a memory system, a device) calls
-    /// [`Clock::poke`] on the signal whenever that state changes observably;
-    /// whatever reads the plain state on a rule's behalf calls
-    /// [`Clock::observe`] on it.
-    #[must_use]
-    pub fn signal_cell(&self) -> CellId {
-        CellId(self.adopt(Signal).0)
-    }
-
-    /// Publishes `cell` as changed, waking any rule sleeping on it. Safe at
-    /// any time (inside or outside a rule); the publish is immediate, not
-    /// transactional, so only poke for changes that are already visible.
-    pub fn poke(&self, cell: CellId) {
-        self.inner.wake.publish(cell.0);
-    }
-
-    /// Declares that the running rule evaluation reads the plain state
-    /// behind signal cell `cell`: a traced read, exactly like reading an
-    /// `Ehr`. If the evaluation stalls and the rule goes to sleep
-    /// ([`crate::sched::Wakeup::Inferred`]), a [`Clock::poke`] of `cell`
-    /// wakes it. Call it where the read happens — in the accessor through
-    /// which rule bodies reach the plain state — so a rule's watch set is
-    /// what its stalling path actually read.
-    #[inline]
-    pub fn observe(&self, cell: CellId) {
-        self.inner.wake.note_read(cell.0);
-    }
-
     /// Marks the current rule evaluation as *impure*: it read or wrote
     /// something the wake layer cannot watch (the cycle counter, plain
-    /// state with no covering signal cell, statistics mutated on a stall
-    /// path). If the evaluation stalls, the scheduler will re-evaluate it
-    /// every cycle instead of sleeping it — making `Wakeup::Inferred` sound
+    /// state outside the cells, statistics mutated on a stall path). If
+    /// the evaluation stalls, the scheduler will re-evaluate it every
+    /// cycle instead of sleeping it — making `Wakeup::Inferred` sound
     /// per-evaluation on rules with a few impure stall paths. Cleared
     /// automatically at `begin_rule`.
     pub fn taint_eval(&self) {
@@ -336,8 +292,7 @@ impl Clock {
 
     /// Writes the committed value of every cell, in adoption order: the
     /// count, then one length-framed record per cell. Only meaningful at a
-    /// cycle boundary, where signals and wires hold nothing (their records
-    /// are empty).
+    /// cycle boundary, where wires hold nothing (their records are empty).
     pub(crate) fn save_cells(&self, w: &mut SnapWriter) {
         let cells = self.inner.cells.borrow();
         w.len_prefix(cells.len());
@@ -969,7 +924,7 @@ mod tests {
         let sleep_all = || {
             for (rule, &cell) in cells.iter().enumerate() {
                 wake.forget(rule);
-                wake.trace_reads(|| clk.observe(cell));
+                wake.trace_reads(|| wake.note_read(cell.0));
                 wake.sleep_on_reads(rule);
             }
         };

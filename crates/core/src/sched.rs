@@ -30,13 +30,13 @@
 //! Wakeup eligibility is a contract on the rule body, path by path: a
 //! stalling evaluation must be a pure function of what it read through
 //! clocked cells (`Ehr`/`Reg`/`Wire` and the collections and FIFOs built on
-//! them) and through [`Clock::observe`](crate::clock::Clock::observe) — the
-//! traced read of a signal cell that some substrate rule
-//! [`poke`](crate::clock::Clock::poke)s whenever the plain state behind it
-//! changes. The dependency is declared where the read happens (in the
-//! accessor that hands out the plain state), not in a table beside the rule
-//! registration. A statistic bumped on every stalled cycle is not part of
-//! the body at all: the design registers it as the rule's stall callback
+//! them). Plain state joins through cells its owner fills: the SoC's
+//! caches and TLBs sit behind request, response and credit cells that the
+//! memory system's substrate rule moves across, so a core rule's read of
+//! the memory system is an ordinary traced cell read, declared where it
+//! happens and not in a table beside the rule registration. A statistic
+//! bumped on every stalled cycle is not part of the body at all: the
+//! design registers it as the rule's stall callback
 //! ([`Sim::on_stall`](crate::sim::Sim::on_stall)), which the kernel calls
 //! once per guard-stalled cycle whether the rule was evaluated or skipped
 //! asleep. A stall path that cannot be covered — it reads the cycle
@@ -64,12 +64,10 @@ pub enum SchedulerMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Wakeup {
     /// Re-evaluate every cycle. Always sound; the only choice for rules
-    /// whose bodies read state no publish or poke covers.
+    /// whose bodies read state no publish covers.
     #[default]
     EveryCycle,
-    /// Sleep on what the stalling evaluation read — clocked cells, and
-    /// signal cells named through
-    /// [`Clock::observe`](crate::clock::Clock::observe) — until one of them
+    /// Sleep on the cells the stalling evaluation read until one of them
     /// publishes. The kernel infers the set by re-running the evaluation
     /// under a read trace.
     Inferred,
@@ -84,7 +82,7 @@ pub enum Wakeup {
 pub trait Horizon {
     /// How many cycles, starting with the next one, the exempt rules are
     /// certain to fire doing nothing but their bulk per-cycle effects: no
-    /// change to state a guard reads, no [`poke`](crate::clock::Clock::poke).
+    /// write to a cell and no change to anything else a guard reads.
     /// `0` when they may do more in the very next cycle; conservative
     /// answers are always sound, only slower.
     fn horizon(&self) -> u64;

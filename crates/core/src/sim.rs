@@ -567,9 +567,8 @@ impl<S> Sim<S> {
     /// the reference oracle evaluates every rule every cycle regardless).
     ///
     /// [`Wakeup::Inferred`] requires every stalling path of the rule body to
-    /// be a pure function of what it reads through clocked cells and
-    /// [`Clock::observe`] — see the contract in [`crate::sched`]. Clears any
-    /// current sleep of the rule.
+    /// be a pure function of what it reads through clocked cells — see the
+    /// contract in [`crate::sched`]. Clears any current sleep of the rule.
     ///
     /// # Panics
     ///

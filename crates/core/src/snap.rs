@@ -764,7 +764,6 @@ mod tests {
         let e = Ehr::new(clk, u64::from(v));
         let g = Reg::new(clk, u64::from(v) + 1);
         let wire = Wire::new(clk);
-        let _ = clk.signal_cell();
         let a = EhrArray::new(clk, vec![v; 3]);
         let q = EhrDeque::new(clk, 4);
         for k in 0..v % 4 {
@@ -807,7 +806,7 @@ mod tests {
         let (_, _, _, a, _) = cells(&longer, 0);
         a.replace(vec![0; 4]);
         assert!(
-            matches!(restore(&longer, &bytes), Err(SnapError::Mismatch(m)) if m.starts_with("cell 4:"))
+            matches!(restore(&longer, &bytes), Err(SnapError::Mismatch(m)) if m.starts_with("cell 3:"))
         );
 
         // Cell 0's frame (after the count) claims one byte more than its

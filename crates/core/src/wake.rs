@@ -6,13 +6,12 @@
 //! semantics by not re-evaluating a stalled guard until something it read
 //! has changed. All the state that takes is [`Wake`], owned by the
 //! [`Clock`](crate::clock::Clock) so that it sits beside the publish path:
-//! the re-run of a stalling evaluation logs the cells it reads (and the
-//! signal cells it [`observe`](crate::clock::Clock::observe)s),
+//! the re-run of a stalling evaluation logs the cells it reads,
 //! [`Wake::sleep_on_reads`] files the rule under each of them, and
-//! [`Wake::publish`] — every committed write, end-of-cycle latch,
-//! out-of-rule write and [`poke`](crate::clock::Clock::poke) — wakes whoever
-//! is filed under the published cell. A publish can only wake rules filed
-//! before it, so a guard is never woken by a change it has already seen.
+//! [`Wake::publish`] — every committed write, end-of-cycle latch and
+//! out-of-rule write — wakes whoever is filed under the published cell. A
+//! publish can only wake rules filed before it, so a guard is never woken
+//! by a change it has already seen.
 
 use std::cell::{Cell, RefCell};
 
@@ -38,7 +37,7 @@ pub(crate) struct Wake {
     sleepers: RefCell<Vec<Sleeper>>,
     /// The rule whose evaluation is running, set by the scheduler while the
     /// profiler wants publish→wake edges; `None` otherwise and between
-    /// rules, so the end-of-cycle latch and out-of-rule pokes are never
+    /// rules, so the end-of-cycle latch and out-of-rule writes are never
     /// attributed.
     pub publisher: Cell<Option<u32>>,
     /// `(publisher, woken rule)` pairs since [`Wake::take_edges`].

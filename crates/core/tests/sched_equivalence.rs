@@ -39,13 +39,13 @@ struct Soup {
     pipe: PipelineFifo<u64>,
     byp: BypassFifo<u64>,
     cf: CfFifo<u64>,
-    /// Plain (non-cell) state, bridged into the wake layer by `sig`:
-    /// mutating rules poke the signal whenever the observable projection
-    /// `plain / 7` changes, and [`Soup::plain_phase`] — the only way a
-    /// sleepable path reads it — observes the signal: the substrate/digest
-    /// pattern the SoC uses.
+    /// Plain (non-cell) state, and the cell its owner mirrors it into:
+    /// `PlainBump` advances `plain` and writes its observable projection
+    /// `plain / 7` into `phase` whenever that changes, and a sleepable path
+    /// reads only `phase` — the pattern the SoC's substrate uses for the
+    /// memory system behind its boundary cells.
     plain: u64,
-    sig: CellId,
+    phase: Ehr<u64>,
     /// Rule bodies entered, by any scheduler path. Deliberately outside
     /// [`Outcome`]: skipping the bodies of sleeping rules is the one thing
     /// the fast scheduler is allowed to do differently.
@@ -54,18 +54,9 @@ struct Soup {
     stalls: BTreeMap<(usize, &'static str), u64>,
 }
 
-impl Soup {
-    /// The observable projection of the plain counter, read the way a rule
-    /// body must read it: the accessor declares the dependency.
-    fn plain_phase(&self) -> u64 {
-        self.clk.observe(self.sig);
-        self.plain / 7
-    }
-}
-
 /// One randomly drawn rule body. Every stalling path is a pure function of
-/// what it read through cells and `observe` (or taints itself), so any of
-/// them may legally run with `Wakeup::Inferred`.
+/// what it read through cells (or taints itself), so any of them may
+/// legally run with `Wakeup::Inferred`.
 #[derive(Clone, Copy)]
 enum Kind {
     /// Bump a cell, optionally grabbing the (self-conflicting) arbiter.
@@ -82,13 +73,13 @@ enum Kind {
     Consume { fifo: usize, cell: usize },
     /// Move an element between two FIFOs.
     Move { from: usize, to: usize },
-    /// Advance the plain (non-cell) counter, poking the signal cell when
-    /// the observable projection `plain / 7` changes. Always fires, so it
-    /// must stay on `Wakeup::EveryCycle`.
+    /// Advance the plain (non-cell) counter, writing its projection
+    /// `plain / 7` into the `phase` cell when that changes. Always fires, so
+    /// it must stay on `Wakeup::EveryCycle`.
     PlainBump,
     /// Stall unless the plain projection is in phase; sound under
-    /// `Wakeup::Inferred` because the read goes through `plain_phase`
-    /// (which observes the signal) and every projection change pokes it.
+    /// `Wakeup::Inferred` because it reads the projection from `phase`,
+    /// which its owner rewrites whenever the projection changes.
     PlainGate { bump: usize },
     /// Stall on a cell (pure, sleepable) or on the raw plain counter (the
     /// impure path calls `Clock::taint_eval`, suppressing the sleep).
@@ -150,15 +141,13 @@ fn apply(spec: Kind, s: &mut Soup) -> Guarded<()> {
             fifo_enq(s, to, v)
         }
         Kind::PlainBump => {
-            let before = s.plain / 7;
             s.plain += 1;
-            if s.plain / 7 != before {
-                s.clk.poke(s.sig);
-            }
+            let phase = s.plain / 7;
+            s.phase.update_if(|p| *p != phase, |p| *p = phase);
             Ok(())
         }
         Kind::PlainGate { bump } => {
-            if s.plain_phase().is_multiple_of(4) {
+            if s.phase.read().is_multiple_of(4) {
                 return Err(Stall::new("plain gate closed"));
             }
             s.cells[bump].update(|v| *v = v.wrapping_add(5));
@@ -208,7 +197,6 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     let mut rng = SplitMix64::seed_from_u64(seed);
     let clk = Clock::new();
     let arb = clk.module("arb", &["grab"], ConflictMatrix::builder(1).build());
-    let sig = clk.signal_cell();
     let st = Soup {
         clk: clk.clone(),
         arb,
@@ -219,7 +207,7 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
         byp: BypassFifo::new(&clk, 2),
         cf: CfFifo::new(&clk, 2),
         plain: 0,
-        sig,
+        phase: Ehr::new(&clk, 0),
         entries: 0,
         stalls: BTreeMap::new(),
     };
@@ -231,9 +219,9 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     }
 
     let n_rules = 6 + (rng.next_u64() % 5) as usize;
-    // Always include the plain-state trio so every soup exercises signal
-    // pokes, `observe`, and the taint escape hatch alongside the random
-    // draw below.
+    // Always include the plain-state trio so every soup exercises plain
+    // state mirrored into a cell, and the taint escape hatch, alongside the
+    // random draw below.
     let bump_id = sim.rule("r_plain_bump", move |s: &mut Soup| {
         apply(Kind::PlainBump, s)
     });
@@ -372,27 +360,23 @@ fn random_rule_soups_match_reference_under_chaos() {
 }
 
 // ---------------------------------------------------------------------------
-// `observe` declares a dependency per stalling path, not per rule
+// A read declares a dependency per stalling path, not per rule
 // ---------------------------------------------------------------------------
 
 struct TwoPaths {
-    clk: Clock,
     gate: Ehr<u64>,
-    plain: u64,
-    sig: CellId,
+    /// Written only between cycles, the way a substrate's owner would.
+    plain: Ehr<u64>,
     entries: u64,
 }
 
 /// One rule, two stall paths: the first reads only `gate`, the second only
-/// the plain state behind `sig` (through `observe`). Returns the sim and
-/// the rule.
+/// `plain`. Returns the sim and the rule.
 fn build_two_paths(mode: SchedulerMode) -> (Sim<TwoPaths>, RuleId) {
     let clk = Clock::new();
     let st = TwoPaths {
-        clk: clk.clone(),
         gate: Ehr::new(&clk, 0),
-        plain: 0,
-        sig: clk.signal_cell(),
+        plain: Ehr::new(&clk, 0),
         entries: 0,
     };
     let mut sim = Sim::new(clk, st);
@@ -402,8 +386,7 @@ fn build_two_paths(mode: SchedulerMode) -> (Sim<TwoPaths>, RuleId) {
         if s.gate.read() == 0 {
             return Err(Stall::new("gate closed"));
         }
-        s.clk.observe(s.sig);
-        if s.plain == 0 {
+        if s.plain.read() == 0 {
             return Err(Stall::new("plain not ready"));
         }
         Ok(())
@@ -412,15 +395,14 @@ fn build_two_paths(mode: SchedulerMode) -> (Sim<TwoPaths>, RuleId) {
     (sim, id)
 }
 
-/// Both sims take the substrate's move (`Some(v)`: set the plain state and
-/// poke its signal), run `n` cycles and must agree on the rule's statistics.
-/// Returns the bodies `Fast` has entered so far.
+/// Both sims take the substrate's move (`Some(v)`: write `v` into `plain`
+/// between cycles, which publishes it even when it does not change it),
+/// run `n` cycles and must agree on the rule's statistics. Returns the
+/// bodies `Fast` has entered so far.
 fn step(sims: &mut [(Sim<TwoPaths>, RuleId); 2], plain: Option<u64>, n: u64) -> u64 {
     for (sim, _) in sims.iter_mut() {
         if let Some(v) = plain {
-            sim.state_mut().plain = v;
-            let s = sim.state();
-            s.clk.poke(s.sig);
+            sim.state().plain.write(v);
         }
         sim.run(n);
     }
@@ -433,15 +415,15 @@ fn step(sims: &mut [(Sim<TwoPaths>, RuleId); 2], plain: Option<u64>, n: u64) -> 
 fn observe_is_path_precise() {
     let mut sims = [SchedulerMode::Fast, SchedulerMode::Reference].map(build_two_paths);
 
-    // Asleep on the first path: the stalling evaluation never reached
-    // `observe`, so a poke of `sig` is not its business.
+    // Asleep on the first path: the stalling evaluation never read
+    // `plain`, so a write of it is not its business.
     let asleep = step(&mut sims, None, 4);
     let poked = step(&mut sims, Some(0), 4);
-    assert_eq!(poked, asleep, "woken by a signal its path never observed");
+    assert_eq!(poked, asleep, "woken by a cell its path never read");
 
     // Open the gate: the write wakes it, and it goes back to sleep on the
-    // second path — now `sig` is in the watch set, and a poke wakes it even
-    // with no change behind it.
+    // second path — now `plain` is in the watch set, and a write wakes it
+    // even with no change behind it.
     for (sim, _) in &sims {
         sim.state().gate.write(1);
     }
@@ -449,7 +431,7 @@ fn observe_is_path_precise() {
     let poked = step(&mut sims, Some(0), 1);
     assert!(
         poked > asleep,
-        "not re-entered when the observed signal was poked"
+        "not re-entered when the cell its path read was written"
     );
 
     step(&mut sims, Some(1), 3);

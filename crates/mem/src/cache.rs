@@ -336,7 +336,13 @@ impl L1Cache {
     /// Whether a new core request can be accepted (paper: "max 8 requests").
     #[must_use]
     pub fn can_accept(&self) -> bool {
-        self.room.len() < self.cfg.mshrs
+        self.free_slots() > 0
+    }
+
+    /// How many more core requests the cache accepts before its next tick.
+    #[must_use]
+    pub fn free_slots(&self) -> usize {
+        self.cfg.mshrs - self.room.len()
     }
 
     /// Submits a core request.
@@ -386,19 +392,6 @@ impl L1Cache {
         self.room.is_empty() && self.mshrs.is_empty() && self.resp_q.is_empty()
     }
 
-    /// A change-sensitive digest of everything a core-side *guard* can
-    /// observe about this cache at `now`: acceptance, response-queue
-    /// occupancy, and how many responses have arrived. The fields are
-    /// packed exactly (no hashing), so two distinct observable states never
-    /// collide. Wakeup substrates compare successive digests to decide
-    /// whether sleeping core rules could now make progress.
-    #[must_use]
-    pub fn resp_digest(&self, now: u64) -> u64 {
-        u64::from(self.can_accept())
-            | (self.resp_q.ready_len(now).min(0xFF) as u64) << 1
-            | (self.resp_q.len().min(0xFF) as u64) << 9
-    }
-
     /// The earliest cycle, at or after `now`, at which [`L1Cache::tick`]
     /// may change this cache: `now` while parent messages or outgoing
     /// traffic wait, or while a waiting request would be served, touch an
@@ -442,7 +435,7 @@ impl L1Cache {
     }
 
     /// The earliest response arrival strictly after `now`: the next cycle
-    /// at which [`L1Cache::resp_digest`] changes with nothing else
+    /// at which [`L1Cache::pop_resp`] has something new with nothing else
     /// happening.
     #[must_use]
     pub fn next_resp_after(&self, now: u64) -> Option<u64> {

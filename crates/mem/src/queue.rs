@@ -82,8 +82,8 @@ impl<T> TimedQueue<T> {
         self.q.front().map(|(t, _)| *t)
     }
 
-    /// The earliest arrival strictly after `now`: the next cycle at which
-    /// [`TimedQueue::ready_len`] grows, `None` when nothing is in flight.
+    /// The earliest arrival strictly after `now`, `None` when nothing is in
+    /// flight.
     #[must_use]
     pub fn next_arrival_after(&self, now: u64) -> Option<u64> {
         self.q.iter().map(|(t, _)| *t).filter(|&t| t > now).min()
@@ -93,13 +93,6 @@ impl<T> TimedQueue<T> {
     #[must_use]
     pub fn len(&self) -> usize {
         self.q.len()
-    }
-
-    /// How many entries have arrived by `now` (the head may still block
-    /// younger arrived entries; this counts them all).
-    #[must_use]
-    pub fn ready_len(&self, now: u64) -> usize {
-        self.q.iter().filter(|(t, _)| *t <= now).count()
     }
 
     /// Whether the queue holds no entries at all.

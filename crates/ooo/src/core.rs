@@ -16,7 +16,9 @@ use riscy_isa::interp::{alu_exec, muldiv_exec};
 use riscy_isa::mem::{is_mmio, DRAM_BASE, MMIO_ROI};
 use riscy_isa::reg::Gpr;
 use riscy_isa::vm::Access;
+use riscy_mem::cache::L1Cache;
 use riscy_mem::msg::{line_of, AtomicOp, CoreReq, CoreResp};
+use riscy_mem::system::MemSystem;
 
 use crate::config::{CoreConfig, MemModel};
 use crate::frontend::{branch_taken, predict_next, Btb, Ras, Tournament};
@@ -27,7 +29,7 @@ use crate::prf::{Bypass, Prf};
 use crate::rename::{RenameTable, SpecManager, SpecSnapshot};
 use crate::rob::{LsqDeqResult, Rob, RobEntry};
 use crate::sb::{SbSearch, StoreBuffer};
-use crate::soc::{mem_digest, CoreStats, Soc};
+use crate::soc::{credit, CoreStats, MemPort, Soc};
 use crate::tlbport::TlbHier;
 use crate::tma::TmaState;
 use crate::types::{ExecPipe, MemKind, PhysReg, SystemOp, Uop};
@@ -164,6 +166,8 @@ pub struct CoreState {
     pub pipe: PipeTrace,
     /// Top-down cycle accounting (sampled only when profiling is on).
     pub tma: Option<TmaState>,
+    /// The boundary to the caches and TLBs.
+    pub port: MemPort,
 }
 
 /// Sign/zero extension of a loaded value.
@@ -173,6 +177,21 @@ fn ext_load(v: u64, bytes: u8, signed: bool) -> u64 {
     }
     let bits = 8 * u32::from(bytes);
     (((v << (64 - bits)) as i64) >> (64 - bits)) as u64
+}
+
+/// Writes `v` into `cell` only when it differs, so an unchanged mirror
+/// wakes nobody.
+fn mirror<T: PartialEq + Copy + 'static>(cell: &Ehr<T>, v: T) {
+    cell.update_if(|old| *old != v, |old| *old = v);
+}
+
+/// Hands the core what `l1` has for it at `now`: every response that has
+/// arrived, and its free request slots.
+fn deliver(l1: &mut L1Cache, now: u64, resp: &EhrDeque<CoreResp>, free: &Ehr<u8>) {
+    while let Some(r) = l1.pop_resp(now) {
+        resp.push_back(r);
+    }
+    mirror(free, credit(l1));
 }
 
 impl CoreState {
@@ -233,29 +252,37 @@ impl Soc {
     // -----------------------------------------------------------------
 
     /// Advances the memory system and TLBs one cycle; wires the page-walk
-    /// crossbar (paper Fig. 11).
+    /// crossbar (paper Fig. 11) and carries each core's [`MemPort`]
+    /// traffic across: what the core rules handed over last cycle into the
+    /// caches before the tick that serves it, what the ticks produced out
+    /// of them after it.
     pub(crate) fn rule_substrate(&mut self) {
         let now = self.mem.now();
         for core in &mut self.cores {
-            // A rule asleep on a memory port saw it somewhere between the
-            // digest published last cycle and what the core rules left it
-            // at: they only ever take from a port (requests fill the room,
-            // pops drain responses and notes, a fetch parks an ITLB miss).
-            // Ports the rules moved are republished before the tick, ports
-            // the tick moves after it.
-            let seen = mem_digest(&self.mem, &core.tlb, core.id, now);
-            self.mem_ports[core.id].poke(&self.clk, seen ^ self.mem_digest[core.id]);
+            let (c, port) = (core.id, &core.port);
+            let l1d = self.mem.dcache(c);
+            while let Some((line, data, en)) = port.d_write.pop_front() {
+                l1d.write_data(line, &data, &en);
+            }
+            while let Some(req) = port.d_req.pop_front() {
+                l1d.request(req).expect("within the D credit");
+            }
+            let l1i = self.mem.icache(c);
+            while let Some(req) = port.i_req.pop_front() {
+                l1i.request(req).expect("within the I credit");
+            }
             for req in core.tlb.drain_walker_reqs() {
                 self.mem.push_walker_req(req);
             }
-            while let Some(r) = self.mem.pop_walker_resp(core.id) {
+            while let Some(r) = self.mem.pop_walker_resp(c) {
                 core.tlb.push_walker_resp(r);
             }
-            let d_waiting = core.tlb.d_waiting();
             core.tlb.tick(now, core.csr.satp);
-            if core.tlb.d_waiting() != d_waiting {
-                self.clk.poke(self.mem_ports[core.id].d_tlb);
+            while let Some(r) = core.tlb.pop_d_resp() {
+                port.dtlb_resp.push_back(r);
             }
+            mirror(&port.dtlb_busy, core.tlb.d_miss_pending());
+            mirror(&port.itlb_busy, core.tlb.i_miss_pending());
             // Fetch retries via the (now filled) I TLB; the response queue
             // itself is not consumed anywhere else.
             while core.tlb.pop_i_resp().is_some() {}
@@ -282,18 +309,15 @@ impl Soc {
             }
         }
         self.mem.tick();
-        // Republish the plain memory-system state: each port whose field of
-        // the core's digest differs from the one last published is poked.
-        // This is the other half of the `Soc` memory accessors, which
-        // observe a port on a rule's behalf: a rule asleep on plain state is
-        // woken the same cycle the state changes, before any core rule's
-        // slot. Computed after `mem.tick()` with a fresh `now` — the value
-        // every core rule will read this cycle.
+        // Deliver with the `now` every core rule reads this cycle.
         let now = self.mem.now();
-        for (c, core) in self.cores.iter().enumerate() {
-            let digest = mem_digest(&self.mem, &core.tlb, c, now);
-            self.mem_ports[c].poke(&self.clk, digest ^ self.mem_digest[c]);
-            self.mem_digest[c] = digest;
+        for core in &self.cores {
+            let (c, port) = (core.id, &core.port);
+            deliver(self.mem.dcache(c), now, &port.d_resp, &port.d_free);
+            deliver(self.mem.icache(c), now, &port.i_resp, &port.i_free);
+            while let Some(line) = self.mem.dcache(c).evict_notes.pop_front() {
+                port.evict.push_back(line);
+            }
         }
     }
 
@@ -303,12 +327,13 @@ impl Soc {
         // `evict_kill == false` is the litmus harness's injected ordering
         // bug: TSO keeps committing but silently loses its load repair.
         let is_tso = self.cfg.mem_model == MemModel::Tso && self.cfg.evict_kill;
-        if self.dcache_evict(c).evict_notes.is_empty() {
+        let core = &self.cores[c];
+        if core.port.evict.is_empty() {
             return Err(Stall::new("no evictions"));
         }
-        while let Some(line) = self.dcache_evict(c).evict_notes.pop_front() {
+        while let Some(line) = core.port.evict.pop_front() {
             if is_tso {
-                self.cores[c].lsq.cache_evict(line);
+                core.lsq.cache_evict(line);
             }
         }
         Ok(())
@@ -382,21 +407,16 @@ impl Soc {
                     return Err(Stall::new("atomic waits for older stores"));
                 }
             }
-            let dcache = self.dcache_accept(c);
-            if !dcache.can_accept() {
+            if core.port.d_full() {
                 return Err(Stall::new("dcache full"));
             }
-            dcache
-                .request(CoreReq::Atomic {
-                    tag: u32::from(idx),
-                    addr: pa,
-                    bytes: entry.bytes,
-                    op,
-                })
-                .map_err(|_| Stall::new("dcache rejected"))?;
-            self.cores[c]
-                .rob
-                .with_entry(e.uop.rob, |e| e.started = true);
+            core.port.d_req.push_back(CoreReq::Atomic {
+                tag: u32::from(idx),
+                addr: pa,
+                bytes: entry.bytes,
+                op,
+            });
+            core.rob.with_entry(e.uop.rob, |e| e.started = true);
             return Ok(());
         }
         Err(Stall::new("unexpected non-spec entry"))
@@ -637,47 +657,7 @@ impl Soc {
 
     /// Load/atomic responses from the D cache (paper's `doRespLd`).
     pub(crate) fn rule_resp_ld(&mut self, c: usize) -> Guarded<()> {
-        let now = self.mem.now();
-        let dcache = self.dcache_resp(c);
-        let resp = match dcache.pop_resp(now) {
-            Some(r @ (CoreResp::Ld { .. } | CoreResp::Atomic { .. })) => r,
-            Some(r @ CoreResp::St { .. }) => {
-                // Leave store responses for doRespSt.
-                // (Cannot push back; handle inline.)
-                return self.handle_store_resp(c, r);
-            }
-            None => return Err(Stall::new("no load response")),
-        };
-        let (tag, data, is_atomic) = match resp {
-            CoreResp::Ld { tag, data } => (tag, data, false),
-            CoreResp::Atomic { tag, data } => (tag, data, true),
-            CoreResp::St { .. } => unreachable!(),
-        };
-        let core = &self.cores[c];
-        let idx = tag as u16;
-        let entry_before = core.lsq.lq_entry(idx);
-        let wrong_path = core.lsq.resp_ld(idx, data);
-        if wrong_path {
-            return Ok(());
-        }
-        // invariant: `resp_ld` reported a live, non-zombie entry, so the
-        // snapshot taken just above must be populated — but a spurious
-        // response is still cheaper to drop than to crash on.
-        let Some(entry) = entry_before else {
-            return Ok(());
-        };
-        if let Some(dst) = entry.dst {
-            let v = if is_atomic {
-                data // the cache already width-extended atomics
-            } else {
-                ext_load(data, entry.bytes, entry.signed)
-            };
-            let lane = core.cfg.alu_pipes + 1;
-            core.writeback(lane, dst, v);
-        }
-        core.lsq.mark_wb_done(idx);
-        core.pipe.complete(entry.rob, now);
-        Ok(())
+        self.handle_resp(c, "no load response")
     }
 
     /// Drains one forwarded load value (paper Fig. 10's `forwardQ`).
@@ -895,17 +875,16 @@ impl Soc {
 
     /// Update-LSQ (paper Fig. 9): translation, LSQ fill, ROB notification.
     ///
-    /// This rule mixes transactional cells with the plain TLB structures,
-    /// so it is written to *always commit* once it has consumed a TLB
-    /// response: it only stalls when there is provably nothing to do, and
-    /// then on what it read through [`Soc::dtlb`] and the translate stage.
+    /// The lookups and miss launches are plain calls on the TLBs, so the
+    /// rule stalls only when there is provably nothing to do, and then on
+    /// the boundary's D-TLB cells and the translate stage.
     pub(crate) fn rule_update_lsq(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let mut progressed = false;
 
         // 1. Consume every arrived TLB response (each finishes one parked
         //    translation; responses for flushed entries are dropped).
-        while let Some(r) = self.dtlb(c).pop_d_resp() {
+        while let Some(r) = self.cores[c].port.dtlb_resp.pop_front() {
             progressed = true;
             let slot = self.cores[c]
                 .mem_wait_tlb
@@ -930,7 +909,7 @@ impl Soc {
         //    without an outstanding miss. Under the blocking configuration
         //    (RiscyOO-B) nothing proceeds while a miss is pending.
         let hum = self.cores[c].tlb.hit_under_miss();
-        if hum || !self.dtlb(c).d_miss_pending() {
+        if hum || !self.cores[c].port.dtlb_busy.read() {
             let next = self.cores[c].mem_wait_tlb.with(|v| {
                 v.iter()
                     .enumerate()
@@ -946,7 +925,7 @@ impl Soc {
                     let core = &self.cores[c];
                     (core.csr.satp, core.priv_mode)
                 };
-                match self.dtlb(c).lookup_d(t.va, access, satp, pm) {
+                match self.cores[c].tlb.lookup_d(t.va, access, satp, pm) {
                     Some(res) => {
                         let res = res.map_err(|f| {
                             let x = match f.access {
@@ -1042,10 +1021,10 @@ impl Soc {
     /// Paper Fig. 10 `doIssueLd`.
     pub(crate) fn rule_issue_ld(&mut self, c: usize) -> Guarded<()> {
         let (idx, addr, bytes) = self.cores[c].lsq.get_issue_ld()?;
-        if !self.dcache_accept(c).can_accept() {
+        let core = &self.cores[c];
+        if core.port.d_full() {
             return Err(Stall::new("dcache full"));
         }
-        let core = &self.cores[c];
         let sb_result = if core.cfg.mem_model == MemModel::Wmm {
             core.sb.search(addr, bytes)
         } else {
@@ -1058,13 +1037,11 @@ impl Soc {
                 Ok(())
             }
             LdIssue::ToCache => {
-                self.dcache_accept(c)
-                    .request(CoreReq::Ld {
-                        tag: u32::from(idx),
-                        addr,
-                        bytes,
-                    })
-                    .expect("can_accept checked");
+                core.port.d_req.push_back(CoreReq::Ld {
+                    tag: u32::from(idx),
+                    addr,
+                    bytes,
+                });
                 Ok(())
             }
             LdIssue::Stalled => {
@@ -1135,16 +1112,14 @@ impl Soc {
                 if e.issued {
                     return Err(Stall::new("store awaiting respSt"));
                 }
-                if !self.dcache_accept(c).can_accept() {
+                if core.port.d_full() {
                     return Err(Stall::new("dcache full"));
                 }
-                self.cores[c].lsq.mark_st_issued(idx);
-                self.dcache_accept(c)
-                    .request(CoreReq::St {
-                        sb_idx: u32::from(idx),
-                        line: line_of(addr),
-                    })
-                    .expect("can_accept checked");
+                core.lsq.mark_st_issued(idx);
+                core.port.d_req.push_back(CoreReq::St {
+                    sb_idx: u32::from(idx),
+                    line: line_of(addr),
+                });
             }
         }
         Ok(())
@@ -1155,36 +1130,32 @@ impl Soc {
         if self.cfg.mem_model != MemModel::Wmm {
             return Err(Stall::new("no SB under TSO"));
         }
-        if !self.dcache_accept(c).can_accept() {
+        let core = &self.cores[c];
+        if core.port.d_full() {
             return Err(Stall::new("dcache full"));
         }
-        let (idx, line) = self.cores[c].sb.issue()?;
-        self.dcache_accept(c)
-            .request(CoreReq::St {
-                sb_idx: idx as u32,
-                line,
-            })
-            .expect("can_accept checked");
+        let (idx, line) = core.sb.issue()?;
+        core.port.d_req.push_back(CoreReq::St {
+            sb_idx: idx as u32,
+            line,
+        });
         Ok(())
     }
 
     /// Paper Fig. 10 `doRespSt`: store permission granted — write the data
     /// and wake stalled loads.
     pub(crate) fn rule_resp_st(&mut self, c: usize) -> Guarded<()> {
-        let now = self.mem.now();
-        let resp = {
-            let dcache = self.dcache_resp(c);
-            match dcache.pop_resp(now) {
-                Some(r @ CoreResp::St { .. }) => r,
-                Some(other) => {
-                    // A load response at the head: handle it here to avoid
-                    // head-of-line blocking between response kinds.
-                    return self.handle_load_resp(c, other);
-                }
-                None => return Err(Stall::new("no store response")),
-            }
-        };
-        self.handle_store_resp(c, resp)
+        self.handle_resp(c, "no store response")
+    }
+
+    /// `respLd` and `respSt`: each takes the response at the head, of
+    /// either kind, so neither kind blocks the other.
+    fn handle_resp(&mut self, c: usize, idle: &'static str) -> Guarded<()> {
+        match self.cores[c].port.d_resp.pop_front() {
+            Some(r @ CoreResp::St { .. }) => self.handle_store_resp(c, r),
+            Some(r) => self.handle_load_resp(c, r),
+            None => Err(Stall::new(idle)),
+        }
     }
 
     fn handle_store_resp(&mut self, c: usize, resp: CoreResp) -> Guarded<()> {
@@ -1198,9 +1169,10 @@ impl Soc {
                 let Some(e) = self.cores[c].sb.try_deq(sb_idx as usize) else {
                     return Ok(());
                 };
-                self.cores[c].stats.sb_drains += 1;
-                self.dcache_resp(c).write_data(e.line, &e.data, &e.byte_en);
-                self.cores[c].lsq.wakeup_by_sb_deq(sb_idx as usize);
+                let core = &mut self.cores[c];
+                core.stats.sb_drains += 1;
+                core.port.d_write.push_back((e.line, e.data, e.byte_en));
+                core.lsq.wakeup_by_sb_deq(sb_idx as usize);
             }
             MemModel::Tso => {
                 let idx = sb_idx as u16;
@@ -1220,7 +1192,7 @@ impl Soc {
                     data[off + k] = (data_v >> (8 * k)) as u8;
                     en[off + k] = true;
                 }
-                self.dcache_resp(c).write_data(line, &data, &en);
+                self.cores[c].port.d_write.push_back((line, data, en));
                 self.cores[c].lsq.deq_st();
             }
         }
@@ -1239,13 +1211,15 @@ impl Soc {
         if core.lsq.resp_ld(idx, data) {
             return Ok(());
         }
-        // invariant: mirrors `rule_resp_ld` — drop rather than crash.
+        // invariant: `resp_ld` reported a live, non-zombie entry, so the
+        // snapshot taken just above must be populated — but a spurious
+        // response is still cheaper to drop than to crash on.
         let Some(entry) = entry_before else {
             return Ok(());
         };
         if let Some(dst) = entry.dst {
             let v = if is_atomic {
-                data
+                data // the cache already width-extended atomics
             } else {
                 ext_load(data, entry.bytes, entry.signed)
             };
@@ -1612,7 +1586,7 @@ impl Soc {
                 return Err(Stall::new("fetches in flight"));
             }
         }
-        if self.itlb(c).i_miss_pending() {
+        if self.cores[c].port.itlb_busy.read() {
             return Err(Stall::new("itlb miss pending"));
         }
         let pc = self.cores[c].fetch_pc.read();
@@ -1627,7 +1601,7 @@ impl Soc {
             (core.csr.satp, core.priv_mode)
         };
         let seq = self.cores[c].fetch_seq.read();
-        let pa = match self.itlb(c).lookup_i(pc, satp, pm) {
+        let pa = match self.cores[c].tlb.lookup_i(pc, satp, pm) {
             Some(Ok(pa)) => pa,
             Some(Err(_)) => {
                 // Fetch fault: deliver a poisoned packet directly.
@@ -1653,11 +1627,11 @@ impl Soc {
                 self.clk.taint_eval();
                 let id = self.cores[c].next_tlb_id;
                 self.cores[c].next_tlb_id += 1;
-                self.itlb(c).request_i(now, id, pc, pm);
+                self.cores[c].tlb.request_i(now, id, pc, pm);
                 return Err(Stall::new("itlb miss"));
             }
         };
-        if !self.icache(c).can_accept() {
+        if self.cores[c].port.i_full() {
             if TlbHier::active(satp, pm) {
                 // The ITLB lookup above already bumped hit/LRU state; the
                 // reference re-runs it every stalled cycle, so don't sleep.
@@ -1685,31 +1659,28 @@ impl Soc {
             fault: false,
             at: now,
         };
-        self.icache(c)
-            .request(CoreReq::Ld {
-                tag: seq as u32,
-                addr: pa,
-                bytes: (4 * eff_n) as u8,
-            })
-            .expect("can_accept checked");
         let core = &self.cores[c];
+        core.port.i_req.push_back(CoreReq::Ld {
+            tag: seq as u32,
+            addr: pa,
+            bytes: (4 * eff_n) as u8,
+        });
         core.fetch_seq.write(seq + 1);
         core.inflight_fetch.push_back(req);
         core.fetch_pc.write(guess);
         Ok(())
     }
 
-    /// Moves arrived I-cache responses into the fetch buffer. A dedicated
-    /// rule so the plain-state pops always pair with a committed rule.
+    /// Moves arrived I-cache responses into the fetch buffer.
     pub(crate) fn rule_fetch_resp(&mut self, c: usize) -> Guarded<()> {
-        let now = self.mem.now();
-        let mut moved = 0;
-        while let Some(resp) = self.icache(c).pop_resp(now) {
-            moved += 1;
+        let core = &self.cores[c];
+        if core.port.i_resp.is_empty() {
+            return Err(Stall::new("no fetch responses"));
+        }
+        while let Some(resp) = core.port.i_resp.pop_front() {
             let CoreResp::Ld { tag, data } = resp else {
                 continue;
             };
-            let core = &self.cores[c];
             let found = core
                 .inflight_fetch
                 .with(|v| v.iter().position(|r| r.seq as u32 == tag));
@@ -1720,9 +1691,6 @@ impl Soc {
                     core.fetch_buf.push_back((req, data));
                 }
             }
-        }
-        if moved == 0 {
-            return Err(Stall::new("no fetch responses"));
         }
         Ok(())
     }
@@ -1918,16 +1886,23 @@ impl cmd_core::snap::Snapshot for CoreState {
 }
 
 impl CoreState {
-    /// Checks what the cells a snapshot restored must satisfy together:
-    /// every occupancy mask and LSQ head agrees with its slots, the ROB
-    /// ring is in order, every sequence number in flight is below the one
-    /// the next rename takes, the rename state is in range, and every live
+    /// Checks what the cells a snapshot restored must satisfy together and
+    /// with the restored `mem`: every occupancy mask and LSQ head agrees
+    /// with its slots, the ROB ring is in order, every sequence number in
+    /// flight is below the one the next rename takes, no request queue to
+    /// an L1 is longer than its credit and every credit is the L1's free
+    /// request slots, the rename state is in range, and every live
     /// speculation tag fits the free list.
     ///
     /// # Errors
     ///
     /// [`cmd_core::snap::SnapError::Corrupt`] naming the first violation.
-    pub(crate) fn check_cells(&self) -> Result<(), cmd_core::snap::SnapError> {
+    pub(crate) fn check_cells(&self, mem: &MemSystem) -> Result<(), cmd_core::snap::SnapError> {
+        let p = &self.port;
+        let l1s = [
+            (&p.d_req, &p.d_free, mem.dcache_ref(self.id)),
+            (&p.i_req, &p.i_free, mem.icache_ref(self.id)),
+        ];
         let why = if !self.iqs.iter().all(IssueQueue::masks_consistent) {
             "issue-queue masks disagree with the slots"
         } else if !self.lsq.masks_consistent() {
@@ -1938,6 +1913,13 @@ impl CoreState {
             "ROB pointers disagree with the entries"
         } else if self.max_seq().is_some_and(|s| s >= self.rob.enq_seq()) {
             "an in-flight sequence number is not below the ROB's next"
+        } else if l1s
+            .iter()
+            .any(|(q, free, _)| q.len() > usize::from(free.read()))
+        {
+            "a memory request queue is longer than its credit"
+        } else if l1s.iter().any(|(_, free, l1)| free.read() != credit(l1)) {
+            "a memory credit disagrees with its L1"
         } else if !self.rt.in_range() {
             "rename state out of range"
         } else {
@@ -2222,7 +2204,7 @@ mod tests {
         );
         assert_eq!(core.alu_ex[0].read().map(|u| u.seq), Some(x[3].seq));
         assert_eq!(core.alu_ex[1].read(), None);
-        assert_eq!(core.check_cells(), Ok(()));
+        assert_eq!(core.check_cells(&soc.mem), Ok(()));
     }
 
     /// Renames a load, a store, a branch and an add.

@@ -3,7 +3,7 @@
 
 use cmd_core::cell::Ehr;
 use cmd_core::chaos::FaultEngine;
-use cmd_core::clock::{CellId, Clock};
+use cmd_core::clock::Clock;
 use cmd_core::guard::Guarded;
 use cmd_core::journal::EhrDeque;
 use cmd_core::sched::{Horizon, SchedulerMode, Wakeup};
@@ -13,6 +13,7 @@ use riscy_isa::csr::{CsrFile, Priv};
 use riscy_isa::interp::Machine;
 use riscy_isa::mem::{MMIO_EXIT, MMIO_PUTCHAR, MMIO_ROI};
 use riscy_mem::cache::L1Cache;
+use riscy_mem::msg::{CoreReq, CoreResp, Line};
 use riscy_mem::system::{MemConfig, MemSystem};
 
 use crate::config::CoreConfig;
@@ -25,7 +26,7 @@ use crate::prf::{Bypass, Prf};
 use crate::rename::{RenameTable, SpecManager};
 use crate::rob::{Rob, ROB_FULL};
 use crate::sb::StoreBuffer;
-use crate::tlbport::TlbHier;
+use crate::tlbport::{TlbHier, TlbResp};
 use crate::tma::{TmaBuckets, TmaState};
 
 /// Per-core performance counters (sources for Figs. 15–20).
@@ -134,68 +135,86 @@ pub struct Soc {
     pub golden: Option<Machine>,
     /// Co-simulation mismatches (fatal in tests).
     pub cosim_errors: Vec<String>,
-    /// The kernel clock (poking and observing the memory ports, tainting
-    /// impure stall paths).
+    /// The kernel clock (tainting impure stall paths).
     pub clk: Clock,
-    /// Per-core wake signals of the plain memory-system state a
-    /// [`crate::core`] rule's guard can read, one per port.
-    pub(crate) mem_ports: Vec<MemPorts>,
-    /// Last published digest per core (see [`mem_digest`]).
-    pub(crate) mem_digest: Vec<u64>,
 }
 
-/// One core's wake signals for plain memory-system state, one per port, so
-/// a rule asleep on one port is not woken by traffic on another. The
-/// substrate pokes a port when its bit-field of the core's digest differs
-/// from the one last published, checked before its tick (what the core
-/// rules moved) and after it; the D TLB's port when a tick changes
-/// [`TlbHier::d_waiting`]. The `Soc` accessors rule bodies reach the state
-/// through observe the port they hand out, so a rule whose stalling path
-/// read a port sleeps on it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MemPorts {
-    /// L1 D responses (`pop_resp`).
-    d_resp: CellId,
-    /// L1 D acceptance (`can_accept`).
-    d_accept: CellId,
-    /// L1 D eviction notes.
-    d_evict: CellId,
-    /// The I side: L1 I acceptance and responses, ITLB miss pending.
-    i_side: CellId,
-    /// The D TLB's finished and parked translations.
-    pub(crate) d_tlb: CellId,
+/// One core's boundary to the memory system (paper §V): the FIFOs and
+/// credits its rules use instead of the plain [`L1Cache`]s and [`TlbHier`]
+/// behind them. Core rules push requests and store data and pop
+/// responses, evictions and translations, all transactionally; the
+/// substrate moves what they handed over into the caches before the tick
+/// that serves it, and what the ticks produced out after them, and mirrors
+/// each L1's free request slots and each TLB side's miss status. So every
+/// guard reads only cells, and a core rule's read of the memory system
+/// sleeps and wakes like any other.
+pub struct MemPort {
+    /// Requests to the L1 D, in issue order.
+    pub d_req: EhrDeque<CoreReq>,
+    /// Store data for lines the L1 D locked: `(line, data, byte enables)`.
+    pub d_write: EhrDeque<(u64, Line, [bool; 64])>,
+    /// The L1 D's free request slots after the last tick: it is full for
+    /// the rest of the cycle once `d_req` holds that many.
+    pub d_free: Ehr<u8>,
+    /// L1 D responses that have arrived.
+    pub d_resp: EhrDeque<CoreResp>,
+    /// Lines that left the L1 D (the TSO load kills of `cacheEvict`).
+    pub evict: EhrDeque<u64>,
+    /// Fetch requests to the L1 I.
+    pub i_req: EhrDeque<CoreReq>,
+    /// The L1 I's free request slots after the last tick.
+    pub i_free: Ehr<u8>,
+    /// L1 I responses that have arrived.
+    pub i_resp: EhrDeque<CoreResp>,
+    /// Finished D-side translations.
+    pub dtlb_resp: EhrDeque<TlbResp>,
+    /// An I-side translation miss is outstanding.
+    pub itlb_busy: Ehr<bool>,
+    /// A D-side translation miss is outstanding.
+    pub dtlb_busy: Ehr<bool>,
 }
 
-/// The bit-fields of a core's memory digest (see [`mem_digest`]).
-const D_ACCEPT: u64 = 1;
-const D_RESP: u64 = 0xFFFF << 1;
-const D_EVICT: u64 = 1 << 17;
-const I_SIDE: u64 = 0x3_FFFF << 18;
-
-impl MemPorts {
-    fn new(clk: &Clock) -> Self {
-        MemPorts {
-            d_resp: clk.signal_cell(),
-            d_accept: clk.signal_cell(),
-            d_evict: clk.signal_cell(),
-            i_side: clk.signal_cell(),
-            d_tlb: clk.signal_cell(),
+impl MemPort {
+    fn new(clk: &Clock, d: &L1Cache, i: &L1Cache) -> Self {
+        MemPort {
+            d_req: EhrDeque::new(clk, 8),
+            d_write: EhrDeque::new(clk, 2),
+            d_free: Ehr::new(clk, credit(d)),
+            d_resp: EhrDeque::new(clk, 8),
+            evict: EhrDeque::new(clk, 8),
+            i_req: EhrDeque::new(clk, 1),
+            i_free: Ehr::new(clk, credit(i)),
+            i_resp: EhrDeque::new(clk, 4),
+            dtlb_resp: EhrDeque::new(clk, 4),
+            itlb_busy: Ehr::new(clk, false),
+            dtlb_busy: Ehr::new(clk, false),
         }
     }
 
-    /// Pokes every port whose digest bit-field is set in `changed`.
-    pub(crate) fn poke(&self, clk: &Clock, changed: u64) {
-        for (field, port) in [
-            (D_ACCEPT, self.d_accept),
-            (D_RESP, self.d_resp),
-            (D_EVICT, self.d_evict),
-            (I_SIDE, self.i_side),
-        ] {
-            if changed & field != 0 {
-                clk.poke(port);
-            }
-        }
+    /// Whether the L1 D takes no more requests this cycle.
+    pub(crate) fn d_full(&self) -> bool {
+        self.d_req.len() >= usize::from(self.d_free.read())
     }
+
+    /// Whether the L1 I takes no more requests this cycle.
+    pub(crate) fn i_full(&self) -> bool {
+        self.i_req.len() >= usize::from(self.i_free.read())
+    }
+
+    /// Whether no request, store data or response is between the core and
+    /// its L1s.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.d_req.is_empty()
+            && self.d_write.is_empty()
+            && self.d_resp.is_empty()
+            && self.i_req.is_empty()
+            && self.i_resp.is_empty()
+    }
+}
+
+/// `l1`'s free request slots, as the boundary's credit cells hold them.
+pub(crate) fn credit(l1: &L1Cache) -> u8 {
+    u8::try_from(l1.free_slots()).expect("an L1 takes at most 255 requests")
 }
 
 impl Soc {
@@ -212,7 +231,7 @@ impl Soc {
         program.load(&mut pmem);
         let mem = MemSystem::new(mem_cfg, num_cores, pmem);
         let cores = (0..num_cores)
-            .map(|id| CoreState::new(clk, id, &cfg, program.entry))
+            .map(|id| CoreState::new(clk, id, &cfg, program.entry, &mem))
             .collect();
         Soc {
             cfg,
@@ -225,9 +244,6 @@ impl Soc {
             golden: None,
             cosim_errors: Vec::new(),
             clk: clk.clone(),
-            mem_ports: (0..num_cores).map(|_| MemPorts::new(clk)).collect(),
-            // Sentinel: the first substrate cycle always publishes once.
-            mem_digest: vec![u64::MAX; num_cores],
         }
     }
 
@@ -252,81 +268,23 @@ impl Soc {
     pub fn now(&self) -> u64 {
         self.mem.now()
     }
-
-    /// Core `c`'s L1 D cache, as a rule body reaches its request port
-    /// (`can_accept`, `request`): the read is declared to the wake layer
-    /// ([`Clock::observe`] of the core's D-accept port), so a rule that
-    /// stalls on a full cache is woken when the substrate next changes its
-    /// acceptance, and by nothing else the cache does.
-    pub(crate) fn dcache_accept(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_ports[c].d_accept);
-        self.mem.dcache(c)
-    }
-
-    /// Core `c`'s L1 D cache, as a rule body reaches its responses
-    /// (`pop_resp`, and `write_data` for a store response; see
-    /// [`Soc::dcache_accept`]).
-    pub(crate) fn dcache_resp(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_ports[c].d_resp);
-        self.mem.dcache(c)
-    }
-
-    /// Core `c`'s L1 D cache, as `cacheEvict` reaches its eviction notes
-    /// (see [`Soc::dcache_accept`]).
-    pub(crate) fn dcache_evict(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_ports[c].d_evict);
-        self.mem.dcache(c)
-    }
-
-    /// Core `c`'s L1 I cache, as a rule body reaches it (see
-    /// [`Soc::dcache_accept`]).
-    pub(crate) fn icache(&mut self, c: usize) -> &mut L1Cache {
-        self.clk.observe(self.mem_ports[c].i_side);
-        self.mem.icache(c)
-    }
-
-    /// Core `c`'s TLB hierarchy, as `fetch` reaches its I side (see
-    /// [`Soc::dcache_accept`]).
-    pub(crate) fn itlb(&mut self, c: usize) -> &mut TlbHier {
-        self.clk.observe(self.mem_ports[c].i_side);
-        &mut self.cores[c].tlb
-    }
-
-    /// Core `c`'s TLB hierarchy, as `updateLsq` reaches its D side (see
-    /// [`Soc::dcache_accept`]).
-    pub(crate) fn dtlb(&mut self, c: usize) -> &mut TlbHier {
-        self.clk.observe(self.mem_ports[c].d_tlb);
-        &mut self.cores[c].tlb
-    }
-}
-
-/// Core `c`'s memory digest as core rules see it at cycle `now`: every
-/// observable a guard can read outside the clocked cells and the D TLB —
-/// cache acceptance, response arrival, eviction notes, ITLB miss status —
-/// packed exactly (no hashing, so no collisions) into one bit-field per
-/// port.
-pub(crate) fn mem_digest(mem: &MemSystem, tlb: &TlbHier, c: usize, now: u64) -> u64 {
-    let d = mem.dcache_ref(c);
-    let i = mem.icache_ref(c);
-    d.resp_digest(now)
-        | u64::from(d.evict_notes.is_empty()) << 17
-        | i.resp_digest(now) << 18
-        | u64::from(tlb.i_miss_pending()) << 35
 }
 
 impl Horizon for Soc {
-    /// Cycles until the substrate may change what a guard reads: the
-    /// memory system's and the TLBs' next events, and the cycle before an
-    /// L1 response arrives (the substrate digests with `now + 1`). Zero
-    /// while a core's digest already differs from the one last published:
-    /// the next substrate pokes.
+    /// Cycles until the substrate may write a boundary cell: the memory
+    /// system's and the TLBs' next events, and the cycle before an L1
+    /// response arrives (the substrate delivers what has arrived by the end
+    /// of its tick, `now + 1`). The clock jumps only after a cycle in which
+    /// no core rule fired, so nothing waits to cross towards memory.
     fn horizon(&self) -> u64 {
         let now = self.mem.now();
         let mut next = self.mem.next_event();
         for (c, core) in self.cores.iter().enumerate() {
-            if mem_digest(&self.mem, &core.tlb, c, now) != self.mem_digest[c] {
-                return 0;
-            }
+            let p = &core.port;
+            debug_assert!(
+                p.d_req.is_empty() && p.d_write.is_empty() && p.i_req.is_empty(),
+                "core {c} has memory traffic waiting at a clock jump"
+            );
             next = next.min(core.tlb.next_event(now));
             for l1 in [self.mem.dcache_ref(c), self.mem.icache_ref(c)] {
                 if let Some(t) = l1.next_resp_after(now) {
@@ -420,10 +378,10 @@ impl SocSim {
         // far larger quiet window than the kernel default before declaring
         // deadlock.
         sim.set_watchdog(Some(10_000));
-        // Every core rule sleeps on what its stalling path read
-        // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"):
-        // clocked cells and, wherever the body went through a `Soc` memory
-        // accessor, the port signal that accessor observes. Stall paths
+        // Every core rule sleeps on the cells its stalling path read
+        // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"),
+        // the memory system's included: a core reaches it only through its
+        // `MemPort` cells. Stall paths
         // that mutate plain state (TLB requests and lookups) or read the
         // cycle counter (time-based busy) call `Clock::taint_eval` and are
         // never slept on; a statistic counted on every stalled cycle is a
@@ -542,11 +500,11 @@ impl SocSim {
     /// [`SchedulerMode::Reference`] re-enables the one-rule-at-a-time oracle
     /// for equivalence checking.
     ///
-    /// Core rules sleep on what their stalling path read: clocked cells,
-    /// and the per-core memory port signals wherever the path reached
-    /// plain memory-system state, which the substrate pokes when that
-    /// port's state changes; [`SocSim::run_to_completion`] jumps over
-    /// cycles in which every core rule sleeps. Both modes stay cycle- and
+    /// Core rules sleep on the cells their stalling path read, the
+    /// boundary cells to the memory system included, which the substrate
+    /// writes when what is behind them changes;
+    /// [`SocSim::run_to_completion`] jumps over cycles in which every core
+    /// rule sleeps. Both modes stay cycle- and
     /// counter-identical; the equivalence suites in `tests/` assert it.
     pub fn set_scheduler(&mut self, mode: SchedulerMode) {
         self.sim.set_scheduler(mode);
@@ -608,8 +566,8 @@ impl SocSim {
     }
 
     /// Runs up to `max_extra` additional cycles until every architectural
-    /// store has landed: all LSQs and store buffers empty and the memory
-    /// system idle. Returns `true` once quiesced.
+    /// store has landed: all LSQs, store buffers and boundary FIFOs empty
+    /// and the memory system idle. Returns `true` once quiesced.
     ///
     /// Cores stop fetching after their exit-device store, so after
     /// [`SocSim::run_to_completion`] succeeds only in-flight stores remain;
@@ -624,7 +582,7 @@ impl SocSim {
                 && soc
                     .cores
                     .iter()
-                    .all(|c| c.lsq.is_empty() && c.sb.is_empty())
+                    .all(|c| c.lsq.is_empty() && c.sb.is_empty() && c.port.is_idle())
         };
         for _ in 0..max_extra {
             if quiesced(self.soc()) {
@@ -1004,9 +962,10 @@ impl SocSim {
 }
 
 impl CoreState {
-    /// Builds a reset core.
+    /// Builds a reset core; its boundary cells, adopted after the rest,
+    /// start with `mem`'s L1 credits.
     #[must_use]
-    pub fn new(clk: &Clock, id: usize, cfg: &CoreConfig, entry: u64) -> Self {
+    pub fn new(clk: &Clock, id: usize, cfg: &CoreConfig, entry: u64, mem: &MemSystem) -> Self {
         let num_iqs = cfg.alu_pipes + 2; // + mem + muldiv
         CoreState {
             id,
@@ -1047,6 +1006,7 @@ impl CoreState {
             stats: CoreStats::default(),
             pipe: PipeTrace::disabled(),
             tma: None,
+            port: MemPort::new(clk, mem.dcache_ref(id), mem.icache_ref(id)),
         }
     }
 }
@@ -1074,8 +1034,10 @@ fn _assert_types(_: &DecInst, _: &MemTrans) {}
 /// the speculation masks with rename order (a sequence number in every
 /// micro-op, LSQ entry and speculation snapshot, and the ROB's next one in
 /// a cell; an IQ entry's age is its micro-op's number) and added the LSQ's
-/// oldest-load and oldest-store cells.
-pub const SOC_SNAP_VERSION: u32 = 5;
+/// oldest-load and oldest-store cells; v6 added each core's boundary to
+/// the memory system ([`MemPort`]: eleven cells adopted after the core's
+/// others) and dropped the per-core memory digests.
+pub const SOC_SNAP_VERSION: u32 = 6;
 
 cmd_core::snap_struct!(CoreStats {
     committed,
@@ -1096,8 +1058,8 @@ cmd_core::snap_struct!(CoreStats {
     occ_cycles,
 });
 
-/// The SoC's plain state: the memory system, each core's plain state, the
-/// devices and the memory digests. Its cells are the kernel's to save.
+/// The SoC's plain state: the memory system, each core's plain state and
+/// the devices. Its cells are the kernel's to save.
 impl cmd_core::snap::Snapshot for Soc {
     fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
         use cmd_core::snap::Snap as _;
@@ -1108,11 +1070,6 @@ impl cmd_core::snap::Snapshot for Soc {
         }
         self.devices.exited.save(w);
         self.devices.console.save(w);
-        // The per-core memory digests are derived state, but they gate the
-        // memory port pokes: serializing them keeps the resumed run's
-        // wakeup pattern — and hence its scheduler counters — bit-identical
-        // to the uninterrupted run.
-        self.mem_digest.save(w);
     }
 
     fn snap_restore(
@@ -1142,12 +1099,7 @@ impl cmd_core::snap::Snapshot for Soc {
         }
         self.devices.exited = exited;
         self.devices.console = Snap::load(r)?;
-        let digest: Vec<u64> = Snap::load(r)?;
-        if digest.len() != self.cores.len() {
-            return Err(SnapError::Corrupt("memory-event digest length".into()));
-        }
-        self.mem_digest = digest;
-        self.cores.iter().try_for_each(CoreState::check_cells)
+        self.cores.iter().try_for_each(|c| c.check_cells(&self.mem))
     }
 }
 

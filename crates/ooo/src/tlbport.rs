@@ -198,14 +198,6 @@ impl TlbHier {
         self.walker.flush();
     }
 
-    /// What the D side shows `updateLsq` without a lookup: finished
-    /// translations waiting and misses parked. [`TlbHier::tick`] changes it
-    /// only by finishing a miss.
-    #[must_use]
-    pub fn d_waiting(&self) -> (usize, usize) {
-        (self.d_resps.len(), self.d_parked.len())
-    }
-
     /// The first cycle, at or after `now`, at which [`TlbHier::tick`] — or
     /// the substrate draining this hierarchy's queues — may change it: the
     /// earliest `l2_ready_at` of a parked miss not yet walking, or `now`

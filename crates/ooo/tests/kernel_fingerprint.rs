@@ -143,8 +143,10 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// included, then the plain state) and re-captured when rename order
 /// replaced the speculation masks (v5: a sequence number per micro-op, LSQ
 /// entry and speculation snapshot, the ROB's next one and the LSQ heads in
-/// cells, and no IQ age). `snapshot_roundtrip.rs` compares one build against itself and
-/// cannot see a layout change that forgot to bump the version.
+/// cells, and no IQ age) and when the cores' boundary to the memory system
+/// moved into cells (v6: eleven cells per core, no memory digests).
+/// `snapshot_roundtrip.rs` compares one build against itself and cannot
+/// see a layout change that forgot to bump the version.
 #[test]
 fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     let w = spec::mcf(Scale::Test);
@@ -156,5 +158,5 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fnv1a(&mut h, &bytes);
     println!("mcf snapshot @20000: {} bytes hash {h:#018x}", bytes.len());
-    assert_eq!((bytes.len(), h), (14_306_589, 0x776d_b2d9_42a3_7fbb));
+    assert_eq!((bytes.len(), h), (14_306_681, 0xec97_2d97_2236_d630));
 }

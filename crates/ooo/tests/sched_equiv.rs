@@ -5,12 +5,12 @@
 //! stream — on single-core and 2-core SoCs, with and without an active chaos
 //! [`FaultPlan`].
 //!
-//! Every core rule sleeps on what its stalling path read
-//! (`Wakeup::Inferred`): clocked cells, and the per-core memory port signal
-//! wherever the path went through the `Soc` accessor that observes it — see
-//! `soc.rs` — and `run_to_completion` jumps over the cycles in which all of
-//! them sleep. A missed `observe` or a wrong horizon shows up here as a
-//! cycle divergence, so these tests pin down the sleep/wake layer on a
+//! Every core rule sleeps on the cells its stalling path read
+//! (`Wakeup::Inferred`), its core's boundary cells to the memory system
+//! included — see `MemPort` in `soc.rs` — and `run_to_completion` jumps
+//! over the cycles in which all of them sleep. A boundary cell the
+//! substrate fails to update or a wrong horizon shows up here as a cycle
+//! divergence, so these tests pin down the sleep/wake layer on a
 //! design with tens of rules per core. The SoC registers no
 //! conflict-matrix module (its modules order through EHR ports), so the
 //! conflict probe is covered by the kernel-level soups in
@@ -116,7 +116,10 @@ fn run_soc(
             .guard_stall("c0.issue*", 0.002)
             .rule_abort("c0.alu*", 0.001)
             .bit_flip("c0.fetch_pc", 0.0002)
-            .msg_drop("mem.p2c", 0.005);
+            .msg_drop("mem.p2c", 0.005)
+            .rule_abort("c0.resp*", 0.001)
+            .rule_abort("c0.fetchResp", 0.001)
+            .rule_abort("c0.updateLsq", 0.001);
         let e = FaultEngine::new(plan);
         sim.attach_chaos(&e);
         e
@@ -230,8 +233,8 @@ fn jumping_the_clock_matches_stepping_it() {
 
 /// A random loop of loads to a cold and a hot region and stores to the hot
 /// one: enough misses to fill the L1 D request room while stores wait to
-/// drain, which is where a rule asleep on a memory port must see the ports
-/// the other rules moved in the cycle before.
+/// drain, which is where a rule asleep on a full cache must see the
+/// requests the other rules queued in the cycle before.
 fn random_loop(seed: u64) -> Program {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut a = Assembler::new(DRAM_BASE);
@@ -258,12 +261,10 @@ fn random_loop(seed: u64) -> Program {
     a.assemble()
 }
 
-/// Rules only take from a memory port within a cycle (requests fill the
-/// room, pops drain responses), so a rule asleep on a port saw it between
-/// the digest last published and what the rules left; the substrate must
-/// republish a port the rules moved even when its tick moves it back.
-/// Comparing only after the tick, some of these seeds diverge from the
-/// reference, under TSO and WMM alike.
+/// A rule asleep on "dcache full" read the request queue the other rules
+/// filled and the credit the substrate left: it must wake when the
+/// substrate drains the queue even if the tick leaves the credit where it
+/// was, under TSO and WMM alike.
 #[test]
 fn random_memory_loops_match_reference() {
     for seed in 360..380 {

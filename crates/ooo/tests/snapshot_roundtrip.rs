@@ -9,6 +9,7 @@
 //! exactly themselves; attached observers (tracer, pipe trace, profiler,
 //! chaos) must refuse to snapshot.
 
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -21,6 +22,7 @@ use cmd_core::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
+use riscy_mem::msg::CoreReq;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
 use riscy_ooo::soc::{CoreStats, SocSim};
 
@@ -214,12 +216,12 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v4 — the last format with speculation masks in
-    // its micro-ops and LSQ entries and without the ROB's sequence number
-    // or the LSQ heads, so a v4 body must never reach the v5 reader.
+    // future format, and v5 — the last format with per-core memory digests
+    // and without the cores' boundary cells to the memory system, so a v5
+    // body must never reach the v6 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 5, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 4] {
+    assert_eq!(current, 6, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 5] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
@@ -258,7 +260,7 @@ type Section = (String, Range<usize>);
 
 /// The sections of `snap`, saved from `sim`, in order — the header and
 /// configuration digest, the kernel, the cell frames, then the plain
-/// state: the memory system, each core, the devices and memory digests —
+/// state: the memory system, each core and the devices —
 /// and each cell's record, by [`cmd_core::clock::CellId::index`]. Located
 /// with the public codecs, so a layout change shows up here.
 fn layout(sim: &SocSim, snap: &[u8]) -> (Vec<Section>, Vec<Range<usize>>) {
@@ -419,6 +421,44 @@ fn truncated_snapshots_are_structured_errors() {
     ] {
         let mut bad = snap.clone();
         bad[range].copy_from_slice(&bytes);
+        match restore_checked(&prog, 1, &bad, what) {
+            Err(SnapError::Corrupt(m)) => assert!(m.starts_with(why), "{what}: {m}"),
+            other => panic!("{what}: expected corruption, got {other:?}"),
+        }
+    }
+
+    // Two on the core's boundary to its L1 D: a credit that is not the
+    // cache's free request slots, and more queued requests than the credit
+    // allows (the queue's record regrown, and its frame with it).
+    let port = &core.port;
+    let credit = port.d_free.read();
+    let mut off_credit = snap.clone();
+    off_credit[records[port.d_free.watch_id().index()].clone()].copy_from_slice(&[credit + 1]);
+    let d_req = records[port.d_req.watch_id().index()].clone();
+    let flood: VecDeque<CoreReq> = (0..=u32::from(credit))
+        .map(|tag| CoreReq::Ld {
+            tag,
+            addr: DRAM_BASE,
+            bytes: 8,
+        })
+        .collect();
+    let flood = encode(&|w| flood.save(w));
+    let mut over_credit = snap[..d_req.start - 8].to_vec();
+    over_credit.extend_from_slice(&(flood.len() as u64).to_le_bytes());
+    over_credit.extend_from_slice(&flood);
+    over_credit.extend_from_slice(&snap[d_req.end..]);
+    for (what, bad, why) in [
+        (
+            "a D credit that is not the L1's free slots",
+            off_credit,
+            "a memory credit disagrees",
+        ),
+        (
+            "more D requests than the credit",
+            over_credit,
+            "a memory request queue is longer",
+        ),
+    ] {
         match restore_checked(&prog, 1, &bad, what) {
             Err(SnapError::Corrupt(m)) => assert!(m.starts_with(why), "{what}: {m}"),
             other => panic!("{what}: expected corruption, got {other:?}"),
