@@ -360,7 +360,7 @@ impl InOrderSim {
         }
 
         // Peek the instruction for timing classification.
-        let word = self.machine.mem.read_le(fetch_pa, 4) as u32;
+        let word = self.machine.mem().read_le(fetch_pa, 4) as u32;
         let instr = decode(word).ok();
 
         // Data-access timing before the architectural step.

@@ -7,11 +7,15 @@
 //! as long as it did*, on two different clocks:
 //!
 //! * **Host time** — [`RuleProf`] accumulates monotonic-timestamp intervals
-//!   around every rule evaluation, split into body ("self") time and
+//!   around a rule's evaluations, split into body ("self") time and
 //!   body-plus-scheduling ("total") time, separately for firing and
 //!   stalling evaluations. This is what explains scheduler overheads that
 //!   cycle counts can't see (e.g. why Fast mode can lose to Reference on a
-//!   CM-free design while winning on `ring64`).
+//!   CM-free design while winning on `ring64`). Reading the clock costs
+//!   more than many rule bodies, so only a rule's first evaluation and
+//!   then one in sixteen are timed, on a per-rule stride; the host-time
+//!   fields are the timed sums scaled by evaluations ÷ timed evaluations.
+//!   Every count stays exact.
 //! * **Simulated time** — [`CausalLog`] records causality edges between
 //!   rules (a committed write waking a sleeping rule, a committed method
 //!   blocking a later rule through the conflict matrix) into a bounded
@@ -49,6 +53,11 @@ use crate::trace::{TraceEvent, TraceSink};
 /// sleep registration). Firing and stalling evaluations accumulate into
 /// separate totals so a rule that is cheap when it fires but evaluated
 /// uselessly every cycle shows up.
+///
+/// The counts are exact. The `*_ns` fields are estimates: the sums over
+/// the timed evaluations (the first, then one in [`TIMING_STRIDE`]) scaled
+/// by `evals` ÷ timed evaluations, with `fired_ns + stall_ns` scaled as one
+/// sum so `total_ns() >= body_ns` holds per rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleProf {
     /// Evaluations that ran the rule body (fired or stalled).
@@ -61,6 +70,40 @@ pub struct RuleProf {
     pub fired_ns: u64,
     /// Host nanoseconds (body + scheduling) of evaluations that stalled.
     pub stall_ns: u64,
+}
+
+/// A rule's evaluations are timed once every `TIMING_STRIDE`, starting
+/// with its first.
+pub const TIMING_STRIDE: u64 = 16;
+
+/// What the scheduler accumulates for one rule: exact counts, and the
+/// host-time sums over the timed evaluations only.
+#[derive(Debug, Clone, Copy, Default)]
+struct RuleTiming {
+    sums: RuleProf,
+    timed: u64,
+}
+
+impl RuleTiming {
+    /// The sums scaled up to every evaluation.
+    fn estimate(&self) -> RuleProf {
+        let s = &self.sums;
+        let scale = |ns: u64| {
+            if self.timed == 0 {
+                0
+            } else {
+                let v = u128::from(ns) * u128::from(s.evals) / u128::from(self.timed);
+                u64::try_from(v).unwrap_or(u64::MAX)
+            }
+        };
+        let fired_ns = scale(s.fired_ns);
+        RuleProf {
+            body_ns: scale(s.body_ns),
+            fired_ns,
+            stall_ns: scale(s.fired_ns + s.stall_ns) - fired_ns,
+            ..*s
+        }
+    }
 }
 
 impl RuleProf {
@@ -278,7 +321,7 @@ pub const DEFAULT_WINDOW: u64 = 4_096;
 /// aggregated [`Sim::profile_json`](crate::sim::Sim::profile_json).
 #[derive(Debug)]
 pub struct Profiler {
-    pub(crate) rules: Vec<RuleProf>,
+    rules: Vec<RuleTiming>,
     pub(crate) causal: CausalLog,
     pub(crate) window: u64,
 }
@@ -295,18 +338,14 @@ impl Profiler {
         }
     }
 
-    /// Host-time totals per rule index (indices match the scheduler's rule
-    /// registration order; rules never evaluated may be absent from the
-    /// tail).
-    #[must_use]
-    pub fn rules(&self) -> &[RuleProf] {
-        &self.rules
-    }
-
-    /// Host-time totals for rule `i` (zeros if never evaluated).
+    /// Counts and host-time estimates for rule `i` (indices match the
+    /// scheduler's rule registration order; zeros if never evaluated).
     #[must_use]
     pub fn rule(&self, i: usize) -> RuleProf {
-        self.rules.get(i).copied().unwrap_or_default()
+        self.rules
+            .get(i)
+            .map(RuleTiming::estimate)
+            .unwrap_or_default()
     }
 
     /// The causality log.
@@ -321,33 +360,45 @@ impl Profiler {
         self.window
     }
 
-    /// Records one evaluation of rule `i`: the body ran from `t0` to
-    /// `t_body`, scheduling finished "now", and the rule `fired` or
-    /// stalled. Called by the scheduler.
+    /// Whether the scheduler should time rule `i`'s next evaluation: its
+    /// first, then every [`TIMING_STRIDE`]th.
     #[inline]
-    pub(crate) fn record_eval(&mut self, i: usize, t0: Instant, t_body: Instant, fired: bool) {
-        if i >= self.rules.len() {
-            self.rules.resize(i + 1, RuleProf::default());
-        }
-        let total = ns_u64(t0.elapsed());
-        let body = ns_u64(t_body.duration_since(t0));
-        let r = &mut self.rules[i];
-        r.evals += 1;
-        r.body_ns += body;
-        if fired {
-            r.fired_ns += total;
-        } else {
-            r.stall_ns += total;
+    pub(crate) fn times_next(&self, i: usize) -> bool {
+        self.rules
+            .get(i)
+            .is_none_or(|r| r.sums.evals % TIMING_STRIDE == 0)
+    }
+
+    /// Records one evaluation of rule `i`, which `fired` or stalled. A
+    /// timed evaluation passes `(t0, t_body)`: the body ran from `t0` to
+    /// `t_body` and scheduling finished "now". Called by the scheduler.
+    #[inline]
+    pub(crate) fn record_eval(&mut self, i: usize, timed: Option<(Instant, Instant)>, fired: bool) {
+        let r = self.entry(i);
+        r.sums.evals += 1;
+        if let Some((t0, t_body)) = timed {
+            let total = ns_u64(t0.elapsed());
+            r.timed += 1;
+            r.sums.body_ns += ns_u64(t_body.duration_since(t0));
+            if fired {
+                r.sums.fired_ns += total;
+            } else {
+                r.sums.stall_ns += total;
+            }
         }
     }
 
     /// Records that rule `i` was skipped asleep this cycle.
     #[inline]
     pub(crate) fn record_skip(&mut self, i: usize) {
+        self.entry(i).sums.skipped += 1;
+    }
+
+    fn entry(&mut self, i: usize) -> &mut RuleTiming {
         if i >= self.rules.len() {
-            self.rules.resize(i + 1, RuleProf::default());
+            self.rules.resize(i + 1, RuleTiming::default());
         }
-        self.rules[i].skipped += 1;
+        &mut self.rules[i]
     }
 }
 
@@ -733,8 +784,8 @@ mod tests {
         let mut p = Profiler::new(16, 16);
         let t0 = Instant::now();
         let t1 = Instant::now();
-        p.record_eval(2, t0, t1, true);
-        p.record_eval(2, t0, t1, false);
+        p.record_eval(2, Some((t0, t1)), true);
+        p.record_eval(2, None, false);
         p.record_skip(2);
         let r = p.rule(2);
         assert_eq!(r.evals, 2);
@@ -742,6 +793,29 @@ mod tests {
         assert_eq!(r.total_ns(), r.fired_ns + r.stall_ns);
         // Rule 0 was never touched but is indexable.
         assert_eq!(p.rule(0), RuleProf::default());
+    }
+
+    /// The first evaluation and every sixteenth after it are timed; the
+    /// estimate scales the timed sums by evaluations over timed ones.
+    #[test]
+    fn one_evaluation_in_sixteen_is_timed_and_scaled() {
+        let mut p = Profiler::new(16, 16);
+        let now = Instant::now();
+        let mut timed = Vec::new();
+        for n in 0..40 {
+            let t = p.times_next(0);
+            if t {
+                timed.push(n);
+            }
+            p.record_eval(0, t.then_some((now, now)), n % 2 == 0);
+        }
+        assert_eq!(timed, [0, 16, 32]);
+        // Sums over the 3 timed evaluations, scaled by 40 / 3.
+        let sums = &mut p.rules[0].sums;
+        (sums.body_ns, sums.fired_ns, sums.stall_ns) = (9, 10, 5);
+        let r = p.rule(0);
+        assert_eq!((r.evals, r.body_ns), (40, 120));
+        assert_eq!((r.fired_ns, r.stall_ns, r.total_ns()), (133, 67, 200));
     }
 
     #[test]

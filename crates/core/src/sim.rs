@@ -518,8 +518,9 @@ impl<S> Sim<S> {
     /// capacity (see [`crate::prof`]): per-rule host-time attribution,
     /// publish→wake and CM-block causality edges, and per-window counter
     /// snapshots. Purely observational — a profiled run is cycle- and
-    /// counter-identical to an unprofiled one; the cost is two monotonic
-    /// timestamps per rule evaluation.
+    /// counter-identical to an unprofiled one; the cost is three monotonic
+    /// clock reads per timed evaluation (a rule's first and one in
+    /// [`crate::prof::TIMING_STRIDE`] after it).
     pub fn enable_profiling(&mut self) {
         self.prof = Some(Box::new(Profiler::new(
             crate::prof::DEFAULT_WINDOW,
@@ -673,10 +674,14 @@ impl<S> Sim<S> {
                 }
                 None => {}
             }
-            let t0 = if PROF { Some(Instant::now()) } else { None };
+            let t0 = if PROF && self.prof.as_ref().is_some_and(|p| p.times_next(i)) {
+                Some(Instant::now())
+            } else {
+                None
+            };
             self.clk.begin_rule();
             let outcome = (entry.body)(&mut self.state);
-            let t_body = if PROF { Some(Instant::now()) } else { None };
+            let t_body = t0.map(|_| Instant::now());
             let mut fired_now = false;
             match outcome {
                 Ok(()) => {
@@ -731,10 +736,8 @@ impl<S> Sim<S> {
                 }
             }
             if PROF {
-                if let (Some(t0), Some(t1)) = (t0, t_body) {
-                    if let Some(p) = self.prof.as_mut() {
-                        p.record_eval(i, t0, t1, fired_now);
-                    }
+                if let Some(p) = self.prof.as_mut() {
+                    p.record_eval(i, t0.zip(t_body), fired_now);
                 }
             }
         }
@@ -880,7 +883,10 @@ impl<S> Sim<S> {
                 // cause are attributed back to it.
                 wake.publisher
                     .set(Some(u32::try_from(i).expect("rule index")));
-                Some(Instant::now())
+                self.prof
+                    .as_ref()
+                    .is_some_and(|p| p.times_next(i))
+                    .then(Instant::now)
             } else {
                 None
             };
@@ -890,7 +896,7 @@ impl<S> Sim<S> {
             // rules never pay the per-read trace push.
             self.clk.begin_rule();
             let outcome = (entry.body)(&mut self.state);
-            let t_body = if prof_on { Some(Instant::now()) } else { None };
+            let t_body = t0.map(|_| Instant::now());
             let mut fired_now = false;
             match outcome {
                 Ok(()) => {
@@ -999,9 +1005,9 @@ impl<S> Sim<S> {
                     on_stalled(entry, &mut self.state, stall.reason());
                 }
             }
-            if let (Some(t0), Some(t1)) = (t0, t_body) {
+            if prof_on {
                 if let Some(p) = self.prof.as_mut() {
-                    p.record_eval(i, t0, t1, fired_now);
+                    p.record_eval(i, t0.zip(t_body), fired_now);
                     // Publish→wake causality, recorded by the wake layer
                     // while this rule was tagged as the publisher.
                     wake.take_edges(|(from, to)| {

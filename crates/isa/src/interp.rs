@@ -6,6 +6,8 @@
 //! this repository are checked against it instruction-by-instruction
 //! (lock-step co-simulation at commit).
 
+use cmd_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
+
 use crate::asm::Program;
 use crate::csr::{CsrFile, Exception, Priv};
 use crate::inst::{
@@ -13,7 +15,7 @@ use crate::inst::{
 };
 use crate::mem::{is_mmio, SparseMem, MMIO_EXIT, MMIO_PUTCHAR, MMIO_ROI};
 use crate::reg::Gpr;
-use crate::vm::{self, Access};
+use crate::vm::{self, Access, PAGE_SHIFT};
 
 /// Architectural state of one hart.
 #[derive(Debug, Clone)]
@@ -107,20 +109,193 @@ pub enum StepOutcome {
     AlreadyHalted,
 }
 
+/// What the last [`Machine::step`] touched, for a caller that warms caches
+/// and predictors from the executed stream ([`Machine::touched`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Touched {
+    /// Physical address the instruction word was read from; `None` when
+    /// the fetch faulted (or the hart had already halted).
+    pub fetch_pa: Option<u64>,
+    /// The decoded instruction; `None` when the fetch faulted or the word
+    /// is illegal.
+    pub instr: Option<Instr>,
+    /// `(va, pa)` of the data access whenever its address translated,
+    /// MMIO included, and also when the access then trapped as misaligned.
+    pub data: Option<(u64, u64)>,
+}
+
+/// Sets of the translation cache; each [`Access`] kind has its own.
+const XLATE_SETS: usize = 64;
+/// Most PTE frames the translation cache tracks before it starts over,
+/// which bounds the scan every store pays.
+const PTE_FRAMES_MAX: usize = 32;
+/// Entries of the decode cache.
+const DECODE_SETS: usize = 1024;
+
+/// One successful walk: the 4 KiB virtual page `vpn` under `satp` at
+/// `priv_mode` maps to physical page `ppn`.
+#[derive(Debug, Clone, Copy)]
+struct XlateEntry {
+    vpn: u64,
+    satp: u64,
+    priv_mode: Priv,
+    ppn: u64,
+}
+
+/// The translation cache: direct-mapped per access kind, plus the frames
+/// its walks read PTEs from. A write to one of those frames empties it.
+#[derive(Debug, Clone)]
+struct XlateCache {
+    sets: Vec<Option<XlateEntry>>,
+    pte_frames: Vec<u64>,
+}
+
+impl XlateCache {
+    fn new() -> Self {
+        XlateCache {
+            sets: vec![None; 3 * XLATE_SETS],
+            pte_frames: Vec::new(),
+        }
+    }
+
+    fn set(vpn: u64, access: Access) -> usize {
+        access as usize * XLATE_SETS + (vpn as usize % XLATE_SETS)
+    }
+
+    /// Translates `va` for `hart`: a hit, or a walk through `mem` whose
+    /// success is cached. Faults are never cached.
+    fn translate(
+        &mut self,
+        mem: &SparseMem,
+        hart: &Hart,
+        va: u64,
+        access: Access,
+    ) -> Result<u64, Exception> {
+        if hart.priv_mode == Priv::M || !vm::satp_sv39_enabled(hart.csrs.satp) {
+            return Ok(va);
+        }
+        let (vpn, offset) = (va >> PAGE_SHIFT, va & (vm::PAGE_SIZE - 1));
+        let (satp, priv_mode) = (hart.csrs.satp, hart.priv_mode);
+        let set = Self::set(vpn, access);
+        if let Some(e) = self.sets[set] {
+            if e.vpn == vpn && e.satp == satp && e.priv_mode == priv_mode {
+                let pa = e.ppn << PAGE_SHIFT | offset;
+                debug_assert_eq!(
+                    vm::walk_sv39(vm::satp_root_ppn(satp), va, access, priv_mode, |a| {
+                        mem.read_u64(a)
+                    })
+                    .map(|t| t.pa),
+                    Ok(pa),
+                    "translation cache hit for {va:#x} ({access:?}) disagrees with a walk"
+                );
+                return Ok(pa);
+            }
+        }
+        let (mut frames, mut reads) = ([0; vm::LEVELS], 0);
+        let walk = vm::walk_sv39(vm::satp_root_ppn(satp), va, access, priv_mode, |a| {
+            frames[reads] = a >> PAGE_SHIFT;
+            reads += 1;
+            mem.read_u64(a)
+        });
+        match walk {
+            Ok(t) => {
+                if self.pte_frames.len() + reads > PTE_FRAMES_MAX {
+                    self.flush();
+                }
+                for &f in &frames[..reads] {
+                    if !self.pte_frames.contains(&f) {
+                        self.pte_frames.push(f);
+                    }
+                }
+                self.sets[set] = Some(XlateEntry {
+                    vpn,
+                    satp,
+                    priv_mode,
+                    ppn: t.pa >> PAGE_SHIFT,
+                });
+                Ok(t.pa)
+            }
+            Err(_) => Err(match access {
+                Access::Fetch => Exception::InstPageFault,
+                Access::Load => Exception::LoadPageFault,
+                Access::Store => Exception::StorePageFault,
+            }),
+        }
+    }
+
+    /// A write landed at `pa`: empties the cache if a cached walk read a
+    /// PTE from its frame.
+    fn written(&mut self, pa: u64) {
+        if self.pte_frames.contains(&(pa >> PAGE_SHIFT)) {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.sets.fill(None);
+        self.pte_frames.clear();
+    }
+}
+
+/// The decode cache: direct-mapped by fetch physical address, each entry
+/// holding the word it decoded.
+#[derive(Debug, Clone)]
+struct DecodeCache {
+    sets: Vec<Option<(u64, u32, Instr)>>,
+}
+
+impl DecodeCache {
+    fn new() -> Self {
+        DecodeCache {
+            sets: vec![None; DECODE_SETS],
+        }
+    }
+
+    /// Decodes `word`, fetched from `pa`: the cached instruction when the
+    /// entry for `pa` decoded this very word, else a fresh decode (cached
+    /// when legal).
+    fn decode(&mut self, pa: u64, word: u32) -> Option<Instr> {
+        let set = (pa >> 2) as usize % DECODE_SETS;
+        if let Some((p, w, instr)) = self.sets[set] {
+            if p == pa && w == word {
+                debug_assert_eq!(decode(word), Ok(instr), "decode cache hit at {pa:#x}");
+                return Some(instr);
+            }
+        }
+        let instr = decode(word).ok()?;
+        self.sets[set] = Some((pa, word, instr));
+        Some(instr)
+    }
+}
+
 /// A whole shared-memory machine: physical memory plus `n` harts.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    /// Physical memory.
-    pub mem: SparseMem,
+    mem: SparseMem,
     harts: Vec<Hart>,
     console: Vec<u8>,
+    xlate: XlateCache,
+    decoded: DecodeCache,
+    touched: Touched,
 }
 
-cmd_core::snap_struct!(Machine {
-    mem,
-    harts,
-    console
-});
+/// The caches and the step record are derived state and not saved; a
+/// loaded machine starts them empty.
+impl Snap for Machine {
+    fn save(&self, w: &mut SnapWriter) {
+        self.mem.save(w);
+        self.harts.save(w);
+        self.console.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut m = Machine::new(0, 0);
+        m.mem = Snap::load(r)?;
+        m.harts = Snap::load(r)?;
+        m.console = Snap::load(r)?;
+        Ok(m)
+    }
+}
 
 impl Machine {
     /// Creates a machine with `num_harts` harts, all starting at `entry` in
@@ -131,6 +306,9 @@ impl Machine {
             mem: SparseMem::new(),
             harts: (0..num_harts).map(|i| Hart::new(i, entry)).collect(),
             console: Vec::new(),
+            xlate: XlateCache::new(),
+            decoded: DecodeCache::new(),
+            touched: Touched::default(),
         }
     }
 
@@ -140,6 +318,26 @@ impl Machine {
         let mut m = Machine::new(num_harts, program.entry);
         program.load(&mut m.mem);
         m
+    }
+
+    /// Physical memory.
+    #[must_use]
+    pub fn mem(&self) -> &SparseMem {
+        &self.mem
+    }
+
+    /// Physical memory, for writes from outside [`Machine::step`]. Empties
+    /// the translation cache, since the caller may rewrite a page table.
+    pub fn mem_mut(&mut self) -> &mut SparseMem {
+        self.xlate.flush();
+        &mut self.mem
+    }
+
+    /// What the last [`Machine::step`] touched (all `None` after a step of
+    /// an already halted hart).
+    #[must_use]
+    pub fn touched(&self) -> Touched {
+        self.touched
     }
 
     /// Immutable access to a hart.
@@ -179,18 +377,40 @@ impl Machine {
         self.harts.iter().all(|h| h.halted.is_some())
     }
 
-    fn translate(&self, hart: &Hart, va: u64, access: Access) -> Result<u64, Exception> {
-        if hart.priv_mode == Priv::M || !vm::satp_sv39_enabled(hart.csrs.satp) {
-            return Ok(va);
+    fn translate(&mut self, id: usize, va: u64, access: Access) -> Result<u64, Exception> {
+        self.xlate.translate(&self.mem, &self.harts[id], va, access)
+    }
+
+    /// Translates a data access of `bytes` bytes and records it in
+    /// `touched`, then checks alignment, which traps ahead of a page
+    /// fault. The walk comes first so a misaligned access still reports
+    /// where it would have gone.
+    fn data_pa(
+        &mut self,
+        id: usize,
+        va: u64,
+        bytes: u64,
+        access: Access,
+    ) -> Result<u64, Exception> {
+        let pa = self.translate(id, va, access);
+        if let Ok(pa) = pa {
+            self.touched.data = Some((va, pa));
         }
-        let root = vm::satp_root_ppn(hart.csrs.satp);
-        vm::walk_sv39(root, va, access, hart.priv_mode, |pa| self.mem.read_u64(pa))
-            .map(|t| t.pa)
-            .map_err(|_| match access {
-                Access::Fetch => Exception::InstPageFault,
-                Access::Load => Exception::LoadPageFault,
-                Access::Store => Exception::StorePageFault,
-            })
+        if !va.is_multiple_of(bytes) {
+            return Err(if access == Access::Load {
+                Exception::LoadAddrMisaligned
+            } else {
+                Exception::StoreAddrMisaligned
+            });
+        }
+        pa
+    }
+
+    /// A store, SC or AMO of hart `writer` writing `v` to memory.
+    fn write(&mut self, writer: usize, pa: u64, bytes: u64, v: u64) {
+        self.mem.write_le(pa, bytes, v);
+        self.xlate.written(pa);
+        self.break_reservations(writer, pa);
     }
 
     fn mmio_store(&mut self, hart_id: usize, pa: u64, v: u64) {
@@ -228,28 +448,28 @@ impl Machine {
     /// Panics if `id` is out of range.
     #[allow(clippy::too_many_lines)]
     pub fn step(&mut self, id: usize) -> StepOutcome {
+        self.touched = Touched::default();
         if self.harts[id].halted.is_some() {
             return StepOutcome::AlreadyHalted;
         }
         let pc = self.harts[id].pc;
 
         // Fetch.
-        let fetch_pa = match self.translate(&self.harts[id], pc, Access::Fetch) {
+        let fetch_pa = match self.translate(id, pc, Access::Fetch) {
             Ok(pa) => pa,
             Err(e) => return StepOutcome::Retired(self.take_trap(id, e, pc, pc)),
         };
+        self.touched.fetch_pa = Some(fetch_pa);
         let word = self.mem.read_le(fetch_pa, 4) as u32;
-        let instr = match decode(word) {
-            Ok(i) => i,
-            Err(_) => {
-                return StepOutcome::Retired(self.take_trap(
-                    id,
-                    Exception::IllegalInst,
-                    pc,
-                    u64::from(word),
-                ))
-            }
+        let Some(instr) = self.decoded.decode(fetch_pa, word) else {
+            return StepOutcome::Retired(self.take_trap(
+                id,
+                Exception::IllegalInst,
+                pc,
+                u64::from(word),
+            ));
         };
+        self.touched.instr = Some(instr);
 
         let mut next_pc = pc.wrapping_add(4);
         let mut rd_write: Option<(Gpr, u64)> = None;
@@ -299,10 +519,7 @@ impl Machine {
                 offset,
             } => {
                 let va = self.harts[id].reg(rs1).wrapping_add(offset as i64 as u64);
-                if !va.is_multiple_of(width.bytes()) {
-                    trap!(Exception::LoadAddrMisaligned, va);
-                }
-                let pa = match self.translate(&self.harts[id], va, Access::Load) {
+                let pa = match self.data_pa(id, va, width.bytes(), Access::Load) {
                     Ok(pa) => pa,
                     Err(e) => trap!(e, va),
                 };
@@ -330,10 +547,7 @@ impl Machine {
                 offset,
             } => {
                 let va = self.harts[id].reg(rs1).wrapping_add(offset as i64 as u64);
-                if !va.is_multiple_of(width.bytes()) {
-                    trap!(Exception::StoreAddrMisaligned, va);
-                }
-                let pa = match self.translate(&self.harts[id], va, Access::Store) {
+                let pa = match self.data_pa(id, va, width.bytes(), Access::Store) {
                     Ok(pa) => pa,
                     Err(e) => trap!(e, va),
                 };
@@ -341,8 +555,7 @@ impl Machine {
                 if is_mmio(pa) {
                     self.mmio_store(id, pa, v);
                 } else {
-                    self.mem.write_le(pa, width.bytes(), v);
-                    self.break_reservations(id, pa);
+                    self.write(id, pa, width.bytes(), v);
                 }
             }
             Instr::Alu {
@@ -373,10 +586,7 @@ impl Machine {
             }
             Instr::Lr { width, rd, rs1 } => {
                 let va = self.harts[id].reg(rs1);
-                if !va.is_multiple_of(width.bytes()) {
-                    trap!(Exception::LoadAddrMisaligned, va);
-                }
-                let pa = match self.translate(&self.harts[id], va, Access::Load) {
+                let pa = match self.data_pa(id, va, width.bytes(), Access::Load) {
                     Ok(pa) => pa,
                     Err(e) => trap!(e, va),
                 };
@@ -396,10 +606,7 @@ impl Machine {
                 rs2,
             } => {
                 let va = self.harts[id].reg(rs1);
-                if !va.is_multiple_of(width.bytes()) {
-                    trap!(Exception::StoreAddrMisaligned, va);
-                }
-                let pa = match self.translate(&self.harts[id], va, Access::Store) {
+                let pa = match self.data_pa(id, va, width.bytes(), Access::Store) {
                     Ok(pa) => pa,
                     Err(e) => trap!(e, va),
                 };
@@ -407,8 +614,7 @@ impl Machine {
                 self.harts[id].reservation = None;
                 if ok {
                     let v = self.harts[id].reg(rs2);
-                    self.mem.write_le(pa, width.bytes(), v);
-                    self.break_reservations(id, pa);
+                    self.write(id, pa, width.bytes(), v);
                     rd_write = Some((rd, 0));
                 } else {
                     rd_write = Some((rd, 1));
@@ -422,10 +628,7 @@ impl Machine {
                 rs2,
             } => {
                 let va = self.harts[id].reg(rs1);
-                if !va.is_multiple_of(width.bytes()) {
-                    trap!(Exception::StoreAddrMisaligned, va);
-                }
-                let pa = match self.translate(&self.harts[id], va, Access::Store) {
+                let pa = match self.data_pa(id, va, width.bytes(), Access::Store) {
                     Ok(pa) => pa,
                     Err(e) => trap!(e, va),
                 };
@@ -437,8 +640,7 @@ impl Machine {
                 };
                 let src = self.harts[id].reg(rs2);
                 let new = amo_exec(op, width, old, src);
-                self.mem.write_le(pa, width.bytes(), new);
-                self.break_reservations(id, pa);
+                self.write(id, pa, width.bytes(), new);
                 rd_write = Some((rd, old));
             }
             Instr::Csr { op, rd, src, csr } => {
@@ -883,7 +1085,7 @@ mod tests {
         let p = a.assemble();
         let mut m = Machine::with_program(2, &p);
         m.run(1_000_000).expect("both harts halt");
-        assert_eq!(m.mem.read_u64(ctr as u64), 2000);
+        assert_eq!(m.mem().read_u64(ctr as u64), 2000);
     }
 
     #[test]
@@ -915,9 +1117,9 @@ mod tests {
             rs2: Gpr::t(1),
         };
         let scratch = DRAM_BASE + 0x5000;
-        m.mem.write_le(scratch, 4, u64::from(lr.encode()));
-        m.mem.write_le(scratch + 4, 4, u64::from(sc.encode()));
-        m.mem.write_le(scratch + 8, 4, u64::from(st.encode()));
+        m.mem_mut().write_le(scratch, 4, u64::from(lr.encode()));
+        m.mem_mut().write_le(scratch + 4, 4, u64::from(sc.encode()));
+        m.mem_mut().write_le(scratch + 8, 4, u64::from(st.encode()));
         m.hart_mut(0).pc = scratch;
         m.hart_mut(1).pc = scratch + 8;
         m.step(0); // hart0: lr
@@ -942,9 +1144,9 @@ mod tests {
         // Find it: scan for the ebreak encoding.
         let mut pc = p.text_base;
         loop {
-            let w = m.mem.read_le(pc, 4) as u32;
+            let w = m.mem().read_le(pc, 4) as u32;
             if w == Instr::Ebreak.encode() {
-                m.mem.write_le(pc, 4, 0xffff_ffff);
+                m.mem_mut().write_le(pc, 4, 0xffff_ffff);
                 break;
             }
             pc += 4;
@@ -952,5 +1154,197 @@ mod tests {
         m.run(1000).unwrap();
         assert_eq!(m.hart(0).halted, Some(3));
         assert_eq!(m.hart(0).csrs.mcause, Exception::IllegalInst.cause());
+    }
+
+    /// The one 4 KiB virtual page the cache tests map (vpn2 = 1).
+    const VA: u64 = 0x4000_0000;
+    const PA_A: u64 = DRAM_BASE + 0x20_000;
+    const PA_B: u64 = DRAM_BASE + 0x21_000;
+
+    /// Writes an Sv39 table rooted at `root`: identity gigapages for DRAM
+    /// (code, tables) and the MMIO block, and [`VA`] mapped through the
+    /// tables at `l1` and `l0` to `target`. Returns the PA of `VA`'s leaf.
+    fn map_va(m: &mut Machine, root: u64, l1: u64, l0: u64, target: u64) -> u64 {
+        use crate::vm::{make_leaf, make_pointer, pte};
+        let rwx = pte::R | pte::W | pte::X | pte::A | pte::D;
+        let mem = m.mem_mut();
+        mem.write_u64(root + 2 * 8, make_leaf(DRAM_BASE >> 12, rwx));
+        mem.write_u64(root, make_leaf(0, pte::R | pte::W | pte::A | pte::D));
+        mem.write_u64(root + 8, make_pointer(l1 >> 12));
+        mem.write_u64(l1, make_pointer(l0 >> 12));
+        mem.write_u64(l0, leaf_to(target));
+        l0
+    }
+
+    fn leaf_to(pa: u64) -> u64 {
+        use crate::vm::{make_leaf, pte};
+        make_leaf(pa >> 12, pte::R | pte::W | pte::A | pte::D)
+    }
+
+    fn satp_of(root: u64) -> u64 {
+        (vm::SATP_MODE_SV39 << 60) | (root >> 12)
+    }
+
+    /// A machine in S-mode with paging on through the table at `root`,
+    /// `PA_A` holding 111 and `PA_B` 222.
+    fn paged(a: Assembler, root: u64) -> Machine {
+        let mut m = Machine::with_program(1, &a.assemble());
+        m.mem_mut().write_u64(PA_A, 111);
+        m.mem_mut().write_u64(PA_B, 222);
+        let h = m.hart_mut(0);
+        h.priv_mode = Priv::S;
+        h.csrs.satp = satp_of(root);
+        m
+    }
+
+    /// A store that rewrites a PTE, with no `sfence.vma`, is seen by the
+    /// next access through that page: the cached walk read that frame.
+    #[test]
+    fn store_to_a_pte_retranslates_without_sfence() {
+        let root = DRAM_BASE + 0x10_000;
+        let leaf = DRAM_BASE + 0x12_000;
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(Gpr::t(0), VA as i64);
+        a.ld(Gpr::a(0), 0, Gpr::t(0));
+        a.li(Gpr::t(1), leaf as i64);
+        a.li(Gpr::t(2), leaf_to(PA_B) as i64);
+        a.sd(Gpr::t(2), 0, Gpr::t(1));
+        a.ld(Gpr::a(1), 0, Gpr::t(0));
+        exit_seq(&mut a, 0);
+        let mut m = paged(a, root);
+        map_va(&mut m, root, DRAM_BASE + 0x11_000, leaf, PA_A);
+        m.run(1_000).expect("halts");
+        assert_eq!(m.hart(0).reg(Gpr::a(0)), 111);
+        assert_eq!(m.hart(0).reg(Gpr::a(1)), 222, "stale translation used");
+    }
+
+    /// A PTE rewritten through `mem_mut` between two steps is seen by the
+    /// second.
+    #[test]
+    fn pte_written_from_outside_step_retranslates() {
+        let root = DRAM_BASE + 0x10_000;
+        let leaf = DRAM_BASE + 0x12_000;
+        let mut a = Assembler::new(DRAM_BASE);
+        a.ld(Gpr::a(0), 0, Gpr::t(0));
+        a.ld(Gpr::a(1), 0, Gpr::t(0));
+        let mut m = paged(a, root);
+        map_va(&mut m, root, DRAM_BASE + 0x11_000, leaf, PA_A);
+        m.hart_mut(0).regs[Gpr::t(0).index()] = VA;
+        m.step(0);
+        m.mem_mut().write_u64(leaf, leaf_to(PA_B));
+        m.step(0);
+        assert_eq!(m.hart(0).reg(Gpr::a(0)), 111);
+        assert_eq!(m.hart(0).reg(Gpr::a(1)), 222, "stale translation used");
+    }
+
+    /// Switching `satp` between two page tables mid-run switches the
+    /// mapping both ways, with no `sfence.vma`.
+    #[test]
+    fn satp_switch_between_two_tables() {
+        let (root_a, root_b) = (DRAM_BASE + 0x10_000, DRAM_BASE + 0x13_000);
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(Gpr::t(0), VA as i64);
+        a.li(Gpr::t(1), satp_of(root_a) as i64);
+        a.li(Gpr::t(2), satp_of(root_b) as i64);
+        a.ld(Gpr::a(0), 0, Gpr::t(0));
+        a.csrw(csr_addr::SATP, Gpr::t(2));
+        a.ld(Gpr::a(1), 0, Gpr::t(0));
+        a.csrw(csr_addr::SATP, Gpr::t(1));
+        a.ld(Gpr::a(2), 0, Gpr::t(0));
+        exit_seq(&mut a, 0);
+        let mut m = paged(a, root_a);
+        map_va(
+            &mut m,
+            root_a,
+            DRAM_BASE + 0x11_000,
+            DRAM_BASE + 0x12_000,
+            PA_A,
+        );
+        map_va(
+            &mut m,
+            root_b,
+            DRAM_BASE + 0x14_000,
+            DRAM_BASE + 0x15_000,
+            PA_B,
+        );
+        m.run(1_000).expect("halts");
+        let h = m.hart(0);
+        assert_eq!(
+            (h.reg(Gpr::a(0)), h.reg(Gpr::a(1)), h.reg(Gpr::a(2))),
+            (111, 222, 111)
+        );
+    }
+
+    /// A store over an instruction that already ran makes its next
+    /// execution run the new one: a decode-cache entry is used only for
+    /// the word it decoded.
+    #[test]
+    fn store_over_an_executed_instruction_runs_the_new_one() {
+        let add100 = Instr::Alu {
+            op: AluOp::Add,
+            word: false,
+            rd: Gpr::a(0),
+            rs1: Gpr::a(0),
+            rhs: Rhs::Imm(100),
+        };
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(Gpr::s(0), 2);
+        a.la(Gpr::t(0), "patch");
+        a.li(Gpr::t(1), i64::from(add100.encode()));
+        a.label("patch");
+        a.addi(Gpr::a(0), Gpr::a(0), 1);
+        a.sw(Gpr::t(1), 0, Gpr::t(0));
+        a.addi(Gpr::s(0), Gpr::s(0), -1);
+        a.bnez(Gpr::s(0), "patch");
+        exit_seq(&mut a, 0);
+        let m = run_to_halt(a);
+        assert_eq!(m.hart(0).reg(Gpr::a(0)), 101);
+    }
+
+    /// `touched` reports the fetch, the instruction and the data access,
+    /// also for a misaligned access that traps and an illegal word.
+    #[test]
+    fn step_reports_what_it_touched() {
+        let mut a = Assembler::new(DRAM_BASE);
+        exit_seq(&mut a, 0);
+        let mut m = Machine::with_program(1, &a.assemble());
+        let ld = Instr::Load {
+            width: MemWidth::D,
+            signed: true,
+            rd: Gpr::a(0),
+            rs1: Gpr::t(0),
+            offset: 0,
+        };
+        let at = DRAM_BASE + 0x5000;
+        m.mem_mut().write_le(at, 4, u64::from(ld.encode()));
+        m.mem_mut().write_le(at + 4, 4, 0xffff_ffff);
+        let va = DRAM_BASE + 0x6001;
+        m.hart_mut(0).regs[Gpr::t(0).index()] = va;
+        m.hart_mut(0).pc = at;
+        let StepOutcome::Retired(c) = m.step(0) else {
+            panic!("retires by trapping")
+        };
+        assert_eq!(c.trap, Some(Exception::LoadAddrMisaligned));
+        assert_eq!(
+            m.touched(),
+            Touched {
+                fetch_pa: Some(at),
+                instr: Some(ld),
+                data: Some((va, va)),
+            }
+        );
+        m.hart_mut(0).pc = at + 4;
+        m.step(0);
+        assert_eq!(
+            m.touched(),
+            Touched {
+                fetch_pa: Some(at + 4),
+                instr: None,
+                data: None,
+            }
+        );
+        m.hart_mut(0).halted = Some(0);
+        assert_eq!(m.step(0), StepOutcome::AlreadyHalted);
+        assert_eq!(m.touched(), Touched::default());
     }
 }

@@ -124,7 +124,7 @@ mod tests {
                 .collect::<Vec<_>>();
             let finals = (0..test.num_locs() as u8)
                 .map(|l| {
-                    let v = m.mem.read_u64(loc_addr(l));
+                    let v = m.mem().read_u64(loc_addr(l));
                     assert!(v < 256, "{}: location {l} out of byte range", test.name);
                     v as u8
                 })

@@ -37,8 +37,8 @@ use std::hash::BuildHasherDefault;
 
 use riscy_isa::asm::Program;
 use riscy_isa::csr::Priv;
-use riscy_isa::inst::{decode, Instr};
-use riscy_isa::interp::{Machine, StepOutcome};
+use riscy_isa::inst::Instr;
+use riscy_isa::interp::{Machine, StepOutcome, Touched};
 use riscy_isa::mem::FrameHasher;
 use riscy_isa::vm::{self, Access};
 use riscy_mem::msg::line_of;
@@ -62,6 +62,9 @@ struct RecencySet {
     seq: u64,
     cap: usize,
     last: HashMap<u64, u64, BuildHasherDefault<FrameHasher>>,
+    /// The key touched last. Touching it again changes no key's order
+    /// relative to another's, which is all `oldest_first` reads.
+    newest: Option<u64>,
 }
 
 impl RecencySet {
@@ -70,10 +73,15 @@ impl RecencySet {
             seq: 0,
             cap: cap.max(1),
             last: HashMap::default(),
+            newest: None,
         }
     }
 
     fn touch(&mut self, key: u64) {
+        if self.newest == Some(key) {
+            return;
+        }
+        self.newest = Some(key);
         self.seq += 1;
         self.last.insert(key, self.seq);
         // Amortized pruning: drop the oldest half once 2x over capacity.
@@ -191,50 +199,21 @@ impl FastForward {
         self.machine.all_halted()
     }
 
-    /// Translates `va` exactly as the interpreter would, without side
-    /// effects. `None` when the access would fault (the warmer skips it).
-    fn xlate(&self, hart: usize, va: u64, access: Access) -> Option<u64> {
-        let h = self.machine.hart(hart);
-        if h.priv_mode == Priv::M || !vm::satp_sv39_enabled(h.csrs.satp) {
-            return Some(va);
+    /// Records what hart `hart`'s last step touched: the I line and page
+    /// whenever the fetch translated, the D line and page whenever the data
+    /// address translated to memory (not MMIO), trapping steps included.
+    fn warm(&mut self, hart: usize, pc: u64, touched: Touched) {
+        let w = &mut self.warm[hart];
+        if let Some(pa) = touched.fetch_pa {
+            w.ilines.touch(line_of(pa));
+            w.ipages.touch(page_of(pc));
         }
-        let root = vm::satp_root_ppn(h.csrs.satp);
-        vm::walk_sv39(root, va, access, h.priv_mode, |pa| {
-            self.machine.mem.read_u64(pa)
-        })
-        .ok()
-        .map(|t| t.pa)
-    }
-
-    /// Observes the instruction hart `hart` is about to execute: records
-    /// its I-line/page and (for memory ops) its D-line/page, and returns
-    /// the decoded instruction for post-step predictor training.
-    fn observe(&mut self, hart: usize) -> Option<Instr> {
-        let pc = self.machine.hart(hart).pc;
-        let pa = self.xlate(hart, pc, Access::Fetch)?;
-        let word = self.machine.mem.read_le(pa, 4) as u32;
-        self.warm[hart].ilines.touch(line_of(pa));
-        self.warm[hart].ipages.touch(page_of(pc));
-        let instr = decode(word).ok()?;
-        let reg = |r| self.machine.hart(hart).reg(r);
-        let (va, access) = match instr {
-            Instr::Load { rs1, offset, .. } => {
-                (reg(rs1).wrapping_add(offset as i64 as u64), Access::Load)
-            }
-            Instr::Store { rs1, offset, .. } => {
-                (reg(rs1).wrapping_add(offset as i64 as u64), Access::Store)
-            }
-            Instr::Lr { rs1, .. } => (reg(rs1), Access::Load),
-            Instr::Sc { rs1, .. } | Instr::Amo { rs1, .. } => (reg(rs1), Access::Store),
-            _ => return Some(instr),
-        };
-        if let Some(dpa) = self.xlate(hart, va, access) {
-            if !riscy_isa::mem::is_mmio(dpa) {
-                self.warm[hart].dlines.touch(line_of(dpa));
-                self.warm[hart].dpages.touch(page_of(va));
+        if let Some((va, pa)) = touched.data {
+            if !riscy_isa::mem::is_mmio(pa) {
+                w.dlines.touch(line_of(pa));
+                w.dpages.touch(page_of(va));
             }
         }
-        Some(instr)
     }
 
     /// Trains the standalone predictors on one committed instruction.
@@ -286,10 +265,12 @@ impl FastForward {
                     continue;
                 }
                 let pc = self.machine.hart(hart).pc;
-                let instr = self.observe(hart);
-                match self.machine.step(hart) {
+                let outcome = self.machine.step(hart);
+                let touched = self.machine.touched();
+                self.warm(hart, pc, touched);
+                match outcome {
                     StepOutcome::Retired(c) => {
-                        if let Some(i) = &instr {
+                        if let Some(i) = &touched.instr {
                             self.train(hart, pc, i, c.next_pc);
                         }
                         executed += 1;
@@ -326,7 +307,7 @@ impl FastForward {
             // Physical memory: the interpreter's image replaces the
             // program loader's (all caches are still empty, so there is
             // no stale cached copy to worry about).
-            soc.mem.mem = self.machine.mem.clone();
+            soc.mem.mem = self.machine.mem().clone();
             for hart in 0..self.num_cores {
                 let h = self.machine.hart(hart);
                 let w = &self.warm[hart];

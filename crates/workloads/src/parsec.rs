@@ -365,7 +365,7 @@ mod tests {
         m.run(80_000_000).expect("halts");
         // 320 total iterations (divided among harts) increment the shared
         // boundary cell under the lock.
-        let shared = m.mem.read_u64(SHARED0 as u64);
+        let shared = m.mem().read_u64(SHARED0 as u64);
         assert_eq!(shared, 160);
     }
 }

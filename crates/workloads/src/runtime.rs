@@ -280,7 +280,11 @@ mod tests {
         let mut m = Machine::with_program(1, &prog);
         m.run(10_000).expect("halts");
         assert_eq!(m.hart(0).halted, Some(0xabcd));
-        assert_eq!(m.mem.read_u64(PAGED_PA_BASE), 0xabcd, "VA→PA mapping used");
+        assert_eq!(
+            m.mem().read_u64(PAGED_PA_BASE),
+            0xabcd,
+            "VA→PA mapping used"
+        );
     }
 
     #[test]
@@ -316,6 +320,6 @@ mod tests {
         let mut m = Machine::with_program(2, &prog);
         m.run(1_000_000).expect("halts");
         // Both harts incremented 3 times under the lock.
-        assert_eq!(m.mem.read_u64(shared as u64), 6);
+        assert_eq!(m.mem().read_u64(shared as u64), 6);
     }
 }

@@ -117,7 +117,7 @@ fn fence_amo_heavy_multicore_agrees_with_golden_on_final_state() {
         let mut golden = Machine::with_program(harts, &prog);
         golden.run(200_000_000).expect("golden exits");
         let finals: Vec<u64> = (0..test.num_locs() as u8)
-            .map(|l| golden.mem.read_u64(loc_addr(l)))
+            .map(|l| golden.mem().read_u64(loc_addr(l)))
             .collect();
 
         for model in [MemModel::Tso, MemModel::Wmm] {
