@@ -272,7 +272,6 @@ impl InOrderSim {
         let satp = self.machine.hart(0).csrs.satp;
         let now = self.mem.now();
         self.tlb.tick(now, satp);
-        while self.tlb.pop_i_resp().is_some() {}
         while self.tlb.pop_d_resp().is_some() {}
         self.mem.tick();
         self.stats.cycles += 1;

@@ -509,7 +509,7 @@ impl FaultEngine {
     /// Registers an arbitrary single-bit flip target. `apply` receives the
     /// bit index (0..64) and must XOR that bit into the cell; it is invoked
     /// at cycle boundaries, outside any rule, so writes apply immediately.
-    pub fn register_flip(&self, name: impl Into<String>, apply: impl Fn(u32) + 'static) {
+    fn register_flip(&self, name: impl Into<String>, apply: impl Fn(u32) + 'static) {
         self.inner.flips.borrow_mut().push(FlipSite {
             name: name.into(),
             apply: Box::new(apply),

@@ -566,11 +566,9 @@ impl Clock {
 
     /// Attaches `tracer` to this clock. Every subsequent committed method
     /// call emits a [`TraceEvent::MethodCalled`] event. Pass
-    /// [`Tracer::disabled`] to detach.
-    ///
-    /// [`crate::sim::Sim::set_tracer`] calls this automatically; use it
-    /// directly only when driving a clock by hand.
-    pub fn set_tracer(&self, tracer: Tracer) {
+    /// [`Tracer::disabled`] to detach. [`crate::sim::Sim::set_tracer`] is
+    /// the one way in.
+    pub(crate) fn set_tracer(&self, tracer: Tracer) {
         self.inner.tracing.set(tracer.is_enabled());
         *self.inner.tracer.borrow_mut() = tracer;
     }

@@ -58,8 +58,7 @@
 //! callbacks called once per cycle), the design's bulk effects applied
 //! through [`Horizon::skip`]. The jump stops short of the cycle in which the
 //! watchdog would trip and lands at most on the next telemetry window edge;
-//! the reference loop, chaos, tracing, histograms and the profiler never
-//! jump.
+//! the reference loop, chaos, tracing and the profiler never jump.
 //!
 //! See `docs/SCHEDULING.md` for the full design and equivalence argument.
 //! This file holds the rule table and the two cycle loops; the error and
@@ -70,7 +69,7 @@
 //!
 //! The scheduler remembers *why* each rule last failed to fire. When no
 //! (non-exempt) rule fires for [`DEFAULT_WATCHDOG_THRESHOLD`] consecutive
-//! cycles, the fallible entry points ([`Sim::try_cycle`], [`Sim::try_run`],
+//! cycles, the fallible entry points ([`Sim::try_cycle`],
 //! [`Sim::run_until`]) return [`SimError::Deadlock`] carrying a
 //! [`DeadlockReport`] — a wait graph naming every stalled rule and the
 //! guard or CM edge it is waiting on. This turns the classic
@@ -88,7 +87,6 @@
 //! [`FaultPlan`](crate::chaos::FaultPlan) the instrumented scheduler is
 //! cycle-for-cycle identical to the plain one.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -156,13 +154,6 @@ struct RuleEntry<S> {
     /// Exempt rules don't count as activity for the watchdog (e.g. an
     /// always-firing substrate-tick rule that would mask real deadlocks).
     exempt: bool,
-    /// Per-guard-reason stall histogram. Guard reasons are `&'static str`
-    /// by construction, so counting them costs no allocation. Only
-    /// maintained after [`Sim::enable_stall_histograms`].
-    guard_reasons: BTreeMap<&'static str, u64>,
-    /// Per-CM-edge stall histogram, keyed by the rendered violation. Only
-    /// maintained after [`Sim::enable_stall_histograms`].
-    cm_reasons: BTreeMap<String, u64>,
     /// The design's stall callback, if any (see [`Sim::on_stall`]).
     on_stall: Option<StallHook<S>>,
     /// Fast-scheduler state: wakeup policy and sleep record.
@@ -175,7 +166,6 @@ struct RuleEntry<S> {
 struct Acct<'a> {
     tracer: &'a Tracer,
     tracing: bool,
-    hist: bool,
     fired: &'a Counter,
     guard: &'a Counter,
     cm: &'a Counter,
@@ -185,9 +175,6 @@ struct Acct<'a> {
 impl Acct<'_> {
     fn guard_stall<S>(&self, entry: &mut RuleEntry<S>, reason: &'static str) {
         entry.stats.guard_stalls += 1;
-        if self.hist {
-            *entry.guard_reasons.entry(reason).or_insert(0) += 1;
-        }
         self.guard.inc();
         entry.last_wait = Some(WaitCause::Guard(reason));
         if self.tracing {
@@ -199,9 +186,6 @@ impl Acct<'_> {
 
     fn cm_stall<S>(&self, entry: &mut RuleEntry<S>, v: &CmViolation) {
         entry.stats.cm_stalls += 1;
-        if self.hist {
-            *entry.cm_reasons.entry(v.to_string()).or_insert(0) += 1;
-        }
         self.cm.inc();
         entry.last_wait = Some(WaitCause::Cm(v.clone()));
         if self.tracing {
@@ -335,9 +319,6 @@ pub struct Sim<S> {
     ctr_guard: Counter,
     ctr_cm: Counter,
     mode: SchedulerMode,
-    /// Whether per-rule stall-reason histograms are maintained (off the hot
-    /// path by default; see [`Sim::enable_stall_histograms`]).
-    collect_hist: bool,
     /// Union of the forward conflict rows of every method committed so far
     /// this cycle (fast mode): a rule's calls are violation-free iff none
     /// of them is in this set, making the per-rule conflict check one bit
@@ -388,7 +369,6 @@ impl<S> Sim<S> {
             ctr_guard,
             ctr_cm,
             mode: SchedulerMode::default(),
-            collect_hist: false,
             fired_forbidden: BitSet::new(),
             forbid_rows: Vec::new(),
             calls_scratch: Vec::new(),
@@ -448,8 +428,6 @@ impl<S> Sim<S> {
             stats: RuleStats::default(),
             last_wait: None,
             exempt: false,
-            guard_reasons: BTreeMap::new(),
-            cm_reasons: BTreeMap::new(),
             on_stall: None,
             sched: RuleSched::default(),
         });
@@ -497,21 +475,6 @@ impl<S> Sim<S> {
     #[must_use]
     pub fn scheduler(&self) -> SchedulerMode {
         self.mode
-    }
-
-    /// Turns on per-rule stall-reason histograms (the `N × guard "…"` lines
-    /// of [`Sim::report`]). Off by default: maintaining them puts a map
-    /// insert on the hot path of every stall, which is pure overhead for
-    /// runs that never ask for a report.
-    pub fn enable_stall_histograms(&mut self) {
-        if !self.collect_hist {
-            // Same reasoning as `set_tracer`: histogram buckets must count
-            // fresh reasons, so sleeping is off while histograms are live.
-            for i in 0..self.rules.len() {
-                self.clear_sleep(i);
-            }
-        }
-        self.collect_hist = true;
     }
 
     /// Turns on the causal profiler with default window and causal-log
@@ -642,7 +605,6 @@ impl<S> Sim<S> {
         let acct = Acct {
             tracer: &self.tracer,
             tracing: self.tracer.is_enabled(),
-            hist: self.collect_hist,
             fired: &self.ctr_fired,
             guard: &self.ctr_guard,
             cm: &self.ctr_cm,
@@ -750,10 +712,10 @@ impl<S> Sim<S> {
     /// docs and `docs/SCHEDULING.md` for the equivalence argument).
     ///
     /// One body, two instantiations, picked per cycle from what is attached:
-    /// with a chaos engine, tracer, stall histograms or the profiler live the
-    /// cycle runs `OBS = true`; otherwise `OBS = false` compiles every
-    /// observer branch out (chaos verdicts, timestamps, publisher tagging,
-    /// skip records, histogram inserts, trace emits) — the lane plain runs
+    /// with a chaos engine, tracer or the profiler live the cycle runs
+    /// `OBS = true`; otherwise `OBS = false` compiles every observer branch
+    /// out (chaos verdicts, timestamps, publisher tagging, skip records,
+    /// trace emits) — the lane plain runs
     /// take, monomorphized the way [`Sim::cycle_reference`] is on `PROF`.
     fn cycle_fast(&mut self) -> Result<(), SimError> {
         if self.observed() {
@@ -764,9 +726,9 @@ impl<S> Sim<S> {
     }
 
     /// Whether an observer that needs every cycle run is attached: a chaos
-    /// engine, a tracer, stall histograms or the profiler.
+    /// engine, a tracer or the profiler.
     fn observed(&self) -> bool {
-        self.chaos.is_some() || self.tracer.is_enabled() || self.collect_hist || self.prof.is_some()
+        self.chaos.is_some() || self.tracer.is_enabled() || self.prof.is_some()
     }
 
     fn cycle_fast_impl<const OBS: bool>(&mut self) -> Result<(), SimError> {
@@ -777,7 +739,6 @@ impl<S> Sim<S> {
         let acct = Acct {
             tracer: &self.tracer,
             tracing: OBS && self.tracer.is_enabled(),
-            hist: OBS && self.collect_hist,
             fired: &self.ctr_fired,
             guard: &self.ctr_guard,
             cm: &self.ctr_cm,
@@ -862,8 +823,8 @@ impl<S> Sim<S> {
                     // Still asleep: nothing the guard read has published, so
                     // it would stall with the same reason. The per-rule
                     // statistics are *batched* (settled from `Sleep::since`
-                    // at wake or observation — tracing and histograms force
-                    // full re-evaluation instead of sleeping, so only the
+                    // at wake or observation — tracing forces full
+                    // re-evaluation instead of sleeping, so only the
                     // plain stall count is ever deferred); the shared stall
                     // counter stays cycle-exact, it is one Cell bump, and
                     // so do the design's stall callback and the profiler's
@@ -965,8 +926,8 @@ impl<S> Sim<S> {
                 Err(stall) => {
                     self.clk.abort_rule();
                     acct.guard_stall(entry, stall.reason());
-                    // Never sleep while a tracer or stall histograms are
-                    // live: a sleeping rule would report its *cached* stall
+                    // Never sleep while a tracer is live: a sleeping rule
+                    // would report its *cached* stall
                     // reason, but the fresh reason the oracle reports can
                     // change while the guard stays false (e.g. "queue full"
                     // becoming "core exited"). Exact-observability runs
@@ -985,7 +946,6 @@ impl<S> Sim<S> {
                     let sleepable = entry.sched.wakeup == Wakeup::Inferred
                         && !wake.taint.get()
                         && !acct.tracing
-                        && !acct.hist
                         && {
                             self.clk.begin_rule();
                             let second = wake.trace_reads(|| (entry.body)(&mut self.state));
@@ -1098,20 +1058,6 @@ impl<S> Sim<S> {
         for _ in 0..n {
             self.cycle();
         }
-    }
-
-    /// Runs up to `n` cycles, stopping early on the first error.
-    ///
-    /// Returns the number of cycles executed by this call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`] from [`Sim::try_cycle`].
-    pub fn try_run(&mut self, n: u64) -> Result<u64, SimError> {
-        for _ in 0..n {
-            self.try_cycle()?;
-        }
-        Ok(n)
     }
 
     /// Runs until `done` holds (checked between cycles), up to `max_cycles`.

@@ -130,11 +130,12 @@ impl<S> Sim<S> {
     }
 
     /// A formatted multi-line scheduling report: rules sorted by fire count
-    /// (busiest first; ties keep schedule order), each followed by its
-    /// stall-reason histogram so a deadlocked or underperforming rule shows
-    /// *what* it was waiting on, not just how often. With profiling enabled
-    /// each rule line also carries its host-time attribution (self = rule
-    /// body, total = body + scheduling) in the same table.
+    /// (busiest first; ties keep schedule order), one line each with its
+    /// fire and stall counts. What a stalled rule waits on is the wait
+    /// graph's ([`Sim::wait_graph`]), and every stall with its reason is a
+    /// tracer event. With profiling enabled each rule line also carries its
+    /// host-time attribution (self = rule body, total = body + scheduling)
+    /// in the same table.
     #[must_use]
     pub fn report(&self) -> String {
         let prof = self.prof.as_deref();
@@ -165,16 +166,6 @@ impl<S> Sim<S> {
                 ));
             }
             out.push('\n');
-            let mut reasons: Vec<(String, u64)> = r
-                .guard_reasons
-                .iter()
-                .map(|(k, v)| (format!("guard \"{k}\""), *v))
-                .chain(r.cm_reasons.iter().map(|(k, v)| (format!("cm [{k}]"), *v)))
-                .collect();
-            reasons.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            for (reason, count) in reasons {
-                out.push_str(&format!("      {count:>10} × {reason}\n"));
-            }
         }
         out
     }

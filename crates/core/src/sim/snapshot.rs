@@ -9,8 +9,8 @@ use crate::telemetry::Telemetry;
 impl<S> Sim<S> {
     /// Whether the kernel is in a snapshottable configuration.
     ///
-    /// Chaos injection, tracing, profiling, and stall histograms all carry
-    /// observer state this codec does not serialize (and chaos perturbs
+    /// Chaos injection, tracing and profiling all carry observer state
+    /// this codec does not serialize (and chaos perturbs
     /// the run itself), so snapshots are refused while any is attached
     /// rather than silently producing a checkpoint that would not resume
     /// bit-identically.
@@ -27,9 +27,6 @@ impl<S> Sim<S> {
         }
         if self.prof.is_some() {
             return Err(SnapError::Unsupported("the profiler is enabled"));
-        }
-        if self.collect_hist {
-            return Err(SnapError::Unsupported("stall histograms are enabled"));
         }
         Ok(())
     }

@@ -8,8 +8,9 @@
 //! fixed sparse design, the 64-slot token ring, whose firing count is pinned
 //! and whose publish→wake edges feed the profiler's critical paths.
 //!
-//! Every soup runs twice: *observed* (tracer and stall histograms attached,
-//! which compare the event stream but force every guard to re-evaluate) and
+//! Every soup runs twice: *observed* (a tracer attached, which compares the
+//! event stream, every stall with its reason, but forces every guard to
+//! re-evaluate) and
 //! *unobserved* (nothing attached — the lane users run, where rules sleep
 //! and the loop's `OBS = false` instantiation executes). Every soup rule
 //! also has a stall callback ([`Sim::on_stall`]) counting its stalls by
@@ -214,9 +215,6 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     let flip_target = st.cells[0].clone();
     let mut sim = Sim::new(clk, st);
     sim.set_scheduler(mode);
-    if observed {
-        sim.enable_stall_histograms();
-    }
 
     let n_rules = 6 + (rng.next_u64() % 5) as usize;
     // Always include the plain-state trio so every soup exercises plain

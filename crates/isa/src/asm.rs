@@ -50,13 +50,6 @@ impl Program {
         &self.text
     }
 
-    /// Total dynamic footprint is not knowable; this is the static size in
-    /// bytes of text plus data.
-    #[must_use]
-    pub fn static_bytes(&self) -> usize {
-        self.text.len() * 4 + self.data.iter().map(|(_, d)| d.len()).sum::<usize>()
-    }
-
     /// Loads text and data into a physical memory.
     pub fn load(&self, mem: &mut SparseMem) {
         for (i, w) in self.text.iter().enumerate() {

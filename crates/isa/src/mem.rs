@@ -175,12 +175,6 @@ impl SparseMem {
         self.pages.get(&frame).map_or(0, |p| p[off])
     }
 
-    /// Writes one byte.
-    pub fn write_u8(&mut self, pa: u64, v: u8) {
-        let (frame, off) = split(pa);
-        self.frame_mut(frame)[off] = v;
-    }
-
     /// Reads `n <= 8` bytes little-endian (may cross a page boundary).
     #[must_use]
     pub fn read_le(&self, pa: u64, n: u64) -> u64 {

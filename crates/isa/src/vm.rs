@@ -92,12 +92,6 @@ impl Translation {
     pub fn page_size(&self) -> u64 {
         PAGE_SIZE << (9 * self.level)
     }
-
-    /// The virtual page base covered by this translation, for `va`.
-    #[must_use]
-    pub fn vpn_base(&self, va: u64) -> u64 {
-        va & !(self.page_size() - 1)
-    }
 }
 
 /// Extracts the root page-table PPN from `satp`.

@@ -180,11 +180,6 @@ impl CacheArray {
         s.owner = None;
     }
 
-    /// Iterates over all valid slots.
-    pub fn iter_valid(&self) -> impl Iterator<Item = &Slot> {
-        self.slots.iter().filter(|s| s.state != Msi::I)
-    }
-
     /// A free (invalid, unlocked) slot in `line`'s set, if any — used by
     /// functional warming, which must never evict.
     #[must_use]
@@ -737,28 +732,6 @@ impl L1Cache {
 }
 
 impl L1Cache {
-    /// Outstanding line misses (live MSHRs) — an observability gauge for
-    /// memory-level-parallelism studies.
-    #[must_use]
-    pub fn mshrs_in_use(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    /// Debug occupancy: `(room, mshrs, to_req, to_msg, from_resp, from_down, evict_notes, resp_q)`.
-    #[must_use]
-    pub fn debug_occupancy(&self) -> (usize, usize, usize, usize, usize, usize, usize, usize) {
-        (
-            self.room.len(),
-            self.mshrs.len(),
-            self.to_parent_req.len(),
-            self.to_parent_msg.len(),
-            self.from_parent.len(),
-            self.deferred_downs.len(),
-            self.evict_notes.len(),
-            self.resp_q.len(),
-        )
-    }
-
     /// Whether a functional-warming install of `line` can succeed: the line
     /// is already resident or its set has a free way.
     #[must_use]

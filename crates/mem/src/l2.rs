@@ -700,18 +700,6 @@ mod tests {
 }
 
 impl L2 {
-    /// Debug occupancy: `(req_in, msg_in, room, trans, uncached_in)`.
-    #[must_use]
-    pub fn debug_occupancy(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.req_in.len(),
-            self.msg_in.len(),
-            self.room.len(),
-            self.trans.len(),
-            self.uncached_in.len(),
-        )
-    }
-
     /// Whether a functional-warming install of `line` can succeed: the line
     /// is already resident or its set has a free way.
     #[must_use]

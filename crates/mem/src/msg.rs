@@ -221,17 +221,6 @@ impl CacheStats {
             self.misses as f64 / total as f64
         }
     }
-
-    /// Hits per access, or 0 when idle.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 cmd_core::snap_enum!(Msi {

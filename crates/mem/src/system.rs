@@ -275,36 +275,6 @@ impl MemSystem {
         }
     }
 
-    /// A one-line-per-cache human-readable summary of hit/miss statistics,
-    /// suitable for appending to a scheduler report.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (c, (i1, d1)) in self.l1i.iter().zip(&self.l1d).enumerate() {
-            let _ = writeln!(
-                out,
-                "mem core {c}: l1i {}/{} miss {:.4}  l1d {}/{} miss {:.4}",
-                i1.stats.misses,
-                i1.stats.accesses(),
-                i1.stats.miss_rate(),
-                d1.stats.misses,
-                d1.stats.accesses(),
-                d1.stats.miss_rate(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "mem l2: {}/{} miss {:.4}  writebacks {}  downgrades {}",
-            self.l2.stats.misses,
-            self.l2.stats.accesses(),
-            self.l2.stats.miss_rate(),
-            self.l2.stats.writebacks,
-            self.l2.stats.downgrades,
-        );
-        out
-    }
-
     /// Reads `bytes` (≤ 8, little-endian) at physical address `addr`
     /// through the coherence hierarchy **without** perturbing it: no LRU
     /// touches, no statistics, no messages. The freshest copy wins — an

@@ -142,7 +142,7 @@ pub struct CoreState {
     pub mem_ex: Ehr<Option<Uop>>,
     /// Addr-calc'd memory ops waiting on translation.
     pub mem_wait_tlb: EhrDeque<MemTrans>,
-    /// Forwarded load values awaiting writeback `(lq_idx, age, value)`.
+    /// Forwarded load values awaiting writeback `(lq_idx, seq, value)`.
     pub forward_q: EhrDeque<(u16, u64, u64)>,
     /// Branch target buffer.
     pub btb: Btb,
@@ -283,9 +283,6 @@ impl Soc {
             }
             mirror(&port.dtlb_busy, core.tlb.d_miss_pending());
             mirror(&port.itlb_busy, core.tlb.i_miss_pending());
-            // Fetch retries via the (now filled) I TLB; the response queue
-            // itself is not consumed anywhere else.
-            while core.tlb.pop_i_resp().is_some() {}
             // Occupancy sampling for CoreStats (sampled every cycle whether
             // or not tracing is enabled, so traced and untraced runs report
             // byte-identical statistics).
@@ -387,7 +384,7 @@ impl Soc {
         }
         if entry.mmio {
             // MMIO load: devices read as zero.
-            core.lsq.resp_ld(idx, 0);
+            core.lsq.resp_ld(idx);
             if let Some(dst) = entry.dst {
                 let lane = core.cfg.alu_pipes + 1;
                 core.writeback(lane, dst, 0);
@@ -403,7 +400,7 @@ impl Soc {
                 return Err(Stall::new("atomic waits for SB drain"));
             }
             if let Ok((_, st)) = core.lsq.first_st() {
-                if st.age < entry.age && !st.is_fence {
+                if st.seq < entry.seq && !st.is_fence {
                     return Err(Stall::new("atomic waits for older stores"));
                 }
             }
@@ -663,14 +660,14 @@ impl Soc {
     /// Drains one forwarded load value (paper Fig. 10's `forwardQ`).
     pub(crate) fn rule_forward(&mut self, c: usize) -> Guarded<()> {
         let core = &self.cores[c];
-        let (idx, age, value) = core
+        let (idx, seq, value) = core
             .forward_q
             .pop_front()
             .ok_or(Stall::new("forward queue empty"))?;
         let Some(entry) = core.lsq.lq_entry(idx) else {
             return Ok(()); // squashed in the meantime
         };
-        if entry.age != age {
+        if entry.seq != seq {
             return Ok(()); // slot was reallocated
         }
         if let Some(dst) = entry.dst {
@@ -1032,8 +1029,8 @@ impl Soc {
         };
         match core.lsq.issue_ld(idx, sb_result) {
             LdIssue::Forward(v) => {
-                let age = core.lsq.lq_entry(idx).expect("live").age;
-                core.forward_q.push_back((idx, age, v));
+                let seq = core.lsq.lq_entry(idx).expect("live").seq;
+                core.forward_q.push_back((idx, seq, v));
                 Ok(())
             }
             LdIssue::ToCache => {
@@ -1065,7 +1062,7 @@ impl Soc {
             if e.dst.is_some() && !e.wb_done {
                 return Err(Stall::new("write-back not yet performed"));
             }
-            if core.lsq.older_store_addr_unknown(e.age) {
+            if core.lsq.older_store_addr_unknown(e.seq) {
                 return Err(Stall::new("older store address unknown"));
             }
             LsqDeqResult::Complete
@@ -1208,7 +1205,7 @@ impl Soc {
         let core = &self.cores[c];
         let idx = tag as u16;
         let entry_before = core.lsq.lq_entry(idx);
-        if core.lsq.resp_ld(idx, data) {
+        if core.lsq.resp_ld(idx) {
             return Ok(());
         }
         // invariant: `resp_ld` reported a live, non-zombie entry, so the
@@ -1412,8 +1409,8 @@ impl Soc {
                         .enq_ld(rob_idx, seq, None, kind == MemKind::Atomic)?,
                 )
             }
-            Some(MemKind::Store) => Some(core.lsq.enq_st(rob_idx, seq, false)?),
-            Some(MemKind::Fence) => Some(core.lsq.enq_st(rob_idx, seq, true)?),
+            Some(MemKind::Store) => Some(core.lsq.enq_st(seq, false)?),
+            Some(MemKind::Fence) => Some(core.lsq.enq_st(seq, true)?),
             None => None,
         };
 
@@ -2042,9 +2039,13 @@ mod tests {
             ("lq full", load(), |c| {
                 while c.lsq.enq_ld(0, 0, None, false).is_ok() {}
             }),
-            ("sq full", store(), |c| {
-                while c.lsq.enq_st(0, 0, false).is_ok() {}
-            }),
+            (
+                "sq full",
+                store(),
+                |c| {
+                    while c.lsq.enq_st(0, false).is_ok() {}
+                },
+            ),
             ("no free physical register", load(), |c| {
                 while c.rt.allocate(Gpr::a(5)).is_ok() {}
             }),

@@ -39,12 +39,36 @@ pub enum LdState {
 /// it, and retries after the source of the stall has been resolved").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallSrc {
-    /// Partially-overlapping older store (by age).
+    /// Partially-overlapping older store (by sequence number).
     SqPartial(u64),
     /// Partially-overlapping store-buffer entry.
     SbEntry(usize),
-    /// An older fence.
+    /// An older fence (by sequence number).
     Fence(u64),
+}
+
+/// Where a load's value came from. The cache and the store buffer hold
+/// only values of committed stores, which are older than every store still
+/// in the SQ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FwdSrc {
+    /// The cache (also the state of a load that has bound no value).
+    Cache,
+    /// A committed store-buffer entry.
+    StoreBuffer,
+    /// The SQ store with this sequence number.
+    Store(u64),
+}
+
+impl FwdSrc {
+    /// Whether the value is older than the SQ store with sequence number
+    /// `seq`: a store that overwrites it resolved too late for the load.
+    fn older_than(self, seq: u64) -> bool {
+        match self {
+            FwdSrc::Cache | FwdSrc::StoreBuffer => true,
+            FwdSrc::Store(s) => s < seq,
+        }
+    }
 }
 
 /// One load-queue entry.
@@ -52,10 +76,9 @@ pub enum StallSrc {
 pub struct LqEntry {
     /// ROB index.
     pub rob: u16,
-    /// The instruction's rename order ([`crate::types::Uop::seq`]).
+    /// The instruction's rename order ([`crate::types::Uop::seq`]), the
+    /// one order among loads and stores.
     pub seq: u64,
-    /// Memory-op age (global order among loads and stores).
-    pub age: u64,
     /// Destination register.
     pub dst: Option<PhysReg>,
     /// Access size.
@@ -74,11 +97,8 @@ pub struct LqEntry {
     pub state: LdState,
     /// Stall source while `state == Stalled`.
     pub stall: Option<StallSrc>,
-    /// Bound value.
-    pub value: Option<u64>,
-    /// Age of the store the value was forwarded from (`None` = cache;
-    /// `Some(0)` = store buffer).
-    pub fwd_src_age: Option<u64>,
+    /// Where the value came from once the load is `Issued` or `Done`.
+    pub fwd_src: FwdSrc,
     /// Page fault from translation.
     pub fault: Option<(Exception, u64)>,
     /// Memory-dependency violation: replay at commit.
@@ -88,19 +108,13 @@ pub struct LqEntry {
     /// Squashed while a cache response is outstanding: the slot is poisoned
     /// until the wrong-path response returns (paper §V-B).
     pub zombie: bool,
-    /// The instruction has reached the commit slot (atomics/MMIO may start).
-    pub at_commit: bool,
 }
 
 /// One store-queue entry.
 #[derive(Debug, Clone, Copy)]
 pub struct SqEntry {
-    /// ROB index.
-    pub rob: u16,
     /// The instruction's rename order ([`crate::types::Uop::seq`]).
     pub seq: u64,
-    /// Memory-op age.
-    pub age: u64,
     /// Access size.
     pub bytes: u8,
     /// Physical address.
@@ -155,7 +169,6 @@ pub struct Lsq {
     sq_valid: SlotMask,
     lq_head: Ehr<Option<u16>>,
     sq_head: Ehr<Option<u16>>,
-    next_age: Ehr<u64>,
     /// Loads killed by `cacheEvict` (TSO statistic, Fig. 20 discussion).
     pub evict_kills: Ehr<u64>,
 }
@@ -172,15 +185,8 @@ impl Lsq {
             sq_valid: SlotMask::new(clk, sq_entries),
             lq_head: Ehr::new(clk, None),
             sq_head: Ehr::new(clk, None),
-            next_age: Ehr::new(clk, 1),
             evict_kills: Ehr::new(clk, 0),
         }
-    }
-
-    fn alloc_age(&self) -> u64 {
-        let a = self.next_age.read();
-        self.next_age.write(a + 1);
-        a
     }
 
     /// The slot the next `enq_ld` fills: the lowest free one.
@@ -227,11 +233,9 @@ impl Lsq {
         atomic_class: bool,
     ) -> Guarded<u16> {
         let free = self.free_lq()?;
-        let age = self.alloc_age();
         self.lq[free].write(Some(LqEntry {
             rob,
             seq,
-            age,
             dst,
             bytes: 0,
             signed: false,
@@ -241,13 +245,11 @@ impl Lsq {
             atomic_class,
             state: LdState::WaitAddr,
             stall: None,
-            value: None,
-            fwd_src_age: None,
+            fwd_src: FwdSrc::Cache,
             fault: None,
             killed: false,
             wb_done: false,
             zombie: false,
-            at_commit: false,
         }));
         self.lq_valid.set(free);
         // The youngest load is the oldest only in an empty LQ.
@@ -264,13 +266,10 @@ impl Lsq {
     /// # Errors
     ///
     /// Stalls when the SQ is full.
-    pub fn enq_st(&self, rob: u16, seq: u64, is_fence: bool) -> Guarded<u16> {
+    pub fn enq_st(&self, seq: u64, is_fence: bool) -> Guarded<u16> {
         let free = self.free_sq()?;
-        let age = self.alloc_age();
         self.sq[free].write(Some(SqEntry {
-            rob,
             seq,
-            age,
             bytes: 0,
             addr: None,
             data: None,
@@ -346,7 +345,7 @@ impl Lsq {
         data: u64,
         mmio: bool,
     ) {
-        let (age, pa) = self.sq[idx as usize].update(|e| {
+        let (seq, pa) = self.sq[idx as usize].update(|e| {
             let e = e.as_mut().expect("live SQ index");
             e.bytes = bytes;
             e.mmio = mmio;
@@ -354,11 +353,11 @@ impl Lsq {
                 Ok(pa) => {
                     e.addr = Some(pa);
                     e.data = Some(data);
-                    (e.age, Some(pa))
+                    (e.seq, Some(pa))
                 }
                 Err(_) => {
                     e.faulted = true;
-                    (e.age, None)
+                    (e.seq, None)
                 }
             }
         });
@@ -369,13 +368,13 @@ impl Lsq {
             self.lq[i].update_if(
                 |e| {
                     let Some(e) = e else { return false };
-                    if e.zombie || e.age <= age || e.killed {
+                    if e.zombie || e.seq <= seq || e.killed {
                         return false;
                     }
                     let Some(la) = e.addr else { return false };
                     overlaps(la, e.bytes, pa, bytes)
                         && matches!(e.state, LdState::Issued | LdState::Done)
-                        && e.fwd_src_age.unwrap_or(0) < age
+                        && e.fwd_src.older_than(seq)
                 },
                 |e| e.as_mut().expect("predicate saw an entry").killed = true,
             );
@@ -407,26 +406,26 @@ impl Lsq {
                 }
                 if e.atomic_class || e.mmio {
                     if e.state != LdState::Done {
-                        oldest_atomic = oldest_atomic.min(e.age);
+                        oldest_atomic = oldest_atomic.min(e.seq);
                     }
                 } else if e.state == LdState::Ready
                     && !e.killed
-                    && pick.is_none_or(|(_, age, _, _)| e.age < age)
+                    && pick.is_none_or(|(_, seq, _, _)| e.seq < seq)
                 {
-                    pick = Some((i, e.age, e.addr.expect("ready implies addr"), e.bytes));
+                    pick = Some((i, e.seq, e.addr.expect("ready implies addr"), e.bytes));
                 }
             });
         }
-        let Some((i, age, addr, bytes)) = pick.filter(|&(_, age, _, _)| age < oldest_atomic) else {
+        let Some((i, seq, addr, bytes)) = pick.filter(|&(_, seq, _, _)| seq < oldest_atomic) else {
             return Err(Stall::new("no ready load"));
         };
         let oldest_fence = self
             .sq_valid
             .iter()
-            .filter_map(|j| self.sq[j].with(|e| e.as_ref().filter(|e| e.is_fence).map(|e| e.age)))
+            .filter_map(|j| self.sq[j].with(|e| e.as_ref().filter(|e| e.is_fence).map(|e| e.seq)))
             .min();
         if let Some(f) = oldest_fence {
-            if f < age {
+            if f < seq {
                 // Record the fence stall so the load retries after the
                 // fence drains.
                 self.lq[i].update(|e| {
@@ -447,31 +446,30 @@ impl Lsq {
     pub fn issue_ld(&self, idx: u16, sb: SbSearch) -> LdIssue {
         let ld = &self.lq[idx as usize];
         self.lq_ready.clear(idx as usize);
-        let (lage, la, lb) = ld.with(|e| {
+        let (lseq, la, lb) = ld.with(|e| {
             let e = e.as_ref().expect("live LQ index");
-            (e.age, e.addr.expect("addr known"), e.bytes)
+            (e.seq, e.addr.expect("addr known"), e.bytes)
         });
         // Youngest older overlapping store in the SQ wins over the SB:
-        // `(age, addr, bytes, data)`.
+        // `(seq, addr, bytes, data)`.
         let mut best: Option<(u64, u64, u8, Option<u64>)> = None;
         for j in self.sq_valid.iter() {
             self.sq[j].with(|s| {
                 let s = s.as_ref().expect("valid bit set");
-                if s.is_fence || s.faulted || s.age >= lage {
+                if s.is_fence || s.faulted || s.seq >= lseq {
                     return;
                 }
                 let Some(sa) = s.addr else { return };
-                if overlaps(la, lb, sa, s.bytes) && best.is_none_or(|(bage, ..)| s.age > bage) {
-                    best = Some((s.age, sa, s.bytes, s.data));
+                if overlaps(la, lb, sa, s.bytes) && best.is_none_or(|(bseq, ..)| s.seq > bseq) {
+                    best = Some((s.seq, sa, s.bytes, s.data));
                 }
             });
         }
-        let bind = |v: u64, src_age: u64| {
+        let bind = |v: u64, src: FwdSrc| {
             ld.update(|e| {
                 let e = e.as_mut().expect("live");
                 e.state = LdState::Done;
-                e.value = Some(v);
-                e.fwd_src_age = Some(src_age);
+                e.fwd_src = src;
             });
             LdIssue::Forward(v)
         };
@@ -484,12 +482,12 @@ impl Lsq {
             LdIssue::Stalled
         };
         let outcome = match (best, sb) {
-            (Some((sage, sa, sbytes, sdata)), _) if covers(sa, sbytes, la, lb) => bind(
+            (Some((sseq, sa, sbytes, sdata)), _) if covers(sa, sbytes, la, lb) => bind(
                 extract(sdata.expect("data set with addr"), sa, la, lb),
-                sage,
+                FwdSrc::Store(sseq),
             ),
-            (Some((sage, ..)), _) => stall_on(StallSrc::SqPartial(sage)),
-            (None, SbSearch::Forward(v)) => bind(v, 0),
+            (Some((sseq, ..)), _) => stall_on(StallSrc::SqPartial(sseq)),
+            (None, SbSearch::Forward(v)) => bind(v, FwdSrc::StoreBuffer),
             (None, SbSearch::Partial(i)) => stall_on(StallSrc::SbEntry(i)),
             (None, SbSearch::Miss) => {
                 ld.update(|e| e.as_mut().expect("live").state = LdState::Issued);
@@ -502,7 +500,7 @@ impl Lsq {
 
     /// Delivers a cache response (paper's `respLd`). Returns `true` when it
     /// was a wrong-path response (the slot is freed, nothing else to do).
-    pub fn resp_ld(&self, idx: u16, data: u64) -> bool {
+    pub fn resp_ld(&self, idx: u16) -> bool {
         let mut wrong_path = false;
         self.lq[idx as usize].update(|e| {
             let Some(en) = e.as_mut() else {
@@ -515,7 +513,6 @@ impl Lsq {
                 return;
             }
             en.state = LdState::Done;
-            en.value = Some(data);
         });
         if wrong_path {
             self.lq_valid.clear(idx as usize);
@@ -597,7 +594,7 @@ impl Lsq {
                         && !e.killed
                         && e.addr.is_some_and(|a| line_of(a) == line)
                         && bound
-                        && e.fwd_src_age.is_none()
+                        && e.fwd_src == FwdSrc::Cache
                 },
                 |e| e.as_mut().expect("predicate saw an entry").killed = true,
             );
@@ -608,30 +605,24 @@ impl Lsq {
         }
     }
 
-    /// Marks the instruction at the commit slot (paper's `setAtCommit`):
-    /// commits stores/fences, or releases an MMIO/atomic load to execute.
+    /// Commits the store or fence at the commit slot (the store half of
+    /// the paper's `setAtCommit`; an MMIO or atomic load at the commit slot
+    /// starts from `launch_commit_access` instead).
     pub fn set_at_commit_st(&self, idx: u16) {
         self.sq[idx as usize].update(|e| {
             e.as_mut().expect("live SQ index").committed = true;
         });
     }
 
-    /// Releases an MMIO/atomic load at the commit slot.
-    pub fn set_at_commit_ld(&self, idx: u16) {
-        self.lq[idx as usize].update(|e| {
-            e.as_mut().expect("live LQ index").at_commit = true;
-        });
-    }
-
     /// Slot of the oldest live (non-zombie) load, found by a scan: what
-    /// `lq_head` must hold. Ages are compared on a borrow.
+    /// `lq_head` must hold. Sequence numbers are compared on a borrow.
     fn scan_lq(&self) -> Option<u16> {
         self.lq_valid
             .iter()
             .filter_map(|i| {
-                self.lq[i].with(|e| e.as_ref().filter(|e| !e.zombie).map(|e| (i, e.age)))
+                self.lq[i].with(|e| e.as_ref().filter(|e| !e.zombie).map(|e| (i, e.seq)))
             })
-            .min_by_key(|&(_, age)| age)
+            .min_by_key(|&(_, seq)| seq)
             .map(|(i, _)| i as u16)
     }
 
@@ -640,8 +631,8 @@ impl Lsq {
     fn scan_sq(&self) -> Option<u16> {
         self.sq_valid
             .iter()
-            .filter_map(|i| self.sq[i].with(|e| e.as_ref().map(|e| (i, e.age))))
-            .min_by_key(|&(_, age)| age)
+            .filter_map(|i| self.sq[i].with(|e| e.as_ref().map(|e| (i, e.seq))))
+            .min_by_key(|&(_, seq)| seq)
             .map(|(i, _)| i as u16)
     }
 
@@ -679,13 +670,14 @@ impl Lsq {
         ))
     }
 
-    /// Whether any older store than `age` still has an unknown address
-    /// (final memory-dependency check before a load dequeues).
+    /// Whether any store older than sequence number `seq` still has an
+    /// unknown address (final memory-dependency check before a load
+    /// dequeues).
     #[must_use]
-    pub fn older_store_addr_unknown(&self, age: u64) -> bool {
+    pub fn older_store_addr_unknown(&self, seq: u64) -> bool {
         self.sq_valid.iter().any(|i| {
             self.sq[i].with(|e| {
-                matches!(e, Some(e) if e.age < age && !e.is_fence && !e.faulted && e.addr.is_none())
+                matches!(e, Some(e) if e.seq < seq && !e.is_fence && !e.faulted && e.addr.is_none())
             })
         })
     }
@@ -719,9 +711,9 @@ impl Lsq {
         self.sq_valid.clear(i);
         self.sq_head.write(self.scan_sq());
         if e.is_fence {
-            self.wakeup_where(|s| matches!(s, StallSrc::Fence(a) if *a == e.age));
+            self.wakeup_where(|s| matches!(s, StallSrc::Fence(f) if *f == e.seq));
         } else {
-            self.wakeup_where(|s| matches!(s, StallSrc::SqPartial(a) if *a == e.age));
+            self.wakeup_where(|s| matches!(s, StallSrc::SqPartial(q) if *q == e.seq));
         }
         debug_assert!(self.masks_consistent());
         e
@@ -877,10 +869,15 @@ cmd_core::snap_enum!(StallSrc {
     2 => Fence(a),
 });
 
+cmd_core::snap_enum!(FwdSrc {
+    0 => Cache,
+    1 => StoreBuffer,
+    2 => Store(s),
+});
+
 cmd_core::snap_struct!(LqEntry {
     rob,
     seq,
-    age,
     dst,
     bytes,
     signed,
@@ -890,19 +887,15 @@ cmd_core::snap_struct!(LqEntry {
     atomic_class,
     state,
     stall,
-    value,
-    fwd_src_age,
+    fwd_src,
     fault,
     killed,
     wb_done,
     zombie,
-    at_commit,
 });
 
 cmd_core::snap_struct!(SqEntry {
-    rob,
     seq,
-    age,
     bytes,
     addr,
     data,
@@ -939,9 +932,9 @@ mod tests {
             }
             assert!(l.enq_ld(0, 0, None, false).is_err());
             for _ in 0..4 {
-                l.enq_st(0, 0, false).unwrap();
+                l.enq_st(0, false).unwrap();
             }
-            assert!(l.enq_st(0, 0, false).is_err());
+            assert!(l.enq_st(0, false).is_err());
         });
     }
 
@@ -949,7 +942,7 @@ mod tests {
     fn load_forwards_from_covering_older_store() {
         let (clk, l) = lsq();
         let (st, ld) = in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             st_ld_pair(&l, st, ld)
         });
@@ -969,7 +962,7 @@ mod tests {
     fn load_stalls_on_partial_older_store_then_wakes_on_deq() {
         let (clk, l) = lsq();
         let ld = in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_st(st, Ok(0x1004), 4, 0xffff_ffff, false);
             l.update_ld(ld, Ok(0x1000), 8, false, false, None);
@@ -992,7 +985,7 @@ mod tests {
     fn speculative_load_killed_by_late_store_address() {
         let (clk, l) = lsq();
         let (st, ld) = in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             // The load translates first and issues speculatively.
             l.update_ld(ld, Ok(0x2000), 8, false, false, None);
@@ -1004,7 +997,7 @@ mod tests {
             assert_eq!(l.issue_ld(ld, SbSearch::Miss), LdIssue::ToCache);
         });
         in_rule(&clk, || {
-            assert!(!l.resp_ld(ld, 0xdead), "not wrong-path");
+            assert!(!l.resp_ld(ld), "not wrong-path");
         });
         // Now the older store's address arrives and overlaps.
         in_rule(&clk, || {
@@ -1013,12 +1006,51 @@ mod tests {
         assert!(l.lq_entry(ld).unwrap().killed, "violation detected");
     }
 
+    /// Sequence numbers start at 0, so the oldest store of a run can carry
+    /// 0: a load that read the cache is still younger-sourced than it, and
+    /// the store's late address must kill the load.
+    #[test]
+    fn a_late_store_with_sequence_number_zero_kills_a_cache_sourced_load() {
+        let (clk, l) = lsq();
+        let (st, ld) = in_rule(&clk, || {
+            let st = l.enq_st(0, false).unwrap();
+            let ld = l.enq_ld(1, 1, None, false).unwrap();
+            l.update_ld(ld, Ok(0x2000), 8, false, false, None);
+            (st, ld)
+        });
+        in_rule(&clk, || {
+            assert_eq!(l.issue_ld(ld, SbSearch::Miss), LdIssue::ToCache);
+            assert!(!l.resp_ld(ld), "not wrong-path");
+        });
+        assert_eq!(l.lq_entry(ld).unwrap().fwd_src, FwdSrc::Cache);
+        in_rule(&clk, || l.update_st(st, Ok(0x2004), 4, 1, false));
+        assert!(l.lq_entry(ld).unwrap().killed, "violation detected");
+    }
+
+    /// The store buffer holds committed stores only, older than every SQ
+    /// store — the one with sequence number 0 included.
+    #[test]
+    fn a_late_store_with_sequence_number_zero_kills_a_store_buffer_sourced_load() {
+        let (clk, l) = lsq();
+        let (st, ld) = in_rule(&clk, || {
+            let st = l.enq_st(0, false).unwrap();
+            let ld = l.enq_ld(1, 1, None, false).unwrap();
+            l.update_ld(ld, Ok(0x2000), 8, false, false, None);
+            (st, ld)
+        });
+        let r = in_rule(&clk, || l.issue_ld(ld, SbSearch::Forward(9)));
+        assert_eq!(r, LdIssue::Forward(9), "the SQ store's address is unknown");
+        assert_eq!(l.lq_entry(ld).unwrap().fwd_src, FwdSrc::StoreBuffer);
+        in_rule(&clk, || l.update_st(st, Ok(0x2000), 8, 1, false));
+        assert!(l.lq_entry(ld).unwrap().killed, "violation detected");
+    }
+
     #[test]
     fn forward_from_youngest_older_store_is_not_killed() {
         let (clk, l) = lsq();
         let (st_old, st_new, ld) = in_rule(&clk, || {
-            let st_old = l.enq_st(1, 1, false).unwrap();
-            let st_new = l.enq_st(2, 2, false).unwrap();
+            let st_old = l.enq_st(1, false).unwrap();
+            let st_new = l.enq_st(2, false).unwrap();
             let ld = l.enq_ld(3, 3, None, false).unwrap();
             // Younger store's address is known; it covers the load.
             l.update_st(st_new, Ok(0x3000), 8, 42, false);
@@ -1038,7 +1070,7 @@ mod tests {
     fn fence_blocks_younger_loads_until_deq() {
         let (clk, l) = lsq();
         let ld = in_rule(&clk, || {
-            l.enq_st(1, 1, true).unwrap(); // fence
+            l.enq_st(1, true).unwrap(); // fence
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld, Ok(0x4000), 8, false, false, None);
             ld
@@ -1091,7 +1123,7 @@ mod tests {
             "a zombie is no head"
         );
         assert!(!l.is_empty(), "slot pinned until the response returns");
-        let wrong = in_rule(&clk, || l.resp_ld(ld, 5));
+        let wrong = in_rule(&clk, || l.resp_ld(ld));
         assert!(wrong, "response identified as wrong-path");
         assert!(l.is_empty());
     }
@@ -1100,7 +1132,7 @@ mod tests {
     fn tso_cache_evict_kills_cache_sourced_loads_only() {
         let (clk, l) = lsq();
         let (ld_cache, ld_fwd) = in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let a = l.enq_ld(2, 2, None, false).unwrap();
             let b = l.enq_ld(3, 3, None, false).unwrap();
             l.update_st(st, Ok(0x7000), 8, 1, false);
@@ -1110,7 +1142,7 @@ mod tests {
         });
         in_rule(&clk, || {
             l.issue_ld(ld_cache, SbSearch::Miss);
-            l.resp_ld(ld_cache, 9);
+            l.resp_ld(ld_cache);
             assert_eq!(l.issue_ld(ld_fwd, SbSearch::Miss), LdIssue::Forward(1));
         });
         in_rule(&clk, || {
@@ -1129,7 +1161,7 @@ mod tests {
     fn broadcasts_that_concern_no_entry_enlist_no_cell() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_st(st, Ok(0xb000), 8, 1, false);
             l.update_ld(ld, Ok(0xc000), 8, false, false, None);
@@ -1152,13 +1184,13 @@ mod tests {
     fn deq_ld_ordering_and_unknown_store_guard() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             let ld = l.enq_ld(2, 2, None, false).unwrap();
             l.update_ld(ld, Ok(0x8000), 8, false, false, None);
             let (_, e) = l.first_ld().unwrap();
-            assert!(l.older_store_addr_unknown(e.age), "store addr unknown");
+            assert!(l.older_store_addr_unknown(e.seq), "store addr unknown");
             l.update_st(st, Ok(0x9000), 8, 0, false);
-            assert!(!l.older_store_addr_unknown(e.age));
+            assert!(!l.older_store_addr_unknown(e.seq));
         });
     }
 
@@ -1166,8 +1198,8 @@ mod tests {
     fn flush_keeps_committed_stores() {
         let (clk, l) = lsq();
         in_rule(&clk, || {
-            let st1 = l.enq_st(1, 1, false).unwrap();
-            let _st2 = l.enq_st(2, 2, false).unwrap();
+            let st1 = l.enq_st(1, false).unwrap();
+            let _st2 = l.enq_st(2, false).unwrap();
             let _ld = l.enq_ld(3, 3, None, false).unwrap();
             l.update_st(st1, Ok(0xa000), 8, 5, false);
             l.set_at_commit_st(st1);
@@ -1186,7 +1218,7 @@ mod tests {
         assert!(clk.enlisted_cells().is_empty(), "empty LSQ: nothing to do");
         clk.commit_rule();
         let ld = in_rule(&clk, || {
-            let st = l.enq_st(1, 1, false).unwrap();
+            let st = l.enq_st(1, false).unwrap();
             l.update_st(st, Ok(0xa000), 8, 5, false);
             l.set_at_commit_st(st);
             let ld = l.enq_ld(2, 2, None, false).unwrap();
@@ -1203,7 +1235,7 @@ mod tests {
             "a committed store and a zombie are left alone"
         );
         clk.commit_rule();
-        assert!(in_rule(&clk, || l.resp_ld(ld, 0)), "wrong-path response");
+        assert!(in_rule(&clk, || l.resp_ld(ld)), "wrong-path response");
         assert_eq!((l.lq_len(), l.sq_len()), (0, 1));
         assert!(l.masks_consistent());
     }
@@ -1216,11 +1248,11 @@ mod tests {
             // Stores take sequence numbers below 66, loads from 100 on.
             for k in 0..66 {
                 l.enq_ld(k, 100 + u64::from(k), None, false).unwrap();
-                l.enq_st(k, u64::from(k), false).unwrap();
+                l.enq_st(u64::from(k), false).unwrap();
             }
         });
         clk.begin_rule();
-        assert!(l.enq_st(0, 66, false).is_err(), "sq full");
+        assert!(l.enq_st(66, false).is_err(), "sq full");
         l.deq_ld();
         l.deq_st();
         l.enq_ld(99, 200, None, false).unwrap();
@@ -1256,16 +1288,13 @@ mod tests {
         );
         let (st, ld) = in_rule(&clk, || {
             (
-                l.enq_st(3, 3, true).unwrap(),
+                l.enq_st(3, true).unwrap(),
                 l.enq_ld(4, 4, None, false).unwrap(),
             )
         });
         assert_eq!(in_rule(&clk, || l.first_ld().unwrap().0), ld);
         assert_eq!(in_rule(&clk, || l.first_st().unwrap().0), st);
-        assert!(
-            in_rule(&clk, || l.resp_ld(lds[1], 0)),
-            "the zombie's response"
-        );
+        assert!(in_rule(&clk, || l.resp_ld(lds[1])), "the zombie's response");
         in_rule(&clk, || l.flush_speculative());
         assert!(in_rule(&clk, || l.first_ld()).is_err());
         assert!(in_rule(&clk, || l.first_st()).is_err());
@@ -1290,8 +1319,8 @@ mod tests {
         in_rule(&clk, || {
             l.enq_ld(0, 0, None, false).unwrap();
             l.enq_ld(1, 1, None, false).unwrap();
-            l.enq_st(2, 2, false).unwrap();
-            l.enq_st(3, 3, false).unwrap();
+            l.enq_st(2, false).unwrap();
+            l.enq_st(3, false).unwrap();
         });
         let st = St {
             clk: clk.clone(),

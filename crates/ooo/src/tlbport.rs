@@ -49,7 +49,6 @@ pub struct TlbHier {
     d_parked: Vec<Parked>,
     i_parked: Vec<Parked>,
     d_resps: VecDeque<TlbResp>,
-    i_resps: VecDeque<TlbResp>,
     cfg: TlbConfig,
     /// Completed page walks (Fig. 16's "L2TLB" misses).
     pub walks: u64,
@@ -72,7 +71,6 @@ impl TlbHier {
             d_parked: Vec::new(),
             i_parked: Vec::new(),
             d_resps: VecDeque::new(),
-            i_resps: VecDeque::new(),
             cfg,
             walks: 0,
         }
@@ -175,11 +173,6 @@ impl TlbHier {
         self.d_resps.pop_front()
     }
 
-    /// Pops a finished I-side translation.
-    pub fn pop_i_resp(&mut self) -> Option<TlbResp> {
-        self.i_resps.pop_front()
-    }
-
     /// Drains PTE loads for the memory system.
     pub fn drain_walker_reqs(&mut self) -> Vec<UncachedReq> {
         self.walker.to_l2.drain(..).collect()
@@ -201,11 +194,11 @@ impl TlbHier {
     /// The first cycle, at or after `now`, at which [`TlbHier::tick`] — or
     /// the substrate draining this hierarchy's queues — may change it: the
     /// earliest `l2_ready_at` of a parked miss not yet walking, or `now`
-    /// while the walker has work or an I-side response waits. `u64::MAX`
-    /// when every miss waits on a PTE load in the memory system.
+    /// while the walker has work. `u64::MAX` when every miss waits on a PTE
+    /// load in the memory system.
     #[must_use]
     pub fn next_event(&self, now: u64) -> u64 {
-        if self.walker.has_work() || !self.i_resps.is_empty() {
+        if self.walker.has_work() {
             return now;
         }
         self.d_parked
@@ -229,15 +222,18 @@ impl TlbHier {
         }
 
         for side in 0..2 {
-            let (parked, resps, l1_is_i) = if side == 0 {
-                (&mut self.d_parked, &mut self.d_resps, false)
+            // A finished I-side miss needs no response: fetch retries
+            // through the I TLB once the miss is no longer parked. Its
+            // lookups still run, for the hit counts and the LRU.
+            let (parked, mut resps, l1) = if side == 0 {
+                (&mut self.d_parked, Some(&mut self.d_resps), &mut self.dtlb)
             } else {
-                (&mut self.i_parked, &mut self.i_resps, true)
+                (&mut self.i_parked, None, &mut self.itlb)
             };
-            let l1 = if l1_is_i {
-                &mut self.itlb
-            } else {
-                &mut self.dtlb
+            let mut respond = |r: TlbResp| {
+                if let Some(q) = resps.as_mut() {
+                    q.push_back(r);
+                }
             };
 
             let mut i = 0;
@@ -258,7 +254,7 @@ impl TlbHier {
                                 access: p.access,
                             }),
                         };
-                        resps.push_back(TlbResp { id: p.id, result });
+                        respond(TlbResp { id: p.id, result });
                         parked.swap_remove(i);
                         continue;
                     }
@@ -270,7 +266,7 @@ impl TlbHier {
                     if t <= now {
                         // Another parked entry's fill may already cover us.
                         if let Some(r) = l1.lookup(p.va, p.access, p.priv_mode) {
-                            resps.push_back(TlbResp {
+                            respond(TlbResp {
                                 id: p.id,
                                 result: r,
                             });
@@ -288,7 +284,7 @@ impl TlbHier {
                             l1.fill(p.va, &t);
                             let result =
                                 l1.lookup(p.va, p.access, p.priv_mode).expect("just filled");
-                            resps.push_back(TlbResp { id: p.id, result });
+                            respond(TlbResp { id: p.id, result });
                             parked.swap_remove(i);
                             continue;
                         }
@@ -336,7 +332,6 @@ impl cmd_core::snap::Snapshot for TlbHier {
         self.d_parked.save(w);
         self.i_parked.save(w);
         self.d_resps.save(w);
-        self.i_resps.save(w);
         w.u64(self.walks);
     }
 
@@ -361,7 +356,6 @@ impl cmd_core::snap::Snapshot for TlbHier {
         self.d_parked = d_parked;
         self.i_parked = Snap::load(r)?;
         self.d_resps = Snap::load(r)?;
-        self.i_resps = Snap::load(r)?;
         self.walks = r.u64()?;
         Ok(())
     }

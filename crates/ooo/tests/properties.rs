@@ -19,7 +19,7 @@ use riscy_mem::msg::{line_of, AtomicOp};
 use riscy_ooo::config::BpConfig;
 use riscy_ooo::frontend::{Ras, Tournament};
 use riscy_ooo::iq::IssueQueue;
-use riscy_ooo::lsq::{LdIssue, LdState, LqEntry, Lsq, SqEntry, StallSrc};
+use riscy_ooo::lsq::{FwdSrc, LdIssue, LdState, LqEntry, Lsq, SqEntry, StallSrc};
 use riscy_ooo::rename::{RenameTable, SpecManager, SpecSnapshot};
 use riscy_ooo::rob::{Rob, RobEntry};
 use riscy_ooo::sb::SbSearch;
@@ -207,7 +207,7 @@ fn a_misprediction_squashes_exactly_what_was_renamed_after_the_branch() {
                             2 => {
                                 e.lsq = Some((true, lsq.enq_ld(rob_idx, seq, None, false).unwrap()))
                             }
-                            3 => e.lsq = Some((false, lsq.enq_st(rob_idx, seq, false).unwrap())),
+                            3 => e.lsq = Some((false, lsq.enq_st(seq, false).unwrap())),
                             _ => {}
                         }
                         iq.enter(uop(0, seq), true, true).unwrap();
@@ -458,13 +458,14 @@ fn lsq_forwarding_matches_naive_model() {
         let lsq = Lsq::new(&clk, 4, 8);
         let base = 0x9000u64;
         in_rule(&clk, || {
-            for (off, szc, data) in &stores {
-                let idx = lsq.enq_st(0, 0, false).unwrap();
+            // Rename order: the stores first, in order, then the load.
+            for (seq, (off, szc, data)) in (0u64..).zip(&stores) {
+                let idx = lsq.enq_st(seq, false).unwrap();
                 let sz = to_bytes(*szc);
                 let addr = base + (off * 4) / u64::from(sz) * u64::from(sz);
                 lsq.update_st(idx, Ok(addr), sz, *data, false);
             }
-            let lidx = lsq.enq_ld(0, 1, None, false).unwrap();
+            let lidx = lsq.enq_ld(0, stores.len() as u64, None, false).unwrap();
             let lsz = to_bytes(ld_sz);
             let laddr = base + (ld_off * 4) / u64::from(lsz) * u64::from(lsz);
             lsq.update_ld(lidx, Ok(laddr), lsz, false, false, None);
@@ -509,7 +510,7 @@ fn lsq_forwarding_matches_naive_model() {
 // `Vec<Option<Entry>>`. Every rule runs 1–3 random methods on both, is then
 // committed or aborted at random (the model by keeping or dropping a
 // clone), and after it the structure's snapshot records — every slot in
-// slot order, so placement counts, the LSQ's heads and the age counters —
+// slot order, so placement counts, the LSQ's heads and its kill counter —
 // must equal the model's, and its masks must equal the ones recomputed
 // from its slots.
 
@@ -754,7 +755,6 @@ fn a_half_readying_wakeup_does_not_wake_a_rule_asleep_on_issue() {
 struct LsqModel {
     lq: Vec<Option<LqEntry>>,
     sq: Vec<Option<SqEntry>>,
-    next_age: u64,
     evict_kills: u64,
 }
 
@@ -763,18 +763,11 @@ fn overlaps(a1: u64, n1: u8, a2: u64, n2: u8) -> bool {
 }
 
 impl LsqModel {
-    fn alloc_age(&mut self) -> u64 {
-        self.next_age += 1;
-        self.next_age - 1
-    }
-
     fn enq_ld(&mut self, rob: u16, seq: u64, atomic_class: bool) -> Result<u16, &'static str> {
         let free = self.lq.iter().position(Option::is_none).ok_or("lq full")?;
-        let age = self.alloc_age();
         self.lq[free] = Some(LqEntry {
             rob,
             seq,
-            age,
             dst: None,
             bytes: 0,
             signed: false,
@@ -784,24 +777,19 @@ impl LsqModel {
             atomic_class,
             state: LdState::WaitAddr,
             stall: None,
-            value: None,
-            fwd_src_age: None,
+            fwd_src: FwdSrc::Cache,
             fault: None,
             killed: false,
             wb_done: false,
             zombie: false,
-            at_commit: false,
         });
         Ok(free as u16)
     }
 
-    fn enq_st(&mut self, rob: u16, seq: u64, is_fence: bool) -> Result<u16, &'static str> {
+    fn enq_st(&mut self, seq: u64, is_fence: bool) -> Result<u16, &'static str> {
         let free = self.sq.iter().position(Option::is_none).ok_or("sq full")?;
-        let age = self.alloc_age();
         self.sq[free] = Some(SqEntry {
-            rob,
             seq,
-            age,
             bytes: 0,
             addr: None,
             data: None,
@@ -843,7 +831,7 @@ impl LsqModel {
     fn update_st(&mut self, idx: u16, addr: Result<u64, (Exception, u64)>, bytes: u8, data: u64) {
         let e = self.sq[idx as usize].as_mut().expect("live SQ index");
         e.bytes = bytes;
-        let age = e.age;
+        let seq = e.seq;
         let Ok(pa) = addr else {
             e.faulted = true;
             return;
@@ -851,10 +839,10 @@ impl LsqModel {
         (e.addr, e.data) = (Some(pa), Some(data));
         for l in self.lq.iter_mut().flatten() {
             if !l.zombie
-                && l.age > age
+                && l.seq > seq
                 && l.addr.is_some_and(|la| overlaps(la, l.bytes, pa, bytes))
                 && matches!(l.state, LdState::Issued | LdState::Done)
-                && l.fwd_src_age.unwrap_or(0) < age
+                && !matches!(l.fwd_src, FwdSrc::Store(s) if s >= seq)
             {
                 l.killed = true;
             }
@@ -867,14 +855,14 @@ impl LsqModel {
             .iter()
             .flatten()
             .filter(|e| e.is_fence)
-            .map(|e| e.age)
+            .map(|e| e.seq)
             .min();
         let oldest_atomic = self
             .lq
             .iter()
             .flatten()
             .filter(|e| !e.zombie && (e.atomic_class || e.mmio) && e.state != LdState::Done)
-            .map(|e| e.age)
+            .map(|e| e.seq)
             .min();
         let pick = (0..self.lq.len())
             .filter(|&i| {
@@ -883,12 +871,12 @@ impl LsqModel {
                     && !e.killed
                     && !e.atomic_class
                     && !e.mmio
-                    && oldest_atomic.is_none_or(|a| e.age < a))
+                    && oldest_atomic.is_none_or(|a| e.seq < a))
             })
-            .min_by_key(|&i| self.lq[i].map(|e| e.age))
+            .min_by_key(|&i| self.lq[i].map(|e| e.seq))
             .ok_or("no ready load")?;
         let e = self.lq[pick].as_mut().expect("picked");
-        if let Some(f) = oldest_fence.filter(|&f| f < e.age) {
+        if let Some(f) = oldest_fence.filter(|&f| f < e.seq) {
             e.state = LdState::Stalled;
             e.stall = Some(StallSrc::Fence(f));
             return Err("load blocked by fence");
@@ -903,13 +891,13 @@ impl LsqModel {
             .sq
             .iter()
             .flatten()
-            .filter(|s| !s.is_fence && !s.faulted && s.age < ld.age)
+            .filter(|s| !s.is_fence && !s.faulted && s.seq < ld.seq)
             .filter(|s| s.addr.is_some_and(|sa| overlaps(la, lb, sa, s.bytes)))
-            .max_by_key(|s| s.age)
+            .max_by_key(|s| s.seq)
             .copied();
         let e = self.lq[idx as usize].as_mut().expect("live LQ index");
-        let mut bind = |v: u64, src_age: u64| {
-            (e.state, e.value, e.fwd_src_age) = (LdState::Done, Some(v), Some(src_age));
+        let mut bind = |v: u64, src: FwdSrc| {
+            (e.state, e.fwd_src) = (LdState::Done, src);
             LdIssue::Forward(v)
         };
         match (best, sb) {
@@ -923,14 +911,14 @@ impl LsqModel {
                         } else {
                             v & ((1 << (8 * lb)) - 1)
                         },
-                        s.age,
+                        FwdSrc::Store(s.seq),
                     )
                 } else {
-                    (e.state, e.stall) = (LdState::Stalled, Some(StallSrc::SqPartial(s.age)));
+                    (e.state, e.stall) = (LdState::Stalled, Some(StallSrc::SqPartial(s.seq)));
                     LdIssue::Stalled
                 }
             }
-            (None, SbSearch::Forward(v)) => bind(v, 0),
+            (None, SbSearch::Forward(v)) => bind(v, FwdSrc::StoreBuffer),
             (None, SbSearch::Partial(i)) => {
                 (e.state, e.stall) = (LdState::Stalled, Some(StallSrc::SbEntry(i)));
                 LdIssue::Stalled
@@ -942,7 +930,7 @@ impl LsqModel {
         }
     }
 
-    fn resp_ld(&mut self, idx: u16, data: u64) -> bool {
+    fn resp_ld(&mut self, idx: u16) -> bool {
         let slot = &mut self.lq[idx as usize];
         match slot {
             None => true,
@@ -951,7 +939,7 @@ impl LsqModel {
                 true
             }
             Some(e) => {
-                (e.state, e.value) = (LdState::Done, Some(data));
+                e.state = LdState::Done;
                 false
             }
         }
@@ -971,7 +959,7 @@ impl LsqModel {
                 && !e.killed
                 && e.addr.is_some_and(|a| line_of(a) == line)
                 && matches!(e.state, LdState::Issued | LdState::Done)
-                && e.fwd_src_age.is_none()
+                && e.fwd_src == FwdSrc::Cache
             {
                 e.killed = true;
                 self.evict_kills += 1;
@@ -982,29 +970,29 @@ impl LsqModel {
     fn oldest_lq(&self) -> Option<usize> {
         (0..self.lq.len())
             .filter(|&i| matches!(&self.lq[i], Some(e) if !e.zombie))
-            .min_by_key(|&i| self.lq[i].map(|e| e.age))
+            .min_by_key(|&i| self.lq[i].map(|e| e.seq))
     }
 
     fn oldest_sq(&self) -> Option<usize> {
         (0..self.sq.len())
             .filter(|&i| self.sq[i].is_some())
-            .min_by_key(|&i| self.sq[i].map(|e| e.age))
+            .min_by_key(|&i| self.sq[i].map(|e| e.seq))
     }
 
-    fn older_store_addr_unknown(&self, age: u64) -> bool {
+    fn older_store_addr_unknown(&self, seq: u64) -> bool {
         self.sq
             .iter()
             .flatten()
-            .any(|e| e.age < age && !e.is_fence && !e.faulted && e.addr.is_none())
+            .any(|e| e.seq < seq && !e.is_fence && !e.faulted && e.addr.is_none())
     }
 
     fn deq_st(&mut self) -> SqEntry {
         let i = self.oldest_sq().expect("deqSt on empty SQ");
         let e = self.sq[i].take().expect("oldest");
         if e.is_fence {
-            self.wakeup_where(|s| *s == StallSrc::Fence(e.age));
+            self.wakeup_where(|s| *s == StallSrc::Fence(e.seq));
         } else {
-            self.wakeup_where(|s| *s == StallSrc::SqPartial(e.age));
+            self.wakeup_where(|s| *s == StallSrc::SqPartial(e.seq));
         }
         e
     }
@@ -1025,12 +1013,12 @@ impl LsqModel {
     }
 
     /// The records of the LSQ's cells the model covers: the LQ and SQ
-    /// slots, adopted first, and the two heads and two counters, adopted
-    /// last.
+    /// slots, adopted first, and the two heads and the kill counter,
+    /// adopted last.
     fn records(&self) -> Vec<Vec<u8>> {
         let slot = |i: Option<usize>| i.map(|i| i as u16);
         let heads = records(&[slot(self.oldest_lq()), slot(self.oldest_sq())]);
-        let counters = records(&[self.next_age, self.evict_kills]);
+        let counters = records(&[self.evict_kills]);
         [records(&self.lq), records(&self.sq), heads, counters].concat()
     }
 }
@@ -1057,7 +1045,6 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
             let mut model = LsqModel {
                 lq: vec![None; size],
                 sq: vec![None; size],
-                next_age: 1,
                 evict_kills: 0,
             };
             // Some seeds keep the queues near empty, some drive them full.
@@ -1135,21 +1122,20 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                                 continue;
                             }
                             let idx = *rng.pick(&slots);
-                            let data = rng.next_u64();
-                            assert_eq!(lsq.resp_ld(idx, data), m.resp_ld(idx, data), "{ctx}");
+                            assert_eq!(lsq.resp_ld(idx), m.resp_ld(idx), "{ctx}");
                         }
                         6 => {
                             let got = lsq.first_ld().map_err(|s| s.reason());
                             let want = m.oldest_lq().ok_or("lq empty");
                             assert_eq!(got.map(|(i, _)| i as usize), want, "{ctx}");
                             let Ok(i) = want else { continue };
-                            let age = m.lq[i].expect("oldest").age;
+                            let seq = m.lq[i].expect("oldest").seq;
                             assert_eq!(
-                                lsq.older_store_addr_unknown(age),
-                                m.older_store_addr_unknown(age),
+                                lsq.older_store_addr_unknown(seq),
+                                m.older_store_addr_unknown(seq),
                                 "{ctx}"
                             );
-                            assert_eq!(lsq.deq_ld().age, age, "{ctx}");
+                            assert_eq!(lsq.deq_ld().seq, seq, "{ctx}");
                             m.lq[i] = None;
                         }
                         7 => {
@@ -1157,7 +1143,7 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                             let want = m.oldest_sq().ok_or("sq empty");
                             assert_eq!(got.map(|(i, _)| i as usize), want, "{ctx}");
                             if want.is_ok() {
-                                assert_eq!(lsq.deq_st().age, m.deq_st().age, "{ctx}");
+                                assert_eq!(lsq.deq_st().seq, m.deq_st().seq, "{ctx}");
                             }
                         }
                         8 => {
@@ -1205,9 +1191,9 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                             } else {
                                 let fence = rng.chance(0.1);
                                 let can = lsq.can_enq_st().map_err(|s| s.reason());
-                                let got = lsq.enq_st(rob, seq, fence).map_err(|s| s.reason());
+                                let got = lsq.enq_st(seq, fence).map_err(|s| s.reason());
                                 assert_eq!(can, got.map(drop), "{ctx}: the twin disagrees");
-                                assert_eq!(got, m.enq_st(rob, seq, fence), "{ctx}");
+                                assert_eq!(got, m.enq_st(seq, fence), "{ctx}");
                                 seen.extend(got.err());
                             }
                         }
@@ -1220,7 +1206,7 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                     clk.abort_rule();
                 }
                 assert!(lsq.masks_consistent(), "{ctx}");
-                // The heads are a min-age scan of the model, whatever
+                // The heads are a min-seq scan of the model, whatever
                 // zombies, kills and aborts happened on the way.
                 let first = |f: Result<u16, Stall>| f.ok().map(usize::from);
                 assert_eq!(
@@ -1234,7 +1220,7 @@ fn lsq_refines_linear_scan_model_through_commits_and_aborts() {
                     "{ctx}"
                 );
                 let cells = cell_records(&clk);
-                let covered = [&cells[..2 * size], &cells[cells.len() - 4..]].concat();
+                let covered = [&cells[..2 * size], &cells[cells.len() - 3..]].concat();
                 assert_eq!(covered, model.records(), "{ctx}");
                 let live = slots_where(&model.lq, |_| true).len();
                 let zombies = slots_where(&model.lq, |e| e.zombie).len();
@@ -1338,7 +1324,6 @@ fn tlb_ticks_before_the_next_event_change_nothing() {
             if rng.chance(0.5) {
                 while h.pop_d_resp().is_some() {}
             }
-            while h.pop_i_resp().is_some() {}
             if h.next_event(now) > now {
                 quiet += 1;
                 let before = bytes(&h);

@@ -216,12 +216,12 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v5 — the last format with per-core memory digests
-    // and without the cores' boundary cells to the memory system, so a v5
-    // body must never reach the v6 reader.
+    // future format, and v6 — the last format with an age in every LSQ
+    // entry and an I TLB response queue, so a v6 body must never reach the
+    // v7 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 6, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 5] {
+    assert_eq!(current, 7, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 6] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {

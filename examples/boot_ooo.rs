@@ -117,7 +117,7 @@ fn main() {
         st.branches, st.mispredicts
     );
     println!("  D TLB misses       : {}", st.dtlb_misses);
-    println!("  page walks         : {}", st.l2tlb_misses);
+    println!("  page walks         : {}", sim.soc().cores[0].tlb.walks);
     println!(
         "  L1 D misses        : {}",
         sim.soc().mem.dcache_ref(0).stats.misses
