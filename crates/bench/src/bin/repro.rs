@@ -14,17 +14,13 @@
 //! telemetry, pipeline traces and SoC stats snapshots all come from one
 //! command, `observe` (see `docs/OBSERVABILITY.md`).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::rc::Rc;
 
 use cmd_core::chaos::{FaultEngine, FaultPlan, FaultRecord};
-use cmd_core::prof::ChromeTrace;
 use cmd_core::sim::SimError;
 use cmd_core::telemetry::{DEFAULT_MAX_WINDOWS, DEFAULT_WINDOW};
-use cmd_core::trace::Tracer;
 use riscy_baseline::InOrderConfig;
 use riscy_bench::fleet::{fleet_grid, run_fleet, watch_snapshot, FleetOpts, SocFleet};
 use riscy_bench::sampling::{
@@ -140,7 +136,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "fleet",
-        about: "seed x config x workload campaign on a work-stealing pool",
+        about: "seed x config x workload campaign on a thread pool",
         valued: &[
             "--seeds",
             "--configs",
@@ -156,7 +152,6 @@ const COMMANDS: &[Command] = &[
             "--heartbeat-every",
             "--unit-timeout",
             "--telemetry-window",
-            "--telemetry-windows",
         ],
         bare: &["--chaos", "--telemetry"],
         run: fleet,
@@ -222,7 +217,6 @@ const COMMANDS: &[Command] = &[
             "--profile-json",
             "--telemetry-json",
             "--telemetry-window",
-            "--telemetry-windows",
             "--trace",
             "--stats-json",
         ],
@@ -914,7 +908,7 @@ fn ablation(args: &Args) -> Outcome {
 // Campaigns: fleet, watch, sweep, sampled
 // ---------------------------------------------------------------------------
 
-/// A seed × config × workload grid on a work-stealing thread pool
+/// A seed × config × workload grid on a thread pool
 /// ([`riscy_bench::fleet`]), reporting aggregate simulation throughput.
 ///
 /// With `--campaign-dir`, finished units persist as `unit_<id>.json` and a
@@ -944,9 +938,6 @@ fn fleet(args: &Args) -> Outcome {
     };
     let chaos = args.flag("--chaos");
     let window = args.num("--telemetry-window")?.unwrap_or(DEFAULT_WINDOW);
-    let max_windows = args
-        .num("--telemetry-windows")?
-        .unwrap_or(DEFAULT_MAX_WINDOWS);
     let opts = FleetOpts {
         threads,
         campaign_dir: args.value("--campaign-dir").map(PathBuf::from),
@@ -955,7 +946,9 @@ fn fleet(args: &Args) -> Outcome {
         abort_after_ckpts: args.num("--abort-after-ckpts")?,
         heartbeat_every: args.num("--heartbeat-every")?,
         unit_timeout: args.num("--unit-timeout")?,
-        telemetry: args.flag("--telemetry").then_some((window, max_windows)),
+        telemetry: args
+            .flag("--telemetry")
+            .then_some((window, DEFAULT_MAX_WINDOWS)),
     };
     let workloads = select_workloads(spec_suite(args.scale()), args)?;
 
@@ -997,10 +990,9 @@ fn fleet(args: &Args) -> Outcome {
         );
     }
     println!(
-        "\nfleet: {} units done ({} resumed), {} steals, {:.2}s wall{}",
+        "\nfleet: {} units done ({} resumed), {:.2}s wall{}",
         report.records.len(),
         report.records.iter().filter(|r| r.resumed).count(),
-        report.steals,
         report.wall_s,
         if report.stopped_early {
             " [stopped early]"
@@ -1414,10 +1406,6 @@ fn chaos_smoke(_: &Args) -> Outcome {
 // The one instrumented run
 // ---------------------------------------------------------------------------
 
-/// Instruction spans exported per core to the Chrome trace before the
-/// exporter starts dropping (keeps artifact size bounded).
-const SPAN_CAP: usize = 100_000;
-
 /// Runs `--workload` once on the out-of-order SoC with every requested
 /// observer attached (see `docs/OBSERVABILITY.md`) and writes the
 /// artifacts: `--profile` prints the per-rule host-time report and the
@@ -1453,9 +1441,6 @@ fn observe(args: &Args) -> Outcome {
         )
     })?;
     let window = args.num("--telemetry-window")?.unwrap_or(DEFAULT_WINDOW);
-    let max_windows = args
-        .num("--telemetry-windows")?
-        .unwrap_or(DEFAULT_MAX_WINDOWS);
     let chrome_path = args.value("--chrome-trace");
     let profile_path = args.value("--profile-json");
     let telemetry_path = args.value("--telemetry-json");
@@ -1480,14 +1465,11 @@ fn observe(args: &Args) -> Outcome {
     if profile {
         sim.enable_profiling();
     }
-    let chrome = chrome_path.map(|_| {
-        sim.enable_inst_spans(SPAN_CAP);
-        let t = Rc::new(RefCell::new(ChromeTrace::new()));
-        sim.set_tracer(Tracer::new(t.clone()));
-        t
-    });
+    if chrome_path.is_some() {
+        sim.enable_chrome_trace();
+    }
     if telemetry_path.is_some() {
-        sim.enable_telemetry(window, max_windows);
+        sim.enable_telemetry(window, DEFAULT_MAX_WINDOWS);
     }
     if trace_path.is_some() {
         sim.enable_pipe_trace();
@@ -1503,16 +1485,8 @@ fn observe(args: &Args) -> Outcome {
     if let Some(path) = profile_path {
         write_artifact(path, &sim.profile_json());
     }
-    if let Some((path, tr)) = chrome_path.zip(chrome) {
-        let mut t = tr.borrow_mut();
-        for (core, spans, _dropped) in sim.instruction_spans() {
-            let tid = u32::try_from(core).expect("core id fits u32");
-            t.set_inst_track(tid, &format!("core{core}"));
-            for s in spans {
-                t.add_span(tid, s.mnemonic, s.fetch, s.retire, s.pc, s.seq);
-            }
-        }
-        write_artifact(path, &t.finish_json());
+    if let Some((path, json)) = chrome_path.zip(sim.chrome_trace_json()) {
+        write_artifact(path, &json);
     }
     if let Some(path) = telemetry_path {
         write_artifact(path, &sim.telemetry_json());

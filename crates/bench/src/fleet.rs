@@ -1,14 +1,14 @@
-//! # Work-stealing fleet runner — many SoCs per process
+//! # Fleet runner — many SoCs per process
 //!
 //! Host-thread parallelism in this repository is **scale-out across
 //! independent simulations** (see `docs/PARALLELISM.md`): one simulation
 //! kernel stays on one thread, many run side by side. A campaign is a grid of
 //! [`FleetUnit`]s (seed × config × workload); [`run_fleet`] executes the
-//! grid on a pool of host threads with work stealing, streams one
-//! stats-JSON file per finished unit into the campaign directory, and
-//! folds everything into a [`FleetReport`] whose
+//! grid on a pool of host threads that claim units from one shared queue,
+//! streams one stats-JSON file per finished unit into the campaign
+//! directory, and folds everything into a [`FleetReport`] whose
 //! [`deterministic_json`](FleetReport::deterministic_json) bytes are
-//! independent of thread count, steal order, and kill/resume history.
+//! independent of thread count, claim order, and kill/resume history.
 //!
 //! Each simulation kernel is thread-confined (`Rc`/`RefCell` state), so
 //! the unit — not the rule — is the granule that crosses threads: a
@@ -48,7 +48,7 @@
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -290,8 +290,6 @@ pub struct FleetReport {
     pub threads: usize,
     /// Host seconds for the whole invocation.
     pub wall_s: f64,
-    /// Units a worker obtained from another worker's queue.
-    pub steals: u64,
     /// True when [`FleetOpts::stop_after`] ended the run with units
     /// still pending.
     pub stopped_early: bool,
@@ -340,9 +338,9 @@ impl FleetReport {
     }
 
     /// The campaign report with every host-dependent field (wall time,
-    /// steal count, thread count, resume provenance) excluded: two
-    /// invocations that finished the same grid produce byte-identical
-    /// output regardless of thread count, steal schedule, or how the
+    /// thread count, resume provenance) excluded: two invocations that
+    /// finished the same grid produce byte-identical output regardless of
+    /// thread count, claim order, or how the
     /// campaign was split across kill/resume boundaries.
     #[must_use]
     pub fn deterministic_json(&self) -> String {
@@ -401,13 +399,13 @@ pub fn fleet_grid(seeds: &[u64], configs: &[&str], workloads: &[&Workload]) -> V
     units
 }
 
-/// Runs `units` to completion on `opts.threads` workers with work
-/// stealing and returns the aggregate report.
+/// Runs `units` to completion on `opts.threads` workers and returns the
+/// aggregate report.
 ///
-/// Units are dealt round-robin onto per-worker deques; a worker pops its
-/// own queue from the front and, when empty, steals from the *back* of
-/// the other queues. Because every unit is an independent simulation,
-/// the schedule affects only wall time — never results — so the report's
+/// Workers claim units in grid order from one shared queue. A unit is an
+/// independent simulation seconds long, so one lock per claim costs
+/// nothing measurable, and the schedule affects only wall time — never
+/// results — so the report's
 /// [`deterministic_json`](FleetReport::deterministic_json) is identical
 /// for any thread count.
 ///
@@ -456,14 +454,7 @@ where
     }
     let pending_total = pending.len();
 
-    // Deal pending units round-robin onto per-worker deques.
-    let queues: Vec<Mutex<VecDeque<FleetUnit>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, u) in pending.into_iter().enumerate() {
-        queues[i % threads].lock().unwrap().push_back(u);
-    }
-
-    let steals = AtomicU64::new(0);
+    let queue = Mutex::new(VecDeque::from(pending));
     let budget = AtomicUsize::new(opts.stop_after.unwrap_or(usize::MAX));
     let ckpt_tickets = opts.abort_after_ckpts.map(AtomicUsize::new);
     let done: Mutex<Vec<UnitRecord>> = Mutex::new(Vec::new());
@@ -473,9 +464,8 @@ where
         .map(Heartbeats::open);
 
     std::thread::scope(|s| {
-        for me in 0..threads {
-            let queues = &queues;
-            let steals = &steals;
+        for _ in 0..threads {
+            let queue = &queue;
             let budget = &budget;
             let ckpt_tickets = ckpt_tickets.as_ref();
             let heartbeats = heartbeats.as_ref();
@@ -483,7 +473,7 @@ where
             let runner = &runner;
             s.spawn(move || loop {
                 // Claim a completion ticket *before* taking a unit so a
-                // stopped run leaves unclaimed units on the queues (and
+                // stopped run leaves unclaimed units on the queue (and
                 // on disk as "not yet finished") rather than half-done.
                 if budget
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
@@ -491,21 +481,9 @@ where
                 {
                     return;
                 }
-                let unit = {
-                    let own = queues[me].lock().unwrap().pop_front();
-                    own.or_else(|| {
-                        (1..threads).find_map(|d| {
-                            let victim = (me + d) % threads;
-                            let stolen = queues[victim].lock().unwrap().pop_back();
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            stolen
-                        })
-                    })
-                };
+                let unit = queue.lock().unwrap().pop_front();
                 let Some(unit) = unit else {
-                    // Out of work everywhere; return the unused ticket for
+                    // Out of work; return the unused ticket for
                     // bookkeeping symmetry and retire.
                     budget.fetch_add(1, Ordering::SeqCst);
                     return;
@@ -555,7 +533,6 @@ where
         records,
         threads,
         wall_s: start.elapsed().as_secs_f64(),
-        steals: steals.load(Ordering::Relaxed),
         stopped_early,
     }
 }

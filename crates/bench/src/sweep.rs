@@ -13,7 +13,7 @@
 //! Determinism: units load in ascending unit-id order, configs aggregate
 //! in lexicographic label order, and every number in the report is
 //! derived from simulation-domain values only, so `sweep_report.json`
-//! bytes are independent of thread count, steal schedule, and
+//! bytes are independent of thread count, claim order, and
 //! kill/resume history — the same contract as
 //! [`FleetReport::deterministic_json`](crate::fleet::FleetReport::deterministic_json).
 

@@ -1,8 +1,8 @@
-//! Determinism contract of the work-stealing fleet runner (see
+//! Determinism contract of the fleet runner (see
 //! `docs/PARALLELISM.md` §"Fleet campaigns"):
 //!
 //! * the deterministic report bytes are identical for any worker-thread
-//!   count (1/2/4/8) — the steal schedule is unobservable;
+//!   count (1/2/4/8) — which worker claims which unit is unobservable;
 //! * a campaign killed mid-flight (`stop_after`) and resumed from its
 //!   campaign directory produces the byte-identical aggregate report of a
 //!   single-shot run, and a third invocation is a pure disk replay;
@@ -25,7 +25,7 @@ use riscy_isa::reg::Gpr;
 use riscy_workloads::spec::Workload;
 
 /// A deterministic pure function of the unit, with enough busy work that
-/// workers genuinely interleave and steal from each other.
+/// workers genuinely interleave.
 fn synth_runner(u: &FleetUnit, _ctx: &UnitCtx<'_>) -> Option<UnitStats> {
     let mut x = u
         .seed

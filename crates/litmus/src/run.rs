@@ -129,8 +129,6 @@ pub fn run_litmus_traced(test: &LitmusTest, spec: &RunSpec) -> (RunResult, Trace
     (res, traces.expect("tracing was enabled"))
 }
 
-/// Cap on instruction spans kept for the Chrome trace.
-const SPAN_CAP: usize = 100_000;
 /// Extra cycles granted after the last hart exits for stores still in
 /// flight (LSQ/SB/mesi traffic) to drain before memory is inspected.
 const DRAIN_BUDGET: u64 = 50_000;
@@ -151,13 +149,9 @@ fn run_inner(test: &LitmusTest, spec: &RunSpec, traced: bool) -> (RunResult, Opt
         let engine = FaultEngine::new(spec.chaos.clone());
         sim.attach_chaos(&engine);
     }
-    let tracer_sink = traced.then(|| {
+    if traced {
         sim.enable_pipe_trace();
-        sim.enable_inst_spans(SPAN_CAP);
-        std::rc::Rc::new(std::cell::RefCell::new(cmd_core::prof::ChromeTrace::new()))
-    });
-    if let Some(sink) = &tracer_sink {
-        sim.set_tracer(cmd_core::trace::Tracer::new(sink.clone()));
+        sim.enable_chrome_trace();
     }
 
     let res = match sim.run_to_completion(spec.max_cycles) {
@@ -178,23 +172,10 @@ fn run_inner(test: &LitmusTest, spec: &RunSpec, traced: bool) -> (RunResult, Opt
         },
     };
 
-    let traces = tracer_sink.map(|sink| {
-        let chrome = {
-            let mut t = sink.borrow_mut();
-            for (core, spans, _dropped) in sim.instruction_spans() {
-                let tid = u32::try_from(core).expect("core id fits u32");
-                t.set_inst_track(tid, &format!("hart{core}"));
-                for s in spans {
-                    t.add_span(tid, s.mnemonic, s.fetch, s.retire, s.pc, s.seq);
-                }
-            }
-            t.finish_json()
-        };
-        TraceBundle {
-            konata: sim.pipe_trace(),
-            chrome,
-            stats: sim.stats_json(),
-        }
+    let traces = sim.chrome_trace_json().map(|chrome| TraceBundle {
+        konata: sim.pipe_trace(),
+        chrome,
+        stats: sim.stats_json(),
     });
     (res, traces)
 }

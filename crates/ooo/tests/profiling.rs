@@ -76,7 +76,7 @@ fn run_fingerprint(
     sim.set_scheduler(mode);
     if profiled {
         sim.enable_profiling();
-        sim.enable_inst_spans(4096);
+        sim.enable_chrome_trace();
     }
     let cycles = sim.run_to_completion(3_000_000).unwrap();
     let stats: Vec<_> = sim.soc().cores.iter().map(|c| c.stats).collect();
