@@ -105,8 +105,8 @@ pub trait Horizon {
 /// statistics (wake, chaos verdict, instrumentation toggle, end of a `run`
 /// call). Totals are bit-identical to the reference at every such point;
 /// only the cycle *within* a run at which the counter is bumped differs,
-/// which nothing can observe. A skipped cycle feeds no histogram or trace —
-/// both force full re-evaluation instead of sleeping.
+/// which nothing can observe. A skipped cycle feeds no trace — a tracer
+/// forces full re-evaluation instead of sleeping.
 pub(crate) struct Sleep {
     /// First skipped cycle not yet added to the rule's stall statistics.
     pub since: u64,
