@@ -170,31 +170,14 @@ cmd_core::snap_enum!(DramReq {
 
 cmd_core::snap_struct!(DramResp { line, data });
 
-impl cmd_core::snap::Snapshot for Dram {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.queue.save(w);
-        self.inflight.save(w);
-        self.resps.save(w);
-        w.u64(self.next_issue);
-        w.u64(self.reads);
-        w.u64(self.writes);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        self.queue = Snap::load(r)?;
-        self.inflight = Snap::load(r)?;
-        self.resps = Snap::load(r)?;
-        self.next_issue = r.u64()?;
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        Ok(())
-    }
-}
+cmd_core::snapshot_fields!(Dram {
+    queue,
+    inflight,
+    resps,
+    next_issue,
+    reads,
+    writes,
+});
 
 #[cfg(test)]
 mod tests {

@@ -752,69 +752,19 @@ cmd_core::snap_struct!(Trans {
     downs_sent,
 });
 
-impl cmd_core::snap::Snapshot for L2 {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.array.snap_save(w);
-        self.req_in.save(w);
-        self.msg_in.save(w);
-        self.resp_out.save(w);
-        self.down_out.save(w);
-        self.uncached_in.save(w);
-        self.uncached_out.save(w);
-        self.room.save(w);
-        self.trans.save(w);
-        self.dram.snap_save(w);
-        self.stats.save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        self.array.snap_restore(r)?;
-        let req_in: VecDeque<ChildReq> = Snap::load(r)?;
-        let msg_in: VecDeque<ChildToParent> = Snap::load(r)?;
-        let resp_out: Vec<VecDeque<ParentResp>> = Snap::load(r)?;
-        let down_out: Vec<VecDeque<DownReq>> = Snap::load(r)?;
-        let uncached_in: VecDeque<UncachedReq> = Snap::load(r)?;
-        let uncached_out: Vec<VecDeque<UncachedResp>> = Snap::load(r)?;
-        let room: VecDeque<Requester> = Snap::load(r)?;
-        let trans: Vec<Trans> = Snap::load(r)?;
-        if resp_out.len() != self.resp_out.len()
-            || down_out.len() != self.down_out.len()
-            || uncached_out.len() != self.uncached_out.len()
-        {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot L2 fan-out ({} children, {} cores) does not match design \
-                 ({} children, {} cores)",
-                resp_out.len(),
-                uncached_out.len(),
-                self.resp_out.len(),
-                self.uncached_out.len()
-            )));
-        }
-        if trans.len() > self.cfg.max_trans {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot L2 has {} transactions, design allows {}",
-                trans.len(),
-                self.cfg.max_trans
-            )));
-        }
-        self.req_in = req_in;
-        self.msg_in = msg_in;
-        self.resp_out = resp_out;
-        self.down_out = down_out;
-        self.uncached_in = uncached_in;
-        self.uncached_out = uncached_out;
-        self.room = room;
-        self.trans = trans;
-        self.dram.snap_restore(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
-}
+cmd_core::snapshot_fields!(L2 {
+    array: module,
+    req_in,
+    msg_in,
+    resp_out: same_len,
+    down_out: same_len,
+    uncached_in,
+    uncached_out: same_len,
+    room,
+    trans: at_most(cfg.max_trans),
+    dram: module,
+    stats,
+});
 
 #[cfg(test)]
 mod mesi_tests {

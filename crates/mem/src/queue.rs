@@ -112,31 +112,9 @@ impl<T> TimedQueue<T> {
     }
 }
 
-impl<T: cmd_core::snap::Snap> cmd_core::snap::Snapshot for TimedQueue<T> {
-    /// Serializes the occupancy (arrival-time, payload) pairs; latency and
-    /// capacity are configuration and stay with the constructed queue.
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.q.save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        let q: VecDeque<(u64, T)> = Snap::load(r)?;
-        if q.len() > self.cap {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot queue holds {} entries, capacity is {}",
-                q.len(),
-                self.cap
-            )));
-        }
-        self.q = q;
-        Ok(())
-    }
-}
+// The occupancy: (arrival time, payload) pairs. Latency and capacity are
+// configuration and stay with the constructed queue.
+cmd_core::snapshot_fields!(TimedQueue<T> where T: cmd_core::snap::Snap { q: at_most(cap) });
 
 #[cfg(test)]
 mod tests {

@@ -1845,42 +1845,22 @@ cmd_core::snap_struct!(MemTrans {
     tlb_id
 });
 
-/// The plain state of a core: everything beside its cells, which the
-/// kernel's cell walk saves. The bypass network is `Wire`-based and
-/// therefore empty at cycle boundaries; the pipeline-trace collector and
-/// top-down accounting are observers, not state — snapshots are refused
-/// while either is attached (see [`crate::soc::SocSim::save_snapshot`]).
-impl cmd_core::snap::Snapshot for CoreState {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap as _;
-        self.btb.snap_save(w);
-        self.tour.snap_save(w);
-        self.ras.snap_save(w);
-        self.tlb.snap_save(w);
-        self.csr.save(w);
-        self.priv_mode.save(w);
-        w.u64(self.next_tlb_id);
-        self.roi_start.save(w);
-        self.stats.save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        self.btb.snap_restore(r)?;
-        self.tour.snap_restore(r)?;
-        self.ras.snap_restore(r)?;
-        self.tlb.snap_restore(r)?;
-        self.csr = Snap::load(r)?;
-        self.priv_mode = Snap::load(r)?;
-        self.next_tlb_id = r.u64()?;
-        self.roi_start = Snap::load(r)?;
-        self.stats = Snap::load(r)?;
-        Ok(())
-    }
-}
+// The plain state of a core: everything beside its cells, which the
+// kernel's cell walk saves. The bypass network is `Wire`-based and
+// therefore empty at cycle boundaries; the pipeline-trace collector and
+// top-down accounting are observers, not state — snapshots are refused
+// while either is attached (see [`crate::soc::SocSim::save_snapshot`]).
+cmd_core::snapshot_fields!(CoreState {
+    btb: module,
+    tour: module,
+    ras: module,
+    tlb: module,
+    csr,
+    priv_mode,
+    next_tlb_id,
+    roi_start,
+    stats,
+});
 
 impl CoreState {
     /// Checks what the cells a snapshot restored must satisfy together and

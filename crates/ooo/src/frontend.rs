@@ -319,96 +319,28 @@ pub fn branch_taken(cond: BranchCond, a: u64, b: u64) -> bool {
 cmd_core::snap_struct!(GhistSnapshot { 0 });
 cmd_core::snap_struct!(RasSnapshot { 0 });
 
-impl cmd_core::snap::Snapshot for Btb {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.entries.save(w);
-    }
+cmd_core::snapshot_fields!(Btb { entries: same_len });
 
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        let entries: Vec<Option<(u64, u64)>> = Snap::load(r)?;
-        if entries.len() != self.entries.len() {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot BTB has {} entries, design has {}",
-                entries.len(),
-                self.entries.len()
-            )));
-        }
-        self.entries = entries;
-        Ok(())
-    }
-}
+cmd_core::snapshot_fields!(Tournament {
+    local_hist: same_len,
+    local_pred: same_len,
+    global_pred: same_len,
+    choice: same_len,
+    ghist,
+});
 
-impl cmd_core::snap::Snapshot for Tournament {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.local_hist.save(w);
-        self.local_pred.save(w);
-        self.global_pred.save(w);
-        self.choice.save(w);
-        w.u64(self.ghist);
-    }
+cmd_core::snapshot_fields!(Ras { stack: same_len, top } check Ras::top_in_range);
 
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        let local_hist: Vec<u16> = Snap::load(r)?;
-        let local_pred: Vec<u8> = Snap::load(r)?;
-        let global_pred: Vec<u8> = Snap::load(r)?;
-        let choice: Vec<u8> = Snap::load(r)?;
-        if local_hist.len() != self.local_hist.len()
-            || local_pred.len() != self.local_pred.len()
-            || global_pred.len() != self.global_pred.len()
-            || choice.len() != self.choice.len()
-        {
-            return Err(cmd_core::snap::SnapError::Mismatch(
-                "snapshot branch-predictor geometry does not match design".into(),
-            ));
-        }
-        self.local_hist = local_hist;
-        self.local_pred = local_pred;
-        self.global_pred = global_pred;
-        self.choice = choice;
-        self.ghist = r.u64()?;
-        Ok(())
-    }
-}
-
-impl cmd_core::snap::Snapshot for Ras {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.stack.save(w);
-        self.top.save(w);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        let stack: Vec<u64> = Snap::load(r)?;
-        if stack.len() != self.stack.len() {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot RAS has {} entries, design has {}",
-                stack.len(),
-                self.stack.len()
-            )));
-        }
-        let top: usize = Snap::load(r)?;
-        if top >= stack.len() {
-            return Err(cmd_core::snap::SnapError::Corrupt(
+impl Ras {
+    /// The post-restore check: the top pointer indexes the stack.
+    fn top_in_range(&self) -> Result<(), cmd_core::snap::SnapError> {
+        if self.top < self.stack.len() {
+            Ok(())
+        } else {
+            Err(cmd_core::snap::SnapError::Corrupt(
                 "RAS top pointer out of range".into(),
-            ));
+            ))
         }
-        self.stack = stack;
-        self.top = top;
-        Ok(())
     }
 }
 

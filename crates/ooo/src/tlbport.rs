@@ -321,45 +321,16 @@ cmd_core::snap_struct!(Parked {
 
 cmd_core::snap_struct!(TlbResp { id, result });
 
-impl cmd_core::snap::Snapshot for TlbHier {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-
-        self.itlb.snap_save(w);
-        self.dtlb.snap_save(w);
-        self.l2.snap_save(w);
-        self.walker.snap_save(w);
-        self.d_parked.save(w);
-        self.i_parked.save(w);
-        self.d_resps.save(w);
-        w.u64(self.walks);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-
-        self.itlb.snap_restore(r)?;
-        self.dtlb.snap_restore(r)?;
-        self.l2.snap_restore(r)?;
-        self.walker.snap_restore(r)?;
-        let d_parked: Vec<Parked> = Snap::load(r)?;
-        if d_parked.len() > self.cfg.l1d_miss_slots {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot has {} parked D TLB misses, design allows {}",
-                d_parked.len(),
-                self.cfg.l1d_miss_slots
-            )));
-        }
-        self.d_parked = d_parked;
-        self.i_parked = Snap::load(r)?;
-        self.d_resps = Snap::load(r)?;
-        self.walks = r.u64()?;
-        Ok(())
-    }
-}
+cmd_core::snapshot_fields!(TlbHier {
+    itlb: module,
+    dtlb: module,
+    l2: module,
+    walker: module,
+    d_parked: at_most(cfg.l1d_miss_slots),
+    i_parked,
+    d_resps,
+    walks,
+});
 
 #[cfg(test)]
 mod tests {
