@@ -41,13 +41,13 @@
 //! * [`chaos`] — seeded, cycle-deterministic fault injection (forced guard
 //!   stalls, transient rule aborts, bit flips) for resilience campaigns;
 //! * [`rng`] — the in-tree deterministic PRNG backing tests and chaos;
-//! * [`trace`] — structured event tracing, named perf counters, and the
+//! * [`trace`] — structured event tracing and the
 //!   dependency-free JSON writer behind `--stats-json` (see
 //!   `docs/OBSERVABILITY.md`);
 //! * [`prof`] — the causal profiler: per-rule host-time attribution,
 //!   critical-path analysis over publish→wake / CM-block edges, and the
 //!   Chrome trace-event (Perfetto) exporter;
-//! * [`telemetry`] — windowed time-series sampling of counters into
+//! * [`telemetry`] — windowed time-series sampling of statistics into
 //!   bounded, byte-deterministic, snapshot-transparent rings (the
 //!   campaign-monitoring substrate, see `docs/OBSERVABILITY.md`
 //!   §telemetry);
@@ -113,5 +113,5 @@ pub mod prelude {
     pub use crate::sim::{DeadlockReport, RuleId, RuleStats, RuleWait, Sim, SimError, WaitCause};
     pub use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
     pub use crate::telemetry::{Telemetry, TelemetryColumns, TelemetryTap, TelemetryWindow};
-    pub use crate::trace::{Counter, Counters, Gauge, TraceEvent, TraceSink, Tracer};
+    pub use crate::trace::{TraceEvent, TraceSink, Tracer};
 }

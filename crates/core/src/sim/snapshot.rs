@@ -1,9 +1,9 @@
 //! The kernel half of a checkpoint: cycle counts, per-rule statistics, the
-//! counter registry, the telemetry ring and the committed value of every
-//! cell on the clock (see `docs/CHECKPOINT.md`).
+//! telemetry ring and the committed value of every cell on the clock (see
+//! `docs/CHECKPOINT.md`).
 
 use super::{settle_sleep, RuleStats, Sim};
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::telemetry::Telemetry;
 
 impl<S> Sim<S> {
@@ -32,9 +32,9 @@ impl<S> Sim<S> {
     }
 
     /// Saves the kernel's observable state — cycle counts, per-rule firing
-    /// statistics, the counter registry, the telemetry ring — and then every
-    /// cell of the design, at a cycle boundary: the cell count, then one
-    /// length-framed record per cell in adoption order.
+    /// statistics, the telemetry ring — and then every cell of the design,
+    /// at a cycle boundary: the cell count, then one length-framed record
+    /// per cell in adoption order.
     ///
     /// Scheduler sleep state is *not* saved: any unsettled batched sleep
     /// deficit is settled into the statistics first (so the bytes are
@@ -61,7 +61,6 @@ impl<S> Sim<S> {
             w.u64(e.stats.guard_stalls);
             w.u64(e.stats.cm_stalls);
         }
-        self.counters.snap_save(w);
         // Telemetry, unlike the other instruments, IS serialized: its ring
         // holds only simulated quantities, so a resumed run continues the
         // series exactly (in-flight partial windows included).
@@ -77,8 +76,7 @@ impl<S> Sim<S> {
     }
 
     /// Restores kernel state saved by [`Sim::save_kernel`] into a freshly
-    /// constructed design with the same rule schedule, counter registry and
-    /// cells.
+    /// constructed design with the same rule schedule and cells.
     ///
     /// All rules wake and the wakeup layer restarts from a clean slate —
     /// the same template scheduler switching uses, already proven
@@ -86,9 +84,8 @@ impl<S> Sim<S> {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Mismatch`] if the snapshot's rule schedule, counter
-    /// registry, telemetry columns, cell count or array lengths differ from
-    /// this design's; [`SnapError::Truncated`] / [`SnapError::Corrupt`] on
+    /// [`SnapError::Mismatch`] if the snapshot's rule schedule, telemetry
+    /// columns, cell count or array lengths differ from this design's; [`SnapError::Truncated`] / [`SnapError::Corrupt`] on
     /// malformed bytes, naming the cell whose record does not fill its
     /// frame.
     /// On error the kernel may be partially restored and must be discarded.
@@ -119,7 +116,6 @@ impl<S> Sim<S> {
                 cm_stalls: r.u64()?,
             });
         }
-        self.counters.snap_restore(r)?;
         let had_tel = bool::load(r)?;
         match (had_tel, self.tel.is_some()) {
             (false, false) => {}

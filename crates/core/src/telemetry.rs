@@ -3,18 +3,19 @@
 //!
 //! The profiler's counter windows (see [`crate::prof`]) answer "what
 //! happened recently" for a human reading a report; telemetry answers the
-//! campaign-scale version: a machine-readable time series of *every*
-//! registry counter, cheap enough to leave on for whole sweeps and
+//! campaign-scale version: a machine-readable time series of the
+//! scheduler's totals and the design's columns, cheap enough to leave on for whole sweeps and
 //! deterministic enough to diff across hosts, thread counts, and
 //! kill/resume boundaries.
 //!
 //! Design rules, inherited from every prior instrumentation layer
 //! (`docs/OBSERVABILITY.md`):
 //!
-//! * **Zero perturbation.** Telemetry only *reads* — counter snapshots
-//!   and whatever extra columns the design tap supplies. It registers no
-//!   counters of its own, so an enabled run is cycle- and counter-identical
-//!   to a disabled one (test-enforced under both scheduler modes).
+//! * **Zero perturbation.** Telemetry only *reads* — the rule table's
+//!   totals and whatever extra columns the design tap supplies. It keeps
+//!   no statistics of its own, so an enabled run is cycle- and
+//!   statistic-identical to a disabled one (test-enforced under both
+//!   scheduler modes).
 //! * **Bounded.** The ring holds at most `max_windows` windows; overflow
 //!   drops the oldest and counts the drop. No allocation grows with run
 //!   length.
@@ -27,9 +28,9 @@
 //!   the checkpoint left it — in-flight partial windows included.
 //!
 //! The sampler stores *deltas*, not cumulative values: each window records
-//! how much every column advanced since the previous boundary. Gauges and
-//! monotonically wrapping counters both subtract with wrapping semantics,
-//! matching [`crate::trace::Counter`]'s wrapping increments.
+//! how much every column advanced since the previous boundary, with
+//! wrapping subtraction, so a column that falls (a gauge) or wraps still
+//! records a well-defined delta.
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::trace::json::JsonWriter;
@@ -45,7 +46,7 @@ pub type TelemetryColumns = Vec<(String, u64)>;
 
 /// A design tap contributing extra telemetry columns (registered via
 /// `Sim::set_telemetry_tap`): called with the design state at each window
-/// boundary, after the registry-counter columns are collected.
+/// boundary, after the rule-table totals are collected.
 pub type TelemetryTap<S> = Box<dyn Fn(&S) -> TelemetryColumns>;
 
 /// One completed telemetry window: the per-column advance over the

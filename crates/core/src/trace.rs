@@ -1,19 +1,15 @@
-//! Structured event tracing, named performance counters, and the
-//! hand-rolled JSON emitter behind every `--stats-json` snapshot.
+//! Structured event tracing and the hand-rolled JSON emitter behind every
+//! `--stats-json` snapshot.
 //!
 //! Observability in a CMD design has to satisfy one hard constraint: it must
 //! never perturb the design. A traced run and an untraced run must execute
 //! the same rules in the same cycles and leave byte-identical architectural
-//! state. The three facilities here are built around that constraint:
+//! state. The two facilities here are built around that constraint:
 //!
 //! * [`Tracer`] / [`TraceSink`] — cycle-stamped structured events
 //!   ([`TraceEvent`]) emitted by the scheduler and the clock. A disabled
 //!   tracer costs a single flag check per emission site; events borrow
 //!   their strings, so nothing is allocated unless a sink is attached.
-//! * [`Counters`] — a registry of named monotonic counters and gauges.
-//!   Any module can register a counter by name and bump it through a cheap
-//!   [`Counter`]/[`Gauge`] handle; [`Counters::snapshot`] flattens the
-//!   registry for reports and JSON dumps.
 //! * [`json`] — a dependency-free JSON writer (the same "zero external
 //!   deps" policy as [`crate::rng`]) used by the workspace's stats
 //!   emitters.
@@ -41,7 +37,7 @@
 //! assert_eq!(events[0], "[0] rule-fired tick");
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -186,209 +182,6 @@ impl VecSink {
 impl TraceSink for VecSink {
     fn event(&mut self, cycle: u64, ev: &TraceEvent<'_>) {
         self.events.push((cycle, ev.to_string()));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CounterKind {
-    Monotonic,
-    Gauge,
-}
-
-struct CounterEntry {
-    name: String,
-    kind: CounterKind,
-    cell: Rc<Cell<u64>>,
-}
-
-/// A registry of named performance counters.
-///
-/// The registry is cloneable (clones share the same counters), so a design
-/// can hand it to every module at construction time; each module registers
-/// the counters it owns and keeps the returned handle. Registering the same
-/// name twice returns a handle to the *same* underlying counter, which lets
-/// distributed code paths share one statistic.
-///
-/// # Examples
-///
-/// ```
-/// use cmd_core::trace::Counters;
-///
-/// let reg = Counters::default();
-/// let hits = reg.counter("cache.hits");
-/// let depth = reg.gauge("fifo.depth");
-/// hits.inc();
-/// hits.add(2);
-/// depth.set(5);
-/// assert_eq!(reg.snapshot(), vec![("cache.hits".into(), 3), ("fifo.depth".into(), 5)]);
-/// ```
-#[derive(Clone, Default)]
-pub struct Counters {
-    inner: Rc<RefCell<Vec<CounterEntry>>>,
-}
-
-impl fmt::Debug for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Counters")
-            .field("registered", &self.inner.borrow().len())
-            .finish()
-    }
-}
-
-impl Counters {
-    fn register(&self, name: &str, kind: CounterKind) -> Rc<Cell<u64>> {
-        let mut entries = self.inner.borrow_mut();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            assert_eq!(
-                e.kind, kind,
-                "counter `{name}` registered as both monotonic and gauge"
-            );
-            return Rc::clone(&e.cell);
-        }
-        let cell = Rc::new(Cell::new(0));
-        entries.push(CounterEntry {
-            name: name.to_string(),
-            kind,
-            cell: Rc::clone(&cell),
-        });
-        cell
-    }
-
-    /// Registers (or re-opens) a monotonic counter named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` was previously registered as a gauge.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter {
-            cell: self.register(name, CounterKind::Monotonic),
-        }
-    }
-
-    /// Registers (or re-opens) a gauge named `name` (a last-value
-    /// statistic, e.g. an occupancy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` was previously registered as a monotonic counter.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge {
-            cell: self.register(name, CounterKind::Gauge),
-        }
-    }
-
-    /// Current `(name, value)` pairs, sorted by name.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .inner
-            .borrow()
-            .iter()
-            .map(|e| (e.name.clone(), e.cell.get()))
-            .collect();
-        out.sort();
-        out
-    }
-}
-
-impl crate::snap::Snapshot for Counters {
-    /// Serializes every registered counter as sorted `(name, value)` pairs
-    /// — sorted so the bytes are stable across registration order.
-    fn snap_save(&self, w: &mut crate::snap::SnapWriter) {
-        use crate::snap::Snap;
-        let pairs = self.snapshot();
-        w.len_prefix(pairs.len());
-        for (name, val) in &pairs {
-            name.save(w);
-            val.save(w);
-        }
-    }
-
-    /// Restores counter values *by name* into the already-populated
-    /// registry; the set of registered names must match the snapshot
-    /// exactly (the same design registers the same counters).
-    fn snap_restore(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        use crate::snap::{Snap, SnapError};
-        let n = r.len_prefix()?;
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            pairs.push((String::load(r)?, u64::load(r)?));
-        }
-        let entries = self.inner.borrow();
-        if entries.len() != pairs.len() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} counters, registry has {}",
-                pairs.len(),
-                entries.len()
-            )));
-        }
-        // Validate every name before touching any value, so a mismatch
-        // leaves the registry unmodified.
-        for (name, _) in &pairs {
-            if !entries.iter().any(|e| e.name == *name) {
-                return Err(SnapError::Mismatch(format!(
-                    "snapshot counter `{name}` is not registered"
-                )));
-            }
-        }
-        for (name, val) in &pairs {
-            if let Some(e) = entries.iter().find(|e| e.name == *name) {
-                e.cell.set(*val);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A handle to a monotonic counter registered in a [`Counters`] registry.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    cell: Rc<Cell<u64>>,
-}
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.set(self.cell.get().wrapping_add(n));
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.cell.get()
-    }
-}
-
-/// A handle to a gauge registered in a [`Counters`] registry.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    cell: Rc<Cell<u64>>,
-}
-
-impl Gauge {
-    /// Overwrites the gauge with `v`.
-    pub fn set(&self, v: u64) {
-        self.cell.set(v);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.cell.get()
     }
 }
 
@@ -625,37 +418,6 @@ mod tests {
         assert_eq!(r[1], "[2] guard-stalled fetch: icache full");
         assert_eq!(r[2], "[2] method Rob.enq");
         assert!(r[3].starts_with("[3] cm-blocked deq: Fifo.enq"));
-    }
-
-    #[test]
-    fn counters_share_by_name_and_snapshot_sorted() {
-        let reg = Counters::default();
-        let a = reg.counter("z.late");
-        let b = reg.counter("a.early");
-        let a2 = reg.counter("z.late"); // same underlying cell
-        a.inc();
-        a2.add(4);
-        b.add(7);
-        let g = reg.gauge("m.occ");
-        g.set(9);
-        g.set(2);
-        assert_eq!(
-            reg.snapshot(),
-            vec![
-                ("a.early".to_string(), 7),
-                ("m.occ".to_string(), 2),
-                ("z.late".to_string(), 5),
-            ]
-        );
-        assert_eq!(a.get(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered as both")]
-    fn counter_gauge_name_clash_panics() {
-        let reg = Counters::default();
-        let _c = reg.counter("x");
-        let _g = reg.gauge("x");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property test: the fast scheduler ([`SchedulerMode::Fast`]) is
 //! observably identical to the reference one-rule-at-a-time oracle
 //! ([`SchedulerMode::Reference`]) — same cycle counts, same per-rule
-//! statistics, same counters, same trace event stream, same final state —
+//! statistics, same trace event stream, same final state —
 //! across randomized "rule soup" designs (cells, all three FIFO flavors, a
 //! conflicting arbiter, gated rules), with and without an active chaos
 //! [`FaultPlan`], across the IQ demo configurations of paper §IV, and on one
@@ -180,7 +180,6 @@ struct Outcome {
     cells: Vec<u64>,
     fifo_lens: (usize, usize, usize),
     stats: Vec<(String, RuleStats)>,
-    counters: Vec<(String, u64)>,
     trace: Vec<String>,
     faults: usize,
     /// [`Soup::stalls`] after every cycle.
@@ -314,7 +313,6 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
             sim.state().cf.len(),
         ),
         stats: rule_stats(&sim),
-        counters: sim.counters().snapshot(),
         trace,
         faults: engine.map_or(0, |e| e.fault_count()),
         stalls,

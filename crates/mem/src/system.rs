@@ -385,51 +385,18 @@ impl MemSystem {
     }
 }
 
-impl cmd_core::snap::Snapshot for MemSystem {
-    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
-        use cmd_core::snap::Snap;
-        self.mem.save(w);
-        w.len_prefix(self.l1d.len());
-        for l1 in self.l1d.iter().chain(self.l1i.iter()) {
-            l1.snap_save(w);
-        }
-        self.l2.snap_save(w);
-        self.c2p_req.snap_save(w);
-        self.c2p_msg.snap_save(w);
-        self.p2c.snap_save(w);
-        self.walk_req.snap_save(w);
-        self.walk_resp.snap_save(w);
-        w.u64(self.now);
-    }
-
-    fn snap_restore(
-        &mut self,
-        r: &mut cmd_core::snap::SnapReader<'_>,
-    ) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::Snap;
-        self.snapshot_supported()?;
-        self.mem = Snap::load(r)?;
-        let cores = r.len_prefix()?;
-        if cores != self.l1d.len() {
-            return Err(cmd_core::snap::SnapError::Mismatch(format!(
-                "snapshot has {} cores, design has {}",
-                cores,
-                self.l1d.len()
-            )));
-        }
-        for l1 in self.l1d.iter_mut().chain(self.l1i.iter_mut()) {
-            l1.snap_restore(r)?;
-        }
-        self.l2.snap_restore(r)?;
-        self.c2p_req.snap_restore(r)?;
-        self.c2p_msg.snap_restore(r)?;
-        self.p2c.snap_restore(r)?;
-        self.walk_req.snap_restore(r)?;
-        self.walk_resp.snap_restore(r)?;
-        self.now = r.u64()?;
-        Ok(())
-    }
-}
+cmd_core::snapshot_fields!(MemSystem {
+    mem,
+    l1d: modules,
+    l1i: modules,
+    l2: module,
+    c2p_req: module,
+    c2p_msg: module,
+    p2c: module,
+    walk_req: module,
+    walk_resp: module,
+    now,
+} check MemSystem::snapshot_supported);
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,8 @@
 //! functional pass observes fetches, data accesses and control flow must
 //! reproduce these bytes exactly. A change to the snapshot format moves the
 //! digests but not the layout-free witnesses beside them: the digests were
-//! re-captured at format v7 (the LSQ ordered by sequence number alone)
+//! re-captured at format v7 (the LSQ ordered by sequence number alone) and
+//! at v8 (every module saved from its field list, no counter registry)
 //! while every witness held.
 
 use riscy_isa::asm::Program;
@@ -77,9 +78,9 @@ fn handoff_state_is_pinned_for_libquantum() {
         "{witnesses:#x?}"
     );
     let want = [
-        (2_000, 0xf828_e1a9_25bd_f120),
-        (60_000, 0x201b_8e52_7c83_b2cf),
-        (250_000, 0x56e2_06fa_a43d_a036),
+        (2_000, 0x1ab7_59d6_f09d_f90f),
+        (60_000, 0xe47c_772d_049f_df6e),
+        (250_000, 0x365d_56ba_33bd_838f),
     ];
     let digests: Vec<(u64, u64)> = got.iter().map(|&(t, _, d)| (t, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");
@@ -103,8 +104,8 @@ fn handoff_state_is_pinned_for_two_harts() {
         "{witnesses:#x?}"
     );
     let want = [
-        (false, 0x65c1_8fca_e248_b604),
-        (true, 0x6735_1415_f853_e56d),
+        (false, 0xbbed_ce2d_2149_a45a),
+        (true, 0xf0a5_1009_20e2_a501),
     ];
     let digests: Vec<(bool, u64)> = got.iter().map(|&(h, _, d)| (h, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");

@@ -148,8 +148,10 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// when the LSQ came to order by sequence number alone and the state
 /// nothing read left (v7: no LQ/SQ age, next-age cell, bound value,
 /// at-commit flag or SQ ROB index, a tagged forwarding source, no I TLB
-/// response queue or `l2tlb_misses`), each time only while
-/// [`witness`] still held.
+/// response queue or `l2tlb_misses`), and when every module came to be
+/// saved from its field list (v8: an L1 count before each L1 vector, a
+/// walk-cache count for a presence flag, no counter registry), each time
+/// only while [`witness`] still held.
 /// `snapshot_roundtrip.rs` compares one build against itself and cannot
 /// see a layout change that forgot to bump the version.
 #[test]
@@ -168,7 +170,7 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
         0xe2e0_b50f_f36f_b273,
         "the restored run drifted from the layout-free witness"
     );
-    assert_eq!((bytes.len(), h), (14_306_571, 0x4a05_433b_c0fe_34c7));
+    assert_eq!((bytes.len(), h), (14_306_486, 0xfe09_6bd0_7dd8_003e));
 }
 
 /// A layout-free witness of a snapshot: restore `bytes` into a fresh

@@ -2,11 +2,12 @@
 //!
 //! * enabling the profiler (host-time attribution + causal log + TMA)
 //!   never changes cycle counts, architectural statistics, or scheduler
-//!   counters — on one core and on a 2-core SoC, under both schedulers;
+//!   rule-table totals — on one core and on a 2-core SoC, under both schedulers;
 //! * the top-down buckets partition the sampled cycles exactly;
 //! * the machine-readable profile carries the documented keys.
 
 use cmd_core::sched::SchedulerMode;
+use cmd_core::sim::RuleStats;
 use riscy_isa::asm::Assembler;
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -63,7 +64,7 @@ fn multicore_prog(iters: i64) -> riscy_isa::asm::Program {
 }
 
 /// Everything observable a run produces that profiling must not change.
-type Fingerprint = (u64, Vec<riscy_ooo::soc::CoreStats>, Vec<(String, u64)>);
+type Fingerprint = (u64, Vec<riscy_ooo::soc::CoreStats>, RuleStats);
 
 fn run_fingerprint(
     cfg: CoreConfig,
@@ -80,7 +81,7 @@ fn run_fingerprint(
     }
     let cycles = sim.run_to_completion(3_000_000).unwrap();
     let stats: Vec<_> = sim.soc().cores.iter().map(|c| c.stats).collect();
-    (cycles, stats, sim.counters().snapshot())
+    (cycles, stats, sim.rule_totals())
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! §telemetry):
 //!
 //! * enabling telemetry never changes cycle counts, architectural
-//!   statistics, or scheduler counters — under both scheduler modes;
+//!   statistics, or rule-table totals — under both scheduler modes;
 //! * the sampled windows actually track the run (committed instructions
 //!   accumulate across windows, the ring stays bounded);
 //! * a snapshot taken mid-window round-trips the in-flight telemetry
@@ -12,6 +12,7 @@
 //!   per-core bucket columns).
 
 use cmd_core::sched::SchedulerMode;
+use cmd_core::sim::RuleStats;
 use riscy_isa::asm::Assembler;
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -43,7 +44,7 @@ fn busy_prog(iters: i64) -> riscy_isa::asm::Program {
 }
 
 /// Everything observable a run produces that telemetry must not change.
-type Fingerprint = (u64, Vec<riscy_ooo::soc::CoreStats>, Vec<(String, u64)>);
+type Fingerprint = (u64, Vec<riscy_ooo::soc::CoreStats>, RuleStats);
 
 fn run_fingerprint(
     prog: &riscy_isa::asm::Program,
@@ -57,7 +58,7 @@ fn run_fingerprint(
     }
     let cycles = sim.run_to_completion(3_000_000).unwrap();
     let stats: Vec<_> = sim.soc().cores.iter().map(|c| c.stats).collect();
-    (cycles, stats, sim.counters().snapshot())
+    (cycles, stats, sim.rule_totals())
 }
 
 #[test]
@@ -83,7 +84,7 @@ fn windows_track_the_run_and_the_ring_stays_bounded() {
     assert!(tel.windows().count() <= 4, "the ring must stay bounded");
     assert!(tel.windows_dropped() > 0);
     // The SoC tap contributes per-core columns; the kernel contributes
-    // its scheduler counters.
+    // its rule-table totals.
     let cols = tel.columns();
     assert!(cols.iter().any(|c| c == "c0.committed"), "{cols:?}");
     assert!(cols.iter().any(|c| c == "sim.rules_fired"), "{cols:?}");
