@@ -246,22 +246,6 @@ impl Assembler {
     pub fn xor(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
         self.alu(AluOp::Xor, rd, rs1, rs2);
     }
-    /// `sltu rd, rs1, rs2`
-    pub fn sltu(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
-        self.alu(AluOp::Sltu, rd, rs1, rs2);
-    }
-    /// `slt rd, rs1, rs2`
-    pub fn slt(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
-        self.alu(AluOp::Slt, rd, rs1, rs2);
-    }
-    /// `sll rd, rs1, rs2`
-    pub fn sll(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
-        self.alu(AluOp::Sll, rd, rs1, rs2);
-    }
-    /// `srl rd, rs1, rs2`
-    pub fn srl(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
-        self.alu(AluOp::Srl, rd, rs1, rs2);
-    }
     /// Generic register-register ALU op.
     pub fn alu(&mut self, op: AluOp, rd: Gpr, rs1: Gpr, rs2: Gpr) {
         self.push(Instr::Alu {
@@ -280,10 +264,6 @@ impl Assembler {
     pub fn andi(&mut self, rd: Gpr, rs1: Gpr, imm: i32) {
         self.alui(AluOp::And, rd, rs1, imm);
     }
-    /// `ori rd, rs1, imm`
-    pub fn ori(&mut self, rd: Gpr, rs1: Gpr, imm: i32) {
-        self.alui(AluOp::Or, rd, rs1, imm);
-    }
     /// `xori rd, rs1, imm`
     pub fn xori(&mut self, rd: Gpr, rs1: Gpr, imm: i32) {
         self.alui(AluOp::Xor, rd, rs1, imm);
@@ -296,10 +276,6 @@ impl Assembler {
     pub fn srli(&mut self, rd: Gpr, rs1: Gpr, sh: i32) {
         self.alui(AluOp::Srl, rd, rs1, sh);
     }
-    /// `srai rd, rs1, sh`
-    pub fn srai(&mut self, rd: Gpr, rs1: Gpr, sh: i32) {
-        self.alui(AluOp::Sra, rd, rs1, sh);
-    }
     /// Generic immediate ALU op.
     pub fn alui(&mut self, op: AluOp, rd: Gpr, rs1: Gpr, imm: i32) {
         self.push(Instr::Alu {
@@ -308,16 +284,6 @@ impl Assembler {
             rd,
             rs1,
             rhs: Rhs::Imm(imm),
-        });
-    }
-    /// `addw rd, rs1, rs2`
-    pub fn addw(&mut self, rd: Gpr, rs1: Gpr, rs2: Gpr) {
-        self.push(Instr::Alu {
-            op: AluOp::Add,
-            word: true,
-            rd,
-            rs1,
-            rhs: Rhs::Reg(rs2),
         });
     }
 

@@ -668,15 +668,6 @@ impl Instr {
         )
     }
 
-    /// Whether this instruction writes memory (stores, SC, AMOs).
-    #[must_use]
-    pub fn is_mem_write(&self) -> bool {
-        matches!(
-            self,
-            Instr::Store { .. } | Instr::Sc { .. } | Instr::Amo { .. }
-        )
-    }
-
     /// Whether this is a control-flow instruction.
     #[must_use]
     pub fn is_branch_or_jump(&self) -> bool {
@@ -1241,7 +1232,6 @@ mod tests {
             offset: 0,
         };
         assert!(ld.is_mem_read());
-        assert!(!ld.is_mem_write());
         let amo = Instr::Amo {
             op: AmoOp::Add,
             width: MemWidth::W,
@@ -1249,7 +1239,7 @@ mod tests {
             rs1: Gpr::a(1),
             rs2: Gpr::a(2),
         };
-        assert!(amo.is_mem_read() && amo.is_mem_write());
+        assert!(amo.is_mem_read());
         assert!(Instr::Jal {
             rd: Gpr::ZERO,
             offset: 8
