@@ -149,10 +149,10 @@ pub struct FleetOpts {
 /// The fleet's live-monitoring stream: newline-delimited JSON heartbeat
 /// records in the campaign directory (`heartbeats.ndjson`), one object
 /// per beat (`unit`, `phase`, `cycles`, `insts`, `ckpts`, `cps`, `eta_s`,
-/// `wall_s`). The whole file is rewritten atomically (temp file + rename)
-/// on every beat so `repro watch` never reads a torn line, and existing
-/// lines are preloaded on resume so a campaign's monitoring history
-/// survives kill/resume. Heartbeats carry host time on purpose — they are
+/// `wall_s`, then the `sum` seal). The whole file is rewritten atomically
+/// (temp file + rename) on every beat so `repro watch` never reads a torn
+/// line, and existing lines are preloaded on resume so a campaign's
+/// monitoring history survives kill/resume; a damaged line is skipped. Heartbeats carry host time on purpose — they are
 /// for operators, and are excluded from every deterministic artifact.
 #[derive(Debug)]
 pub struct Heartbeats {
@@ -162,13 +162,18 @@ pub struct Heartbeats {
 
 impl Heartbeats {
     /// Opens (or creates) the stream at `dir/heartbeats.ndjson`,
-    /// preloading any lines a previous invocation left behind.
+    /// preloading the lines a previous invocation left behind whose
+    /// `sum` seal holds; a torn or damaged line is dropped.
     #[must_use]
     pub fn open(dir: &Path) -> Self {
         let path = dir.join("heartbeats.ndjson");
-        let lines = std::fs::read_to_string(&path)
-            .map(|t| t.lines().map(str::to_string).collect())
-            .unwrap_or_default();
+        let lines = std::fs::read(&path)
+            .unwrap_or_default()
+            .split(|&b| b == b'\n')
+            .filter_map(|line| std::str::from_utf8(line).ok())
+            .filter(|line| unseal(line).is_some())
+            .map(str::to_string)
+            .collect();
         Heartbeats {
             path,
             lines: Mutex::new(lines),
@@ -216,7 +221,31 @@ fn heartbeat_line(
     w.field_f64("eta_s", eta_s);
     w.field_f64("wall_s", wall_s);
     w.end_object();
-    w.finish()
+    seal(&w.finish())
+}
+
+/// Seals a flat JSON object against damage: appends a `"sum"` member, the
+/// FNV-1a hash of the object's text without it. Any one changed byte of a
+/// sealed record breaks the seal, so a reader refuses a damaged record
+/// rather than take a wrong value from it.
+fn seal(json: &str) -> String {
+    let body = json.strip_suffix('}').expect("a JSON object");
+    format!("{body},\"sum\":{}}}", fnv1a(json.as_bytes()))
+}
+
+/// The object a [`seal`]ed record carries, `None` when the seal is
+/// missing or does not match.
+fn unseal(record: &str) -> Option<String> {
+    let (body, sum) = record.trim().rsplit_once(",\"sum\":")?;
+    let sum: u64 = sum.strip_suffix('}')?.parse().ok()?;
+    let json = format!("{body}}}");
+    (fnv1a(json.as_bytes()) == sum).then_some(json)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Per-unit execution context [`run_fleet`] hands to the runner: where
@@ -611,9 +640,9 @@ pub fn write_ckpt(path: &Path, bytes: &[u8]) {
         .unwrap_or_else(|e| panic!("fleet: cannot write checkpoint {}: {e}", path.display()));
 }
 
-/// Serializes one finished unit as a flat JSON object. Metrics are
-/// flattened as `m_<name>` keys so the file stays in the one-level
-/// dialect [`parse_flat_json`] understands.
+/// Serializes one finished unit as a flat, [`seal`]ed JSON object.
+/// Metrics are flattened as `m_<name>` keys so the file stays in the
+/// one-level dialect [`parse_flat_json`] understands.
 fn unit_json(unit: &FleetUnit, stats: &UnitStats) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -630,7 +659,7 @@ fn unit_json(unit: &FleetUnit, stats: &UnitStats) -> String {
         w.field_f64(&format!("m_{name}"), *value);
     }
     w.end_object();
-    w.finish()
+    seal(&w.finish())
 }
 
 /// Writes the unit file atomically: temp file in the same directory, then
@@ -644,11 +673,11 @@ fn persist_unit(dir: &Path, unit: &FleetUnit, stats: &UnitStats) {
 }
 
 /// Parses one persisted unit file back into its grid cell and result.
-/// Returns `None` on malformed input; the caller then just re-runs the
-/// unit, which is always safe.
+/// Returns `None` on malformed input or a broken `sum` seal; the caller then
+/// just re-runs the unit, which is always safe.
 #[must_use]
 pub fn parse_unit_file(text: &str) -> Option<(FleetUnit, UnitStats)> {
-    let obj = parse_flat_json(text)?;
+    let obj = parse_flat_json(&unseal(text)?)?;
     let field_u64 = |k: &str| -> Option<u64> {
         match obj.iter().find(|(key, _)| key == k)? {
             (_, JsonValue::Num(n)) => Some(*n),
@@ -759,7 +788,7 @@ pub fn watch_snapshot(dir: &Path) -> String {
     let mut beats = 0usize;
     if let Ok(text) = std::fs::read_to_string(dir.join("heartbeats.ndjson")) {
         for line in text.lines() {
-            let Some(obj) = parse_flat_json(line) else {
+            let Some(obj) = unseal(line).as_deref().and_then(parse_flat_json) else {
                 continue;
             };
             let Some((_, JsonValue::Num(id))) = obj.iter().find(|(k, _)| k == "unit") else {

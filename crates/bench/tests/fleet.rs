@@ -9,7 +9,9 @@
 //! * a campaign directory from a *different* grid is rejected, not
 //!   silently accepted as progress;
 //! * a real SoC fleet under [`SchedulerMode::Fast`] is run-to-run
-//!   deterministic.
+//!   deterministic;
+//! * a damaged unit file or heartbeat stream — any byte flipped, cut at
+//!   any length — is refused or skipped, never a panic or a wrong value.
 //!
 //! No test here asserts wall-clock speedups: CI hosts may expose a single
 //! core, where the pool degenerates gracefully, and nothing else gates
@@ -17,8 +19,11 @@
 
 use std::path::PathBuf;
 
+use cmd_core::rng::SplitMix64;
 use cmd_core::sched::SchedulerMode;
-use riscy_bench::fleet::{run_fleet, FleetOpts, FleetUnit, SocFleet, UnitCtx, UnitStats};
+use riscy_bench::fleet::{
+    parse_unit_file, run_fleet, FleetOpts, FleetUnit, Heartbeats, SocFleet, UnitCtx, UnitStats,
+};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -362,5 +367,96 @@ fn checkpointed_kill_resumes_mid_unit_to_the_single_shot_report() {
         "checkpoint-resumed report diverged from the single-shot run"
     );
     assert_eq!(ckpts(), 0, "finished units must delete their checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A real campaign directory: one T+ unit of [`tiny_prog`] with a
+/// heartbeat every 100 cycles.
+fn real_campaign(tag: &str) -> PathBuf {
+    let dir = tmp_dir(tag);
+    let harness = SocFleet {
+        workloads: vec![Workload {
+            name: "tiny",
+            program: tiny_prog(),
+            max_cycles: 200_000,
+        }],
+        sched: SchedulerMode::Fast,
+        chaos: false,
+    };
+    let unit = FleetUnit {
+        id: 0,
+        seed: 3,
+        config: "t+".to_string(),
+        workload: "tiny".to_string(),
+    };
+    let report = run_fleet(
+        vec![unit],
+        &FleetOpts {
+            threads: 1,
+            campaign_dir: Some(dir.clone()),
+            heartbeat_every: Some(100),
+            ..FleetOpts::default()
+        },
+        |u, ctx| harness.run_unit(u, ctx),
+    );
+    assert!(report.all_ok());
+    dir
+}
+
+/// `bytes` with every prefix cut off, then `flips` seeded single-byte
+/// flips: each damaged copy with what it is.
+fn damaged(bytes: &[u8], seed: u64, flips: usize) -> Vec<(String, Vec<u8>)> {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let cuts = (0..bytes.len()).map(|n| (format!("cut at {n}"), bytes[..n].to_vec()));
+    let flipped = (0..flips).map(|_| {
+        let at = rng.range_usize(0, bytes.len());
+        let mut bad = bytes.to_vec();
+        bad[at] ^= rng.range_u64(1, 256) as u8;
+        (format!("byte {at} flipped"), bad)
+    });
+    cuts.chain(flipped).collect()
+}
+
+#[test]
+fn a_damaged_unit_file_is_refused() {
+    let dir = real_campaign("unit-damage");
+    let good = std::fs::read(dir.join("unit_0.json")).unwrap();
+    let parse = |bytes: &[u8]| std::str::from_utf8(bytes).ok().and_then(parse_unit_file);
+    let (unit, stats) = parse(&good).expect("the intact file parses");
+    assert_eq!((unit.id, unit.seed), (0, 3));
+    assert!(stats.cycles > 0 && stats.exit_ok);
+    for (what, bad) in damaged(&good, 1, 2_000) {
+        let got = std::panic::catch_unwind(|| parse(&bad))
+            .unwrap_or_else(|_| panic!("{what}: the parser panicked"));
+        assert!(got.is_none(), "{what}: accepted {got:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_damaged_heartbeat_line_is_skipped() {
+    let dir = real_campaign("beat-damage");
+    let path = dir.join("heartbeats.ndjson");
+    let good = std::fs::read(&path).unwrap();
+    let lines: Vec<&[u8]> = good.split(|&b| b == b'\n').collect();
+    assert!(lines.len() > 3, "the run beat a few times");
+    for (what, bad) in damaged(&good, 2, 300) {
+        std::fs::write(&path, &bad).unwrap();
+        let preloaded = std::panic::catch_unwind(|| {
+            Heartbeats::open(&dir).beat(String::new());
+            std::fs::read(&path).unwrap()
+        })
+        .unwrap_or_else(|_| panic!("{what}: the preload panicked"));
+        // What was preloaded, without the blank beat just appended and the
+        // final newline: every line the damage left whole, in order, and
+        // no other.
+        let mut kept: Vec<&[u8]> = preloaded.split(|&b| b == b'\n').collect();
+        kept.truncate(kept.len() - 2);
+        let whole: Vec<&[u8]> = bad
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty() && lines.contains(l))
+            .collect();
+        assert_eq!(kept, whole, "{what}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
