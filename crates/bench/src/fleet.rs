@@ -1012,8 +1012,10 @@ impl SocFleet {
     ///
     /// # Errors
     ///
-    /// An error naming an unknown label, override key or malformed size —
-    /// a typo'd grid must not silently shrink or distort the campaign.
+    /// An error naming an unknown label, override key or malformed size, or
+    /// the [`ConfigError`](riscy_ooo::config::ConfigError) of a size the
+    /// model cannot simulate — a typo'd grid must not silently shrink or
+    /// distort the campaign.
     pub fn config_for(label: &str) -> Result<(CoreConfig, riscy_mem::system::MemConfig), String> {
         let mut parts = label.split(':');
         let base = parts.next().expect("split yields at least one part");
@@ -1043,6 +1045,9 @@ impl SocFleet {
                 }
             }
         }
+        cfg.check()
+            .and_then(|()| mem.check())
+            .map_err(|e| format!("config label `{label}`: {e}"))?;
         Ok((cfg, mem))
     }
 

@@ -227,8 +227,8 @@ fn timed_out_unit_leaves_a_stall_bundle_and_is_flagged() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sweep labels are unchecked sizes, so a sweep can ask for structures past
-/// one 64-bit occupancy-mask word; they must build and run like any other.
+/// A sweep can ask for structures past one 64-bit occupancy-mask word; they
+/// must build and run like any other.
 #[test]
 fn structures_past_one_mask_word_run_to_the_golden_exit_code() {
     let w = riscy_workloads::spec::hmmer(riscy_workloads::spec::Scale::Test);
@@ -242,4 +242,15 @@ fn structures_past_one_mask_word_run_to_the_golden_exit_code() {
         .expect("hmmer completes");
     assert!(golden.hart(0).halted.is_some());
     assert_eq!(sim.exit_codes(), vec![golden.hart(0).halted]);
+}
+
+/// A label whose sizes the model cannot simulate is refused up front, naming
+/// the field, its value and its bound, instead of deadlocking a unit.
+#[test]
+fn a_degenerate_config_label_is_refused_by_field() {
+    let err = SocFleet::config_for("t+:width=0").expect_err("width 0");
+    assert!(err.contains("`width` = 0") && err.contains(">= 1"), "{err}");
+    let err = SocFleet::config_for("c-:rob=0").expect_err("rob 0");
+    assert!(err.contains("`rob_entries` = 0"), "{err}");
+    assert!(SocFleet::config_for("t+:width=6:sb=1").is_ok());
 }

@@ -266,15 +266,17 @@ impl Clock {
         self.inner.cm_earlier.get()
     }
 
-    /// Marks the current rule evaluation as *impure*: it read or wrote
-    /// something the wake layer cannot watch (the cycle counter, plain
-    /// state outside the cells, statistics mutated on a stall path). If
-    /// the evaluation stalls, the scheduler will re-evaluate it every
-    /// cycle instead of sleeping it — making `Wakeup::Inferred` sound
-    /// per-evaluation on rules with a few impure stall paths. Cleared
-    /// automatically at `begin_rule`.
-    pub fn taint_eval(&self) {
-        self.inner.wake.taint.set(true);
+    /// Declares that the open evaluation's outcome may change at `cycle`
+    /// (a [`Clock::cycle`] value) without any cell it read changing: a
+    /// stall that depends on time says when. If the evaluation stalls and
+    /// its rule sleeps, the sleep ends at that cycle's schedule slot as if
+    /// a publish had woken it, and a clock jump never crosses it. Several
+    /// calls keep the earliest cycle; the next [`Clock::begin_rule`]
+    /// forgets it. The reference scheduler, which evaluates every cycle,
+    /// ignores it.
+    pub fn wake_at(&self, cycle: u64) {
+        let until = &self.inner.wake.until;
+        until.set(until.get().min(cycle));
     }
 
     /// Current cycle number.
@@ -531,7 +533,7 @@ impl Clock {
         assert!(!self.inner.in_rule.get(), "nested rules are not allowed");
         self.inner.in_rule.set(true);
         self.inner.serial.set(self.inner.serial.get() + 1);
-        self.inner.wake.taint.set(false);
+        self.inner.wake.until.set(u64::MAX);
     }
 
     /// Checks the current rule's recorded method calls against every method

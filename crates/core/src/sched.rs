@@ -39,13 +39,14 @@
 //! design registers it as the rule's stall callback
 //! ([`Sim::on_stall`](crate::sim::Sim::on_stall)), which the kernel calls
 //! once per guard-stalled cycle whether the rule was evaluated or skipped
-//! asleep. A stall path that cannot be covered — it reads the cycle
-//! counter, or mutates other plain state — calls
-//! [`Clock::taint_eval`](crate::clock::Clock::taint_eval), which vetoes the
-//! sleep for that evaluation; a rule that is impure throughout stays on
-//! [`Wakeup::EveryCycle`] (the default), which is always sound. A stall
-//! that is eligible to sleep sleeps at once. See `docs/SCHEDULING.md` for
-//! the equivalence argument.
+//! asleep. A stall that depends on time — a countdown against the cycle
+//! counter — says when it may end through
+//! [`Clock::wake_at`](crate::clock::Clock::wake_at): the sleep then also
+//! ends at that cycle, and a clock jump never crosses it. Those three —
+//! cells read, stall callback, wake cycle — are the whole contract; a rule
+//! that cannot meet it stays on [`Wakeup::EveryCycle`] (the default), which
+//! is always sound. A stall that is eligible to sleep sleeps at once. See
+//! `docs/SCHEDULING.md` for the equivalence argument.
 
 /// Which per-cycle loop [`crate::sim::Sim`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,9 +95,9 @@ pub trait Horizon {
 }
 
 /// A sleeping rule: skipped (but accounted with `reason`) until one of the
-/// cells it watches publishes a committed write. The watch set itself lives
-/// in the wake layer's per-cell watcher lists, registered when the sleep
-/// begins.
+/// cells it watches publishes a committed write, or until cycle `until`.
+/// The watch set itself lives in the wake layer's per-cell watcher lists,
+/// registered when the sleep begins.
 ///
 /// Accounting is *batched*: a skipped cycle touches nothing but the rule's
 /// stall callback, if it has one, and the deficit — one guard stall per
@@ -114,6 +115,10 @@ pub(crate) struct Sleep {
     /// reading only quiet cells — would repeat on every skipped cycle: what
     /// the stall callback receives for those cycles.
     pub reason: &'static str,
+    /// The cycle whose schedule slot ends the sleep without a publish: the
+    /// earliest [`Clock::wake_at`](crate::clock::Clock::wake_at) of the
+    /// stalling evaluation, `u64::MAX` when it named none.
+    pub until: u64,
 }
 
 /// A plain bit set over `u32` indices (global method ids or cell ids).

@@ -29,7 +29,8 @@
 //!   rules whose calls cannot conflict with anything fired so far commit
 //!   without a dynamic CM scan, and a *wakeup layer*
 //!   ([`Sim::set_wakeup`]) that skips re-evaluating a stalled guard until
-//!   one of the state cells it read publishes a committed write. Skipped
+//!   one of the state cells it read publishes a committed write, or until
+//!   the cycle it named with [`Clock::wake_at`]. Skipped
 //!   evaluations are accounted as guard stalls with the cached reason, so
 //!   statistics, counters, and trace streams are identical to the
 //!   reference scheduler (property-tested in `tests/sched_equivalence.rs`).
@@ -57,8 +58,9 @@
 //! stepping would: exempt rules fired, sleepers guard-stalled (their stall
 //! callbacks called once per cycle), the design's bulk effects applied
 //! through [`Horizon::skip`]. The jump stops short of the cycle in which the
-//! watchdog would trip and lands at most on the next telemetry window edge;
-//! the reference loop, chaos, tracing and the profiler never jump.
+//! watchdog would trip and of every sleeper's wake cycle, and lands at most
+//! on the next telemetry window edge; the reference loop, chaos, tracing and
+//! the profiler never jump.
 //!
 //! See `docs/SCHEDULING.md` for the full design and equivalence argument.
 //! This file holds the rule table and the two cycle loops; the error and
@@ -97,6 +99,7 @@ use crate::prof::{CausalEdge, EdgeKind, Profiler};
 use crate::sched::{BitSet, Horizon, RuleSched, SchedulerMode, Sleep, Wakeup};
 use crate::telemetry::{Telemetry, TelemetryTap};
 use crate::trace::{TraceEvent, Tracer};
+use crate::wake::Wake;
 
 mod error;
 mod report;
@@ -229,6 +232,18 @@ fn settle_sleep<S>(entry: &mut RuleEntry<S>, now: u64) {
         entry.stats.guard_stalls += now - sleep.since;
         sleep.since = now;
     }
+}
+
+/// Whether sleeping rule `i`'s sleep ends at its slot in cycle `now`: a
+/// publish woke it, or its wake cycle has come. Ending it either way bumps
+/// the rule's generation, so its watcher entries go stale.
+#[inline]
+fn sleep_ends(wake: &Wake, sleep: &Sleep, i: usize, now: u64) -> bool {
+    if now >= sleep.until {
+        wake.forget(i);
+        return true;
+    }
+    wake.take_wake(i)
 }
 
 /// Calls `entry`'s stall callback, if it has one, for one guard-stalled
@@ -421,9 +436,10 @@ impl<S> Sim<S> {
     /// design state and the stall reason once for every cycle the rule
     /// guard-stalls, whether its body ran or it was skipped asleep, in both
     /// scheduler modes (see the module docs for the exact cases). This is
-    /// where a statistic that recurs on every stalled cycle belongs: bumped
-    /// in the body it would be a plain-state mutation on the stall path,
-    /// which keeps the rule from ever sleeping. `f` runs outside any rule
+    /// where anything that recurs on every stalled cycle belongs — a
+    /// statistic, a lookup's bookkeeping: in the body it would be a
+    /// plain-state mutation on a stall path, which a sleeping rule, whose
+    /// body is skipped, would not repeat. `f` runs outside any rule
     /// transaction and must touch only plain state no guard reads. Over a
     /// jump ([`Sim::try_advance`]) each sleeper's calls for the skipped
     /// cycles come back to back, so callbacks of different rules must
@@ -762,9 +778,11 @@ impl<S> Sim<S> {
                     // one woken this cycle included — may reach a path
                     // that succeeds or touches plain state, and must run
                     // exactly like the oracle.
-                    if entry.sched.sleep.is_some() && wake.take_wake(i) {
-                        settle_sleep(entry, now);
-                        entry.sched.sleep = None;
+                    if let Some(sleep) = &entry.sched.sleep {
+                        if sleep_ends(wake, sleep, i, now) {
+                            settle_sleep(entry, now);
+                            entry.sched.sleep = None;
+                        }
                     }
                     let stalled = match &entry.sched.sleep {
                         Some(sleep) => Some(sleep.reason),
@@ -787,17 +805,19 @@ impl<S> Sim<S> {
                 }
                 None => {}
             }
-            if let Some(reason) = entry.sched.sleep.as_ref().map(|s| s.reason) {
-                // One flag read: a publish marks its watchers awake on the
-                // spot, so a watched write committed by an earlier rule
-                // *this* cycle (a schedule-order bypass the reference loop
-                // would observe) is already visible here.
-                if wake.take_wake(i) {
+            if let Some(sleep) = &entry.sched.sleep {
+                let reason = sleep.reason;
+                // One compare and one flag read: a publish marks its
+                // watchers awake on the spot, so a watched write committed
+                // by an earlier rule *this* cycle (a schedule-order bypass
+                // the reference loop would observe) is already visible here.
+                if sleep_ends(wake, sleep, i, now) {
                     settle_sleep(entry, now);
                     entry.sched.sleep = None;
                 } else {
-                    // Still asleep: nothing the guard read has published, so
-                    // it would stall with the same reason. The per-rule
+                    // Still asleep: nothing the guard read has published and
+                    // its wake cycle has not come, so it would stall with the
+                    // same reason. The per-rule
                     // statistics are *batched* (settled from `Sleep::since`
                     // at wake or observation — tracing forces full
                     // re-evaluation instead of sleeping, so only the
@@ -918,20 +938,19 @@ impl<S> Sim<S> {
                     // wakeups comes from re-evaluating the guard with read
                     // tracing on — one extra evaluation per sleep episode
                     // instead of a per-read trace push on every evaluation.
-                    // If the second evaluation disagrees (fires, stalls for
-                    // another reason — the one the sleep caches for the
-                    // stall callback — or taints itself), the guard is not
-                    // as pure as advertised: don't sleep, and let the next
-                    // cycle re-evaluate.
-                    let sleepable = entry.sched.wakeup == Wakeup::Inferred
-                        && !wake.taint.get()
-                        && !acct.tracing
-                        && {
-                            self.clk.begin_rule();
-                            let second = wake.trace_reads(|| (entry.body)(&mut self.state));
-                            self.clk.abort_rule();
-                            second == Err(stall) && !wake.taint.get()
-                        };
+                    // If the second evaluation disagrees (fires, or stalls
+                    // for another reason — the one the sleep caches for the
+                    // stall callback), the guard is not as pure as
+                    // advertised: don't sleep, and let the next cycle
+                    // re-evaluate. Each evaluation may name a wake cycle;
+                    // the sleep keeps the earlier.
+                    let until = wake.until.get();
+                    let sleepable = entry.sched.wakeup == Wakeup::Inferred && !acct.tracing && {
+                        self.clk.begin_rule();
+                        let second = wake.trace_reads(|| (entry.body)(&mut self.state));
+                        self.clk.abort_rule();
+                        second == Err(stall)
+                    };
                     if sleepable {
                         // Registered only now, so nothing published up to
                         // here — all of it already visible to the guard —
@@ -940,6 +959,7 @@ impl<S> Sim<S> {
                         entry.sched.sleep = Some(Sleep {
                             since: now + 1,
                             reason: stall.reason(),
+                            until: until.min(wake.until.get()),
                         });
                     }
                     on_stalled(entry, &mut self.state, stall.reason());
@@ -1193,12 +1213,18 @@ impl<S: Horizon> Sim<S> {
 
     /// How many cycles the next jump may cover: none unless the cycle just
     /// run was quiescent, then the design's horizon, clamped to `limit`,
-    /// the watchdog slack and the next telemetry window edge.
+    /// the watchdog slack, the earliest sleeper's wake cycle and the next
+    /// telemetry window edge.
     fn jump_span(&self, limit: u64) -> u64 {
         if !self.quiescent() {
             return 0;
         }
-        let mut cap = limit;
+        let next = self.clk.cycle();
+        let mut cap = self
+            .rules
+            .iter()
+            .filter_map(|r| r.sched.sleep.as_ref())
+            .fold(limit, |cap, s| cap.min(s.until.saturating_sub(next)));
         if let Some(threshold) = self.watchdog {
             // The cycle the watchdog trips in is stepped, so it reports the
             // same cycle and wait graph.

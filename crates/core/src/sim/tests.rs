@@ -775,6 +775,103 @@ fn observers_and_the_reference_never_jump() {
     }
 }
 
+/// An alarm clock: `alarm` rings once at each cycle of `times`, stalling on
+/// time alone in between and naming the next ring with `Clock::wake_at`;
+/// `done` stalls forever once every ring has sounded. Both log the cycles
+/// their bodies ran in and count their stalls by reason.
+struct Alarm {
+    clk: Clock,
+    times: Vec<u64>,
+    rung: Ehr<usize>,
+    ran: Vec<u64>,
+    stalls: BTreeMap<&'static str, u64>,
+}
+
+impl Horizon for Alarm {
+    fn horizon(&self) -> u64 {
+        u64::MAX
+    }
+
+    fn skip(&mut self, _n: u64) {}
+}
+
+fn alarm_sim(mode: SchedulerMode) -> Sim<Alarm> {
+    let clk = Clock::new();
+    let st = Alarm {
+        clk: clk.clone(),
+        times: vec![5, 40, 41, 300],
+        rung: Ehr::new(&clk, 0),
+        ran: Vec::new(),
+        stalls: BTreeMap::new(),
+    };
+    let mut sim = Sim::new(clk, st);
+    sim.set_scheduler(mode);
+    let alarm = sim.rule("alarm", |s: &mut Alarm| {
+        let now = s.clk.cycle();
+        s.ran.push(now);
+        let Some(&at) = s.times.get(s.rung.read()) else {
+            return Err(Stall::new("all rung"));
+        };
+        if now < at {
+            s.clk.wake_at(at);
+            return Err(Stall::new("not yet"));
+        }
+        s.rung.update(|r| *r += 1);
+        Ok(())
+    });
+    sim.set_wakeup(alarm, Wakeup::Inferred);
+    sim.on_stall(alarm, |s: &mut Alarm, reason| {
+        *s.stalls.entry(reason).or_insert(0) += 1;
+    });
+    sim.set_watchdog(None);
+    sim
+}
+
+#[test]
+fn a_timed_sleep_wakes_exactly_at_its_cycle() {
+    const END: u64 = 400;
+    let mut reference = alarm_sim(SchedulerMode::Reference);
+    reference.run(END);
+    let mut stepped = alarm_sim(SchedulerMode::Fast);
+    stepped.run(END);
+    let mut jumped = alarm_sim(SchedulerMode::Fast);
+    let mut starts = Vec::new();
+    while jumped.cycles() < END {
+        starts.push(jumped.cycles());
+        let n = jumped
+            .try_advance(END - jumped.cycles())
+            .expect("no watchdog");
+        assert!(n >= 1);
+    }
+    assert_eq!(jumped.cycles(), END, "a jump ran past its limit");
+    // The body runs where its outcome can change and nowhere else: at each
+    // ring, at the cycle after it (which names the next ring) and at the
+    // first stall, each sleep start evaluated twice (the traced re-run).
+    let ran: std::collections::BTreeSet<u64> = jumped.state().ran.iter().copied().collect();
+    assert_eq!(
+        ran.into_iter().collect::<Vec<_>>(),
+        [0, 5, 6, 40, 41, 42, 300, 301]
+    );
+    assert_eq!(stepped.state().ran, jumped.state().ran);
+    // No jump crossed a ring: each was the stepped cycle of some call.
+    for at in [5, 40, 41, 300] {
+        assert!(starts.contains(&at), "jumped over cycle {at}: {starts:?}");
+    }
+    assert!(starts.len() < 20, "nothing jumped: {starts:?}");
+    for sim in [&stepped, &jumped] {
+        assert_eq!(rule_stats_of(sim), rule_stats_of(&reference));
+        assert_eq!(sim.state().stalls, reference.state().stalls);
+        assert_eq!(sim.state().rung.read(), 4);
+    }
+    assert_eq!(reference.state().stalls["not yet"], 5 + 34 + 258);
+}
+
+fn rule_stats_of<S>(sim: &Sim<S>) -> Vec<(String, RuleStats)> {
+    sim.all_rule_stats()
+        .map(|(n, s)| (n.to_string(), s))
+        .collect()
+}
+
 #[test]
 fn scheduler_counters_track_outcomes() {
     let clk = Clock::new();

@@ -11,7 +11,9 @@
 //! [`Wake::publish`] — every committed write, end-of-cycle latch and
 //! out-of-rule write — wakes whoever is filed under the published cell. A
 //! publish can only wake rules filed before it, so a guard is never woken
-//! by a change it has already seen.
+//! by a change it has already seen. A stall that depends on time names the
+//! cycle it may end at ([`Wake::until`]); the scheduler ends that sleep at
+//! the cycle's slot the way a wake does, with [`Wake::forget`].
 
 use std::cell::{Cell, RefCell};
 
@@ -46,9 +48,11 @@ pub(crate) struct Wake {
     pending: Cell<u32>,
     read_trace: Cell<bool>,
     reads: RefCell<Vec<u32>>,
-    /// Per-evaluation impurity taint, see
-    /// [`Clock::taint_eval`](crate::clock::Clock::taint_eval).
-    pub taint: Cell<bool>,
+    /// The earliest cycle the open evaluation asked to be re-run at, see
+    /// [`Clock::wake_at`](crate::clock::Clock::wake_at); `u64::MAX` when it
+    /// named none. Meaningful only after an evaluation:
+    /// [`Clock::begin_rule`](crate::clock::Clock::begin_rule) resets it.
+    pub until: Cell<u64>,
 }
 
 impl Wake {

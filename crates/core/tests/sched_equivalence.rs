@@ -56,8 +56,9 @@ struct Soup {
 }
 
 /// One randomly drawn rule body. Every stalling path is a pure function of
-/// what it read through cells (or taints itself), so any of them may
-/// legally run with `Wakeup::Inferred`.
+/// what it read through cells and of the cycle counter, whose next relevant
+/// value it names with `Clock::wake_at`, so any of them may legally run
+/// with `Wakeup::Inferred`.
 #[derive(Clone, Copy)]
 enum Kind {
     /// Bump a cell, optionally grabbing the (self-conflicting) arbiter.
@@ -82,11 +83,13 @@ enum Kind {
     /// `Wakeup::Inferred` because it reads the projection from `phase`,
     /// which its owner rewrites whenever the projection changes.
     PlainGate { bump: usize },
-    /// Stall on a cell (pure, sleepable) or on the raw plain counter (the
-    /// impure path calls `Clock::taint_eval`, suppressing the sleep).
-    TaintGate {
+    /// Stall on a cell, or until the cycle counter reaches a multiple of
+    /// `period`: the time-based path announces that cycle with
+    /// `Clock::wake_at`, so it sleeps on time as well as on cells.
+    TimeGate {
         cell: usize,
         threshold: u64,
+        period: u64,
         bump: usize,
     },
 }
@@ -154,17 +157,19 @@ fn apply(spec: Kind, s: &mut Soup) -> Guarded<()> {
             s.cells[bump].update(|v| *v = v.wrapping_add(5));
             Ok(())
         }
-        Kind::TaintGate {
+        Kind::TimeGate {
             cell,
             threshold,
+            period,
             bump,
         } => {
             if s.cells[cell].read() % 16 < threshold {
                 return Err(Stall::new("cell low"));
             }
-            if !s.plain.is_multiple_of(3) {
-                s.clk.taint_eval();
-                return Err(Stall::new("plain phase"));
+            let now = s.clk.cycle();
+            if !now.is_multiple_of(period) {
+                s.clk.wake_at(now.next_multiple_of(period));
+                return Err(Stall::new("gate shut"));
             }
             s.cells[bump].update(|v| *v = v.wrapping_add(7));
             Ok(())
@@ -216,9 +221,9 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     sim.set_scheduler(mode);
 
     let n_rules = 6 + (rng.next_u64() % 5) as usize;
-    // Always include the plain-state trio so every soup exercises plain
-    // state mirrored into a cell, and the taint escape hatch, alongside the
-    // random draw below.
+    // Always include the plain-state pair and the time gate, so every soup
+    // exercises plain state mirrored into a cell and a sleep that ends at a
+    // named cycle, alongside the random draw below.
     let bump_id = sim.rule("r_plain_bump", move |s: &mut Soup| {
         apply(Kind::PlainBump, s)
     });
@@ -228,14 +233,15 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
     };
     let gate_id = sim.rule("r_plain_gate", move |s: &mut Soup| apply(gate_kind, s));
     sim.set_wakeup(gate_id, Wakeup::Inferred);
-    let taint_kind = Kind::TaintGate {
+    let time_kind = Kind::TimeGate {
         cell: (rng.next_u64() as usize) % NUM_CELLS,
         threshold: rng.next_u64() % 12,
+        period: 2 + rng.next_u64() % 9,
         bump: (rng.next_u64() as usize) % NUM_CELLS,
     };
-    let taint_id = sim.rule("r_taint_gate", move |s: &mut Soup| apply(taint_kind, s));
-    sim.set_wakeup(taint_id, Wakeup::Inferred);
-    let mut ids = vec![bump_id, gate_id, taint_id];
+    let time_id = sim.rule("r_time_gate", move |s: &mut Soup| apply(time_kind, s));
+    sim.set_wakeup(time_id, Wakeup::Inferred);
+    let mut ids = vec![bump_id, gate_id, time_id];
     for i in 0..n_rules {
         let kind = match rng.next_u64() % 5 {
             0 => Kind::Bump {

@@ -6,7 +6,7 @@ use riscy_isa::mem::SparseMem;
 
 use crate::cache::{L1Cache, L1Config};
 use crate::l2::{L2Config, UncachedReq, UncachedResp, L2};
-use crate::msg::{ChildReq, ChildToParent, ParentToChild};
+use crate::msg::{ChildReq, ChildToParent, ParentToChild, LINE_BYTES};
 use crate::queue::TimedQueue;
 
 /// Configuration of the whole memory system.
@@ -34,6 +34,112 @@ impl Default for MemConfig {
             xbar_latency: 2,
             l2_pipe_latency: 8,
         }
+    }
+}
+
+/// A configuration field the model cannot simulate: which field, its value
+/// and the bound the code needs it to meet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's path in the configuration (`width`, `l1d.mshrs`).
+    pub field: &'static str,
+    /// The refused value.
+    pub value: usize,
+    /// What the value must satisfy.
+    pub bound: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "config field `{}` = {} is out of range: must be {}",
+            self.field, self.value, self.bound
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl ConfigError {
+    /// `Ok` when `ok` holds, else the error naming `field`, `value` and
+    /// `bound`.
+    ///
+    /// # Errors
+    ///
+    /// When `ok` is false.
+    pub fn require(
+        ok: bool,
+        field: &'static str,
+        value: usize,
+        bound: &'static str,
+    ) -> Result<(), ConfigError> {
+        if ok {
+            Ok(())
+        } else {
+            Err(ConfigError {
+                field,
+                value,
+                bound,
+            })
+        }
+    }
+}
+
+/// A cache geometry's fields, checked: at least one way, and a size that
+/// divides into a power-of-two number of sets of `ways` lines.
+fn check_geometry(
+    size_bytes: usize,
+    ways: usize,
+    fields: [&'static str; 2],
+) -> Result<(), ConfigError> {
+    ConfigError::require(ways >= 1, fields[1], ways, ">= 1")?;
+    let sets = size_bytes / (ways * LINE_BYTES as usize);
+    ConfigError::require(
+        sets.is_power_of_two(),
+        fields[0],
+        size_bytes,
+        "a power-of-two number of sets of `ways` 64-byte lines",
+    )
+}
+
+impl MemConfig {
+    /// Checks every field against what the memory system needs: cache
+    /// geometries that index by a power-of-two set count, at least one
+    /// request slot per cache and at most 255 per L1 (a core sees an L1's
+    /// free slots as a `u8` credit), and room for at least one L2
+    /// transaction and one DRAM request.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let l1s = [
+            (&self.l1i, ["l1i.size_bytes", "l1i.ways", "l1i.mshrs"]),
+            (&self.l1d, ["l1d.size_bytes", "l1d.ways", "l1d.mshrs"]),
+        ];
+        for (l1, [size, ways, mshrs]) in l1s {
+            check_geometry(l1.size_bytes, l1.ways, [size, ways])?;
+            ConfigError::require(
+                (1..=usize::from(u8::MAX)).contains(&l1.mshrs),
+                mshrs,
+                l1.mshrs,
+                "in 1..=255",
+            )?;
+        }
+        check_geometry(
+            self.l2.size_bytes,
+            self.l2.ways,
+            ["l2.size_bytes", "l2.ways"],
+        )?;
+        ConfigError::require(
+            self.l2.max_trans >= 1,
+            "l2.max_trans",
+            self.l2.max_trans,
+            ">= 1",
+        )?;
+        let dram = self.l2.dram.max_outstanding;
+        ConfigError::require(dram >= 1, "l2.dram.max_outstanding", dram, ">= 1")
     }
 }
 

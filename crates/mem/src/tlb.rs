@@ -132,6 +132,13 @@ impl Tlb {
         self.entries.iter().find(|e| e.matches(va))
     }
 
+    /// What [`Tlb::lookup`] would return, without its statistics or LRU
+    /// effects.
+    #[must_use]
+    pub fn peek(&self, va: u64, access: Access, priv_mode: Priv) -> Option<Result<u64, PageFault>> {
+        self.probe(va).map(|e| e.translate(va, access, priv_mode))
+    }
+
     /// Inserts a translation (evicting LRU if full).
     pub fn fill(&mut self, va: u64, t: &Translation) {
         if self.probe(va).is_some() {
@@ -686,6 +693,34 @@ mod tests {
         t.fill(0x8000, &ro);
         assert!(t.lookup(0x8000, Access::Load, Priv::S).unwrap().is_ok());
         assert!(t.lookup(0x8000, Access::Store, Priv::S).unwrap().is_err());
+    }
+
+    #[test]
+    fn peek_answers_like_lookup_and_leaves_no_trace() {
+        let mut t = Tlb::new(2);
+        let ro = Translation {
+            pa: 0x8000,
+            pte: make_leaf(8, pte::R | pte::A),
+            level: 0,
+            steps: 3,
+        };
+        t.fill(0x8000, &ro);
+        t.fill(0x9000, &translation_4k(0x9000, 9));
+        let before = t.clone();
+        for (va, access) in [
+            (0x8010, Access::Load),
+            (0x8010, Access::Store),
+            (0xa000, Access::Load),
+        ] {
+            assert_eq!(
+                t.peek(va, access, Priv::S),
+                before.clone().lookup(va, access, Priv::S)
+            );
+        }
+        assert_eq!((t.hits, t.misses, t.tick), (0, 0, before.tick));
+        // A peeked 0x8000 is not made MRU: the next fill still evicts it.
+        t.fill(0xb000, &translation_4k(0xb000, 11));
+        assert!(t.probe(0x8000).is_none());
     }
 
     #[test]

@@ -6,6 +6,8 @@ use riscy_mem::dram::DramConfig;
 use riscy_mem::l2::L2Config;
 use riscy_mem::system::MemConfig;
 
+pub use riscy_mem::system::ConfigError;
+
 /// Memory consistency model implemented by the load-store unit (paper §V-B,
 /// Fig. 20).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,6 +239,79 @@ impl CoreConfig {
     }
 }
 
+impl CoreConfig {
+    /// Checks every field against what the core's structures need: at
+    /// least one slot in each queue and pipeline, more physical than
+    /// architectural registers, indices that fit the `u16` ROB, LSQ and
+    /// physical-register tags and the `u8` speculation tag, power-of-two
+    /// predictor and L2 TLB tables (they index by mask), and at least one
+    /// TLB entry and miss slot on each level.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        const U16_SLOTS: usize = 1 << 16;
+        let req = ConfigError::require;
+        let nonzero = [
+            ("width", self.width),
+            ("alu_pipes", self.alu_pipes),
+            ("iq_entries", self.iq_entries),
+            ("sb_entries", self.sb_entries),
+            ("bp.ras_entries", self.bp.ras_entries),
+            ("tlb.l1_entries", self.tlb.l1_entries),
+            ("tlb.l1d_miss_slots", self.tlb.l1d_miss_slots),
+            ("tlb.l2_miss_slots", self.tlb.l2_miss_slots),
+        ];
+        for (field, v) in nonzero {
+            req(v >= 1, field, v, ">= 1")?;
+        }
+        let u16_indexed = [
+            ("rob_entries", self.rob_entries),
+            ("lq_entries", self.lq_entries),
+            ("sq_entries", self.sq_entries),
+        ];
+        for (field, v) in u16_indexed {
+            req((1..=U16_SLOTS).contains(&v), field, v, "in 1..=65536")?;
+        }
+        req(
+            (33..=U16_SLOTS).contains(&self.phys_regs),
+            "phys_regs",
+            self.phys_regs,
+            "in 33..=65536",
+        )?;
+        req(
+            (1..=256).contains(&self.spec_tags),
+            "spec_tags",
+            self.spec_tags,
+            "in 1..=256",
+        )?;
+        let pow2 = [
+            ("bp.btb_entries", self.bp.btb_entries),
+            ("bp.local_hist_entries", self.bp.local_hist_entries),
+            ("bp.global_entries", self.bp.global_entries),
+        ];
+        for (field, v) in pow2 {
+            req(v.is_power_of_two(), field, v, "a power of two")?;
+        }
+        let bits = self.bp.local_hist_bits as usize;
+        req(bits <= 16, "bp.local_hist_bits", bits, "<= 16")?;
+        req(
+            self.tlb.l2_ways >= 1,
+            "tlb.l2_ways",
+            self.tlb.l2_ways,
+            ">= 1",
+        )?;
+        let sets = self.tlb.l2_entries / self.tlb.l2_ways;
+        req(
+            sets.is_power_of_two(),
+            "tlb.l2_entries",
+            self.tlb.l2_entries,
+            "a power-of-two number of sets of `l2_ways`",
+        )
+    }
+}
+
 /// Cache/memory configurations of Figs. 12–14.
 #[must_use]
 pub fn mem_riscyoo_b() -> MemConfig {
@@ -348,6 +423,108 @@ mod tests {
 
         let tr = CoreConfig::riscyoo_t_plus_r_plus();
         assert_eq!(tr.rob_entries, 80);
+    }
+
+    #[test]
+    fn every_named_config_passes_its_check() {
+        for cfg in [
+            CoreConfig::riscyoo_b(),
+            CoreConfig::riscyoo_t_plus(),
+            CoreConfig::riscyoo_t_plus_r_plus(),
+            CoreConfig::multicore(MemModel::Tso),
+            CoreConfig::a57_proxy(),
+            CoreConfig::denver_proxy(),
+            CoreConfig::boom_proxy(),
+        ] {
+            assert_eq!(cfg.check(), Ok(()), "{cfg:?}");
+        }
+        for mem in [
+            mem_riscyoo_b(),
+            mem_riscyoo_c_minus(),
+            mem_arm_proxy(),
+            mem_rocket(10),
+            mem_rocket(120),
+        ] {
+            assert_eq!(mem.check(), Ok(()), "{mem:?}");
+        }
+    }
+
+    #[test]
+    fn degenerate_core_configs_are_refused_by_name() {
+        let b = CoreConfig::riscyoo_b();
+        let cases: [(CoreConfig, &str, usize); 11] = [
+            (CoreConfig { alu_pipes: 0, ..b }, "alu_pipes", 0),
+            (CoreConfig { phys_regs: 32, ..b }, "phys_regs", 32),
+            (CoreConfig { width: 0, ..b }, "width", 0),
+            (
+                CoreConfig {
+                    rob_entries: 0,
+                    ..b
+                },
+                "rob_entries",
+                0,
+            ),
+            (CoreConfig { iq_entries: 0, ..b }, "iq_entries", 0),
+            (CoreConfig { lq_entries: 0, ..b }, "lq_entries", 0),
+            (CoreConfig { sq_entries: 0, ..b }, "sq_entries", 0),
+            (CoreConfig { sb_entries: 0, ..b }, "sb_entries", 0),
+            (CoreConfig { spec_tags: 0, ..b }, "spec_tags", 0),
+            (
+                CoreConfig {
+                    spec_tags: 257,
+                    ..b
+                },
+                "spec_tags",
+                257,
+            ),
+            (
+                CoreConfig {
+                    tlb: TlbConfig {
+                        l1d_miss_slots: 0,
+                        ..b.tlb
+                    },
+                    ..b
+                },
+                "tlb.l1d_miss_slots",
+                0,
+            ),
+        ];
+        for (cfg, field, value) in cases {
+            let err = cfg.check().expect_err(field);
+            assert_eq!((err.field, err.value), (field, value), "{err}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn degenerate_memory_configs_are_refused_by_name() {
+        let m = mem_riscyoo_b();
+        let l1 = |f: fn(&mut L1Config)| {
+            let mut l1d = m.l1d;
+            f(&mut l1d);
+            MemConfig { l1d, ..m }
+        };
+        let cases = [
+            (l1(|c| c.mshrs = 0), "l1d.mshrs", 0),
+            (l1(|c| c.mshrs = 256), "l1d.mshrs", 256),
+            (l1(|c| c.ways = 0), "l1d.ways", 0),
+            (l1(|c| c.size_bytes = 3 * 4096), "l1d.size_bytes", 3 * 4096),
+            (
+                MemConfig {
+                    l2: L2Config {
+                        max_trans: 0,
+                        ..m.l2
+                    },
+                    ..m
+                },
+                "l2.max_trans",
+                0,
+            ),
+        ];
+        for (mem, field, value) in cases {
+            let err = mem.check().expect_err(field);
+            assert_eq!((err.field, err.value), (field, value), "{err}");
+        }
     }
 
     #[test]

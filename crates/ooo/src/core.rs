@@ -39,6 +39,13 @@ const DIV_LATENCY: u64 = 16;
 /// Multiply latency in cycles.
 const MUL_LATENCY: u64 = 3;
 
+/// `updateLsq` stalls with a D TLB miss and no free slot to park it in.
+pub(crate) const DTLB_SLOTS_FULL: &str = "dtlb miss slots full";
+/// `fetch` stalls on an I TLB miss (its stall callback launches it).
+pub(crate) const ITLB_MISS: &str = "itlb miss";
+/// `fetch` stalls with a translated PC and no I-cache request room.
+pub(crate) const ICACHE_FULL: &str = "icache full";
+
 /// An in-flight instruction-fetch request.
 #[derive(Debug, Clone, Copy)]
 pub struct FetchReq {
@@ -399,10 +406,8 @@ impl Soc {
             if !core.sb.is_empty() {
                 return Err(Stall::new("atomic waits for SB drain"));
             }
-            if let Ok((_, st)) = core.lsq.first_st() {
-                if st.seq < entry.seq && !st.is_fence {
-                    return Err(Stall::new("atomic waits for older stores"));
-                }
+            if core.lsq.older_store_pending(entry.seq) {
+                return Err(Stall::new("atomic waits for older stores"));
             }
             if core.port.d_full() {
                 return Err(Stall::new("dcache full"));
@@ -822,9 +827,11 @@ impl Soc {
             return Ok(());
         }
         if now < done {
-            // Guard depends on the cycle counter, not on any cell: the
-            // countdown expires without a publish, so never sleep here.
-            self.clk.taint_eval();
+            // The countdown expires without a publish: name the first
+            // kernel cycle at which `now >= done` holds. `now` is memory
+            // time, which runs ahead of the kernel clock during core rules,
+            // so the wait is counted in cycles, not compared as a date.
+            self.clk.wake_at(self.clk.cycle() + (done - now));
             return Err(Stall::new("md busy"));
         }
         if core.md_wb.read().is_some() {
@@ -872,9 +879,11 @@ impl Soc {
 
     /// Update-LSQ (paper Fig. 9): translation, LSQ fill, ROB notification.
     ///
-    /// The lookups and miss launches are plain calls on the TLBs, so the
-    /// rule stalls only when there is provably nothing to do, and then on
-    /// the boundary's D-TLB cells and the translate stage.
+    /// The lookups and miss launches are plain calls on the TLBs, made only
+    /// on paths that fire. The rule stalls when there is provably nothing
+    /// to do, or on [`DTLB_SLOTS_FULL`] when its D TLB miss has no slot to
+    /// park in; that stall decides on a peek, and the lookup the reference
+    /// repeats on every such cycle is [`Soc::update_lsq_stalled`]'s.
     pub(crate) fn rule_update_lsq(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let mut progressed = false;
@@ -907,21 +916,16 @@ impl Soc {
         //    (RiscyOO-B) nothing proceeds while a miss is pending.
         let hum = self.cores[c].tlb.hit_under_miss();
         if hum || !self.cores[c].port.dtlb_busy.read() {
-            let next = self.cores[c].mem_wait_tlb.with(|v| {
-                v.iter()
-                    .enumerate()
-                    .find(|(_, t)| t.tlb_id.is_none())
-                    .map(|(i, t)| (i, *t))
-            });
-            if let Some((slot, t)) = next {
-                let access = match t.uop.mem_kind {
-                    Some(MemKind::Load) => Access::Load,
-                    _ => Access::Store,
-                };
+            if let Some((slot, t, access)) = self.next_untranslated(c) {
                 let (satp, pm) = {
                     let core = &self.cores[c];
                     (core.csr.satp, core.priv_mode)
                 };
+                let tlb = &self.cores[c].tlb;
+                if !progressed && !tlb.can_park_d() && tlb.peek_d(t.va, access, satp, pm).is_none()
+                {
+                    return Err(Stall::new(DTLB_SLOTS_FULL));
+                }
                 match self.cores[c].tlb.lookup_d(t.va, access, satp, pm) {
                     Some(res) => {
                         let res = res.map_err(|f| {
@@ -947,12 +951,9 @@ impl Soc {
                             };
                             self.cores[c].mem_wait_tlb.set(slot, parked);
                             progressed = true;
-                        } else {
-                            // The lookup counted a D TLB miss, which the
-                            // reference repeats every stalled cycle: stay
-                            // awake until a miss slot frees.
-                            self.clk.taint_eval();
                         }
+                        // Else step 1 progressed, so the rule fires and
+                        // its lookup has counted the miss.
                     }
                 }
             }
@@ -962,6 +963,34 @@ impl Soc {
         } else {
             Err(Stall::new("nothing to translate"))
         }
+    }
+
+    /// Step 2's candidate: the oldest translation without an outstanding
+    /// miss, its slot and its access kind.
+    fn next_untranslated(&self, c: usize) -> Option<(usize, MemTrans, Access)> {
+        self.cores[c].mem_wait_tlb.with(|v| {
+            let (slot, t) = v.iter().enumerate().find(|(_, t)| t.tlb_id.is_none())?;
+            let access = match t.uop.mem_kind {
+                Some(MemKind::Load) => Access::Load,
+                _ => Access::Store,
+            };
+            Some((slot, *t, access))
+        })
+    }
+
+    /// `updateLsq`'s stall callback: on a cycle it stalls on
+    /// [`DTLB_SLOTS_FULL`], the D TLB lookup the stalled body leaves out
+    /// (it counts the miss and ticks the LRU clock).
+    pub(crate) fn update_lsq_stalled(&mut self, c: usize, reason: &'static str) {
+        if reason != DTLB_SLOTS_FULL {
+            return;
+        }
+        let (_, t, access) = self
+            .next_untranslated(c)
+            .expect("a full-slots stall has a translation waiting");
+        let core = &mut self.cores[c];
+        core.tlb
+            .lookup_d(t.va, access, core.csr.satp, core.priv_mode);
     }
 
     fn finish_translation(
@@ -1598,9 +1627,19 @@ impl Soc {
             (core.csr.satp, core.priv_mode)
         };
         let seq = self.cores[c].fetch_seq.read();
-        let pa = match self.cores[c].tlb.lookup_i(pc, satp, pm) {
-            Some(Ok(pa)) => pa,
-            Some(Err(_)) => {
+        // The stalls decide on a peek and leave the I TLB alone; what the
+        // lookup does on their cycles is `Soc::fetch_stalled`'s.
+        match self.cores[c].tlb.peek_i(pc, satp, pm) {
+            None => return Err(Stall::new(ITLB_MISS)),
+            Some(Ok(_)) if self.cores[c].port.i_full() => {
+                return Err(Stall::new(ICACHE_FULL));
+            }
+            Some(_) => {}
+        }
+        let looked_up = self.cores[c].tlb.lookup_i(pc, satp, pm);
+        let pa = match looked_up.expect("peeked an I TLB hit") {
+            Ok(pa) => pa,
+            Err(_) => {
                 // Fetch fault: deliver a poisoned packet directly.
                 let req = FetchReq {
                     seq,
@@ -1617,25 +1656,7 @@ impl Soc {
                 core.fetch_pc.write(pc.wrapping_add(4));
                 return Ok(());
             }
-            None => {
-                // This stall path *launches* the TLB miss (plain-state
-                // mutation) — sleeping would skip the re-evaluations the
-                // reference performs while the walk is in flight.
-                self.clk.taint_eval();
-                let id = self.cores[c].next_tlb_id;
-                self.cores[c].next_tlb_id += 1;
-                self.cores[c].tlb.request_i(now, id, pc, pm);
-                return Err(Stall::new("itlb miss"));
-            }
         };
-        if self.cores[c].port.i_full() {
-            if TlbHier::active(satp, pm) {
-                // The ITLB lookup above already bumped hit/LRU state; the
-                // reference re-runs it every stalled cycle, so don't sleep.
-                self.clk.taint_eval();
-            }
-            return Err(Stall::new("icache full"));
-        }
         // BTB-based fetch-ahead: follow a predicted-taken branch anywhere
         // in the packet.
         let mut guess = pc + 4 * n as u64;
@@ -1666,6 +1687,28 @@ impl Soc {
         core.inflight_fetch.push_back(req);
         core.fetch_pc.write(guess);
         Ok(())
+    }
+
+    /// `fetch`'s stall callback: on a cycle it stalls past the I TLB, the
+    /// lookup the stalled body leaves out (hit and miss counts, LRU) and,
+    /// on [`ITLB_MISS`], the miss launch. It launches once per miss: the
+    /// next substrate tick sets `itlb_busy`, which wakes the sleeping fetch
+    /// to stall on "itlb miss pending" instead.
+    pub(crate) fn fetch_stalled(&mut self, c: usize, reason: &'static str) {
+        // The guard checks the exit before the lookup; a sleeper's cached
+        // reason can outlive it.
+        if !matches!(reason, ITLB_MISS | ICACHE_FULL) || self.devices.exited[c].is_some() {
+            return;
+        }
+        let now = self.mem.now();
+        let core = &mut self.cores[c];
+        let (pc, satp, pm) = (core.fetch_pc.read(), core.csr.satp, core.priv_mode);
+        core.tlb.lookup_i(pc, satp, pm);
+        if reason == ITLB_MISS {
+            let id = core.next_tlb_id;
+            core.next_tlb_id += 1;
+            core.tlb.request_i(now, id, pc, pm);
+        }
     }
 
     /// Moves arrived I-cache responses into the fetch buffer.

@@ -682,6 +682,17 @@ impl Lsq {
         })
     }
 
+    /// Whether any store older than sequence number `seq` is still in the
+    /// SQ, fences aside: an atomic launching at commit must wait for all of
+    /// them, not only the head, since a committed fence at the head can
+    /// hide a committed store behind it.
+    #[must_use]
+    pub fn older_store_pending(&self, seq: u64) -> bool {
+        self.sq_valid
+            .iter()
+            .any(|i| self.sq[i].with(|e| matches!(e, Some(e) if e.seq < seq && !e.is_fence)))
+    }
+
     /// Removes the oldest load (paper's `deqLd`).
     ///
     /// # Panics
@@ -1191,6 +1202,21 @@ mod tests {
             assert!(l.older_store_addr_unknown(e.seq), "store addr unknown");
             l.update_st(st, Ok(0x9000), 8, 0, false);
             assert!(!l.older_store_addr_unknown(e.seq));
+        });
+    }
+
+    #[test]
+    fn an_older_store_behind_a_fence_is_pending() {
+        let (clk, l) = lsq();
+        in_rule(&clk, || {
+            let fence = l.enq_st(1, true).unwrap();
+            let st = l.enq_st(2, false).unwrap();
+            l.update_st(st, Ok(0x9000), 8, 0, false);
+            l.set_at_commit_st(fence);
+            l.set_at_commit_st(st);
+            assert!(l.first_st().unwrap().1.is_fence, "the fence is the head");
+            assert!(l.older_store_pending(3), "the store behind it counts");
+            assert!(!l.older_store_pending(2), "not older than itself");
         });
     }
 

@@ -137,7 +137,7 @@ pub struct Soc {
     pub golden: Option<Machine>,
     /// Co-simulation mismatches (fatal in tests).
     pub cosim_errors: Vec<String>,
-    /// The kernel clock (tainting impure stall paths).
+    /// The kernel clock (`mdExec` names its countdown's end with it).
     pub clk: Clock,
 }
 
@@ -287,6 +287,13 @@ impl Horizon for Soc {
                 p.d_req.is_empty() && p.d_write.is_empty() && p.i_req.is_empty(),
                 "core {c} has memory traffic waiting at a clock jump"
             );
+            // A miss launched in the cycle just run (fetch's stall callback
+            // launches I TLB misses) reaches its busy cell at the next tick.
+            if p.itlb_busy.read() != core.tlb.i_miss_pending()
+                || p.dtlb_busy.read() != core.tlb.d_miss_pending()
+            {
+                return 0;
+            }
             next = next.min(core.tlb.next_event(now));
             for l1 in [self.mem.dcache_ref(c), self.mem.icache_ref(c)] {
                 if let Some(t) = l1.next_resp_after(now) {
@@ -367,8 +374,17 @@ const CHROME_SPAN_CAP: usize = 100_000;
 
 impl SocSim {
     /// Builds the SoC and registers every rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::config::ConfigError) of a
+    /// configuration that [`CoreConfig::check`] or [`MemConfig::check`]
+    /// refuses; check first to handle it.
     #[must_use]
     pub fn new(cfg: CoreConfig, mem_cfg: MemConfig, num_cores: usize, program: &Program) -> Self {
+        if let Err(e) = cfg.check().and_then(|()| mem_cfg.check()) {
+            panic!("{e}");
+        }
         let clk = Clock::new();
         let soc = Soc::new(&clk, cfg, mem_cfg, num_cores, program);
         let mut sim = Sim::new(clk, soc);
@@ -390,11 +406,11 @@ impl SocSim {
         // Every core rule sleeps on the cells its stalling path read
         // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"),
         // the memory system's included: a core reaches it only through its
-        // `MemPort` cells. Stall paths
-        // that mutate plain state (TLB requests and lookups) or read the
-        // cycle counter (time-based busy) call `Clock::taint_eval` and are
-        // never slept on; a statistic counted on every stalled cycle is a
-        // stall callback (`Sim::on_stall`), not a bump in the body.
+        // `MemPort` cells. What recurs on every stalled cycle — a statistic,
+        // a TLB lookup's bookkeeping, the I TLB miss launch — is a stall
+        // callback (`Sim::on_stall`), not a mutation in the body, and the
+        // one stall that waits on time (`mdExec`'s countdown) names its
+        // wake cycle with `Clock::wake_at`.
         fn rule(
             sim: &mut Sim<Soc>,
             c: usize,
@@ -427,7 +443,10 @@ impl SocSim {
             }
             rule(&mut sim, c, "mdExec", move |s| s.rule_md_exec(c));
             rule(&mut sim, c, "addrCalc", move |s| s.rule_addr_calc(c));
-            rule(&mut sim, c, "updateLsq", move |s| s.rule_update_lsq(c));
+            let id = rule(&mut sim, c, "updateLsq", move |s| s.rule_update_lsq(c));
+            sim.on_stall(id, move |s: &mut Soc, reason| {
+                s.update_lsq_stalled(c, reason)
+            });
             rule(&mut sim, c, "issueLd", move |s| s.rule_issue_ld(c));
             rule(&mut sim, c, "deqLd", move |s| s.rule_deq_ld(c));
             rule(&mut sim, c, "deqSt", move |s| s.rule_deq_st(c));
@@ -455,7 +474,8 @@ impl SocSim {
             }
             rule(&mut sim, c, "fetchResp", move |s| s.rule_fetch_resp(c));
             rule(&mut sim, c, "decode", move |s| s.rule_decode(c));
-            rule(&mut sim, c, "fetch", move |s| s.rule_fetch(c));
+            let id = rule(&mut sim, c, "fetch", move |s| s.rule_fetch(c));
+            sim.on_stall(id, move |s: &mut Soc, reason| s.fetch_stalled(c, reason));
         }
         SocSim {
             sim,

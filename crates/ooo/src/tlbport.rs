@@ -12,7 +12,13 @@ use riscy_mem::tlb::{L2Tlb, PageWalker, Tlb, WalkCache};
 use crate::config::TlbConfig;
 
 /// Latency of an L2 TLB lookup.
+///
+/// At least one cycle, so a miss parked during the core rules is still
+/// outstanding after the next substrate tick, which sets the `itlb_busy`
+/// cell: that publish is what wakes a fetch asleep on "itlb miss", whose
+/// stall callback launched the miss.
 const L2_TLB_LATENCY: u64 = 4;
+const _: () = assert!(L2_TLB_LATENCY >= 1);
 
 /// A parked translation miss.
 #[derive(Debug, Clone, Copy)]
@@ -108,6 +114,31 @@ impl TlbHier {
             return Some(Ok(va));
         }
         self.itlb.lookup(va, Access::Fetch, priv_mode)
+    }
+
+    /// What [`TlbHier::lookup_d`] would return, with none of its effects:
+    /// the decision a stall path may take.
+    #[must_use]
+    pub fn peek_d(
+        &self,
+        va: u64,
+        access: Access,
+        satp: u64,
+        priv_mode: Priv,
+    ) -> Option<Result<u64, PageFault>> {
+        if !Self::active(satp, priv_mode) {
+            return Some(Ok(va));
+        }
+        self.dtlb.peek(va, access, priv_mode)
+    }
+
+    /// What [`TlbHier::lookup_i`] would return, with none of its effects.
+    #[must_use]
+    pub fn peek_i(&self, va: u64, satp: u64, priv_mode: Priv) -> Option<Result<u64, PageFault>> {
+        if !Self::active(satp, priv_mode) {
+            return Some(Ok(va));
+        }
+        self.itlb.peek(va, Access::Fetch, priv_mode)
     }
 
     /// Whether the D side can accept another miss. When this is false the

@@ -255,6 +255,14 @@ fn jumping_the_clock_matches_stepping_it() {
             CoreConfig::multicore(MemModel::Tso),
             2,
         ),
+        // `mdExec` sleeps on its countdown's end, which a jump must not
+        // cross: the mul/div-heavy workloads.
+        (spec::sjeng(Scale::Test), CoreConfig::riscyoo_t_plus(), 1),
+        (
+            parsec::swaptions(Scale::Test, 4),
+            CoreConfig::multicore(MemModel::Tso),
+            4,
+        ),
     ] {
         let build = || SocSim::new(cfg, mem_riscyoo_b(), cores, &w.program);
         let mut jumped = build();

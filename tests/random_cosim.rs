@@ -6,6 +6,7 @@
 //! speculation, forwarding, kills, and the memory system all get fuzzed.
 
 use cmd_core::rng::SplitMix64;
+use cmd_core::sched::SchedulerMode;
 use riscy_isa::asm::Assembler;
 use riscy_isa::inst::{AluOp, MemWidth, MulDivOp};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
@@ -186,5 +187,29 @@ fn random_programs_cosim_wide_proxy() {
         sim.soc_mut().enable_cosim(&prog);
         sim.run_to_completion(2_000_000)
             .unwrap_or_else(|e| panic!("seed {seed} (denver): {e}"));
+    }
+}
+
+/// A commit stage of width 6 or more can leave the SQ holding a committed
+/// fence ahead of a committed store. An AMO launching at commit must wait
+/// for that store as well as for the head, or it reads memory before the
+/// store reaches it. These seeds committed a wrong `amoadd.d` rd that way.
+#[test]
+fn random_programs_cosim_wide_commit_amo() {
+    for width in [6, 8] {
+        for seed in [20_278, 5_017] {
+            let prog = random_program(seed, 200);
+            for mode in [SchedulerMode::Fast, SchedulerMode::Reference] {
+                let cfg = CoreConfig {
+                    width,
+                    ..CoreConfig::riscyoo_b()
+                };
+                let mut sim = SocSim::new(cfg, mem_riscyoo_b(), 1, &prog);
+                sim.set_scheduler(mode);
+                sim.soc_mut().enable_cosim(&prog);
+                sim.run_to_completion(2_000_000)
+                    .unwrap_or_else(|e| panic!("width {width} seed {seed} ({mode:?}): {e}"));
+            }
+        }
     }
 }
