@@ -99,21 +99,16 @@ pub trait Horizon {
 /// The watch set itself lives in the wake layer's per-cell watcher lists,
 /// registered when the sleep begins.
 ///
-/// Accounting is *batched*: a skipped cycle touches nothing but the rule's
-/// stall callback, if it has one, and the deficit — one guard stall per
-/// cycle in `since..now`, all with the same cached `reason` — is settled in
-/// one addition whenever the sleep ends or an observer needs exact
-/// statistics (wake, chaos verdict, instrumentation toggle, end of a `run`
-/// call). Totals are bit-identical to the reference at every such point;
-/// only the cycle *within* a run at which the counter is bumped differs,
-/// which nothing can observe. A skipped cycle feeds no trace — a tracer
-/// forces full re-evaluation instead of sleeping.
+/// A skipped cycle costs the rule's stall callback, if it has one, and
+/// nothing else in an unobserved run: the rule's guard-stall count is not a
+/// counter but follows from the cycle count (every cycle the rule neither
+/// fired nor lost to a CM), and an observer — a tracer, the profiler, a
+/// chaos engine — gets the cached `reason` at the rule's slot, exactly as
+/// the reference's fresh evaluation would report it.
 pub(crate) struct Sleep {
-    /// First skipped cycle not yet added to the rule's stall statistics.
-    pub since: u64,
     /// The reason the stalling evaluation gave, which the guard — pure, and
     /// reading only quiet cells — would repeat on every skipped cycle: what
-    /// the stall callback receives for those cycles.
+    /// the stall callback and a tracer receive for those cycles.
     pub reason: &'static str,
     /// The cycle whose schedule slot ends the sleep without a publish: the
     /// earliest [`Clock::wake_at`](crate::clock::Clock::wake_at) of the

@@ -30,10 +30,17 @@
 //!   without a dynamic CM scan, and a *wakeup layer*
 //!   ([`Sim::set_wakeup`]) that skips re-evaluating a stalled guard until
 //!   one of the state cells it read publishes a committed write, or until
-//!   the cycle it named with [`Clock::wake_at`]. Skipped
-//!   evaluations are accounted as guard stalls with the cached reason, so
-//!   statistics, counters, and trace streams are identical to the
-//!   reference scheduler (property-tested in `tests/sched_equivalence.rs`).
+//!   the cycle it named with [`Clock::wake_at`]. A skipped evaluation is
+//!   a guard stall with the cached reason, so statistics, counters, and
+//!   trace streams are identical to the reference scheduler
+//!   (property-tested in `tests/sched_equivalence.rs`). No observer stops
+//!   a rule from sleeping: a tracer receives the cached reason at the
+//!   sleeper's slot.
+//!
+//! Every rule has exactly one outcome per cycle — it fires, loses to a
+//! CM, or guard-stalls — so the kernel counts fires and CM stalls and
+//! derives the guard stalls from [`Sim::cycles`] and the cycle at which the
+//! rule was registered. A skipped sleeper updates no statistic at all.
 //!
 //! # Stall callbacks
 //!
@@ -164,7 +171,13 @@ type StallHook<S> = Box<dyn FnMut(&mut S, &'static str)>;
 struct RuleEntry<S> {
     name: String,
     body: RuleBody<S>,
-    stats: RuleStats,
+    /// Cycles in which the rule fired.
+    fired: u64,
+    /// Cycles in which a conflict-matrix check stalled the rule.
+    cm_stalls: u64,
+    /// [`Sim::cycles`] when the rule was registered: every cycle since in
+    /// which it neither fired nor lost to a CM was a guard stall.
+    born: u64,
     /// Why the rule most recently failed to fire (`None` after a fire).
     last_wait: Option<WaitCause>,
     /// Exempt rules don't count as activity for the watchdog (e.g. an
@@ -176,9 +189,24 @@ struct RuleEntry<S> {
     sched: RuleSched,
 }
 
+impl<S> RuleEntry<S> {
+    /// The rule's statistics after `cycles` cycles of [`Sim::cycles`]. A
+    /// rule has exactly one outcome per cycle, so its guard stalls are the
+    /// cycles since its registration in which it neither fired nor lost to
+    /// a CM: a Reg conflict, a chaos verdict and a skipped sleeper included.
+    fn stats(&self, cycles: u64) -> RuleStats {
+        RuleStats {
+            fired: self.fired,
+            guard_stalls: cycles - self.born - self.fired - self.cm_stalls,
+            cm_stalls: self.cm_stalls,
+        }
+    }
+}
+
 /// What recording a rule's outcome needs besides the rule, fixed for one
-/// cycle: both loops account through it, so their statistics, wait causes
-/// and trace events cannot differ.
+/// cycle: both loops account through it, so their wait causes and trace
+/// events cannot differ. Only fires and CM stalls are counted; a guard stall
+/// is every other cycle (see [`RuleEntry::stats`]).
 struct Acct<'a> {
     tracer: &'a Tracer,
     tracing: bool,
@@ -187,7 +215,6 @@ struct Acct<'a> {
 
 impl Acct<'_> {
     fn guard_stall<S>(&self, entry: &mut RuleEntry<S>, reason: &'static str) {
-        entry.stats.guard_stalls += 1;
         entry.last_wait = Some(WaitCause::Guard(reason));
         if self.tracing {
             let rule = &entry.name;
@@ -197,7 +224,7 @@ impl Acct<'_> {
     }
 
     fn cm_stall<S>(&self, entry: &mut RuleEntry<S>, v: &CmViolation) {
-        entry.stats.cm_stalls += 1;
+        entry.cm_stalls += 1;
         entry.last_wait = Some(WaitCause::Cm(v.clone()));
         if self.tracing {
             self.tracer.emit(
@@ -213,24 +240,12 @@ impl Acct<'_> {
     }
 
     fn fired<S>(&self, entry: &mut RuleEntry<S>) {
-        entry.stats.fired += 1;
+        entry.fired += 1;
         entry.last_wait = None;
         if self.tracing {
             self.tracer
                 .emit(self.now, &TraceEvent::RuleFired { rule: &entry.name });
         }
-    }
-}
-
-/// Adds a sleeping rule's unsettled skipped cycles (`sleep.since..now`,
-/// each a guard stall with the cached reason) into its statistics and
-/// advances the marker. Called at every point where batched sleep
-/// accounting must become exact: wake, chaos verdict, sleep clearing.
-/// Readers in between see the deficit through [`effective_stats`].
-fn settle_sleep<S>(entry: &mut RuleEntry<S>, now: u64) {
-    if let Some(sleep) = &mut entry.sched.sleep {
-        entry.stats.guard_stalls += now - sleep.since;
-        sleep.since = now;
     }
 }
 
@@ -253,17 +268,6 @@ fn on_stalled<S>(entry: &mut RuleEntry<S>, state: &mut S, reason: &'static str) 
     if let Some(f) = entry.on_stall.as_mut() {
         f(state, reason);
     }
-}
-
-/// A rule's statistics with any unsettled sleep deficit folded in — the
-/// read-only view the public accessors expose, exact at any cycle
-/// boundary without forcing the hot loop to touch sleeping rules.
-fn effective_stats<S>(entry: &RuleEntry<S>, now: u64) -> RuleStats {
-    let mut s = entry.stats;
-    if let Some(sleep) = &entry.sched.sleep {
-        s.guard_stalls += now - sleep.since;
-    }
-    s
 }
 
 /// Records a method-stall→blocker causality edge for the profiler: rule
@@ -393,17 +397,11 @@ impl<S> Sim<S> {
     /// method call. Pass [`Tracer::disabled`] to turn tracing back off.
     ///
     /// Tracing is strictly observational: a traced run executes the same
-    /// rules in the same cycles as an untraced one.
+    /// rules in the same cycles as an untraced one, and its rules sleep
+    /// alike. A sleeper skipped at its slot reports its cached stall
+    /// reason, which is the one its guard would give.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.clk.set_tracer(tracer.clone());
-        // Sleeping rules report cached stall reasons, which can drift from
-        // the fresh reason an every-cycle evaluation would produce. Wake
-        // everything so a traced run evaluates (and reports) exactly.
-        if self.tracer.is_enabled() != tracer.is_enabled() {
-            for i in 0..self.rules.len() {
-                self.clear_sleep(i);
-            }
-        }
         self.tracer = tracer;
     }
 
@@ -422,7 +420,9 @@ impl<S> Sim<S> {
         self.rules.push(RuleEntry {
             name: name.into(),
             body: Box::new(body),
-            stats: RuleStats::default(),
+            fired: 0,
+            cm_stalls: 0,
+            born: self.cycles,
             last_wait: None,
             exempt: false,
             on_stall: None,
@@ -462,9 +462,8 @@ impl<S> Sim<S> {
         }
     }
 
-    /// Wakes rule `i` (if asleep), settling its batched stall deficit.
+    /// Wakes rule `i` (if asleep).
     fn clear_sleep(&mut self, i: usize) {
-        settle_sleep(&mut self.rules[i], self.clk.cycle());
         self.rules[i].sched.sleep = None;
         self.clk.wake().forget(i);
     }
@@ -760,13 +759,6 @@ impl<S> Sim<S> {
             // same cycle whether or not the rule is asleep.
             match chaos.as_ref().and_then(|e| e.rule_fault(&entry.name, now)) {
                 Some(RuleFault::ForceStall) => {
-                    // The chaos stall replaces this cycle's batched cached-
-                    // reason stall: settle the sleep deficit up to `now`,
-                    // account the chaos verdict, and resume batching after.
-                    settle_sleep(entry, now);
-                    if let Some(sleep) = &mut entry.sched.sleep {
-                        sleep.since = now + 1;
-                    }
                     acct.guard_stall(entry, CHAOS_STALL_REASON);
                     continue;
                 }
@@ -778,12 +770,7 @@ impl<S> Sim<S> {
                     // one woken this cycle included — may reach a path
                     // that succeeds or touches plain state, and must run
                     // exactly like the oracle.
-                    if let Some(sleep) = &entry.sched.sleep {
-                        if sleep_ends(wake, sleep, i, now) {
-                            settle_sleep(entry, now);
-                            entry.sched.sleep = None;
-                        }
-                    }
+                    entry.sched.sleep.take_if(|s| sleep_ends(wake, s, i, now));
                     let stalled = match &entry.sched.sleep {
                         Some(sleep) => Some(sleep.reason),
                         None => {
@@ -793,10 +780,6 @@ impl<S> Sim<S> {
                             outcome.err().map(|stall| stall.reason())
                         }
                     };
-                    settle_sleep(entry, now);
-                    if let Some(sleep) = &mut entry.sched.sleep {
-                        sleep.since = now + 1;
-                    }
                     acct.guard_stall(entry, CHAOS_ABORT_REASON);
                     if let Some(reason) = stalled {
                         on_stalled(entry, &mut self.state, reason);
@@ -812,30 +795,21 @@ impl<S> Sim<S> {
                 // by an earlier rule *this* cycle (a schedule-order bypass
                 // the reference loop would observe) is already visible here.
                 if sleep_ends(wake, sleep, i, now) {
-                    settle_sleep(entry, now);
                     entry.sched.sleep = None;
                 } else {
                     // Still asleep: nothing the guard read has published and
                     // its wake cycle has not come, so it would stall with the
-                    // same reason. The per-rule
-                    // statistics are *batched* (settled from `Sleep::since`
-                    // at wake or observation — tracing forces full
-                    // re-evaluation instead of sleeping, so only the
-                    // plain stall count is ever deferred); the design's
-                    // stall callback and the profiler's skip count stay
-                    // cycle-exact. A chaos verdict is the one thing that
-                    // gives a sleeper another wait cause than its sleep
-                    // reason; from the next cycle on the oracle reports
-                    // the guard's reason again, and so does this rule.
-                    if chaos.is_some() {
-                        entry.last_wait = Some(WaitCause::Guard(reason));
-                    }
-                    on_stalled(entry, &mut self.state, reason);
+                    // same reason — a guard stall, which the statistics
+                    // count without being told. An observer sees that stall
+                    // at this slot: the trace event, and the wait cause a
+                    // chaos verdict may have replaced on an earlier cycle.
                     if OBS {
+                        acct.guard_stall(entry, reason);
                         if let Some(p) = self.prof.as_mut() {
                             p.record_skip(i);
                         }
                     }
+                    on_stalled(entry, &mut self.state, reason);
                     continue;
                 }
             }
@@ -926,13 +900,6 @@ impl<S> Sim<S> {
                 Err(stall) => {
                     self.clk.abort_rule();
                     acct.guard_stall(entry, stall.reason());
-                    // Never sleep while a tracer is live: a sleeping rule
-                    // would report its *cached* stall
-                    // reason, but the fresh reason the oracle reports can
-                    // change while the guard stays false (e.g. "queue full"
-                    // becoming "core exited"). Exact-observability runs
-                    // forfeit the tier-2 speedup and re-evaluate every
-                    // cycle; cycles and counters are unaffected either way.
                     // A sleep-eligible stall is pure (that is what makes
                     // sleeping on it sound), so the watch set for inferred
                     // wakeups comes from re-evaluating the guard with read
@@ -945,7 +912,7 @@ impl<S> Sim<S> {
                     // re-evaluate. Each evaluation may name a wake cycle;
                     // the sleep keeps the earlier.
                     let until = wake.until.get();
-                    let sleepable = entry.sched.wakeup == Wakeup::Inferred && !acct.tracing && {
+                    let sleepable = entry.sched.wakeup == Wakeup::Inferred && {
                         self.clk.begin_rule();
                         let second = wake.trace_reads(|| (entry.body)(&mut self.state));
                         self.clk.abort_rule();
@@ -957,7 +924,6 @@ impl<S> Sim<S> {
                         // can wake the rule.
                         wake.sleep_on_reads(i);
                         entry.sched.sleep = Some(Sleep {
-                            since: now + 1,
                             reason: stall.reason(),
                             until: until.min(wake.until.get()),
                         });
@@ -1145,7 +1111,7 @@ impl<S> Sim<S> {
     /// Panics if `id` does not belong to this `Sim`.
     #[must_use]
     pub fn rule_stats(&self, id: RuleId) -> RuleStats {
-        effective_stats(&self.rules[id.0], self.clk.cycle())
+        self.rules[id.0].stats(self.cycles)
     }
 
     /// Name of one rule.
@@ -1160,10 +1126,9 @@ impl<S> Sim<S> {
 
     /// Iterator over `(name, stats)` pairs in schedule order.
     pub fn all_rule_stats(&self) -> impl Iterator<Item = (&str, RuleStats)> + '_ {
-        let now = self.clk.cycle();
         self.rules
             .iter()
-            .map(move |r| (r.name.as_str(), effective_stats(r, now)))
+            .map(|r| (r.name.as_str(), r.stats(self.cycles)))
     }
 
     /// The rule table's totals: every rule's statistics summed — what
@@ -1263,9 +1228,8 @@ impl<S: Horizon> Sim<S> {
     fn jump(&mut self, n: u64) {
         for entry in &mut self.rules {
             if entry.exempt {
-                entry.stats.fired += n;
+                entry.fired += n;
             } else if let (Some(f), Some(sleep)) = (entry.on_stall.as_mut(), &entry.sched.sleep) {
-                // Guard stalls themselves are batched by `Sleep::since`.
                 for _ in 0..n {
                     f(&mut self.state, sleep.reason);
                 }

@@ -1,7 +1,7 @@
 //! What a run has to show for itself: the text report, the profile and
 //! telemetry JSON documents, and critical paths by rule name.
 
-use super::{effective_stats, RuleEntry, Sim};
+use super::{RuleEntry, Sim};
 use crate::sched::SchedulerMode;
 use crate::telemetry::Telemetry;
 use crate::trace::json::JsonWriter;
@@ -80,10 +80,9 @@ impl<S> Sim<S> {
         w.boolean(prof.is_some());
         w.key("rules");
         w.begin_array();
-        let now = self.clk.cycle();
         for (i, r) in self.rules.iter().enumerate() {
             let rp = prof.map(|p| p.rule(i)).unwrap_or_default();
-            let stats = effective_stats(r, now);
+            let stats = r.stats(self.cycles);
             w.begin_object();
             w.field_str("name", &r.name);
             w.field_u64("fired", stats.fired);
@@ -145,11 +144,10 @@ impl<S> Sim<S> {
         let prof = self.prof.as_deref();
         let mut out = String::new();
         out.push_str(&format!("cycles: {}\n", self.cycles));
-        let now = self.clk.cycle();
         let mut order: Vec<(usize, &RuleEntry<S>)> = self.rules.iter().enumerate().collect();
-        order.sort_by_key(|(_, r)| std::cmp::Reverse(r.stats.fired));
+        order.sort_by_key(|(_, r)| std::cmp::Reverse(r.fired));
         for (i, r) in order {
-            let stats = effective_stats(r, now);
+            let stats = r.stats(self.cycles);
             let total = stats.fired + stats.guard_stalls + stats.cm_stalls;
             let pct = if total == 0 {
                 0.0

@@ -2,7 +2,7 @@
 //! telemetry ring and the committed value of every cell on the clock (see
 //! `docs/CHECKPOINT.md`).
 
-use super::{settle_sleep, RuleStats, Sim};
+use super::Sim;
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::telemetry::Telemetry;
 
@@ -36,30 +36,26 @@ impl<S> Sim<S> {
     /// at a cycle boundary: the cell count, then one length-framed record
     /// per cell in adoption order.
     ///
-    /// Scheduler sleep state is *not* saved: any unsettled batched sleep
-    /// deficit is settled into the statistics first (so the bytes are
-    /// exact), and [`Sim::restore_kernel`] wakes every rule. The sleep
-    /// layer is observation-invariant (see `docs/SCHEDULING.md`), so a
-    /// resumed run re-derives it without disturbing results.
+    /// Scheduler sleep state is *not* saved: [`Sim::restore_kernel`] wakes
+    /// every rule. The sleep layer is observation-invariant (see
+    /// `docs/SCHEDULING.md`), so a resumed run re-derives it without
+    /// disturbing results.
     ///
     /// # Errors
     ///
     /// [`SnapError::Unsupported`] per [`Sim::snapshot_supported`].
     pub fn save_kernel(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.snapshot_supported()?;
-        let now = self.clk.cycle();
-        for e in &mut self.rules {
-            settle_sleep(e, now);
-        }
         w.u64(self.cycles);
-        w.u64(now);
+        w.u64(self.clk.cycle());
         w.u64(self.quiet_cycles);
         w.len_prefix(self.rules.len());
         for e in &self.rules {
             e.name.save(w);
-            w.u64(e.stats.fired);
-            w.u64(e.stats.guard_stalls);
-            w.u64(e.stats.cm_stalls);
+            let stats = e.stats(self.cycles);
+            w.u64(stats.fired);
+            w.u64(stats.guard_stalls);
+            w.u64(stats.cm_stalls);
         }
         // Telemetry, unlike the other instruments, IS serialized: its ring
         // holds only simulated quantities, so a resumed run continues the
@@ -85,9 +81,10 @@ impl<S> Sim<S> {
     /// # Errors
     ///
     /// [`SnapError::Mismatch`] if the snapshot's rule schedule, telemetry
-    /// columns, cell count or array lengths differ from this design's; [`SnapError::Truncated`] / [`SnapError::Corrupt`] on
-    /// malformed bytes, naming the cell whose record does not fill its
-    /// frame.
+    /// columns, cell count or array lengths differ from this design's;
+    /// [`SnapError::Truncated`] / [`SnapError::Corrupt`] on malformed bytes,
+    /// naming the cell whose record does not fill its frame, or the rule
+    /// whose statistics claim more outcomes than the snapshot has cycles.
     /// On error the kernel may be partially restored and must be discarded.
     pub fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.snapshot_supported()?;
@@ -101,7 +98,7 @@ impl<S> Sim<S> {
                 self.rules.len()
             )));
         }
-        let mut stats = Vec::with_capacity(n);
+        let mut counts = Vec::with_capacity(n);
         for e in &self.rules {
             let name = String::load(r)?;
             if name != e.name {
@@ -110,11 +107,18 @@ impl<S> Sim<S> {
                     e.name
                 )));
             }
-            stats.push(RuleStats {
-                fired: r.u64()?,
-                guard_stalls: r.u64()?,
-                cm_stalls: r.u64()?,
-            });
+            let (fired, guard_stalls, cm_stalls) = (r.u64()?, r.u64()?, r.u64()?);
+            // One outcome per cycle: the rule was registered as many cycles
+            // before the snapshot as it has outcomes.
+            let born = [fired, guard_stalls, cm_stalls]
+                .into_iter()
+                .try_fold(cycles, u64::checked_sub)
+                .ok_or_else(|| {
+                    SnapError::Corrupt(format!(
+                        "rule `{name}` claims more outcomes than the snapshot's {cycles} cycles"
+                    ))
+                })?;
+            counts.push((fired, cm_stalls, born));
         }
         let had_tel = bool::load(r)?;
         match (had_tel, self.tel.is_some()) {
@@ -155,13 +159,13 @@ impl<S> Sim<S> {
             }
         }
         self.clk.restore_cells(r)?;
-        // Wake everything *before* overwriting stats: clearing a live sleep
-        // settles its deficit into the old stats, which are discarded next.
         for i in 0..self.rules.len() {
             self.clear_sleep(i);
         }
-        for (e, s) in self.rules.iter_mut().zip(stats) {
-            e.stats = s;
+        for (e, (fired, cm_stalls, born)) in self.rules.iter_mut().zip(counts) {
+            e.fired = fired;
+            e.cm_stalls = cm_stalls;
+            e.born = born;
             e.last_wait = None;
         }
         self.cycles = cycles;

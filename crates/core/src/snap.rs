@@ -678,7 +678,7 @@ macro_rules! snap_enum {
 /// persisted fields: `snap_save` writes them in list order and
 /// `snap_restore` reads them back in the same order, so the layout is
 /// written down once. A field is a field name or a path through nested
-/// structs (`devices.exited`), optionally followed by a kind:
+/// structs (`devices.console`), optionally followed by a kind:
 ///
 /// * *(none)* — a plain value, through [`Snap`];
 /// * `module` — a module, restored in place through its own [`Snapshot`];

@@ -9,10 +9,12 @@
 //! and whose publish→wake edges feed the profiler's critical paths.
 //!
 //! Every soup runs twice: *observed* (a tracer attached, which compares the
-//! event stream, every stall with its reason, but forces every guard to
-//! re-evaluate) and
-//! *unobserved* (nothing attached — the lane users run, where rules sleep
-//! and the loop's `OBS = false` instantiation executes). Every soup rule
+//! event stream, every stall with its reason — a sleeper's cached one
+//! included) and *unobserved* (nothing attached — the lane users run, where
+//! the loop's `OBS = false` instantiation executes). Rules sleep in both,
+//! and a traced fast run enters exactly the rule bodies its untraced twin
+//! does: a tracer changes what the kernel reports, never what it
+//! evaluates. Every soup rule
 //! also has a stall callback ([`Sim::on_stall`]) counting its stalls by
 //! reason in the design state, compared after every cycle.
 //!
@@ -328,9 +330,10 @@ fn run_soup(seed: u64, mode: SchedulerMode, with_chaos: bool, observed: bool) ->
 
 /// Compares the two schedulers over 24 soups, observed and unobserved.
 fn assert_soups_match_reference(with_chaos: bool) {
-    for observed in [true, false] {
-        let (mut ref_entries, mut fast_entries) = (0, 0);
-        for seed in 0..24 {
+    let (mut ref_entries, mut fast_entries) = (0, 0);
+    for seed in 0..24 {
+        let mut entered = [0; 2];
+        for observed in [false, true] {
             let (reference, r) = run_soup(seed, SchedulerMode::Reference, with_chaos, observed);
             let (fast, f) = run_soup(seed, SchedulerMode::Fast, with_chaos, observed);
             assert_eq!(
@@ -338,17 +341,23 @@ fn assert_soups_match_reference(with_chaos: bool) {
                 "fast scheduler diverged from reference oracle \
                  (seed {seed}, chaos {with_chaos}, observed {observed})"
             );
+            entered[usize::from(observed)] = f;
             ref_entries += r;
             fast_entries += f;
         }
-        // The unobserved lane must really exercise sleep/wake: if rules
-        // stopped sleeping, the comparison above would pass vacuously.
-        assert!(
-            observed || fast_entries < ref_entries,
-            "unobserved fast runs entered {fast_entries} rule bodies, \
-             reference {ref_entries}: nothing slept (chaos {with_chaos})"
+        assert_eq!(
+            entered[1], entered[0],
+            "the traced fast run entered another number of rule bodies than \
+             the untraced one (seed {seed}, chaos {with_chaos})"
         );
     }
+    // Both lanes must really exercise sleep/wake: if rules stopped
+    // sleeping, the comparisons above would pass vacuously.
+    assert!(
+        fast_entries < ref_entries,
+        "fast runs entered {fast_entries} rule bodies, \
+         reference {ref_entries}: nothing slept (chaos {with_chaos})"
+    );
 }
 
 #[test]

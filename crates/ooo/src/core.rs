@@ -1597,7 +1597,7 @@ impl Soc {
     /// fetch PC with the BTB (fetch-ahead).
     pub(crate) fn rule_fetch(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
-        if self.devices.exited[c].is_some() {
+        if self.devices.exited[c].read().is_some() {
             return Err(Stall::new("core exited"));
         }
         {
@@ -1695,9 +1695,7 @@ impl Soc {
     /// next substrate tick sets `itlb_busy`, which wakes the sleeping fetch
     /// to stall on "itlb miss pending" instead.
     pub(crate) fn fetch_stalled(&mut self, c: usize, reason: &'static str) {
-        // The guard checks the exit before the lookup; a sleeper's cached
-        // reason can outlive it.
-        if !matches!(reason, ITLB_MISS | ICACHE_FULL) || self.devices.exited[c].is_some() {
+        if !matches!(reason, ITLB_MISS | ICACHE_FULL) {
             return;
         }
         let now = self.mem.now();

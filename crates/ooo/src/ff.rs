@@ -329,7 +329,7 @@ impl FastForward {
                 core.btb = w.btb.clone();
                 core.tour = w.tour.clone();
                 core.ras = w.ras.clone();
-                soc.devices.exited[hart] = h.halted;
+                soc.devices.exited[hart].write(h.halted);
                 // TLBs: re-walk the recent pages against the live page
                 // tables (never trusting stale cached translations).
                 if h.priv_mode != Priv::M && vm::satp_sv39_enabled(h.csrs.satp) {
@@ -440,7 +440,7 @@ mod tests {
 
         let mut detailed = SocSim::new(cfg, mem_riscyoo_b(), 1, &prog);
         detailed.run_to_completion(2_000_000).expect("full run");
-        assert_eq!(detailed.soc().devices.exited[0], Some(7));
+        assert_eq!(detailed.soc().devices.exited[0].read(), Some(7));
 
         let mut ff = FastForward::new(cfg, mem_riscyoo_b(), 1, &prog);
         let ran = ff.run(250);
@@ -448,7 +448,7 @@ mod tests {
         assert!(!ff.halted());
         let mut sim = ff.handoff();
         sim.run_to_completion(2_000_000).expect("detailed tail");
-        assert_eq!(sim.soc().devices.exited[0], Some(7));
+        assert_eq!(sim.soc().devices.exited[0].read(), Some(7));
         assert!(
             sim.soc().cores[0].stats.committed > 0,
             "detailed region committed instructions"
@@ -497,6 +497,6 @@ mod tests {
         ff.run(1_000_000);
         assert!(ff.halted());
         let sim = ff.handoff();
-        assert_eq!(sim.soc().devices.exited[0], Some(7));
+        assert_eq!(sim.soc().devices.exited[0].read(), Some(7));
     }
 }

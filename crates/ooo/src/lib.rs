@@ -52,7 +52,7 @@
 //! sim.soc_mut().enable_cosim(&prog);
 //! let cycles = sim.run_to_completion(100_000).expect("program halts");
 //! assert!(cycles > 0);
-//! assert_eq!(sim.soc().devices.exited[0], Some(42));
+//! assert_eq!(sim.soc().devices.exited[0].read(), Some(42));
 //! ```
 
 pub mod config;

@@ -96,10 +96,12 @@ impl CoreStats {
 }
 
 /// Memory-mapped devices shared by all cores (HTIF substitute).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Devices {
-    /// Exit codes, one per core; `Some` once halted.
-    pub exited: Vec<Option<u64>>,
+    /// Exit codes, one cell per core; `Some` once halted. A cell, so the
+    /// exit is written inside the committing rule's transaction and wakes
+    /// a `fetch` sleeping on it.
+    pub exited: Vec<Ehr<Option<u64>>>,
     /// Console bytes.
     pub console: Vec<u8>,
 }
@@ -110,8 +112,8 @@ impl Devices {
     pub fn store(&mut self, pa: u64, value: u64) -> bool {
         if (MMIO_EXIT..MMIO_EXIT + 8 * 8).contains(&pa) {
             let target = ((pa - MMIO_EXIT) / 8) as usize;
-            if let Some(slot) = self.exited.get_mut(target) {
-                *slot = Some(value);
+            if let Some(slot) = self.exited.get(target) {
+                slot.write(Some(value));
             }
             true
         } else if pa == MMIO_PUTCHAR {
@@ -240,7 +242,7 @@ impl Soc {
             mem,
             cores,
             devices: Devices {
-                exited: vec![None; num_cores],
+                exited: (0..num_cores).map(|_| Ehr::new(clk, None)).collect(),
                 console: Vec::new(),
             },
             golden: None,
@@ -262,7 +264,7 @@ impl Soc {
     /// Whether every core has written its exit device.
     #[must_use]
     pub fn all_exited(&self) -> bool {
-        self.devices.exited.iter().all(Option::is_some)
+        self.devices.exited.iter().all(|e| e.read().is_some())
     }
 
     /// Current cycle (the memory system's clock is the global one).
@@ -589,7 +591,7 @@ impl SocSim {
     /// The per-core exit codes (`None` entries have not exited).
     #[must_use]
     pub fn exit_codes(&self) -> Vec<Option<u64>> {
-        self.soc().devices.exited.clone()
+        self.soc().devices.exited.iter().map(Ehr::read).collect()
     }
 
     /// Runs up to `max_extra` additional cycles until every architectural
@@ -1074,8 +1076,10 @@ pub use crate::core::CoreState as Core;
 /// system writes the L1 D and L1 I counts each before its caches where it
 /// wrote one core count, a page walker writes its walk-cache count where
 /// it wrote a presence flag, and the kernel no longer writes a counter
-/// registry after the rule table.
-pub const SOC_SNAP_VERSION: u32 = 8;
+/// registry after the rule table; v9 moved each core's exit code into a
+/// cell adopted after every core's (the SoC section no longer writes
+/// `devices.exited`).
+pub const SOC_SNAP_VERSION: u32 = 9;
 
 cmd_core::snap_struct!(CoreStats {
     committed,
@@ -1100,7 +1104,6 @@ cmd_core::snap_struct!(CoreStats {
 cmd_core::snapshot_fields!(Soc {
     mem: module,
     cores: modules,
-    devices.exited: same_len,
     devices.console,
 } check Soc::check_cells);
 

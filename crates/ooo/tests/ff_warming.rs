@@ -7,9 +7,9 @@
 //! functional pass observes fetches, data accesses and control flow must
 //! reproduce these bytes exactly. A change to the snapshot format moves the
 //! digests but not the layout-free witnesses beside them: the digests were
-//! re-captured at format v7 (the LSQ ordered by sequence number alone) and
-//! at v8 (every module saved from its field list, no counter registry)
-//! while every witness held.
+//! re-captured at format v7 (the LSQ ordered by sequence number alone), at
+//! v8 (every module saved from its field list, no counter registry) and at
+//! v9 (each core's exit code in a cell) while every witness held.
 
 use riscy_isa::asm::Program;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
@@ -78,9 +78,9 @@ fn handoff_state_is_pinned_for_libquantum() {
         "{witnesses:#x?}"
     );
     let want = [
-        (2_000, 0x1ab7_59d6_f09d_f90f),
-        (60_000, 0xe47c_772d_049f_df6e),
-        (250_000, 0x365d_56ba_33bd_838f),
+        (2_000, 0x600f_defd_55c3_ad3d),
+        (60_000, 0x9af5_80de_c6f6_35c0),
+        (250_000, 0xf348_a551_ab9a_ddd9),
     ];
     let digests: Vec<(u64, u64)> = got.iter().map(|&(t, _, d)| (t, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");
@@ -104,8 +104,8 @@ fn handoff_state_is_pinned_for_two_harts() {
         "{witnesses:#x?}"
     );
     let want = [
-        (false, 0xbbed_ce2d_2149_a45a),
-        (true, 0xf0a5_1009_20e2_a501),
+        (false, 0x9657_d3ed_756e_a1d1),
+        (true, 0xc5f1_ef90_0a74_7932),
     ];
     let digests: Vec<(bool, u64)> = got.iter().map(|&(h, _, d)| (h, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");

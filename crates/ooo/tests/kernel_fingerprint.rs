@@ -150,8 +150,9 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// at-commit flag or SQ ROB index, a tagged forwarding source, no I TLB
 /// response queue or `l2tlb_misses`), and when every module came to be
 /// saved from its field list (v8: an L1 count before each L1 vector, a
-/// walk-cache count for a presence flag, no counter registry), each time
-/// only while [`witness`] still held.
+/// walk-cache count for a presence flag, no counter registry), and when
+/// each core's exit code moved into a cell (v9), each time only while
+/// [`witness`] still held.
 /// `snapshot_roundtrip.rs` compares one build against itself and cannot
 /// see a layout change that forgot to bump the version.
 #[test]
@@ -170,7 +171,7 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
         0xe2e0_b50f_f36f_b273,
         "the restored run drifted from the layout-free witness"
     );
-    assert_eq!((bytes.len(), h), (14_306_486, 0xfe09_6bd0_7dd8_003e));
+    assert_eq!((bytes.len(), h), (14_306_486, 0x8f66_eb57_6c2e_f19a));
 }
 
 /// A layout-free witness of a snapshot: restore `bytes` into a fresh

@@ -3,11 +3,16 @@
 //! * enabling the profiler (host-time attribution + causal log + TMA)
 //!   never changes cycle counts, architectural statistics, or scheduler
 //!   rule-table totals — on one core and on a 2-core SoC, under both schedulers;
+//! * a tracer leaves every rule's evaluation and sleep counts alone;
 //! * the top-down buckets partition the sampled cycles exactly;
 //! * the machine-readable profile carries the documented keys.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use cmd_core::sched::SchedulerMode;
 use cmd_core::sim::RuleStats;
+use cmd_core::trace::{TraceEvent, TraceSink, Tracer};
 use riscy_isa::asm::Assembler;
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
@@ -107,6 +112,59 @@ fn profiling_is_identity_preserving_multicore() {
         assert_eq!(plain.1, prof.1, "{mode:?}: profiling changed a statistic");
         assert_eq!(plain.2, prof.2, "{mode:?}: profiling changed a counter");
     }
+}
+
+/// Each rule's `(name, evals, skipped)` in a profile JSON.
+fn evals_and_skips(json: &str) -> Vec<(String, u64, u64)> {
+    let field = |rule: &str, key: &str| -> u64 {
+        let key = format!("\"{key}\":");
+        let at = rule.find(&key).expect("a profiled rule field") + key.len();
+        let digits = rule[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).expect("a count")
+    };
+    json.split("{\"name\":")
+        .skip(1)
+        .map(|rule| {
+            let name = rule.split('"').nth(1).expect("a rule name");
+            (
+                name.to_string(),
+                field(rule, "evals"),
+                field(rule, "skipped"),
+            )
+        })
+        .collect()
+}
+
+/// A trace sink that only counts.
+#[derive(Default)]
+struct Count(u64);
+
+impl TraceSink for Count {
+    fn event(&mut self, _: u64, _: &TraceEvent<'_>) {
+        self.0 += 1;
+    }
+}
+
+/// A tracer changes what the kernel reports, never what it evaluates: a
+/// profiled run with one attached evaluates and skips every rule exactly as
+/// often as a profiled run without, and its rules do sleep.
+#[test]
+fn a_tracer_leaves_evaluations_and_skips_alone() {
+    let prog = busy_prog(300);
+    let run = |traced: bool| {
+        let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
+        sim.enable_profiling();
+        let sink = Rc::new(RefCell::new(Count::default()));
+        if traced {
+            sim.set_tracer(Tracer::new(sink.clone()));
+        }
+        sim.run_to_completion(3_000_000).unwrap();
+        assert_eq!(traced, sink.borrow().0 > 0);
+        evals_and_skips(&sim.profile_json())
+    };
+    let plain = run(false);
+    assert!(plain.iter().any(|r| r.2 > 0), "no rule slept: {plain:?}");
+    assert_eq!(run(true), plain);
 }
 
 #[test]

@@ -37,7 +37,7 @@ fn run_cosim(a: Assembler, max_cycles: u64) -> (SocSim, u64) {
 }
 
 fn exit_code(sim: &SocSim) -> u64 {
-    sim.soc().devices.exited[0].expect("exited")
+    sim.soc().devices.exited[0].read().expect("exited")
 }
 
 #[test]
@@ -409,7 +409,7 @@ fn multicore_amo_counter_wmm() {
     // protocol committed all instructions.
     assert!(v <= 400);
     for c in 0..2 {
-        assert!(sim.soc().devices.exited[c].is_some());
+        assert!(sim.soc().devices.exited[c].read().is_some());
     }
 }
 
@@ -470,7 +470,7 @@ fn multicore_spinlock_tso() {
     );
     sim.run_to_completion(6_000_000)
         .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(sim.soc().devices.exited[0], Some(100));
+    assert_eq!(sim.soc().devices.exited[0].read(), Some(100));
 }
 
 #[test]
@@ -484,7 +484,7 @@ fn multicore_spinlock_wmm() {
     );
     sim.run_to_completion(6_000_000)
         .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(sim.soc().devices.exited[0], Some(100));
+    assert_eq!(sim.soc().devices.exited[0].read(), Some(100));
 }
 
 #[test]
@@ -517,7 +517,7 @@ fn tso_and_wmm_single_core_equivalent() {
         sim.run_to_completion(400_000)
             .unwrap_or_else(|e| panic!("{model:?}: {e}"));
         let total: u64 = (1..=32).sum();
-        assert_eq!(sim.soc().devices.exited[0], Some(total), "{model:?}");
+        assert_eq!(sim.soc().devices.exited[0].read(), Some(total), "{model:?}");
     }
 }
 
@@ -549,12 +549,12 @@ fn mesi_extension_is_architecturally_equivalent() {
     sim.soc_mut().enable_cosim(&prog);
     sim.run_to_completion(500_000)
         .unwrap_or_else(|e| panic!("mesi cosim: {e}"));
-    assert_eq!(sim.soc().devices.exited[0], Some(24 * 3));
+    assert_eq!(sim.soc().devices.exited[0].read(), Some(24 * 3));
 
     // Multicore with locks under MESI.
     let prog = spinlock_prog(30);
     let mut sim = SocSim::new(CoreConfig::multicore(MemModel::Tso), mem_cfg, 2, &prog);
     sim.run_to_completion(6_000_000)
         .unwrap_or_else(|e| panic!("mesi spinlock: {e}"));
-    assert_eq!(sim.soc().devices.exited[0], Some(60));
+    assert_eq!(sim.soc().devices.exited[0].read(), Some(60));
 }

@@ -14,9 +14,11 @@
 //! design with tens of rules per core. The SoC registers no
 //! conflict-matrix module (its modules order through EHR ports), so the
 //! conflict probe is covered by the kernel-level soups in
-//! `crates/core/tests/sched_equivalence.rs`, not here. Traced runs
-//! re-evaluate every rule every cycle (exact stall reasons); the untraced
-//! tests below exercise sleeping and the loop's unobserved instantiation.
+//! `crates/core/tests/sched_equivalence.rs`, not here. Rules sleep in
+//! traced runs too, so comparing the trace streams checks every cached
+//! stall reason a sleeper reports against the reference's fresh one; the
+//! untraced tests below exercise the loop's unobserved instantiation and
+//! the clock jump.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -149,7 +151,7 @@ fn run_soc(
         result,
         cycles: sim.cycles(),
         stats: sim.soc().cores.iter().map(|c| c.stats).collect(),
-        exited: sim.soc().devices.exited.clone(),
+        exited: sim.exit_codes(),
         totals: sim.rule_totals(),
         trace,
         faults: engine.map_or_else(Vec::new, |e| e.log()),
@@ -197,6 +199,38 @@ fn soc_matches_reference_under_chaos() {
     for seed in 0..3 {
         assert_equivalent(&busy_prog(60), 1, Some(chaos_plan(seed)), true);
     }
+}
+
+/// Stores its exit code and jumps over 4 KiB of padding: the exit store
+/// commits while `fetch` waits on the I-cache misses of the cold code
+/// behind it.
+fn exit_ahead_of_cold_code() -> Program {
+    let mut a = Assembler::new(DRAM_BASE);
+    a.li(Gpr::t(6), MMIO_EXIT as i64);
+    a.li(Gpr::t(5), 7);
+    a.sd(Gpr::t(5), 0, Gpr::t(6));
+    a.j("hang");
+    for _ in 0..1024 {
+        a.nop();
+    }
+    a.label("hang");
+    a.j("hang");
+    a.assemble()
+}
+
+/// A core exits while its `fetch` sleeps on fetches in flight. The
+/// reference's `fetch` reports "core exited" in the exit cycle, after the
+/// commit rule stored the code; the fast one must too, so the store has to
+/// wake it. It does because the exit code is a cell: were it plain state,
+/// the sleeper would report its cached reason and the traces would differ.
+#[test]
+fn a_core_exits_while_its_fetch_sleeps() {
+    let reference = assert_equivalent(&exit_ahead_of_cold_code(), 1, None, true);
+    let last = reference.trace.last().expect("a traced run");
+    assert!(
+        last.ends_with("guard-stalled c0.fetch: core exited"),
+        "{last}"
+    );
 }
 
 /// No tracer attached: the sleep layer is active and the loop runs its

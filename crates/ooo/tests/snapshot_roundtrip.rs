@@ -108,7 +108,7 @@ fn finish(mut sim: SocSim) -> Outcome {
     Outcome {
         cycles: sim.cycles(),
         stats: sim.soc().cores.iter().map(|c| c.stats).collect(),
-        exited: sim.soc().devices.exited.clone(),
+        exited: sim.exit_codes(),
         final_snap,
     }
 }
@@ -121,7 +121,7 @@ fn snap_and_finish(prog: &Program, num_cores: usize, mode: SchedulerMode) -> (Ve
         sim.cycle();
     }
     assert!(
-        !sim.soc().devices.exited.iter().all(Option::is_some),
+        !sim.soc().all_exited(),
         "snapshot point must be mid-run; shorten SNAP_AT or lengthen the program"
     );
     let snap = sim.save_snapshot().expect("mid-run snapshot");
@@ -215,12 +215,12 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v7 — the last format with a counter registry in
-    // the kernel section and one core count before both L1 vectors, so a
-    // v7 body must never reach the v8 reader.
+    // future format, and v8 — the last format with the exit codes in the
+    // SoC section instead of cells, so a v8 body must never reach the v9
+    // reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 8, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 7] {
+    assert_eq!(current, 9, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 8] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
@@ -535,6 +535,39 @@ fn each_restore_rule_refuses_what_breaks_it() {
             }
             (other, _) => panic!("{what}: refused with the wrong kind: {other:?}"),
         }
+    }
+}
+
+/// A rule table that claims more outcomes than the snapshot has cycles is
+/// corrupt: a rule has exactly one outcome per cycle, so a real snapshot's
+/// counts sum to the cycle count, and one guard stall more names the rule.
+#[test]
+fn a_rule_with_more_outcomes_than_cycles_is_corrupt() {
+    let prog = busy_prog(300);
+    let (sim, snap) = mid_run(&prog, 1, SNAP_AT);
+    let (_, kernel) = layout(&sim, &snap)
+        .0
+        .into_iter()
+        .find(|(name, _)| name == "kernel")
+        .expect("a kernel section");
+    let mut r = SnapReader::new(&snap[kernel.clone()]);
+    let cycles = r.u64().expect("cycle count");
+    r.bytes(16).expect("clock cycle and quiet cycles");
+    assert!(r.len_prefix().expect("rule count") > 0);
+    let rule = r.take::<String>().expect("the first rule's name");
+    let at = kernel.end - r.remaining();
+    let counts: Vec<u64> = (0..3).map(|_| r.u64().expect("a count")).collect();
+    assert_eq!(
+        counts.iter().sum::<u64>(),
+        cycles,
+        "`{rule}` has one outcome per cycle"
+    );
+    let mut bad = snap.clone();
+    let guard_stalls = at + 8..at + 16;
+    bad[guard_stalls].copy_from_slice(&(counts[1] + 1).to_le_bytes());
+    match restore_checked(&prog, 1, &bad, "one guard stall too many") {
+        Err(SnapError::Corrupt(m)) => assert!(m.contains(&format!("`{rule}`")), "{m}"),
+        other => panic!("expected corruption naming `{rule}`, got {other:?}"),
     }
 }
 

@@ -79,7 +79,7 @@ fn golden_konata_trace_for_tiny_program() {
     let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
     sim.enable_pipe_trace();
     sim.run_to_completion(100_000).unwrap();
-    assert_eq!(sim.soc().devices.exited[0], Some(42));
+    assert_eq!(sim.soc().devices.exited[0].read(), Some(42));
 
     let text = sim.pipe_trace();
     let recs = parse_trace(&text);

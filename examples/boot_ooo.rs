@@ -99,7 +99,7 @@ fn main() {
     let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
     sim.soc_mut().enable_cosim(&prog);
     let cycles = sim.run_to_completion(5_000_000).expect("program completes");
-    let code = sim.soc().devices.exited[0].expect("exited");
+    let code = sim.soc().devices.exited[0].read().expect("exited");
     assert_eq!(code, expect, "sorted checksum");
     assert_eq!(MMIO_EXIT, 0x1000_0000);
 

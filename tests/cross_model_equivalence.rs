@@ -26,7 +26,7 @@ fn run_all_three(w: &Workload) -> (u64, u64, u64) {
     let mut ooo = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
     ooo.run_to_completion(w.max_cycles)
         .unwrap_or_else(|e| panic!("{}: ooo: {e}", w.name));
-    let o = ooo.soc().devices.exited[0].expect("ooo exits");
+    let o = ooo.soc().devices.exited[0].read().expect("ooo exits");
 
     (g, i, o)
 }
@@ -64,7 +64,12 @@ fn tso_and_wmm_agree_with_golden_on_spec() {
             let mut sim = SocSim::new(cfg, mem_riscyoo_b(), 1, &w.program);
             sim.run_to_completion(w.max_cycles)
                 .unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert_eq!(sim.soc().devices.exited[0], Some(g), "{} {model:?}", w.name);
+            assert_eq!(
+                sim.soc().devices.exited[0].read(),
+                Some(g),
+                "{} {model:?}",
+                w.name
+            );
         }
     }
 }
@@ -158,7 +163,7 @@ fn parsec_proxies_agree_between_golden_and_quad_core() {
             // these are not.
             for h in 0..2 {
                 assert!(
-                    sim.soc().devices.exited[h].is_some(),
+                    sim.soc().devices.exited[h].read().is_some(),
                     "{} {model:?} hart {h}",
                     w.name
                 );
