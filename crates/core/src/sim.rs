@@ -436,14 +436,13 @@ impl<S> Sim<S> {
     /// design state and the stall reason once for every cycle the rule
     /// guard-stalls, whether its body ran or it was skipped asleep, in both
     /// scheduler modes (see the module docs for the exact cases). This is
-    /// where anything that recurs on every stalled cycle belongs — a
-    /// statistic, a lookup's bookkeeping: in the body it would be a
-    /// plain-state mutation on a stall path, which a sleeping rule, whose
-    /// body is skipped, would not repeat. `f` runs outside any rule
-    /// transaction and must touch only plain state no guard reads. Over a
-    /// jump ([`Sim::try_advance`]) each sleeper's calls for the skipped
-    /// cycles come back to back, so callbacks of different rules must
-    /// commute. Replaces any earlier callback of the rule.
+    /// where a statistic that recurs on every stalled cycle belongs: in
+    /// the body it would be a plain-state mutation on a stall path, which a
+    /// sleeping rule, whose body is skipped, would not repeat. `f` runs
+    /// outside any rule transaction and must touch only plain state no
+    /// guard reads. Over a jump ([`Sim::try_advance`]) each sleeper's calls
+    /// for the skipped cycles come back to back, so callbacks of different
+    /// rules must commute. Replaces any earlier callback of the rule.
     ///
     /// # Panics
     ///

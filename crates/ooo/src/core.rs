@@ -39,13 +39,6 @@ const DIV_LATENCY: u64 = 16;
 /// Multiply latency in cycles.
 const MUL_LATENCY: u64 = 3;
 
-/// `updateLsq` stalls with a D TLB miss and no free slot to park it in.
-pub(crate) const DTLB_SLOTS_FULL: &str = "dtlb miss slots full";
-/// `fetch` stalls on an I TLB miss (its stall callback launches it).
-pub(crate) const ITLB_MISS: &str = "itlb miss";
-/// `fetch` stalls with a translated PC and no I-cache request room.
-pub(crate) const ICACHE_FULL: &str = "icache full";
-
 /// An in-flight instruction-fetch request.
 #[derive(Debug, Clone, Copy)]
 pub struct FetchReq {
@@ -284,7 +277,9 @@ impl Soc {
             while let Some(r) = self.mem.pop_walker_resp(c) {
                 core.tlb.push_walker_resp(r);
             }
-            core.tlb.tick(now, core.csr.satp);
+            if let Some(va) = core.tlb.tick(now, core.csr.satp) {
+                port.itlb_fault.write(Some(va));
+            }
             while let Some(r) = core.tlb.pop_d_resp() {
                 port.dtlb_resp.push_back(r);
             }
@@ -595,6 +590,9 @@ impl Soc {
         core.fetch_expect.write(core.fetch_seq.read());
         core.epoch.update(|e| *e += 1);
         core.fetch_pc.write(new_pc);
+        // A pending I-side walk fault belongs to a fetch the flush squashed
+        // (and perhaps to a privilege or address space it left).
+        core.port.itlb_fault.write(None);
     }
 
     /// Lock-step golden-model check at commit (single-core co-simulation).
@@ -881,9 +879,8 @@ impl Soc {
     ///
     /// The lookups and miss launches are plain calls on the TLBs, made only
     /// on paths that fire. The rule stalls when there is provably nothing
-    /// to do, or on [`DTLB_SLOTS_FULL`] when its D TLB miss has no slot to
-    /// park in; that stall decides on a peek, and the lookup the reference
-    /// repeats on every such cycle is [`Soc::update_lsq_stalled`]'s.
+    /// to do, or when its D TLB miss has no slot to park in; that stall
+    /// decides on a peek and leaves the D TLB alone.
     pub(crate) fn rule_update_lsq(&mut self, c: usize) -> Guarded<()> {
         let now = self.mem.now();
         let mut progressed = false;
@@ -916,7 +913,15 @@ impl Soc {
         //    (RiscyOO-B) nothing proceeds while a miss is pending.
         let hum = self.cores[c].tlb.hit_under_miss();
         if hum || !self.cores[c].port.dtlb_busy.read() {
-            if let Some((slot, t, access)) = self.next_untranslated(c) {
+            let next = self.cores[c].mem_wait_tlb.with(|v| {
+                let (slot, t) = v.iter().enumerate().find(|(_, t)| t.tlb_id.is_none())?;
+                let access = match t.uop.mem_kind {
+                    Some(MemKind::Load) => Access::Load,
+                    _ => Access::Store,
+                };
+                Some((slot, *t, access))
+            });
+            if let Some((slot, t, access)) = next {
                 let (satp, pm) = {
                     let core = &self.cores[c];
                     (core.csr.satp, core.priv_mode)
@@ -924,7 +929,7 @@ impl Soc {
                 let tlb = &self.cores[c].tlb;
                 if !progressed && !tlb.can_park_d() && tlb.peek_d(t.va, access, satp, pm).is_none()
                 {
-                    return Err(Stall::new(DTLB_SLOTS_FULL));
+                    return Err(Stall::new("dtlb miss slots full"));
                 }
                 match self.cores[c].tlb.lookup_d(t.va, access, satp, pm) {
                     Some(res) => {
@@ -963,34 +968,6 @@ impl Soc {
         } else {
             Err(Stall::new("nothing to translate"))
         }
-    }
-
-    /// Step 2's candidate: the oldest translation without an outstanding
-    /// miss, its slot and its access kind.
-    fn next_untranslated(&self, c: usize) -> Option<(usize, MemTrans, Access)> {
-        self.cores[c].mem_wait_tlb.with(|v| {
-            let (slot, t) = v.iter().enumerate().find(|(_, t)| t.tlb_id.is_none())?;
-            let access = match t.uop.mem_kind {
-                Some(MemKind::Load) => Access::Load,
-                _ => Access::Store,
-            };
-            Some((slot, *t, access))
-        })
-    }
-
-    /// `updateLsq`'s stall callback: on a cycle it stalls on
-    /// [`DTLB_SLOTS_FULL`], the D TLB lookup the stalled body leaves out
-    /// (it counts the miss and ticks the LRU clock).
-    pub(crate) fn update_lsq_stalled(&mut self, c: usize, reason: &'static str) {
-        if reason != DTLB_SLOTS_FULL {
-            return;
-        }
-        let (_, t, access) = self
-            .next_untranslated(c)
-            .expect("a full-slots stall has a translation waiting");
-        let core = &mut self.cores[c];
-        core.tlb
-            .lookup_d(t.va, access, core.csr.satp, core.priv_mode);
     }
 
     fn finish_translation(
@@ -1627,20 +1604,36 @@ impl Soc {
             (core.csr.satp, core.priv_mode)
         };
         let seq = self.cores[c].fetch_seq.read();
-        // The stalls decide on a peek and leave the I TLB alone; what the
-        // lookup does on their cycles is `Soc::fetch_stalled`'s.
-        match self.cores[c].tlb.peek_i(pc, satp, pm) {
-            None => return Err(Stall::new(ITLB_MISS)),
-            Some(Ok(_)) if self.cores[c].port.i_full() => {
-                return Err(Stall::new(ICACHE_FULL));
-            }
-            Some(_) => {}
+        // A faulting I-side walk reports once; it is this PC's fault if
+        // this PC launched it.
+        let walk_fault = self.cores[c].port.itlb_fault.read();
+        if walk_fault.is_some() {
+            self.cores[c].port.itlb_fault.write(None);
         }
-        let looked_up = self.cores[c].tlb.lookup_i(pc, satp, pm);
-        let pa = match looked_up.expect("peeked an I TLB hit") {
-            Ok(pa) => pa,
-            Err(_) => {
-                // Fetch fault: deliver a poisoned packet directly.
+        let looked_up = if walk_fault == Some(pc) {
+            None
+        } else {
+            // The stall decides on a peek and leaves the I TLB alone.
+            match self.cores[c].tlb.peek_i(pc, satp, pm) {
+                None => {
+                    let core = &mut self.cores[c];
+                    core.tlb.lookup_i(pc, satp, pm);
+                    let id = core.next_tlb_id;
+                    core.next_tlb_id += 1;
+                    core.tlb.request_i(now, id, pc, pm);
+                    return Ok(());
+                }
+                Some(Ok(_)) if self.cores[c].port.i_full() => {
+                    return Err(Stall::new("icache full"));
+                }
+                Some(_) => self.cores[c].tlb.lookup_i(pc, satp, pm),
+            }
+        };
+        let pa = match looked_up {
+            Some(Ok(pa)) => pa,
+            _ => {
+                // Fetch fault (a faulting walk or a permission fault):
+                // deliver a poisoned packet directly.
                 let req = FetchReq {
                     seq,
                     epoch,
@@ -1687,26 +1680,6 @@ impl Soc {
         core.inflight_fetch.push_back(req);
         core.fetch_pc.write(guess);
         Ok(())
-    }
-
-    /// `fetch`'s stall callback: on a cycle it stalls past the I TLB, the
-    /// lookup the stalled body leaves out (hit and miss counts, LRU) and,
-    /// on [`ITLB_MISS`], the miss launch. It launches once per miss: the
-    /// next substrate tick sets `itlb_busy`, which wakes the sleeping fetch
-    /// to stall on "itlb miss pending" instead.
-    pub(crate) fn fetch_stalled(&mut self, c: usize, reason: &'static str) {
-        if !matches!(reason, ITLB_MISS | ICACHE_FULL) {
-            return;
-        }
-        let now = self.mem.now();
-        let core = &mut self.cores[c];
-        let (pc, satp, pm) = (core.fetch_pc.read(), core.csr.satp, core.priv_mode);
-        core.tlb.lookup_i(pc, satp, pm);
-        if reason == ITLB_MISS {
-            let id = core.next_tlb_id;
-            core.next_tlb_id += 1;
-            core.tlb.request_i(now, id, pc, pm);
-        }
     }
 
     /// Moves arrived I-cache responses into the fetch buffer.

@@ -174,6 +174,9 @@ pub struct MemPort {
     pub dtlb_resp: EhrDeque<TlbResp>,
     /// An I-side translation miss is outstanding.
     pub itlb_busy: Ehr<bool>,
+    /// The VA of the I-side miss whose page walk faulted, until `fetch`
+    /// takes it (a faulting walk leaves the I TLB without an entry).
+    pub itlb_fault: Ehr<Option<u64>>,
     /// A D-side translation miss is outstanding.
     pub dtlb_busy: Ehr<bool>,
 }
@@ -191,6 +194,7 @@ impl MemPort {
             i_resp: EhrDeque::new(clk, 4),
             dtlb_resp: EhrDeque::new(clk, 4),
             itlb_busy: Ehr::new(clk, false),
+            itlb_fault: Ehr::new(clk, None),
             dtlb_busy: Ehr::new(clk, false),
         }
     }
@@ -279,7 +283,8 @@ impl Horizon for Soc {
     /// system's and the TLBs' next events, and the cycle before an L1
     /// response arrives (the substrate delivers what has arrived by the end
     /// of its tick, `now + 1`). The clock jumps only after a cycle in which
-    /// no core rule fired, so nothing waits to cross towards memory.
+    /// no core rule fired, so nothing waits to cross towards memory and no
+    /// TLB miss was launched since the tick mirrored the busy cells.
     fn horizon(&self) -> u64 {
         let now = self.mem.now();
         let mut next = self.mem.next_event();
@@ -289,13 +294,11 @@ impl Horizon for Soc {
                 p.d_req.is_empty() && p.d_write.is_empty() && p.i_req.is_empty(),
                 "core {c} has memory traffic waiting at a clock jump"
             );
-            // A miss launched in the cycle just run (fetch's stall callback
-            // launches I TLB misses) reaches its busy cell at the next tick.
-            if p.itlb_busy.read() != core.tlb.i_miss_pending()
-                || p.dtlb_busy.read() != core.tlb.d_miss_pending()
-            {
-                return 0;
-            }
+            debug_assert!(
+                p.itlb_busy.read() == core.tlb.i_miss_pending()
+                    && p.dtlb_busy.read() == core.tlb.d_miss_pending(),
+                "core {c}'s TLB busy cells lag its TLB at a clock jump"
+            );
             next = next.min(core.tlb.next_event(now));
             for l1 in [self.mem.dcache_ref(c), self.mem.icache_ref(c)] {
                 if let Some(t) = l1.next_resp_after(now) {
@@ -408,10 +411,9 @@ impl SocSim {
         // Every core rule sleeps on the cells its stalling path read
         // (`Wakeup::Inferred`, see `docs/SCHEDULING.md` §"Waking the SoC"),
         // the memory system's included: a core reaches it only through its
-        // `MemPort` cells. What recurs on every stalled cycle — a statistic,
-        // a TLB lookup's bookkeeping, the I TLB miss launch — is a stall
-        // callback (`Sim::on_stall`), not a mutation in the body, and the
-        // one stall that waits on time (`mdExec`'s countdown) names its
+        // `MemPort` cells. A statistic counted on every stalled cycle is a
+        // stall callback (`Sim::on_stall`), not a mutation in the body, and
+        // the one stall that waits on time (`mdExec`'s countdown) names its
         // wake cycle with `Clock::wake_at`.
         fn rule(
             sim: &mut Sim<Soc>,
@@ -445,10 +447,7 @@ impl SocSim {
             }
             rule(&mut sim, c, "mdExec", move |s| s.rule_md_exec(c));
             rule(&mut sim, c, "addrCalc", move |s| s.rule_addr_calc(c));
-            let id = rule(&mut sim, c, "updateLsq", move |s| s.rule_update_lsq(c));
-            sim.on_stall(id, move |s: &mut Soc, reason| {
-                s.update_lsq_stalled(c, reason)
-            });
+            rule(&mut sim, c, "updateLsq", move |s| s.rule_update_lsq(c));
             rule(&mut sim, c, "issueLd", move |s| s.rule_issue_ld(c));
             rule(&mut sim, c, "deqLd", move |s| s.rule_deq_ld(c));
             rule(&mut sim, c, "deqSt", move |s| s.rule_deq_st(c));
@@ -476,8 +475,7 @@ impl SocSim {
             }
             rule(&mut sim, c, "fetchResp", move |s| s.rule_fetch_resp(c));
             rule(&mut sim, c, "decode", move |s| s.rule_decode(c));
-            let id = rule(&mut sim, c, "fetch", move |s| s.rule_fetch(c));
-            sim.on_stall(id, move |s: &mut Soc, reason| s.fetch_stalled(c, reason));
+            rule(&mut sim, c, "fetch", move |s| s.rule_fetch(c));
         }
         SocSim {
             sim,
@@ -1078,8 +1076,9 @@ pub use crate::core::CoreState as Core;
 /// it wrote a presence flag, and the kernel no longer writes a counter
 /// registry after the rule table; v9 moved each core's exit code into a
 /// cell adopted after every core's (the SoC section no longer writes
-/// `devices.exited`).
-pub const SOC_SNAP_VERSION: u32 = 9;
+/// `devices.exited`); v10 added each core's `itlb_fault` cell after its
+/// `itlb_busy`.
+pub const SOC_SNAP_VERSION: u32 = 10;
 
 cmd_core::snap_struct!(CoreStats {
     committed,

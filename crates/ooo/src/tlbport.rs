@@ -12,13 +12,7 @@ use riscy_mem::tlb::{L2Tlb, PageWalker, Tlb, WalkCache};
 use crate::config::TlbConfig;
 
 /// Latency of an L2 TLB lookup.
-///
-/// At least one cycle, so a miss parked during the core rules is still
-/// outstanding after the next substrate tick, which sets the `itlb_busy`
-/// cell: that publish is what wakes a fetch asleep on "itlb miss", whose
-/// stall callback launched the miss.
 const L2_TLB_LATENCY: u64 = 4;
-const _: () = assert!(L2_TLB_LATENCY >= 1);
 
 /// A parked translation miss.
 #[derive(Debug, Clone, Copy)]
@@ -241,8 +235,9 @@ impl TlbHier {
             .map_or(u64::MAX, |t| t.max(now))
     }
 
-    /// One cycle: advance L2 lookups and walks for both sides.
-    pub fn tick(&mut self, now: u64, satp: u64) {
+    /// One cycle: advance L2 lookups and walks for both sides. Returns the
+    /// VA of the I-side miss whose walk faulted this cycle, if any.
+    pub fn tick(&mut self, now: u64, satp: u64) -> Option<u64> {
         self.walker.tick();
         let root = satp_root_ppn(satp);
 
@@ -252,10 +247,11 @@ impl TlbHier {
             walk_results.push(r);
         }
 
+        let mut i_fault = None;
         for side in 0..2 {
-            // A finished I-side miss needs no response: fetch retries
-            // through the I TLB once the miss is no longer parked. Its
-            // lookups still run, for the hit counts and the LRU.
+            // A filled I-side miss needs no response: fetch retries through
+            // the I TLB once the miss is no longer parked. A faulting walk
+            // fills nothing, so its VA is returned for fetch instead.
             let (parked, mut resps, l1) = if side == 0 {
                 (&mut self.d_parked, Some(&mut self.d_resps), &mut self.dtlb)
             } else {
@@ -280,10 +276,15 @@ impl TlbHier {
                                 // Re-check permissions via the L1 entry.
                                 l1.lookup(p.va, p.access, p.priv_mode).expect("just filled")
                             }
-                            Err(_) => Err(PageFault {
-                                va: p.va,
-                                access: p.access,
-                            }),
+                            Err(_) => {
+                                if side == 1 {
+                                    i_fault = Some(p.va);
+                                }
+                                Err(PageFault {
+                                    va: p.va,
+                                    access: p.access,
+                                })
+                            }
                         };
                         respond(TlbResp { id: p.id, result });
                         parked.swap_remove(i);
@@ -337,6 +338,7 @@ impl TlbHier {
                 i += 1;
             }
         }
+        i_fault
     }
 }
 

@@ -8,8 +8,9 @@
 //! reproduce these bytes exactly. A change to the snapshot format moves the
 //! digests but not the layout-free witnesses beside them: the digests were
 //! re-captured at format v7 (the LSQ ordered by sequence number alone), at
-//! v8 (every module saved from its field list, no counter registry) and at
-//! v9 (each core's exit code in a cell) while every witness held.
+//! v8 (every module saved from its field list, no counter registry), at v9
+//! (each core's exit code in a cell) and at v10 (each core's I-side walk
+//! fault cell) while every witness held.
 
 use riscy_isa::asm::Program;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
@@ -78,9 +79,9 @@ fn handoff_state_is_pinned_for_libquantum() {
         "{witnesses:#x?}"
     );
     let want = [
-        (2_000, 0x600f_defd_55c3_ad3d),
-        (60_000, 0x9af5_80de_c6f6_35c0),
-        (250_000, 0xf348_a551_ab9a_ddd9),
+        (2_000, 0x43b2_936e_8c37_3fe0),
+        (60_000, 0xf190_515e_124c_a12f),
+        (250_000, 0xac8a_2fa6_c7f2_1e0e),
     ];
     let digests: Vec<(u64, u64)> = got.iter().map(|&(t, _, d)| (t, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");
@@ -104,8 +105,8 @@ fn handoff_state_is_pinned_for_two_harts() {
         "{witnesses:#x?}"
     );
     let want = [
-        (false, 0x9657_d3ed_756e_a1d1),
-        (true, 0xc5f1_ef90_0a74_7932),
+        (false, 0x75e3_e91c_a81b_1428),
+        (true, 0x2d2d_91ed_c5fc_ee35),
     ];
     let digests: Vec<(bool, u64)> = got.iter().map(|&(h, _, d)| (h, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");

@@ -10,7 +10,11 @@
 //!
 //! If a deliberate timing-model change moves them, re-capture with
 //! `cargo test -p riscy-ooo --test kernel_fingerprint -- --nocapture` and
-//! say why in the commit.
+//! say why in the commit. They were re-captured once so far: when `fetch`
+//! came to launch its I TLB miss by firing instead of from a stall
+//! callback, each core's `fetch` gained one fire and lost one guard stall
+//! (its one I TLB miss a run), and no cycle, commit or mispredict count
+//! moved.
 
 use cmd_core::sched::SchedulerMode;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
@@ -85,13 +89,13 @@ fn fingerprint(w: &Workload, cfg: CoreConfig, cores: usize) -> (u64, u64) {
 #[test]
 fn hmmer_matches_the_pre_journal_kernel() {
     let got = fingerprint(&spec::hmmer(Scale::Test), CoreConfig::riscyoo_t_plus(), 1);
-    assert_eq!(got, (25_508, 0xb650_7f49_6444_13d4));
+    assert_eq!(got, (25_508, 0x5861_7627_8c44_02e2));
 }
 
 #[test]
 fn mcf_matches_the_pre_journal_kernel() {
     let got = fingerprint(&spec::mcf(Scale::Test), CoreConfig::riscyoo_t_plus(), 1);
-    assert_eq!(got, (80_001, 0x811f_e783_43ff_55bd));
+    assert_eq!(got, (80_001, 0xed87_3734_63cf_f89d));
 }
 
 #[test]
@@ -101,7 +105,7 @@ fn two_core_swaptions_matches_the_pre_journal_kernel() {
         CoreConfig::multicore(MemModel::Tso),
         2,
     );
-    assert_eq!(got, (5_632, 0xd97c_96f7_d8d3_83bf));
+    assert_eq!(got, (5_632, 0x0a0d_092b_c511_53cf));
 }
 
 // The three pins below were captured at `bcaccb7`, the commit before the
@@ -117,7 +121,7 @@ fn two_core_wmm_ferret_matches_the_pre_mask_structures() {
         CoreConfig::multicore(MemModel::Wmm),
         2,
     );
-    assert_eq!(got, (8_603, 0x58b8_9283_0a75_04eb));
+    assert_eq!(got, (8_603, 0x8978_ea57_f30e_3da7));
 }
 
 #[test]
@@ -128,14 +132,14 @@ fn four_core_tso_fluidanimate_matches_the_pre_mask_structures() {
         CoreConfig::multicore(MemModel::Tso),
         4,
     );
-    assert_eq!(got, (22_504, 0x615e_5472_081a_5cf7));
+    assert_eq!(got, (22_504, 0x8128_5adb_1b9e_883b));
 }
 
 #[test]
 fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
     // IQ 32 / LQ 48 / SQ 32 / ROB 192: the largest shipped structures.
     let got = fingerprint(&spec::mcf(Scale::Test), CoreConfig::denver_proxy(), 1);
-    assert_eq!(got, (78_383, 0x2713_3d6b_38ef_78a2));
+    assert_eq!(got, (78_383, 0xed75_154c_68fa_9c6a));
 }
 
 /// The snapshot bytes, captured with the kernel's walk over the clock's
@@ -152,7 +156,10 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// saved from its field list (v8: an L1 count before each L1 vector, a
 /// walk-cache count for a presence flag, no counter registry), and when
 /// each core's exit code moved into a cell (v9), each time only while
-/// [`witness`] still held.
+/// [`witness`] still held; and when each core gained its I-side walk
+/// fault cell (v10), with the same run launching the one I TLB miss from
+/// a firing `fetch`: the witness moved only by that firing (`c0.fetch`
+/// one more fire and one fewer guard stall, and the scheduler totals).
 /// `snapshot_roundtrip.rs` compares one build against itself and cannot
 /// see a layout change that forgot to bump the version.
 #[test]
@@ -168,10 +175,10 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
     println!("mcf snapshot @20000: {} bytes hash {h:#018x}", bytes.len());
     assert_eq!(
         witness(&w, 1, &bytes),
-        0xe2e0_b50f_f36f_b273,
+        0x2e4b_4212_9d27_fe95,
         "the restored run drifted from the layout-free witness"
     );
-    assert_eq!((bytes.len(), h), (14_306_486, 0x8f66_eb57_6c2e_f19a));
+    assert_eq!((bytes.len(), h), (14_306_495, 0x7444_2a36_ce2a_4c1d));
 }
 
 /// A layout-free witness of a snapshot: restore `bytes` into a fresh

@@ -2,6 +2,7 @@
 //! against the golden-model interpreter (single core) or final-state
 //! checked (multicore).
 
+use cmd_core::sched::SchedulerMode;
 use riscy_isa::asm::Assembler;
 use riscy_isa::csr::addr as csr;
 use riscy_isa::inst::MulDivOp;
@@ -292,6 +293,52 @@ fn ecall_trap_and_mret() {
     a.mret();
     let (sim, _) = run_cosim(a, 100_000);
     assert_eq!(exit_code(&sim), 111);
+}
+
+/// Under the workload runtime's Sv39 mapping, S-mode jumps to a page whose
+/// walk faults (past the one mapped 4 KiB page). The I TLB gets no entry
+/// for it, so the walk's fault has to reach `fetch` through the boundary;
+/// otherwise fetch relaunches the walk forever and the watchdog reports a
+/// deadlock on "itlb miss pending". The core must trap like the golden
+/// model: the M-mode handler exits with `mcause`, and with 0xbad unless
+/// `mepc` and `mtval` both name the faulting PC.
+#[test]
+fn fetch_from_an_unmapped_page_traps_like_the_golden_model() {
+    use riscy_workloads::runtime::{build_page_tables, emit_enter_supervisor, PAGED_VA_BASE, RW};
+    const INST_PAGE_FAULT: u64 = 12;
+    let unmapped = (PAGED_VA_BASE + 0x1000) as i64;
+    let paging = build_page_tables(1, RW);
+    let mut a = Assembler::new(DRAM_BASE);
+    a.la(Gpr::t(0), "handler");
+    a.csrw(csr::MTVEC, Gpr::t(0));
+    emit_enter_supervisor(&mut a, paging.root_ppn, "supervisor");
+    a.li(Gpr::t(1), unmapped);
+    a.jalr(Gpr::ZERO, Gpr::t(1), 0);
+    a.label("handler");
+    a.csrr(Gpr::s(0), csr::MCAUSE);
+    a.csrr(Gpr::s(1), csr::MEPC);
+    a.csrr(Gpr::s(2), csr::MTVAL);
+    a.li(Gpr::t(2), unmapped);
+    a.bne(Gpr::s(1), Gpr::t(2), "wrong");
+    a.bne(Gpr::s(2), Gpr::t(2), "wrong");
+    exit_reg(&mut a, Gpr::s(0));
+    a.label("wrong");
+    a.li(Gpr::s(0), 0xbad);
+    a.li(Gpr::t(6), MMIO_EXIT as i64);
+    a.sd(Gpr::s(0), 0, Gpr::t(6));
+    a.j("hang");
+    let mut prog = a.assemble();
+    for (pa, bytes) in paging.segments {
+        prog.add_data(pa, bytes);
+    }
+    for mode in [SchedulerMode::Fast, SchedulerMode::Reference] {
+        let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
+        sim.set_scheduler(mode);
+        sim.soc_mut().enable_cosim(&prog);
+        sim.run_to_completion(100_000)
+            .unwrap_or_else(|e| panic!("{mode:?}: {e}\n{}", sim.report()));
+        assert_eq!(exit_code(&sim), INST_PAGE_FAULT, "{mode:?}");
+    }
 }
 
 #[test]

@@ -31,6 +31,7 @@ use cmd_core::trace::{Tracer, VecSink};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
+use riscy_mem::system::MemConfig;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
 use riscy_ooo::soc::{CoreStats, RunError, SocSim};
 
@@ -270,6 +271,94 @@ fn untraced_soc_deadlocks_alike_under_chaos() {
     assert!(deadlocks > 0, "no chaos run deadlocked");
 }
 
+/// T+ with two D TLB miss slots: `updateLsq` stalls on "dtlb miss slots
+/// full" behind a hit-under-miss.
+fn two_dtlb_miss_slots() -> (CoreConfig, MemConfig) {
+    let mut cfg = CoreConfig::riscyoo_t_plus();
+    cfg.tlb.l1d_miss_slots = 2;
+    (cfg, mem_riscyoo_b())
+}
+
+/// T+ with one L1 I MSHR: `fetch` stalls on "icache full" after an I TLB
+/// hit.
+fn one_icache_mshr() -> (CoreConfig, MemConfig) {
+    let mut mem = mem_riscyoo_b();
+    mem.l1i.mshrs = 1;
+    (CoreConfig::riscyoo_t_plus(), mem)
+}
+
+/// The two stalls that decide on a TLB peek, which no default
+/// configuration reaches: both schedulers must agree on them, the TLB
+/// counters in the stats JSON included.
+#[test]
+fn tlb_peek_stalls_match_reference() {
+    use riscy_workloads::spec::{self, Scale};
+
+    let w = spec::hmmer(Scale::Test);
+    for (cfg, mem) in [two_dtlb_miss_slots(), one_icache_mshr()] {
+        let run = |mode| {
+            let mut sim = SocSim::new(cfg, mem, 1, &w.program);
+            sim.set_scheduler(mode);
+            let result = sim.run_to_completion(w.max_cycles);
+            (result, sim.stats_json(), sim.report())
+        };
+        assert_eq!(run(SchedulerMode::Fast), run(SchedulerMode::Reference));
+    }
+}
+
+/// A stalled rule has no effect: a `fetch` stalled on "icache full" or an
+/// `updateLsq` stalled on "dtlb miss slots full" leaves its TLB alone, so
+/// on such a cycle that TLB's lookup count moves only if the substrate's
+/// TLB tick looked it up. The tick touches the I TLB only for a parked I
+/// miss, and the D TLB only when an L2 TLB lookup is due (the walker idle
+/// and no `l2_ready_at` reached, at the cycle's start) or a D response is
+/// delivered, which the stalled `updateLsq` would have consumed.
+#[test]
+fn a_stalled_rule_leaves_the_tlb_alone() {
+    use cmd_core::sim::WaitCause;
+    use riscy_workloads::spec::{self, Scale};
+
+    let w = spec::mcf(Scale::Test);
+    let (cfg, _) = two_dtlb_miss_slots();
+    let (_, mem) = one_icache_mshr();
+    let mut sim = SocSim::new(cfg, mem, 1, &w.program);
+    sim.set_scheduler(SchedulerMode::Reference);
+    let lookups = |sim: &SocSim| {
+        let tlb = &sim.soc().cores[0].tlb;
+        (
+            tlb.itlb.hits + tlb.itlb.misses,
+            tlb.dtlb.hits + tlb.dtlb.misses,
+        )
+    };
+    let stalled_on = |sim: &SocSim, rule: &str, reason: &'static str| {
+        sim.wait_graph()
+            .waits
+            .iter()
+            .any(|w| w.rule == rule && w.cause == WaitCause::Guard(reason))
+    };
+    let (mut fetch_checked, mut lsq_checked) = (0, 0);
+    for _ in 0..20_000 {
+        let now = sim.soc().now();
+        let tlb = &sim.soc().cores[0].tlb;
+        let (i_quiet, d_quiet) = (!tlb.i_miss_pending(), tlb.next_event(now) > now);
+        let (i_before, d_before) = lookups(&sim);
+        sim.cycle();
+        let (i_after, d_after) = lookups(&sim);
+        if i_quiet && stalled_on(&sim, "c0.fetch", "icache full") {
+            assert_eq!(i_after, i_before, "cycle {}: I TLB looked up", sim.cycles());
+            fetch_checked += 1;
+        }
+        if d_quiet && stalled_on(&sim, "c0.updateLsq", "dtlb miss slots full") {
+            assert_eq!(d_after, d_before, "cycle {}: D TLB looked up", sim.cycles());
+            lsq_checked += 1;
+        }
+    }
+    assert!(
+        fetch_checked > 0 && lsq_checked > 0,
+        "checked {fetch_checked} fetch and {lsq_checked} updateLsq stalls"
+    );
+}
+
 /// `run_to_completion` jumps over stretches in which every core rule
 /// sleeps on the memory system; a plain `cycle()` loop steps through them.
 /// Both must end in the same place: the same stats JSON, the same
@@ -281,7 +370,7 @@ fn jumping_the_clock_matches_stepping_it() {
     use riscy_workloads::parsec;
     use riscy_workloads::spec::{self, Scale};
 
-    for (w, cfg, cores) in [
+    for (w, (cfg, mem), cores) in [
         (spec::gcc(Scale::Test), CoreConfig::riscyoo_t_plus(), 1),
         (spec::mcf(Scale::Test), CoreConfig::riscyoo_t_plus(), 1),
         (
@@ -297,8 +386,16 @@ fn jumping_the_clock_matches_stepping_it() {
             CoreConfig::multicore(MemModel::Tso),
             4,
         ),
-    ] {
-        let build = || SocSim::new(cfg, mem_riscyoo_b(), cores, &w.program);
+    ]
+    .map(|(w, cfg, cores)| (w, (cfg, mem_riscyoo_b()), cores))
+    .into_iter()
+    .chain([
+        // The stalls that decide on a TLB peek: a jump follows a cycle in
+        // which no core rule fired, so no TLB miss waits for its busy cell.
+        (spec::hmmer(Scale::Test), two_dtlb_miss_slots(), 1),
+        (spec::hmmer(Scale::Test), one_icache_mshr(), 1),
+    ]) {
+        let build = || SocSim::new(cfg, mem, cores, &w.program);
         let mut jumped = build();
         jumped
             .run_to_completion(w.max_cycles)

@@ -215,12 +215,11 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v8 — the last format with the exit codes in the
-    // SoC section instead of cells, so a v8 body must never reach the v9
-    // reader.
+    // future format, and v9 — the last format without the I-side walk
+    // fault cells, so a v9 body must never reach the v10 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 9, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 8] {
+    assert_eq!(current, 10, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 9] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
