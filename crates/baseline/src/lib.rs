@@ -171,6 +171,10 @@ pub struct InOrderSim {
     next_tlb_id: u64,
     pending_va: u64,
     pending_access: Access,
+    /// The VA of the I-side miss whose page walk faulted, until the next
+    /// architectural step (the fetch's trap) takes it: a faulting walk
+    /// fills no TLB entry.
+    i_fault: Option<u64>,
     roi_start: Option<(u64, u64)>,
     /// Statistics.
     pub stats: InOrderStats,
@@ -196,6 +200,7 @@ impl InOrderSim {
             next_tlb_id: 1,
             pending_va: 0,
             pending_access: Access::Load,
+            i_fault: None,
             roi_start: None,
             stats: InOrderStats::default(),
         }
@@ -242,12 +247,18 @@ impl InOrderSim {
         match res {
             Some(Ok(pa)) => Some(pa),
             Some(Err(_)) => Some(va), // faults are architectural
+            // So is a faulting walk: the fetch goes on to the step, which traps.
+            None if access == Access::Fetch && self.i_fault == Some(va) => Some(va),
             None => {
                 let now = self.mem.now();
                 let id = self.next_tlb_id;
                 self.next_tlb_id += 1;
                 match access {
-                    Access::Fetch => self.tlb.request_i(now, id, va, pm),
+                    Access::Fetch => {
+                        if !self.tlb.i_miss_pending() {
+                            self.tlb.request_i(now, id, va, pm);
+                        }
+                    }
                     _ => {
                         if self.tlb.can_park_d() {
                             self.tlb.request_d(now, id, va, access, pm);
@@ -271,7 +282,9 @@ impl InOrderSim {
         }
         let satp = self.machine.hart(0).csrs.satp;
         let now = self.mem.now();
-        self.tlb.tick(now, satp);
+        if let Some(va) = self.tlb.tick(now, satp) {
+            self.i_fault = Some(va);
+        }
         while self.tlb.pop_d_resp().is_some() {}
         self.mem.tick();
         self.stats.cycles += 1;
@@ -406,6 +419,7 @@ impl InOrderSim {
         // Architectural step (the golden interpreter *is* the datapath).
         let before_pc = pc;
         let out = self.machine.step(0);
+        self.i_fault = None;
         self.stats.committed += 1;
         if self.roi_start.is_some() {
             self.stats.roi_insts += 1;

@@ -40,7 +40,8 @@
 //! equal to a single-shot run's. Finished units delete their checkpoint;
 //! a checkpoint that fails to restore (stale grid, version skew) is
 //! discarded and the unit replays from scratch — always safe. Chaos units
-//! never checkpoint: snapshots refuse live fault engines.
+//! checkpoint like any other: the snapshot carries the fault log, and its
+//! digest names the fault plan.
 //! [`FleetOpts::abort_after_ckpts`] is the testing hook that simulates a
 //! kill *mid-unit*, right after the Nth checkpoint lands on disk.
 
@@ -1090,9 +1091,7 @@ impl SocFleet {
     /// [`UnitCtx::checkpoint_every`] simulated cycles, and deletes the
     /// checkpoint on completion. Returns `None` only when the
     /// checkpoint-ticket budget expired mid-run (the simulated kill; see
-    /// [`FleetOpts::abort_after_ckpts`]). Chaos units take no checkpoints:
-    /// snapshots refuse live fault engines, and a seeded fault plan
-    /// replays deterministically from cycle zero anyway.
+    /// [`FleetOpts::abort_after_ckpts`]).
     ///
     /// # Panics
     ///
@@ -1106,13 +1105,23 @@ impl SocFleet {
             .find(|w| w.name == unit.workload)
             .unwrap_or_else(|| panic!("fleet: unknown workload {:?}", unit.workload));
         let (cfg, mem) = Self::config_for(&unit.config).unwrap_or_else(|e| panic!("fleet: {e}"));
-        let mut sim = SocSim::new(cfg, mem, 1, &w.program);
-        sim.set_scheduler(self.sched);
-        // Telemetry goes on before any snapshot restore: the snapshot
-        // contract requires restore-side enablement to match save-side.
-        if let Some((win, cap)) = ctx.telemetry {
-            sim.enable_telemetry(win, cap);
-        }
+        // Telemetry and chaos go on before any snapshot restore: a restore
+        // refuses a simulation whose attachments differ from the saved one's.
+        let build = || {
+            let mut sim = SocSim::new(cfg, mem, 1, &w.program);
+            sim.set_scheduler(self.sched);
+            if let Some((win, cap)) = ctx.telemetry {
+                sim.enable_telemetry(win, cap);
+            }
+            if self.chaos {
+                let plan = FaultPlan::new(unit.seed)
+                    .guard_stall("c0.issue*", 0.001)
+                    .rule_abort("c0.alu*", 0.0005);
+                sim.attach_chaos(&FaultEngine::new(plan));
+            }
+            sim
+        };
+        let mut sim = build();
         let start = Instant::now();
         let mut ckpts_taken: u64 = 0;
         let beat = |sim: &SocSim, phase: &str, ckpts: u64| {
@@ -1134,25 +1143,6 @@ impl SocFleet {
                 unit.id, phase, cycles, insts, ckpts, cps, eta_s, wall_s,
             ));
         };
-        if self.chaos {
-            let plan = FaultPlan::new(unit.seed)
-                .guard_stall("c0.issue*", 0.001)
-                .rule_abort("c0.alu*", 0.0005);
-            let engine = FaultEngine::new(plan);
-            sim.attach_chaos(&engine);
-            beat(&sim, "start", 0);
-            let exit_ok = sim.run_to_completion(w.max_cycles).is_ok();
-            beat(&sim, "done", 0);
-            if let Some(path) = &ctx.telemetry_path {
-                write_unit_artifact(path, &sim.telemetry_json());
-            }
-            return Some(UnitStats {
-                cycles: sim.cycles(),
-                insts: sim.soc().cores[0].stats.roi_insts,
-                exit_ok,
-                metrics: Self::unit_metrics(&sim, &cfg),
-            });
-        }
         // Resume from a mid-run checkpoint when one exists. A checkpoint
         // that fails to restore (stale grid, version skew, torn bytes) is
         // discarded and the unit replays from cycle zero — the same
@@ -1160,11 +1150,7 @@ impl SocFleet {
         if let Some(path) = &ctx.ckpt_path {
             if let Ok(bytes) = std::fs::read(path) {
                 if sim.restore_snapshot(&bytes).is_err() {
-                    sim = SocSim::new(cfg, mem, 1, &w.program);
-                    sim.set_scheduler(self.sched);
-                    if let Some((win, cap)) = ctx.telemetry {
-                        sim.enable_telemetry(win, cap);
-                    }
+                    sim = build();
                 }
             }
         }

@@ -10,6 +10,7 @@
 //!   silently accepted as progress;
 //! * a real SoC fleet under [`SchedulerMode::Fast`] is run-to-run
 //!   deterministic;
+//! * a chaos unit checkpoints, resumes and times out like any other;
 //! * a damaged unit file or heartbeat stream — any byte flipped, cut at
 //!   any length — is refused or skipped, never a panic or a wrong value.
 //!
@@ -278,9 +279,18 @@ fn longer_prog() -> Program {
     a.assemble()
 }
 
+/// A campaign killed right after a mid-unit checkpoint resumes to the
+/// single-shot report's bytes, with and without chaos: a chaos unit
+/// checkpoints like any other.
 #[test]
 fn checkpointed_kill_resumes_mid_unit_to_the_single_shot_report() {
-    let dir = tmp_dir("ckpt");
+    for chaos in [false, true] {
+        checkpointed_kill_resumes(chaos);
+    }
+}
+
+fn checkpointed_kill_resumes(chaos: bool) {
+    let dir = tmp_dir(if chaos { "ckpt-chaos" } else { "ckpt" });
     let harness = SocFleet {
         workloads: vec![Workload {
             name: "longer",
@@ -288,7 +298,7 @@ fn checkpointed_kill_resumes_mid_unit_to_the_single_shot_report() {
             max_cycles: 500_000,
         }],
         sched: SchedulerMode::Fast,
-        chaos: false,
+        chaos,
     };
     let units = || {
         vec![
@@ -315,7 +325,7 @@ fn checkpointed_kill_resumes_mid_unit_to_the_single_shot_report() {
         },
         |u, ctx| harness.run_unit(u, ctx),
     );
-    assert!(single_shot.all_ok());
+    assert!(single_shot.all_ok(), "chaos {chaos}");
     let want = single_shot.deterministic_json();
 
     // "Kill" the campaign right after the first checkpoint lands: the
@@ -364,9 +374,51 @@ fn checkpointed_kill_resumes_mid_unit_to_the_single_shot_report() {
     assert_eq!(
         resumed.deterministic_json(),
         want,
-        "checkpoint-resumed report diverged from the single-shot run"
+        "chaos {chaos}: checkpoint-resumed report diverged from the single-shot run"
     );
     assert_eq!(ckpts(), 0, "finished units must delete their checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A chaos unit runs on the same path as any other, so it too stops at its
+/// wall-clock budget and leaves a stall bundle behind.
+#[test]
+fn a_timed_out_chaos_unit_leaves_a_stall_bundle() {
+    let dir = tmp_dir("chaos-stall");
+    let harness = SocFleet {
+        workloads: vec![Workload {
+            name: "longer",
+            program: longer_prog(),
+            max_cycles: 500_000,
+        }],
+        sched: SchedulerMode::Fast,
+        chaos: true,
+    };
+    let unit = FleetUnit {
+        id: 0,
+        seed: 2,
+        config: "t+".to_string(),
+        workload: "longer".to_string(),
+    };
+    let report = run_fleet(
+        vec![unit],
+        &FleetOpts {
+            threads: 1,
+            campaign_dir: Some(dir.clone()),
+            unit_timeout: Some(0.0),
+            ..FleetOpts::default()
+        },
+        |u, ctx| harness.run_unit(u, ctx),
+    );
+    assert_eq!(report.records.len(), 1);
+    assert!(
+        !report.records[0].stats.exit_ok,
+        "a timed-out unit must not report success"
+    );
+    assert!(
+        dir.join("unit_0.stall.json").exists(),
+        "a timed-out chaos unit must leave its stall bundle"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -136,6 +136,15 @@ impl fmt::Display for FaultKind {
     }
 }
 
+crate::snap_enum!(FaultKind {
+    0 => GuardStall,
+    1 => RuleAbort,
+    2 => BitFlip,
+    3 => MsgDrop,
+    4 => MsgDelay,
+    5 => MsgDup,
+});
+
 /// One injected fault, as recorded in the campaign log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
@@ -149,6 +158,13 @@ pub struct FaultRecord {
     /// extra latency for [`FaultKind::MsgDelay`], otherwise 0.
     pub detail: u64,
 }
+
+crate::snap_struct!(FaultRecord {
+    cycle,
+    kind,
+    site,
+    detail
+});
 
 #[derive(Debug, Clone)]
 struct FaultEntry {
@@ -548,6 +564,14 @@ impl FaultEngine {
     #[must_use]
     pub fn log(&self) -> Vec<FaultRecord> {
         self.inner.log.borrow().clone()
+    }
+
+    /// Replaces the fault log with `log`, a checkpoint's copy of
+    /// [`FaultEngine::log`]. The log is the engine's only state (every
+    /// verdict is a stateless hash), so a run restored from the checkpoint
+    /// injects and logs exactly what the uninterrupted run did from there.
+    pub fn restore_log(&self, log: Vec<FaultRecord>) {
+        *self.inner.log.borrow_mut() = log;
     }
 
     /// Number of faults injected so far.

@@ -7,30 +7,6 @@ use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::telemetry::Telemetry;
 
 impl<S> Sim<S> {
-    /// Whether the kernel is in a snapshottable configuration.
-    ///
-    /// Chaos injection, tracing and profiling all carry observer state
-    /// this codec does not serialize (and chaos perturbs
-    /// the run itself), so snapshots are refused while any is attached
-    /// rather than silently producing a checkpoint that would not resume
-    /// bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Unsupported`] naming the offending attachment.
-    pub fn snapshot_supported(&self) -> Result<(), SnapError> {
-        if self.chaos.is_some() {
-            return Err(SnapError::Unsupported("chaos fault injection is attached"));
-        }
-        if self.tracer.is_enabled() {
-            return Err(SnapError::Unsupported("a tracer is attached"));
-        }
-        if self.prof.is_some() {
-            return Err(SnapError::Unsupported("the profiler is enabled"));
-        }
-        Ok(())
-    }
-
     /// Saves the kernel's observable state — cycle counts, per-rule firing
     /// statistics, the telemetry ring — and then every cell of the design,
     /// at a cycle boundary: the cell count, then one length-framed record
@@ -39,13 +15,12 @@ impl<S> Sim<S> {
     /// Scheduler sleep state is *not* saved: [`Sim::restore_kernel`] wakes
     /// every rule. The sleep layer is observation-invariant (see
     /// `docs/SCHEDULING.md`), so a resumed run re-derives it without
-    /// disturbing results.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Unsupported`] per [`Sim::snapshot_supported`].
-    pub fn save_kernel(&mut self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        self.snapshot_supported()?;
+    /// disturbing results. Observers (a tracer, the profiler) are not saved
+    /// either: a restore leaves them as they are, so they record from the
+    /// restored cycle on. An attached chaos engine's fault log is saved by
+    /// the caller, beside the design's own state
+    /// ([`FaultEngine::restore_log`](crate::chaos::FaultEngine::restore_log)).
+    pub fn save_kernel(&self, w: &mut SnapWriter) {
         w.u64(self.cycles);
         w.u64(self.clk.cycle());
         w.u64(self.quiet_cycles);
@@ -68,7 +43,6 @@ impl<S> Sim<S> {
             None => false.save(w),
         }
         self.clk.save_cells(w);
-        Ok(())
     }
 
     /// Restores kernel state saved by [`Sim::save_kernel`] into a freshly
@@ -87,7 +61,6 @@ impl<S> Sim<S> {
     /// whose statistics claim more outcomes than the snapshot has cycles.
     /// On error the kernel may be partially restored and must be discarded.
     pub fn restore_kernel(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.snapshot_supported()?;
         let cycles = r.u64()?;
         let clk_cycle = r.u64()?;
         let quiet = r.u64()?;

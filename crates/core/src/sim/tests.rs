@@ -624,7 +624,7 @@ fn restore_refuses_a_telemetry_column_skew() {
     let mut saved = build(true);
     saved.run(6); // past the first boundary: the column names are frozen
     let mut w = SnapWriter::new();
-    saved.save_kernel(&mut w).expect("save");
+    saved.save_kernel(&mut w);
     let bytes = w.into_bytes();
     // The same design minus the tap's column must be refused up front,
     // not panic at its next window boundary.

@@ -70,11 +70,8 @@ pub enum SnapError {
     /// or a restored state no design can be in.
     Corrupt(String),
     /// The snapshot is well-formed but does not match the live design
-    /// (different rule names, counter names, core count, or configuration).
+    /// (different rule names, core count, configuration or attachments).
     Mismatch(String),
-    /// The simulation is in a state that cannot be snapshotted (e.g. chaos
-    /// injection, a profiler, or a tracer is attached).
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for SnapError {
@@ -90,7 +87,6 @@ impl fmt::Display for SnapError {
             SnapError::Mismatch(what) => {
                 write!(f, "snapshot does not match the live design: {what}")
             }
-            SnapError::Unsupported(why) => write!(f, "state cannot be snapshotted: {why}"),
         }
     }
 }

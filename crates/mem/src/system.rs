@@ -427,21 +427,6 @@ impl MemSystem {
         format!("cores={} {:?}", self.l1d.len(), self.cfg)
     }
 
-    /// Whether the memory system can be snapshotted. Fault injection keeps
-    /// live state inside the chaos engine that snapshots do not capture.
-    ///
-    /// # Errors
-    ///
-    /// [`cmd_core::snap::SnapError::Unsupported`] when a fault engine is attached.
-    pub fn snapshot_supported(&self) -> Result<(), cmd_core::snap::SnapError> {
-        if self.chaos.is_some() {
-            return Err(cmd_core::snap::SnapError::Unsupported(
-                "memory system has a chaos fault engine attached",
-            ));
-        }
-        Ok(())
-    }
-
     /// Functional-warming fill (fast-forward): makes `line` resident in S
     /// state in core `core`'s L1 (I or D side) and the L2, with the data
     /// read from backing memory. Inclusive and eviction-free: the fill
@@ -502,7 +487,7 @@ cmd_core::snapshot_fields!(MemSystem {
     walk_req: module,
     walk_resp: module,
     now,
-} check MemSystem::snapshot_supported);
+});
 
 #[cfg(test)]
 mod tests {

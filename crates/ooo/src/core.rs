@@ -1862,8 +1862,8 @@ cmd_core::snap_struct!(MemTrans {
 // The plain state of a core: everything beside its cells, which the
 // kernel's cell walk saves. The bypass network is `Wire`-based and
 // therefore empty at cycle boundaries; the pipeline-trace collector and
-// top-down accounting are observers, not state — snapshots are refused
-// while either is attached (see [`crate::soc::SocSim::save_snapshot`]).
+// top-down accounting are observers, not state: they are not saved, and a
+// restore leaves them alone (see [`crate::soc::SocSim::save_snapshot`]).
 cmd_core::snapshot_fields!(CoreState {
     btb: module,
     tour: module,

@@ -1115,71 +1115,56 @@ impl Soc {
 }
 
 impl SocSim {
-    /// Whether the simulation can be snapshotted right now.
-    ///
-    /// Checkpoints capture simulated state, not observer state: chaos
-    /// injection, co-simulation against the golden model, pipeline tracing,
-    /// profiling (TMA), and kernel tracers all carry side state
-    /// this codec does not serialize, so snapshots are refused while any is
-    /// attached rather than silently producing a checkpoint that would not
-    /// resume bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`cmd_core::snap::SnapError::Unsupported`] naming the attachment.
-    pub fn snapshot_supported(&self) -> Result<(), cmd_core::snap::SnapError> {
-        use cmd_core::snap::SnapError;
-        self.sim.snapshot_supported()?;
-        let soc = self.soc();
-        soc.mem.snapshot_supported()?;
-        if self.chaos.is_some() {
-            return Err(SnapError::Unsupported("a chaos fault engine is attached"));
-        }
-        if soc.golden.is_some() {
-            return Err(SnapError::Unsupported(
-                "golden-model co-simulation is attached",
-            ));
-        }
-        for core in &soc.cores {
-            if core.pipe.is_enabled() {
-                return Err(SnapError::Unsupported("pipeline tracing is enabled"));
-            }
-            if core.tma.is_some() {
-                return Err(SnapError::Unsupported("TMA profiling is enabled"));
-            }
-        }
-        Ok(())
-    }
-
     /// The configuration fingerprint embedded in every snapshot: core
-    /// configuration plus memory-system geometry. Restore refuses
-    /// snapshots whose fingerprint differs from the live design's.
+    /// configuration plus memory-system geometry, then the attachments that
+    /// change the run: ` | cosim` with the golden model, ` | chaos <plan>`
+    /// with a fault engine (its [`FaultPlan::to_repro_string`]). Restore
+    /// refuses snapshots whose fingerprint differs from the live design's.
+    ///
+    /// [`FaultPlan::to_repro_string`]: cmd_core::chaos::FaultPlan::to_repro_string
     #[must_use]
     pub fn config_digest(&self) -> String {
         let soc = self.soc();
-        format!("{:?} | {}", soc.cfg, soc.mem.config_digest())
+        let mut digest = format!("{:?} | {}", soc.cfg, soc.mem.config_digest());
+        if soc.golden.is_some() {
+            digest.push_str(" | cosim");
+        }
+        if let Some(engine) = &self.chaos {
+            digest.push_str(" | chaos ");
+            digest.push_str(&engine.plan().to_repro_string());
+        }
+        digest
     }
 
     /// Serializes the complete simulation — kernel (cycle counts, rule
-    /// statistics, counters) and SoC (cores, caches, TLBs, DRAM, devices) —
-    /// at a cycle boundary. The bytes are deterministic: saving the same
+    /// statistics, telemetry) and SoC (cores, caches, TLBs, DRAM, devices),
+    /// then the golden model with its mismatches and the fault log when
+    /// they are attached — at a cycle boundary. Observers (tracer, Chrome
+    /// trace, profiler, TMA, pipe trace) are not saved and a restore leaves
+    /// them alone, so in a freshly built simulation they record from the
+    /// restored cycle on. The bytes are deterministic: saving the same
     /// state twice yields identical buffers, and a restored run is
     /// bit-identical to the uninterrupted one under every
     /// [`cmd_core::sched::SchedulerMode`]. See `docs/CHECKPOINT.md`.
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] with
-    /// [`cmd_core::snap::SnapError::Unsupported`] per
-    /// [`SocSim::snapshot_supported`].
+    /// None: every simulation saves, whatever is attached.
     pub fn save_snapshot(&mut self) -> Result<Vec<u8>, SimError> {
         use cmd_core::snap::{write_header, Snap as _, SnapWriter};
-        self.snapshot_supported()?;
         let mut w = SnapWriter::new();
         write_header(&mut w, SOC_SNAP_VERSION);
         self.config_digest().save(&mut w);
-        self.sim.save_kernel(&mut w)?;
-        cmd_core::snap::Snapshot::snap_save(self.sim.state(), &mut w);
+        self.sim.save_kernel(&mut w);
+        let soc = self.soc();
+        cmd_core::snap::Snapshot::snap_save(soc, &mut w);
+        if let Some(golden) = &soc.golden {
+            golden.save(&mut w);
+            soc.cosim_errors.save(&mut w);
+        }
+        if let Some(engine) = &self.chaos {
+            engine.log().save(&mut w);
+        }
         Ok(w.into_bytes())
     }
 
@@ -1192,13 +1177,13 @@ impl SocSim {
     /// [`cmd_core::snap::SnapError::BadMagic`] /
     /// [`cmd_core::snap::SnapError::VersionMismatch`] on header skew,
     /// [`cmd_core::snap::SnapError::Mismatch`] if the embedded
-    /// configuration fingerprint or any module topology differs,
+    /// configuration fingerprint (attachments included, see
+    /// [`SocSim::config_digest`]) or any module topology differs,
     /// [`cmd_core::snap::SnapError::Truncated`] /
     /// [`cmd_core::snap::SnapError::Corrupt`] on malformed bytes. On error
     /// the simulation may be partially restored and must be discarded.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), SimError> {
         use cmd_core::snap::{check_header, Snap, SnapError, SnapReader};
-        self.snapshot_supported()?;
         let mut r = SnapReader::new(bytes);
         check_header(&mut r, SOC_SNAP_VERSION)?;
         let digest = String::load(&mut r)?;
@@ -1209,7 +1194,17 @@ impl SocSim {
             ))));
         }
         self.sim.restore_kernel(&mut r)?;
-        cmd_core::snap::Snapshot::snap_restore(self.sim.state_mut(), &mut r)?;
+        let soc = self.sim.state_mut();
+        cmd_core::snap::Snapshot::snap_restore(soc, &mut r)?;
+        // The digest matched, so the snapshot carries exactly the
+        // attachments this simulation has.
+        if soc.golden.is_some() {
+            soc.golden = Some(Machine::load(&mut r)?);
+            soc.cosim_errors = Snap::load(&mut r)?;
+        }
+        if let Some(engine) = &self.chaos {
+            engine.restore_log(Snap::load(&mut r)?);
+        }
         Ok(r.expect_end()?)
     }
 }

@@ -6,8 +6,11 @@
 //! [`SchedulerMode`]. Malformed snapshots (version skew, truncation, wrong
 //! configuration, flipped bytes in any section) must surface structured
 //! [`SnapError`]s, never panics, or else be snapshots that re-save to
-//! exactly themselves; attached observers (tracer, pipe trace, profiler,
-//! chaos) must refuse to snapshot.
+//! exactly themselves. A snapshot saves the simulation whatever is
+//! attached: a run under chaos or co-simulation resumes with its fault log
+//! and golden model, a run with observers (profiler, pipe trace, Chrome
+//! trace) resumes with them restarted, and a snapshot restored into a
+//! simulation with other attachments is a [`SnapError::Mismatch`].
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -688,31 +691,147 @@ fn stale_golden_fixture_is_refused() {
     }
 }
 
-/// Observers carry side state the codec does not serialize: snapshotting
-/// with any attached is refused up front.
+/// What a run is built with beyond its program and scheduler: an
+/// attachment the snapshot carries (a fault engine, the golden model) or
+/// an observer a restore leaves alone.
+#[derive(Debug, Clone)]
+enum Attach {
+    Chaos(FaultPlan),
+    Cosim,
+    Profiling,
+    PipeTrace,
+    ChromeTrace,
+}
+
+/// Scheduler-level and interconnect faults that a run survives: forced
+/// issue stalls, ALU and commit aborts, delayed memory messages and
+/// duplicated grants.
+fn rule_and_link_faults(seed: u64) -> FaultPlan {
+    let mut plan = FaultPlan::new(seed);
+    for c in 0..2 {
+        plan = plan
+            .guard_stall(format!("c{c}.issue*"), 0.01)
+            .rule_abort(format!("c{c}.alu*"), 0.005)
+            .rule_abort(format!("c{c}.commit*"), 0.002);
+    }
+    plan.msg_delay("mem.*", 0.2, 5).msg_dup("mem.p2c", 0.05)
+}
+
+fn build_with(prog: &Program, num_cores: usize, mode: SchedulerMode, with: &Attach) -> SocSim {
+    let mut sim = build(prog, num_cores, mode);
+    match with {
+        Attach::Chaos(plan) => sim.attach_chaos(&FaultEngine::new(plan.clone())),
+        Attach::Cosim => sim.soc_mut().enable_cosim(prog),
+        Attach::Profiling => sim.enable_profiling(),
+        Attach::PipeTrace => sim.enable_pipe_trace(),
+        Attach::ChromeTrace => sim.enable_chrome_trace(),
+    }
+    sim
+}
+
+/// [`Outcome`] plus the full stats JSON (its `chaos` counts included) and
+/// the co-simulation mismatches.
+fn finish_attached(mut sim: SocSim) -> (Outcome, String, Vec<String>) {
+    sim.run_to_completion(BUDGET).expect("run completes");
+    let json = sim.stats_json();
+    let cosim_errors = sim.soc().cosim_errors.clone();
+    (finish(sim), json, cosim_errors)
+}
+
+/// The `chaos.total` count of a stats JSON (0 without a fault engine).
+fn faults_injected(stats_json: &str) -> u64 {
+    stats_json
+        .split_once("\"chaos\":{\"total\":")
+        .map_or(0, |(_, rest)| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("a count")
+        })
+}
+
+/// A checkpoint saves the simulation whatever is attached: a run
+/// snapshotted mid-way under chaos, co-simulation, profiling, the pipe
+/// trace or the Chrome trace, and restored into a fresh simulation with the
+/// same attachment, finishes exactly like the uninterrupted run — cycles,
+/// exit codes, the full stats JSON (fault counts included) and the final
+/// snapshot bytes (fault log and golden model included) — under both
+/// schedulers, with no co-simulation mismatch.
 #[test]
-fn observers_refuse_snapshots() {
+fn attached_runs_resume_to_the_uninterrupted_run() {
+    let one_core = busy_prog(300);
+    let two_cores = multicore_prog(400);
+    let cases = [
+        (&one_core, 1, Attach::Chaos(rule_and_link_faults(3))),
+        (&one_core, 1, Attach::Cosim),
+        (&one_core, 1, Attach::Profiling),
+        (&one_core, 1, Attach::PipeTrace),
+        (&one_core, 1, Attach::ChromeTrace),
+        (&two_cores, 2, Attach::Chaos(rule_and_link_faults(5))),
+    ];
+    for (prog, cores, with) in &cases {
+        for mode in [SchedulerMode::Reference, SchedulerMode::Fast] {
+            let what = format!("{with:?}, {cores} core(s), {mode:?}");
+            let mut sim = build_with(prog, *cores, mode, with);
+            for _ in 0..SNAP_AT {
+                sim.cycle();
+            }
+            assert!(!sim.soc().all_exited(), "{what}: snapshot must be mid-run");
+            let snap = sim.save_snapshot().expect("every simulation saves");
+            let (want, want_json, errors) = finish_attached(sim);
+            assert!(errors.is_empty(), "{what}: {errors:?}");
+            let mut resumed = build_with(prog, *cores, mode, with);
+            resumed.restore_snapshot(&snap).expect("restore");
+            assert_eq!(resumed.cycles(), SNAP_AT, "{what}");
+            let (got, got_json, errors) = finish_attached(resumed);
+            assert!(errors.is_empty(), "{what}: {errors:?}");
+            assert_eq!(got, want, "{what}: resumed run diverged");
+            assert_eq!(got_json, want_json, "{what}: stats JSON diverged");
+            if matches!(with, Attach::Chaos(_)) {
+                assert!(faults_injected(&want_json) > 0, "{what}: nothing injected");
+            }
+        }
+    }
+}
+
+/// A snapshot of `saved` mid-run, restored into a fresh simulation built
+/// with `restored` (`None`: nothing attached).
+fn restore_into(saved: Option<&Attach>, restored: Option<&Attach>) -> Result<(), SimError> {
     let prog = busy_prog(100);
+    let mode = SchedulerMode::Fast;
+    let with = |a: Option<&Attach>| {
+        a.map_or_else(|| build(&prog, 1, mode), |a| build_with(&prog, 1, mode, a))
+    };
+    let mut sim = with(saved);
+    for _ in 0..200 {
+        sim.cycle();
+    }
+    let snap = sim.save_snapshot().expect("every simulation saves");
+    with(restored).restore_snapshot(&snap)
+}
 
-    let mut traced = build(&prog, 1, SchedulerMode::Fast);
-    traced.enable_pipe_trace();
-    assert!(matches!(
-        traced.save_snapshot(),
-        Err(SimError::Snapshot(SnapError::Unsupported(_)))
-    ));
+fn is_mismatch(got: Result<(), SimError>) -> bool {
+    matches!(got, Err(SimError::Snapshot(SnapError::Mismatch(_))))
+}
 
-    let mut profiled = build(&prog, 1, SchedulerMode::Fast);
-    profiled.enable_profiling();
-    assert!(matches!(
-        profiled.save_snapshot(),
-        Err(SimError::Snapshot(SnapError::Unsupported(_)))
-    ));
+/// The digest names the fault plan: a run under another plan (here only
+/// the seed differs) is a different run.
+#[test]
+fn a_chaos_snapshot_under_another_plan_is_a_mismatch() {
+    let saved = Attach::Chaos(rule_and_link_faults(3));
+    let other = Attach::Chaos(rule_and_link_faults(4));
+    assert!(restore_into(Some(&saved), Some(&saved)).is_ok());
+    assert!(is_mismatch(restore_into(Some(&saved), Some(&other))));
+}
 
-    let mut chaotic = build(&prog, 1, SchedulerMode::Fast);
-    let engine = FaultEngine::new(FaultPlan::new(1).guard_stall("c0.issue*", 0.01));
-    chaotic.attach_chaos(&engine);
-    assert!(matches!(
-        chaotic.save_snapshot(),
-        Err(SimError::Snapshot(SnapError::Unsupported(_)))
-    ));
+#[test]
+fn a_chaos_snapshot_without_chaos_is_a_mismatch() {
+    let chaos = Attach::Chaos(rule_and_link_faults(3));
+    assert!(is_mismatch(restore_into(Some(&chaos), None)));
+    assert!(is_mismatch(restore_into(None, Some(&chaos))));
+}
+
+#[test]
+fn a_cosim_snapshot_without_cosim_is_a_mismatch() {
+    assert!(restore_into(Some(&Attach::Cosim), Some(&Attach::Cosim)).is_ok());
+    assert!(is_mismatch(restore_into(Some(&Attach::Cosim), None)));
+    assert!(is_mismatch(restore_into(None, Some(&Attach::Cosim))));
 }

@@ -171,3 +171,45 @@ fn parsec_proxies_agree_between_golden_and_quad_core() {
         }
     }
 }
+
+/// A jump to a page the Sv39 tables leave unmapped traps in every model.
+/// The in-order core's faulting I-side walk fills no TLB entry, so its
+/// stalled fetch takes the fault and steps into the trap; it used to park
+/// a new miss on every retry and never return.
+#[test]
+fn fetch_from_an_unmapped_page_traps_in_every_model() {
+    use riscy_isa::asm::Assembler;
+    use riscy_isa::csr::addr as csr;
+    use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
+    use riscy_isa::reg::Gpr;
+    use riscy_workloads::runtime::{build_page_tables, emit_enter_supervisor, PAGED_VA_BASE, RW};
+    const INST_PAGE_FAULT: u64 = 12;
+    let unmapped = (PAGED_VA_BASE + 0x1000) as i64;
+    let paging = build_page_tables(1, RW);
+    let mut a = Assembler::new(DRAM_BASE);
+    a.la(Gpr::t(0), "handler");
+    a.csrw(csr::MTVEC, Gpr::t(0));
+    emit_enter_supervisor(&mut a, paging.root_ppn, "supervisor");
+    a.li(Gpr::t(1), unmapped);
+    a.jalr(Gpr::ZERO, Gpr::t(1), 0);
+    a.label("handler");
+    a.csrr(Gpr::s(0), csr::MCAUSE);
+    a.li(Gpr::t(6), MMIO_EXIT as i64);
+    a.sd(Gpr::s(0), 0, Gpr::t(6));
+    a.label("hang");
+    a.j("hang");
+    let mut prog = a.assemble();
+    for (pa, bytes) in paging.segments {
+        prog.add_data(pa, bytes);
+    }
+    let mut golden = Machine::with_program(1, &prog);
+    golden.run(100_000).expect("golden exits");
+    assert_eq!(golden.hart(0).halted, Some(INST_PAGE_FAULT));
+    for latency in [10, 120] {
+        let mut inorder = InOrderSim::new(InOrderConfig::rocket(latency), &prog);
+        inorder
+            .run(200_000)
+            .unwrap_or_else(|c| panic!("Rocket-{latency}: no exit after {c} cycles"));
+        assert_eq!(inorder.exited(), Some(INST_PAGE_FAULT), "Rocket-{latency}");
+    }
+}
