@@ -175,6 +175,9 @@ pub struct InOrderSim {
     /// architectural step (the fetch's trap) takes it: a faulting walk
     /// fills no TLB entry.
     i_fault: Option<u64>,
+    /// The same for the D side: the VA of the load or store whose page
+    /// walk faulted, until the step that traps on it.
+    d_fault: Option<u64>,
     roi_start: Option<(u64, u64)>,
     /// Statistics.
     pub stats: InOrderStats,
@@ -201,6 +204,7 @@ impl InOrderSim {
             pending_va: 0,
             pending_access: Access::Load,
             i_fault: None,
+            d_fault: None,
             roi_start: None,
             stats: InOrderStats::default(),
         }
@@ -247,8 +251,9 @@ impl InOrderSim {
         match res {
             Some(Ok(pa)) => Some(pa),
             Some(Err(_)) => Some(va), // faults are architectural
-            // So is a faulting walk: the fetch goes on to the step, which traps.
+            // So is a faulting walk: the access goes on to the step, which traps.
             None if access == Access::Fetch && self.i_fault == Some(va) => Some(va),
+            None if access != Access::Fetch && self.d_fault == Some(va) => Some(va),
             None => {
                 let now = self.mem.now();
                 let id = self.next_tlb_id;
@@ -260,7 +265,7 @@ impl InOrderSim {
                         }
                     }
                     _ => {
-                        if self.tlb.can_park_d() {
+                        if !self.tlb.d_miss_pending() {
                             self.tlb.request_d(now, id, va, access, pm);
                         }
                     }
@@ -285,7 +290,13 @@ impl InOrderSim {
         if let Some(va) = self.tlb.tick(now, satp) {
             self.i_fault = Some(va);
         }
-        while self.tlb.pop_d_resp().is_some() {}
+        // A filled D-side miss needs no response: the access retries
+        // through the D TLB. A faulting walk fills nothing; its VA is kept.
+        while let Some(r) = self.tlb.pop_d_resp() {
+            if let Err(f) = r.result {
+                self.d_fault = Some(f.va);
+            }
+        }
         self.mem.tick();
         self.stats.cycles += 1;
         if self.roi_start.is_some() {
@@ -420,6 +431,7 @@ impl InOrderSim {
         let before_pc = pc;
         let out = self.machine.step(0);
         self.i_fault = None;
+        self.d_fault = None;
         self.stats.committed += 1;
         if self.roi_start.is_some() {
             self.stats.roi_insts += 1;

@@ -529,6 +529,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if a transaction is already open.
+    #[inline]
     pub fn begin_rule(&self) {
         assert!(!self.inner.in_rule.get(), "nested rules are not allowed");
         self.inner.in_rule.set(true);
@@ -587,6 +588,7 @@ impl Clock {
     /// scheduler uses [`Clock::try_commit_rule`] to refuse gracefully). The
     /// offending rule is aborted before the panic, so a harness that
     /// catches it finds the clock closed and reusable.
+    #[inline]
     pub fn commit_rule(&self) {
         assert!(self.inner.in_rule.get(), "commit outside of a rule");
         if let Some(name) = self.inner.reg_conflict.get() {
@@ -597,11 +599,9 @@ impl Clock {
             // Every touch publishes the cell's id so rules asleep on it get
             // re-evaluated (see `crate::wake`).
             let mut dirty = self.inner.dirty.borrow_mut();
-            for &id in dirty.iter() {
-                if id & LATCHED == 0 {
-                    self.inner.wake.publish(id);
-                }
-            }
+            self.inner
+                .wake
+                .publish_all(dirty.iter().copied().filter(|&id| id & LATCHED == 0));
             dirty.clear();
         }
         if self.inner.tracing.get() {
@@ -619,10 +619,10 @@ impl Clock {
                 );
             }
         }
-        self.inner
-            .fired_calls
-            .borrow_mut()
-            .extend(self.inner.calls.borrow_mut().drain(..));
+        let mut calls = self.inner.calls.borrow_mut();
+        if !calls.is_empty() {
+            self.inner.fired_calls.borrow_mut().extend(calls.drain(..));
+        }
         self.inner.in_rule.set(false);
     }
 
@@ -640,6 +640,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if no transaction is open.
+    #[inline]
     pub fn try_commit_rule(&self) -> Result<(), &'static str> {
         assert!(self.inner.in_rule.get(), "commit outside of a rule");
         if let Some(name) = self.inner.reg_conflict.get() {
@@ -656,6 +657,7 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if no transaction is open.
+    #[inline]
     pub fn abort_rule(&self) {
         assert!(self.inner.in_rule.get(), "abort outside of a rule");
         {

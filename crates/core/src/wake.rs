@@ -109,9 +109,20 @@ impl Wake {
     /// Cell `id` changed observably: wakes every rule asleep on it.
     #[inline]
     pub fn publish(&self, id: u32) {
-        if let Some(ws) = self.watchers.borrow_mut().get_mut(id as usize) {
-            if !ws.is_empty() {
-                self.wake_all(ws);
+        self.publish_all([id]);
+    }
+
+    /// Every cell in `ids` changed observably: wakes every rule asleep on
+    /// one of them, under one borrow of the watcher table (a committing
+    /// rule's dirty list).
+    #[inline]
+    pub fn publish_all(&self, ids: impl IntoIterator<Item = u32>) {
+        let mut watchers = self.watchers.borrow_mut();
+        for id in ids {
+            if let Some(ws) = watchers.get_mut(id as usize) {
+                if !ws.is_empty() {
+                    self.wake_all(ws);
+                }
             }
         }
     }

@@ -229,7 +229,8 @@ fn li_materializes_any_constant() {
 }
 
 /// The byte-wise reference `SparseMem` is checked against: one map entry
-/// per byte ever written, a frame resident iff one of its bytes was.
+/// per byte ever written, a frame resident iff one of its bytes was, a line
+/// written iff one of its bytes was.
 #[derive(Default)]
 struct ByteMem(BTreeMap<u64, u8>);
 
@@ -256,8 +257,20 @@ impl ByteMem {
         frames
     }
 
+    /// The written lines of frame `f`, ascending, as indices in the frame.
+    fn lines(&self, f: u64) -> Vec<u64> {
+        let (mut lines, mut from) = (Vec::new(), f * PAGE);
+        while let Some((a, _)) = self.0.range(from..(f + 1) * PAGE).next() {
+            lines.push(a % PAGE / LINE);
+            from = (a / LINE + 1) * LINE;
+        }
+        lines
+    }
+
     /// `SparseMem`'s snapshot encoding: frame count, then each frame's
-    /// number and 4 KiB in ascending frame order.
+    /// number and record in ascending frame order: a frame with one written
+    /// line is kind 1, the line's index and its 64 bytes; any other is
+    /// kind 0 and its 4 KiB.
     fn save(&self) -> Vec<u8> {
         let frames = self.frames();
         let mut out = (frames.len() as u64).to_le_bytes().to_vec();
@@ -267,13 +280,23 @@ impl ByteMem {
             for (a, &b) in self.0.range(f * PAGE..(f + 1) * PAGE) {
                 page[(a % PAGE) as usize] = b;
             }
-            out.extend_from_slice(&page);
+            match self.lines(f)[..] {
+                [line] => {
+                    out.extend_from_slice(&[1, line as u8]);
+                    out.extend_from_slice(&page[(line * LINE) as usize..][..LINE as usize]);
+                }
+                _ => {
+                    out.push(0);
+                    out.extend_from_slice(&page);
+                }
+            }
         }
         out
     }
 }
 
 const PAGE: u64 = 4096;
+const LINE: u64 = 64;
 
 fn le(bytes: &[u8]) -> u64 {
     bytes.iter().rev().fold(0, |v, &b| (v << 8) | u64::from(b))
@@ -281,8 +304,13 @@ fn le(bytes: &[u8]) -> u64 {
 
 /// `SparseMem` against the byte-wise model over random operation
 /// sequences: after every operation the value read, `resident_pages()` and
-/// the `Snap::save` bytes agree. Offsets favour 4089–4095, where a 2-, 4- or
-/// 8-byte access crosses into the next frame.
+/// the `Snap::save` bytes agree. Accesses land in lines 0, 1, 31 and 63 of
+/// 32 frames, half of them at the last 7 bytes of the line, where a 2-,
+/// 4- or 8-byte access crosses into the next line (from line 63, into the
+/// next frame): one-line frames see accesses that cross out of their line
+/// and into a neighbour, reads of their unwritten lines, and the write to a
+/// second line that makes them a page. The run counts those events and
+/// requires each.
 #[test]
 fn sparse_mem_matches_a_byte_model() {
     let untouched = DRAM_BASE + 64 * PAGE;
@@ -292,44 +320,65 @@ fn sparse_mem_matches_a_byte_model() {
     assert_eq!(fresh.read_line(untouched + 64), [0; 64]);
     assert_eq!(fresh.resident_pages(), 0, "a read allocated a frame");
 
-    for seed in 0..4 {
+    // One-line frames seen after a step, promotions to a page, reads that
+    // cross a one-line frame's line, and reads of a resident frame's
+    // unwritten line.
+    let mut seen = [0u32; 4];
+    for seed in 0..6 {
         let mut rng = SplitMix64::seed_from_u64(0x15a_0100 + seed);
         let (mut mem, mut model) = (SparseMem::new(), ByteMem::default());
         for step in 0..400 {
-            let frame = DRAM_BASE + rng.below(4) * PAGE;
-            let off = if rng.chance(0.5) {
-                rng.range_u64(4089, 4096)
-            } else {
-                rng.below(PAGE)
-            };
+            let frame = DRAM_BASE + rng.below(32) * PAGE;
+            let line = *rng.pick(&[0u64, 1, 31, 63]);
+            let off = line * LINE
+                + if rng.chance(0.5) {
+                    rng.range_u64(LINE - 7, LINE)
+                } else {
+                    rng.below(LINE)
+                };
             let width = *rng.pick(&[1u64, 2, 4, 8]);
             let ctx = format!("seed {seed} step {step}");
-            match rng.below(7) {
-                0 => {
-                    let pa = frame + off;
+            let one_line = |model: &ByteMem, pa: u64| model.lines(pa / PAGE).len() == 1;
+            let lines_before = model.lines(frame / PAGE).len();
+            match rng.below(8) {
+                0 | 1 => {
+                    // Half the reads of a one-line frame end its line.
+                    let pa = match model.lines(frame / PAGE)[..] {
+                        [l] if rng.chance(0.5) => frame + l * LINE + rng.range_u64(LINE - 7, LINE),
+                        _ => frame + off,
+                    };
+                    if one_line(&model, pa) && (pa % LINE + width > LINE) {
+                        seen[2] += 1;
+                    }
                     assert_eq!(mem.read_le(pa, width), le(&model.read(pa, width)), "{ctx}");
                 }
-                1 => {
+                2 | 3 => {
                     let (pa, v) = (frame + off, rng.next_u64());
                     mem.write_le(pa, width, v);
                     model.write(pa, &v.to_le_bytes()[..width as usize]);
                 }
-                2 => {
+                4 => {
                     let pa = frame + (off & !7);
                     assert_eq!(mem.read_u64(pa), le(&model.read(pa, 8)), "{ctx}");
                 }
-                3 => {
-                    let pa = frame + (off & !63);
+                5 => {
+                    // Any line of the frame, written or not.
+                    let pa = frame + rng.below(PAGE / LINE) * LINE;
+                    if !model.lines(frame / PAGE).is_empty()
+                        && !model.lines(frame / PAGE).contains(&(pa % PAGE / LINE))
+                    {
+                        seen[3] += 1;
+                    }
                     assert_eq!(mem.read_line(pa)[..], model.read(pa, 64)[..], "{ctx}");
                 }
-                4 => {
+                6 => {
                     let pa = frame + (off & !63);
                     let mut line = [0u8; 64];
                     line.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
                     mem.write_line(pa, &line);
                     model.write(pa, &line);
                 }
-                5 => {
+                _ if rng.chance(0.1) => {
                     // Rest of this frame, all of the next, part of a third.
                     let pa = frame + off;
                     let len = (PAGE - off) + PAGE + rng.range_u64(1, PAGE);
@@ -339,7 +388,15 @@ fn sparse_mem_matches_a_byte_model() {
                 }
                 _ => assert_eq!(mem.read_le(untouched + off, width), 0, "{ctx}"),
             }
-            assert_eq!(mem.resident_pages(), model.frames().len(), "{ctx}");
+            if lines_before == 1 && model.lines(frame / PAGE).len() > 1 {
+                seen[1] += 1;
+            }
+            let frames = model.frames();
+            seen[0] += frames
+                .iter()
+                .filter(|&&f| model.lines(f).len() == 1)
+                .count() as u32;
+            assert_eq!(mem.resident_pages(), frames.len(), "{ctx}");
             let mut w = SnapWriter::new();
             mem.save(&mut w);
             assert!(
@@ -348,4 +405,6 @@ fn sparse_mem_matches_a_byte_model() {
             );
         }
     }
+    println!("coverage {seen:?}");
+    assert!(seen.iter().all(|&n| n > 20), "coverage {seen:?}");
 }

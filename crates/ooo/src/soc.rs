@@ -1077,8 +1077,10 @@ pub use crate::core::CoreState as Core;
 /// registry after the rule table; v9 moved each core's exit code into a
 /// cell adopted after every core's (the SoC section no longer writes
 /// `devices.exited`); v10 added each core's `itlb_fault` cell after its
-/// `itlb_busy`.
-pub const SOC_SNAP_VERSION: u32 = 10;
+/// `itlb_busy`; v11 writes each frame of physical memory (the SoC's and the
+/// golden model's) as a kind byte and then a page, or a line's index and
+/// its 64 bytes for a frame with one written line.
+pub const SOC_SNAP_VERSION: u32 = 11;
 
 cmd_core::snap_struct!(CoreStats {
     committed,

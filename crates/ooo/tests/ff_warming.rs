@@ -9,8 +9,9 @@
 //! digests but not the layout-free witnesses beside them: the digests were
 //! re-captured at format v7 (the LSQ ordered by sequence number alone), at
 //! v8 (every module saved from its field list, no counter registry), at v9
-//! (each core's exit code in a cell) and at v10 (each core's I-side walk
-//! fault cell) while every witness held.
+//! (each core's exit code in a cell), at v10 (each core's I-side walk
+//! fault cell) and at v11 (a memory frame with one written line saved as
+//! that line) while every witness held.
 
 use riscy_isa::asm::Program;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
@@ -79,9 +80,9 @@ fn handoff_state_is_pinned_for_libquantum() {
         "{witnesses:#x?}"
     );
     let want = [
-        (2_000, 0x43b2_936e_8c37_3fe0),
-        (60_000, 0xf190_515e_124c_a12f),
-        (250_000, 0xac8a_2fa6_c7f2_1e0e),
+        (2_000, 0x51d3_2f1f_4e43_1f7b),
+        (60_000, 0x6472_5ef3_af5d_128c),
+        (250_000, 0xe296_ee91_297e_6a39),
     ];
     let digests: Vec<(u64, u64)> = got.iter().map(|&(t, _, d)| (t, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");
@@ -105,8 +106,8 @@ fn handoff_state_is_pinned_for_two_harts() {
         "{witnesses:#x?}"
     );
     let want = [
-        (false, 0x75e3_e91c_a81b_1428),
-        (true, 0x2d2d_91ed_c5fc_ee35),
+        (false, 0xdfd4_a15c_439a_cd29),
+        (true, 0xb0c9_5b37_21c7_4c84),
     ];
     let digests: Vec<(bool, u64)> = got.iter().map(|&(h, _, d)| (h, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");

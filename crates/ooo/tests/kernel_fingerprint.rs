@@ -159,7 +159,9 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// [`witness`] still held; and when each core gained its I-side walk
 /// fault cell (v10), with the same run launching the one I TLB miss from
 /// a firing `fetch`: the witness moved only by that firing (`c0.fetch`
-/// one more fire and one fewer guard stall, and the scheduler totals).
+/// one more fire and one fewer guard stall, and the scheduler totals);
+/// and when a memory frame with one written line came to be saved as that
+/// line (v11: 14,306,495 → 1,926,344 bytes), while [`witness`] held.
 /// `snapshot_roundtrip.rs` compares one build against itself and cannot
 /// see a layout change that forgot to bump the version.
 #[test]
@@ -178,7 +180,7 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
         0x2e4b_4212_9d27_fe95,
         "the restored run drifted from the layout-free witness"
     );
-    assert_eq!((bytes.len(), h), (14_306_495, 0x7444_2a36_ce2a_4c1d));
+    assert_eq!((bytes.len(), h), (1_926_344, 0x4f1f_1c19_5d57_db78));
 }
 
 /// A layout-free witness of a snapshot: restore `bytes` into a fresh

@@ -28,6 +28,7 @@ use riscy_isa::reg::Gpr;
 use riscy_mem::msg::CoreReq;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
 use riscy_ooo::soc::{CoreStats, SocSim};
+use riscy_workloads::spec::{mcf, Scale};
 
 const BUDGET: u64 = 2_000_000;
 /// Cycle at which the mid-run snapshot is taken (inside the main loop:
@@ -209,6 +210,35 @@ fn snapshot_bytes_are_stable() {
     assert_eq!(a, c, "save→restore→save must be byte-identical");
 }
 
+/// A snapshot costs what the simulation holds. mcf puts each node on a
+/// page of its own, so most of its frames hold one written line, and each
+/// is saved as that line: at 20,000 cycles its snapshot is under 2.5 MiB
+/// (a full page a frame made it 14.3 MB), and it restores and re-saves to
+/// the same bytes.
+#[test]
+fn an_mcf_snapshot_costs_what_the_program_wrote() {
+    let w = mcf(Scale::Test);
+    let build = || SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
+    let mut sim = build();
+    for _ in 0..20_000 {
+        sim.cycle();
+    }
+    let bytes = sim.save_snapshot().expect("snapshot");
+    assert!(
+        bytes.len() < 5 << 19,
+        "mcf snapshot of {} bytes",
+        bytes.len()
+    );
+    let mut fresh = build();
+    fresh
+        .restore_snapshot(&bytes)
+        .expect("the snapshot restores");
+    assert!(
+        fresh.save_snapshot().expect("re-save") == bytes,
+        "re-save differs"
+    );
+}
+
 #[test]
 fn version_skew_is_a_structured_error() {
     let prog = busy_prog(100);
@@ -218,11 +248,11 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v9 — the last format without the I-side walk
-    // fault cells, so a v9 body must never reach the v10 reader.
+    // future format, and v10 — the last format with a full page for every
+    // memory frame, so a v10 body must never reach the v11 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 10, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 9] {
+    assert_eq!(current, 11, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 10] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {

@@ -172,18 +172,27 @@ fn parsec_proxies_agree_between_golden_and_quad_core() {
     }
 }
 
-/// A jump to a page the Sv39 tables leave unmapped traps in every model.
-/// The in-order core's faulting I-side walk fills no TLB entry, so its
-/// stalled fetch takes the fault and steps into the trap; it used to park
-/// a new miss on every retry and never return.
-#[test]
-fn fetch_from_an_unmapped_page_traps_in_every_model() {
+/// How [`unmapped_access_traps_in_every_model`] touches the unmapped page.
+#[derive(Clone, Copy, Debug)]
+enum Touch {
+    Jump,
+    Load,
+    Store,
+}
+
+/// An access to a page the Sv39 tables leave unmapped traps in every model
+/// with the golden model's cause: the golden interpreter, the in-order
+/// Rocket-10 and Rocket-120 and the out-of-order T+ core, each within a
+/// bounded budget. The in-order core's faulting walk fills no TLB entry, so
+/// its stalled access takes the fault and steps into the trap; it used to
+/// park a new miss on every retry and never return (the I side, then the
+/// D side).
+fn unmapped_access_traps_in_every_model(touch: Touch) {
     use riscy_isa::asm::Assembler;
     use riscy_isa::csr::addr as csr;
     use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
     use riscy_isa::reg::Gpr;
     use riscy_workloads::runtime::{build_page_tables, emit_enter_supervisor, PAGED_VA_BASE, RW};
-    const INST_PAGE_FAULT: u64 = 12;
     let unmapped = (PAGED_VA_BASE + 0x1000) as i64;
     let paging = build_page_tables(1, RW);
     let mut a = Assembler::new(DRAM_BASE);
@@ -191,7 +200,20 @@ fn fetch_from_an_unmapped_page_traps_in_every_model() {
     a.csrw(csr::MTVEC, Gpr::t(0));
     emit_enter_supervisor(&mut a, paging.root_ppn, "supervisor");
     a.li(Gpr::t(1), unmapped);
-    a.jalr(Gpr::ZERO, Gpr::t(1), 0);
+    let cause = match touch {
+        Touch::Jump => {
+            a.jalr(Gpr::ZERO, Gpr::t(1), 0);
+            12
+        }
+        Touch::Load => {
+            a.ld(Gpr::t(2), 0, Gpr::t(1));
+            13
+        }
+        Touch::Store => {
+            a.sd(Gpr::t(1), 0, Gpr::t(1));
+            15
+        }
+    };
     a.label("handler");
     a.csrr(Gpr::s(0), csr::MCAUSE);
     a.li(Gpr::t(6), MMIO_EXIT as i64);
@@ -204,12 +226,35 @@ fn fetch_from_an_unmapped_page_traps_in_every_model() {
     }
     let mut golden = Machine::with_program(1, &prog);
     golden.run(100_000).expect("golden exits");
-    assert_eq!(golden.hart(0).halted, Some(INST_PAGE_FAULT));
+    assert_eq!(golden.hart(0).halted, Some(cause), "golden {touch:?}");
     for latency in [10, 120] {
         let mut inorder = InOrderSim::new(InOrderConfig::rocket(latency), &prog);
         inorder
             .run(200_000)
-            .unwrap_or_else(|c| panic!("Rocket-{latency}: no exit after {c} cycles"));
-        assert_eq!(inorder.exited(), Some(INST_PAGE_FAULT), "Rocket-{latency}");
+            .unwrap_or_else(|c| panic!("Rocket-{latency} {touch:?}: no exit after {c} cycles"));
+        assert_eq!(inorder.exited(), Some(cause), "Rocket-{latency} {touch:?}");
     }
+    let mut ooo = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &prog);
+    ooo.run_to_completion(200_000)
+        .unwrap_or_else(|e| panic!("T+ {touch:?}: {e}"));
+    assert_eq!(
+        ooo.soc().devices.exited[0].read(),
+        Some(cause),
+        "T+ {touch:?}"
+    );
+}
+
+#[test]
+fn fetch_from_an_unmapped_page_traps_in_every_model() {
+    unmapped_access_traps_in_every_model(Touch::Jump);
+}
+
+#[test]
+fn load_from_an_unmapped_page_traps_in_every_model() {
+    unmapped_access_traps_in_every_model(Touch::Load);
+}
+
+#[test]
+fn store_to_an_unmapped_page_traps_in_every_model() {
+    unmapped_access_traps_in_every_model(Touch::Store);
 }
