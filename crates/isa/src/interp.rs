@@ -1138,19 +1138,14 @@ mod tests {
         exit_seq(&mut a, 3);
         let p = a.assemble();
         let mut m = Machine::with_program(1, &p);
-        // Overwrite the ebreak with an illegal word.
-        let ebreak_pc = p.text_base + 4 * 4; // la(2) + csrw(1) + ... compute below
-        let _ = ebreak_pc;
-        // Find it: scan for the ebreak encoding.
-        let mut pc = p.text_base;
-        loop {
-            let w = m.mem().read_le(pc, 4) as u32;
-            if w == Instr::Ebreak.encode() {
-                m.mem_mut().write_le(pc, 4, 0xffff_ffff);
-                break;
-            }
-            pc += 4;
-        }
+        // Overwrite the ebreak with an illegal word, scanning only the
+        // program's text as memory reads it back.
+        let pc = (p.text_base..)
+            .step_by(4)
+            .take(p.text_words().len())
+            .find(|&pc| m.mem().read_le(pc, 4) as u32 == Instr::Ebreak.encode())
+            .expect("the ebreak lies in the program's text");
+        m.mem_mut().write_le(pc, 4, 0xffff_ffff);
         m.run(1000).unwrap();
         assert_eq!(m.hart(0).halted, Some(3));
         assert_eq!(m.hart(0).csrs.mcause, Exception::IllegalInst.cause());

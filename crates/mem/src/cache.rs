@@ -57,8 +57,8 @@ pub struct Slot {
     pub line: u64,
     /// MSI state.
     pub state: Msi,
-    /// Data.
-    pub data: Box<Line>,
+    /// Data: `None` until a fill installs a line (see [`Slot::data`]).
+    data: Option<Box<Line>>,
     /// LRU timestamp.
     pub lru: u64,
     /// Locked slots may not be evicted or downgraded (store in progress, or
@@ -72,38 +72,99 @@ pub struct Slot {
     pub owner: Option<usize>,
 }
 
+/// What a slot's data reads as before a fill installs a line.
+static ZERO_LINE: Line = [0; LINE_BYTES as usize];
+
+/// The empty slot: every way of a set nothing has installed into or
+/// written to reads as this one shared slot.
+static EMPTY: Slot = Slot {
+    line: 0,
+    state: Msi::I,
+    data: None,
+    lru: 0,
+    locked: false,
+    dirty: false,
+    sharers: 0,
+    owner: None,
+};
+
 impl Slot {
-    fn empty() -> Self {
-        Slot {
-            line: 0,
-            state: Msi::I,
-            data: Box::new([0; 64]),
-            lru: 0,
-            locked: false,
-            dirty: false,
-            sharers: 0,
-            owner: None,
-        }
+    /// The slot's data: zeros until a fill installs a line.
+    #[must_use]
+    pub fn data(&self) -> &Line {
+        self.data.as_deref().unwrap_or(&ZERO_LINE)
+    }
+
+    /// The slot's data, to write in place (a slot no fill has reached gets
+    /// its zero line here).
+    pub fn data_mut(&mut self) -> &mut Line {
+        self.data.get_or_insert_with(|| Box::new(ZERO_LINE))
+    }
+
+    /// Replaces the data with `data`, moving the box in.
+    pub fn set_data(&mut self, data: Box<Line>) {
+        self.data = Some(data);
     }
 }
 
+/// A set of `ways` empty slots.
+fn empty_set(ways: usize) -> Box<[Slot]> {
+    vec![EMPTY.clone(); ways].into_boxed_slice()
+}
+
+/// Slots are equal when every field reads the same: data no fill has
+/// installed equals a line of zeros.
+impl PartialEq for Slot {
+    fn eq(&self, o: &Slot) -> bool {
+        self.line == o.line
+            && self.state == o.state
+            && self.data() == o.data()
+            && self.lru == o.lru
+            && self.locked == o.locked
+            && self.dirty == o.dirty
+            && self.sharers == o.sharers
+            && self.owner == o.owner
+    }
+}
+
+impl Eq for Slot {}
+
 /// A set-associative array of [`Slot`]s with LRU replacement.
+///
+/// It holds what was put in it: a set's ways are allocated by the first
+/// install or write into the set, and a slot's data by the fill that
+/// installs it (the fill's box moves in). A lookup in a set that does not
+/// exist yet misses, and reading one of its slots gives the shared empty
+/// slot. Slot indices are `set * ways + way` whether or not the set exists.
 #[derive(Debug)]
 pub struct CacheArray {
     geom: CacheGeom,
-    slots: Vec<Slot>,
+    /// `log2(ways)` when the associativity is a power of two: a slot index
+    /// then splits by shift and mask instead of a division.
+    way_shift: Option<u32>,
+    /// Each set's ways, once something has been installed into or written
+    /// to the set.
+    sets: Vec<Option<Box<[Slot]>>>,
     tick: u64,
 }
 
 impl CacheArray {
-    /// Creates an empty array.
+    /// Creates an empty array: no set is allocated until it is used.
     #[must_use]
     pub fn new(geom: CacheGeom) -> Self {
         CacheArray {
             geom,
-            slots: (0..geom.sets * geom.ways).map(|_| Slot::empty()).collect(),
+            way_shift: geom
+                .ways
+                .is_power_of_two()
+                .then(|| geom.ways.trailing_zeros()),
+            sets: Self::no_sets(geom),
             tick: 0,
         }
+    }
+
+    fn no_sets(geom: CacheGeom) -> Vec<Option<Box<[Slot]>>> {
+        (0..geom.sets).map(|_| None).collect()
     }
 
     /// The array's geometry.
@@ -112,98 +173,220 @@ impl CacheArray {
         self.geom
     }
 
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let s = self.geom.set_of(line);
-        s * self.geom.ways..(s + 1) * self.geom.ways
+    /// How many sets hold allocated ways: 0 until something is installed.
+    #[must_use]
+    pub fn resident_sets(&self) -> usize {
+        self.sets.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Splits a slot index into (set, way).
+    fn split(&self, idx: usize) -> (usize, usize) {
+        match self.way_shift {
+            Some(sh) => (idx >> sh, idx & (self.geom.ways - 1)),
+            None => (idx / self.geom.ways, idx % self.geom.ways),
+        }
+    }
+
+    /// Set `s`'s ways, allocated empty on first use.
+    fn set_mut(&mut self, s: usize) -> &mut [Slot] {
+        let ways = self.geom.ways;
+        self.sets[s].get_or_insert_with(|| empty_set(ways))
     }
 
     /// Finds the slot holding `line`, if any.
     #[must_use]
     pub fn lookup(&self, line: u64) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.slots[i].state != Msi::I && self.slots[i].line == line)
+        let s = self.geom.set_of(line);
+        let set = self.sets[s].as_deref()?;
+        let w = set
+            .iter()
+            .position(|x| x.state != Msi::I && x.line == line)?;
+        Some(s * self.geom.ways + w)
     }
 
-    /// Finds `line` and bumps its LRU.
-    pub fn lookup_touch(&mut self, line: u64) -> Option<usize> {
-        let idx = self.lookup(line)?;
+    /// Finds `line` and bumps its LRU: the slot's index and the slot.
+    pub fn lookup_touch(&mut self, line: u64) -> Option<(usize, &mut Slot)> {
+        let s = self.geom.set_of(line);
+        let set = self.sets[s].as_deref_mut()?;
+        let w = set
+            .iter()
+            .position(|x| x.state != Msi::I && x.line == line)?;
         self.tick += 1;
-        self.slots[idx].lru = self.tick;
-        Some(idx)
+        let slot = &mut set[w];
+        slot.lru = self.tick;
+        Some((s * self.geom.ways + w, slot))
     }
 
     /// Chooses a victim slot in `line`'s set: an invalid slot if possible,
     /// otherwise the least-recently-used unlocked one.
     #[must_use]
     pub fn victim(&self, line: u64) -> Option<usize> {
-        let range = self.set_range(line);
+        let s = self.geom.set_of(line);
+        let base = s * self.geom.ways;
+        let Some(set) = self.sets[s].as_deref() else {
+            return Some(base); // every way is empty
+        };
         let mut best: Option<usize> = None;
-        for i in range {
-            let s = &self.slots[i];
-            if s.locked {
+        for (w, slot) in set.iter().enumerate() {
+            if slot.locked {
                 continue;
             }
-            if s.state == Msi::I {
-                return Some(i);
+            if slot.state == Msi::I {
+                return Some(base + w);
             }
-            if best.is_none_or(|b| s.lru < self.slots[b].lru) {
-                best = Some(i);
+            if best.is_none_or(|b| slot.lru < set[b].lru) {
+                best = Some(w);
             }
         }
-        best
+        best.map(|w| base + w)
     }
 
-    /// Direct slot access.
+    /// Direct slot access (the shared empty slot in a set not yet used).
     #[must_use]
     pub fn slot(&self, idx: usize) -> &Slot {
-        &self.slots[idx]
+        let (s, w) = self.split(idx);
+        self.sets[s].as_deref().map_or(&EMPTY, |set| &set[w])
     }
 
-    /// Direct mutable slot access.
+    /// Direct mutable slot access (allocates the slot's set on first use).
     pub fn slot_mut(&mut self, idx: usize) -> &mut Slot {
-        &mut self.slots[idx]
+        let (s, w) = self.split(idx);
+        &mut self.set_mut(s)[w]
     }
 
     /// Installs `line` in slot `idx` with `state` and `data`, resetting
     /// directory/bookkeeping and touching LRU.
     pub fn install(&mut self, idx: usize, line: u64, state: Msi, data: Box<Line>) {
         self.tick += 1;
-        let lru = self.tick;
-        let s = &mut self.slots[idx];
-        s.line = line;
-        s.state = state;
-        s.data = data;
-        s.lru = lru;
-        s.locked = false;
-        s.dirty = false;
-        s.sharers = 0;
-        s.owner = None;
+        *self.slot_mut(idx) = Slot {
+            line,
+            state,
+            data: Some(data),
+            lru: self.tick,
+            locked: false,
+            dirty: false,
+            sharers: 0,
+            owner: None,
+        };
     }
 
     /// A free (invalid, unlocked) slot in `line`'s set, if any — used by
     /// functional warming, which must never evict.
     #[must_use]
     pub fn free_slot(&self, line: u64) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.slots[i].state == Msi::I && !self.slots[i].locked)
+        let s = self.geom.set_of(line);
+        let base = s * self.geom.ways;
+        let Some(set) = self.sets[s].as_deref() else {
+            return Some(base);
+        };
+        let w = set.iter().position(|x| x.state == Msi::I && !x.locked)?;
+        Some(base + w)
+    }
+
+    /// The slots that differ from the empty slot, by ascending index.
+    fn held(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        let ways = self.geom.ways;
+        self.sets
+            .iter()
+            .enumerate()
+            .filter_map(|(s, set)| Some((s, set.as_deref()?)))
+            .flat_map(move |(s, set)| set.iter().enumerate().map(move |(w, x)| (s * ways + w, x)))
+            .filter(|(_, x)| **x != EMPTY)
     }
 }
 
-cmd_core::snap_struct!(Slot {
-    line,
-    state,
-    data,
-    lru,
-    locked,
-    dirty,
-    sharers,
-    owner,
-});
+impl cmd_core::snap::Snap for Slot {
+    /// The fields in declaration order; the data as its 64 bytes (zeros
+    /// before a fill).
+    fn save(&self, w: &mut cmd_core::snap::SnapWriter) {
+        w.put(&self.line);
+        w.put(&self.state);
+        w.bytes(self.data());
+        w.put(&self.lru);
+        w.put(&self.locked);
+        w.put(&self.dirty);
+        w.put(&self.sharers);
+        w.put(&self.owner);
+    }
 
-cmd_core::snapshot_fields!(CacheArray {
-    slots: same_len,
-    tick
-});
+    fn load(r: &mut cmd_core::snap::SnapReader<'_>) -> Result<Self, cmd_core::snap::SnapError> {
+        Ok(Slot {
+            line: r.take()?,
+            state: r.take()?,
+            data: Some(Box::new(
+                r.bytes(LINE_BYTES as usize)?
+                    .try_into()
+                    .expect("a line's bytes"),
+            )),
+            lru: r.take()?,
+            locked: r.take()?,
+            dirty: r.take()?,
+            sharers: r.take()?,
+            owner: r.take()?,
+        })
+    }
+}
+
+impl cmd_core::snap::Snapshot for CacheArray {
+    /// The slot count (`sets * ways`, the design's geometry); then the
+    /// slots that differ from the empty slot in any field — an L2 victim
+    /// slot can be invalid but locked while its transaction waits — as
+    /// records `(index, slot)` by ascending index, after their count; then
+    /// the LRU clock.
+    fn snap_save(&self, w: &mut cmd_core::snap::SnapWriter) {
+        w.put(&(self.geom.sets * self.geom.ways));
+        w.len_prefix(self.held().count());
+        for (i, slot) in self.held() {
+            w.put(&i);
+            w.put(slot);
+        }
+        w.put(&self.tick);
+    }
+
+    /// Clears every slot the records do not name. Refuses a slot count
+    /// other than the design's ([`SnapError::Mismatch`]), and as corrupt an
+    /// index outside the array, indices that do not strictly increase and
+    /// a record of the empty slot (`snap_save` writes none of these).
+    ///
+    /// [`SnapError::Mismatch`]: cmd_core::snap::SnapError::Mismatch
+    fn snap_restore(
+        &mut self,
+        r: &mut cmd_core::snap::SnapReader<'_>,
+    ) -> Result<(), cmd_core::snap::SnapError> {
+        use cmd_core::snap::SnapError;
+        let from = r.position();
+        let total = self.geom.sets * self.geom.ways;
+        cmd_core::snap::same_len(r.take()?, total, "CacheArray.slots")?;
+        let mut sets = Self::no_sets(self.geom);
+        let mut prev = None;
+        for _ in 0..r.len_prefix()? {
+            let i: usize = r.take()?;
+            if i >= total {
+                return Err(SnapError::Corrupt(format!(
+                    "cache slot index {i} outside the array's {total}"
+                )));
+            }
+            if prev.is_some_and(|p| i <= p) {
+                return Err(SnapError::Corrupt(
+                    "cache slot indices not strictly increasing".into(),
+                ));
+            }
+            prev = Some(i);
+            let slot: Slot = r.take()?;
+            if slot == EMPTY {
+                return Err(SnapError::Corrupt(format!(
+                    "cache slot record {i} is the empty slot"
+                )));
+            }
+            let (s, w) = self.split(i);
+            sets[s].get_or_insert_with(|| empty_set(self.geom.ways))[w] = slot;
+        }
+        self.tick = r.take()?;
+        self.sets = sets;
+        cmd_core::snap::debug_assert_resaves(self, r, from);
+        Ok(())
+    }
+}
 
 /// Reads `bytes` little-endian at `addr` from a line buffer.
 #[must_use]
@@ -351,9 +534,10 @@ impl L1Cache {
             slot.state == Msi::M && slot.locked,
             "writeData protocol violation"
         );
+        let held = slot.data_mut();
         for (i, &en) in byte_en.iter().enumerate() {
             if en {
-                slot.data[i] = data[i];
+                held[i] = data[i];
             }
         }
         slot.locked = false;
@@ -475,7 +659,7 @@ impl L1Cache {
                         slot.state = slot.state.max(g.state);
                         // M grants carry authoritative data.
                         if g.state == Msi::M {
-                            slot.data = g.data;
+                            slot.set_data(g.data);
                         }
                     } else {
                         let Some(vic) = self.array.victim(g.line) else {
@@ -510,7 +694,7 @@ impl L1Cache {
                 }
                 if slot.state > d.to {
                     let data = if slot.state == Msi::M {
-                        Some(slot.data.clone())
+                        Some(Box::new(*slot.data()))
                     } else {
                         None // S and E copies are clean
                     };
@@ -557,7 +741,7 @@ impl L1Cache {
         }
         let line = slot.line;
         if slot.state == Msi::M {
-            let data = slot.data.clone();
+            let data = Box::new(*slot.data());
             self.to_parent_msg.push_back(ChildToParent::PutM {
                 child: self.child_id,
                 line,
@@ -595,9 +779,8 @@ impl L1Cache {
             CoreReq::Ld { tag, addr, bytes } => {
                 let line = line_of(addr);
                 match self.array.lookup_touch(line) {
-                    Some(idx) => {
-                        let slot = self.array.slot(idx);
-                        let data = read_from_line(&slot.data, addr, bytes);
+                    Some((_, slot)) => {
+                        let data = read_from_line(slot.data(), addr, bytes);
                         self.stats.hits += 1;
                         let _ = self.resp_q.push(now, CoreResp::Ld { tag, data });
                         true
@@ -610,8 +793,7 @@ impl L1Cache {
             }
             CoreReq::St { sb_idx, line } => {
                 match self.array.lookup_touch(line) {
-                    Some(idx) if self.array.slot(idx).state >= Msi::E => {
-                        let slot = self.array.slot_mut(idx);
+                    Some((_, slot)) if slot.state >= Msi::E => {
                         if slot.locked {
                             return false; // one store at a time per line
                         }
@@ -644,13 +826,12 @@ impl L1Cache {
                     }
                 }
                 match self.array.lookup_touch(line) {
-                    Some(idx) if self.array.slot(idx).state >= Msi::E => {
-                        let slot = self.array.slot_mut(idx);
+                    Some((_, slot)) if slot.state >= Msi::E => {
                         if slot.locked {
                             return false;
                         }
                         slot.state = Msi::M; // silent E→M upgrade
-                        let old = read_from_line(&slot.data, addr, bytes);
+                        let old = read_from_line(slot.data(), addr, bytes);
                         let old_ext = if bytes == 4 {
                             old as u32 as i32 as i64 as u64
                         } else {
@@ -662,7 +843,7 @@ impl L1Cache {
                                 old_ext
                             }
                             AtomicOp::Sc(v) => {
-                                write_to_line(&mut slot.data, addr, bytes, v);
+                                write_to_line(slot.data_mut(), addr, bytes, v);
                                 slot.dirty = true;
                                 self.reservation = None;
                                 0
@@ -670,7 +851,7 @@ impl L1Cache {
                             AtomicOp::Amo(aop, v) => {
                                 let w = if bytes == 4 { MemWidth::W } else { MemWidth::D };
                                 let newv = amo_exec(aop, w, old_ext, v);
-                                write_to_line(&mut slot.data, addr, bytes, newv);
+                                write_to_line(slot.data_mut(), addr, bytes, newv);
                                 slot.dirty = true;
                                 old_ext
                             }
@@ -690,6 +871,13 @@ impl L1Cache {
         }
     }
 
+    /// How many of the array's sets hold allocated ways (see
+    /// [`CacheArray::resident_sets`]).
+    #[must_use]
+    pub fn resident_sets(&self) -> usize {
+        self.array.resident_sets()
+    }
+
     /// Test/debug peek at a line's state.
     #[must_use]
     pub fn line_state(&self, line: u64) -> Msi {
@@ -706,7 +894,7 @@ impl L1Cache {
     pub fn peek_line(&self, line: u64) -> Option<(Msi, &Line)> {
         let i = self.array.lookup(line)?;
         let s = self.array.slot(i);
-        Some((s.state, &*s.data))
+        Some((s.state, s.data()))
     }
 }
 
@@ -754,6 +942,8 @@ cmd_core::snapshot_fields!(L1Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmd_core::rng::SplitMix64;
+    use cmd_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
     #[test]
     fn geometry_from_size() {
@@ -793,6 +983,260 @@ mod tests {
         a.install(v, 0, Msi::M, Box::new([0; 64]));
         a.slot_mut(v).locked = true;
         assert!(a.victim(64).is_none());
+    }
+
+    /// The reference for [`CacheArray`]: every slot allocated up front, with
+    /// the array's replacement rules written over one flat table.
+    struct Dense {
+        geom: CacheGeom,
+        slots: Vec<Slot>,
+        tick: u64,
+    }
+
+    impl Dense {
+        fn new(geom: CacheGeom) -> Self {
+            let full = Slot {
+                data: Some(Box::new(ZERO_LINE)),
+                ..EMPTY.clone()
+            };
+            Dense {
+                geom,
+                slots: vec![full; geom.sets * geom.ways],
+                tick: 0,
+            }
+        }
+
+        fn set(&self, line: u64) -> std::ops::Range<usize> {
+            let s = self.geom.set_of(line);
+            s * self.geom.ways..(s + 1) * self.geom.ways
+        }
+
+        fn lookup(&self, line: u64) -> Option<usize> {
+            self.set(line)
+                .find(|&i| self.slots[i].state != Msi::I && self.slots[i].line == line)
+        }
+
+        fn lookup_touch(&mut self, line: u64) -> Option<usize> {
+            let i = self.lookup(line)?;
+            self.tick += 1;
+            self.slots[i].lru = self.tick;
+            Some(i)
+        }
+
+        fn victim(&self, line: u64) -> Option<usize> {
+            let mut best: Option<usize> = None;
+            for i in self.set(line) {
+                let s = &self.slots[i];
+                if s.locked {
+                    continue;
+                }
+                if s.state == Msi::I {
+                    return Some(i);
+                }
+                if best.is_none_or(|b| s.lru < self.slots[b].lru) {
+                    best = Some(i);
+                }
+            }
+            best
+        }
+
+        fn free_slot(&self, line: u64) -> Option<usize> {
+            self.set(line)
+                .find(|&i| self.slots[i].state == Msi::I && !self.slots[i].locked)
+        }
+
+        fn install(&mut self, i: usize, line: u64, state: Msi, data: Box<Line>) {
+            self.tick += 1;
+            self.slots[i] = Slot {
+                line,
+                state,
+                data: Some(data),
+                lru: self.tick,
+                ..EMPTY.clone()
+            };
+        }
+    }
+
+    fn save(a: &CacheArray) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        a.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(a: &mut CacheArray, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        a.snap_restore(&mut r)?;
+        r.expect_end()
+    }
+
+    /// Every slot of `a` reads as the model's.
+    fn same_as(a: &CacheArray, m: &Dense, what: &str) {
+        for (i, want) in m.slots.iter().enumerate() {
+            assert!(
+                a.slot(i) == want,
+                "{what}: slot {i}: {:?} vs {want:?}",
+                a.slot(i)
+            );
+        }
+    }
+
+    /// Random installs, lookups, victim and free-slot choices and slot
+    /// writes (lock, dirty, data, directory, eviction) on the sparse array
+    /// and on the dense model agree, for a power-of-two associativity, for
+    /// one that is not, and for the 16-way L2's geometry. Snapshots
+    /// round-trip byte for byte, and a restore into a used array clears
+    /// every slot its snapshot does not name.
+    #[test]
+    fn cache_array_matches_a_dense_model() {
+        let l2 = CacheGeom::from_size(1024 * 1024, 16);
+        for (seed, geom) in [
+            (1, CacheGeom { sets: 8, ways: 4 }),
+            (2, CacheGeom { sets: 8, ways: 3 }),
+            (3, l2),
+        ] {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut a = CacheArray::new(geom);
+            let mut m = Dense::new(geom);
+            // A handful of sets, each with more candidate lines than ways,
+            // so sets fill, evict and stay untouched.
+            let hot: Vec<usize> = (0..4).map(|_| rng.range_usize(0, geom.sets)).collect();
+            let line = |rng: &mut SplitMix64| {
+                let set = *rng.pick(&hot) as u64;
+                let tag = rng.range_u64(0, geom.ways as u64 + 3);
+                (tag * geom.sets as u64 + set) * LINE_BYTES
+            };
+            // An array used on other lines, restored into below.
+            let mut used = CacheArray::new(geom);
+            for _ in 0..200 {
+                let l = (rng.range_u64(0, 4 * geom.sets as u64)) * LINE_BYTES;
+                if let Some(v) = used.victim(l) {
+                    used.install(v, l, Msi::M, Box::new([7; 64]));
+                }
+                let i = rng.range_usize(0, geom.sets * geom.ways);
+                used.slot_mut(i).locked = true;
+            }
+            for step in 0..4000 {
+                let l = line(&mut rng);
+                match rng.below(7) {
+                    0 => assert_eq!(a.lookup(l), m.lookup(l), "lookup {l:#x}"),
+                    1 => assert_eq!(
+                        a.lookup_touch(l).map(|(i, _)| i),
+                        m.lookup_touch(l),
+                        "touch {l:#x}"
+                    ),
+                    2 | 3 => {
+                        let (got, want) = if rng.chance(0.5) {
+                            (a.victim(l), m.victim(l))
+                        } else {
+                            (a.free_slot(l), m.free_slot(l))
+                        };
+                        assert_eq!(got, want, "victim or free slot {l:#x}");
+                        if let Some(v) = got.filter(|_| a.lookup(l).is_none()) {
+                            let state = *rng.pick(&[Msi::S, Msi::E, Msi::M]);
+                            let data = Box::new([rng.below(256) as u8; 64]);
+                            m.install(v, l, state, data.clone());
+                            a.install(v, l, state, data);
+                        }
+                    }
+                    _ => {
+                        let set = *rng.pick(&hot);
+                        let i = set * geom.ways + rng.range_usize(0, geom.ways);
+                        let v = rng.next_u64();
+                        let (s, t) = (a.slot_mut(i), &mut m.slots[i]);
+                        match rng.below(6) {
+                            0 => (s.locked, t.locked) = (v & 1 == 1, v & 1 == 1),
+                            1 => (s.dirty, t.dirty) = (v & 1 == 1, v & 1 == 1),
+                            2 => {
+                                let at = (v % 64) as usize;
+                                s.data_mut()[at] = (v >> 8) as u8;
+                                t.data_mut()[at] = (v >> 8) as u8;
+                            }
+                            3 => (s.sharers, t.sharers) = (v & 0xf, v & 0xf),
+                            4 => {
+                                let o = (v & 1 == 1).then_some((v >> 1) as usize % 4);
+                                (s.owner, t.owner) = (o, o);
+                            }
+                            _ => (s.state, t.state) = (Msi::I, Msi::I),
+                        }
+                    }
+                }
+                let s = geom.set_of(l);
+                for i in s * geom.ways..(s + 1) * geom.ways {
+                    assert!(a.slot(i) == &m.slots[i], "step {step}: slot {i}");
+                }
+                if step % 500 == 499 {
+                    same_as(&a, &m, &format!("step {step}"));
+                    let bytes = save(&a);
+                    let mut fresh = CacheArray::new(geom);
+                    restore(&mut fresh, &bytes).expect("a saved array restores");
+                    same_as(&fresh, &m, "restored into a fresh array");
+                    assert_eq!(save(&fresh), bytes, "save → restore → save");
+                    restore(&mut used, &bytes).expect("a saved array restores");
+                    same_as(&used, &m, "restored into a used array");
+                    assert_eq!(save(&used), bytes, "restored over a used array");
+                    assert!(used.resident_sets() <= hot.len());
+                }
+            }
+        }
+    }
+
+    /// A fresh array saves no slot; a snapshot naming a slot outside the
+    /// array, slots out of order, the empty slot or cut inside a record is
+    /// refused, and one of another geometry is a mismatch.
+    #[test]
+    fn cache_array_snapshots_refuse_what_save_never_writes() {
+        let geom = CacheGeom { sets: 4, ways: 2 };
+        let fresh = CacheArray::new(geom);
+        let empty = save(&fresh);
+        assert_eq!(empty.len(), 24, "slot count, record count, LRU clock");
+        let mut a = CacheArray::new(geom);
+        a.install(1, 0, Msi::S, Box::new([1; 64]));
+        a.install(6, 3 * 64, Msi::S, Box::new([2; 64]));
+        let bytes = save(&a);
+        let rec = (bytes.len() - 24) / 2;
+        let index_at = |k: usize| 16 + k * rec;
+        let with_index = |k: usize, i: u64| {
+            let mut b = bytes.clone();
+            b[index_at(k)..index_at(k) + 8].copy_from_slice(&i.to_le_bytes());
+            b
+        };
+        let mut blank = bytes.clone();
+        let second = index_at(1) + 8;
+        let mut w = SnapWriter::new();
+        w.put(&EMPTY);
+        blank[second..second + rec - 8].copy_from_slice(&w.into_bytes());
+        for (what, bad) in [
+            ("an index past the array", with_index(1, 8)),
+            ("indices out of order", with_index(1, 0)),
+            ("a repeated index", with_index(1, 1)),
+            ("a record of the empty slot", blank),
+        ] {
+            let got = restore(&mut CacheArray::new(geom), &bad);
+            assert!(matches!(got, Err(SnapError::Corrupt(_))), "{what}: {got:?}");
+        }
+        for cut in [index_at(1) + 3, index_at(1) + 20, bytes.len() - 9] {
+            let got = restore(&mut CacheArray::new(geom), &bytes[..cut]);
+            assert_eq!(got, Err(SnapError::Truncated), "cut at {cut}");
+        }
+        let got = restore(&mut CacheArray::new(CacheGeom { sets: 8, ways: 2 }), &bytes);
+        assert!(matches!(got, Err(SnapError::Mismatch(_))), "{got:?}");
+    }
+
+    /// A set exists once something is installed or written into it; a
+    /// lookup before then misses and its slots read as the empty slot.
+    #[test]
+    fn sets_are_allocated_by_use() {
+        let mut a = CacheArray::new(CacheGeom::from_size(1024 * 1024, 16));
+        assert_eq!(a.resident_sets(), 0);
+        assert_eq!(a.lookup(0x8000_0000), None);
+        assert_eq!(a.victim(0x8000_0000), a.free_slot(0x8000_0000));
+        assert!(a.slot(12_345) == &EMPTY);
+        assert_eq!(a.resident_sets(), 0, "reads allocate nothing");
+        let v = a.victim(0x8000_0000).expect("an empty set has a victim");
+        a.install(v, 0x8000_0000, Msi::S, Box::new([3; 64]));
+        a.slot_mut(7 * 16 + 5).locked = true;
+        assert_eq!(a.resident_sets(), 2);
+        assert_eq!(a.slot(v).data()[0], 3);
     }
 
     #[test]

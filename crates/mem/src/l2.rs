@@ -156,6 +156,13 @@ impl L2 {
             && self.trans.is_empty()
     }
 
+    /// How many of the array's sets hold allocated ways (see
+    /// [`CacheArray::resident_sets`]).
+    #[must_use]
+    pub fn resident_sets(&self) -> usize {
+        self.array.resident_sets()
+    }
+
     /// Non-intrusive peek at a resident line's data (no LRU touch, no
     /// statistics). `None` when the line is not cached in the L2. The copy
     /// is stale while a child holds the line in M — callers must consult
@@ -164,7 +171,7 @@ impl L2 {
     #[must_use]
     pub fn peek_line(&self, line: u64) -> Option<&crate::msg::Line> {
         let i = self.array.lookup(line)?;
-        Some(&*self.array.slot(i).data)
+        Some(self.array.slot(i).data())
     }
 
     /// The earliest cycle, at or after `now`, at which [`L2::tick`] may
@@ -216,7 +223,7 @@ impl L2 {
                 ChildToParent::PutM { child, line, data } => {
                     if let Some(idx) = self.array.lookup(line) {
                         let slot = self.array.slot_mut(idx);
-                        slot.data = data;
+                        slot.set_data(data);
                         slot.dirty = true;
                         if slot.owner == Some(child) {
                             slot.owner = None;
@@ -235,7 +242,7 @@ impl L2 {
                     if let Some(idx) = self.array.lookup(line) {
                         let slot = self.array.slot_mut(idx);
                         if let Some(d) = data {
-                            slot.data = d;
+                            slot.set_data(d);
                             slot.dirty = true;
                         }
                         match to {
@@ -305,7 +312,7 @@ impl L2 {
                         .dram
                         .request(DramReq::Write {
                             line: slot.line,
-                            data: slot.data.clone(),
+                            data: Box::new(*slot.data()),
                         })
                         .is_err()
                     {
@@ -429,7 +436,7 @@ impl L2 {
                     slot.sharers |= 1 << child;
                     Msi::S
                 };
-                let data = slot.data.clone();
+                let data = Box::new(*slot.data());
                 self.resp_out[child].push_back(ParentResp {
                     line: t.line,
                     state,
@@ -437,7 +444,7 @@ impl L2 {
                 });
             }
             Requester::Uncached(u) => {
-                let data = read_from_line(&slot.data, u.addr, 8);
+                let data = read_from_line(slot.data(), u.addr, 8);
                 self.uncached_out[u.core].push_back(UncachedResp { tag: u.tag, data });
             }
         }
@@ -463,9 +470,9 @@ impl L2 {
                 continue;
             }
             match self.array.lookup_touch(line) {
-                Some(idx) => {
+                Some((idx, slot)) => {
+                    slot.locked = true;
                     self.stats.hits += 1;
-                    self.array.slot_mut(idx).locked = true;
                     self.trans.push(Trans {
                         req,
                         line,

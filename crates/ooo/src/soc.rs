@@ -1079,8 +1079,10 @@ pub use crate::core::CoreState as Core;
 /// `devices.exited`); v10 added each core's `itlb_fault` cell after its
 /// `itlb_busy`; v11 writes each frame of physical memory (the SoC's and the
 /// golden model's) as a kind byte and then a page, or a line's index and
-/// its 64 bytes for a frame with one written line.
-pub const SOC_SNAP_VERSION: u32 = 11;
+/// its 64 bytes for a frame with one written line; v12 writes each cache
+/// array (every L1 and the L2) as its slot count and then only the slots
+/// that differ from the empty slot, as ascending `(index, slot)` records.
+pub const SOC_SNAP_VERSION: u32 = 12;
 
 cmd_core::snap_struct!(CoreStats {
     committed,

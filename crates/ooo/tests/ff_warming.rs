@@ -10,8 +10,9 @@
 //! re-captured at format v7 (the LSQ ordered by sequence number alone), at
 //! v8 (every module saved from its field list, no counter registry), at v9
 //! (each core's exit code in a cell), at v10 (each core's I-side walk
-//! fault cell) and at v11 (a memory frame with one written line saved as
-//! that line) while every witness held.
+//! fault cell), at v11 (a memory frame with one written line saved as
+//! that line) and at v12 (a cache array saving only the slots that differ
+//! from the empty slot) while every witness held.
 
 use riscy_isa::asm::Program;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig};
@@ -80,9 +81,9 @@ fn handoff_state_is_pinned_for_libquantum() {
         "{witnesses:#x?}"
     );
     let want = [
-        (2_000, 0x51d3_2f1f_4e43_1f7b),
-        (60_000, 0x6472_5ef3_af5d_128c),
-        (250_000, 0xe296_ee91_297e_6a39),
+        (2_000, 0xab7c_7f94_34d6_0ebe),
+        (60_000, 0x2003_f6fe_12f1_7c4f),
+        (250_000, 0xbd12_be05_c835_92bc),
     ];
     let digests: Vec<(u64, u64)> = got.iter().map(|&(t, _, d)| (t, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");
@@ -106,8 +107,8 @@ fn handoff_state_is_pinned_for_two_harts() {
         "{witnesses:#x?}"
     );
     let want = [
-        (false, 0xdfd4_a15c_439a_cd29),
-        (true, 0xb0c9_5b37_21c7_4c84),
+        (false, 0x6b7a_ad99_1228_10dc),
+        (true, 0xbe53_0824_5e1b_5bc9),
     ];
     let digests: Vec<(bool, u64)> = got.iter().map(|&(h, _, d)| (h, d)).collect();
     assert_eq!(digests, want, "{got:#x?}");

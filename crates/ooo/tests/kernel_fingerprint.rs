@@ -161,7 +161,9 @@ fn mcf_on_the_denver_proxy_matches_the_pre_mask_structures() {
 /// a firing `fetch`: the witness moved only by that firing (`c0.fetch`
 /// one more fire and one fewer guard stall, and the scheduler totals);
 /// and when a memory frame with one written line came to be saved as that
-/// line (v11: 14,306,495 → 1,926,344 bytes), while [`witness`] held.
+/// line (v11: 14,306,495 → 1,926,344 bytes), and when each cache array
+/// came to save only the slots that differ from the empty slot (v12:
+/// 1,926,344 → 403,432 bytes), while [`witness`] held.
 /// `snapshot_roundtrip.rs` compares one build against itself and cannot
 /// see a layout change that forgot to bump the version.
 #[test]
@@ -180,7 +182,7 @@ fn mcf_snapshot_bytes_match_the_cell_walk_golden() {
         0x2e4b_4212_9d27_fe95,
         "the restored run drifted from the layout-free witness"
     );
-    assert_eq!((bytes.len(), h), (1_926_344, 0x4f1f_1c19_5d57_db78));
+    assert_eq!((bytes.len(), h), (403_432, 0xc4a7_ee2b_de97_6f76));
 }
 
 /// A layout-free witness of a snapshot: restore `bytes` into a fresh

@@ -25,10 +25,11 @@ use cmd_core::snap::{Snap, SnapError, SnapReader, SnapWriter, Snapshot};
 use riscy_isa::asm::{Assembler, Program};
 use riscy_isa::mem::{DRAM_BASE, MMIO_EXIT};
 use riscy_isa::reg::Gpr;
+use riscy_mem::cache::Slot;
 use riscy_mem::msg::CoreReq;
 use riscy_ooo::config::{mem_riscyoo_b, CoreConfig, MemModel};
 use riscy_ooo::soc::{CoreStats, SocSim};
-use riscy_workloads::spec::{mcf, Scale};
+use riscy_workloads::spec::{hmmer, mcf, Scale};
 
 const BUDGET: u64 = 2_000_000;
 /// Cycle at which the mid-run snapshot is taken (inside the main loop:
@@ -212,9 +213,10 @@ fn snapshot_bytes_are_stable() {
 
 /// A snapshot costs what the simulation holds. mcf puts each node on a
 /// page of its own, so most of its frames hold one written line, and each
-/// is saved as that line: at 20,000 cycles its snapshot is under 2.5 MiB
-/// (a full page a frame made it 14.3 MB), and it restores and re-saves to
-/// the same bytes.
+/// is saved as that line; each cache array saves only the slots that
+/// differ from the empty slot. At 20,000 cycles its snapshot is under
+/// 512 KiB (a full page a frame made it 14.3 MB, every cache slot 1.9 MB),
+/// and it restores and re-saves to the same bytes.
 #[test]
 fn an_mcf_snapshot_costs_what_the_program_wrote() {
     let w = mcf(Scale::Test);
@@ -225,7 +227,7 @@ fn an_mcf_snapshot_costs_what_the_program_wrote() {
     }
     let bytes = sim.save_snapshot().expect("snapshot");
     assert!(
-        bytes.len() < 5 << 19,
+        bytes.len() < 512 << 10,
         "mcf snapshot of {} bytes",
         bytes.len()
     );
@@ -239,6 +241,85 @@ fn an_mcf_snapshot_costs_what_the_program_wrote() {
     );
 }
 
+/// Building a SoC allocates no cache set: every L1 and the L2 hold a set
+/// only once something is installed into or written to it, so a fresh
+/// SoC of 1 or 4 cores holds none, and after hmmer's run no more sets
+/// than the L1s and the L2 took fills.
+#[test]
+fn a_fresh_soc_holds_no_cache_lines() {
+    let sets = |sim: &SocSim| {
+        let mem = &sim.soc().mem;
+        let l1s: usize = (0..sim.soc().cores.len())
+            .map(|c| mem.dcache_ref(c).resident_sets() + mem.icache_ref(c).resident_sets())
+            .sum();
+        l1s + mem.l2.resident_sets()
+    };
+    let prog = busy_prog(100);
+    for cores in [1, 4] {
+        assert_eq!(
+            sets(&build(&prog, cores, SchedulerMode::Fast)),
+            0,
+            "{cores} core(s)"
+        );
+    }
+    let w = hmmer(Scale::Test);
+    let mut sim = SocSim::new(CoreConfig::riscyoo_t_plus(), mem_riscyoo_b(), 1, &w.program);
+    sim.run_to_completion(BUDGET).expect("hmmer completes");
+    let mem = &sim.soc().mem;
+    let fills =
+        mem.dcache_ref(0).stats.misses + mem.icache_ref(0).stats.misses + mem.l2.stats.misses;
+    let held = sets(&sim) as u64;
+    assert!(held > 0 && held <= fills, "{held} sets after {fills} fills");
+}
+
+/// A cache-array record out of place is corrupt, and one cut short is
+/// truncated: the first L1 D's records, edited in a real snapshot, name a
+/// slot past the array or come out of order.
+#[test]
+fn a_cache_slot_record_out_of_place_is_refused() {
+    let prog = busy_prog(300);
+    let (sim, snap) = mid_run(&prog, 1, SNAP_AT);
+    let (_, mem) = layout(&sim, &snap)
+        .0
+        .into_iter()
+        .find(|(name, _)| name == "memory system")
+        .expect("a memory-system section");
+    // The memory system writes physical memory, then the L1 D count, then
+    // each L1 D, whose field list opens with its cache array: the slot
+    // count, the record count, then `(index, slot)` records.
+    let mut w = SnapWriter::new();
+    sim.soc().mem.mem.save(&mut w);
+    let array = mem.start + w.len() + 8;
+    let mut r = SnapReader::new(&snap[array..]);
+    let slots = r.u64().expect("slot count");
+    assert_eq!(slots, 512, "a 32 KiB, 8-way L1 D");
+    assert!(
+        r.len_prefix().expect("record count") >= 2,
+        "two L1 D lines held"
+    );
+    let first = snap.len() - r.remaining();
+    r.u64().expect("first index");
+    r.take::<Slot>().expect("first slot");
+    let second = snap.len() - r.remaining();
+    let index = |at: usize| u64::from_le_bytes(snap[at..at + 8].try_into().unwrap());
+    let with = |at: usize, i: u64| {
+        let mut bad = snap.clone();
+        bad[at..at + 8].copy_from_slice(&i.to_le_bytes());
+        bad
+    };
+    for (what, bad) in [
+        ("a slot index past the array", with(second, slots)),
+        ("slot indices out of order", with(second, index(first))),
+    ] {
+        match restore_checked(&prog, 1, &bad, what) {
+            Err(SnapError::Corrupt(m)) => assert!(m.starts_with("cache slot"), "{what}: {m}"),
+            other => panic!("{what}: expected corruption, got {other:?}"),
+        }
+    }
+    let cut = restore_checked(&prog, 1, &snap[..second + 40], "a record cut short");
+    assert_eq!(cut, Err(SnapError::Truncated));
+}
+
 #[test]
 fn version_skew_is_a_structured_error() {
     let prog = busy_prog(100);
@@ -248,11 +329,11 @@ fn version_skew_is_a_structured_error() {
     }
     let mut snap = sim.save_snapshot().expect("snapshot");
     // The u32 after the magic is the format version. Skew it both ways: a
-    // future format, and v10 — the last format with a full page for every
-    // memory frame, so a v10 body must never reach the v11 reader.
+    // future format, and v11 — the last format with every slot of every
+    // cache array, so a v11 body must never reach the v12 reader.
     let current = u32::from_le_bytes(snap[4..8].try_into().unwrap());
-    assert_eq!(current, 11, "layout changes bump SOC_SNAP_VERSION");
-    for skewed in [current + 1, 10] {
+    assert_eq!(current, 12, "layout changes bump SOC_SNAP_VERSION");
+    for skewed in [current + 1, 11] {
         snap[4..8].copy_from_slice(&skewed.to_le_bytes());
         let mut fresh = build(&prog, 1, SchedulerMode::Fast);
         match fresh.restore_snapshot(&snap) {
